@@ -405,109 +405,217 @@ def bench_selective_scan(rows: int, seed: int, block_size: int = 4000) -> dict:
     }
 
 
-def bench_compressed_scan(
-    rows: int, seed: int, block_size: int = 4000, repeats: int = 3
-) -> dict:
-    """Compressed-domain filtered scan vs decompress-then-filter, swept over
-    selectivity.
+#: Selectivities and selection layouts every compressed-scan workload is
+#: swept over; the CI gate is the *minimum* speedup across all of them.
+SWEEP_FRACTIONS = (("1%", 0.01), ("10%", 0.10), ("50%", 0.50), ("90%", 0.90), ("100%", 1.0))
+SWEEP_LAYOUTS = ("clustered", "scattered")
 
-    Three workloads pick the scheme families with selection-vector kernels:
-    sorted ints (FastBP128 — page headers reject whole pages), run-heavy
-    ints (RLE — only matching runs decode) and low-cardinality strings
-    (dictionary — the predicate compiles into code space and only matching
-    codes gather their strings). Each runs
-    :func:`repro.query.executor.filter_column` against the naive
-    decompress-evaluate-gather baseline at ~1% / 10% / 50% / 100%
-    selectivity, recording wall time and the ``query.cdomain.filtered.*``
-    counters. The ``at_1pct`` rollup (total rows decoded vs rows in
-    surviving blocks, worst-case speedup) is what CI gates — decode work
-    must scale with selectivity, not block size.
+
+def _paired_seconds(
+    fast: Callable[[], object], plain: Callable[[], object], repeats: int
+) -> "tuple[float, float]":
+    """Fastest per-call time of two alternatives, measured interleaved.
+
+    A speedup is a ratio of two timings; alternating the calls makes host
+    drift hit both sides alike, and taking each side's minimum over at least
+    ``5 * repeats`` rounds (and ``4 ms * repeats`` of wall time, so
+    microsecond-scale smoke runs get hundreds of rounds) drops the
+    one-sided noise a neighbour adds.
     """
+    best_fast = best_plain = float("inf")
+    rounds = 0
+    deadline = time.perf_counter() + 0.004 * max(repeats, 1)
+    while rounds < 5 * max(repeats, 1) or time.perf_counter() < deadline:
+        started = time.perf_counter()
+        fast()
+        middle = time.perf_counter()
+        plain()
+        ended = time.perf_counter()
+        best_fast = min(best_fast, middle - started)
+        best_plain = min(best_plain, ended - middle)
+        rounds += 1
+    return best_fast, best_plain
+
+
+def _identical(got, expected) -> bool:
+    """Bit-for-bit equality of two value sequences (NaN payloads included)."""
+    from repro.types import StringArray
+
+    if isinstance(expected, StringArray):
+        return np.array_equal(got.offsets, expected.offsets) and np.array_equal(
+            got.buffer[: int(got.offsets[-1])], expected.buffer[: int(expected.offsets[-1])]
+        )
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.dtype == expected.dtype and np.array_equal(
+        got.view(np.uint8), expected.view(np.uint8)
+    )
+
+
+def bench_compressed_scan(
+    rows: int, seed: int, block_size: int = 16_384, repeats: int = 3
+) -> dict:
+    """Selective execution vs decode-everything, swept over selectivity.
+
+    Two sections, each over ~1 / 10 / 50 / 90 / 100% selectivity and two
+    selection layouts (``clustered``: the selected rows are contiguous;
+    ``scattered``: they are spread over every page and run):
+
+    * ``workloads`` — :func:`repro.query.executor.filter_column` against the
+      naive decompress-evaluate-gather baseline, on the three scheme
+      families with compressed-domain predicate kernels: bit-packed ints
+      (page headers reject whole pages), run-heavy ints (the predicate runs
+      once per run) and low-cardinality strings (the predicate compiles into code
+      space). The layout is a property of the data here — sorted values
+      give clustered matches, shuffled ones scattered matches.
+    * ``materialise`` — :func:`repro.core.access.read_rows` against
+      decompress-then-take for a given selection vector, over every
+      :data:`SCHEME_WORKLOADS` family, so every filtered kernel (and the
+      dispatcher's full-decode crossover) is timed against the plain path.
+
+    Every timed pair is first checked bit-identical. ``min_speedup`` is the
+    worst cell of the whole sweep; ``materialise_min_speedup`` the worst
+    ``materialise`` cell, which CI gates (a fast path that loses to the plain
+    path anywhere in its sweep is a bug). The ``at_1pct`` rollup keeps
+    reporting rows decoded vs rows in surviving blocks. Blocks default to
+    16,384 rows: per-block dispatch is ~10 us of Python on either side, so
+    much smaller blocks measure that, not the kernels.
+    """
+    from repro.core.access import read_rows
     from repro.core.compressor import compress_column
     from repro.core.decompressor import decompress_column
-    from repro.encodings import strutil
+    from repro.encodings.base import take_values
     from repro.query.executor import filter_column
     from repro.query.predicates import Between, In
-    from repro.types import ColumnType
 
     rng = np.random.default_rng(seed)
-    fractions = (("1%", 0.01), ("10%", 0.10), ("50%", 0.50), ("100%", 1.0))
-
     sorted_ints = np.sort(rng.integers(0, 1 << 16, rows)).astype(np.int32)
     run_values = np.sort(rng.integers(0, 50_000, (rows + 19) // 20)).astype(np.int32)
-    rle_ints = np.repeat(run_values, 20)[:rows]
     vocab = [f"category-{i:03d}" for i in range(100)]
-    cat_ids = rng.integers(0, len(vocab), rows)
+    cat_ids = np.sort(rng.integers(0, len(vocab), rows))
 
     def int_predicate(values: np.ndarray, fraction: float) -> Between:
         return Between(int(values.min()), int(np.quantile(values, fraction)))
 
-    workloads = {
-        "bitpack": (
-            Column.ints("v", sorted_ints),
-            lambda fraction: int_predicate(sorted_ints, fraction),
-        ),
-        "rle": (
-            Column.ints("v", rle_ints),
-            lambda fraction: int_predicate(rle_ints, fraction),
-        ),
-        "dictionary": (
-            Column.strings("v", [vocab[i] for i in cat_ids]),
-            lambda fraction: In(vocab[: max(1, round(len(vocab) * fraction))]),
-        ),
+    # name -> (clustered values, column factory, predicate factory); the
+    # scattered variant shuffles the same values (runs stay runs).
+    sources = {
+        "bitpack": (sorted_ints, 1, lambda v: Column.ints("v", v),
+                    lambda fraction: int_predicate(sorted_ints, fraction)),
+        "rle": (run_values, 20, lambda v: Column.ints("v", v),
+                lambda fraction: int_predicate(run_values, fraction)),
+        "dictionary": (cat_ids, 1, lambda v: Column.strings("v", [vocab[i] for i in v]),
+                       lambda fraction: In(vocab[: max(1, round(len(vocab) * fraction))])),
     }
     config = BtrBlocksConfig(block_size=block_size)
-    report: dict = {"rows": rows, "block_size": block_size, "workloads": {}}
+    report: dict = {
+        "rows": rows, "block_size": block_size, "workloads": {}, "materialise": {},
+    }
+    speedups: dict[str, float] = {}
     decoded_1pct = 0
     surviving_1pct = 0
     speedups_1pct = []
-    for name, (column, make_predicate) in workloads.items():
-        compressed = compress_column(column, config)
-        sweep = {}
-        for label, fraction in fractions:
-            predicate = make_predicate(fraction)
-            registry = MetricsRegistry()
-            with use_registry(registry):
-                filtered = filter_column(compressed, predicate)
-            rows_decoded = int(registry.get("query.cdomain.filtered.rows_selected"))
-            surviving_rows = int(registry.get("query.cdomain.filtered.rows_total"))
-            filtered_s = _best_seconds(
-                lambda: filter_column(compressed, predicate), repeats
-            )
+    for name, (values, run_length, make_column, make_predicate) in sources.items():
+        report["workloads"][name] = {}
+        for layout in SWEEP_LAYOUTS:
+            laid_out = values if layout == "clustered" else rng.permutation(values)
+            column = make_column(np.repeat(laid_out, run_length)[:rows])
+            compressed = compress_column(column, config)
+            sweep = {}
+            for label, fraction in SWEEP_FRACTIONS:
+                predicate = make_predicate(fraction)
 
-            def naive():
-                full = decompress_column(compressed)
-                hits = np.nonzero(np.asarray(predicate.evaluate(full.data)))[0]
-                if compressed.ctype is ColumnType.STRING:
-                    return strutil.gather(full.data, hits)
-                return np.asarray(full.data)[hits]
+                def naive():
+                    full = decompress_column(compressed)
+                    hits = np.nonzero(np.asarray(predicate.evaluate(full.data)))[0]
+                    return take_values(full.data, hits)
 
-            naive_s = _best_seconds(naive, repeats)
-            sweep[label] = {
-                "selectivity": fraction,
-                "rows_matched": len(filtered.data),
-                "filtered_s": filtered_s,
-                "naive_s": naive_s,
-                "speedup": naive_s / filtered_s if filtered_s else 0.0,
-                "rows_decoded": rows_decoded,
-                "surviving_rows": surviving_rows,
-                "decode_fraction": (
-                    rows_decoded / surviving_rows if surviving_rows else 0.0
-                ),
-                "pages": int(registry.get("query.cdomain.pages")),
-                "pages_skipped": int(registry.get("query.cdomain.pages_skipped")),
-            }
-            if label == "1%":
-                decoded_1pct += rows_decoded
-                surviving_1pct += surviving_rows
-                speedups_1pct.append(sweep[label]["speedup"])
-        report["workloads"][name] = sweep
+                registry = MetricsRegistry()
+                with use_registry(registry):
+                    filtered = filter_column(compressed, predicate)
+                if not _identical(filtered.data, naive()):
+                    raise AssertionError(
+                        f"filter_column differs from decompress-then-filter: "
+                        f"{name}/{layout}/{label}"
+                    )
+                filtered_s, naive_s = _paired_seconds(
+                    lambda: filter_column(compressed, predicate), naive, repeats
+                )
+                rows_decoded = int(registry.get("query.cdomain.filtered.rows_selected"))
+                surviving_rows = int(registry.get("query.cdomain.filtered.rows_total"))
+                sweep[label] = {
+                    "selectivity": fraction,
+                    "rows_matched": len(filtered.data),
+                    "filtered_s": filtered_s,
+                    "naive_s": naive_s,
+                    "speedup": naive_s / filtered_s if filtered_s else 0.0,
+                    "rows_decoded": rows_decoded,
+                    "surviving_rows": surviving_rows,
+                    "decode_fraction": (
+                        rows_decoded / surviving_rows if surviving_rows else 0.0
+                    ),
+                    "full_decodes": int(registry.get("query.cdomain.filtered.full_decodes")),
+                    "pages": int(registry.get("query.cdomain.pages")),
+                    "pages_skipped": int(registry.get("query.cdomain.pages_skipped")),
+                }
+                speedups[f"workloads/{name}/{layout}/{label}"] = sweep[label]["speedup"]
+                if label == "1%" and layout == "clustered":
+                    decoded_1pct += rows_decoded
+                    surviving_1pct += surviving_rows
+                    speedups_1pct.append(sweep[label]["speedup"])
+            report["workloads"][name][layout] = sweep
+
+    for name, make in SCHEME_WORKLOADS.items():
+        compressed = compress_column(make(rows, np.random.default_rng(seed)), config)
+        full = decompress_column(compressed).data
+        report["materialise"][name] = {}
+        for layout in SWEEP_LAYOUTS:
+            sweep = {}
+            for label, fraction in SWEEP_FRACTIONS:
+                picked = max(1, int(rows * fraction))
+                if layout == "clustered":
+                    start = (rows - picked) // 2
+                    selection = np.arange(start, start + picked, dtype=np.int64)
+                else:
+                    selection = np.sort(rng.choice(rows, picked, replace=False))
+                if not _identical(
+                    read_rows(compressed, selection).data, take_values(full, selection)
+                ):
+                    raise AssertionError(
+                        f"read_rows differs from decompress-then-take: "
+                        f"{name}/{layout}/{label}"
+                    )
+
+                def plain():
+                    # The same contract as read_rows: out-of-range rows are
+                    # an IndexError, never a wrapped-around negative index.
+                    if selection.min() < 0 or selection.max() >= rows:
+                        raise IndexError("row index out of range")
+                    return take_values(decompress_column(compressed).data, selection)
+
+                filtered_s, naive_s = _paired_seconds(
+                    lambda: read_rows(compressed, selection), plain, repeats
+                )
+                sweep[label] = {
+                    "selectivity": fraction,
+                    "rows_selected": picked,
+                    "filtered_s": filtered_s,
+                    "naive_s": naive_s,
+                    "speedup": naive_s / filtered_s if filtered_s else 0.0,
+                }
+                speedups[f"materialise/{name}/{layout}/{label}"] = sweep[label]["speedup"]
+            report["materialise"][name][layout] = sweep
+
     report["at_1pct"] = {
         "rows_decoded": decoded_1pct,
         "surviving_rows": surviving_1pct,
         "decode_fraction": decoded_1pct / surviving_1pct if surviving_1pct else 0.0,
         "min_speedup": min(speedups_1pct) if speedups_1pct else 0.0,
     }
+    for key, prefix in (("min_speedup", ""), ("materialise_min_speedup", "materialise/")):
+        cells = {cell: value for cell, value in speedups.items() if cell.startswith(prefix)}
+        worst = min(cells, key=cells.get)
+        report[key] = cells[worst]
+        report[f"{key}_at"] = worst
     return report
 
 
@@ -613,7 +721,7 @@ def run_bench(
         "schemes": bench_schemes(rows, repeats, seed, decode_only=decode_only),
         "pipeline": bench_pipeline(rows, seed),
         "selective_scan": bench_selective_scan(rows, seed),
-        "compressed_scan": bench_compressed_scan(rows, seed),
+        "compressed_scan": bench_compressed_scan(rows, seed, repeats=repeats),
     }
     if not decode_only:
         report["parallel"] = bench_parallel(

@@ -6,6 +6,6 @@ Pseudodecimal. The paper links against the CRoaring C library; this package
 is a from-scratch NumPy implementation of the same container design.
 """
 
-from repro.bitmap.roaring import RoaringBitmap
+from repro.bitmap.roaring import RoaringBitmap, strictly_increasing
 
-__all__ = ["RoaringBitmap"]
+__all__ = ["RoaringBitmap", "strictly_increasing"]

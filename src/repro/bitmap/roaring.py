@@ -35,6 +35,16 @@ _KIND_RUN = 2
 _MAGIC = b"RB01"
 
 
+def strictly_increasing(values: np.ndarray) -> bool:
+    """True when ``values`` is sorted and duplicate-free.
+
+    This is the selection-vector contract: positions that satisfy it can be
+    sliced per block, ranked and bounds-checked at their endpoints without
+    ever being re-sorted. One vectorised comparison.
+    """
+    return values.size < 2 or bool((values[1:] > values[:-1]).all())
+
+
 def _bitmap_from_values(low: np.ndarray) -> np.ndarray:
     """Build a 1024-word uint64 bitset from uint16 values."""
     words = np.zeros(BITMAP_WORDS, dtype=np.uint64)
@@ -69,13 +79,10 @@ def _runs_to_values(pairs: np.ndarray) -> np.ndarray:
     if pairs.shape[0] == 0:
         return np.empty(0, dtype=np.uint16)
     lengths = pairs[:, 1].astype(np.int64) + 1
-    total = int(lengths.sum())
-    out = np.empty(total, dtype=np.int64)
-    pos = 0
-    for start, extent in zip(pairs[:, 0].astype(np.int64), lengths):
-        out[pos : pos + extent] = np.arange(start, start + extent)
-        pos += extent
-    return out.astype(np.uint16)
+    ends = np.cumsum(lengths)
+    # Value i of run r is start[r] + (i - first index of run r).
+    shift = pairs[:, 0].astype(np.int64) - (ends - lengths)
+    return (np.arange(ends[-1]) + np.repeat(shift, lengths)).astype(np.uint16)
 
 
 class _Container:
@@ -163,9 +170,13 @@ class RoaringBitmap:
         bm = cls()
         if arr.size == 0:
             return bm
-        if np.any(arr < 0) or np.any(arr > 0xFFFFFFFF):
+        # Scans, masks and ``to_array`` hand over strictly increasing
+        # positions; only other input pays for the sort + dedupe.
+        if not strictly_increasing(arr):
+            arr = np.unique(arr)
+        if arr[0] < 0 or arr[-1] > 0xFFFFFFFF:
             raise ValueError("positions must be uint32")
-        arr = np.unique(arr).astype(np.uint32)
+        arr = arr.astype(np.uint32)
         highs = (arr >> 16).astype(np.uint32)
         lows = (arr & 0xFFFF).astype(np.uint16)
         boundaries = np.nonzero(np.diff(highs))[0] + 1

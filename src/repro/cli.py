@@ -482,18 +482,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.compressed_scan:
         cdomain = report["compressed_scan"]
         print(f"  compressed-domain scan ({cdomain['rows']:,} rows, "
-              f"block size {cdomain['block_size']:,}):")
-        for name, sweep in cdomain["workloads"].items():
-            for label, point in sweep.items():
-                print(f"    {name:>10s} {label:>4s}: {point['rows_matched']:>8,} rows, "
-                      f"filtered {point['filtered_s'] * 1000:8.2f} ms vs naive "
-                      f"{point['naive_s'] * 1000:8.2f} ms ({point['speedup']:5.1f}x), "
-                      f"decoded {100.0 * point['decode_fraction']:5.1f}% of surviving rows")
+              f"block size {cdomain['block_size']:,}), speedup over decode-everything "
+              f"at {' / '.join(label for label, _ in bench.SWEEP_FRACTIONS)}:")
+        for section, plain in (("workloads", "filter_column"), ("materialise", "read_rows")):
+            for name, layouts in cdomain[section].items():
+                for layout, sweep in layouts.items():
+                    cells = " ".join(f"{point['speedup']:6.2f}x" for point in sweep.values())
+                    print(f"    {plain:>13s} {name:>13s} {layout:>9s}: {cells}")
         rollup = cdomain["at_1pct"]
         print(f"    at 1%: decoded {rollup['rows_decoded']:,} of "
               f"{rollup['surviving_rows']:,} surviving rows "
               f"({100.0 * rollup['decode_fraction']:.1f}%), "
               f"min speedup {rollup['min_speedup']:.1f}x")
+        print(f"    whole sweep: min speedup {cdomain['min_speedup']:.2f}x "
+              f"at {cdomain['min_speedup_at']}; materialise: "
+              f"{cdomain['materialise_min_speedup']:.2f}x "
+              f"at {cdomain['materialise_min_speedup_at']}")
     if args.compare:
         regressions = bench.compare(
             report, bench.load_report(args.compare), threshold=args.threshold

@@ -704,13 +704,13 @@ class RemoteTable:
             return None
         if self._columns.get(entry["file"]) is not None:
             return None  # full column in cache: no GET to save
-        offsets = np.asarray(zone_map.block_offsets(), dtype=np.int64)
-        needed = set(
-            int(i) for i in np.unique(np.searchsorted(offsets, rows, side="right") - 1)
-        )
+        # ``rows`` come sorted from the filter bitmap: block ``i`` is needed
+        # iff some row falls between its offset and the next block's.
+        bounds = np.searchsorted(rows, zone_map.block_offsets())
+        needed = bounds[1:] > bounds[:-1]
         blocks = []
         for index, stats in enumerate(zone_map.entries):
-            if index in needed:
+            if needed[index]:
                 blocks.append(self._fetch_pruned_block(entry, index, ranges, zone_map))
             else:
                 blocks.append(CompressedBlock(stats.row_count, b""))

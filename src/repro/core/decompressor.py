@@ -25,13 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmap import RoaringBitmap
+from repro.bitmap import RoaringBitmap, strictly_increasing
 from repro.core.blocks import CompressedBlock, CompressedColumn, CompressedRelation
 from repro.core.config import DecodeLimits
 from repro.core.file_format import verify_block
 from repro.core.relation import Relation
 from repro.encodings import strutil
-from repro.encodings.base import DecompressionContext, Values, get_scheme
+from repro.encodings.base import (
+    DecompressionContext,
+    Values,
+    get_scheme,
+    prefers_full_decode,
+    take_values,
+)
 from repro.encodings.wire import unwrap
 from repro.exceptions import (
     BtrBlocksError,
@@ -47,13 +53,15 @@ from repro.types import Column, ColumnType, StringArray
 ON_CORRUPT_MODES = ("raise", "skip", "null_block")
 
 
-def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) -> Values:
+def _open_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext):
+    """The untrusted-input gate every decode entry runs before scheme code.
+
+    The wire header's count is what schemes size their output allocations
+    from, at every cascade level. Bound it (and the payload) first; callers
+    hold schemes to the declared count afterwards so a lying header cannot
+    smuggle a different row count into reassembly.
+    """
     scheme_id, count, payload = unwrap(blob)
-    # Untrusted-input gate: the wire header's count is what schemes size
-    # their output allocations from, at every cascade level. Bound it (and
-    # the payload) before any scheme code runs, and hold schemes to their
-    # declared count afterwards so a lying header cannot smuggle a
-    # different row count into reassembly.
     if count > ctx.limits.max_rows_per_block:
         raise DecodeLimitError(
             f"block declares {count} values, limit is {ctx.limits.max_rows_per_block}"
@@ -68,18 +76,30 @@ def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) 
         raise TypeMismatchError(
             f"block encoded as {scheme.ctype.value} but read as {ctype.value}"
         )
+    return scheme, count, payload
+
+
+def _run_scheme(scheme, method, *args):
+    """Run scheme code on untrusted bytes, typing whatever it throws.
+
+    Scheme decoders trust their payload's internal structure (zlib streams,
+    struct offsets, index arrays); malformed v1 files reach them
+    unchecksummed. Everything they throw at garbage becomes the typed error
+    the degrade policies and callers are written against.
+    """
     try:
-        values = scheme.decompress(payload, count, ctx)
+        return method(*args)
     except (BtrBlocksError, MemoryError):
         raise
     except Exception as exc:
-        # Scheme decoders trust their payload's internal structure (zlib
-        # streams, struct offsets, index arrays); malformed v1 files reach
-        # them unchecksummed. Everything they throw at garbage becomes the
-        # typed error the degrade policies and callers are written against.
         raise CorruptBlockError(
             f"{scheme.name} failed on malformed payload: {exc!r}"
         ) from exc
+
+
+def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) -> Values:
+    scheme, count, payload = _open_node(blob, ctype, ctx)
+    values = _run_scheme(scheme, scheme.decompress, payload, count, ctx)
     if len(values) != count:
         raise FormatError(
             f"block declared {count} values but {scheme.name} decoded {len(values)}"
@@ -92,84 +112,72 @@ def _decompress_node_into(
 ) -> None:
     """Zero-copy variant of :func:`_decompress_node`: decode into ``out``.
 
-    Applies the same untrusted-input gates, then dispatches to the scheme's
-    ``decompress_into``. ``out`` is a writable view of exactly the declared
-    value count; a header whose count disagrees with the slot is rejected
-    *before* any scheme code runs (the legacy path detects the same
-    corruption after decoding, as a length mismatch). On failure ``out``
-    may hold partial data — callers degrade or re-raise, never read it.
+    ``out`` is a writable view of exactly the declared value count; a header
+    whose count disagrees with the slot is rejected *before* any scheme code
+    runs (the legacy path detects the same corruption after decoding, as a
+    length mismatch). On failure ``out`` may hold partial data — callers
+    degrade or re-raise, never read it.
     """
-    scheme_id, count, payload = unwrap(blob)
-    if count > ctx.limits.max_rows_per_block:
-        raise DecodeLimitError(
-            f"block declares {count} values, limit is {ctx.limits.max_rows_per_block}"
-        )
-    if len(payload) > ctx.limits.max_bytes_per_block:
-        raise DecodeLimitError(
-            f"block payload of {len(payload)} bytes exceeds limit "
-            f"{ctx.limits.max_bytes_per_block}"
-        )
+    scheme, count, payload = _open_node(blob, ctype, ctx)
     if count != len(out):
         raise FormatError(
             f"block declared {count} values but its slot holds {len(out)}"
         )
-    scheme = get_scheme(scheme_id)
-    if scheme.ctype is not ctype:
-        raise TypeMismatchError(
-            f"block encoded as {scheme.ctype.value} but read as {ctype.value}"
-        )
-    try:
-        scheme.decompress_into(payload, count, ctx, out)
-    except (BtrBlocksError, MemoryError):
-        raise
-    except Exception as exc:
-        raise CorruptBlockError(
-            f"{scheme.name} failed on malformed payload: {exc!r}"
-        ) from exc
+    _run_scheme(scheme, scheme.decompress_into, payload, count, ctx, out)
+
+
+def _selects_sparsely(scheme, count: int, positions: np.ndarray) -> bool:
+    """The filtered-vs-full crossover, from the selection alone.
+
+    The selection is costed in the scheme's own unit (a row, a 128-value
+    page): it can touch at most one unit per selected row and no more than
+    its row span covers — an O(1) upper bound. Once that reaches
+    :func:`~repro.encodings.base.prefers_full_decode`'s share of the node,
+    one full decode plus a take is cheaper, unless the scheme's filtered
+    form wins even then.
+    """
+    if scheme.filtered_wins_dense or positions.size == 0:
+        return True
+    unit = scheme.selection_unit
+    touched = min(positions.size, (int(positions[-1]) - int(positions[0])) // unit + 1)
+    return not prefers_full_decode(touched * unit, count)
 
 
 def _decompress_node_filtered(
-    blob: bytes, ctype: ColumnType, ctx: DecompressionContext, positions: np.ndarray
+    blob: bytes,
+    ctype: ColumnType,
+    ctx: DecompressionContext,
+    positions: np.ndarray,
+    *,
+    block_level: bool = False,
 ) -> Values:
     """Selection-vector variant of :func:`_decompress_node`.
 
     ``positions`` are the sorted unique row indices to materialise, each in
-    ``[0, declared count)``. The same untrusted-input gates run first — the
-    positions themselves are held to the declared count, because inner
-    cascade levels *derive* child positions from decoded geometry (RLE run
-    ends, frequency bitmaps) and corrupt geometry must surface as a typed
-    error here, not as an out-of-bounds crash inside a kernel. Schemes then
-    decode only what the selection needs.
+    ``[0, declared count)`` — the public entry points establish that, inner
+    cascade levels *derive* child positions from decoded geometry (frequency
+    bitmaps), which is non-decreasing by construction. The
+    endpoints are held to the declared count so corrupt geometry surfaces as
+    a typed error here, not as an out-of-bounds crash inside a kernel.
+
+    Selections past the crossover (and the scalar ablation, which has no
+    selective kernels) decode through the ordinary full path and take — no
+    take at all when the selection covers the node. ``block_level`` callers
+    have that counted as ``query.cdomain.filtered.full_decodes``.
     """
-    scheme_id, count, payload = unwrap(blob)
-    if count > ctx.limits.max_rows_per_block:
-        raise DecodeLimitError(
-            f"block declares {count} values, limit is {ctx.limits.max_rows_per_block}"
-        )
-    if len(payload) > ctx.limits.max_bytes_per_block:
-        raise DecodeLimitError(
-            f"block payload of {len(payload)} bytes exceeds limit "
-            f"{ctx.limits.max_bytes_per_block}"
-        )
+    scheme, count, payload = _open_node(blob, ctype, ctx)
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size and (int(positions[0]) < 0 or int(positions[-1]) >= count):
         raise CorruptBlockError(
             f"selection rows span [{int(positions[0])}, {int(positions[-1])}] "
             f"but the block declares {count} values"
         )
-    scheme = get_scheme(scheme_id)
-    if scheme.ctype is not ctype:
-        raise TypeMismatchError(
-            f"block encoded as {scheme.ctype.value} but read as {ctype.value}"
-        )
-    try:
-        values = scheme.decompress_filtered(payload, count, ctx, positions)
-    except (BtrBlocksError, MemoryError):
-        raise
-    except Exception as exc:
-        raise CorruptBlockError(
-            f"{scheme.name} failed on malformed payload: {exc!r}"
-        ) from exc
+    if not (ctx.vectorized and _selects_sparsely(scheme, count, positions)):
+        if block_level:
+            get_registry().incr("query.cdomain.filtered.full_decodes")
+        values = _decompress_node(blob, ctype, ctx)
+        return values if positions.size == count else take_values(values, positions)
+    values = _run_scheme(scheme, scheme.decompress_filtered, payload, count, ctx, positions)
     if len(values) != positions.size:
         raise FormatError(
             f"selection asked for {positions.size} values but {scheme.name} "
@@ -188,26 +196,22 @@ def make_context(
     limits: "DecodeLimits | None" = None,
 ) -> DecompressionContext:
     """A decompression context that recursively dispatches on scheme ids."""
-    if limits is None:
-        ctx = _DEFAULT_CONTEXTS.get((vectorized, fuse_rle_dict))
-        if ctx is None:
-            ctx = DecompressionContext(
-                _decompress_node,
-                vectorized=vectorized,
-                fuse_rle_dict=fuse_rle_dict,
-                decompress_into_fn=_decompress_node_into,
-                decompress_filtered_fn=_decompress_node_filtered,
-            )
-            _DEFAULT_CONTEXTS[(vectorized, fuse_rle_dict)] = ctx
-        return ctx
-    return DecompressionContext(
-        _decompress_node,
-        vectorized=vectorized,
-        fuse_rle_dict=fuse_rle_dict,
-        limits=limits,
-        decompress_into_fn=_decompress_node_into,
-        decompress_filtered_fn=_decompress_node_filtered,
-    )
+    def build(**extra) -> DecompressionContext:
+        return DecompressionContext(
+            _decompress_node,
+            _decompress_node_into,
+            _decompress_node_filtered,
+            vectorized=vectorized,
+            fuse_rle_dict=fuse_rle_dict,
+            **extra,
+        )
+
+    if limits is not None:
+        return build(limits=limits)
+    key = (vectorized, fuse_rle_dict)
+    if key not in _DEFAULT_CONTEXTS:
+        _DEFAULT_CONTEXTS[key] = build()
+    return _DEFAULT_CONTEXTS[key]
 
 
 def decompress_block(blob: bytes, ctype: ColumnType, vectorized: bool = True) -> Values:
@@ -245,6 +249,32 @@ class CorruptBlockResult:
         return self.emitted
 
 
+def _block_is_intact(block: CompressedBlock, ctx: DecompressionContext, on_corrupt: str) -> bool:
+    """Shared preamble of the ``decode_block*`` entry points.
+
+    Validates the policy, bounds the declared count and verifies the stored
+    CRC32 (when present). ``False`` means a damaged block under a degrade
+    policy; under ``"raise"`` damage is an :class:`IntegrityError`.
+    """
+    if on_corrupt not in ON_CORRUPT_MODES:
+        raise ValueError(f"on_corrupt must be one of {ON_CORRUPT_MODES}, got {on_corrupt!r}")
+    if block.count > ctx.limits.max_rows_per_block:
+        # An oversized declared count is an adversarial signal, not mere
+        # damage: even the degrade policies must not allocate a null block
+        # of that length, so this raises under every on_corrupt mode.
+        raise DecodeLimitError(
+            f"block declares {block.count} values, limit is "
+            f"{ctx.limits.max_rows_per_block}"
+        )
+    if verify_block(block):
+        return True
+    if on_corrupt == "raise":
+        raise IntegrityError(
+            f"block of {block.count} values: payload does not match stored CRC32"
+        )
+    return False
+
+
 def decode_block(
     block: CompressedBlock,
     ctype: ColumnType,
@@ -259,32 +289,17 @@ def decode_block(
     per-column totals are accounted once by :func:`assemble_column` so
     sequential and parallel runs produce identical counters.
     """
-    if on_corrupt not in ON_CORRUPT_MODES:
-        raise ValueError(f"on_corrupt must be one of {ON_CORRUPT_MODES}, got {on_corrupt!r}")
-    if block.count > ctx.limits.max_rows_per_block:
-        # An oversized declared count is an adversarial signal, not mere
-        # damage: even the degrade policies must not allocate a null block
-        # of that length, so this raises under every on_corrupt mode.
-        raise DecodeLimitError(
-            f"block declares {block.count} values, limit is "
-            f"{ctx.limits.max_rows_per_block}"
-        )
-    if not verify_block(block):
-        if on_corrupt == "raise":
-            raise IntegrityError(
-                f"block of {block.count} values: payload does not match stored CRC32"
-            )
-        return CorruptBlockResult(block.count if on_corrupt == "null_block" else 0)
-    if on_corrupt == "raise":
-        return _decompress_node(block.data, ctype, ctx)
+    emitted = block.count if on_corrupt == "null_block" else 0
+    if not _block_is_intact(block, ctx, on_corrupt):
+        return CorruptBlockResult(emitted)
     try:
         return _decompress_node(block.data, ctype, ctx)
     except BtrBlocksError:
         # Checksum-less (v1 / in-memory) blocks can only reveal damage by
         # failing to parse; degrade those the same way.
-        return CorruptBlockResult(
-            block.count if on_corrupt == "null_block" else 0, reason="decode failure"
-        )
+        if on_corrupt == "raise":
+            raise
+        return CorruptBlockResult(emitted, reason="decode failure")
 
 
 def decode_block_filtered(
@@ -298,21 +313,18 @@ def decode_block_filtered(
 
     The selection-vector analog of :func:`decode_block`: identical CRC32
     verification order, error types and degrade semantics, but schemes
-    decode only what the selection needs — RLE touches only matching runs,
-    dictionaries gather only selected codes, bit-packing unpacks only pages
-    holding selected rows. A degraded damaged block emits ``len(positions)``
+    decode only what the selection needs — dictionaries gather only selected
+    codes, bit-packing unpacks only pages holding selected rows, frequency
+    decodes only selected exceptions. A degraded damaged block emits ``len(positions)``
     NULL placeholders under ``"null_block"`` and nothing under ``"skip"``.
     Records ``query.cdomain.filtered.*`` counters (rows decoded vs the
-    block's total) so selectivity scaling is observable.
+    block's total) so selectivity scaling is observable. Positions that are
+    not strictly increasing are a caller bug (``ValueError``), rejected
+    before any payload byte is parsed — everything below relies on it.
     """
-    if on_corrupt not in ON_CORRUPT_MODES:
-        raise ValueError(f"on_corrupt must be one of {ON_CORRUPT_MODES}, got {on_corrupt!r}")
-    if block.count > ctx.limits.max_rows_per_block:
-        raise DecodeLimitError(
-            f"block declares {block.count} values, limit is "
-            f"{ctx.limits.max_rows_per_block}"
-        )
     positions = np.asarray(positions, dtype=np.int64)
+    if not strictly_increasing(positions):
+        raise ValueError("selection positions must be sorted and duplicate-free")
     get_registry().incr_many(
         [
             ("query.cdomain.filtered.blocks", 1),
@@ -320,20 +332,15 @@ def decode_block_filtered(
             ("query.cdomain.filtered.rows_total", block.count),
         ]
     )
-    if not verify_block(block):
-        if on_corrupt == "raise":
-            raise IntegrityError(
-                f"block of {block.count} values: payload does not match stored CRC32"
-            )
-        return CorruptBlockResult(positions.size if on_corrupt == "null_block" else 0)
-    if on_corrupt == "raise":
-        return _decompress_node_filtered(block.data, ctype, ctx, positions)
+    emitted = positions.size if on_corrupt == "null_block" else 0
+    if not _block_is_intact(block, ctx, on_corrupt):
+        return CorruptBlockResult(emitted)
     try:
-        return _decompress_node_filtered(block.data, ctype, ctx, positions)
+        return _decompress_node_filtered(block.data, ctype, ctx, positions, block_level=True)
     except BtrBlocksError:
-        return CorruptBlockResult(
-            positions.size if on_corrupt == "null_block" else 0, reason="decode failure"
-        )
+        if on_corrupt == "raise":
+            raise
+        return CorruptBlockResult(emitted, reason="decode failure")
 
 
 def decode_block_into(
@@ -353,33 +360,19 @@ def decode_block_into(
     compaction pass drops it). Identical verification order, error types and
     degrade semantics to :func:`decode_block`; records no metrics.
     """
-    if on_corrupt not in ON_CORRUPT_MODES:
-        raise ValueError(f"on_corrupt must be one of {ON_CORRUPT_MODES}, got {on_corrupt!r}")
-    if block.count > ctx.limits.max_rows_per_block:
-        raise DecodeLimitError(
-            f"block declares {block.count} values, limit is "
-            f"{ctx.limits.max_rows_per_block}"
-        )
-    if not verify_block(block):
-        if on_corrupt == "raise":
-            raise IntegrityError(
-                f"block of {block.count} values: payload does not match stored CRC32"
-            )
-        if on_corrupt == "null_block":
-            out[:] = 0
-            return CorruptBlockResult(block.count)
-        return CorruptBlockResult(0)
-    if on_corrupt == "raise":
-        _decompress_node_into(block.data, ctype, ctx, out)
-        return None
-    try:
-        _decompress_node_into(block.data, ctype, ctx, out)
-        return None
-    except BtrBlocksError:
-        if on_corrupt == "null_block":
-            out[:] = 0  # overwrite any partial decode with the NULL placeholder
-            return CorruptBlockResult(block.count, reason="decode failure")
-        return CorruptBlockResult(0, reason="decode failure")
+    reason = "checksum mismatch"
+    if _block_is_intact(block, ctx, on_corrupt):
+        try:
+            _decompress_node_into(block.data, ctype, ctx, out)
+            return None
+        except BtrBlocksError:
+            if on_corrupt == "raise":
+                raise
+            reason = "decode failure"
+    if on_corrupt == "null_block":
+        out[:] = 0  # the NULL placeholder, over any partial decode
+        return CorruptBlockResult(block.count, reason=reason)
+    return CorruptBlockResult(0, reason=reason)
 
 
 def _null_block_placeholder(ctype: ColumnType, count: int) -> Values:
@@ -387,6 +380,24 @@ def _null_block_placeholder(ctype: ColumnType, count: int) -> Values:
     if ctype is ColumnType.STRING:
         return StringArray.from_pylist([""] * count)
     return np.zeros(count, dtype=_EMPTY_DTYPES[ctype])
+
+
+def _record_column(
+    compressed: CompressedColumn, rows: int, checksummed: int, corrupt_blocks: int, corrupt_rows: int
+) -> None:
+    """One reassembled column's counters (identical on every assembly path)."""
+    counters = [
+        ("decompress.columns", 1),
+        ("decompress.blocks", len(compressed.blocks)),
+        ("decompress.rows", rows),
+        ("decompress.input_bytes", compressed.nbytes),
+    ]
+    if checksummed:
+        counters.append(("decompress.checksum_verified", checksummed))
+    if corrupt_blocks:
+        counters.append(("decompress.corrupt_blocks", corrupt_blocks))
+        counters.append(("decompress.corrupt_rows", corrupt_rows))
+    get_registry().incr_many(counters)
 
 
 def assemble_column(compressed: CompressedColumn, parts: "list[Values | CorruptBlockResult]") -> Column:
@@ -400,7 +411,6 @@ def assemble_column(compressed: CompressedColumn, parts: "list[Values | CorruptB
     of their declared length (``null_block``); later blocks' NULL positions
     are rebased onto the actually-emitted row offsets.
     """
-    registry = get_registry()
     null_positions: list[np.ndarray] = []
     value_parts: list[Values] = []
     offset = 0
@@ -424,18 +434,7 @@ def assemble_column(compressed: CompressedColumn, parts: "list[Values | CorruptB
                 null_positions.append(positions.astype(np.int64) + offset)
         value_parts.append(part)
         offset += block.count
-    counters = [
-        ("decompress.columns", 1),
-        ("decompress.blocks", len(compressed.blocks)),
-        ("decompress.rows", offset),
-        ("decompress.input_bytes", compressed.nbytes),
-    ]
-    if checksummed:
-        counters.append(("decompress.checksum_verified", checksummed))
-    if corrupt_blocks:
-        counters.append(("decompress.corrupt_blocks", corrupt_blocks))
-        counters.append(("decompress.corrupt_rows", corrupt_rows))
-    registry.incr_many(counters)
+    _record_column(compressed, offset, checksummed, corrupt_blocks, corrupt_rows)
     nulls = None
     if null_positions:
         nulls = RoaringBitmap.from_positions(np.concatenate(null_positions))
@@ -502,7 +501,6 @@ def assemble_column_preallocated(
     (rare: only under ``on_corrupt="skip"`` with actual damage), after
     which the array is trimmed to the emitted row count.
     """
-    registry = get_registry()
     null_positions: list[np.ndarray] = []
     write_offset = 0
     read_offset = 0
@@ -536,18 +534,7 @@ def assemble_column_preallocated(
             ]
         write_offset += block.count
         read_offset += block.count
-    counters = [
-        ("decompress.columns", 1),
-        ("decompress.blocks", len(compressed.blocks)),
-        ("decompress.rows", write_offset),
-        ("decompress.input_bytes", compressed.nbytes),
-    ]
-    if checksummed:
-        counters.append(("decompress.checksum_verified", checksummed))
-    if corrupt_blocks:
-        counters.append(("decompress.corrupt_blocks", corrupt_blocks))
-        counters.append(("decompress.corrupt_rows", corrupt_rows))
-    registry.incr_many(counters)
+    _record_column(compressed, write_offset, checksummed, corrupt_blocks, corrupt_rows)
     nulls = None
     if null_positions:
         nulls = RoaringBitmap.from_positions(np.concatenate(null_positions))

@@ -89,11 +89,11 @@ class DecompressionContext:
     def __init__(
         self,
         decompress_fn: Callable[[bytes, ColumnType, "DecompressionContext"], Values],
+        decompress_into_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], None]",
+        decompress_filtered_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], Values]",
         vectorized: bool = True,
         fuse_rle_dict: bool = True,
         limits: "DecodeLimits | None" = None,
-        decompress_into_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], None] | None" = None,
-        decompress_filtered_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], Values] | None" = None,
     ) -> None:
         from repro.core.config import DEFAULT_DECODE_LIMITS
 
@@ -108,36 +108,19 @@ class DecompressionContext:
         return self._decompress_fn(blob, ctype, self)
 
     def decompress_child_into(self, blob: bytes, ctype: ColumnType, out: np.ndarray) -> None:
-        """Decode a child sequence directly into the ``out`` view.
-
-        Cascades the zero-copy path one level deeper when the context was
-        built with an into-dispatcher; otherwise decodes normally and copies
-        (one intermediate, same bytes).
-        """
-        if self._decompress_into_fn is not None:
-            self._decompress_into_fn(blob, ctype, self, out)
-            return
-        values = self._decompress_fn(blob, ctype, self)
-        if len(values) != len(out):
-            raise FormatError(
-                f"child block decoded {len(values)} values into a {len(out)}-value slot"
-            )
-        np.copyto(out, np.asarray(values), casting="unsafe")
+        """Decode a child sequence directly into the ``out`` view."""
+        self._decompress_into_fn(blob, ctype, self, out)
 
     def decompress_child_filtered(
         self, blob: bytes, ctype: ColumnType, positions: np.ndarray
     ) -> Values:
         """Decode only the child values at sorted row ``positions``.
 
-        Cascades the selection vector one level deeper when the context was
-        built with a filtered dispatcher (so e.g. dictionary codes packed
-        with FastBP128 unpack only the pages that hold selected rows);
-        otherwise decodes the child fully and takes the positions.
+        Cascades the selection vector one level deeper (so e.g. dictionary
+        codes packed with FastBP128 unpack only the pages that hold selected
+        rows), through the same dispatcher — and crossover — as the block.
         """
-        if self._decompress_filtered_fn is not None:
-            return self._decompress_filtered_fn(blob, ctype, self, positions)
-        values = self._decompress_fn(blob, ctype, self)
-        return take_values(values, positions)
+        return self._decompress_filtered_fn(blob, ctype, self, positions)
 
 
 class Scheme(ABC):
@@ -157,6 +140,15 @@ class Scheme(ABC):
     #: e.g. FSST only makes sense on raw string data, not on dictionaries that
     #: the dictionary scheme already FSST-compresses itself).
     cascade_only_top_level: bool = False
+    #: ``decompress_filtered`` beats full-decode-then-take even when every
+    #: row is selected, so the dispatcher's crossover never reroutes it
+    #: (string dictionaries: the filtered form gathers from the cached pool).
+    filtered_wins_dense: bool = False
+    #: Rows in the smallest piece ``decompress_filtered`` can skip (a row; a
+    #: 128-value page for the bit-packed schemes). A selection costs the
+    #: kernel every unit it touches, not every row it picks, and the
+    #: dispatcher's crossover counts in these units.
+    selection_unit: int = 1
 
     def is_viable(self, stats: "Stats", config: "BtrBlocksConfig") -> bool:
         """Cheap statistics-based filter (paper step 2). Default: viable."""
@@ -217,12 +209,15 @@ class Scheme(ABC):
         """Decode only the values at ``positions`` (sorted, unique, in
         ``[0, count)``), returning them in position order.
 
-        This is the selection-vector partial-decode surface: RLE decodes only
-        the runs that intersect the selection, dictionaries gather only the
-        selected codes, bit-packing unpacks only the pages containing
-        selected rows. The default decodes fully and takes — bit-identical,
+        This is the selection-vector partial-decode surface: dictionaries
+        gather only the selected codes, bit-packing unpacks only the pages
+        containing selected rows, frequency decodes only the selected
+        exceptions. The default decodes fully and takes — bit-identical,
         no savings — so every scheme participates correctly and only hot
-        schemes need a real kernel.
+        schemes need a real kernel. Kernels *rely* on the sorted contract
+        (the public entry points establish it) and are vectorised only: the
+        dispatcher sends them selections sparse enough to win
+        (:func:`prefers_full_decode`), never the scalar ablation.
         """
         values = self.decompress(payload, count, ctx)
         if len(values) != count:
@@ -253,6 +248,45 @@ class Scheme(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} id={self.scheme_id} {self.ctype.value}>"
+
+
+#: Crossover of selective vs full decode: skipping work pays only while the
+#: selection touches less than 1/8 of what a full decode would process; past
+#: that, one contiguous decode plus one take is cheaper than the gather
+#: indirection. From the per-scheme sweep in docs/PERFORMANCE.md section 7.
+FULL_DECODE_DIVISOR = 8
+
+
+def prefers_full_decode(touched: int, present: int) -> bool:
+    """The one crossover rule: ``touched`` of ``present`` rows' worth of work."""
+    return touched * FULL_DECODE_DIVISOR >= present
+
+
+def sorted_unique_rank(ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(unique ids, rank of each id among them)`` for non-decreasing ``ids``.
+
+    What ``np.unique`` + ``searchsorted`` compute, without sorting: sorted
+    selections map to non-decreasing page / run ids by construction.
+    """
+    if ids.size == 0:
+        return ids, ids
+    # Run starts -> np.repeat: 3x cheaper than a cumsum over the bool mask.
+    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+    counts = np.diff(starts, append=ids.size)
+    return ids[starts], np.repeat(np.arange(starts.size), counts)
+
+
+def locate_sorted(haystack: np.ndarray, needles: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(insertion index, present?)`` of each needle in a sorted unique array.
+
+    The index doubles as the number of haystack entries before the needle,
+    which is what turns a row position into a rank among the *other* rows.
+    """
+    index = np.searchsorted(haystack, needles)
+    found = np.zeros(index.size, dtype=bool)
+    inside = index < haystack.size
+    found[inside] = haystack[index[inside]] == needles[inside]
+    return index, found
 
 
 def take_values(values: Values, positions: np.ndarray) -> Values:

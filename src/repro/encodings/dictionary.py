@@ -154,8 +154,6 @@ class _NumericDict(Scheme):
     def decompress_filtered(
         self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
     ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
         reader = Reader(payload)
         uniq = reader.array()
         codes_blob = reader.blob()
@@ -176,7 +174,7 @@ def _try_fused_rle(codes_blob: bytes, ctx: DecompressionContext):
     scheme_id, run_count, payload = unwrap(codes_blob)
     if scheme_id != SchemeId.RLE_INT:
         return None
-    run_values, run_lengths = _RLEBase.decode_runs(payload, ctx, ColumnType.INTEGER)
+    run_values, run_lengths = _RLEBase.decode_runs(payload, run_count, ctx, ColumnType.INTEGER)
     if run_count and run_lengths.sum() / run_count <= 3.0:
         return None
     return run_values, run_lengths
@@ -198,6 +196,7 @@ class DictString(Scheme):
     scheme_id = SchemeId.DICT_STRING
     name = "dictionary"
     ctype = ColumnType.STRING
+    filtered_wins_dense = True  # cached pool: 1.3-2.5x over full decode at 100%
 
     def is_viable(self, stats, config) -> bool:
         if stats.count == 0:
@@ -297,8 +296,6 @@ class DictString(Scheme):
     def decompress_filtered(
         self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
     ) -> StringArray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
         reader = Reader(payload)
         pool_kind = reader.u8()
         pool_count = reader.u32()

@@ -20,13 +20,14 @@ import numpy as np
 from repro.encodings.base import (
     CompressionContext,
     DecompressionContext,
-    Scheme,
     SchemeId,
     register_scheme,
 )
 from repro.encodings.bitpack import (
     PAGE,
+    FastBP128,
     bit_lengths,
+    check_selected_pages,
     pack_pages,
     page_header_bounds,
     paginate,
@@ -35,8 +36,6 @@ from repro.encodings.bitpack import (
     unpack_pages_subset,
 )
 from repro.encodings.wire import Reader, Writer
-from repro.exceptions import CorruptBlockError
-from repro.types import ColumnType
 
 _EXCEPTION_COST_BITS = 8 + 64
 
@@ -66,15 +65,15 @@ def choose_widths(deltas: np.ndarray) -> np.ndarray:
     return np.argmin(costs, axis=1).astype(np.int64)
 
 
-class FastPFOR(Scheme):
-    """Patched per-page bit-packing for int32 data."""
+class FastPFOR(FastBP128):
+    """Patched per-page bit-packing for int32 data.
+
+    Shares FastBP128's page geometry — and therefore its decode entry
+    points and selection-vector kernel; only the page codec differs.
+    """
 
     scheme_id = SchemeId.FAST_PFOR
     name = "fastpfor"
-    ctype = ColumnType.INTEGER
-
-    def is_viable(self, stats, config) -> bool:
-        return stats.count > 0
 
     def compress(self, values: np.ndarray, ctx: CompressionContext) -> bytes:
         deltas, refs = paginate(values)
@@ -98,7 +97,9 @@ class FastPFOR(Scheme):
         writer.blob(pack_pages(packed_deltas, widths))
         return writer.getvalue()
 
-    def _decode_pages(self, payload: bytes, ctx: DecompressionContext) -> np.ndarray:
+    def _decode_pages(
+        self, payload: bytes, ctx: DecompressionContext, page_ids: "np.ndarray | None" = None
+    ) -> np.ndarray:
         reader = Reader(payload)
         refs = reader.array()
         widths = reader.array()
@@ -106,7 +107,19 @@ class FastPFOR(Scheme):
         exc_slots = reader.array()
         exc_values = reader.array()
         packed = reader.blob()
-        if ctx.vectorized:
+        if page_ids is not None:
+            check_selected_pages(page_ids, widths, refs, exc_per_page)
+            deltas = unpack_pages_subset(packed, widths, page_ids)
+            refs = refs[page_ids]
+            if exc_values.size:
+                # Row of each page in ``deltas`` (-1: not selected), so only
+                # the selected pages' exceptions are patched in.
+                page_rows = np.full(widths.size, -1, dtype=np.int64)
+                page_rows[page_ids] = np.arange(page_ids.size)
+                exc_rows = np.repeat(page_rows, exc_per_page)
+                sel = exc_rows >= 0
+                deltas[exc_rows[sel], exc_slots[sel]] = exc_values[sel]
+        elif ctx.vectorized:
             deltas = unpack_pages(packed, widths)
             if exc_values.size:
                 exc_pages = np.repeat(np.arange(widths.size), exc_per_page)
@@ -124,20 +137,6 @@ class FastPFOR(Scheme):
         # ``refs.astype(np.uint64)``, minus the temporary).
         np.add(deltas, refs[:, None], out=deltas, casting="unsafe")
         return deltas
-
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        values = self._decode_pages(payload, ctx)
-        return values.reshape(-1)[:count].astype(np.int32)
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        values = self._decode_pages(payload, ctx).reshape(-1)
-        if values.size < count:
-            raise CorruptBlockError(
-                f"bit-packed pages hold {values.size} values, {count} declared"
-            )
-        np.copyto(out, values[:count], casting="unsafe")
 
     def header_bounds(
         self, payload: bytes, count: int, ctx: DecompressionContext
@@ -170,43 +169,6 @@ class FastPFOR(Scheme):
             )
             hi = max(hi, int((refs[exc_pages].astype(np.int64) + exc_deltas).max()))
         return lo, hi
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
-        reader = Reader(payload)
-        refs = reader.array()
-        widths = reader.array()
-        exc_per_page = reader.array()
-        exc_slots = reader.array()
-        exc_values = reader.array()
-        packed = reader.blob()
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return np.empty(0, dtype=np.int32)
-        if refs.size != widths.size or exc_per_page.size != widths.size:
-            raise CorruptBlockError(
-                f"patched header declares {refs.size} references / "
-                f"{exc_per_page.size} exception counts for {widths.size} pages"
-            )
-        page_ids = positions // PAGE
-        uniq_pages = np.unique(page_ids)
-        if widths.size <= int(uniq_pages[-1]):
-            raise CorruptBlockError(
-                f"patched pages hold {widths.size * PAGE} values, row {int(positions[-1])} selected"
-            )
-        deltas = unpack_pages_subset(packed, widths, uniq_pages)
-        if exc_values.size:
-            exc_pages = np.repeat(np.arange(widths.size), exc_per_page)
-            sel = np.isin(exc_pages, uniq_pages)
-            if sel.any():
-                exc_rows = np.searchsorted(uniq_pages, exc_pages[sel])
-                deltas[exc_rows, exc_slots[sel]] = exc_values[sel]
-        np.add(deltas, refs[uniq_pages][:, None], out=deltas, casting="unsafe")
-        rows = np.searchsorted(uniq_pages, page_ids)
-        return deltas[rows, positions % PAGE].astype(np.int32)
 
 
 FASTPFOR_SCHEME = register_scheme(FastPFOR())

@@ -17,10 +17,23 @@ from repro.encodings.base import (
     DecompressionContext,
     Scheme,
     SchemeId,
+    locate_sorted,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
 from repro.types import ColumnType, StringArray
+
+
+def _split_selection(top_rows: RoaringBitmap, positions: np.ndarray):
+    """``(selected row holds the top value?, ranks of the selected exceptions)``.
+
+    An exception's row in the cascaded exceptions child is its position
+    minus the top-value rows before it, so the selection costs a binary
+    search per selected row — never a pass over the whole block.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    before, is_top = locate_sorted(top_rows.to_array(), positions)
+    return is_top, (positions - before)[~is_top]
 
 
 class _FrequencyBase(Scheme):
@@ -78,24 +91,15 @@ class _FrequencyBase(Scheme):
     def decompress_filtered(
         self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
     ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
         reader = Reader(payload)
         top_value = reader.array()
         bitmap = RoaringBitmap.deserialize(reader.blob())
         exc_blob = reader.blob()
-        mask = bitmap.to_mask(count)
-        positions = np.asarray(positions, dtype=np.int64)
-        sel_top = mask[positions]
-        out = np.empty(positions.size, dtype=top_value.dtype)
+        sel_top, exc_ranks = _split_selection(bitmap, positions)
+        out = np.empty(sel_top.size, dtype=top_value.dtype)
         if sel_top.any():
             out[sel_top] = top_value[0]
-        exc_positions = positions[~sel_top]
-        if exc_positions.size:
-            # Rank of each selected exception among all exceptions = its row
-            # in the cascaded exceptions child; the child then decodes only
-            # those rows.
-            exc_ranks = np.cumsum(~mask)[exc_positions] - 1
+        if exc_ranks.size:
             exceptions = ctx.decompress_child_filtered(exc_blob, self.ctype, exc_ranks)
             out[~sel_top] = np.asarray(exceptions)
         return out
@@ -154,20 +158,14 @@ class FrequencyString(Scheme):
     def decompress_filtered(
         self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
     ) -> StringArray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
         reader = Reader(payload)
         top = reader.blob()
         bitmap = RoaringBitmap.deserialize(reader.blob())
         exc_blob = reader.blob()
-        mask = bitmap.to_mask(count)
-        positions = np.asarray(positions, dtype=np.int64)
-        sel_top = mask[positions]
-        exc_positions = positions[~sel_top]
-        exc_ranks = np.cumsum(~mask)[exc_positions] - 1
+        sel_top, exc_ranks = _split_selection(bitmap, positions)
         exceptions = ctx.decompress_child_filtered(exc_blob, ColumnType.STRING, exc_ranks)
         pool = strutil.concat([StringArray.from_pylist([top]), exceptions])
-        codes = np.zeros(positions.size, dtype=np.int64)
+        codes = np.zeros(sel_top.size, dtype=np.int64)
         codes[~sel_top] = 1 + np.arange(len(exceptions), dtype=np.int64)
         return strutil.gather(pool, codes)
 

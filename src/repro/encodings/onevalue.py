@@ -24,6 +24,7 @@ from repro.types import ColumnType, StringArray
 class OneValueInt(Scheme):
     scheme_id = SchemeId.ONE_VALUE_INT
     name = "one_value"
+    filtered_wins_dense = True  # a fill of the selection length
     ctype = ColumnType.INTEGER
 
     def is_viable(self, stats, config) -> bool:
@@ -60,6 +61,7 @@ class OneValueInt(Scheme):
 class OneValueDouble(Scheme):
     scheme_id = SchemeId.ONE_VALUE_DOUBLE
     name = "one_value"
+    filtered_wins_dense = True  # a fill of the selection length
     ctype = ColumnType.DOUBLE
 
     def is_viable(self, stats, config) -> bool:
@@ -109,6 +111,7 @@ class OneValueDouble(Scheme):
 class OneValueString(Scheme):
     scheme_id = SchemeId.ONE_VALUE_STRING
     name = "one_value"
+    filtered_wins_dense = True  # a fill of the selection length
     ctype = ColumnType.STRING
 
     def is_viable(self, stats, config) -> bool:

@@ -22,9 +22,11 @@ from repro.encodings.base import (
     DecompressionContext,
     Scheme,
     SchemeId,
+    locate_sorted,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
+from repro.exceptions import CorruptBlockError
 from repro.types import ColumnType
 
 MAX_EXPONENT = 22
@@ -135,6 +137,28 @@ class Pseudodecimal(Scheme):
                 patch_index += 1
             else:
                 out[i] = float(digits[i]) * FRAC10[exponents[i]]
+        return out
+
+    def decompress_filtered(
+        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
+    ) -> np.ndarray:
+        reader = Reader(payload)
+        digits = ctx.decompress_child_filtered(reader.blob(), ColumnType.INTEGER, positions)
+        exponents = ctx.decompress_child_filtered(reader.blob(), ColumnType.INTEGER, positions)
+        patch_rows = RoaringBitmap.deserialize(reader.blob()).to_array()
+        patches = reader.array()
+        # The same elementwise multiply as the full decode, on the selected
+        # rows only, so every double comes out bit-identical.
+        out = np.asarray(digits).astype(np.float64) * FRAC10[np.minimum(exponents, MAX_EXPONENT)]
+        if patch_rows.size != patches.size:
+            raise CorruptBlockError(
+                f"pseudodecimal marks {patch_rows.size} exceptions but stores {patches.size}"
+            )
+        # Patch only the exceptions whose rows are selected: a selected row is
+        # an exception iff it sits in the sorted exception list, at the index
+        # that is also its slot in ``patches``.
+        slots, is_patch = locate_sorted(patch_rows, np.asarray(positions, dtype=np.int64))
+        out[is_patch] = patches[slots[is_patch]]
         return out
 
 

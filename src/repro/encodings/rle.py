@@ -79,18 +79,28 @@ class _RLEBase(Scheme):
         return writer.getvalue()
 
     @staticmethod
-    def decode_runs(payload: bytes, ctx: DecompressionContext, ctype: ColumnType):
-        """Decode the two child sequences (used by the fused RLE+Dict path)."""
+    def decode_runs(payload: bytes, count: int, ctx: DecompressionContext, ctype: ColumnType):
+        """Decode the two child sequences (used by the fused RLE+Dict path).
+
+        Run lengths are held to the header *before* anything replicates
+        them: a corrupt length must surface as a typed error, never size an
+        allocation.
+        """
         reader = Reader(payload)
         run_count = reader.u32()
         run_values = ctx.decompress_child(reader.blob(), ctype)
-        run_lengths = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
+        run_lengths = np.asarray(ctx.decompress_child(reader.blob(), ColumnType.INTEGER))
         if len(run_values) != run_count or len(run_lengths) != run_count:
             raise CorruptBlockError("RLE run arrays do not match the run count")
+        if run_count and int(run_lengths.min()) < 0:
+            raise CorruptBlockError("RLE run lengths are negative")
+        total = int(run_lengths.sum(dtype=np.int64))
+        if total != count:
+            raise FormatError(f"block declared {count} values but rle runs cover {total}")
         return run_values, run_lengths
 
     def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        run_values, run_lengths = self.decode_runs(payload, ctx, self.ctype)
+        run_values, run_lengths = self.decode_runs(payload, count, ctx, self.ctype)
         if ctx.vectorized:
             return np.repeat(run_values, run_lengths)
         out = np.empty(count, dtype=run_values.dtype)
@@ -107,36 +117,8 @@ class _RLEBase(Scheme):
         if not ctx.vectorized:
             super().decompress_into(payload, count, ctx, out)
             return
-        run_values, run_lengths = self.decode_runs(payload, ctx, self.ctype)
+        run_values, run_lengths = self.decode_runs(payload, count, ctx, self.ctype)
         repeat_into(np.asarray(run_values), np.asarray(run_lengths), count, out)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        if not ctx.vectorized:
-            return super().decompress_filtered(payload, count, ctx, positions)
-        reader = Reader(payload)
-        run_count = reader.u32()
-        values_blob = reader.blob()
-        lengths_blob = reader.blob()
-        # Lengths must decode fully (they define the run geometry), but the
-        # run *values* decode filtered: only runs intersecting the selection.
-        run_lengths = np.asarray(ctx.decompress_child(lengths_blob, ColumnType.INTEGER))
-        if len(run_lengths) != run_count:
-            raise CorruptBlockError("RLE run arrays do not match the run count")
-        if run_lengths.size and bool((run_lengths < 0).any()):
-            raise CorruptBlockError("RLE run lengths are negative")
-        ends = np.cumsum(run_lengths, dtype=np.int64)
-        total = int(ends[-1]) if ends.size else 0
-        if total != count:
-            raise FormatError(
-                f"block declared {count} values but rle runs cover {total}"
-            )
-        positions = np.asarray(positions, dtype=np.int64)
-        run_ids = np.searchsorted(ends, positions, side="right")
-        uniq_runs = np.unique(run_ids)
-        run_values = ctx.decompress_child_filtered(values_blob, self.ctype, uniq_runs)
-        return np.asarray(run_values)[np.searchsorted(uniq_runs, run_ids)]
 
 
 class RLEInt(_RLEBase):

@@ -18,7 +18,6 @@ from repro.encodings.base import (
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
-from repro.exceptions import FormatError
 from repro.types import ColumnType, StringArray
 
 
@@ -27,19 +26,6 @@ class _UncompressedNumeric(Scheme):
 
     def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
         return Reader(payload).array()
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        # The take itself is the only possible saving here; the point of
-        # overriding is the cheap length check (the default would decode,
-        # check and take identically, but through one extra dispatch).
-        values = Reader(payload).array()
-        if values.size != count:
-            raise FormatError(
-                f"block declared {count} values but {self.name} decoded {values.size}"
-            )
-        return values[positions]
 
 
 class UncompressedInt(_UncompressedNumeric):

@@ -272,6 +272,7 @@ def _cdomain_section(counters: dict) -> dict:
             "rows_selected": selected,
             "rows_total": total,
             "decode_fraction": selected / total if total else 0.0,
+            "full_decodes": counters.get("query.cdomain.filtered.full_decodes", 0),
         },
         "pool_cache": {
             "hits": counters.get("query.cdomain.pool_cache.hit", 0),

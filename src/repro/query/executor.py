@@ -40,7 +40,12 @@ import numpy as np
 from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedBlock, CompressedColumn
 from repro.core.decompressor import decode_block_filtered, make_context
-from repro.encodings.base import DecompressionContext, SchemeId, get_scheme
+from repro.encodings.base import (
+    DecompressionContext,
+    SchemeId,
+    get_scheme,
+    prefers_full_decode,
+)
 from repro.encodings.bitpack import PAGE
 from repro.encodings.rle import _RLEBase
 from repro.encodings.wire import Reader, unwrap
@@ -288,9 +293,11 @@ def _scan_dictionary(
     registry.incr("query.cdomain.code_fallbacks")
     if dict_matches is None:
         dict_matches = np.asarray(predicate.evaluate(pool), dtype=bool)
-    code_scheme, _run_count, code_payload = unwrap(codes_blob)
+    code_scheme, code_count, code_payload = unwrap(codes_blob)
     if code_scheme == SchemeId.RLE_INT:
-        run_values, run_lengths = _RLEBase.decode_runs(code_payload, ctx, ColumnType.INTEGER)
+        run_values, run_lengths = _RLEBase.decode_runs(
+            code_payload, code_count, ctx, ColumnType.INTEGER
+        )
         return np.repeat(dict_matches[run_values], run_lengths)
     codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER)
     return dict_matches[codes]
@@ -380,27 +387,30 @@ def _scan_bitpacked(
     Pages whose conservative interval cannot match are skipped without
     unpacking a word; pages whose interval always matches are accepted the
     same way; only undecided pages are unpacked (and only they), through
-    the selection-vector kernel.
+    the selection-vector kernel — unless so many are undecided that the
+    shared crossover rule prefers one contiguous unpack of the whole node.
     """
     scheme = get_scheme(scheme_id)
     bounds = _page_bounds(scheme_id, payload)
-    if bounds is None:
+    if bounds is not None:
+        lo, hi = bounds
+        may = _pages_may_match(predicate, lo, hi)
+        if may is None:
+            may = np.ones(lo.shape, dtype=bool)
+        always = _pages_always_match(predicate, lo, hi) & may
+        undecided = np.nonzero(may & ~always)[0]
+        get_registry().incr_many(
+            [
+                ("query.cdomain.pages", int(lo.size)),
+                ("query.cdomain.pages_skipped", int(lo.size - may.sum())),
+                ("query.cdomain.pages_accepted", int(always.sum())),
+            ]
+        )
+    if bounds is None or prefers_full_decode(undecided.size, lo.size):
+        # No usable headers, or they decide too few pages to beat one
+        # contiguous unpack.
         values = scheme.decompress(payload, count, ctx)
         return np.asarray(predicate.evaluate(values), dtype=bool)
-    lo, hi = bounds
-    registry = get_registry()
-    may = _pages_may_match(predicate, lo, hi)
-    if may is None:
-        may = np.ones(lo.shape, dtype=bool)
-    always = _pages_always_match(predicate, lo, hi) & may
-    undecided = np.nonzero(may & ~always)[0]
-    registry.incr_many(
-        [
-            ("query.cdomain.pages", int(lo.size)),
-            ("query.cdomain.pages_skipped", int(lo.size - may.sum())),
-            ("query.cdomain.pages_accepted", int(always.sum())),
-        ]
-    )
     mask = np.zeros(lo.size * PAGE, dtype=bool)
     if always.any():
         mask.reshape(-1, PAGE)[always] = True
@@ -471,9 +481,10 @@ def filter_column(
 
     The compressed-domain scan picks the matching rows per block; blocks
     with no hits are skipped entirely, and surviving blocks materialise
-    *only* their hit rows through the selection-vector decode — RLE decodes
-    only matching runs, dictionaries gather only matching codes, bit-packed
-    pages unpack only where hits live. Decode work scales with selectivity.
+    *only* their hit rows through the selection-vector decode — dictionaries
+    gather only matching codes, bit-packed pages unpack only where hits
+    live. Decode work scales with selectivity, up to the dispatcher's
+    crossover to a plain decode + take.
 
     Checksums are verified *before* the compressed-domain scan evaluates a
     block (damaged bytes must not be parsed at all): a CRC mismatch raises

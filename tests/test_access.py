@@ -80,3 +80,217 @@ class TestReadValue:
         compressed = compress_column(column, small_config)
         assert read_value(compressed, 50) is None
         assert read_value(compressed, 51) == 0
+
+
+# -- property suite: read_rows == decompress-then-take, on every path ----------
+#
+# ``read_rows`` is pure optimisation over "decompress the column, take the
+# rows", so the only property that matters is that it can never change an
+# answer: values bit for bit, NULL positions exactly, in request order.
+
+from test_compressed_scan import (  # noqa: E402  (shared shape matrix)
+    BLOCK,
+    NULL_LAYOUTS,
+    ROWS,
+    SEED,
+    SHAPES,
+    _make_column,
+    _values_equal,
+)
+
+from repro.bench import SCHEME_WORKLOADS  # noqa: E402
+from repro.core.blocks import CompressedBlock, CompressedColumn  # noqa: E402
+from repro.core.config import BtrBlocksConfig  # noqa: E402
+from repro.core.decompressor import (  # noqa: E402
+    decode_block,
+    decode_block_filtered,
+    decompress_column,
+    make_context,
+)
+from repro.encodings.base import take_values  # noqa: E402
+from repro.observe import MetricsRegistry, use_registry  # noqa: E402
+
+
+def _oracle(decoded: Column, rows: np.ndarray):
+    """(values, NULL positions in the result) by decompress-then-take."""
+    rows = np.asarray(rows, dtype=np.int64)
+    values = take_values(decoded.data, rows)
+    if decoded.nulls is None or rows.size == 0:
+        return values, []
+    return values, np.flatnonzero(decoded.null_mask()[rows]).tolist()
+
+
+def _assert_rows_match(compressed, decoded: Column, rows, context) -> None:
+    got = read_rows(compressed, rows)
+    values, null_rows = _oracle(decoded, rows)
+    assert _values_equal(decoded.ctype, got.data, values), context
+    got_nulls = [] if got.nulls is None else got.nulls.to_array().tolist()
+    assert got_nulls == null_rows, context
+
+
+def _selections(rng, total: int) -> dict:
+    sorted_rows = np.sort(rng.choice(total, size=total // 7, replace=False))
+    return {
+        "sorted": sorted_rows,
+        "shuffled": rng.permutation(sorted_rows),
+        "duplicated": rng.choice(sorted_rows, size=sorted_rows.size * 2),
+        "one-block": np.arange(BLOCK + 3, BLOCK + 40),
+        "everything": np.arange(total),
+        "empty": np.empty(0, dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("null_layout", NULL_LAYOUTS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_read_rows_equals_decompress_then_take(shape, null_layout):
+    rng = np.random.default_rng(SEED + 11)
+    column = _make_column(shape, null_layout)
+    compressed = compress_column(column, BtrBlocksConfig(block_size=BLOCK))
+    decoded = decompress_column(compressed)
+    for kind, rows in _selections(rng, ROWS).items():
+        _assert_rows_match(compressed, decoded, rows, f"{shape}/{null_layout}/{kind}")
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_read_rows_never_opens_untouched_placeholder_blocks(shape):
+    """The ``_read_rows_pruned`` shape: blocks without requested rows are
+    zero-byte placeholders that must never be parsed."""
+    rng = np.random.default_rng(SEED + 12)
+    column = _make_column(shape, "sparse")
+    compressed = compress_column(column, BtrBlocksConfig(block_size=BLOCK))
+    decoded = decompress_column(compressed)
+    for keep in ([1], [0, 3], [2, 3]):
+        blocks = [
+            block if index in keep else CompressedBlock(block.count, b"")
+            for index, block in enumerate(compressed.blocks)
+        ]
+        sparse = CompressedColumn(compressed.name, compressed.ctype, blocks)
+        inside = np.concatenate([np.arange(i * BLOCK, (i + 1) * BLOCK) for i in keep])
+        for size in (1, 9, inside.size // 2, inside.size):
+            rows = np.sort(rng.choice(inside, size=size, replace=False))
+            _assert_rows_match(sparse, decoded, rows, f"{shape}/{keep}/{size}")
+            _assert_rows_match(sparse, decoded, rng.permutation(rows), f"{shape}/{keep}/{size}/shuffled")
+
+
+SWEEP_ROWS = 8192
+SWEEP_BLOCK = 4096
+
+
+def _sweep_selection(rng, layout: str, percent: int) -> np.ndarray:
+    picked = max(1, SWEEP_BLOCK * percent // 100)
+    if layout == "clustered":
+        start = (SWEEP_BLOCK - picked) // 2
+        return np.arange(start, start + picked, dtype=np.int64)
+    return np.sort(rng.choice(SWEEP_BLOCK, size=picked, replace=False))
+
+
+@pytest.mark.parametrize("workload", sorted(SCHEME_WORKLOADS))
+def test_every_dispatcher_outcome_is_bit_identical(workload):
+    """Filtered kernel, full-decode-then-take and whole-block decode all give
+    decode-then-take's bits, at 1/10/50/90/100% for clustered and scattered
+    selections — through ``decode_block_filtered`` and through ``read_rows``."""
+    rng = np.random.default_rng(SEED + 13)
+    column = SCHEME_WORKLOADS[workload](SWEEP_ROWS, np.random.default_rng(SEED))
+    compressed = compress_column(column, BtrBlocksConfig(block_size=SWEEP_BLOCK))
+    decoded = decompress_column(compressed)
+    ctx = make_context()
+    block = compressed.blocks[0]
+    full = decode_block(block, compressed.ctype, ctx)
+    outcomes = set()
+    for layout in ("clustered", "scattered"):
+        for percent in (1, 10, 50, 90, 100):
+            positions = _sweep_selection(rng, layout, percent)
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                got = decode_block_filtered(block, compressed.ctype, ctx, positions)
+            expected = take_values(full, positions)
+            assert _values_equal(compressed.ctype, got, expected), (layout, percent)
+            if positions.size == block.count:
+                outcomes.add("whole")
+            elif registry.get("query.cdomain.filtered.full_decodes"):
+                outcomes.add("full-then-take")
+            else:
+                outcomes.add("filtered")
+            # The same selection in the second block, through read_rows.
+            _assert_rows_match(compressed, decoded, positions + SWEEP_BLOCK, (layout, percent))
+    assert "whole" in outcomes and len(outcomes) >= 2, outcomes
+
+
+def test_dispatcher_takes_all_three_paths_on_bitpacked_data():
+    """Pins the crossover's shape where it matters most: page-granular."""
+    column = SCHEME_WORKLOADS["bitpack"](SWEEP_BLOCK, np.random.default_rng(SEED))
+    compressed = compress_column(column, BtrBlocksConfig(block_size=SWEEP_BLOCK))
+    ctx = make_context()
+    block = compressed.blocks[0]
+    rng = np.random.default_rng(SEED + 14)
+
+    def full_decodes(positions) -> int:
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            decode_block_filtered(block, compressed.ctype, ctx, positions)
+        return int(registry.get("query.cdomain.filtered.full_decodes"))
+
+    assert full_decodes(_sweep_selection(rng, "clustered", 1)) == 0  # two pages of 32
+    assert full_decodes(_sweep_selection(rng, "scattered", 1)) == 1  # touches every page
+    assert full_decodes(_sweep_selection(rng, "clustered", 50)) == 1
+    assert full_decodes(np.arange(SWEEP_BLOCK)) == 1
+
+
+def test_sorted_path_runs_no_per_row_python_and_never_resorts(monkeypatch):
+    """A sorted duplicate-free request is *relied on*: no membership test per
+    row, no ``unique``/``sort`` over anything row-sized (header-sized calls,
+    e.g. distinct page widths, stay legal)."""
+    total = 200_000
+    rng = np.random.default_rng(SEED + 15)
+    nulls = RoaringBitmap.from_positions(np.sort(rng.choice(total, total // 20, replace=False)))
+    column = Column.ints("c", rng.integers(0, 4000, total).astype(np.int32), nulls)
+    compressed = compress_column(column, BtrBlocksConfig(block_size=16_384))
+    decoded = decompress_column(compressed)
+    rows = np.sort(rng.choice(total, size=total // 3, replace=False))
+    expected_values, expected_nulls = _oracle(decoded, rows)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("per-row Python on the sorted path")
+
+    def row_sized_guard(original):
+        def guarded(values, *args, **kwargs):
+            if np.size(values) > 4096:
+                raise AssertionError(f"{original.__name__} over {np.size(values)} elements")
+            return original(values, *args, **kwargs)
+
+        return guarded
+
+    monkeypatch.setattr(RoaringBitmap, "__contains__", forbidden)
+    monkeypatch.setattr(np, "unique", row_sized_guard(np.unique))
+    monkeypatch.setattr(np, "sort", row_sized_guard(np.sort))
+    got = read_rows(compressed, rows)
+    monkeypatch.undo()
+    assert np.array_equal(np.asarray(got.data), np.asarray(expected_values))
+    assert got.nulls.to_array().tolist() == expected_nulls
+
+
+def test_request_order_and_duplicates_survive_normalisation(rng, small_config):
+    column = Column.ints("c", rng.integers(0, 9, 3000),
+                         RoaringBitmap.from_positions([5, 1200, 2999]))
+    compressed = compress_column(column, small_config)
+    decoded = decompress_column(compressed)
+    rows = [2999, 5, 5, 1200, 0, 2999]
+    _assert_rows_match(compressed, decoded, rows, "order+duplicates")
+    assert read_rows(compressed, rows).nulls.to_array().tolist() == [0, 1, 2, 3, 5]
+
+
+class TestSelectionContract:
+    """Sorted duplicate-free positions are validated once, where they enter."""
+
+    @pytest.mark.parametrize("positions", [[3, 1], [1, 1], [0, 5, 4]])
+    def test_decode_block_filtered_rejects_unsorted_positions(self, int_column, positions):
+        _, compressed = int_column
+        block = compressed.blocks[0]
+        with pytest.raises(ValueError, match="sorted and duplicate-free"):
+            decode_block_filtered(block, compressed.ctype, make_context(), positions)
+
+    def test_rejection_precedes_any_payload_parse(self, int_column):
+        _, compressed = int_column
+        garbage = CompressedBlock(compressed.blocks[0].count, b"\xff" * 40)
+        with pytest.raises(ValueError, match="sorted and duplicate-free"):
+            decode_block_filtered(garbage, compressed.ctype, make_context(), [2, 1])

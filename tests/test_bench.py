@@ -72,6 +72,32 @@ class TestRunBench:
         assert pipeline["speedup"] >= 1.0
         assert pipeline["fallbacks"] == 0
 
+    def test_compressed_scan_sweep_covers_every_cell(self, report):
+        """Both sections sweep 1/10/50/90/100% x clustered/scattered, the
+        materialise section over every scheme family, and the minima name
+        a cell that exists."""
+        from repro.bench import SWEEP_FRACTIONS, SWEEP_LAYOUTS
+
+        cdomain = report["compressed_scan"]
+        labels = [label for label, _ in SWEEP_FRACTIONS]
+        assert labels == ["1%", "10%", "50%", "90%", "100%"]
+        assert set(cdomain["workloads"]) == {"bitpack", "rle", "dictionary"}
+        assert set(cdomain["materialise"]) == set(SCHEME_WORKLOADS)
+        cells = {}
+        for section in ("workloads", "materialise"):
+            for name, layouts in cdomain[section].items():
+                assert set(layouts) == set(SWEEP_LAYOUTS), name
+                for layout, sweep in layouts.items():
+                    assert list(sweep) == labels, (name, layout)
+                    for label, point in sweep.items():
+                        assert point["filtered_s"] > 0 and point["naive_s"] > 0
+                        cells[f"{section}/{name}/{layout}/{label}"] = point["speedup"]
+        assert cdomain["min_speedup"] == min(cells.values())
+        assert cells[cdomain["min_speedup_at"]] == cdomain["min_speedup"]
+        assert cdomain["materialise_min_speedup_at"].startswith("materialise/")
+        assert cdomain["materialise_min_speedup"] >= cdomain["min_speedup"]
+        assert 0.0 <= cdomain["at_1pct"]["decode_fraction"] <= 1.0
+
     def test_decode_only_skips_compress_side(self):
         report = run_bench(rows=256, workers=(1,), repeats=1, decode_only=True)
         assert set(report) == {

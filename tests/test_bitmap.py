@@ -45,6 +45,41 @@ class TestConstruction:
         bm = RoaringBitmap.from_bools(mask)
         assert bm.to_array().tolist() == [0, 2, 3]
 
+    @pytest.mark.parametrize(
+        "positions",
+        [[], [7], [3, 9, 70_000, 70_001, 2**31], [9, 3, 3, 70_001, 9], [5, 5], [2, 1]],
+        ids=["empty", "single", "increasing", "shuffled-duplicated", "duplicate", "descending"],
+    )
+    def test_sorted_fast_path_and_sort_path_agree(self, positions, monkeypatch):
+        """Strictly increasing input skips sort + dedupe; anything else is
+        normalised exactly as before. Both build identical bitmaps."""
+        expected = sorted(set(positions))
+        increasing = positions == expected
+        calls = []
+        original = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or original(*a, **k))
+        bm = RoaringBitmap.from_positions(np.asarray(positions, dtype=np.int64))
+        monkeypatch.undo()
+        assert bm.to_array().tolist() == expected
+        assert len(bm) == len(expected)
+        assert bool(calls) == (not increasing and bool(positions))
+        assert bm == RoaringBitmap.deserialize(bm.serialize())
+
+    def test_from_bools_never_sorts(self, monkeypatch):
+        mask = np.zeros(200_000, dtype=bool)
+        mask[::3] = True
+        monkeypatch.setattr(np, "unique", lambda *a, **k: pytest.fail("from_bools re-sorted"))
+        bm = RoaringBitmap.from_bools(mask)
+        monkeypatch.undo()
+        assert np.array_equal(bm.to_array(), np.flatnonzero(mask))
+        assert len(RoaringBitmap.from_bools(np.zeros(5, dtype=bool))) == 0
+        assert RoaringBitmap.from_bools(np.asarray([False, True])).to_array().tolist() == [1]
+
+    @pytest.mark.parametrize("bad", [[0, 2**32], [-1, 4], [4, -1], [2**32, 0]])
+    def test_range_check_holds_on_both_paths(self, bad):
+        with pytest.raises(ValueError):
+            RoaringBitmap.from_positions(bad)
+
     def test_spans_multiple_chunks(self):
         positions = [0, 65535, 65536, 200_000, 2**31]
         bm = RoaringBitmap.from_positions(positions)

@@ -478,3 +478,81 @@ def test_raw_node_flips_never_hang_filtered_decode(shape):
         except acceptable:
             continue
         assert len(result) == positions.size, f"offset {int(offset)}"
+
+
+# -- the same guarantees on every path the dispatcher can take ------------------
+#
+# The crossover routes a selection to the filtered kernel, to full-decode-
+# then-take or to a plain whole-block decode. Damage must surface the same
+# way whichever one a selection lands on.
+
+DISPATCH_SELECTIONS = ["sparse", "dense", "whole"]
+
+
+def _dispatch_positions(rng, count: int, selection: str) -> np.ndarray:
+    if selection == "whole":
+        return np.arange(count, dtype=np.int64)
+    size = 3 if selection == "sparse" else (3 * count) // 4
+    return np.sort(rng.choice(count, size=size, replace=False))
+
+
+@pytest.mark.parametrize("selection", DISPATCH_SELECTIONS)
+@pytest.mark.parametrize("shape", CORRUPT_SHAPES)
+def test_corrupt_block_matrix_on_every_dispatcher_path(shape, selection):
+    rng = np.random.default_rng(SEED + 4)
+    column = _make_column(shape, "none")
+    compressed = _checksummed(compress_column(column, BtrBlocksConfig(block_size=BLOCK)))
+    ctx = make_context()
+    block = compressed.blocks[1]
+    positions = _dispatch_positions(rng, block.count, selection)
+    clean = decode_block_filtered(block, compressed.ctype, ctx, positions)
+    expected = _gather(compressed.ctype, decode_block(block, compressed.ctype, ctx), positions)
+    assert _values_equal(compressed.ctype, clean, expected)
+
+    payload = bytearray(block.data)
+    payload[len(payload) // 2] ^= 0xFF
+    block.data = bytes(payload)
+    with pytest.raises(IntegrityError):
+        decode_block_filtered(block, compressed.ctype, ctx, positions, on_corrupt="raise")
+    skipped = decode_block_filtered(block, compressed.ctype, ctx, positions, on_corrupt="skip")
+    assert isinstance(skipped, CorruptBlockResult) and len(skipped) == 0
+    nulled = decode_block_filtered(
+        block, compressed.ctype, ctx, positions, on_corrupt="null_block"
+    )
+    assert isinstance(nulled, CorruptBlockResult) and len(nulled) == positions.size
+
+
+@pytest.mark.parametrize("selection", DISPATCH_SELECTIONS)
+@pytest.mark.parametrize("shape", CORRUPT_SHAPES + ["decimal"])
+def test_raw_node_flips_on_every_dispatcher_path(shape, selection):
+    """Checksum-less damage: typed error, or a result of the requested length
+    — and when the flip happens to be harmless, the right values."""
+    import struct
+
+    acceptable = (
+        BtrBlocksError, ValueError, KeyError, IndexError, OverflowError, EOFError, struct.error,
+    )
+    rng = np.random.default_rng(SEED + 5)
+    column = _make_column(shape, "none")
+    compressed = compress_column(column, BtrBlocksConfig(block_size=BLOCK))
+    ctx = make_context()
+    block = compressed.blocks[0]
+    positions = _dispatch_positions(rng, block.count, selection)
+    for offset in rng.integers(0, len(block.data), 40):
+        damaged = bytearray(block.data)
+        damaged[int(offset)] ^= 0x40
+        clone = type(block)(count=block.count, data=bytes(damaged), nulls=block.nulls)
+        try:
+            result = decode_block_filtered(clone, compressed.ctype, ctx, positions)
+        except acceptable:
+            continue
+        assert len(result) == positions.size, f"offset {int(offset)}"
+        # Whatever survived parsing must agree with the full decode of the
+        # same damaged bytes: the dispatcher's choice may not change answers.
+        try:
+            full = decode_block(clone, compressed.ctype, ctx)
+        except acceptable:
+            continue
+        assert _values_equal(
+            compressed.ctype, result, _gather(compressed.ctype, full, positions)
+        ), f"offset {int(offset)}"

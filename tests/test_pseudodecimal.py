@@ -150,6 +150,61 @@ class TestRoundTrip:
         assert patches.tolist() == [False, False, False, True]
 
 
+class TestFilteredDecode:
+    """``decompress_filtered`` == full decode + take, bit for bit on doubles."""
+
+    def _selections(self, rng, count):
+        yield np.empty(0, dtype=np.int64)
+        yield np.asarray([0]), np.asarray([count - 1])
+        for size in (7, count // 10, count // 2, count):
+            yield np.sort(rng.choice(count, size=size, replace=False))
+        yield np.arange(count // 3, count // 3 + 200)
+
+    def test_bitwise_including_nan_payloads_and_patches(self, rng):
+        from repro.core.decompressor import make_context
+
+        values = np.round(rng.uniform(-500, 500, 6000), 2)
+        # Exceptions of every kind, each with its exact bits: a NaN with a
+        # payload, infinities, negative zero, non-decimal doubles.
+        values[::97] = np.frombuffer(np.uint64(0x7FF8_0000_DEAD_BEEF).tobytes(), np.float64)[0]
+        values[1::211] = np.inf
+        values[2::211] = -np.inf
+        values[3::89] = -0.0
+        values[4::61] = rng.standard_normal(len(values[4::61]))
+        payload, full = scheme_round_trip(PDE, values)
+        assert np.array_equal(full.view(np.uint64), values.view(np.uint64))
+        ctx = make_context()
+        for selection in self._selections(rng, len(values)):
+            for positions in (selection if isinstance(selection, tuple) else (selection,)):
+                got = PDE.decompress_filtered(payload, len(values), ctx, positions)
+                assert got.dtype == np.float64
+                assert np.array_equal(got.view(np.uint64), values[positions].view(np.uint64))
+
+    def test_no_exceptions_and_all_exceptions(self, rng):
+        from repro.core.decompressor import make_context
+
+        ctx = make_context()
+        for values in (np.round(rng.uniform(0, 10, 3000), 1), rng.standard_normal(3000)):
+            payload, _ = scheme_round_trip(PDE, values)
+            positions = np.sort(rng.choice(3000, size=40, replace=False))
+            got = PDE.decompress_filtered(payload, 3000, ctx, positions)
+            assert np.array_equal(got.view(np.uint64), values[positions].view(np.uint64))
+
+    def test_mismatched_patch_list_is_a_typed_error(self, rng):
+        from repro.core.decompressor import make_context
+        from repro.encodings.wire import Reader, Writer
+        from repro.exceptions import CorruptBlockError
+
+        values = np.round(rng.uniform(0, 10, 2000), 1)
+        values[::100] = np.nan
+        payload, _ = scheme_round_trip(PDE, values)
+        reader = Reader(payload)
+        digits, exponents, bitmap, patches = reader.blob(), reader.blob(), reader.blob(), reader.array()
+        short = Writer().blob(digits).blob(exponents).blob(bitmap).array(patches[:-1]).getvalue()
+        with pytest.raises(CorruptBlockError):
+            PDE.decompress_filtered(short, 2000, make_context(), np.asarray([0, 100, 1999]))
+
+
 class TestFrac10Table:
     def test_has_23_entries(self):
         assert FRAC10.size == 23
