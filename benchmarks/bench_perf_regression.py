@@ -10,15 +10,18 @@ the pipelined-scan fetch-vs-decode overlap breakdown is additionally
 written there as its own JSON artifact, making the network/CPU-bound
 crossover visible per CI run; ``REPRO_BENCH_SELECTIVE`` likewise writes
 the zone-map selectivity sweep (bytes fetched at 1/10/50/100%
-selectivity) as its own artifact, and ``REPRO_BENCH_CDOMAIN`` the
-compressed-domain sweep. That sweep is also *gated*, as a whole and at its
-own scale (``REPRO_BENCH_CDOMAIN_ROWS``, default 131,072 rows: ratios of
-microsecond timings at smoke scale are clock noise): over every scheme
-family x 1/10/50/90/100% selectivity x clustered/scattered selections,
-``read_rows`` must stay within ``REPRO_BENCH_CDOMAIN_MIN_SPEEDUP`` of
-decompress-then-take — no fast path may lose to the plain path anywhere in
-its sweep. The 1%-selectivity decode fraction (rows decoded / rows in
-surviving blocks) is still reported, no longer gated on its own.
+selectivity) as its own artifact.
+
+``test_selective_sweep_never_loses`` is the sweep gate: it runs the
+compressed-domain sweep once, at ``repro.bench.SWEEP_GATE_ROWS`` (ratios of
+microsecond timings at smoke scale are clock noise), writes it to
+``REPRO_BENCH_CDOMAIN`` when set, and fails when any cell — ``filter_column``
+or ``read_rows`` x scheme family x 1/10/50/90/100% selectivity x
+clustered/scattered — falls below ``MIN_SPEEDUP`` (0.9) of
+decode-everything, except the cells ``KNOWN_SLOW_CELLS`` lists, which are held to the floor written next to them. At 1%
+selectivity the decode fraction (rows decoded / rows in surviving blocks)
+stays gated below ``REPRO_BENCH_CDOMAIN_MAX_DECODE`` (default 25%) and no
+block may have taken the dispatcher's full-decode fallback.
 
 Regenerate the baseline after an intentional performance change::
 
@@ -33,11 +36,14 @@ import pytest
 
 from _harness import bench_rows, print_table
 from repro.bench import (
+    DEFAULT_SEED,
     SWEEP_FRACTIONS,
+    SWEEP_GATE_ROWS,
     bench_compressed_scan,
     compare,
     load_report,
     run_bench,
+    sweep_cells,
     write_report,
 )
 
@@ -123,14 +129,45 @@ def test_perf_regression_vs_baseline():
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"selective-scan sweep -> {selective_path}")
-    # The sweep gate runs at its own scale and replaces the smoke-scale
-    # section in the written report, so the artifact holds the gated numbers.
-    cdomain = report["compressed_scan"] = bench_compressed_scan(
-        int(os.environ.get("REPRO_BENCH_CDOMAIN_ROWS", "131072")),
-        report["meta"]["seed"],
-        repeats=max(5, report["meta"]["repeats"]),
-    )
-    write_report(report, output)
+    print(f"\nreport -> {output}")
+
+    if not BASELINE_PATH.exists():
+        pytest.skip(f"no committed baseline at {BASELINE_PATH}")
+    threshold = float(os.environ.get("REPRO_BENCH_THRESHOLD", "0.30"))
+    regressions = compare(report, load_report(str(BASELINE_PATH)), threshold=threshold)
+    assert not regressions, "throughput regressions vs baseline:\n" + "\n".join(regressions)
+
+
+#: The sweep gate's bar: selective execution vs decode-everything, per cell.
+MIN_SPEEDUP = 0.9
+
+#: Sweep cells known to sit under the bar, each held to its own floor instead
+#: (docs/PERFORMANCE.md section 7 has the measurements and the reasons).
+KNOWN_SLOW_CELLS = {
+    # filter_column decodes a numeric block twice, once to evaluate the
+    # predicate and once to materialise (ROADMAP item 4a): shuffled data
+    # leaves every page undecided, sorted data pays it on dense selections.
+    **{f"workloads/{name}/scattered/{label}": 0.3
+       for name in ("bitpack", "rle") for label, _ in SWEEP_FRACTIONS},
+    **{f"workloads/{name}/clustered/{label}": 0.6
+       for name in ("bitpack", "rle") for label in ("50%", "90%", "100%")},
+    # A scattered selection touches every page and run, so the dispatcher
+    # answers it with full decode + take per block; read_rows then pays
+    # ~1 ns/row to validate, rebase and concatenate the int64 selection that
+    # one whole-column take avoids -- 5-15% of a 3-18 ns/row numeric decode.
+    **{f"materialise/{name}/scattered/{label}": 0.8
+       for name in ("rle", "frequency", "bitpack", "bitpack_nulls", "fastpfor",
+                    "pseudodecimal")
+       for label in ("1%", "10%", "50%", "90%")},
+}
+
+
+def test_selective_sweep_never_loses():
+    """The sweep gate (ROADMAP item 4): no cell of ``filter_column`` /
+    ``read_rows`` x scheme family x 1/10/50/90/100% x clustered/scattered
+    may lose to decode-everything, bar the listed cells and their floors."""
+    cdomain = bench_compressed_scan(SWEEP_GATE_ROWS, DEFAULT_SEED, repeats=16)
+    cells = sweep_cells(cdomain)
     print_table(
         f"Selective execution vs decode-everything (rows={cdomain['rows']}, "
         f"block_size={cdomain['block_size']}): speedup per selectivity",
@@ -150,24 +187,31 @@ def test_perf_regression_vs_baseline():
     )
     cdomain_path = os.environ.get("REPRO_BENCH_CDOMAIN")
     if cdomain_path:
-        import json
-
-        with open(cdomain_path, "w", encoding="utf-8") as fh:
-            json.dump({"meta": report["meta"], "compressed_scan": cdomain},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_report({"compressed_scan": cdomain}, cdomain_path)
         print(f"compressed-scan sweep -> {cdomain_path}")
-    print(f"\nreport -> {output}")
 
-    min_speedup = float(os.environ.get("REPRO_BENCH_CDOMAIN_MIN_SPEEDUP", "0.7"))
-    assert cdomain["materialise_min_speedup"] >= min_speedup, (
-        f"selective materialisation is {cdomain['materialise_min_speedup']:.2f}x "
-        f"decompress-then-take at {cdomain['materialise_min_speedup_at']}; "
-        f"gate is >= {min_speedup:.2f}x across the whole sweep"
+    assert set(KNOWN_SLOW_CELLS) <= set(cells), "KNOWN_SLOW_CELLS names a cell the sweep lacks"
+    losing = {
+        cell: round(speedup, 2) for cell, speedup in cells.items()
+        if speedup < KNOWN_SLOW_CELLS.get(cell, MIN_SPEEDUP)
+    }
+    assert not losing, (
+        f"selective execution loses to decode-everything (gate >= {MIN_SPEEDUP:.2f}x, "
+        f"listed cells their own floor): {losing}"
     )
-
-    if not BASELINE_PATH.exists():
-        pytest.skip(f"no committed baseline at {BASELINE_PATH}")
-    threshold = float(os.environ.get("REPRO_BENCH_THRESHOLD", "0.30"))
-    regressions = compare(report, load_report(str(BASELINE_PATH)), threshold=threshold)
-    assert not regressions, "throughput regressions vs baseline:\n" + "\n".join(regressions)
+    # A 0.9 floor cannot tell selective decode from decode-everything
+    # (~1.0x), so two counters are held at 1% selectivity, clustered.
+    fallbacks = {
+        name: layouts["clustered"]["1%"]["full_decodes"]
+        for name, layouts in cdomain["workloads"].items()
+    }
+    assert not any(fallbacks.values()), (
+        f"1%-selectivity clustered selections fell back to full decodes: {fallbacks}"
+    )
+    max_decode = float(os.environ.get("REPRO_BENCH_CDOMAIN_MAX_DECODE", "0.25"))
+    assert rollup["decode_fraction"] < max_decode, (
+        f"1%-selectivity filtered scans decoded "
+        f"{100.0 * rollup['decode_fraction']:.1f}% of surviving-block rows "
+        f"({rollup['rows_decoded']}/{rollup['surviving_rows']}); "
+        f"gate is < {100.0 * max_decode:.0f}%"
+    )

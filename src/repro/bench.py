@@ -406,9 +406,22 @@ def bench_selective_scan(rows: int, seed: int, block_size: int = 4000) -> dict:
 
 
 #: Selectivities and selection layouts every compressed-scan workload is
-#: swept over; the CI gate is the *minimum* speedup across all of them.
+#: swept over; CI gates every cell, at ``SWEEP_GATE_ROWS`` (eight 16,384-row
+#: blocks: below ~100k rows the ratios are per-call overhead, not kernels).
+SWEEP_GATE_ROWS = 131_072
 SWEEP_FRACTIONS = (("1%", 0.01), ("10%", 0.10), ("50%", 0.50), ("90%", 0.90), ("100%", 1.0))
 SWEEP_LAYOUTS = ("clustered", "scattered")
+
+
+def sweep_cells(cdomain: dict) -> "dict[str, float]":
+    """A compressed-scan sweep, flattened: ``section/name/layout/label`` -> speedup."""
+    return {
+        f"{section}/{name}/{layout}/{label}": point["speedup"]
+        for section in ("workloads", "materialise")
+        for name, layouts in cdomain[section].items()
+        for layout, sweep in layouts.items()
+        for label, point in sweep.items()
+    }
 
 
 def _paired_seconds(
@@ -420,7 +433,8 @@ def _paired_seconds(
     drift hit both sides alike, and taking each side's minimum over at least
     ``5 * repeats`` rounds (and ``4 ms * repeats`` of wall time, so
     microsecond-scale smoke runs get hundreds of rounds) drops the
-    one-sided noise a neighbour adds.
+    one-sided noise a neighbour adds: 25 rounds leave +-7% on the ratio,
+    100 leave +-2% (the CI sweep gate runs ``repeats=16``).
     """
     best_fast = best_plain = float("inf")
     rounds = 0
@@ -469,17 +483,19 @@ def bench_compressed_scan(
       give clustered matches, shuffled ones scattered matches.
     * ``materialise`` — :func:`repro.core.access.read_rows` against
       decompress-then-take for a given selection vector, over every
-      :data:`SCHEME_WORKLOADS` family, so every filtered kernel (and the
-      dispatcher's full-decode crossover) is timed against the plain path.
+      :data:`SCHEME_WORKLOADS` family plus a NULL-bearing one, so every
+      filtered kernel (and the dispatcher's full-decode crossover, and the
+      NULL lookup) is timed against the plain path.
 
-    Every timed pair is first checked bit-identical. ``min_speedup`` is the
-    worst cell of the whole sweep; ``materialise_min_speedup`` the worst
-    ``materialise`` cell, which CI gates (a fast path that loses to the plain
-    path anywhere in its sweep is a bug). The ``at_1pct`` rollup keeps
+    Every timed pair is first checked bit-identical (values and NULL rows).
+    ``min_speedup`` is the worst cell of the whole sweep — a fast path that
+    loses to the plain path anywhere in its sweep is a bug, and CI gates
+    every cell (:func:`sweep_cells`). The ``at_1pct`` rollup keeps
     reporting rows decoded vs rows in surviving blocks. Blocks default to
     16,384 rows: per-block dispatch is ~10 us of Python on either side, so
     much smaller blocks measure that, not the kernels.
     """
+    from repro.bitmap import RoaringBitmap
     from repro.core.access import read_rows
     from repro.core.compressor import compress_column
     from repro.core.decompressor import decompress_column
@@ -510,7 +526,6 @@ def bench_compressed_scan(
     report: dict = {
         "rows": rows, "block_size": block_size, "workloads": {}, "materialise": {},
     }
-    speedups: dict[str, float] = {}
     decoded_1pct = 0
     surviving_1pct = 0
     speedups_1pct = []
@@ -557,16 +572,27 @@ def bench_compressed_scan(
                     "pages": int(registry.get("query.cdomain.pages")),
                     "pages_skipped": int(registry.get("query.cdomain.pages_skipped")),
                 }
-                speedups[f"workloads/{name}/{layout}/{label}"] = sweep[label]["speedup"]
                 if label == "1%" and layout == "clustered":
                     decoded_1pct += rows_decoded
                     surviving_1pct += surviving_rows
                     speedups_1pct.append(sweep[label]["speedup"])
             report["workloads"][name][layout] = sweep
 
-    for name, make in SCHEME_WORKLOADS.items():
+    def bitpack_nulls(rows: int, rng: np.random.Generator) -> Column:
+        column = _w_bitpack(rows, rng)
+        nulls = RoaringBitmap.from_bools(rng.random(rows) < 0.01)
+        return Column(column.name, column.ctype, column.data, nulls)
+
+    def take_rows(column: Column, selection: np.ndarray) -> "tuple[object, np.ndarray]":
+        """Decompress-then-take of one column: (values, NULL result rows)."""
+        values = take_values(column.data, selection)
+        if column.nulls is None:
+            return values, np.empty(0, dtype=np.int64)
+        return values, np.flatnonzero(column.nulls.to_mask(rows)[selection])
+
+    for name, make in {**SCHEME_WORKLOADS, "bitpack_nulls": bitpack_nulls}.items():
         compressed = compress_column(make(rows, np.random.default_rng(seed)), config)
-        full = decompress_column(compressed).data
+        full = decompress_column(compressed)
         report["materialise"][name] = {}
         for layout in SWEEP_LAYOUTS:
             sweep = {}
@@ -577,8 +603,10 @@ def bench_compressed_scan(
                     selection = np.arange(start, start + picked, dtype=np.int64)
                 else:
                     selection = np.sort(rng.choice(rows, picked, replace=False))
-                if not _identical(
-                    read_rows(compressed, selection).data, take_values(full, selection)
+                got = read_rows(compressed, selection)
+                expected, expected_nulls = take_rows(full, selection)
+                if not _identical(got.data, expected) or not np.array_equal(
+                    got.nulls.to_array() if got.nulls else [], expected_nulls
                 ):
                     raise AssertionError(
                         f"read_rows differs from decompress-then-take: "
@@ -590,7 +618,8 @@ def bench_compressed_scan(
                     # an IndexError, never a wrapped-around negative index.
                     if selection.min() < 0 or selection.max() >= rows:
                         raise IndexError("row index out of range")
-                    return take_values(decompress_column(compressed).data, selection)
+                    values, null_rows = take_rows(decompress_column(compressed), selection)
+                    return values, RoaringBitmap.from_positions(null_rows)
 
                 filtered_s, naive_s = _paired_seconds(
                     lambda: read_rows(compressed, selection), plain, repeats
@@ -602,7 +631,6 @@ def bench_compressed_scan(
                     "naive_s": naive_s,
                     "speedup": naive_s / filtered_s if filtered_s else 0.0,
                 }
-                speedups[f"materialise/{name}/{layout}/{label}"] = sweep[label]["speedup"]
             report["materialise"][name][layout] = sweep
 
     report["at_1pct"] = {
@@ -611,11 +639,9 @@ def bench_compressed_scan(
         "decode_fraction": decoded_1pct / surviving_1pct if surviving_1pct else 0.0,
         "min_speedup": min(speedups_1pct) if speedups_1pct else 0.0,
     }
-    for key, prefix in (("min_speedup", ""), ("materialise_min_speedup", "materialise/")):
-        cells = {cell: value for cell, value in speedups.items() if cell.startswith(prefix)}
-        worst = min(cells, key=cells.get)
-        report[key] = cells[worst]
-        report[f"{key}_at"] = worst
+    cells = sweep_cells(report)
+    report["min_speedup_at"] = min(cells, key=cells.get)
+    report["min_speedup"] = cells[report["min_speedup_at"]]
     return report
 
 

@@ -495,9 +495,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"({100.0 * rollup['decode_fraction']:.1f}%), "
               f"min speedup {rollup['min_speedup']:.1f}x")
         print(f"    whole sweep: min speedup {cdomain['min_speedup']:.2f}x "
-              f"at {cdomain['min_speedup_at']}; materialise: "
-              f"{cdomain['materialise_min_speedup']:.2f}x "
-              f"at {cdomain['materialise_min_speedup_at']}")
+              f"at {cdomain['min_speedup_at']}")
     if args.compare:
         regressions = bench.compare(
             report, bench.load_report(args.compare), threshold=args.threshold

@@ -20,12 +20,11 @@ from repro.bitmap import RoaringBitmap, strictly_increasing
 from repro.core.blocks import CompressedColumn
 from repro.core.decompressor import (
     _EMPTY_DTYPES,
-    _decompress_node,
     _decompress_node_filtered,
     make_context,
 )
 from repro.encodings import strutil
-from repro.encodings.base import take_values
+from repro.encodings.base import locate_sorted, take_values
 from repro.observe import get_registry
 from repro.types import Column, ColumnType
 
@@ -59,35 +58,28 @@ def read_rows(
     bounds = np.searchsorted(indices, offsets)
     parts: list = []
     null_parts = [np.empty(0, dtype=np.int64)]
-    rows_total = covered = 0
+    rows_total = 0
     for block_id in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
         block = blocks[block_id]
         lo, hi = int(bounds[block_id]), int(bounds[block_id + 1])
         rows_total += block.count
-        if hi - lo == block.count and ctype is not ColumnType.STRING:
-            # The request covers the block: the ordinary full decode, with
-            # no block-local positions to derive at all. (Strings keep the
-            # dispatcher: dictionary gathers win even at 100%.)
-            covered += 1
-            parts.append(_decompress_node(block.data, ctype, ctx))
-            if block.nulls:
-                null_parts.append(lo + RoaringBitmap.deserialize(block.nulls).to_array())
-            continue
         # (Block 0 starts at row 0: single-block columns skip the rebase.)
         local = indices[lo:hi] - offsets[block_id] if block_id else indices[lo:hi]
         parts.append(
             _decompress_node_filtered(block.data, ctype, ctx, local, block_level=True)
         )
         if block.nulls:
-            hits = RoaringBitmap.deserialize(block.nulls).contains_many(local)
-            null_parts.append(lo + np.flatnonzero(hits))
+            # Both sides are sorted: search the block's NULL rows into the
+            # selection, O(nulls log selected) with nothing per selected row.
+            null_rows = RoaringBitmap.deserialize(block.nulls).to_array()
+            at, selected = locate_sorted(local, null_rows)
+            null_parts.append(lo + at[selected])
     if parts:
         get_registry().incr_many(
             [
                 ("query.cdomain.filtered.blocks", len(parts)),
                 ("query.cdomain.filtered.rows_selected", int(indices.size)),
                 ("query.cdomain.filtered.rows_total", rows_total),
-                ("query.cdomain.filtered.full_decodes", covered),
             ]
         )
 

@@ -97,14 +97,18 @@ def _run_scheme(scheme, method, *args):
         ) from exc
 
 
-def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) -> Values:
-    scheme, count, payload = _open_node(blob, ctype, ctx)
+def _decode_opened(scheme, count: int, payload: bytes, ctx: DecompressionContext) -> Values:
+    """Full decode of a node :func:`_open_node` has already admitted."""
     values = _run_scheme(scheme, scheme.decompress, payload, count, ctx)
     if len(values) != count:
         raise FormatError(
             f"block declared {count} values but {scheme.name} decoded {len(values)}"
         )
     return values
+
+
+def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) -> Values:
+    return _decode_opened(*_open_node(blob, ctype, ctx), ctx)
 
 
 def _decompress_node_into(
@@ -175,7 +179,7 @@ def _decompress_node_filtered(
     if not (ctx.vectorized and _selects_sparsely(scheme, count, positions)):
         if block_level:
             get_registry().incr("query.cdomain.filtered.full_decodes")
-        values = _decompress_node(blob, ctype, ctx)
+        values = _decode_opened(scheme, count, payload, ctx)
         return values if positions.size == count else take_values(values, positions)
     values = _run_scheme(scheme, scheme.decompress_filtered, payload, count, ctx, positions)
     if len(values) != positions.size:

@@ -399,18 +399,18 @@ def _scan_bitpacked(
             may = np.ones(lo.shape, dtype=bool)
         always = _pages_always_match(predicate, lo, hi) & may
         undecided = np.nonzero(may & ~always)[0]
-        get_registry().incr_many(
-            [
-                ("query.cdomain.pages", int(lo.size)),
-                ("query.cdomain.pages_skipped", int(lo.size - may.sum())),
-                ("query.cdomain.pages_accepted", int(always.sum())),
-            ]
-        )
     if bounds is None or prefers_full_decode(undecided.size, lo.size):
         # No usable headers, or they decide too few pages to beat one
-        # contiguous unpack.
+        # contiguous unpack: every page decodes, none is counted as decided.
         values = scheme.decompress(payload, count, ctx)
         return np.asarray(predicate.evaluate(values), dtype=bool)
+    get_registry().incr_many(
+        [
+            ("query.cdomain.pages", int(lo.size)),
+            ("query.cdomain.pages_skipped", int(lo.size - may.sum())),
+            ("query.cdomain.pages_accepted", int(always.sum())),
+        ]
+    )
     mask = np.zeros(lo.size * PAGE, dtype=bool)
     if always.any():
         mask.reshape(-1, PAGE)[always] = True

@@ -234,6 +234,13 @@ def test_dispatcher_takes_all_three_paths_on_bitpacked_data():
     assert full_decodes(_sweep_selection(rng, "scattered", 1)) == 1  # touches every page
     assert full_decodes(_sweep_selection(rng, "clustered", 50)) == 1
     assert full_decodes(np.arange(SWEEP_BLOCK)) == 1
+    # read_rows has no rule of its own: the same dispatcher, the same counter.
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        read_rows(compressed, np.arange(SWEEP_BLOCK))
+        read_rows(compressed, np.arange(8))
+    assert registry.get("query.cdomain.filtered.blocks") == 2
+    assert registry.get("query.cdomain.filtered.full_decodes") == 1
 
 
 def test_sorted_path_runs_no_per_row_python_and_never_resorts(monkeypatch):

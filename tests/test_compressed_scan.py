@@ -556,3 +556,29 @@ def test_raw_node_flips_on_every_dispatcher_path(shape, selection):
         assert _values_equal(
             compressed.ctype, result, _gather(compressed.ctype, full, positions)
         ), f"offset {int(offset)}"
+
+
+def test_page_counters_count_only_nodes_served_page_wise():
+    """``query.cdomain.pages*`` describe pages decided from headers. A node
+    whose headers leave too many pages undecided decodes whole, and then none
+    of its pages may be reported as skipped or accepted."""
+
+    def page_counters(shape: str, predicate) -> "tuple[int, int, int]":
+        compressed = compress_column(
+            _make_column(shape, "none"), BtrBlocksConfig(block_size=BLOCK)
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            scan_column(compressed, predicate)
+        return tuple(
+            int(registry.get(f"query.cdomain.{name}"))
+            for name in ("pages", "pages_skipped", "pages_accepted")
+        )
+
+    data = np.asarray(_make_column("sorted", "none").data)
+    pages, skipped, _accepted = page_counters(
+        "sorted", Between(int(data.min()), int(np.quantile(data, 0.05)))
+    )
+    assert pages > 0 and skipped > 0  # sorted values: headers decide most pages
+    # Uniform values: every page's interval straddles the range, all undecided.
+    assert page_counters("bitpack", Between(100, 150)) == (0, 0, 0)
