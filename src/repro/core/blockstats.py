@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.encodings.strutil import encode_distinct
 from repro.exceptions import FormatError
 from repro.types import Column, ColumnType
 
@@ -75,7 +76,8 @@ class BloomFilter:
         self.k = k
 
     @classmethod
-    def build(cls, values: "set[bytes]") -> "BloomFilter":
+    def build(cls, values: "list[bytes]") -> "BloomFilter":
+        """A digest of ``values``, which must be distinct (they size it)."""
         n = max(1, len(values))
         nbits = min(BLOOM_MAX_BITS, max(64, n * BLOOM_BITS_PER_KEY))
         k = max(1, min(8, round(0.69 * nbits / n)))
@@ -152,22 +154,17 @@ class BlockStats:
 ZoneMapEntry = BlockStats
 
 
-def _string_bounds(values) -> "tuple[bytes | None, bytes | None]":
-    """Conservative (lower, upper) byte bounds for an iterable of bytes.
+def _string_bounds(values: "list[bytes]") -> "tuple[bytes | None, bytes | None]":
+    """Conservative (lower, upper) byte bounds for a list of bytes.
 
     Long minima truncate to a prefix (any prefix of x is <= x). Long maxima
     become the shortest byte-successor of a prefix — strictly greater than
     every string sharing it — or ``None`` when the prefix is all ``0xFF``.
     """
-    lo = hi = None
-    for value in values:
-        if lo is None or value < lo:
-            lo = value
-        if hi is None or value > hi:
-            hi = value
-    if lo is None:
+    if not values:
         return None, None
-    lo = lo[:STRING_BOUND_MAX_BYTES]
+    lo = min(values)[:STRING_BOUND_MAX_BYTES]
+    hi = max(values)
     if len(hi) > STRING_BOUND_MAX_BYTES:
         hi = _byte_successor(hi[:STRING_BOUND_MAX_BYTES])
     return lo, hi
@@ -198,22 +195,14 @@ def compute_block_stats(
     min_bytes = max_bytes = None
     bloom = None
     if chunk.ctype is ColumnType.STRING:
-        valid = (value for value, is_null in zip(chunk.data, null_mask) if not is_null)
-        distinct: "set[bytes] | None" = set()
-        lo = hi = None
-        for value in valid:
-            if lo is None or value < lo:
-                lo = value
-            if hi is None or value > hi:
-                hi = value
-            if distinct is not None:
-                distinct.add(value)
-                if len(distinct) > bloom_max_distinct:
-                    distinct = None  # too wide: no digest, bounds still valid
-        if lo is not None:
-            min_bytes, max_bytes = _string_bounds([lo, hi])
-        if distinct:
-            bloom = BloomFilter.build(distinct)
+        # Memoised on the chunk: the selector already coded these rows.
+        codes, uniques = encode_distinct(chunk.data)
+        present = uniques.to_pylist()
+        if null_count:
+            present = [present[code] for code in np.unique(codes[~null_mask]).tolist()]
+        min_bytes, max_bytes = _string_bounds(present)
+        if 0 < len(present) <= bloom_max_distinct:
+            bloom = BloomFilter.build(present)
     else:
         values = np.asarray(chunk.data, dtype=np.float64)
         valid_values = values[~null_mask]

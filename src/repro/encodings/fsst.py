@@ -10,10 +10,10 @@ This is a from-scratch implementation of the same format:
   of (a) compressing a sample with the current table while counting symbol
   hits and adjacent-symbol pairs, then (b) keeping the 255 highest-gain
   candidates (gain = frequency x length).
-* **Compression** greedily emits the longest matching symbol per position,
-  dispatching on a precomputed first-two-byte candidate index (and, for
-  large buffers, a complete 65536-entry table with pre-encoded emit bytes)
-  instead of scanning all symbols per byte.
+* **Compression** greedily emits the longest matching symbol per position.
+  Small buffers walk a first-two-byte candidate index; large ones are
+  tokenised by the symbol table compiled into one longest-match byte-trie
+  regular expression, so no Python statement runs per token.
 * **Decompression** follows the paper's BtrBlocks integration (Section 5):
   the whole block is decoded as one stream (no per-string API calls) and only
   *uncompressed* string lengths are stored — compressed offsets are not
@@ -23,6 +23,8 @@ This is a from-scratch implementation of the same format:
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -38,13 +40,21 @@ from repro.encodings.wire import Reader, Writer
 from repro.exceptions import CorruptBlockError
 from repro.types import ColumnType, StringArray
 
+try:  # re.compile minus its module-wide cache, where a pattern per block would pile up
+    from re import _compiler as _sre_compile
+except ImportError:  # Python 3.10
+    import sre_compile as _sre_compile
+
 ESCAPE = 255
 MAX_SYMBOLS = 255
 MAX_SYMBOL_LENGTH = 8
 _GENERATIONS = 5
 _SAMPLE_TARGET = 16 * 1024
-#: Buffers at least this large amortise building the complete dispatch LUT.
-_LUT_THRESHOLD = 4096
+#: Buffers at least this large amortise compiling the tokenizer pattern
+#: (~3 ms per table; measured crossover, docs/PERFORMANCE.md section 2).
+_TOKENIZER_THRESHOLD = 64 * 1024
+#: Tokenizer window: bounds the token list (unbounded, ~12% peak RSS).
+_TOKENIZER_CHUNK = 128 * 1024
 
 
 class SymbolTable:
@@ -57,11 +67,9 @@ class SymbolTable:
     that start no symbol be emitted as escapes in one batch instead of two
     appends per byte.
 
-    For large buffers :meth:`compress` additionally builds (once, lazily) a
-    complete 65536-entry dispatch table over the two-byte window: every entry
-    ends in a guaranteed-match fallback (1-byte symbol or pre-encoded escape
-    pair), so the hot loop is one list index plus one ``bytes`` append per
-    emitted token, with no bounds checks or dict probes.
+    For large buffers :meth:`compress` compiles the table (once, lazily)
+    into a tokenizer: a byte-trie regular expression whose ``findall`` yields
+    exactly the greedy parse, plus a token -> output-bytes map.
     """
 
     __slots__ = (
@@ -69,8 +77,7 @@ class SymbolTable:
         "_long_by_prefix",
         "_short_codes",
         "_starter_lut",
-        "_lut",
-        "_fallbacks",
+        "_tokenizer",
     )
 
     def __init__(self, symbols: list[bytes]):
@@ -93,43 +100,30 @@ class SymbolTable:
         self._long_by_prefix = long_by_prefix
         self._short_codes = short_codes
         self._starter_lut = starter
-        self._lut: list | None = None
-        self._fallbacks: list | None = None
+        self._tokenizer: tuple | None = None
 
-    def _build_lut(self) -> None:
-        """The complete two-byte dispatch table for the large-buffer loop.
+    def _build_tokenizer(self) -> tuple:
+        """``(findall, emit, lookahead)`` for :meth:`_compress_tokenizer`.
 
-        ``lut[(b0 << 8) | b1]`` is a tuple of ``(emit, advance, verify)``
-        entries in match-priority order. ``verify`` is the full symbol to
-        check with ``startswith`` or ``None`` when the two-byte key already
-        proves the match; the final entry always matches (the first byte's
-        1-byte symbol, or its escape pair with the literal pre-encoded).
+        The pattern is the symbols' byte trie as nested alternations, every
+        node's children *before* its own end, so backtracking stops at the
+        longest symbol prefixing the input; the last top-level alternative
+        is "any byte". ``emit`` maps a token to its output: the symbol's
+        (lowest) code, or the escape pair. ``lookahead`` is the longest symbol.
         """
-        fallbacks = []
-        lut: list = [None] * 65536
-        for first in range(256):
-            code = self._short_codes[first]
-            fallback = (
-                (bytes([code]), 1, None)
-                if code >= 0
-                else (bytes([ESCAPE, first]), 1, None)
-            )
-            fallbacks.append(fallback)
-            lut[first * 256 : (first + 1) * 256] = [(fallback,)] * 256
-        for key, cands in self._long_by_prefix.items():
-            entries = []
-            for code, length, sym in cands:
-                if length == 2:
-                    # Key equality proves a 2-byte match; later entries
-                    # (same or shorter) can never win, so stop here.
-                    entries.append((bytes([code]), 2, None))
-                    break
-                entries.append((bytes([code]), length, sym))
-            else:
-                entries.append(fallbacks[key >> 8])
-            lut[key] = tuple(entries)
-        self._lut = lut
-        self._fallbacks = fallbacks
+        trie: dict = {}
+        emit: dict[bytes, bytes] = {}
+        for code, sym in enumerate(self.symbols):
+            emit.setdefault(sym, bytes([code]))  # lowest code wins a tie
+            node = trie
+            for byte in sym:
+                node = node.setdefault(byte, {})
+            node[None] = True  # a symbol ends here
+        for byte in range(256):
+            emit.setdefault(bytes([byte]), bytes([ESCAPE, byte]))
+        branches = _trie_branches(trie) + [rb"[\x00-\xff]"]
+        findall = _sre_compile.compile(b"|".join(branches), 0).findall
+        return findall, emit, max(map(len, self.symbols), default=1)
 
     def _next_starter(self, data: bytes) -> "np.ndarray | None":
         """``next_starter[i]`` = first position >= i whose byte can start a
@@ -144,13 +138,13 @@ class SymbolTable:
 
     def compress(self, data: bytes) -> bytes:
         """Greedy longest-match encoding of a byte string."""
+        if len(data) >= _TOKENIZER_THRESHOLD:
+            return self._compress_tokenizer(data)
+        return self._compress_loop(data)
+
+    def _compress_loop(self, data: bytes) -> bytes:
+        """The indexed per-token loop: small buffers, and the tokenizer's oracle."""
         n = len(data)
-        if n == 0:
-            return b""
-        if not self.symbols:
-            return _escape_all(data)
-        if n >= _LUT_THRESHOLD:
-            return self._compress_lut(data)
         out = bytearray()
         long_by_prefix = self._long_by_prefix
         short_codes = self._short_codes
@@ -194,24 +188,26 @@ class SymbolTable:
                 pos = stop
         return bytes(out)
 
-    def _compress_lut(self, data: bytes) -> bytes:
-        """Large-buffer hot loop over the complete two-byte dispatch table."""
-        if self._lut is None:
-            self._build_lut()
-        lut = self._lut
-        fallbacks = self._fallbacks
+    def _compress_tokenizer(self, data: bytes) -> bytes:
+        """Large-buffer path: tokenise and emit inside C loops.
+
+        Each window's ``findall`` may read ``lookahead`` bytes past ``stop``;
+        tokens that *start* at or after ``stop`` are dropped and re-parsed by
+        the next window, so every kept token matched with its full lookahead
+        in view and the windowed parse equals the unbounded one.
+        """
+        if self._tokenizer is None:
+            self._tokenizer = self._build_tokenizer()
+        findall, emit, lookahead = self._tokenizer
         out = bytearray()
-        startswith = data.startswith
         pos = 0
-        last = len(data) - 1
-        while pos < last:
-            for emit, advance, verify in lut[(data[pos] << 8) | data[pos + 1]]:
-                if verify is None or startswith(verify, pos):
-                    out += emit
-                    pos += advance
-                    break
-        if pos == last:
-            out += fallbacks[data[pos]][0]
+        while pos < len(data):
+            stop = pos + _TOKENIZER_CHUNK
+            tokens = findall(data, pos, stop + lookahead)
+            pos = min(stop + lookahead, len(data))  # any byte matches: tokens tile the window
+            while pos - len(tokens[-1]) >= stop:
+                pos -= len(tokens.pop())
+            out += b"".join(map(emit.__getitem__, tokens))
         return bytes(out)
 
     def compress_counting(self, data: bytes) -> tuple[dict[bytes, int], dict[bytes, int]]:
@@ -254,12 +250,18 @@ class SymbolTable:
         return singles, pairs
 
 
-def _escape_all(data: bytes) -> bytes:
-    """Escape every byte (the empty-table case) without a Python loop."""
-    out = bytearray(2 * len(data))
-    out[::2] = b"\xff" * len(data)
-    out[1::2] = data
-    return bytes(out)
+def _trie_branches(node: dict) -> list[bytes]:
+    """One regex alternative per child byte of a symbol-trie node."""
+    branches = []
+    for byte, child in node.items():
+        if byte is None:
+            continue
+        tails = _trie_branches(child)
+        if None in child:
+            tails.append(b"")  # tried last: the symbol ending here
+        tail = tails[0] if len(tails) == 1 else b"(?:" + b"|".join(tails) + b")"
+        branches.append(re.escape(bytes([byte])) + tail)
+    return branches
 
 
 def _count_literals(data: bytes) -> tuple[dict[bytes, int], dict[bytes, int]]:

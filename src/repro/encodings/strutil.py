@@ -34,19 +34,18 @@ def encode_distinct(strings: StringArray) -> tuple[np.ndarray, StringArray]:
 
     Returns ``(codes, uniques)`` where ``uniques.take(codes)`` reproduces the
     input. This is the shared building block for dictionary encoding,
-    distinct counting and run detection on string data.
+    distinct counting, run detection and block statistics on string data, so
+    the result is memoised on ``strings`` (``codes`` is read-only): a block
+    is split into rows and coded once however many layers ask.
     """
-    seen: dict[bytes, int] = {}
-    codes = np.empty(len(strings), dtype=np.int32)
-    uniques: list[bytes] = []
-    for i, value in enumerate(strings):
-        code = seen.get(value)
-        if code is None:
-            code = len(uniques)
-            seen[value] = code
-            uniques.append(value)
-        codes[i] = code
-    return codes, StringArray.from_pylist(uniques)
+    if strings._distinct is None:
+        rows = strings.to_pylist()
+        uniques = list(dict.fromkeys(rows))  # first-appearance order
+        index = dict(zip(uniques, range(len(uniques))))
+        codes = np.fromiter(map(index.__getitem__, rows), dtype=np.int32, count=len(rows))
+        codes.flags.writeable = False
+        strings._distinct = (codes, StringArray.from_pylist(uniques))
+    return strings._distinct
 
 
 def gather(pool: StringArray, indices: np.ndarray) -> StringArray:

@@ -44,9 +44,14 @@ class StringArray:
     ``buffer[offsets[i]:offsets[i+1]]``. This is the layout Parquet, Arrow and
     BtrBlocks itself use for string data, and it is what makes copy-free
     dictionary decompression possible.
+
+    ``buffer`` and ``offsets`` must be final at construction (fill
+    preallocated arrays first, wrap them last): ``_distinct`` memoises
+    :func:`repro.encodings.strutil.encode_distinct`, its only writer, and
+    nothing invalidates it. The memo is not pickled.
     """
 
-    __slots__ = ("buffer", "offsets")
+    __slots__ = ("buffer", "offsets", "_distinct")
 
     def __init__(self, buffer: np.ndarray, offsets: np.ndarray):
         buffer = np.asarray(buffer, dtype=np.uint8)
@@ -57,6 +62,10 @@ class StringArray:
             raise TypeMismatchError("offsets must end at the buffer length")
         self.buffer = buffer
         self.offsets = offsets
+        self._distinct = None
+
+    def __reduce__(self):
+        return StringArray, (self.buffer, self.offsets)
 
     # -- construction -------------------------------------------------------
 
@@ -66,7 +75,7 @@ class StringArray:
         encoded = [
             s.encode("utf-8") if isinstance(s, str) else (s or b"") for s in strings
         ]
-        lengths = np.fromiter((len(s) for s in encoded), dtype=np.int64, count=len(encoded))
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
         offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         buffer = np.frombuffer(b"".join(encoded), dtype=np.uint8).copy()
@@ -87,13 +96,12 @@ class StringArray:
         return self.buffer[start:stop].tobytes()
 
     def __iter__(self) -> Iterator[bytes]:
-        buf = self.buffer.tobytes()
-        offs = self.offsets
-        for i in range(len(self)):
-            yield buf[offs[i] : offs[i + 1]]
+        return iter(self.to_pylist())
 
     def to_pylist(self) -> list[bytes]:
-        return list(self)
+        buf = self.buffer.tobytes()
+        offs = self.offsets.tolist()
+        return [buf[start:stop] for start, stop in zip(offs, offs[1:])]
 
     def lengths(self) -> np.ndarray:
         """Per-string byte lengths as an int64 array."""

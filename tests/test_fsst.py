@@ -1,10 +1,14 @@
 """Tests for the FSST string compression scheme."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.encodings import fsst
 from repro.encodings.base import SchemeId, get_scheme
 from repro.encodings.fsst import (
     ESCAPE,
@@ -152,13 +156,51 @@ def test_property_stream_decoders_agree(data):
     assert vectorized == data
 
 
-class TestMatcherEquivalence:
-    """The indexed and LUT matchers must equal a straightforward greedy scan.
+# Symbol tables a regex-compiled matcher could get wrong.
+_METACHARS = rb".^$*+?{}[]\\|()-&~# " + b"\t\n\r\v\f"
+ADVERSARIAL_TABLES = {
+    "empty": [],
+    "metachars": [bytes([c]) for c in _METACHARS]
+    + [b".*", b"+?", b"(|)", b"[a-", b"-]", b"\\d", b"^$", b"{2}", b"(?:", b"a|b"],
+    "newline_nul_ff": [b"\n", b"\x00", b"\xff\xff", b"\x00\n", b"\xff\x00\xff", b"a\nb"],
+    # b"ab" is a proper prefix of b"abcdefgh", whose continuation only fails
+    # at its last byte: the matcher must back up five bytes to b"ab".
+    "late_backtrack": [b"ab", b"abcdefgh", b"abcx", b"cdefgh", b"c"],
+    # No 1-byte fallback under a long symbol: a failed match escapes.
+    "no_short_fallback": [b"abcd", b"bcde"],
+    "nested_prefixes": [b"a", b"aa", b"aaa", b"aaaa", b"aaaaa", b"aaaaaa", b"aaaaaaa", b"aaaaaaaa"],
+    "duplicates": [b"ab", b"ab", b"a", b"a", b"abc", b"abc"],
+    "full_255": [bytes([i]) for i in range(150)]
+    + [bytes([i, 255 - i]) for i in range(60)]
+    + [bytes([i, i, i]) for i in range(45)],
+}
 
-    ``SymbolTable.compress`` dispatches between a candidate-index loop and a
-    full two-byte LUT (above ``_LUT_THRESHOLD``); both are rewrites of the
-    original per-byte matcher, whose semantics — longest match first, lowest
-    code on ties, escape otherwise — this reference re-implements directly.
+
+def _adversarial_data(symbols: list[bytes], rng, pieces: int = 60) -> bytes:
+    """Symbols, symbols cut short, and bytes from in and outside their alphabet."""
+    alphabet = sorted(set(b"".join(symbols))) or [0x61]
+    parts = []
+    for _ in range(pieces):
+        kind = rng.integers(0, 4)
+        if symbols and kind <= 1:
+            sym = symbols[rng.integers(0, len(symbols))]
+            parts.append(sym if kind == 0 else sym[: rng.integers(0, len(sym) + 1)])
+        elif kind == 2:
+            parts.append(bytes([alphabet[rng.integers(0, len(alphabet))]]))
+        else:
+            parts.append(bytes(rng.integers(0, 256, rng.integers(1, 4), dtype=np.uint8)))
+    return b"".join(parts)
+
+
+class TestMatcherEquivalence:
+    """The indexed loop and the tokenizer must equal a straightforward greedy scan.
+
+    ``SymbolTable.compress`` dispatches between a candidate-index loop and,
+    from ``_TOKENIZER_THRESHOLD`` bytes, the table compiled into a
+    longest-match regular expression run over ``_TOKENIZER_CHUNK``-byte
+    windows. Both are rewrites of the original per-byte matcher, whose
+    semantics — longest match first, lowest code on ties, escape otherwise —
+    this reference re-implements directly.
     """
 
     @staticmethod
@@ -178,17 +220,98 @@ class TestMatcherEquivalence:
                 pos += best_len
         return bytes(out)
 
-    def test_matches_reference_across_lut_threshold(self, rng):
-        from repro.encodings.fsst import _LUT_THRESHOLD
+    def _assert_all_agree(self, table: SymbolTable, data: bytes) -> None:
+        expected = self._reference_compress(table, data)
+        assert table.compress(data) == expected
+        assert table._compress_loop(data) == expected
+        assert table._compress_tokenizer(data) == expected
 
+    def _training_corpus(self, rng) -> bytes:
         words = [b"http", b"://", b"www.", b".com", b"/id/", b"abc", b"q=1", b"\xff\xff"]
         corpus = b"".join(words[i] for i in rng.integers(0, len(words), 2400))
-        corpus += bytes(rng.integers(0, 256, 800, dtype=np.uint8))  # escape runs
+        return corpus + bytes(rng.integers(0, 256, 800, dtype=np.uint8))  # escape runs
+
+    def test_matches_reference_across_tokenizer_threshold(self, rng, monkeypatch):
+        # A small crossover keeps the quadratic reference cheap; the real
+        # constant is straddled (against the loop) in the test below.
+        monkeypatch.setattr(fsst, "_TOKENIZER_THRESHOLD", 1024)
+        monkeypatch.setattr(fsst, "_TOKENIZER_CHUNK", 512)
+        corpus = self._training_corpus(rng)
         table = train_symbol_table(corpus)
         assert table.symbols, "training should learn symbols from this corpus"
-        for size in (0, 1, 2, 63, 300, _LUT_THRESHOLD - 1, _LUT_THRESHOLD + 512):
-            data = corpus[:size]
-            assert table.compress(data) == self._reference_compress(table, data), size
+        for size in (0, 1, 2, 63, 300, 1023, 1024, 1025, 1024 + 512, 4000):
+            self._assert_all_agree(table, corpus[:size])
+        assert table._tokenizer is not None, "sizes past the crossover take the tokenizer"
+
+    def test_tokenizer_equals_loop_at_the_real_constants(self, rng):
+        corpus = self._training_corpus(rng)
+        table = train_symbol_table(corpus)
+        data = corpus * (2 * fsst._TOKENIZER_CHUNK // len(corpus) + 2)
+        sizes = [fsst._TOKENIZER_THRESHOLD + d for d in (-1, 0, 1)]
+        sizes += [k * fsst._TOKENIZER_CHUNK + d for k in (1, 2) for d in (-8, -1, 0, 1, 8)]
+        for size in sizes:
+            assert table.compress(data[:size]) == table._compress_loop(data[:size]), size
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_TABLES))
+    def test_adversarial_tables_at_every_chunk_offset(self, name, rng, monkeypatch):
+        # 16-byte windows put a window edge at every offset of every symbol;
+        # every prefix length ends the data mid-symbol somewhere.
+        monkeypatch.setattr(fsst, "_TOKENIZER_CHUNK", 16)
+        table = SymbolTable(list(ADVERSARIAL_TABLES[name]))
+        data = _adversarial_data(table.symbols, rng)
+        for size in range(0, min(len(data), 120)):
+            self._assert_all_agree(table, data[:size])
+        self._assert_all_agree(table, data)
+        self._assert_all_agree(table, bytes(range(256)) * 2)
+
+    def test_longest_match_crossing_a_window_edge(self, monkeypatch):
+        monkeypatch.setattr(fsst, "_TOKENIZER_CHUNK", 32)
+        table = SymbolTable(list(ADVERSARIAL_TABLES["late_backtrack"]))
+        for shift in range(24, 41):  # b"abcdefgh" starts before, on and after the edge
+            for tail in (b"abcdefgh", b"abcdefg", b"abcdefgX", b"ab"):
+                data = b"x" * shift + tail
+                self._assert_all_agree(table, data)
+                self._assert_all_agree(table, data + b"cdefghab" * 9)
+
+    def test_escape_only_data(self, monkeypatch):
+        monkeypatch.setattr(fsst, "_TOKENIZER_CHUNK", 16)
+        table = SymbolTable([b"ab", b"abcdefgh"])
+        self._assert_all_agree(table, b"\xff" * 100)
+        self._assert_all_agree(table, b"zyx\x00\n" * 30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        symbols=st.lists(st.binary(min_size=1, max_size=8), max_size=40),
+        picks=st.lists(st.integers(0, 10_000), max_size=80),
+        noise=st.binary(max_size=40),
+        chunk=st.integers(1, 48),
+    )
+    def test_property_tokenizer_equals_reference(self, symbols, picks, noise, chunk):
+        table = SymbolTable(symbols)
+        pool = symbols + [bytes([b]) for b in noise] or [b"a"]
+        data = b"".join(pool[i % len(pool)] for i in picks) + noise
+        with mock.patch.object(fsst, "_TOKENIZER_CHUNK", chunk):
+            self._assert_all_agree(table, data)
+
+    def test_tokenizer_patterns_do_not_accumulate(self):
+        # One pattern per block: were they kept anywhere (re's module-wide
+        # cache holds up to 512), traced memory would grow with every table
+        # (~70 KiB over these 200; bypassing the cache leaves it flat).
+        def tokenize_with_fresh_table(i: int) -> None:
+            symbols = [b"%03d%c" % (i, c) for c in range(48, 80)] + [b"ab", b"abc"]
+            SymbolTable(symbols)._compress_tokenizer(b"abc%03d!" % i * 8)
+
+        tracemalloc.start()
+        try:
+            for i in range(20):
+                tokenize_with_fresh_table(i)
+            before, _peak = tracemalloc.get_traced_memory()
+            for i in range(20, 220):
+                tokenize_with_fresh_table(i)
+            after, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 16 * 1024
 
     def test_counting_preserves_first_occurrence_order(self, rng):
         # Training's gain sort is stable and ties break on dict insertion

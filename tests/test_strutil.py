@@ -1,6 +1,9 @@
 """Tests for the shared string utilities (gather, concat, runs)."""
 
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +15,24 @@ from repro.encodings.strutil import (
     run_boundaries,
 )
 from repro.types import StringArray
+
+from test_roundtrip_fuzz import STRING_CASES  # the adversarial string corpus
+
+
+def _dict_loop_encode_distinct(strings: StringArray):
+    """The row-by-row coder ``encode_distinct`` replaced, kept as its oracle."""
+    seen: dict[bytes, int] = {}
+    codes = np.empty(len(strings), dtype=np.int32)
+    uniques: list[bytes] = []
+    for i in range(len(strings)):
+        value = strings[i]
+        code = seen.get(value)
+        if code is None:
+            code = len(uniques)
+            seen[value] = code
+            uniques.append(value)
+        codes[i] = code
+    return codes, uniques
 
 
 class TestEncodeDistinct:
@@ -29,6 +50,27 @@ class TestEncodeDistinct:
         codes, uniques = encode_distinct(StringArray.from_pylist(["a"] * 10))
         assert len(uniques) == 1
         assert (codes == 0).all()
+
+    @pytest.mark.parametrize("name,values", STRING_CASES, ids=[n for n, _ in STRING_CASES])
+    def test_equals_dict_loop_on_fuzz_corpus(self, name, values):
+        codes, uniques = encode_distinct(values)
+        want_codes, want_uniques = _dict_loop_encode_distinct(values)
+        assert codes.dtype == np.int32 and codes.shape == (len(values),)
+        assert np.array_equal(codes, want_codes)
+        assert uniques.to_pylist() == want_uniques  # first-appearance order
+
+    def test_result_is_memoised_read_only_and_not_pickled(self):
+        sa = StringArray.from_pylist(["x", "y", "x"])
+        assert sa._distinct is None
+        codes, uniques = encode_distinct(sa)
+        again = encode_distinct(sa)
+        assert again[0] is codes and again[1] is uniques
+        with pytest.raises(ValueError):
+            codes[0] = 7
+        clone = pickle.loads(pickle.dumps(sa))
+        assert clone == sa and clone._distinct is None
+        fresh = pickle.dumps(StringArray.from_pylist(["x", "y", "x"]))
+        assert pickle.dumps(sa) == fresh
 
 
 class TestGather:

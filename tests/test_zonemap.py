@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from repro.bitmap import RoaringBitmap
+from repro.core import blockstats
+from repro.core.blockstats import BlockStats, BloomFilter, compute_block_stats
 from repro.core.compressor import compress_column
 from repro.core.config import BtrBlocksConfig
 from repro.metadata import ColumnZoneMap, ZoneMapEntry, build_zone_map, pruned_scan
 from repro.query import Between, Equals, GreaterThan, IsNull
-from repro.types import Column, ColumnType
+from repro.types import Column, ColumnType, StringArray
+
+from test_roundtrip_fuzz import STRING_CASES  # the adversarial string corpus
 
 
 @pytest.fixture
@@ -65,6 +69,78 @@ class TestBuildZoneMap:
         assert restored.column_name == zm.column_name
         assert restored.ctype is zm.ctype
         assert restored.entries == zm.entries
+
+
+def _row_by_row_string_stats(chunk: Column, bloom_max_distinct: int) -> BlockStats:
+    """The per-row loop ``compute_block_stats`` replaced, kept as its oracle."""
+    null_mask = chunk.null_mask()
+    distinct: "set[bytes] | None" = set()
+    lo = hi = None
+    for i in range(len(chunk)):
+        if null_mask[i]:
+            continue
+        value = chunk.data[i]
+        if lo is None or value < lo:
+            lo = value
+        if hi is None or value > hi:
+            hi = value
+        if distinct is not None:
+            distinct.add(value)
+            if len(distinct) > bloom_max_distinct:
+                distinct = None  # too wide: no digest, bounds still valid
+    min_bytes = max_bytes = None
+    if lo is not None:
+        min_bytes = lo[: blockstats.STRING_BOUND_MAX_BYTES]
+        max_bytes = hi
+        if len(hi) > blockstats.STRING_BOUND_MAX_BYTES:
+            max_bytes = blockstats._byte_successor(hi[: blockstats.STRING_BOUND_MAX_BYTES])
+    bloom = BloomFilter.build(sorted(distinct)) if distinct else None
+    return BlockStats(
+        len(chunk), int(null_mask.sum()), None, None, min_bytes, max_bytes, bloom
+    )
+
+
+def _nulls(*positions):
+    return RoaringBitmap.from_positions(positions)
+
+
+_WORDS = [b"pear", b"apple", b"zebra", b"", b"fig", b"apple", b"pear", b"kiwi"]
+STRING_STATS_CASES = {
+    "no_nulls": (_WORDS * 10, None),
+    "empty_block": ([], None),
+    "all_null": ([b""] * 50, _nulls(*range(50))),
+    # The global minimum (b"") and maximum (b"zebra") sit only under NULLs.
+    "nulls_hide_min_and_max": (_WORDS, _nulls(2, 3)),
+    "nulls_hide_one_copy_only": (_WORDS, _nulls(1, 0)),
+    "empty_strings_only": ([b""] * 20, None),
+    "over_bloom_limit": ([b"v%04d" % i for i in range(17)] * 2, None),
+    "exactly_at_bloom_limit": ([b"v%04d" % i for i in range(16)] * 2, None),
+    "limit_reached_only_without_nulls": ([b"v%04d" % i for i in range(17)], _nulls(16)),
+    "long_bounds": ([b"a" * 70, b"m" * 65 + b"x", b"m" * 65 + b"y", b"b"], None),
+    "long_max_all_ff": ([b"\xff" * 80, b"\x00" * 80], None),
+    "long_max_trailing_ff": ([b"q" + b"\xff" * 90, b"c"], None),
+}
+
+
+class TestStringBlockStatsMatchRowOracle:
+    """The distinct-coded zone-map path must equal the deleted row loop."""
+
+    @pytest.mark.parametrize("name", sorted(STRING_STATS_CASES))
+    def test_bounds_nulls_and_bloom_bits(self, name):
+        values, nulls = STRING_STATS_CASES[name]
+        chunk = Column.strings("s", StringArray.from_pylist(values), nulls)
+        got = compute_block_stats(chunk, bloom_max_distinct=16)
+        want = _row_by_row_string_stats(chunk, bloom_max_distinct=16)
+        assert got == want  # BloomFilter equality compares the digest bits
+
+    def test_fuzz_corpus_with_scattered_nulls(self, rng):
+        for name, values in STRING_CASES:
+            null_rows = np.nonzero(rng.random(len(values)) < 0.3)[0]
+            nulls = RoaringBitmap.from_positions(null_rows) if null_rows.size else None
+            chunk = Column.strings(name, values, nulls)
+            assert compute_block_stats(chunk) == _row_by_row_string_stats(
+                chunk, blockstats.BLOOM_MAX_DISTINCT
+            ), name
 
 
 class TestPruning:
