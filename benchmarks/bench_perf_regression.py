@@ -23,6 +23,13 @@ selectivity the decode fraction (rows decoded / rows in surviving blocks)
 stays gated below ``REPRO_BENCH_CDOMAIN_MAX_DECODE`` (default 25%) and no
 block may have taken the dispatcher's full-decode fallback.
 
+``test_gather_shape_sweep_never_loses`` is the same bar for the string read
+path: ``strutil.gather`` picks a kernel (word take + compaction, block
+copies, per-byte index) from the request's shape, and on every shape of
+``GATHER_SHAPES`` the pick must stay at or above ``MIN_SPEEDUP`` of the
+per-byte-index kernel it replaced (kept as the oracle in
+``tests/test_strutil.py``) -- no slow fast path.
+
 Regenerate the baseline after an intentional performance change::
 
     REPRO_BENCH_ROWS=4096 REPRO_BENCH_OUTPUT=benchmarks/BENCH_baseline.json \
@@ -30,8 +37,10 @@ Regenerate the baseline after an intentional performance change::
 """
 
 import os
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _harness import bench_rows, print_table
@@ -39,6 +48,7 @@ from repro.bench import (
     DEFAULT_SEED,
     SWEEP_FRACTIONS,
     SWEEP_GATE_ROWS,
+    _paired_seconds,
     bench_compressed_scan,
     compare,
     load_report,
@@ -215,3 +225,62 @@ def test_selective_sweep_never_loses():
         f"({rollup['rows_decoded']}/{rollup['surviving_rows']}); "
         f"gate is < {100.0 * max_decode:.0f}%"
     )
+
+
+#: ``(label, pool entries, shortest, longest row in bytes, rows gathered)``:
+#: the shapes behind the kernel-selection constants of ``strutil.gather``
+#: (docs/PERFORMANCE.md, "The string read path") -- what lakebench's string
+#: columns decode through, both sides of every kernel boundary, small
+#: selections against large pools, and ``tpch_small_warm``'s 2,048-row blocks.
+GATHER_SHAPES = [
+    ("FSST-like tokens", 512, 0, 8, 167_000),
+    ("FSST-like tokens, 2,048-row block", 512, 0, 8, 20_700),
+    ("l_shipmode", 7, 3, 7, 16_384),
+    ("l_shipmode, 2,048-row block", 7, 3, 7, 2_048),
+    ("l_returnflag", 3, 1, 1, 16_384),
+    ("l_returnflag, 2,048-row block", 3, 1, 1, 2_048),
+    ("uniform 8-byte keys", 100, 8, 8, 16_384),
+    ("short pool, word crossover - 1", 7, 3, 7, 8_191),
+    ("short pool, word crossover", 7, 3, 7, 8_192),
+    ("bi_cold 7 x 5-20 B", 7, 5, 20, 32_768),
+    ("bi_cold 132 x 3-16 B", 132, 3, 16, 32_768),
+    ("bi_cold 10,330 x 3-22 B", 10_330, 3, 22, 32_768),
+    ("bi_cold 4,095 x 60-80 B", 4_095, 60, 80, 32_768),
+    ("bi_cold 4,095 x 60-80 B, 2,048-row block", 4_095, 60, 80, 2_048),
+    ("uniform 36-byte rows, block boundary", 50, 36, 36, 1_024),
+    ("skewed 1,000 x 1-400 B", 1_000, 1, 400, 32_768),
+    ("sparse query, 7-entry pool", 7, 3, 7, 330),
+    ("sparse query, 40 rows", 7, 3, 7, 40),
+    ("sparse query, 60k-entry pool", 60_000, 3, 22, 300),
+    ("sparse query, 60k-entry long pool", 60_000, 60, 80, 300),
+]
+
+
+def test_gather_shape_sweep_never_loses():
+    """No shape may run slower through ``strutil.gather``'s chosen kernel than
+    through the per-byte-index kernel (>= ``MIN_SPEEDUP``, no exceptions)."""
+    sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
+    from test_strutil import _random_pool, _reference_gather
+
+    from repro.encodings.strutil import gather
+
+    rng = np.random.default_rng(DEFAULT_SEED)
+    rows, speedups = [], {}
+    for label, entries, shortest, longest, count in GATHER_SHAPES:
+        pool = _random_pool(rng, entries, shortest, longest)
+        indices = rng.integers(0, entries, count)
+        got, want = gather(pool, indices), _reference_gather(pool, indices)
+        assert np.array_equal(got.buffer, want.buffer) and np.array_equal(got.offsets, want.offsets)
+        new, old = _paired_seconds(
+            lambda: gather(pool, indices), lambda: _reference_gather(pool, indices), repeats=16
+        )
+        speedups[label] = old / new
+        rows.append([label, entries, f"{shortest}-{longest}", count,
+                     old * 1e3, new * 1e3, old / new])
+    print_table(
+        "strutil.gather vs the per-byte-index reference kernel (best of >= 80, interleaved)",
+        ["shape", "pool", "bytes", "rows", "reference ms", "gather ms", "speedup"],
+        rows,
+    )
+    losing = {label: round(s, 2) for label, s in speedups.items() if s < MIN_SPEEDUP}
+    assert not losing, f"gather loses to the per-byte-index kernel (gate >= {MIN_SPEEDUP}): {losing}"

@@ -17,9 +17,10 @@ This is a from-scratch implementation of the same format:
 * **Decompression** follows the paper's BtrBlocks integration (Section 5):
   the whole block is decoded as one stream (no per-string API calls) and only
   *uncompressed* string lengths are stored — compressed offsets are not
-  needed. The vectorised decoder resolves escapes with run arithmetic and
-  then reconstructs all output bytes with one gather over an extended symbol
-  pool; the scalar fallback walks the stream byte by byte.
+  needed. The vectorised decoder resolves escapes with run arithmetic, takes
+  one 8-byte word and one keep-mask per token from a 512-row table and
+  compacts the kept bytes once; the scalar fallback walks the stream byte by
+  byte.
 """
 
 from __future__ import annotations
@@ -323,45 +324,51 @@ def _escape_positions(codes: np.ndarray) -> np.ndarray:
     """Positions of escape bytes, resolving chains of 255s with run parity.
 
     Within a maximal run of 255 bytes, escapes sit at even offsets; an
-    odd-length run's final escape consumes the byte after the run.
+    odd-length run's final escape consumes the byte after the run. Only the
+    255 bytes themselves are touched, never a stream-length temporary.
     """
-    is_escape = codes == ESCAPE
-    if not is_escape.any():
-        return np.empty(0, dtype=np.int64)
-    padded = np.concatenate(([False], is_escape, [False]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]
-    lengths = ends - starts
-    escape_counts = (lengths + 1) // 2
-    total = int(escape_counts.sum())
-    # Segmented arange: 0,1,..,c0-1, 0,1,..,c1-1, ... built without a loop.
-    segment_ends = np.cumsum(escape_counts)
-    local = np.arange(total, dtype=np.int64) - np.repeat(segment_ends - escape_counts, escape_counts)
-    return np.repeat(starts, escape_counts) + 2 * local
+    candidates = np.flatnonzero(codes == ESCAPE)
+    if candidates.size < 2:
+        return candidates
+    run_start = candidates.copy()
+    run_start[1:][candidates[1:] == candidates[:-1] + 1] = 0  # inside a run
+    np.maximum.accumulate(run_start, out=run_start)
+    return candidates[((candidates - run_start) & 1) == 0]
 
 
-def decode_stream_vectorized(stream: bytes, symbols: StringArray) -> np.ndarray:
-    """Decode a full FSST stream to output bytes with one gather."""
+def decode_stream_vectorized(
+    stream: bytes, symbols: StringArray, expected_size: "int | None" = None
+) -> np.ndarray:
+    """Decode a full FSST stream: one 8-byte word take plus one compaction.
+
+    Every token is a row of a 512-row ``uint64`` table and its keep-mask
+    (symbols are <= 8 bytes by format): rows 0..254 the symbols, row 255 the
+    escape byte under an *empty* mask, so escapes vanish in the compaction,
+    rows 256..511 the literals. The masks alone give the output size, held
+    to ``expected_size`` before any output byte exists.
+    """
     codes = np.frombuffer(stream, dtype=np.uint8)
-    if codes.size == 0:
-        return np.empty(0, dtype=np.uint8)
+    count = len(symbols)
+    words, masks = np.zeros((2, 512), dtype="<u8")
+    words[:count] = strutil.pool_words(symbols.buffer, symbols.offsets[:-1])
+    masks[:count] = strutil.KEEP_WORDS.take(symbols.lengths())
+    words[256:] = np.arange(256)
+    masks[256:] = strutil.KEEP_WORDS[1]
     esc = _escape_positions(codes)
-    tokens = codes.astype(np.int64)
-    drop = np.zeros(codes.size, dtype=bool)
-    if esc.size:
-        if esc[-1] + 1 >= codes.size:
-            raise CorruptBlockError("escape at end of FSST stream")
-        drop[esc] = True
-        tokens[esc + 1] += 256  # literal marker
-    tokens = tokens[~drop]
-    # Extended pool: rows 0..254 = symbols (missing codes stay empty and are
-    # never referenced), row 255 unused, rows 256..511 = single-byte literals.
-    pool_entries = symbols.to_pylist()
-    pool_entries += [b""] * (256 - len(pool_entries))
-    pool_entries += [bytes([b]) for b in range(256)]
-    pool = StringArray.from_pylist(pool_entries)
-    return strutil.gather(pool, tokens).buffer
+    if esc.size and esc[-1] + 1 >= codes.size:
+        raise CorruptBlockError("escape at end of FSST stream")
+    unknown = codes >= min(count, ESCAPE)
+    unknown[esc] = unknown[esc + 1] = False  # escapes and the literals they introduce
+    if unknown.any():
+        raise CorruptBlockError(f"FSST code {codes[unknown.argmax()]} outside symbol table")
+    tokens = codes.astype(np.intp)
+    tokens[esc + 1] += 256  # literal marker
+    keep = masks.take(tokens)
+    if expected_size is not None and np.count_nonzero(keep.view(np.bool_)) != expected_size:
+        raise CorruptBlockError("FSST output size does not match string lengths")
+    words = words.take(tokens)
+    del tokens  # the compaction is the allocation peak: 8 bytes per code less under it
+    return strutil.compact_words(words, keep)
 
 
 def decode_stream_scalar(stream: bytes, symbols: StringArray) -> np.ndarray:
@@ -439,18 +446,21 @@ class FSSTString(Scheme):
 
     def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
         reader = Reader(payload)
-        _symbol_count = reader.u8()
+        symbol_count = reader.u8()
         symbols = strutil.untrusted_strings(reader.array(), reader.array())
+        longest = int(symbols.lengths().max(initial=0))
+        if len(symbols) != symbol_count or longest > MAX_SYMBOL_LENGTH:  # bounds every token
+            raise CorruptBlockError("FSST symbol table is malformed")
         stream = reader.blob()
         lengths = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
         if lengths.size and int(lengths.min()) < 0:
             raise CorruptBlockError("negative FSST string length")
-        if ctx.vectorized:
-            buffer = decode_stream_vectorized(stream, symbols)
-        else:
-            buffer = decode_stream_scalar(stream, symbols)
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(lengths.astype(np.int64), out=offsets[1:])
+        if ctx.vectorized:
+            buffer = decode_stream_vectorized(stream, symbols, int(offsets[-1]))
+        else:
+            buffer = decode_stream_scalar(stream, symbols)
         if int(offsets[-1]) != buffer.size:
             raise CorruptBlockError("FSST output size does not match string lengths")
         return StringArray(buffer, offsets)

@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import CorruptBlockError
 from repro.types import StringArray
+
+#: ``KEEP_WORDS[n]``: the keep-mask of an ``n``-byte string inside its 8-byte
+#: word -- eight bool bytes, the first ``n`` set, read as one ``uint64``.
+KEEP_WORDS = (np.arange(8) < np.arange(9)[:, None]).view("<u8").ravel()
+#: :func:`gather`'s selection constants, fitted to the shape tables in
+#: docs/PERFORMANCE.md ("The string read path") -- measurements, not knobs:
+#: the rows that amortise the word kernel's pool table, and what one block
+#: copy costs in index-kernel output bytes per distinct row length / per row.
+_WORD_MIN_ROWS = 8192
+_BLOCK_CALL_BYTES, _BLOCK_ROW_BYTES = 16384, 20
 
 
 def untrusted_strings(buffer: np.ndarray, offsets: np.ndarray) -> StringArray:
@@ -48,39 +59,94 @@ def encode_distinct(strings: StringArray) -> tuple[np.ndarray, StringArray]:
     return strings._distinct
 
 
+def pool_words(buffer: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The 8 bytes at each of ``starts`` as one ``uint64``, read over a
+    zero-padded copy (nothing past ``buffer`` is touched). A row's word ends
+    in its neighbours' bytes; its keep-mask drops them, nothing is zeroed."""
+    padded = np.zeros(buffer.size + 8, dtype=np.uint8)
+    padded[: buffer.size] = buffer
+    return sliding_window_view(padded, 8)[starts].view("<u8").ravel()
+
+
+def compact_words(words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The bytes of ``words`` their :data:`KEEP_WORDS` masks ``keep``, in one
+    ``compress`` (a boolean fancy index costs 2-3x as much)."""
+    return words.view(np.uint8).compress(keep.view(np.bool_))
+
+
+def _copy_rows(buffer, starts, lengths, offsets, distinct, counts) -> np.ndarray:
+    """Block-copy kernel: rows grouped by length (16-bit keys radix-sort), each
+    group one 2-D window copy from the pool into the output. Every write lands
+    inside its own row, so NumPy's unspecified assignment order cannot matter."""
+    out = np.empty(int(offsets[-1]), dtype=np.uint8)
+    order = np.argsort(lengths.astype(np.uint16), kind="stable")
+    lo = 0
+    for length, hi in zip(distinct.tolist(), np.cumsum(counts).tolist()):
+        rows, lo = order[lo:hi], hi
+        if length:
+            sliding_window_view(out, length, writeable=True)[offsets.take(rows)] = (
+                sliding_window_view(buffer, length)[starts.take(rows)]
+            )
+    return out
+
+
 def gather(pool: StringArray, indices: np.ndarray) -> StringArray:
     """Vectorised string gather: ``pool`` rows selected by ``indices``.
 
-    This is the NumPy analog of the paper's vectorised dictionary decode
-    (Listing 3, bottom): output byte positions are mapped to pool byte
-    positions in one fancy-indexing pass, so no per-string Python loop runs.
+    The NumPy analog of the paper's vectorised dictionary decode (Listing 3,
+    bottom) and the one gather under every string scheme. Indices past the
+    pool raise ``IndexError``; negative ones wrap like any NumPy index, so
+    decoders range-check untrusted codes first. The kernel follows from the
+    request's shape (docs/PERFORMANCE.md, "The string read path"): many rows
+    of <= 8 bytes move as ``uint64`` takes plus one compaction, long rows in
+    few distinct lengths as block copies, the rest (small selections, skewed
+    pools) through one source index per output byte. A request of fewer rows
+    than the pool has never does anything per pool entry.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    pool_lengths = pool.lengths()
-    out_lengths = pool_lengths[indices]
-    out_offsets = np.zeros(indices.size + 1, dtype=np.int64)
-    np.cumsum(out_lengths, out=out_offsets[1:])
-    total = int(out_offsets[-1])
-    if total == 0:
-        return StringArray(np.empty(0, dtype=np.uint8), out_offsets)
-    # For every output byte, the distance between its position and the
-    # corresponding source byte is constant within one string; expand that
-    # per-string delta to per-byte and add the output byte index.
-    src_starts = pool.offsets[indices]
-    deltas = src_starts - out_offsets[:-1]
-    # int32 indices halve memory traffic; string buffers stay well below 2 GiB.
-    if total < 2**31 and int(pool.buffer.size) < 2**31:
-        byte_src = np.arange(total, dtype=np.int32)
-        byte_src += np.repeat(deltas.astype(np.int32), out_lengths)
-    else:  # pragma: no cover - huge-buffer fallback
-        byte_src = np.arange(total, dtype=np.int64) + np.repeat(deltas, out_lengths)
-    return StringArray(pool.buffer[byte_src], out_offsets)
+    rows = indices.size
+    starts = pool.offsets.take(indices)
+    if len(pool) <= rows:
+        lengths = pool.lengths().take(indices)
+    else:
+        lengths = pool.offsets.take(indices + 1) - starts
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    total = int(offsets[-1])
+    # The word kernel builds its table over the whole pool: only over one no
+    # larger than the request, in entries and in bytes.
+    if total <= 8 * rows and rows >= max(_WORD_MIN_ROWS, len(pool), pool.buffer.size // 8):
+        longest = int(lengths.max())
+        if longest <= 8:
+            words = pool_words(pool.buffer, pool.offsets[:-1]).take(indices)
+            if total == longest * rows:  # uniform rows: nothing to compact
+                kept = words.view(np.uint8).reshape(rows, 8)[:, :longest].reshape(-1)
+            else:
+                kept = compact_words(words, KEEP_WORDS.take(lengths))
+            return StringArray(kept, offsets)
+    spare = total - _BLOCK_ROW_BYTES * rows
+    if spare >= _BLOCK_CALL_BYTES and int(lengths.max()) < 1 << 16:
+        counts = np.bincount(lengths)
+        distinct = np.flatnonzero(counts)
+        if spare >= _BLOCK_CALL_BYTES * distinct.size:
+            copied = _copy_rows(pool.buffer, starts, lengths, offsets, distinct, counts[distinct])
+            return StringArray(copied, offsets)
+    # Within one string the distance from an output byte to its source byte
+    # is constant: expand the per-string delta per byte, add the byte index.
+    # int32 indices halve the index traffic while both buffers allow them.
+    index_type = np.int32 if max(total, pool.buffer.size) < 2**31 else np.int64
+    byte_src = np.arange(total, dtype=index_type)
+    byte_src += np.repeat((starts - offsets[:-1]).astype(index_type), lengths)
+    return StringArray(pool.buffer.take(byte_src), offsets)
 
 
 def concat(arrays: "list[StringArray]") -> StringArray:
-    """Concatenate several string arrays row-wise."""
+    """Concatenate several string arrays row-wise (a single one is returned
+    as is: it is immutable by :class:`StringArray`'s contract)."""
     if not arrays:
         return StringArray.empty(0)
+    if len(arrays) == 1:
+        return arrays[0]
     buffers = [a.buffer for a in arrays]
     lengths = np.concatenate([a.lengths() for a in arrays])
     offsets = np.zeros(lengths.size + 1, dtype=np.int64)

@@ -277,6 +277,51 @@ class TestNodeBitFlips:
             _attempt(lambda: decompress_block(bytes(corrupted), ColumnType.STRING))
 
 
+class TestChecksumlessNodesFailTyped:
+    """Damage a CRC cannot catch (v1 / in-memory blocks) must still not decode
+    to values that were never stored: out-of-range dictionary codes wrap in
+    ``take`` / fancy indexing, unknown FSST codes used to decode to nothing."""
+
+    @staticmethod
+    def _nodes():
+        from test_decode_limits_fuzz import TestHostileFSSTTables
+        from test_dictionary import TestOutOfRangeCodes
+
+        from repro.encodings.base import SchemeId
+
+        codes = TestOutOfRangeCodes()
+        fsst = TestHostileFSSTTables._payload
+        return {
+            "dict string, negative code": (
+                SchemeId.DICT_STRING, 4, codes._string_payload([0, -2, 2, -3], rle=False)),
+            "dict string, negative run code": (
+                SchemeId.DICT_STRING, 20, codes._string_payload(np.repeat([0, -2, 2, 1], 5), rle=True)),
+            "dict int, negative code": (
+                SchemeId.DICT_INT, 4, codes._numeric_payload([0, -1, 2, -3], rle=False)),
+            "dict int, negative run code": (
+                SchemeId.DICT_INT, 20, codes._numeric_payload(np.repeat([0, -1, 2, 1], 5), rle=True)),
+            "fsst, code outside the table": (
+                SchemeId.FSST, 1, fsst([b"a", b"b"], bytes([0, 1, 7, 0]), [3])),
+            "fsst, oversized symbol": (
+                SchemeId.FSST, 1, fsst([b"123456789"], bytes([0]), [9])),
+        }
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
+    def test_v1_container_with_wrapped_codes_raises(self, vectorized):
+        from repro.encodings.base import get_scheme
+
+        for label, (scheme_id, count, payload) in self._nodes().items():
+            column = CompressedColumn("c", get_scheme(scheme_id).ctype)
+            column.blocks.append(CompressedBlock(count, wrap(scheme_id, count, payload)))
+            restored = column_from_bytes(column_to_bytes(column, version=1))
+            assert restored.blocks[0].checksum is None, label
+            with pytest.raises(BtrBlocksError):
+                decompress_column(restored, vectorized=vectorized)
+            for policy in ("skip", "null_block"):  # degradable like any corrupt block
+                out = decompress_column(restored, vectorized=vectorized, on_corrupt=policy)
+                assert len(out.data) == (0 if policy == "skip" else count), label
+
+
 class TestContainers:
     def test_garbage_column_file(self, rng):
         with pytest.raises(ACCEPTABLE):

@@ -230,3 +230,93 @@ class TestLimitsEnforcement:
 def decode_mutant_with(data: bytes, limits: DecodeLimits) -> None:
     column = column_from_bytes(data, limits=limits)
     decompress_column(column, on_corrupt="raise", limits=limits)
+
+
+class TestHostileFSSTTables:
+    """An FSST payload can lie about its symbol table and its output size.
+
+    Before these checks the decoder ignored its symbol-count byte, never
+    bounded symbol lengths and compared sizes only *after* materialising the
+    whole output: 9 KB declaring 4 rows (one 4,000-byte "symbol", 5,000
+    stream bytes) allocated 160 MB before it was rejected. Every hostile
+    payload must now be rejected having allocated token- and mask-sized
+    temporaries only — never an output.
+    """
+
+    @staticmethod
+    def _payload(symbols, stream: bytes, lengths, count_byte=None) -> bytes:
+        from repro.core.compressor import make_context
+        from repro.core.selector import SchemeSelector
+        from repro.encodings.wire import Writer
+        from repro.types import ColumnType, StringArray
+
+        table = StringArray.from_pylist(symbols)
+        lengths = np.asarray(lengths, dtype=np.int32)
+        child = make_context(SchemeSelector()).compress_child(lengths, ColumnType.INTEGER)
+        writer = Writer().u8(len(symbols) & 0xFF if count_byte is None else count_byte)
+        writer.array(table.buffer).array(table.offsets).blob(stream).blob(child)
+        return writer.getvalue()
+
+    def _assert_rejected_cheaply(self, payload: bytes, rows: int, match: str) -> None:
+        from repro.core.decompressor import decompress_block
+        from repro.encodings.base import SchemeId
+        from repro.encodings.wire import wrap
+        from repro.exceptions import CorruptBlockError
+        from repro.types import ColumnType
+
+        blob = wrap(SchemeId.FSST, rows, payload)
+        for vectorized in (True, False):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CorruptBlockError, match=match):
+                    decompress_block(blob, ColumnType.STRING, vectorized=vectorized)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * len(payload) + (64 << 10), (vectorized, peak, len(payload))
+
+    def test_the_allocation_bomb(self):
+        payload = self._payload([b"S" * 4000], bytes(5000), [1, 1, 1, 1])
+        assert len(payload) < 9100
+        self._assert_rejected_cheaply(payload, 4, "symbol table is malformed")
+
+    def test_symbol_longer_than_the_format_allows(self):
+        payload = self._payload([b"ok", b"123456789"], bytes(64), [128])
+        self._assert_rejected_cheaply(payload, 1, "symbol table is malformed")
+
+    def test_more_symbols_than_codes(self):
+        symbols = [b"%03d" % i for i in range(300)]
+        payload = self._payload(symbols, bytes(64), [192])
+        self._assert_rejected_cheaply(payload, 1, "symbol table is malformed")
+
+    @pytest.mark.parametrize("count_byte", [0, 2, 4, 255])
+    def test_count_byte_disagreeing_with_the_table(self, count_byte):
+        payload = self._payload([b"a", b"bc", b"def"], bytes([0, 1, 2]), [6], count_byte)
+        self._assert_rejected_cheaply(payload, 1, "symbol table is malformed")
+
+    def test_stream_decoding_to_more_than_the_declared_lengths(self):
+        # Legal 8-byte symbols: 100,000 codes would decode to 800 KB against
+        # four declared bytes. The vectorised path predicts the size from the
+        # tokens' keep-masks and rejects before compacting anything.
+        payload = self._payload([b"12345678"], bytes(100_000), [1, 1, 1, 1])
+        self._assert_rejected_cheaply(payload, 4, "does not match string lengths")
+
+    def test_stream_decoding_to_less_than_the_declared_lengths(self):
+        payload = self._payload([b"12345678"], bytes(10), [1 << 20])
+        self._assert_rejected_cheaply(payload, 1, "does not match string lengths")
+
+    def test_code_outside_the_symbol_table(self):
+        payload = self._payload([b"a", b"b"], bytes([0, 1, 2, 0]), [3])
+        self._assert_rejected_cheaply(payload, 1, "FSST code 2 outside symbol table")
+
+    def test_honest_payload_still_decodes(self):
+        from repro.core.decompressor import decompress_block
+        from repro.encodings.base import SchemeId
+        from repro.encodings.wire import wrap
+        from repro.types import ColumnType
+
+        payload = self._payload([b"ab", b"c"], bytes([0, 1, 255, 0, 0]), [2, 2, 2])
+        blob = wrap(SchemeId.FSST, 3, payload)
+        for vectorized in (True, False):
+            out = decompress_block(blob, ColumnType.STRING, vectorized=vectorized)
+            assert out.to_pylist() == [b"ab", b"c\x00", b"ab"]

@@ -130,3 +130,108 @@ class TestFusedRLEDict:
         )
         _, out = scheme_round_trip(DICT_STRING, sa)
         assert out == sa
+
+
+class TestOutOfRangeCodes:
+    """Codes outside ``[0, len(pool))`` are a typed error on every decode path.
+
+    ``ndarray.take`` and fancy indexing wrap negative codes, so before the
+    shared check the *full* and fused-RLE paths decoded pool ``[a, bb, ccc]``
+    with codes ``[0, -2, 2, -3]`` to ``[a, cc, ccc, b]`` — strings that are
+    not even pool entries — on checksum-less blocks.
+    """
+
+    POOL = StringArray.from_pylist(["a", "bb", "ccc"])
+    UNIQ = np.array([10, 20, 30], dtype=np.int32)
+
+    @staticmethod
+    def _codes_blob(codes, rle: bool) -> bytes:
+        """``codes`` as an uncompressed child, or RLE-compressed (runs > 3)."""
+        from repro.core.compressor import make_context
+        from repro.core.selector import SchemeSelector
+        from repro.encodings.wire import wrap
+
+        codes = np.asarray(codes, dtype=np.int32)
+        scheme = get_scheme(SchemeId.RLE_INT if rle else SchemeId.UNCOMPRESSED_INT)
+        payload = scheme.compress(codes, make_context(SchemeSelector()))
+        return wrap(scheme.scheme_id, len(codes), payload)
+
+    def _string_payload(self, codes, rle: bool) -> bytes:
+        from repro.encodings.wire import Writer
+
+        raw_pool = Writer().array(self.POOL.buffer).array(self.POOL.offsets).getvalue()
+        writer = Writer().u8(0).u32(len(self.POOL)).blob(raw_pool)
+        return writer.blob(self._codes_blob(codes, rle)).getvalue()
+
+    def _numeric_payload(self, codes, rle: bool) -> bytes:
+        from repro.encodings.wire import Writer
+
+        return Writer().array(self.UNIQ).blob(self._codes_blob(codes, rle)).getvalue()
+
+    @staticmethod
+    def _decodes(scheme, payload: bytes, count: int, empty_out):
+        """Every decode path of ``scheme`` over one payload, as thunks."""
+        from repro.core.decompressor import make_context
+
+        rows = np.arange(count, dtype=np.int64)
+        paths = {
+            "full": lambda: scheme.decompress(payload, count, make_context(True)),
+            "scalar": lambda: scheme.decompress(payload, count, make_context(False)),
+            "filtered": lambda: scheme.decompress_filtered(
+                payload, count, make_context(True), rows
+            ),
+        }
+        if empty_out is not None:
+            paths["into"] = lambda: scheme.decompress_into(
+                payload, count, make_context(True), empty_out(count)
+            )
+        return paths
+
+    @pytest.mark.parametrize("rle", [False, True], ids=["plain", "fused-rle"])
+    @pytest.mark.parametrize("bad", [-1, -2, -3, -4, 3, 2**31 - 1], ids=str)
+    def test_string_dictionary_rejects_the_code_on_every_path(self, bad, rle):
+        from repro.exceptions import FormatError
+
+        codes = np.repeat([0, bad, 2, 1], 5)  # runs of 5: the fused path takes them
+        payload = self._string_payload(codes, rle)
+        for name, decode in self._decodes(DICT_STRING, payload, len(codes), None).items():
+            with pytest.raises(FormatError, match="out of pool range"):
+                decode()
+
+    @pytest.mark.parametrize("rle", [False, True], ids=["plain", "fused-rle"])
+    @pytest.mark.parametrize("bad", [-1, -3, -4, 3], ids=str)
+    def test_numeric_dictionary_rejects_the_code_on_every_path(self, bad, rle):
+        from repro.exceptions import FormatError
+
+        codes = np.repeat([0, bad, 2, 1], 5)
+        payload = self._numeric_payload(codes, rle)
+        empty = lambda count: np.empty(count, dtype=np.int32)  # noqa: E731
+        for name, decode in self._decodes(DICT_INT, payload, len(codes), empty).items():
+            with pytest.raises(FormatError, match="out of pool range"):
+                decode()
+
+    @pytest.mark.parametrize("rle", [False, True], ids=["plain", "fused-rle"])
+    def test_in_range_codes_decode_identically_on_every_path(self, rle):
+        codes = np.repeat([0, 2, 2, 1, 0], 5)
+        want = [self.POOL[int(c)] for c in codes]
+        payload = self._string_payload(codes, rle)
+        for name, decode in self._decodes(DICT_STRING, payload, len(codes), None).items():
+            assert decode().to_pylist() == want, name
+        payload = self._numeric_payload(codes, rle)
+        empty = lambda count: np.empty(count, dtype=np.int32)  # noqa: E731
+        for name, decode in self._decodes(DICT_INT, payload, len(codes), empty).items():
+            got = decode()
+            if got is not None:
+                assert got.tolist() == self.UNIQ[codes].tolist(), name
+
+    def test_block_level_decode_surfaces_the_typed_error(self):
+        """Through the public node decoder (a v1 / in-memory block: no CRC)."""
+        from repro.core.decompressor import decompress_block
+        from repro.encodings.wire import wrap
+        from repro.exceptions import FormatError
+
+        payload = self._string_payload([0, -2, 2, -3], rle=False)
+        blob = wrap(SchemeId.DICT_STRING, 4, payload)
+        for vectorized in (True, False):
+            with pytest.raises(FormatError, match="out of pool range"):
+                decompress_block(blob, ColumnType.STRING, vectorized=vectorized)

@@ -328,3 +328,202 @@ class TestMatcherEquivalence:
                 naive_pairs[p] = naive_pairs.get(p, 0) + 1
         assert list(singles.items()) == list(naive_singles.items())
         assert list(pairs.items()) == list(naive_pairs.items())
+
+
+def _decode_both(stream: bytes, symbols: list[bytes]):
+    """``(scalar, vectorised)`` outcomes: decoded bytes, or the error raised."""
+    table = StringArray.from_pylist(symbols)
+    outcomes = []
+    for decode in (decode_stream_scalar, decode_stream_vectorized):
+        try:
+            outcomes.append(decode(stream, table).tobytes())
+        except CorruptBlockError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _assert_decoders_agree(stream: bytes, symbols: list[bytes]):
+    scalar, vectorised = _decode_both(stream, symbols)
+    if isinstance(scalar, CorruptBlockError):
+        assert isinstance(vectorised, CorruptBlockError), (stream, vectorised)
+    else:
+        assert vectorised == scalar, stream
+    return scalar
+
+
+class TestDecoderEquivalence:
+    """The word-take decoder against the byte-by-byte one, kept as its oracle."""
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_TABLES))
+    def test_adversarial_tables_round_trip_through_both(self, name, rng):
+        table = SymbolTable(list(ADVERSARIAL_TABLES[name]))
+        for _ in range(8):
+            data = _adversarial_data(table.symbols, rng)
+            assert _assert_decoders_agree(table.compress(data), table.symbols) == data
+
+    def test_trained_tables(self, rng, url_strings):
+        corpora = [
+            url_strings.buffer.tobytes(),
+            bytes(rng.integers(0, 256, 20_000, dtype=np.uint8)),  # nearly all escapes
+            bytes(rng.integers(250, 256, 5_000, dtype=np.uint8)),  # chains of 0xFF
+            b"abcdefgh" * 4000,  # only 8-byte symbols
+        ]
+        for data in corpora:
+            table = train_symbol_table(data)
+            assert _assert_decoders_agree(table.compress(data), table.symbols) == data
+
+    @pytest.mark.parametrize("run", range(1, 9))
+    @pytest.mark.parametrize("tail", [b"", b"\x00", b"\x01\x00"], ids=["end", "sym", "syms"])
+    def test_escape_chains_of_every_parity(self, run, tail):
+        # ``run`` 255s then ``tail``: an even run is run/2 escaped 0xFF
+        # literals; an odd one's last escape consumes tail's first byte, or
+        # is an escape at the end of the stream.
+        symbols = [b"<zero>", b"<one>"]
+        outcome = _assert_decoders_agree(bytes([ESCAPE]) * run + tail, symbols)
+        if run % 2 and not tail:
+            assert isinstance(outcome, CorruptBlockError)
+        elif run % 2:
+            assert outcome == b"\xff" * (run // 2) + tail[:1] + b"<zero>" * (len(tail) - 1)
+        else:
+            assert outcome == b"\xff" * (run // 2) + {0: b"", 1: b"<zero>", 2: b"<one><zero>"}[len(tail)]
+
+    def test_runs_separated_by_symbols_and_literals(self):
+        symbols = [b"ab", b"c"]
+        stream = bytes([0, 255, 255, 1, 255, 7, 255, 255, 255, 255, 0, 255, 254, 255, 255, 255, 0])
+        want = b"ab\xffc\x07\xff\xffab\xfe\xff\x00"
+        assert _assert_decoders_agree(stream, symbols) == want
+
+    def test_escape_as_last_byte_is_corrupt(self):
+        for stream in (bytes([ESCAPE]), bytes([0, 0, ESCAPE]), bytes([ESCAPE, ESCAPE, ESCAPE])):
+            scalar, vectorised = _decode_both(stream, [b"sym"])
+            assert "escape at end" in str(scalar) and "escape at end" in str(vectorised)
+
+    def test_empty_symbol_table(self):
+        assert _assert_decoders_agree(bytes([255, 65, 255, 255, 255, 0]), []) == b"A\xff\x00"
+        assert _assert_decoders_agree(b"", []) == b""
+
+    def test_literals_only_under_a_full_table(self):
+        symbols = ADVERSARIAL_TABLES["full_255"]
+        assert len(symbols) == MAX_SYMBOLS
+        stream = b"".join(bytes([ESCAPE, b]) for b in range(256))
+        assert _assert_decoders_agree(stream, symbols) == bytes(range(256))
+        every_code = bytes(range(255))
+        assert _assert_decoders_agree(every_code, symbols) == b"".join(symbols)
+
+    @pytest.mark.parametrize("symbols", [[], [b"a"], [b"a", b"bcdefghi"[:8], b"xyz"]], ids=len)
+    def test_code_outside_the_symbol_table_raises_the_scalar_error(self, symbols):
+        # Formerly the vectorised decoder decoded unknown codes to nothing.
+        n = len(symbols)
+        for stream in (bytes([n]), bytes([254]), bytes([ESCAPE, 65, n, ESCAPE, 66])):
+            scalar, vectorised = _decode_both(stream, symbols)
+            assert isinstance(scalar, CorruptBlockError)
+            assert str(vectorised) == str(scalar)
+            assert "outside symbol table" in str(scalar)
+        # ...while the same byte values as escaped literals are data.
+        stream = bytes([ESCAPE, n, ESCAPE, 254])
+        assert _assert_decoders_agree(stream, symbols) == bytes([n, 254])
+
+    def test_expected_size_is_checked_before_any_output_exists(self, monkeypatch):
+        symbols = StringArray.from_pylist([b"12345678"])
+        stream = bytes(1000)
+        assert decode_stream_vectorized(stream, symbols, expected_size=8000).size == 8000
+        monkeypatch.setattr(fsst.strutil, "compact_words", None)  # would raise if reached
+        for wrong in (0, 7999, 8001):
+            with pytest.raises(CorruptBlockError, match="does not match string lengths"):
+                decode_stream_vectorized(stream, symbols, expected_size=wrong)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        symbols=st.lists(st.binary(min_size=0, max_size=8), max_size=12),
+        stream=st.lists(
+            st.one_of(st.integers(0, 14), st.sampled_from([ESCAPE, ESCAPE, 254, 128])), max_size=60
+        ),
+    )
+    def test_property_arbitrary_streams(self, symbols, stream):
+        """Any byte stream over any table: same bytes, or both reject it."""
+        _assert_decoders_agree(bytes(stream), symbols)
+
+
+class TestDecodeStructure:
+    """The vectorised block decode moves words, not rows or bytes, in Python."""
+
+    @staticmethod
+    def _comment_block(rows: int) -> StringArray:
+        from repro.datagen.tpch import lineitem
+
+        relation = lineitem(rows, np.random.default_rng([100, 0]))
+        return next(c for c in relation.columns if c.name == "l_comment").data
+
+    @staticmethod
+    def _compressed(values: StringArray) -> bytes:
+        from repro.core.compressor import make_context
+        from repro.core.selector import SchemeSelector
+
+        return FSST.compress(values, make_context(SchemeSelector()))
+
+    @staticmethod
+    def _decode(payload: bytes, count: int) -> StringArray:
+        from repro.core.decompressor import make_context
+
+        return FSST.decompress(payload, count, make_context(True))
+
+    def test_decode_splits_and_rebuilds_no_python_rows(self, monkeypatch):
+        values = self._comment_block(2048)
+        payload = self._compressed(values)
+        calls = []
+        for name in ("to_pylist", "from_pylist"):
+            monkeypatch.setattr(
+                StringArray, name, lambda *args, _name=name, **kwargs: calls.append(_name)
+            )
+        out = self._decode(payload, len(values))
+        assert calls == []
+        assert np.array_equal(out.buffer, values.buffer)
+        assert np.array_equal(out.offsets, values.offsets)
+
+    def test_python_lines_do_not_grow_with_the_block(self):
+        import sys
+
+        from repro.encodings import strutil
+
+        files = {fsst.__file__, strutil.__file__}
+
+        def lines_run(rows: int) -> int:
+            values = self._comment_block(rows)
+            payload = self._compressed(values)
+            lines = 0
+
+            def tracer(frame, event, arg):
+                nonlocal lines
+                if frame.f_code.co_filename not in files:
+                    return None
+                if event == "line":
+                    lines += 1
+                return tracer
+
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                out = self._decode(payload, len(values))
+            finally:
+                sys.settrace(previous)
+            assert out == values
+            return lines
+
+        assert lines_run(2048) == lines_run(65_536)
+
+    def test_peak_allocation_per_output_byte_is_no_higher_than_the_index_kernel(self):
+        """The per-byte-index decoder peaked at 17.7 traced bytes per output
+        byte on an ``l_comment`` block (int64 tokens + int32 byte index); the
+        word decoder's padded bytes, masks and ``compress``'s transient index
+        must stay below that."""
+        values = self._comment_block(16_384)
+        payload = self._compressed(values)
+        self._decode(payload, len(values))  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            out = self._decode(payload, len(values))
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == values
+        assert peak / values.buffer.size <= 17.7
