@@ -10,13 +10,12 @@ into 64k blocks, carrying NULL bitmaps alongside.
 
 from __future__ import annotations
 
-from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedBlock, CompressedColumn, CompressedRelation
 from repro.core.blockstats import compute_block_stats
 from repro.core.config import BtrBlocksConfig
 from repro.core.relation import Relation
-from repro.core.selector import SchemeSelector, values_nbytes
-from repro.encodings.base import CompressionContext, Values
+from repro.core.selector import SchemeSelector
+from repro.encodings.base import CompressionContext, Values, values_nbytes
 from repro.encodings.uncompressed import UNCOMPRESSED_BY_TYPE
 from repro.encodings.wire import wrap
 from repro.observe import get_registry
@@ -30,29 +29,42 @@ def _compress_node(
     # Claim the trace record now: cascade children picked inside
     # scheme.compress() will each produce their own decision.
     decision = selector.take_last_decision()
+    uncompressed = UNCOMPRESSED_BY_TYPE[ctype]
+    demoted = None  # the Uncompressed node, once it replaces the picked scheme's
     try:
-        payload = scheme.compress(values, ctx)
+        framed = wrap(scheme.scheme_id, len(values), scheme.compress(values, ctx))
     except Exception:
         # A scheme that passed viability + sampling can still fail against
         # the full block (sample-blind edge values, overflow in a child
         # transform). Dropping to Uncompressed sacrifices ratio for this
         # one block instead of aborting the whole column.
-        fallback = UNCOMPRESSED_BY_TYPE[ctype]
-        if scheme.scheme_id == fallback.scheme_id:
+        if scheme.scheme_id == uncompressed.scheme_id:
             raise  # Uncompressed itself failing is not recoverable
         registry = get_registry()
         registry.incr("compressor.fallback.total")
         registry.incr(f"compressor.fallback.{scheme.name}")
-        if selector.cache is not None:
-            # Never let sticky selection hand the failing scheme to the
-            # next block.
-            selector.cache.invalidate(ctype)
-        scheme = fallback
-        payload = scheme.compress(values, ctx)
         if decision is not None:
-            decision.chosen = scheme.name
             decision.fallback = True
-    framed = wrap(scheme.scheme_id, len(values), payload)
+        demoted = wrap(uncompressed.scheme_id, len(values), uncompressed.compress(values, ctx))
+    else:
+        # A sole survivor was picked without an estimate, so the rule the
+        # estimate stood in for applies to the real node: keep it only if
+        # strictly smaller than Uncompressed. A node below the bare values
+        # is; only otherwise does Uncompressed have to be materialised.
+        if decision is not None and decision.sole_survivor and len(framed) >= decision.input_bytes:
+            raw = wrap(uncompressed.scheme_id, len(values), uncompressed.compress(values, ctx))
+            if len(raw) <= len(framed):
+                get_registry().incr("selector.sole_survivor.rejected")
+                decision.survivor_rejected = True
+                demoted = raw
+    if demoted is not None:
+        if selector.cache is not None:
+            # Never let sticky selection hand the failing (or expanding)
+            # scheme to the next block.
+            selector.cache.invalidate(ctype)
+        if decision is not None:
+            decision.chosen = uncompressed.name
+        framed = demoted
     if decision is not None:
         decision.finish(len(framed))
         selector.observe_result(decision)
@@ -82,7 +94,7 @@ def compress_block(
         blob = _compress_node(values, ctype, ctx, selector)
     registry.incr("compress.blocks")
     registry.incr("compress.rows", len(values))
-    registry.incr("compress.input_bytes", values_nbytes(values, ctype))
+    registry.incr("compress.input_bytes", values_nbytes(values))
     registry.incr("compress.output_bytes", len(blob))
     return blob
 

@@ -5,6 +5,9 @@ non-viable schemes with cheap heuristics, (3) compresses a small sample with
 every surviving scheme, and (4) returns the scheme with the best observed
 compression ratio. Cascading happens naturally: compressing the sample runs
 the schemes' child compression through this same selector one level deeper.
+Step 3 exists to choose *among* survivors: when the filter leaves exactly
+one, a pick that serves a real encode returns it un-estimated and the
+compressor holds the encoded node to Uncompressed by achieved size instead.
 
 :class:`SelectionCache` adds opt-in *sticky* selection across the blocks of
 one column (``BtrBlocksConfig.sticky_selection``): after one block has gone
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import BtrBlocksConfig
-from repro.core.sampling import DEFAULT_STRATEGY, SamplingStrategy, take_sample
+from repro.core.sampling import SamplingStrategy, take_sample
 from repro.core.stats import compute_stats
 from repro.observe import SelectionDecision, get_registry, get_trace
 from repro.encodings.base import (
@@ -32,17 +35,10 @@ from repro.encodings.base import (
     Values,
     default_pool,
     get_scheme,
+    values_nbytes,
 )
 from repro.encodings.uncompressed import UNCOMPRESSED_BY_TYPE
-from repro.types import ColumnType, StringArray
-
-
-def values_nbytes(values: Values, ctype: ColumnType) -> int:
-    """Uncompressed binary size of a value sequence (the ratio denominator)."""
-    if ctype is ColumnType.STRING:
-        assert isinstance(values, StringArray)
-        return values.nbytes
-    return int(np.asarray(values).nbytes)
+from repro.types import ColumnType
 
 
 @dataclass
@@ -52,7 +48,8 @@ class _StickyEntry:
     scheme_id: int
     unique_fraction: float
     avg_run_length: float
-    estimated_ratio: float
+    #: None when the seeding pick had a sole survivor (nothing was estimated).
+    estimated_ratio: float | None
     #: Achieved ratio of the block that (re-)validated this entry; None until
     #: the compressor reports it back.
     baseline_ratio: float | None = None
@@ -80,7 +77,7 @@ class SelectionCache:
         a, b = entry.avg_run_length, stats.avg_run_length
         return abs(a - b) <= config.sticky_run_tolerance * max(a, b, 1.0)
 
-    def lookup(self, ctype: ColumnType, stats) -> "tuple[Scheme, float] | None":
+    def lookup(self, ctype: ColumnType, stats) -> "tuple[Scheme, float | None] | None":
         """The cached ``(scheme, estimated_ratio)`` if it may be reused here.
 
         Returns ``None`` (a miss) when there is no entry, the entry is due
@@ -107,7 +104,7 @@ class SelectionCache:
             registry.incr("selector.sticky.hits")
             return scheme, entry.estimated_ratio
 
-    def store(self, ctype: ColumnType, stats, scheme: Scheme, estimated_ratio: float) -> None:
+    def store(self, ctype: ColumnType, stats, scheme: Scheme, estimated_ratio: float | None) -> None:
         """(Re-)seed the entry after a full selection ran."""
         with self._lock:
             self._entries[ctype] = _StickyEntry(
@@ -148,9 +145,10 @@ class SelectionCache:
 class SchemeSelector:
     """Chooses the best scheme per block and accounts its own CPU time.
 
-    ``selection_seconds`` accumulates time spent estimating ratios, which the
-    Section 6.3 experiment compares against total compression time (the paper
-    reports 1.2%).
+    ``selection_seconds`` accumulates the wall time of outermost picks (a
+    nested pick runs inside its parent's clock), which the Section 6.3
+    experiment compares against total compression time (the paper reports
+    1.2%).
     """
 
     def __init__(
@@ -240,7 +238,7 @@ class SchemeSelector:
             depth=ctx.depth,
             top_level=(ctx.depth == self.config.max_cascade_depth),
             value_count=len(values),
-            input_bytes=values_nbytes(values, ctype),
+            input_bytes=values_nbytes(values),
             sample_count=0,
         )
         try:
@@ -248,7 +246,6 @@ class SchemeSelector:
         finally:
             self._active_picks -= 1
             elapsed = time.perf_counter() - started
-            self.selection_seconds += elapsed
             decision.selection_seconds = elapsed
             self._last_decision = decision
             registry = get_registry()
@@ -259,6 +256,7 @@ class SchemeSelector:
                 # Non-nested wall time: the denominator-safe figure for
                 # "selection % of compression time" (nested child picks run
                 # inside the parent's clock and would double-count).
+                self.selection_seconds += elapsed
                 registry.observe_seconds("selection.outer", elapsed)
             get_trace().record(decision)
 
@@ -280,24 +278,34 @@ class SchemeSelector:
                 decision.estimated_ratio = estimated_ratio
                 decision.cached = True
                 return scheme
+        # Drawn even if nothing gets estimated: it advances the RNG the real
+        # encode's child picks read next, and feeds Pseudodecimal's viability.
         sample = take_sample(values, ctype, self.strategy, self.rng)
-        sample_bytes = values_nbytes(sample, ctype)
         decision.sample_count = len(sample)
-        if sample_bytes == 0:
+        if values_nbytes(sample) == 0:
             return uncompressed
-        best_scheme = uncompressed
-        best_ratio = 1.0
+        survivors = []
         for scheme in self.pool(ctype):
             if scheme is uncompressed:
                 continue
             scheme.prepare_stats(sample, stats, self.config)
-            if not scheme.is_viable(stats, self.config):
-                continue
-            ratio = scheme.estimate_ratio(sample, stats, ctx)
-            decision.candidates[scheme.name] = ratio
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_scheme = scheme
+            if scheme.is_viable(stats, self.config):
+                survivors.append(scheme)
+        if len(survivors) == 1 and self._active_picks == 1:
+            # Nothing to choose among on a pick that serves a real encode:
+            # _compress_node answers "this or Uncompressed?" from the achieved
+            # size. Nested picks still estimate — they *are* a parent's estimate.
+            best_scheme, best_ratio = survivors[0], None
+            decision.sole_survivor = best_scheme.name
+            get_registry().incr("selector.sole_survivor.picks")
+        else:
+            best_scheme, best_ratio = uncompressed, 1.0
+            for scheme in survivors:
+                ratio = scheme.estimate_ratio(sample, stats, ctx)
+                decision.candidates[scheme.name] = ratio
+                if ratio > best_ratio:
+                    best_ratio = ratio
+                    best_scheme = scheme
         decision.chosen = best_scheme.name
         decision.estimated_ratio = best_ratio
         if cache is not None:
@@ -312,18 +320,3 @@ class SchemeSelector:
         """
         if self.cache is not None and decision.top_level:
             self.cache.observe(decision)
-
-    def estimate_ratios(
-        self, values: Values, ctype: ColumnType, ctx: CompressionContext
-    ) -> dict[str, float]:
-        """Estimated ratio per viable scheme (introspection / experiments)."""
-        stats = compute_stats(values, ctype)
-        sample = take_sample(values, ctype, self.strategy, self.rng)
-        sample_bytes = values_nbytes(sample, ctype)
-        ratios: dict[str, float] = {}
-        for scheme in self.pool(ctype):
-            scheme.prepare_stats(sample, stats, self.config)
-            if not scheme.is_viable(stats, self.config):
-                continue
-            ratios[scheme.name] = scheme.estimate_ratio(sample, stats, ctx)
-        return ratios

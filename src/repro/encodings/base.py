@@ -127,19 +127,15 @@ class Scheme(ABC):
     """One encoding scheme for one data type.
 
     Subclasses set ``scheme_id`` (stable wire id), ``name`` and ``ctype`` and
-    implement viability, compression and decompression. Compression ratio
-    estimation is *not* a scheme method: the selector compresses a sample
-    through :meth:`compress` and measures the output, exactly as the paper's
-    ``estimateFromSamples`` does.
+    implement viability, compression and decompression. The selector asks
+    each viable scheme for :meth:`estimate_ratio`, whose default compresses
+    the sample through :meth:`compress` and measures the output, exactly as
+    the paper's ``estimateFromSamples`` does.
     """
 
     scheme_id: int
     name: str
     ctype: ColumnType
-    #: Schemes excluded from cascade child selection (OneValue fine anywhere;
-    #: e.g. FSST only makes sense on raw string data, not on dictionaries that
-    #: the dictionary scheme already FSST-compresses itself).
-    cascade_only_top_level: bool = False
     #: ``decompress_filtered`` beats full-decode-then-take even when every
     #: row is selected, so the dispatcher's crossover never reroutes it
     #: (string dictionaries: the filtered form gathers from the cached pool).
@@ -177,7 +173,7 @@ class Scheme(ABC):
 
         compressed = self.compress(sample, ctx.child())
         size = len(wrap(self.scheme_id, len(sample), compressed))
-        return _sample_nbytes(sample) / size if size else 0.0
+        return values_nbytes(sample) / size if size else 0.0
 
     @abstractmethod
     def compress(self, values: Values, ctx: CompressionContext) -> bytes:
@@ -298,8 +294,8 @@ def take_values(values: Values, positions: np.ndarray) -> Values:
     return np.asarray(values)[positions]
 
 
-def _sample_nbytes(values: Values) -> int:
-    """Uncompressed binary size of a value sequence."""
+def values_nbytes(values: Values) -> int:
+    """Uncompressed binary size of a value sequence (the ratio numerator)."""
     if isinstance(values, StringArray):
         return values.nbytes
     return int(np.asarray(values).nbytes)

@@ -9,8 +9,8 @@ compress --trace``, and the benchmark harness -- so downstream tooling
     {
       "counters": {"compress.input_bytes": 123, "cloud.scan.requests": 4, ...},
       "timers":   {"compress": {"seconds": 0.01, "calls": 3}, ...},
-      "columns":  [{"column": "price", "blocks": 2, "schemes": {"pseudodecimal": 2},
-                    "estimated_ratio": 3.9, "achieved_ratio": 4.1, ...}],
+      "columns":  [{"column": "city", "blocks": 2, "schemes": {"dictionary": 2},
+                    "estimated_blocks": 2, "estimated_ratio": 3.9, "achieved_ratio": 4.1, ...}],
       "decisions": [...]
     }
 

@@ -4,6 +4,9 @@ Every :meth:`SchemeSelector.pick <repro.core.selector.SchemeSelector.pick>`
 call produces one :class:`SelectionDecision` holding the candidate schemes
 with their sample-estimated ratios and the chosen scheme; the compressor
 fills in the achieved compressed size once the block is actually encoded.
+A pick whose viability filter left one scheme estimates nothing: it names
+that ``sole_survivor`` instead, and the compressor records whether the
+encoded node beat Uncompressed.
 Comparing ``estimated_ratio`` against ``achieved_ratio`` per column is
 exactly the estimator-quality signal the paper's Section 6.6 evaluates and
 what a learned advisor (LEA) would train on.
@@ -35,7 +38,7 @@ class SelectionDecision:
     top_level: bool = True  #: False for cascade-child decisions inside a scheme
     candidates: dict[str, float] = field(default_factory=dict)  #: scheme -> est. ratio
     chosen: str = "uncompressed"
-    estimated_ratio: float = 1.0
+    estimated_ratio: float | None = 1.0  #: None when no estimate ran (sole survivor)
     compressed_bytes: int | None = None  #: framed output size, set by the compressor
     achieved_ratio: float | None = None  #: input_bytes / compressed_bytes
     selection_seconds: float = 0.0
@@ -45,6 +48,13 @@ class SelectionDecision:
     #: True when the originally-picked scheme raised mid-encode and the
     #: block fell back to Uncompressed (``chosen`` reflects the fallback).
     fallback: bool = False
+    #: The one scheme that passed the viability filter on a pick serving a
+    #: real encode: no estimate ran (``candidates`` is empty) and the
+    #: compressor verified it against Uncompressed by achieved size.
+    sole_survivor: str | None = None
+    #: True when that verification failed — the survivor's node was not
+    #: strictly smaller than Uncompressed, which ``chosen`` now names.
+    survivor_rejected: bool = False
 
     def finish(self, compressed_bytes: int) -> None:
         """Record the real outcome once the block has been encoded."""
@@ -70,6 +80,8 @@ class SelectionDecision:
             "selection_seconds": self.selection_seconds,
             "cached": self.cached,
             "fallback": self.fallback,
+            "sole_survivor": self.sole_survivor,
+            "survivor_rejected": self.survivor_rejected,
         }
 
 
@@ -122,13 +134,16 @@ class SelectionTrace:
             schemes: dict[str, int] = {}
             in_bytes = 0
             out_bytes = 0
-            est_weighted = 0.0
             for d in decisions:
                 schemes[d.chosen] = schemes.get(d.chosen, 0) + 1
                 in_bytes += d.input_bytes
                 if d.compressed_bytes:
                     out_bytes += d.compressed_bytes
-                est_weighted += d.input_bytes / d.estimated_ratio if d.estimated_ratio else 0
+            # Sole-survivor picks have no estimate: they stay out of the
+            # aggregate's numerator and denominator alike.
+            estimated = [d for d in decisions if d.estimated_ratio]
+            est_in_bytes = sum(d.input_bytes for d in estimated)
+            est_weighted = sum(d.input_bytes / d.estimated_ratio for d in estimated)
             out.append(
                 {
                     "column": column,
@@ -136,7 +151,8 @@ class SelectionTrace:
                     "schemes": schemes,
                     "input_bytes": in_bytes,
                     "compressed_bytes": out_bytes,
-                    "estimated_ratio": (in_bytes / est_weighted) if est_weighted else None,
+                    "estimated_blocks": len(estimated),
+                    "estimated_ratio": (est_in_bytes / est_weighted) if est_weighted else None,
                     "achieved_ratio": (in_bytes / out_bytes) if out_bytes else None,
                 }
             )

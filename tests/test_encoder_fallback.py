@@ -6,9 +6,17 @@ compressor must fall back to ``Uncompressed`` for that block — sacrificing
 ratio, never the column — count the event, flag it in the selection trace,
 and evict any sticky-cache entry so the failing scheme is not handed to
 the next block.
+
+The same demotion, minus the failure: a *sole survivor* of the viability
+filter is picked without an estimate, so the compressor compares its real
+node against Uncompressed and stores whichever is smaller
+(``TestSoleSurvivorGuard``). That is a decision, not a fault — it has its
+own counter and trace flag and leaves ``compressor.fallback.*`` at zero.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +34,9 @@ from repro.observe import (
     use_registry,
     use_trace,
 )
-from repro.types import Column, ColumnType
+from repro.types import Column, ColumnType, StringArray, columns_equal
+
+from test_sole_survivor import random_binary_strings
 
 
 @pytest.fixture
@@ -138,3 +148,94 @@ class TestFallback:
         np.testing.assert_array_equal(
             decoded.nulls.to_array(), nulls.to_array()
         )
+
+
+#: Seeds the incompressible payloads below; CI's write-fault-matrix job runs
+#: this file once fixed and once with a random ``REPRO_FAULT_SEED``.
+SEED = int(os.environ.get("REPRO_FAULT_SEED", "1337"))
+
+
+def long_random_strings(rows: int = 64) -> StringArray:
+    """FSST is the only viable scheme (Dictionary and Frequency are out above
+    90% unique) and cannot win: nothing to learn, and with this few rows the
+    offsets it saves do not pay for its symbol table."""
+    return random_binary_strings(rows, 3000, seed=SEED)
+
+
+class TestSoleSurvivorGuard:
+    def test_rejected_survivor_is_stored_uncompressed(self, registry):
+        values = long_random_strings()
+        blob = compress_block(values, ColumnType.STRING)
+        uncompressed = UNCOMPRESSED_BY_TYPE[ColumnType.STRING]
+        assert unwrap(blob)[0] == uncompressed.scheme_id
+        # Byte for byte what a pool holding nothing but Uncompressed stores.
+        only_raw = BtrBlocksConfig().with_pool({uncompressed.scheme_id})
+        assert blob == compress_block(values, ColumnType.STRING, only_raw)
+        assert decompress_block(blob, ColumnType.STRING) == values
+
+    def test_rejection_has_its_own_counters(self, registry):
+        compress_block(long_random_strings(), ColumnType.STRING)
+        assert registry.get("selector.sole_survivor.picks") == 1
+        assert registry.get("selector.sole_survivor.rejected") == 1
+        assert registry.get("selector.chosen.fsst") == 1  # what the selector returned
+        assert registry.get("compressor.fallback.total") == 0  # nothing failed
+
+    def test_trace_records_survivor_and_outcome(self, registry):
+        trace = SelectionTrace()
+        with use_trace(trace):
+            compress_column(Column.strings("blob", long_random_strings()))
+        (decision,) = [d for d in trace.decisions() if d.top_level]
+        assert decision.chosen == "uncompressed"
+        assert decision.candidates == {} and decision.estimated_ratio is None
+        assert not decision.fallback
+        assert decision.achieved_ratio < 1.0  # framing only; the old rule could expand further
+        as_dict = decision.to_dict()
+        assert as_dict["sole_survivor"] == "fsst" and as_dict["survivor_rejected"] is True
+
+    def test_kept_survivor_is_not_flagged(self, registry):
+        values = StringArray.from_pylist([f"ticket {i:06d}: printer on fire" for i in range(2000)])
+        trace = SelectionTrace()
+        with use_trace(trace):
+            blob = compress_block(values, ColumnType.STRING)
+        (decision,) = [d for d in trace.decisions() if d.top_level]
+        assert (decision.sole_survivor, decision.survivor_rejected) == ("fsst", False)
+        assert decision.chosen == "fsst" == get_scheme(unwrap(blob)[0]).name
+        assert registry.get("selector.sole_survivor.rejected") == 0
+
+    def test_sticky_entry_invalidated(self, registry):
+        # The miss seeds the sticky entry with the un-estimated survivor;
+        # when the guard then rejects it the entry must go, exactly as after
+        # an encoder failure, so the next block is not handed FSST unverified.
+        config = BtrBlocksConfig(block_size=16, sticky_selection=True)
+        column = Column.strings("blob", long_random_strings(rows=64))  # 4 blocks
+        compressed = compress_column(column, selector=SchemeSelector(config))
+        assert registry.get("selector.sole_survivor.rejected") == 4
+        assert registry.get("selector.sticky.invalidations") == 4
+        assert registry.get("selector.sticky.hits") == 0
+        assert registry.get("compressor.fallback.total") == 0
+        assert compressed.scheme_histogram() == {"uncompressed": 4}
+        assert columns_equal(decompress_column(compressed), column)
+
+    def test_sticky_entry_of_a_kept_survivor_is_reused(self, registry):
+        # Seeded with estimated_ratio=None; later blocks hit it untouched.
+        config = BtrBlocksConfig(block_size=500, sticky_selection=True)
+        column = Column.strings(
+            "note", [f"ticket {i:06d}: printer on fire" for i in range(2000)]
+        )
+        trace = SelectionTrace()
+        with use_trace(trace):
+            compressed = compress_column(column, selector=SchemeSelector(config))
+        assert registry.get("selector.sticky.hits") == 3
+        assert registry.get("selector.sole_survivor.picks") == 1
+        cached = [d for d in trace.decisions() if d.cached]
+        assert len(cached) == 3 and all(d.estimated_ratio is None for d in cached)
+        assert columns_equal(decompress_column(compressed), column)
+
+    def test_rejected_column_round_trips_with_nulls(self, registry):
+        from repro.bitmap import RoaringBitmap
+
+        nulls = RoaringBitmap.from_positions(np.arange(0, 64, 5))
+        column = Column.strings("blob", long_random_strings(), nulls=nulls)
+        decoded = decompress_column(compress_column(column))
+        assert columns_equal(decoded, column)
+        assert registry.get("selector.sole_survivor.rejected") == 1

@@ -141,6 +141,24 @@ class TestSelectionTrace:
         assert summary["schemes"] == {"rle": 1}
         assert summary["achieved_ratio"] == 4.0
         assert summary["estimated_ratio"] == 4.0
+        assert summary["estimated_blocks"] == 1
+
+    def test_per_column_estimate_aggregates_estimated_blocks_only(self):
+        """A block picked without an estimate must not leak its input bytes
+        into the numerator of the column's aggregate estimate."""
+        trace = SelectionTrace()
+        trace.record(self._decision(column="a", chosen="fsst", estimated_ratio=2.0))
+        sole = self._decision(column="a", block=1, chosen="fsst", input_bytes=4000,
+                              estimated_ratio=None, sole_survivor="fsst")
+        trace.record(sole)
+        trace.record(self._decision(column="b", chosen="fsst", estimated_ratio=None,
+                                    sole_survivor="fsst"))
+        a, b = trace.per_column()
+        assert (a["blocks"], a["estimated_blocks"], a["estimated_ratio"]) == (2, 1, 2.0)
+        assert (b["blocks"], b["estimated_blocks"], b["estimated_ratio"]) == (1, 0, None)
+        assert sole.to_dict()["sole_survivor"] == "fsst"
+        assert sole.to_dict()["estimated_ratio"] is None
+        assert sole.to_dict()["survivor_rejected"] is False
 
     def test_use_trace_swaps_and_restores(self):
         original = get_trace()
@@ -165,7 +183,10 @@ class TestPipelineWiring:
         top_level = [d for d in trace.decisions() if d.top_level]
         assert {d.column for d in top_level} == {"price", "city", "qty"}
         assert all(d.achieved_ratio is not None for d in top_level)
-        assert all(d.candidates for d in top_level)
+        assert all(d.candidates or d.sole_survivor for d in top_level)
+        assert registry.get("selector.sole_survivor.picks") == sum(
+            d.sole_survivor is not None for d in trace.decisions()
+        ) > 0  # "price": Pseudodecimal is the only viable double scheme
 
     def test_decompress_records_counters(self, isolated, relation):
         registry, _ = isolated
@@ -197,8 +218,10 @@ class TestPipelineWiring:
         compress_relation(relation)
         for summary in trace.per_column():
             est, ach = summary["estimated_ratio"], summary["achieved_ratio"]
-            assert est is not None and ach is not None
-            assert est > 0 and ach > 0
+            assert ach is not None and ach > 0
+            # A column of sole-survivor picks was verified, not estimated.
+            assert (est is None) == (summary["estimated_blocks"] == 0)
+            assert est is None or est > 0
 
 
 class TestCloudWiring:
@@ -239,7 +262,7 @@ class TestReport:
         assert {c["column"] for c in report["columns"]} == {"price", "city", "qty"}
         for column in report["columns"]:
             assert column["schemes"]
-            assert column["estimated_ratio"] is not None
+            assert column["estimated_ratio"] is not None or column["estimated_blocks"] == 0
             assert column["achieved_ratio"] is not None
         assert "compress" in report["timers"]
         assert report["counters"]["cloud.scan.scans"] == 1

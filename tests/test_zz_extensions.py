@@ -21,9 +21,11 @@ from repro.encodings.extensions import (
     register_extension_schemes,
 )
 from repro.encodings.wire import unwrap
-from repro.types import ColumnType
+from repro.observe import SelectionTrace, use_trace
+from repro.types import Column, ColumnType
 
 from conftest import scheme_round_trip
+from test_sole_survivor import assert_equal_or_smaller
 
 CONFIG = BtrBlocksConfig()
 
@@ -100,3 +102,35 @@ class TestDeltaZigZag:
             BtrBlocksConfig(excluded_schemes=frozenset({DELTA_ZIGZAG_INT_ID, TRUNCATION_INT_ID})),
         ))
         assert with_ext < without
+
+
+class TestSoleSurvivor:
+    """An extension scheme as the only viable one: it needs no hook to be
+    verified by achieved size instead of estimated (old rule as oracle)."""
+
+    @staticmethod
+    def _top(values, config):
+        trace = SelectionTrace()
+        with use_trace(trace):
+            blob = compress_block(values, ColumnType.INTEGER, config)
+        (top,) = [d for d in trace.decisions() if d.top_level]
+        return unwrap(blob)[0], top
+
+    def test_kept_when_it_beats_uncompressed(self, rng):
+        config = BtrBlocksConfig().with_pool({SchemeId.UNCOMPRESSED_INT, TRUNCATION_INT_ID})
+        values = (rng.integers(0, 200, 8000) + 5_000_000).astype(np.int32)
+        scheme_id, top = self._top(values, config)
+        assert scheme_id == TRUNCATION_INT_ID
+        assert (top.sole_survivor, top.survivor_rejected) == ("truncation", False)
+        assert top.candidates == {} and top.achieved_ratio > 3.9
+        assert assert_equal_or_smaller(Column.ints("narrow", values), config)[0] == 0
+
+    def test_rejected_when_it_does_not(self, rng):
+        # Deltas of uniform int32 noise need 32 bits, and a pool without a
+        # bit-packer stores them raw: the node is Uncompressed plus headers.
+        config = BtrBlocksConfig().with_pool({SchemeId.UNCOMPRESSED_INT, DELTA_ZIGZAG_INT_ID})
+        values = rng.integers(-(2**30), 2**30, 8000).astype(np.int32)
+        scheme_id, top = self._top(values, config)
+        assert scheme_id == SchemeId.UNCOMPRESSED_INT
+        assert (top.sole_survivor, top.survivor_rejected) == ("delta_zigzag", True)
+        assert_equal_or_smaller(Column.ints("noise", values), config)
