@@ -42,11 +42,12 @@ from repro.core.decompressor import (
     CorruptBlockResult,
     assemble_column,
     assemble_column_preallocated,
+    cached_block,
     decode_block,
     decode_block_into,
     make_context,
 )
-from repro.core.file_format import ColumnStreamParser, verify_block
+from repro.core.file_format import ColumnStreamParser
 from repro.exceptions import FormatError, WorkerDiedError
 from repro.observe import get_registry
 from repro.types import Column, ColumnType
@@ -390,16 +391,16 @@ def pipelined_fetch_column(
                         )
                     start = row_offset
                     row_offset += block.count
-                    entry_key = None
-                    if cache is not None and cache_key is not None and block.checksum is not None:
-                        entry_key = (cache_key, block_index, block.checksum)
+                    entry_key, cached = cached_block(
+                        cache, cache_key, block_index, block, ctx.limits
+                    )
+                    if cached is not None:
                         out = out_slice(start, block.count)
-                        hit = cache.get_into(entry_key, out) and verify_block(block)
+                        np.copyto(out, cached, casting="unsafe")
                         del out
-                        if hit:
-                            parts.append(None)
-                            block_index += 1
-                            continue
+                        parts.append(None)
+                        block_index += 1
+                        continue
                     if process_active:
                         try:
                             decoder.submit(block, start)

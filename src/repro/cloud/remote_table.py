@@ -658,6 +658,7 @@ class RemoteTable:
                 self._survivor_blocks(entry, survivors, cached, ranges, zone_map),
                 ctype,
                 predicate,
+                self.decode_limits,
             )
         ]
         if not positions:
@@ -715,7 +716,18 @@ class RemoteTable:
             else:
                 blocks.append(CompressedBlock(stats.row_count, b""))
         sparse = CompressedColumn(entry["name"], ColumnType(entry["type"]), blocks)
-        return read_rows(sparse, rows)
+        return self._read_rows(entry, sparse, rows)
+
+    def _read_rows(self, entry: dict, compressed: CompressedColumn, rows: np.ndarray) -> Column:
+        """:func:`read_rows` under this handle's limits, taking the rows of
+        every block the decode cache holds from there (and filling nothing)."""
+        return read_rows(
+            compressed,
+            rows,
+            cache=self.decode_cache,
+            cache_key=self._column_cache_key(entry),
+            limits=self.decode_limits,
+        )
 
     # -- predicate evaluation --------------------------------------------------
 
@@ -728,7 +740,7 @@ class RemoteTable:
         except _PrunedPathUnavailable:
             matches = None
         if matches is None:
-            matches = scan_column(self.fetch_column(column_name), predicate)
+            matches = scan_column(self.fetch_column(column_name), predicate, self.decode_limits)
         return matches
 
     def matching_rows(self, where: Mapping[str, Predicate]) -> RoaringBitmap:
@@ -748,7 +760,7 @@ class RemoteTable:
             return RoaringBitmap.from_positions(np.arange(self.row_count))
         return result
 
-    def _decompress_remote_column(self, compressed, cache_key) -> Column:
+    def _decompress_remote_column(self, compressed, cache_key, held: bool) -> Column:
         """Decode one downloaded column through the configured backend.
 
         The thread/inline path keeps the decoded-block cache; the process
@@ -757,6 +769,12 @@ class RemoteTable:
         :func:`repro.parallel.decompress_relation_parallel` — a killed
         worker raises :class:`~repro.exceptions.WorkerDiedError` under
         ``on_corrupt="raise"`` and reruns on the thread path otherwise.
+
+        ``held`` — the column's compressed bytes were in the column cache
+        *before* this scan fetched them (a re-scan, or another handle on
+        shared caches) — admits decoded string blocks to the decode cache;
+        the first decode of a fresh download keeps none (measurements:
+        :func:`~repro.core.decompressor.decompress_column`).
         """
         from repro.parallel import decompress_column_parallel, resolve_backend
 
@@ -777,6 +795,7 @@ class RemoteTable:
             limits=self.decode_limits,
             cache=self.decode_cache,
             cache_key=cache_key,
+            admit_strings=held,
         )
 
     def _check_deadline(self, deadline_seconds: "float | None") -> None:
@@ -874,21 +893,23 @@ class RemoteTable:
             entry = self.column_entry(name)
             self._check_deadline(deadline_seconds)
             with capture_step(self._store, "fetch", name, **context) as step:
+                held = entry["file"] in self._columns
                 compressed = self.fetch_column(name)
             yield step
             self._check_deadline(deadline_seconds)
             with capture_step(self._store, "decode", name, **context) as step:
                 out.append(
                     self._decompress_remote_column(
-                        compressed, self._column_cache_key(entry)
+                        compressed, self._column_cache_key(entry), held
                     )
                 )
-                decoded = step.cache_hits + step.cache_misses
-                step.decode_bytes = (
-                    compressed.nbytes * step.cache_misses // decoded
-                    if decoded
-                    else compressed.nbytes
-                )
+            # (The step's hit / miss counts exist once its capture has closed.)
+            decoded = step.cache_hits + step.cache_misses
+            step.decode_bytes = (
+                compressed.nbytes * step.cache_misses // decoded
+                if decoded
+                else compressed.nbytes
+            )
             yield step
         return Relation(self.name, out)
 
@@ -913,7 +934,7 @@ class RemoteTable:
             with capture_step(self._store, "pipeline", name, **context) as step:
                 cached = self._columns.get(entry["file"])
                 if cached is not None:
-                    out.append(self._decompress_remote_column(cached, cache_key))
+                    out.append(self._decompress_remote_column(cached, cache_key, True))
                     step.decode_bytes = cached.nbytes
                 else:
                     try:
@@ -948,7 +969,7 @@ class RemoteTable:
                                 entry["file"], compressed, compressed.nbytes
                             )
                         out.append(
-                            self._decompress_remote_column(compressed, cache_key)
+                            self._decompress_remote_column(compressed, cache_key, False)
                         )
                         step.decode_bytes = compressed.nbytes
                     else:
@@ -1022,7 +1043,7 @@ class RemoteTable:
         except _PrunedPathUnavailable:
             column = None
         if column is None:
-            column = read_rows(self.fetch_column(name), rows)
+            column = self._read_rows(entry, self.fetch_column(name), rows)
         return column
 
     def scan_pipelined(

@@ -21,6 +21,7 @@ from repro.core.blocks import CompressedColumn
 from repro.core.decompressor import (
     _EMPTY_DTYPES,
     _decompress_node_filtered,
+    cached_block,
     make_context,
 )
 from repro.encodings import strutil
@@ -33,6 +34,9 @@ def read_rows(
     compressed: CompressedColumn,
     row_indices,
     vectorized: bool = True,
+    cache=None,
+    cache_key=None,
+    limits=None,
 ) -> Column:
     """Materialise the given rows (any order, duplicates allowed).
 
@@ -43,6 +47,13 @@ def read_rows(
     as they are; anything else is normalised to that form once and pays one
     extra take. Python work is per touched block, never per row, and
     nothing is re-sorted.
+
+    ``limits`` bind every touched block. With a decode ``cache`` and the
+    ``cache_key`` :func:`~repro.core.decompressor.decompress_column` filled
+    it under, a touched block that passes the scan's own
+    :func:`~repro.core.decompressor.cached_block` gate costs one take of its
+    cached values; a miss decodes as ever and inserts nothing — a selective
+    read never fills the cache.
     """
     indices = np.asarray(row_indices, dtype=np.int64)
     inverse = None
@@ -53,7 +64,7 @@ def read_rows(
     np.cumsum([block.count for block in blocks], out=offsets[1:])
     if indices.size and (indices[0] < 0 or indices[-1] >= offsets[-1]):
         raise IndexError(f"row index out of range 0..{int(offsets[-1]) - 1}")
-    ctx = make_context(vectorized)
+    ctx = make_context(vectorized, limits=limits)
     # bounds[b]:bounds[b + 1] is block b's slice of the sorted request.
     bounds = np.searchsorted(indices, offsets)
     parts: list = []
@@ -65,9 +76,13 @@ def read_rows(
         rows_total += block.count
         # (Block 0 starts at row 0: single-block columns skip the rebase.)
         local = indices[lo:hi] - offsets[block_id] if block_id else indices[lo:hi]
-        parts.append(
-            _decompress_node_filtered(block.data, ctype, ctx, local, block_level=True)
-        )
+        _key, cached = cached_block(cache, cache_key, block_id, block, ctx.limits)
+        if cached is not None:
+            parts.append(take_values(cached, local))
+        else:
+            parts.append(
+                _decompress_node_filtered(block.data, ctype, ctx, local, block_level=True)
+            )
         if block.nulls:
             # Both sides are sorted: search the block's NULL rows into the
             # selection, O(nulls log selected) with nothing per selected row.

@@ -6,10 +6,11 @@ Two consumers share the same LRU core:
   of its values rather than an entry count. :class:`~repro.cloud.
   remote_table.RemoteTable` bounds its downloaded-column cache with one so
   a wide-table scan cannot hold every compressed column in memory forever.
-* :class:`DecodeCache` — decoded block values keyed by
-  ``(object key, version, block index, checksum)``. Re-scanning a remote
-  column serves previously decoded blocks with one ``memcpy`` into the
-  preallocated output instead of a full cascade decode.
+* :class:`DecodeCache` — decoded block values of all three column types,
+  keyed by ``(object key, version, block index, checksum)``. Re-scanning a
+  remote column, or reading rows of it, serves previously decoded blocks
+  (numbers with one ``memcpy`` into the preallocated output) instead of a
+  cascade decode.
 
 Both record ``{prefix}.hit`` / ``{prefix}.miss`` / ``{prefix}.evict``
 counters into the active metrics registry, resolved at call time so
@@ -25,6 +26,7 @@ from typing import Any, Hashable
 import numpy as np
 
 from repro.observe import get_registry
+from repro.types import StringArray
 
 
 class ByteBudgetLRU:
@@ -59,8 +61,9 @@ class ByteBudgetLRU:
             )
         return entry[0] if entry is not None else default
 
-    def put(self, key: Hashable, value: Any, nbytes: int) -> None:
-        """Insert/replace ``key``; evicts LRU entries to stay under budget."""
+    def put(self, key: Hashable, value: Any, nbytes: int) -> int:
+        """Insert/replace ``key``; evicts LRU entries to stay under budget
+        and returns how many went."""
         nbytes = int(nbytes)
         evicted = 0
         with self._lock:
@@ -68,7 +71,7 @@ class ByteBudgetLRU:
             if old is not None:
                 self._bytes -= old[1]
             if nbytes > self.capacity_bytes:
-                return  # never cacheable; don't flush the working set for it
+                return 0  # never cacheable; don't flush the working set for it
             while self._bytes + nbytes > self.capacity_bytes and self._entries:
                 _, (_, freed) = self._entries.popitem(last=False)
                 self._bytes -= freed
@@ -77,6 +80,7 @@ class ByteBudgetLRU:
             self._bytes += nbytes
         if evicted and self.metric_prefix is not None:
             get_registry().incr(f"{self.metric_prefix}.evict", evicted)
+        return evicted
 
     def __contains__(self, key: Hashable) -> bool:
         """Presence probe; records no metrics and does not touch recency."""
@@ -99,6 +103,11 @@ class ByteBudgetLRU:
             self._bytes = 0
 
 
+def _frozen(owned: np.ndarray) -> np.ndarray:
+    owned.setflags(write=False)
+    return owned
+
+
 class DecodeCache:
     """Bounded cache of *successfully* decoded block values.
 
@@ -112,13 +121,17 @@ class DecodeCache:
     hand to pass its checksum — a damaged download therefore degrades
     through ``on_corrupt`` exactly as it would without the cache.
 
-    Values are stored as read-only copies; :meth:`get_into` copies a hit
-    into the caller's preallocated slice so cached rows can never be
-    mutated through a returned view.
+    Entries are read-only copies that own their memory — a number block one
+    array, a string block two plain columns (Rozenberg): its ``buffer`` and
+    its ``offsets`` in the narrowest unsigned dtype that holds them, charged
+    at the bytes of both — so nothing cached is a view onto a block payload
+    or can be mutated through a served value. (The representation is a
+    measured choice: docs/PERFORMANCE.md §5 has the three candidates.)
     """
 
     def __init__(self, capacity_bytes: int, metric_prefix: str = "decode.cache") -> None:
-        self._lru = ByteBudgetLRU(capacity_bytes, metric_prefix)
+        self._lru = ByteBudgetLRU(capacity_bytes)  # hits are counted here, when served
+        self.metric_prefix = metric_prefix
 
     @property
     def capacity_bytes(self) -> int:
@@ -134,26 +147,38 @@ class DecodeCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._lru
 
-    def get_into(self, key: Hashable, out: np.ndarray) -> bool:
-        """Copy a cached block into ``out``; False (and untouched) on miss.
+    def lookup(self, key: Hashable, block, verify) -> "np.ndarray | StringArray | None":
+        """The cached values of ``block`` if they may be served, else ``None``.
 
-        An entry whose length does not match the slot is treated as a miss
-        rather than trusted — the slot length was sized from the block
-        header the *caller* validated against its own
-        :class:`~repro.core.config.DecodeLimits`, so this re-checks the
-        cached count against the caller's limits for free.
+        Served means present, as long as the block in hand declares (the
+        count its caller held to its own limits) and ``verify(block)`` — the
+        caller's ``verify_block`` — passing on the bytes in hand.
+        ``{prefix}.hit`` counts exactly the served look-ups, ``{prefix}.miss``
+        the rest, which the caller decodes. Numbers come back as the
+        read-only entry (copy it out), strings as a fresh ``StringArray``
+        over the read-only buffer and offsets widened into the caller's own
+        array — no ``encode_distinct`` memo ever rides on cache memory.
         """
-        values = self._lru.get(key)
-        if values is None or values.size != out.size:
-            return False
-        np.copyto(out, values, casting="unsafe")
-        return True
+        entry = self._lru.get(key)
+        served = entry is not None and entry[0] == block.count and verify(block)
+        get_registry().incr(f"{self.metric_prefix}.{'hit' if served else 'miss'}")
+        if not served:
+            return None
+        stored = entry[1]
+        return StringArray(*stored) if isinstance(stored, tuple) else stored
 
-    def put(self, key: Hashable, values: np.ndarray) -> None:
+    def put(self, key: Hashable, values: "np.ndarray | StringArray") -> None:
         """Cache a read-only copy of one block's decoded values."""
-        stored = np.array(values, copy=True)
-        stored.setflags(write=False)
-        self._lru.put(key, stored, stored.nbytes)
+        if isinstance(values, StringArray):
+            narrow = np.min_scalar_type(values.buffer.size)
+            stored = (_frozen(values.buffer.copy()), _frozen(values.offsets.astype(narrow)))
+            nbytes = stored[0].nbytes + stored[1].nbytes
+        else:
+            stored = _frozen(np.array(values, copy=True))
+            nbytes = stored.nbytes
+        evicted = self._lru.put(key, (len(values), stored), nbytes)
+        if evicted:
+            get_registry().incr(f"{self.metric_prefix}.evict", evicted)
 
     def clear(self) -> None:
         self._lru.clear()

@@ -253,6 +253,37 @@ class CorruptBlockResult:
         return self.emitted
 
 
+def _hold_to_row_limit(block: CompressedBlock, limits: DecodeLimits) -> None:
+    """An oversized declared count is an adversarial signal, not mere
+    damage: nothing is sized from it, served from a cache for it or — under
+    the degrade policies — NULL-filled to it, so it raises under every
+    ``on_corrupt`` mode."""
+    if block.count > limits.max_rows_per_block:
+        raise DecodeLimitError(
+            f"block declares {block.count} values, limit is {limits.max_rows_per_block}"
+        )
+
+
+def cached_block(cache, cache_key, index: int, block: CompressedBlock, limits: DecodeLimits):
+    """The one gate between a warm :class:`~repro.core.cache.DecodeCache`
+    and a reader — number scan, string scan, :func:`~repro.core.access.
+    read_rows` and the chunk pipeline all serve a block through it.
+
+    Returns ``(key, values)``: ``key`` — ``(column identity, block index,
+    block CRC32)`` — is what a successful decode is ``put`` under, ``None``
+    for a block that is never cached (no cache, no identity for the column's
+    bytes, no checksum to pin the block's by). The caller's limits bind
+    first; then the entry must match the declared count and the block *in
+    hand* must pass its CRC32 — a warm cache may never mask fresh damage.
+    ``values`` of ``None`` sends the caller down its ordinary decode.
+    """
+    _hold_to_row_limit(block, limits)
+    if cache is None or cache_key is None or block.checksum is None:
+        return None, None
+    key = (cache_key, index, block.checksum)
+    return key, cache.lookup(key, block, verify_block)
+
+
 def _block_is_intact(block: CompressedBlock, ctx: DecompressionContext, on_corrupt: str) -> bool:
     """Shared preamble of the ``decode_block*`` entry points.
 
@@ -262,14 +293,7 @@ def _block_is_intact(block: CompressedBlock, ctx: DecompressionContext, on_corru
     """
     if on_corrupt not in ON_CORRUPT_MODES:
         raise ValueError(f"on_corrupt must be one of {ON_CORRUPT_MODES}, got {on_corrupt!r}")
-    if block.count > ctx.limits.max_rows_per_block:
-        # An oversized declared count is an adversarial signal, not mere
-        # damage: even the degrade policies must not allocate a null block
-        # of that length, so this raises under every on_corrupt mode.
-        raise DecodeLimitError(
-            f"block declares {block.count} values, limit is "
-            f"{ctx.limits.max_rows_per_block}"
-        )
+    _hold_to_row_limit(block, ctx.limits)
     if verify_block(block):
         return True
     if on_corrupt == "raise":
@@ -477,11 +501,7 @@ def preallocate_column(
         limits = DEFAULT_DECODE_LIMITS
     total = 0
     for block in compressed.blocks:
-        if block.count > limits.max_rows_per_block:
-            raise DecodeLimitError(
-                f"block declares {block.count} values, limit is "
-                f"{limits.max_rows_per_block}"
-            )
+        _hold_to_row_limit(block, limits)
         total += block.count
     dtype = _EMPTY_DTYPES[compressed.ctype]
     if buffer is None:
@@ -554,53 +574,81 @@ def decompress_column(
     limits: "DecodeLimits | None" = None,
     cache=None,
     cache_key=None,
+    admit_strings: bool = True,
 ) -> Column:
     """Reassemble a full column from its compressed blocks.
 
     Numeric columns take the zero-copy path: one allocation sized from the
-    block headers, every block decoding straight into its slice. Strings
-    and the scalar ablation keep the legacy per-block assembly.
+    block headers, every block decoding straight into its slice. String
+    blocks decode to parts that :func:`assemble_column` concatenates; only
+    the scalar ablation keeps the uncached legacy assembly.
 
     With a :class:`~repro.core.cache.DecodeCache` and a ``cache_key``
     identifying this column's bytes (object key + version for remote
-    columns), successfully decoded checksummed blocks are served from and
-    inserted into the cache. A hit still verifies the block in hand
-    against its stored CRC32 first, so a damaged download follows the
-    same ``on_corrupt`` path as an uncached decode — cached rows can
-    never mask fresh corruption.
+    columns), successfully decoded checksummed blocks of every type are
+    served from and inserted into the cache. A hit goes through
+    :func:`cached_block` — limits, length, then the block in hand against
+    its stored CRC32 — so a damaged download follows the same
+    ``on_corrupt`` path as an uncached decode: cached rows can never mask
+    fresh corruption.
+
+    ``admit_strings=False`` looks string blocks up but inserts none. It is
+    the one place the admission rule lives: :class:`~repro.cloud.
+    remote_table.RemoteTable` passes whether it already *held* the column's
+    compressed bytes before this decode, so a one-shot handle retains no
+    strings it will never read again; direct callers fill on first decode.
+    One-shot handles on lakebench's ``tpch_cold`` (20 per sample, 7 samples
+    x 3 interleaved rounds; fastest sample per round / peak RSS):
+
+    ==========================  =====================  ============
+    string blocks inserted on   20 open + scan         peak RSS
+    ==========================  =====================  ============
+    never (the parent commit)   0.587 / 0.607 / 0.680  85.4-85.9 MB
+    every decode (first touch)  0.714 / 0.739 / 0.829  88.3-89.3 MB
+    a held column's decode      0.633 / 0.672 / 0.702  85.0-85.8 MB
+    ==========================  =====================  ============
+
+    Number blocks keep first-touch insertion (ISSUE 19 measured it free:
+    0.574 s with their ``put``, 0.587 s without).
     """
     ctx = make_context(vectorized, limits=limits)
-    if not vectorized or compressed.ctype is ColumnType.STRING:
+    ctype = compressed.ctype
+    if not vectorized:
         with get_registry().timer("decompress"):
             parts = [
-                decode_block(block, compressed.ctype, ctx, on_corrupt=on_corrupt)
+                decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
                 for block in compressed.blocks
             ]
         return assemble_column(compressed, parts)
-    use_cache = cache is not None and cache_key is not None
+    strings = ctype is ColumnType.STRING
     with get_registry().timer("decompress"):
-        data = preallocate_column(compressed, ctx.limits)
+        data = None if strings else preallocate_column(compressed, ctx.limits)
         offset = 0
-        results: list[CorruptBlockResult | None] = []
+        parts: list = []
         for index, block in enumerate(compressed.blocks):
-            out = data[offset : offset + block.count]
-            offset += block.count
-            key = None
-            if use_cache and block.checksum is not None:
-                key = (cache_key, index, block.checksum)
-                # Copy the cached rows first (cheap), then hold the block in
-                # hand to its CRC: a hit may never mask fresh damage, and a
-                # miss must not pay the checksum twice (decode verifies it).
-                if cache.get_into(key, out) and verify_block(block):
-                    results.append(None)
-                    continue
-            part = decode_block_into(
-                block, compressed.ctype, ctx, out, on_corrupt=on_corrupt
-            )
-            if part is None and key is not None:
-                cache.put(key, out)
-            results.append(part)
-    return assemble_column_preallocated(compressed, data, results)
+            if not strings:
+                out = data[offset : offset + block.count]
+                offset += block.count
+            # A miss must not pay the checksum twice (decode verifies it):
+            # the gate holds the block to its CRC only once it has an entry.
+            key, cached = cached_block(cache, cache_key, index, block, ctx.limits)
+            if cached is not None:
+                if not strings:
+                    np.copyto(out, cached, casting="unsafe")
+                parts.append(cached if strings else None)
+                continue
+            if strings:
+                part = decoded = decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
+            else:
+                part = decode_block_into(block, ctype, ctx, out, on_corrupt=on_corrupt)
+                decoded = out
+            decoded_clean = key is not None and not isinstance(part, CorruptBlockResult)
+            if decoded_clean and (admit_strings or not strings):
+                cache.put(key, decoded)
+            parts.append(part)
+    if strings:
+        return assemble_column(compressed, parts)
+    return assemble_column_preallocated(compressed, data, parts)
 
 
 def decompress_relation(
@@ -622,6 +670,7 @@ __all__ = [
     "ON_CORRUPT_MODES",
     "assemble_column",
     "assemble_column_preallocated",
+    "cached_block",
     "decode_block",
     "decode_block_filtered",
     "decode_block_into",

@@ -39,7 +39,8 @@ import numpy as np
 
 from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedBlock, CompressedColumn
-from repro.core.decompressor import decode_block_filtered, make_context
+from repro.core.config import DecodeLimits
+from repro.core.decompressor import _open_node, decode_block_filtered, make_context
 from repro.encodings.base import (
     DecompressionContext,
     SchemeId,
@@ -79,9 +80,12 @@ def scan_block(
     ctype: ColumnType,
     predicate: Predicate,
     nulls: RoaringBitmap | None = None,
+    limits: "DecodeLimits | None" = None,
 ) -> np.ndarray:
-    """Evaluate a predicate over one compressed block, returning a row mask."""
-    _, count, _ = unwrap(blob)
+    """Evaluate a predicate over one compressed block, returning a row mask.
+    ``limits`` bind its declared count and every nested decode."""
+    ctx = make_context(limits=limits)
+    _, count, _ = _open_node(blob, ctype, ctx)
     registry = get_registry()
     registry.incr_many([("query.cdomain.blocks", 1), ("query.cdomain.rows", count)])
     if isinstance(predicate, IsNull):
@@ -89,7 +93,7 @@ def scan_block(
         if nulls is not None:
             mask = nulls.to_mask(count)
         return mask
-    mask = _scan_node(blob, ctype, predicate, make_context())
+    mask = _scan_node(blob, ctype, predicate, ctx)
     if nulls is not None and len(nulls):
         mask &= ~nulls.to_mask(count)
     return mask
@@ -439,6 +443,7 @@ def iter_matching_positions(
     block_iter: Iterable[tuple[CompressedBlock, int]],
     ctype: ColumnType,
     predicate: Predicate,
+    limits: "DecodeLimits | None" = None,
 ) -> Iterator[tuple[CompressedBlock, int, np.ndarray]]:
     """The shared scan driver: yield ``(block, offset, hit rows)`` per block.
 
@@ -446,17 +451,21 @@ def iter_matching_positions(
     control which blocks are seen (zone-map pruning on the remote path skips
     some) and what offsets they sit at. Blocks with no hits are consumed
     silently; hit rows are block-local, sorted and unique, ready for
-    :func:`~repro.core.decompressor.decode_block_filtered`.
+    :func:`~repro.core.decompressor.decode_block_filtered`; ``limits`` bind each.
     """
     for block, offset in block_iter:
         nulls = RoaringBitmap.deserialize(block.nulls) if block.nulls else None
-        mask = scan_block(block.data, ctype, predicate, nulls)
+        mask = scan_block(block.data, ctype, predicate, nulls, limits=limits)
         hits = np.nonzero(mask)[0]
         if hits.size:
             yield block, offset, hits
 
 
-def scan_column(compressed: CompressedColumn, predicate: Predicate) -> RoaringBitmap:
+def scan_column(
+    compressed: CompressedColumn,
+    predicate: Predicate,
+    limits: "DecodeLimits | None" = None,
+) -> RoaringBitmap:
     """Evaluate a predicate over a whole compressed column.
 
     Returns a Roaring bitmap of matching row positions.
@@ -464,7 +473,7 @@ def scan_column(compressed: CompressedColumn, predicate: Predicate) -> RoaringBi
     positions = [
         hits + offset
         for _block, offset, hits in iter_matching_positions(
-            enumerate_blocks(compressed), compressed.ctype, predicate
+            enumerate_blocks(compressed), compressed.ctype, predicate, limits
         )
     ]
     if not positions:

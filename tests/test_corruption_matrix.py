@@ -598,6 +598,7 @@ def _served_store():
         [
             Column.ints("code", rng.integers(0, 50, n).astype(np.int32)),
             Column.doubles("price", np.round(rng.random(n) * 100, 2)),
+            Column.strings("city", [f"city-{i:03d}" for i in rng.integers(0, 40, n)]),
         ],
     )
     store = SimulatedObjectStore()
@@ -688,6 +689,64 @@ class TestConcurrentReadersShareCachesSafely:
             # never cached, not even for itself).
             healed_lenient = lenient.scan(["code"]).column("code")
             assert columns_equal(healed_lenient, relation.column("code"))
+
+    @pytest.mark.parametrize("lenient_mode", ["null_block", "skip"])
+    def test_warm_string_blocks_never_stand_in_for_a_damaged_download(self, lenient_mode):
+        """The same contract with the decode cache *warm*: once both tenants
+        have scanned the clean string column its decoded blocks sit in the
+        shared cache, and a later damaged download must still degrade (or
+        raise) per tenant — never be papered over with the cached rows."""
+        from repro.cloud.remote_table import RemoteTable
+        from repro.cloud.retry import RetryPolicy
+        from repro.core.cache import ByteBudgetLRU, DecodeCache
+        from repro.observe import MetricsRegistry, use_registry
+        from repro.types import columns_equal
+
+        with use_registry(MetricsRegistry()):
+            store, relation = _served_store()
+            store.retry = RetryPolicy(max_attempts=2)
+            column_cache = ByteBudgetLRU(1 << 24)
+            decode_cache = DecodeCache(1 << 24)
+            lenient, strict = (
+                RemoteTable.open(
+                    store,
+                    "shared",
+                    on_corrupt=mode,
+                    column_cache=column_cache,
+                    decode_cache=decode_cache,
+                )
+                for mode in (lenient_mode, "raise")
+            )
+            pristine = relation.column("city")
+            lenient.scan(["city"])
+            assert len(decode_cache) == 0  # a first decode keeps no strings
+            strict.scan(["city"])  # ...the second handle's finds the column held
+            blocks = lenient.column_entry("city")["blocks"]
+            assert len(decode_cache) == blocks
+
+            # Forget the compressed column and damage it at rest: every
+            # read now downloads bad bytes over a cache full of good rows.
+            column_cache.clear()
+            undo = _damage_column_object(store, "shared", "city")
+            try:
+                degraded = lenient.scan(["city"]).column("city")
+            except ACCEPTABLE:
+                degraded = None
+            if degraded is not None:
+                assert not columns_equal(degraded, pristine), (
+                    "a damaged download was answered from the warm cache"
+                )
+            try:
+                racing = strict.scan(["city"]).column("city")
+            except ACCEPTABLE:
+                racing = None
+            if racing is not None:
+                assert columns_equal(racing, pristine)
+            assert len(decode_cache) == blocks  # nothing degraded went in
+
+            undo()
+            assert columns_equal(strict.scan(["city"]).column("city"), pristine)
+            assert columns_equal(lenient.scan(["city"]).column("city"), pristine)
 
     @pytest.mark.parametrize("lenient_mode", ["null_block", "skip"])
     def test_scan_server_isolates_degradation_between_tenants(self, lenient_mode):

@@ -1,0 +1,222 @@
+"""The decode cache at handle level: what a ``RemoteTable`` admits, and when.
+
+Number blocks enter the decode cache the first time a handle decodes them.
+String blocks enter it only when the handle decodes a column whose
+compressed bytes it *already held* in its column cache — a re-scan, or a
+second handle on shared caches — so a one-shot handle retains nothing it
+will never read again (``docs/PERFORMANCE.md`` §5 has the measurements).
+Look-ups always happen, on the scan path and under ``scan(where=)``, and a
+handle's ``DecodeLimits`` bind on every one of those routes.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.cloud import SimulatedObjectStore
+from repro.cloud import pipeline as pipeline_module
+from repro.cloud.remote_table import RemoteTable, TableWriter
+from repro.core import access, decompressor
+from repro.core.cache import ByteBudgetLRU, DecodeCache
+from repro.core.compressor import compress_relation
+from repro.core.config import BtrBlocksConfig, DecodeLimits
+from repro.core.relation import Relation
+from repro.exceptions import DecodeLimitError
+from repro.observe import MetricsRegistry, use_registry
+from repro.query.predicates import Between
+from repro.types import Column, ColumnType, columns_equal
+
+ROWS = 4096
+BLOCKS = 4  # per column, at block_size 1024
+NUMBERS = ("key", "price")
+STRINGS = ("status", "url")
+
+
+def _relation() -> Relation:
+    rng = np.random.default_rng(19)
+    vocab = ["open", "shipped", "returned", "lost"]
+    return Relation(
+        "orders",
+        [
+            Column.ints("key", np.arange(ROWS)),
+            Column.doubles("price", np.round(rng.uniform(0, 500, ROWS), 2)),
+            Column.strings("status", [vocab[i] for i in rng.integers(0, 4, ROWS)]),
+            Column.strings(
+                "url", [f"https://example.com/o/{int(x):08x}" for x in rng.integers(0, 2**31, ROWS)]
+            ),
+        ],
+    )
+
+
+@pytest.fixture()
+def store():
+    store = SimulatedObjectStore()
+    TableWriter(store).write(compress_relation(_relation(), BtrBlocksConfig(block_size=1024)))
+    return store
+
+
+@contextmanager
+def _spied(*targets):
+    """Wrap each ``(module, name)`` in a pass-through mock; yields the mocks."""
+    with ExitStack() as stack:
+        yield [
+            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+            for module, name in targets
+        ]
+
+
+def _block_decodes():
+    """Spies on every full-block decode a scan can make, wherever it makes it."""
+    return _spied(
+        *((module, name) for module in (decompressor, pipeline_module)
+          for name in ("decode_block", "decode_block_into"))
+    )
+
+
+def _calls(spies) -> int:
+    return sum(spy.call_count for spy in spies)
+
+
+def _steps(table: RemoteTable, **kwargs) -> list:
+    """Drive ``scan_steps`` to completion; every ``ScanStep`` it yielded."""
+    return list(table.scan_steps(**kwargs))
+
+
+def _assert_scan_is_the_source(relation: Relation) -> None:
+    for mine, theirs in zip(relation.columns, _relation().columns):
+        assert columns_equal(mine, theirs)
+
+
+def test_fresh_handle_admits_strings_on_its_second_scan(store):
+    table = RemoteTable.open(store, "orders")
+    table.scan()
+    assert len(table.decode_cache) == len(NUMBERS) * BLOCKS  # first touch: numbers only
+    table.scan()
+    assert len(table.decode_cache) == (len(NUMBERS) + len(STRINGS)) * BLOCKS
+    with _block_decodes() as decodes:
+        _assert_scan_is_the_source(table.scan())
+        steps = _steps(table)
+    assert _calls(decodes) == 0
+    decode_steps = [step for step in steps if step.kind == "decode"]
+    assert {step.column for step in decode_steps} == set(NUMBERS + STRINGS)
+    for step in decode_steps:
+        assert (step.cache_hits, step.cache_misses, step.decode_bytes) == (BLOCKS, 0, 0)
+
+
+def test_second_handle_on_shared_caches_admits_on_its_first_scan(store):
+    column_cache, decode_cache = ByteBudgetLRU(1 << 24), DecodeCache(1 << 24)
+    first, second = (
+        RemoteTable.open(store, "orders", column_cache=column_cache, decode_cache=decode_cache)
+        for _ in range(2)
+    )
+    first.scan()
+    assert len(decode_cache) == len(NUMBERS) * BLOCKS
+    # The second handle finds the compressed columns held: its first scan is
+    # a re-decode through the pair of caches, which is what admits strings.
+    _assert_scan_is_the_source(second.scan())
+    assert len(decode_cache) == (len(NUMBERS) + len(STRINGS)) * BLOCKS
+    with _block_decodes() as decodes:
+        _assert_scan_is_the_source(first.scan())
+    assert _calls(decodes) == 0
+
+
+def test_pipelined_cached_branch_admits_and_download_branch_does_not(store):
+    table = RemoteTable.open(store, "orders")
+    table.scan_pipelined()  # download branch: the chunk pipeline's own decode
+    assert len(table.decode_cache) == len(NUMBERS) * BLOCKS
+    table.scan_pipelined()  # cached branch: a held column's decode
+    assert len(table.decode_cache) == (len(NUMBERS) + len(STRINGS)) * BLOCKS
+    with _block_decodes() as decodes:
+        relation, report = table.scan_pipelined()
+    _assert_scan_is_the_source(relation)
+    assert _calls(decodes) == 0
+    assert (report.cache_hits, report.cache_misses) == ((len(NUMBERS) + len(STRINGS)) * BLOCKS, 0)
+
+
+WHERE = {"key": Between(1000, 2999)}  # three of the four blocks, one whole
+
+
+def test_selective_scan_reads_a_warm_cache_and_never_fills_a_cold_one(store):
+    warm = RemoteTable.open(store, "orders")
+    for _ in range(3):
+        warm.scan()
+    entries = len(warm.decode_cache)
+    registry = MetricsRegistry()
+    with use_registry(registry), _spied((access, "_decompress_node_filtered")) as decodes:
+        served = warm.scan(columns=list(NUMBERS + STRINGS), where=WHERE)
+    assert _calls(decodes) == 0  # every touched block of every column came from the cache
+    assert registry.get("decode.cache.hit") == 4 * 3 and registry.get("decode.cache.miss") == 0
+    assert registry.get("query.cdomain.filtered.rows_total") == 4 * 3 * 1024
+    assert len(warm.decode_cache) == entries
+
+    cold = RemoteTable.open(store, "orders")
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        decoded = cold.scan(columns=list(NUMBERS + STRINGS), where=WHERE)
+    assert len(cold.decode_cache) == 0  # a selective read never fills the cache
+    assert registry.get("decode.cache.hit") == 0 and registry.get("decode.cache.miss") == 4 * 3
+    source = _relation()
+    for mine, theirs in zip(served.columns, decoded.columns):
+        assert columns_equal(mine, theirs)
+        assert columns_equal(mine, source.column(mine.name).slice(1000, 3000))
+
+
+class TestDecodeLimitsBindOnTheSelectivePath:
+    """``scan(where=)`` raises wherever ``scan()`` does: limits bind before
+    any block is scanned, decoded or served from the cache."""
+
+    LIMITS = DecodeLimits(max_rows_per_block=100)
+
+    def _assert_both_raise(self, table: RemoteTable) -> None:
+        with pytest.raises(DecodeLimitError):
+            table.scan()
+        for column in NUMBERS + STRINGS:
+            with pytest.raises(DecodeLimitError):
+                table.scan(columns=[column], where=WHERE)
+
+    def test_ranged_get_route(self, store):
+        self._assert_both_raise(RemoteTable.open(store, "orders", decode_limits=self.LIMITS))
+
+    def test_cached_column_route(self, store):
+        column_cache = ByteBudgetLRU(1 << 24)
+        RemoteTable.open(store, "orders", column_cache=column_cache).scan()
+        limited = RemoteTable.open(
+            store, "orders", column_cache=column_cache, decode_limits=self.LIMITS
+        )
+        assert limited.column_entry("url")["file"] in column_cache
+        self._assert_both_raise(limited)
+
+    def test_cache_hit_route(self, store):
+        column_cache, decode_cache = ByteBudgetLRU(1 << 24), DecodeCache(1 << 24)
+        trusting = RemoteTable.open(
+            store, "orders", column_cache=column_cache, decode_cache=decode_cache
+        )
+        for _ in range(2):
+            trusting.scan()
+        limited = RemoteTable.open(
+            store,
+            "orders",
+            column_cache=column_cache,
+            decode_cache=decode_cache,
+            decode_limits=self.LIMITS,
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            self._assert_both_raise(limited)
+            # Past the filter step too: the materialising read on its own.
+            for column in NUMBERS + STRINGS:
+                with pytest.raises(DecodeLimitError):
+                    limited._materialise_rows(column, np.arange(1000, 3000))
+        assert registry.get("decode.cache.hit") == 0
+
+    def test_sane_limits_still_answer(self, store):
+        roomy = RemoteTable.open(
+            store, "orders", decode_limits=DecodeLimits(max_rows_per_block=1024)
+        )
+        result = roomy.scan(columns=["url"], where=WHERE)
+        assert columns_equal(result.column("url"), _relation().column("url").slice(1000, 3000))
+        assert result.column("url").ctype is ColumnType.STRING

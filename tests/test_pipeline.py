@@ -29,6 +29,7 @@ from repro.cloud.scan import (
     scan_btrblocks_columns_pipelined,
     upload_btrblocks,
 )
+from repro.core.blocks import CompressedBlock
 from repro.core.cache import ByteBudgetLRU, DecodeCache
 from repro.core.compressor import compress_column, compress_relation
 from repro.core.config import BtrBlocksConfig
@@ -190,20 +191,40 @@ class TestByteBudgetLRU:
 
 
 class TestDecodeCache:
+    @staticmethod
+    def _block(count):
+        return CompressedBlock(count, b"")
+
     def test_size_mismatch_is_a_miss(self):
         cache = DecodeCache(1 << 20)
         cache.put("k", np.arange(8, dtype=np.int32))
-        out = np.zeros(4, dtype=np.int32)
-        assert not cache.get_into("k", out)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert cache.lookup("k", self._block(4), lambda block: True) is None
+        assert registry.get("decode.cache.miss") == 1
+        assert registry.get("decode.cache.hit") == 0
 
     def test_entries_are_insulated_copies(self):
         cache = DecodeCache(1 << 20)
         source = np.arange(8, dtype=np.int32)
         cache.put("k", source)
         source[:] = -1
-        out = np.empty(8, dtype=np.int32)
-        assert cache.get_into("k", out)
-        assert np.array_equal(out, np.arange(8, dtype=np.int32))
+        served = cache.lookup("k", self._block(8), lambda block: True)
+        assert np.array_equal(served, np.arange(8, dtype=np.int32))
+        with pytest.raises(ValueError):
+            served[0] = 7
+
+    def test_a_turned_down_entry_counts_as_a_miss(self):
+        """A hit is counted when it is served, not when the key is found."""
+        cache = DecodeCache(1 << 20)
+        cache.put("k", np.arange(8, dtype=np.int32))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert cache.lookup("k", self._block(8), lambda block: False) is None
+            assert cache.lookup("absent", self._block(8), lambda block: True) is None
+            assert cache.lookup("k", self._block(8), lambda block: True) is not None
+        assert registry.get("decode.cache.miss") == 2
+        assert registry.get("decode.cache.hit") == 1
 
 
 # -- streaming parser ----------------------------------------------------------

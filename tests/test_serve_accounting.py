@@ -229,6 +229,59 @@ class TestFailuresStillBalance:
         assert victim.bytes_fetched > 0, "the failed scan moved bytes; bill them"
         _assert_ledgers_match_store(store, server)
 
+    def test_damaged_block_behind_a_warm_decode_cache_is_billed_as_decoded(self):
+        """A cache entry turned down for a damaged block is a decode, not a
+        hit: the tenant's hit / miss counts say so and the ledger still sums."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            store = SimulatedObjectStore()
+            [profile] = build_catalog(store, tables=1, rows=4000, seed=SERVE_SEED)
+            store.stats.reset()
+            store.retry = RetryPolicy(max_attempts=2)
+            loop = EventLoop(clock=store.clock)
+            store.clock.reset()
+            # No room for any compressed column: every request downloads
+            # afresh while the decode cache stays warm underneath it.
+            server = ScanServer(
+                store, loop, max_concurrency=1, queue_limit=4, column_cache_bytes=1
+            )
+            responses = []
+
+            async def scan():
+                responses.append(
+                    await server.submit(
+                        ScanRequest(
+                            tenant="t",
+                            table=profile.name,
+                            columns=("id",),
+                            on_corrupt="null_block",
+                        )
+                    )
+                )
+
+            loop.create_task(scan(), "warm")
+            loop.run()
+            entry = server._handles[(profile.name, "null_block")].column_entry("id")
+            offset, size = entry["block_ranges"][2]
+            damaged = bytearray(store._objects[entry["file"]])
+            damaged[offset + size - 3] ^= 0x20  # block 2's payload, at rest
+            store._objects[entry["file"]] = bytes(damaged)
+            loop.create_task(scan(), "damaged")
+            loop.run()
+
+        warm, degraded = responses
+        blocks = entry["blocks"]
+        assert (warm.cache_hits, warm.cache_misses) == (0, blocks)
+        # The chunk pipeline's strict pass serves blocks 0-1 and stops at the
+        # damaged block 2; the refetching fallback then serves 0, 1 and 3 and
+        # degrades block 2. Block 2 is a miss both times, never a hit.
+        assert (degraded.cache_hits, degraded.cache_misses) == (2 + (blocks - 1), 2)
+        assert len(degraded.relation.column("id").nulls) == 1000  # block 2, NULLed
+        ledger = server.ledgers["t"]
+        assert (ledger.cache_hits, ledger.cache_misses) == (blocks + 1, blocks + 2)
+        assert registry.get("cloud.table.integrity_refetches") > 0
+        _assert_ledgers_match_store(store, server)
+
     def test_rejection_is_typed_and_zero_before_any_traffic(self):
         registry = MetricsRegistry()
         with use_registry(registry):

@@ -5,7 +5,8 @@ and cache-served decodes must be byte-equal to the legacy per-block
 assembly (``decode_block`` + ``assemble_column``) for every scheme family ×
 dtype × NULL layout — including when ~5% of blocks are damaged, under every
 ``on_corrupt`` mode. A warm cache must never mask fresh corruption, and
-``DecodeLimits`` must bind before the cache can serve anything.
+``DecodeLimits`` must bind before the cache can serve anything — for
+number and string blocks alike, on the scan path and on ``read_rows``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 
 from repro.bitmap import RoaringBitmap
+from repro.core.access import read_rows
+from repro.core.blocks import CompressedBlock
 from repro.core.cache import DecodeCache
 from repro.core.compressor import compress_column
 from repro.core.config import BtrBlocksConfig, DEFAULT_DECODE_LIMITS
@@ -28,7 +31,10 @@ from repro.core.decompressor import (
     make_context,
 )
 from repro.core.file_format import column_from_bytes, column_to_bytes
-from repro.exceptions import DecodeLimitError, IntegrityError
+from repro.encodings import strutil
+from repro.encodings.base import SchemeId, all_schemes
+from repro.encodings.wire import unwrap
+from repro.exceptions import BtrBlocksError, DecodeLimitError, IntegrityError
 from repro.observe import MetricsRegistry, use_registry
 from repro.types import Column, ColumnType, StringArray
 
@@ -80,9 +86,50 @@ def _with_nulls(column: Column, layout: str) -> Column:
     return Column(column.name, column.ctype, column.data, nulls)
 
 
-def _compressed(column: Column):
+def _compressed(column: Column, config: BtrBlocksConfig = CONFIG):
     """A checksummed (v2) in-memory column, as a remote read would see it."""
-    return column_from_bytes(column_to_bytes(compress_column(column, CONFIG)))
+    return column_from_bytes(column_to_bytes(compress_column(column, config)))
+
+
+def _string_columns(columns: "dict[str, Column]") -> "dict[str, tuple[int, Column]]":
+    """``root scheme id, column`` per string scheme a cached block can come from."""
+    rng = np.random.default_rng(SEED + 2)
+    rare = [f"exception-{int(x):07x}" for x in rng.integers(0, 2**28, ROWS)]
+    common = rng.random(ROWS) < 0.9
+    raw = rng.integers(0, 256, (ROWS, 12), dtype=np.uint8)
+    return {
+        "fsst": (SchemeId.FSST, columns["fsst"]),
+        "dictionary": (SchemeId.DICT_STRING, columns["dictionary"]),
+        "frequency": (
+            SchemeId.FREQUENCY_STRING,
+            Column.strings("v", ["most-common" if c else r for c, r in zip(common, rare)]),
+        ),
+        "uncompressed": (
+            SchemeId.UNCOMPRESSED_STRING,
+            Column.strings("v", StringArray.from_pylist([row.tobytes() for row in raw])),
+        ),
+    }
+
+
+def _cache_cases():
+    """``(case id, source column, compressed)``: the number column the cache
+    tests always used, then every string scheme x NULLs x multi- / single-block
+    (a single-block hit goes through ``concat``'s return-the-part shortcut)."""
+    integers = {s.scheme_id for s in all_schemes() if s.ctype is ColumnType.INTEGER}
+    columns = _scheme_columns()
+    cases = [("bitpack", columns["bitpack"], _compressed(columns["bitpack"]))]
+    for name, (root, column) in _string_columns(columns).items():
+        pool = integers | {root, SchemeId.UNCOMPRESSED_STRING}
+        for layout in ("no_nulls", "sparse_nulls"):
+            for blocks, block_size in (("multi", 512), ("single", 4096)):
+                source = _with_nulls(column, layout)
+                compressed = _compressed(
+                    source, BtrBlocksConfig(block_size=block_size).with_pool(pool)
+                )
+                assert len(compressed.blocks) == (1 if blocks == "single" else 6)
+                assert {unwrap(block.data)[0] for block in compressed.blocks} == {root}
+                cases.append((f"{name}-{layout}-{blocks}", source, compressed))
+    return cases
 
 
 def _legacy_decode(compressed, on_corrupt: str = "raise") -> Column:
@@ -134,6 +181,11 @@ def columns():
     return _scheme_columns()
 
 
+@pytest.fixture(scope="module")
+def cache_cases():
+    return _cache_cases()
+
+
 @pytest.mark.parametrize("scheme,layout", _CASES, ids=[f"{s}-{l}" for s, l in _CASES])
 def test_zero_copy_matches_legacy(columns, scheme, layout):
     compressed = _compressed(_with_nulls(columns[scheme], layout))
@@ -152,11 +204,10 @@ def test_cache_hit_matches_legacy(columns, scheme, layout):
     legacy = _legacy_decode(compressed)
     _assert_bit_identical(first, legacy)
     _assert_bit_identical(second, legacy)
-    if compressed.ctype is not ColumnType.STRING:
-        # Numeric columns take the cached zero-copy path: the first pass
-        # misses and fills, the second is served entirely from the cache.
-        assert registry.get("decode.cache.miss") == len(compressed.blocks)
-        assert registry.get("decode.cache.hit") == len(compressed.blocks)
+    # Every type takes the cached path: the first pass misses and fills,
+    # the second is served entirely from the cache.
+    assert registry.get("decode.cache.miss") == len(compressed.blocks)
+    assert registry.get("decode.cache.hit") == len(compressed.blocks)
 
 
 @pytest.mark.parametrize("mode", [m for m in ON_CORRUPT_MODES if m != "raise"])
@@ -181,46 +232,238 @@ def test_damaged_blocks_raise_identically(columns, scheme, layout):
 
 
 @pytest.mark.parametrize("mode", ON_CORRUPT_MODES)
-def test_warm_cache_never_masks_damage(columns, mode):
+def test_warm_cache_never_masks_damage(cache_cases, mode):
     """A cache warmed with the clean rows must not hide later corruption.
 
     The damaged block keeps its stored checksum, so its cache key still
     matches the clean entry — the hit-side CRC re-check is the only thing
-    standing between a warm cache and silently serving stale rows.
+    standing between a warm cache and silently serving stale rows. A
+    turned-down entry is decoded, so it is billed as a miss, not a hit.
     """
-    compressed = _compressed(columns["bitpack"])
-    cache = DecodeCache(64 << 20)
-    key = ("obj", 1)
-    decompress_column(compressed, cache=cache, cache_key=key)
-    assert len(cache) == len(compressed.blocks)
-    damaged, _hits = _damage(compressed)
-    if mode == "raise":
-        with pytest.raises(IntegrityError):
-            decompress_column(damaged, on_corrupt=mode, cache=cache, cache_key=key)
-    else:
-        _assert_bit_identical(
-            decompress_column(damaged, on_corrupt=mode, cache=cache, cache_key=key),
-            _legacy_decode(damaged, on_corrupt=mode),
-        )
+    for case, _source, compressed in cache_cases:
+        cache = DecodeCache(64 << 20)
+        key = ("obj", 1)
+        decompress_column(compressed, cache=cache, cache_key=key)
+        assert len(cache) == len(compressed.blocks), case
+        damaged, hits = _damage(compressed)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            if mode == "raise":
+                with pytest.raises(IntegrityError):
+                    decompress_column(damaged, on_corrupt=mode, cache=cache, cache_key=key)
+            else:
+                _assert_bit_identical(
+                    decompress_column(damaged, on_corrupt=mode, cache=cache, cache_key=key),
+                    _legacy_decode(damaged, on_corrupt=mode),
+                )
+        # "raise" stops at the first damaged block; the others run through.
+        blocks = hits[0] + 1 if mode == "raise" else len(compressed.blocks)
+        damaged_seen = 1 if mode == "raise" else len(hits)
+        assert registry.get("decode.cache.miss") == damaged_seen, case
+        assert registry.get("decode.cache.hit") == blocks - damaged_seen, case
+        assert len(cache) == len(compressed.blocks), case  # nothing degraded went in
 
 
-def test_decode_limits_bind_before_cache(columns):
-    """``max_rows_per_block`` rejects the column even with every block cached."""
-    compressed = _compressed(columns["bitpack"])
-    cache = DecodeCache(64 << 20)
-    decompress_column(compressed, cache=cache, cache_key=("obj", 1))
+def test_decode_limits_bind_before_cache(cache_cases):
+    """``max_rows_per_block`` rejects the column even with every block cached —
+    on a scan and on a ``read_rows`` that every touched block could serve."""
     limits = dataclasses.replace(DEFAULT_DECODE_LIMITS, max_rows_per_block=100)
-    with pytest.raises(DecodeLimitError):
-        decompress_column(compressed, limits=limits, cache=cache, cache_key=("obj", 1))
-
-
-def test_cache_capacity_zero_never_serves(columns):
-    compressed = _compressed(columns["rle"])
-    registry = MetricsRegistry()
-    cache = DecodeCache(0)
-    with use_registry(registry):
+    for case, _source, compressed in cache_cases:
+        cache = DecodeCache(64 << 20)
         decompress_column(compressed, cache=cache, cache_key=("obj", 1))
-        out = decompress_column(compressed, cache=cache, cache_key=("obj", 1))
-    assert registry.get("decode.cache.hit") == 0
-    assert len(cache) == 0
-    _assert_bit_identical(out, _legacy_decode(compressed))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            with pytest.raises(DecodeLimitError):
+                decompress_column(compressed, limits=limits, cache=cache, cache_key=("obj", 1))
+            with pytest.raises(DecodeLimitError):
+                read_rows(compressed, [0, 5], limits=limits, cache=cache, cache_key=("obj", 1))
+        assert registry.get("decode.cache.hit") == 0, case
+
+
+def test_cache_capacity_zero_never_serves(columns, cache_cases):
+    cases = [("rle", _compressed(columns["rle"]))] + [(c, z) for c, _s, z in cache_cases]
+    for case, compressed in cases:
+        registry = MetricsRegistry()
+        cache = DecodeCache(0)
+        with use_registry(registry):
+            decompress_column(compressed, cache=cache, cache_key=("obj", 1))
+            out = decompress_column(compressed, cache=cache, cache_key=("obj", 1))
+        assert registry.get("decode.cache.hit") == 0, case
+        assert len(cache) == 0, case
+        _assert_bit_identical(out, _legacy_decode(compressed))
+
+
+# -- what a cached entry is ------------------------------------------------------
+
+
+def _arrays(column: Column) -> "list[np.ndarray]":
+    data = column.data
+    return [data.buffer, data.offsets] if isinstance(data, StringArray) else [data]
+
+
+def test_writing_into_a_served_column_cannot_reach_the_cache(cache_cases):
+    """Served arrays are either read-only or the caller's own copy."""
+    for case, _source, compressed in cache_cases:
+        cache = DecodeCache(64 << 20)
+        decompress_column(compressed, cache=cache, cache_key=("obj", 1))
+        served = decompress_column(compressed, cache=cache, cache_key=("obj", 1))
+        for array in _arrays(served):
+            try:
+                array[...] = 1
+            except ValueError:
+                assert not array.flags.writeable, case
+        again = decompress_column(compressed, cache=cache, cache_key=("obj", 1))
+        _assert_bit_identical(again, _legacy_decode(compressed))
+
+
+def _block(count: int) -> CompressedBlock:
+    return CompressedBlock(count, b"")
+
+
+def _accept(_block) -> bool:
+    return True
+
+
+def test_string_entries_are_charged_evicted_and_bounded_like_number_entries():
+    def strings(rows: int, width: int) -> StringArray:
+        return StringArray.from_pylist([b"x" * width] * rows)
+
+    small = strings(100, 2)  # 200 bytes + 101 one-byte offsets
+    wide = strings(100, 3)  # 300 bytes + 101 two-byte offsets
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        cache = DecodeCache(1000)
+        cache.put("small", small)
+        assert cache.current_bytes == 200 + 101
+        cache.put("wide", wide)
+        assert cache.current_bytes == 200 + 101 + 300 + 2 * 101
+        cache.put("ints", np.arange(40, dtype=np.int32))
+        assert cache.current_bytes == 803 + 160
+        # Touch the oldest entry: the next insert evicts "wide", not it.
+        assert cache.lookup("small", _block(100), _accept) == small
+        cache.put("again", strings(100, 2))
+        assert "wide" not in cache and "small" in cache and "ints" in cache
+        assert registry.get("decode.cache.evict") == 1
+        before = cache.current_bytes
+        cache.put("too-big", strings(100, 10))  # 1000 bytes + offsets > budget
+        assert "too-big" not in cache and cache.current_bytes == before
+        assert cache.lookup("too-big", _block(100), _accept) is None
+
+
+def test_string_entry_owns_its_memory_and_carries_no_memo(cache_cases):
+    """No entry is a view onto a block payload, and ``encode_distinct``'s memo
+    on a served value never rides back into the cache."""
+    payload = bytes(range(256)) * 4
+    offsets = np.arange(0, len(payload) + 1, 8)
+    view = StringArray(np.frombuffer(payload, dtype=np.uint8), offsets)
+    assert view.buffer.base is not None
+    cache = DecodeCache(1 << 20)
+    cache.put("k", view)
+    served = cache.lookup("k", _block(len(view)), _accept)
+    assert served == view
+    assert served.buffer.flags.owndata and not served.buffer.flags.writeable
+    assert not np.shares_memory(served.buffer, view.buffer)
+    assert not np.shares_memory(served.offsets, offsets)
+    strutil.encode_distinct(served)
+    assert served._distinct is not None
+    assert cache.lookup("k", _block(len(view)), _accept)._distinct is None
+    # The same through the real decode: Uncompressed strings decode to a
+    # view of the block payload, and what the cache serves is not one.
+    case, _source, compressed = next(c for c in cache_cases if c[0] == "uncompressed-no_nulls-single")
+    decode_cache = DecodeCache(1 << 20)
+    decoded = decompress_column(compressed, cache=decode_cache, cache_key=("obj", 1))
+    assert isinstance(decoded.data.buffer.base, bytes), case
+    served = decompress_column(compressed, cache=decode_cache, cache_key=("obj", 1))
+    assert served.data.buffer.flags.owndata, case
+
+
+# -- read_rows through the cache -------------------------------------------------
+
+
+def _selections(rows: int, nulls: "RoaringBitmap | None") -> "dict[str, np.ndarray]":
+    rng = np.random.default_rng(SEED + 3)
+    selections = {
+        "sorted": np.unique(rng.integers(0, rows, rows // 7)),
+        "unsorted_duplicates": rng.integers(0, rows, 400),
+        "empty": np.empty(0, dtype=np.int64),
+        "one_block": np.arange(600, 700),
+        "everything": np.arange(rows),
+    }
+    if nulls is not None:
+        selections["only_nulls"] = nulls.to_array()[::3].astype(np.int64)
+    return selections
+
+
+def _oracle_rows(source: Column, rows: np.ndarray) -> Column:
+    """NumPy oracle: index the *source* column, NULLs by mask."""
+    if isinstance(source.data, StringArray):
+        values = source.data.to_pylist()
+        data = StringArray.from_pylist([values[i] for i in rows.tolist()])
+    else:
+        data = source.data[rows]
+    null_rows = np.flatnonzero(source.null_mask()[rows])
+    nulls = RoaringBitmap.from_positions(null_rows) if null_rows.size else None
+    return Column(source.name, source.ctype, data, nulls)
+
+
+def _read_rows_cases(columns, cache_cases):
+    doubles = _with_nulls(columns["pseudodecimal"], "sparse_nulls")
+    return cache_cases + [("pseudodecimal-sparse_nulls", doubles, _compressed(doubles))]
+
+
+_FILTERED = [f"query.cdomain.filtered.{name}" for name in ("blocks", "rows_selected", "rows_total")]
+
+
+def test_read_rows_hit_matches_miss_matches_oracle(columns, cache_cases):
+    for case, source, compressed in _read_rows_cases(columns, cache_cases):
+        warm, key = DecodeCache(64 << 20), ("obj", 1)
+        decompress_column(compressed, cache=warm, cache_key=key)
+        for name, rows in _selections(len(source), source.nulls).items():
+            label = f"{case}/{name}"
+            touched = len(np.unique(rows // compressed.blocks[0].count))
+            cold, missed, hit = DecodeCache(64 << 20), MetricsRegistry(), MetricsRegistry()
+            with use_registry(missed):
+                from_miss = read_rows(compressed, rows, cache=cold, cache_key=key)
+            with use_registry(hit):
+                from_hit = read_rows(compressed, rows, cache=warm, cache_key=key)
+            oracle = _oracle_rows(source, rows)
+            _assert_bit_identical(from_miss, oracle)
+            _assert_bit_identical(from_hit, oracle)
+            _assert_bit_identical(read_rows(compressed, rows), oracle)
+            # A selective read never fills the cache; a warm one serves
+            # every touched block; both count the same touched rows.
+            assert len(cold) == 0, label
+            assert missed.get("decode.cache.miss") == touched, label
+            assert hit.get("decode.cache.hit") == touched, label
+            assert hit.get("decode.cache.miss") == 0, label
+            assert hit.get("query.cdomain.filtered.full_decodes") == 0, label
+            assert [hit.get(n) for n in _FILTERED] == [missed.get(n) for n in _FILTERED], label
+            assert (hit.get("query.cdomain.filtered.rows_total") > 0) == (touched > 0), label
+
+
+def _outcome(read):
+    try:
+        return read()
+    except BtrBlocksError as exc:
+        return type(exc)
+
+
+def test_read_rows_damage_behind_a_warm_cache_takes_the_miss_path(cache_cases):
+    """``read_rows`` does not verify what it decodes (its callers verified
+    the download); a cached entry is still only served for an intact block,
+    so a damaged one gets exactly the uncached treatment."""
+    for case, source, compressed in cache_cases:
+        warm, key = DecodeCache(64 << 20), ("obj", 1)
+        decompress_column(compressed, cache=warm, cache_key=key)
+        damaged, hits = _damage(compressed)
+        rows = np.arange(len(source))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            cached = _outcome(lambda: read_rows(damaged, rows, cache=warm, cache_key=key))
+        plain = _outcome(lambda: read_rows(damaged, rows))
+        if isinstance(plain, Column):
+            _assert_bit_identical(cached, plain)
+            assert registry.get("decode.cache.miss") == len(hits), case
+            assert registry.get("decode.cache.hit") == len(compressed.blocks) - len(hits), case
+        else:
+            assert cached is plain, case
