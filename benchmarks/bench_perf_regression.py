@@ -1,27 +1,17 @@
-"""Perf-regression smoke: run ``repro bench`` and gate against the baseline.
-
-Runs the same harness as ``python -m repro bench`` at CI scale
-(``REPRO_BENCH_ROWS``), writes the fresh ``BENCH_<date>.json`` report (to
-``REPRO_BENCH_OUTPUT`` when set, so CI can upload it as an artifact), and
-fails when any throughput metric — compress or decompress MB/s — drops
-more than ``REPRO_BENCH_THRESHOLD`` (default 30%) below the committed
-``benchmarks/BENCH_baseline.json``. When ``REPRO_BENCH_OVERLAP`` is set,
-the pipelined-scan fetch-vs-decode overlap breakdown is additionally
-written there as its own JSON artifact, making the network/CPU-bound
-crossover visible per CI run; ``REPRO_BENCH_SELECTIVE`` likewise writes
-the zone-map selectivity sweep (bytes fetched at 1/10/50/100%
-selectivity) as its own artifact.
+"""The never-loses gates: selective execution and string gathers vs the plain path.
 
 ``test_selective_sweep_never_loses`` is the sweep gate: it runs the
-compressed-domain sweep once, at ``repro.bench.SWEEP_GATE_ROWS`` (ratios of
-microsecond timings at smoke scale are clock noise), writes it to
-``REPRO_BENCH_CDOMAIN`` when set, and fails when any cell — ``filter_column``
-or ``read_rows`` x scheme family x 1/10/50/90/100% selectivity x
-clustered/scattered — falls below ``MIN_SPEEDUP`` (0.9) of
-decode-everything, except the cells ``KNOWN_SLOW_CELLS`` lists, which are held to the floor written next to them. At 1%
+compressed-domain sweep (:func:`bench_compressed_scan`, below) once, at
+``SWEEP_GATE_ROWS`` (ratios of microsecond timings at smoke scale are clock
+noise), writes it to ``REPRO_BENCH_CDOMAIN`` when set, and fails when any
+cell — ``filter_column`` or ``read_rows`` x scheme family x
+1/10/50/90/100% selectivity x clustered/scattered — falls below
+``MIN_SPEEDUP`` (0.9) of decode-everything, except the cells
+``KNOWN_SLOW_CELLS`` lists, which are held to the floor written next to them. At 1%
 selectivity the decode fraction (rows decoded / rows in surviving blocks)
 stays gated below ``REPRO_BENCH_CDOMAIN_MAX_DECODE`` (default 25%) and no
-block may have taken the dispatcher's full-decode fallback.
+block may have taken the dispatcher's full-decode fallback. It is the one
+measurement lakebench does not make (ROADMAP item 5(b)).
 
 ``test_gather_shape_sweep_never_loses`` is the same bar for the string read
 path: ``strutil.gather`` picks a kernel (word take + compaction, block
@@ -30,122 +20,256 @@ copies, per-byte index) from the request's shape, and on every shape of
 per-byte-index kernel it replaced (kept as the oracle in
 ``tests/test_strutil.py``) -- no slow fast path.
 
-Regenerate the baseline after an intentional performance change::
-
-    REPRO_BENCH_ROWS=4096 REPRO_BENCH_OUTPUT=benchmarks/BENCH_baseline.json \
-        PYTHONPATH=src python -m pytest -q -s benchmarks/bench_perf_regression.py
+``test_compressed_scan_sweep_covers_every_cell`` holds the sweep's shape at
+256 rows: cell count, labels, and minima that name a real cell.
 """
 
+import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from _harness import bench_rows, print_table
-from repro.bench import (
-    DEFAULT_SEED,
-    SWEEP_FRACTIONS,
-    SWEEP_GATE_ROWS,
-    _paired_seconds,
-    bench_compressed_scan,
-    compare,
-    load_report,
-    run_bench,
-    sweep_cells,
-    write_report,
-)
+from _harness import paired_seconds, print_table
+from repro.bitmap import RoaringBitmap
+from repro.core.access import read_rows
+from repro.core.compressor import compress_column
+from repro.core.config import BtrBlocksConfig
+from repro.core.decompressor import decompress_column
+from repro.datagen.scheme_workloads import SCHEME_WORKLOADS
+from repro.encodings.base import take_values
+from repro.observe import MetricsRegistry, use_registry
+from repro.query.executor import filter_column
+from repro.query.predicates import Between, In
+from repro.types import Column, StringArray
 
-BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
+DEFAULT_SEED = 42
+
+#: Selectivities and selection layouts every compressed-scan workload is
+#: swept over; CI gates every cell, at ``SWEEP_GATE_ROWS`` (eight 16,384-row
+#: blocks: below ~100k rows the ratios are per-call overhead, not kernels).
+SWEEP_GATE_ROWS = 131_072
+SWEEP_FRACTIONS = (("1%", 0.01), ("10%", 0.10), ("50%", 0.50), ("90%", 0.90), ("100%", 1.0))
+SWEEP_LAYOUTS = ("clustered", "scattered")
 
 
-def test_perf_regression_vs_baseline():
-    parallel_rows = os.environ.get("REPRO_BENCH_PARALLEL_ROWS")
-    report = run_bench(
-        rows=bench_rows(),
-        workers=(1, 2, 4),
-        repeats=int(os.environ.get("REPRO_BENCH_REPEATS", "3")),
-        parallel_rows=int(parallel_rows) if parallel_rows else None,
+def sweep_cells(cdomain: dict) -> "dict[str, float]":
+    """A compressed-scan sweep, flattened: ``section/name/layout/label`` -> speedup."""
+    return {
+        f"{section}/{name}/{layout}/{label}": point["speedup"]
+        for section in ("workloads", "materialise")
+        for name, layouts in cdomain[section].items()
+        for layout, sweep in layouts.items()
+        for label, point in sweep.items()
+    }
+
+
+def _identical(got, expected) -> bool:
+    """Bit-for-bit equality of two value sequences (NaN payloads included)."""
+    if isinstance(expected, StringArray):
+        return np.array_equal(got.offsets, expected.offsets) and np.array_equal(
+            got.buffer[: int(got.offsets[-1])], expected.buffer[: int(expected.offsets[-1])]
+        )
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.dtype == expected.dtype and np.array_equal(
+        got.view(np.uint8), expected.view(np.uint8)
     )
-    output = os.environ.get("REPRO_BENCH_OUTPUT", f"BENCH_{report['meta']['date']}.json")
-    write_report(report, output)
 
-    print_table(
-        "Perf regression harness (schemes)",
-        ["workload", "comp MB/s", "dec MB/s", "ratio"],
-        [
-            [name, entry["compress_mb_s"], entry["decompress_mb_s"], entry["ratio"]]
-            for name, entry in report["schemes"].items()
-        ],
-    )
-    parallel = report["parallel"]
-    print_table(
-        "Parallel block-pipeline scaling "
-        f"({parallel['rows']:,} rows, cpu_count={parallel['cpu_count']}, "
-        f"affinity={parallel['cpu_affinity']})",
-        ["backend", "workers", "comp s", "comp x", "dec s", "dec x"],
-        [
-            [backend, w, entry["compress_seconds"][w], entry["compress_speedup"][w],
-             entry["decompress_seconds"][w], entry["decompress_speedup"][w]]
-            for backend, entry in parallel["backends"].items()
-            for w in sorted(entry["compress_seconds"], key=int)
-        ],
-    )
-    selection = report["selection"]
-    print_table(
-        "Selection overhead",
-        ["mode", "overhead %", "sticky hits", "sticky misses"],
-        [
-            [mode, entry["selection_overhead_pct"], entry["sticky_hits"],
-             entry["sticky_misses"]]
-            for mode, entry in selection.items()
-        ],
-    )
-    pipeline = report["pipeline"]
-    print_table(
-        f"Pipelined scan fetch-vs-decode overlap (readahead={pipeline['readahead']})",
-        ["fetch s", "decode s", "serial s", "wall s", "overlap s", "speedup"],
-        [[pipeline["fetch_seconds"], pipeline["decode_seconds"],
-          pipeline["serial_seconds"], pipeline["wall_seconds"],
-          pipeline["overlap_seconds"], pipeline["speedup"]]],
-    )
-    selective = report["selective_scan"]
-    print_table(
-        f"Selective scan — bytes fetched vs selectivity "
-        f"(rows={selective['rows']}, table={selective['table_bytes']}B)",
-        ["selectivity", "rows", "bytes fetched", "GETs", "pruned blocks", "wall s"],
-        [
-            [label, point["rows_returned"], point["bytes_fetched"],
-             point["get_requests"], point["pruned_blocks"], point["decode_s"]]
-            for label, point in selective["sweep"].items()
-        ],
-    )
-    overlap_path = os.environ.get("REPRO_BENCH_OVERLAP")
-    if overlap_path:
-        import json
 
-        with open(overlap_path, "w", encoding="utf-8") as fh:
-            json.dump({"meta": report["meta"], "pipeline": pipeline},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"overlap breakdown -> {overlap_path}")
-    selective_path = os.environ.get("REPRO_BENCH_SELECTIVE")
-    if selective_path:
-        import json
+def bench_compressed_scan(
+    rows: int, seed: int, block_size: int = 16_384, repeats: int = 3
+) -> dict:
+    """Selective execution vs decode-everything, swept over selectivity.
 
-        with open(selective_path, "w", encoding="utf-8") as fh:
-            json.dump({"meta": report["meta"], "selective_scan": selective},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"selective-scan sweep -> {selective_path}")
-    print(f"\nreport -> {output}")
+    Two sections, each over ~1 / 10 / 50 / 90 / 100% selectivity and two
+    selection layouts (``clustered``: the selected rows are contiguous;
+    ``scattered``: they are spread over every page and run):
 
-    if not BASELINE_PATH.exists():
-        pytest.skip(f"no committed baseline at {BASELINE_PATH}")
-    threshold = float(os.environ.get("REPRO_BENCH_THRESHOLD", "0.30"))
-    regressions = compare(report, load_report(str(BASELINE_PATH)), threshold=threshold)
-    assert not regressions, "throughput regressions vs baseline:\n" + "\n".join(regressions)
+    * ``workloads`` — :func:`repro.query.executor.filter_column` against the
+      naive decompress-evaluate-gather baseline, on the three scheme
+      families with compressed-domain predicate kernels: bit-packed ints
+      (page headers reject whole pages), run-heavy ints (the predicate runs
+      once per run) and low-cardinality strings (the predicate compiles into code
+      space). The layout is a property of the data here — sorted values
+      give clustered matches, shuffled ones scattered matches.
+    * ``materialise`` — :func:`repro.core.access.read_rows` against
+      decompress-then-take for a given selection vector, over every
+      :data:`SCHEME_WORKLOADS` family plus a NULL-bearing one, so every
+      filtered kernel (and the dispatcher's full-decode crossover, and the
+      NULL lookup) is timed against the plain path.
+
+    Every timed pair is first checked bit-identical (values and NULL rows).
+    ``min_speedup`` is the worst cell of the whole sweep — a fast path that
+    loses to the plain path anywhere in its sweep is a bug, and CI gates
+    every cell (:func:`sweep_cells`). The ``at_1pct`` rollup keeps
+    reporting rows decoded vs rows in surviving blocks. Blocks default to
+    16,384 rows: per-block dispatch is ~10 us of Python on either side, so
+    much smaller blocks measure that, not the kernels.
+    """
+    rng = np.random.default_rng(seed)
+    sorted_ints = np.sort(rng.integers(0, 1 << 16, rows)).astype(np.int32)
+    run_values = np.sort(rng.integers(0, 50_000, (rows + 19) // 20)).astype(np.int32)
+    vocab = [f"category-{i:03d}" for i in range(100)]
+    cat_ids = np.sort(rng.integers(0, len(vocab), rows))
+
+    def int_predicate(values: np.ndarray, fraction: float) -> Between:
+        return Between(int(values.min()), int(np.quantile(values, fraction)))
+
+    # name -> (clustered values, column factory, predicate factory); the
+    # scattered variant shuffles the same values (runs stay runs).
+    sources = {
+        "bitpack": (sorted_ints, 1, lambda v: Column.ints("v", v),
+                    lambda fraction: int_predicate(sorted_ints, fraction)),
+        "rle": (run_values, 20, lambda v: Column.ints("v", v),
+                lambda fraction: int_predicate(run_values, fraction)),
+        "dictionary": (cat_ids, 1, lambda v: Column.strings("v", [vocab[i] for i in v]),
+                       lambda fraction: In(vocab[: max(1, round(len(vocab) * fraction))])),
+    }
+    config = BtrBlocksConfig(block_size=block_size)
+    report: dict = {
+        "rows": rows, "block_size": block_size, "workloads": {}, "materialise": {},
+    }
+    decoded_1pct = 0
+    surviving_1pct = 0
+    speedups_1pct = []
+    for name, (values, run_length, make_column, make_predicate) in sources.items():
+        report["workloads"][name] = {}
+        for layout in SWEEP_LAYOUTS:
+            laid_out = values if layout == "clustered" else rng.permutation(values)
+            column = make_column(np.repeat(laid_out, run_length)[:rows])
+            compressed = compress_column(column, config)
+            sweep = {}
+            for label, fraction in SWEEP_FRACTIONS:
+                predicate = make_predicate(fraction)
+
+                def naive():
+                    full = decompress_column(compressed)
+                    hits = np.nonzero(np.asarray(predicate.evaluate(full.data)))[0]
+                    return take_values(full.data, hits)
+
+                registry = MetricsRegistry()
+                with use_registry(registry):
+                    filtered = filter_column(compressed, predicate)
+                if not _identical(filtered.data, naive()):
+                    raise AssertionError(
+                        f"filter_column differs from decompress-then-filter: "
+                        f"{name}/{layout}/{label}"
+                    )
+                filtered_s, naive_s = paired_seconds(
+                    lambda: filter_column(compressed, predicate), naive, repeats
+                )
+                rows_decoded = int(registry.get("query.cdomain.filtered.rows_selected"))
+                surviving_rows = int(registry.get("query.cdomain.filtered.rows_total"))
+                sweep[label] = {
+                    "selectivity": fraction,
+                    "rows_matched": len(filtered.data),
+                    "filtered_s": filtered_s,
+                    "naive_s": naive_s,
+                    "speedup": naive_s / filtered_s if filtered_s else 0.0,
+                    "rows_decoded": rows_decoded,
+                    "surviving_rows": surviving_rows,
+                    "decode_fraction": (
+                        rows_decoded / surviving_rows if surviving_rows else 0.0
+                    ),
+                    "full_decodes": int(registry.get("query.cdomain.filtered.full_decodes")),
+                    "pages": int(registry.get("query.cdomain.pages")),
+                    "pages_skipped": int(registry.get("query.cdomain.pages_skipped")),
+                }
+                if label == "1%" and layout == "clustered":
+                    decoded_1pct += rows_decoded
+                    surviving_1pct += surviving_rows
+                    speedups_1pct.append(sweep[label]["speedup"])
+            report["workloads"][name][layout] = sweep
+
+    def bitpack_nulls(rows: int, rng: np.random.Generator) -> Column:
+        column = SCHEME_WORKLOADS["bitpack"](rows, rng)
+        nulls = RoaringBitmap.from_bools(rng.random(rows) < 0.01)
+        return Column(column.name, column.ctype, column.data, nulls)
+
+    def take_rows(column: Column, selection: np.ndarray) -> "tuple[object, np.ndarray]":
+        """Decompress-then-take of one column: (values, NULL result rows)."""
+        values = take_values(column.data, selection)
+        if column.nulls is None:
+            return values, np.empty(0, dtype=np.int64)
+        return values, np.flatnonzero(column.nulls.to_mask(rows)[selection])
+
+    for name, make in {**SCHEME_WORKLOADS, "bitpack_nulls": bitpack_nulls}.items():
+        compressed = compress_column(make(rows, np.random.default_rng(seed)), config)
+        full = decompress_column(compressed)
+        report["materialise"][name] = {}
+        for layout in SWEEP_LAYOUTS:
+            sweep = {}
+            for label, fraction in SWEEP_FRACTIONS:
+                picked = max(1, int(rows * fraction))
+                if layout == "clustered":
+                    start = (rows - picked) // 2
+                    selection = np.arange(start, start + picked, dtype=np.int64)
+                else:
+                    selection = np.sort(rng.choice(rows, picked, replace=False))
+                got = read_rows(compressed, selection)
+                expected, expected_nulls = take_rows(full, selection)
+                if not _identical(got.data, expected) or not np.array_equal(
+                    got.nulls.to_array() if got.nulls else [], expected_nulls
+                ):
+                    raise AssertionError(
+                        f"read_rows differs from decompress-then-take: "
+                        f"{name}/{layout}/{label}"
+                    )
+
+                def plain():
+                    # The same contract as read_rows: out-of-range rows are
+                    # an IndexError, never a wrapped-around negative index.
+                    if selection.min() < 0 or selection.max() >= rows:
+                        raise IndexError("row index out of range")
+                    values, null_rows = take_rows(decompress_column(compressed), selection)
+                    return values, RoaringBitmap.from_positions(null_rows)
+
+                filtered_s, naive_s = paired_seconds(
+                    lambda: read_rows(compressed, selection), plain, repeats
+                )
+                sweep[label] = {
+                    "selectivity": fraction,
+                    "rows_selected": picked,
+                    "filtered_s": filtered_s,
+                    "naive_s": naive_s,
+                    "speedup": naive_s / filtered_s if filtered_s else 0.0,
+                }
+            report["materialise"][name][layout] = sweep
+
+    report["at_1pct"] = {
+        "rows_decoded": decoded_1pct,
+        "surviving_rows": surviving_1pct,
+        "decode_fraction": decoded_1pct / surviving_1pct if surviving_1pct else 0.0,
+        "min_speedup": min(speedups_1pct) if speedups_1pct else 0.0,
+    }
+    cells = sweep_cells(report)
+    report["min_speedup_at"] = min(cells, key=cells.get)
+    report["min_speedup"] = cells[report["min_speedup_at"]]
+    return report
+
+
+def test_compressed_scan_sweep_covers_every_cell():
+    """Both sections sweep 1/10/50/90/100% x clustered/scattered, the
+    materialise section over every scheme family, and the minima name
+    a cell that exists."""
+    cdomain = bench_compressed_scan(256, DEFAULT_SEED, repeats=1)
+    labels = [label for label, _ in SWEEP_FRACTIONS]
+    assert labels == ["1%", "10%", "50%", "90%", "100%"]
+    assert set(cdomain["workloads"]) == {"bitpack", "rle", "dictionary"}
+    assert set(cdomain["materialise"]) == set(SCHEME_WORKLOADS) | {"bitpack_nulls"}
+    for section in ("workloads", "materialise"):
+        for name, layouts in cdomain[section].items():
+            assert set(layouts) == set(SWEEP_LAYOUTS), name
+            for layout, sweep in layouts.items():
+                assert list(sweep) == labels, (name, layout)
+                for label, point in sweep.items():
+                    assert point["filtered_s"] > 0 and point["naive_s"] > 0
+    cells = sweep_cells(cdomain)
+    assert len(cells) == (3 + len(SCHEME_WORKLOADS) + 1) * len(SWEEP_LAYOUTS) * len(labels)
+    assert cdomain["min_speedup"] == min(cells.values())
+    assert cells[cdomain["min_speedup_at"]] == cdomain["min_speedup"]
+    assert 0.0 <= cdomain["at_1pct"]["decode_fraction"] <= 1.0
 
 
 #: The sweep gate's bar: selective execution vs decode-everything, per cell.
@@ -197,7 +321,9 @@ def test_selective_sweep_never_loses():
     )
     cdomain_path = os.environ.get("REPRO_BENCH_CDOMAIN")
     if cdomain_path:
-        write_report({"compressed_scan": cdomain}, cdomain_path)
+        with open(cdomain_path, "w", encoding="utf-8") as fh:
+            json.dump({"compressed_scan": cdomain}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         print(f"compressed-scan sweep -> {cdomain_path}")
 
     assert set(KNOWN_SLOW_CELLS) <= set(cells), "KNOWN_SLOW_CELLS names a cell the sweep lacks"
@@ -271,7 +397,7 @@ def test_gather_shape_sweep_never_loses():
         indices = rng.integers(0, entries, count)
         got, want = gather(pool, indices), _reference_gather(pool, indices)
         assert np.array_equal(got.buffer, want.buffer) and np.array_equal(got.offsets, want.offsets)
-        new, old = _paired_seconds(
+        new, old = paired_seconds(
             lambda: gather(pool, indices), lambda: _reference_gather(pool, indices), repeats=16
         )
         speedups[label] = old / new

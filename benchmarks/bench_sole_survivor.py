@@ -15,8 +15,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from _harness import print_table
-from repro.bench import _paired_seconds
+from _harness import paired_seconds, print_table
 from repro.core.compressor import compress_block
 from repro.core.config import BtrBlocksConfig
 from repro.core.selector import SchemeSelector
@@ -55,7 +54,7 @@ def test_sole_survivor_rule_sweep():
         (top,) = [d for d in trace.decisions() if d.top_level]
         old_blob = compress_block(values, ctype, selector=ForcedEstimateSelector(config))
         assert new_blob == old_blob or len(new_blob) < len(old_blob)
-        new_s, old_s = _paired_seconds(
+        new_s, old_s = paired_seconds(
             lambda: compress_block(values, ctype, selector=SchemeSelector(config)),
             lambda: compress_block(values, ctype, selector=ForcedEstimateSelector(config)),
             repeats=2,

@@ -14,11 +14,7 @@ Usage (also via ``python -m repro``)::
                               [--backend thread|process|auto] [--jobs N] ...
     python -m repro write     out.btr   [--fault-put-transient P] [--fault-torn P]
                               [--crash-after N] [--recover] ...
-    python -m repro bench     [--rows N] [--workers 1,2,4] [--output BENCH.json]
     python -m repro serve-bench [--tenants 1,4,16] [--requests N] [--output serve.json]
-                              [--backend thread,process] [--parallel-rows N]
-                              [--compare BASELINE.json] [--threshold 0.30]
-                              [--decode-only] [--selective-scan] [--compressed-scan]
 
 ``compress`` ingests a CSV (with type inference), compresses it and writes
 the single-buffer BtrBlocks serialization; ``--trace`` additionally dumps
@@ -326,7 +322,7 @@ def _cmd_write(args: argparse.Namespace) -> int:
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     """Sweep the multi-tenant scan server and print latency/cache/$ figures."""
-    from repro import bench
+    from repro.serve.bench import run_brownout_bench, run_serve_bench
 
     if args.deadline_ms is not None and args.deadline_ms <= 0:
         raise SystemExit(
@@ -351,7 +347,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             if args.chaos_seed is not None
             else _int_from_env("REPRO_CHAOS_SEED", 7)
         )
-        report = bench.bench_serve_brownout(
+        report = run_brownout_bench(
             rows=args.rows,
             tables=args.tables,
             requests_per_tenant=args.requests,
@@ -383,7 +379,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             )
             print(f"serve-bench report -> {args.output}")
         return 0
-    report = bench.bench_serve(
+    report = run_serve_bench(
         tenant_sweep=tuple(int(t) for t in args.tenants.split(",") if t.strip()),
         rows=args.rows,
         tables=args.tables,
@@ -420,93 +416,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             json.dumps(report, indent=2, sort_keys=True), encoding="utf-8"
         )
         print(f"serve-bench report -> {args.output}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the performance harness; optionally gate against a baseline."""
-    from repro import bench
-
-    workers = [int(w) for w in args.workers.split(",") if w.strip()]
-    backends = ([b.strip() for b in args.backend.split(",") if b.strip()]
-                if args.backend else None)
-    report = bench.run_bench(
-        rows=args.rows, workers=workers, repeats=args.repeats, seed=args.seed,
-        decode_only=args.decode_only, parallel_rows=args.parallel_rows,
-        backends=backends,
-    )
-    output = args.output or f"BENCH_{report['meta']['date']}.json"
-    bench.write_report(report, output)
-    print(f"benchmark report -> {output}")
-    for name, entry in report["schemes"].items():
-        compress = (f"compress {entry['compress_mb_s']:8.1f} MB/s  "
-                    if "compress_mb_s" in entry else "")
-        print(f"  {name:14s} {compress}"
-              f"decompress {entry['decompress_mb_s']:8.1f} MB/s  "
-              f"ratio {entry['ratio']:.1f}x")
-    if "parallel" in report:
-        parallel = report["parallel"]
-        affinity = parallel.get("cpu_affinity")
-        print(f"  parallel scaling ({parallel['rows']:,} rows, "
-              f"cpu_count {parallel['cpu_count']}, "
-              f"affinity {affinity if affinity is not None else 'n/a'}):")
-        for name, entry in parallel["backends"].items():
-            for kind in ("compress", "decompress"):
-                scaling = entry[f"{kind}_speedup"]
-                if not scaling:
-                    continue
-                line = ", ".join(
-                    f"{w}w={s:.2f}x"
-                    for w, s in sorted(scaling.items(), key=lambda kv: int(kv[0]))
-                )
-                print(f"    {name:8s} {kind:10s} {line}")
-    if "selection" in report:
-        overhead = report["selection"]["full"]["selection_overhead_pct"]
-        if overhead is not None:
-            print(f"  selection overhead: {overhead:.1f}% of compression time")
-    pipeline = report["pipeline"]
-    print(f"  pipelined scan (readahead {pipeline['readahead']}): "
-          f"fetch {pipeline['fetch_seconds']:.4f}s + decode {pipeline['decode_seconds']:.4f}s "
-          f"serial -> wall {pipeline['wall_seconds']:.4f}s "
-          f"(overlap {pipeline['overlap_seconds']:.4f}s, {pipeline['speedup']:.2f}x)")
-    if args.selective_scan:
-        selective = report["selective_scan"]
-        print(f"  selective scan ({selective['rows']:,} rows, "
-              f"{selective['table_bytes']:,} compressed bytes):")
-        full = selective["sweep"]["100%"]["bytes_fetched"] or 1
-        for label, point in selective["sweep"].items():
-            print(f"    {label:>4s} selectivity: {point['rows_returned']:>8,} rows, "
-                  f"{point['bytes_fetched']:>10,} bytes fetched "
-                  f"({100.0 * point['bytes_fetched'] / full:5.1f}% of full), "
-                  f"{point['get_requests']} GETs, {point['decode_s']:.4f}s")
-    if args.compressed_scan:
-        cdomain = report["compressed_scan"]
-        print(f"  compressed-domain scan ({cdomain['rows']:,} rows, "
-              f"block size {cdomain['block_size']:,}), speedup over decode-everything "
-              f"at {' / '.join(label for label, _ in bench.SWEEP_FRACTIONS)}:")
-        for section, plain in (("workloads", "filter_column"), ("materialise", "read_rows")):
-            for name, layouts in cdomain[section].items():
-                for layout, sweep in layouts.items():
-                    cells = " ".join(f"{point['speedup']:6.2f}x" for point in sweep.values())
-                    print(f"    {plain:>13s} {name:>13s} {layout:>9s}: {cells}")
-        rollup = cdomain["at_1pct"]
-        print(f"    at 1%: decoded {rollup['rows_decoded']:,} of "
-              f"{rollup['surviving_rows']:,} surviving rows "
-              f"({100.0 * rollup['decode_fraction']:.1f}%), "
-              f"min speedup {rollup['min_speedup']:.1f}x")
-        print(f"    whole sweep: min speedup {cdomain['min_speedup']:.2f}x "
-              f"at {cdomain['min_speedup_at']}")
-    if args.compare:
-        regressions = bench.compare(
-            report, bench.load_report(args.compare), threshold=args.threshold
-        )
-        if regressions:
-            print(f"FAIL: {len(regressions)} throughput regression(s) vs {args.compare}:")
-            for line in regressions:
-                print(f"  {line}")
-            return 1
-        print(f"OK: no throughput regression vs {args.compare} "
-              f"(threshold {args.threshold:.0%})")
     return 0
 
 
@@ -645,44 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--output", "-o", metavar="PATH",
                        help="write the JSON report to PATH instead of stdout")
     stats.set_defaults(func=_cmd_stats)
-
-    bench = sub.add_parser(
-        "bench", help="run the performance harness and write BENCH_<date>.json"
-    )
-    bench.add_argument("--rows", type=int, default=200_000,
-                       help="rows per workload (default 200000)")
-    bench.add_argument("--workers", default="1,2,4",
-                       help="comma-separated worker counts for the scaling section")
-    bench.add_argument("--backend", metavar="NAMES",
-                       help="comma-separated execution backends for the scaling "
-                            "section, e.g. 'thread,process' (default: thread, "
-                            "plus process when the host can use it)")
-    bench.add_argument("--parallel-rows", type=int, metavar="N",
-                       help="rows for the parallel-scaling workload (default: "
-                            f"max(--rows, {1_000_000:,}) so the single-worker "
-                            "wall is measurable)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repetitions per measurement; best is kept")
-    bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--output", "-o", metavar="PATH",
-                       help="report path (default BENCH_<date>.json)")
-    bench.add_argument("--compare", metavar="BASELINE",
-                       help="compare against a baseline report; exit 1 on regression")
-    bench.add_argument("--threshold", type=float, default=0.30,
-                       help="allowed fractional throughput drop vs baseline (default 0.30)")
-    bench.add_argument("--decode-only", action="store_true",
-                       help="measure only the read path (scheme decompression + "
-                            "pipelined scan), skipping compress-side sections")
-    bench.add_argument("--selective-scan", action="store_true",
-                       help="print the zone-map selectivity sweep (bytes fetched "
-                            "at 1/10/50/100%% selectivity); the section is always "
-                            "in the JSON report")
-    bench.add_argument("--compressed-scan", action="store_true",
-                       help="print the compressed-domain filtered-scan sweep "
-                            "(filter_column vs decompress-then-filter at "
-                            "1/10/50/100%% selectivity); the section is always "
-                            "in the JSON report")
-    bench.set_defaults(func=_cmd_bench)
 
     serve_bench = sub.add_parser(
         "serve-bench",

@@ -252,7 +252,7 @@ def pipelined_fetch_column(
     skip the refetch the batch download path performs first — a damaged
     *download* is usually transient — so callers that hold an
     ``on_corrupt`` policy catch the raise and fall back to
-    :meth:`RemoteTable._download_column`, which owns the refetch budget
+    :meth:`RemoteTable._download_column_verified`, which owns the refetch budget
     and the final degrade decision.
 
     All store access happens on one fetch thread (the store's accounting

@@ -52,7 +52,7 @@ from repro.core.config import (
     DEFAULT_SCAN_READAHEAD,
     DecodeLimits,
 )
-from repro.core.decompressor import decompress_column
+from repro.core.decompressor import all_null_block, decompress_column
 from repro.core.file_format import (
     FORMAT_VERSION,
     block_from_region,
@@ -443,13 +443,20 @@ class RemoteTable:
             raise last_error
         return column_from_bytes(payload, limits=self.decode_limits), False
 
-    def _download_column(self, entry: dict) -> CompressedColumn:
-        column, _verified = self._download_column_verified(entry)
-        return column
-
     def _column_cache_key(self, entry: dict):
         """Cache identity for one column's bytes: object key + version."""
         return (entry["file"], self.version)
+
+    def _fetch_column_flagged(self, name: str) -> "tuple[CompressedColumn, bool]":
+        """:meth:`fetch_column` plus whether the column is checksum-clean."""
+        entry = self.column_entry(name)
+        column = self._columns.get(entry["file"])
+        if column is not None:
+            return column, True
+        column, verified = self._download_column_verified(entry)
+        if verified:
+            self._columns.put(entry["file"], column, column.nbytes)
+        return column, verified
 
     def fetch_column(self, name: str) -> CompressedColumn:
         """Download one column file (16 MB chunked GETs); cached afterwards.
@@ -461,14 +468,45 @@ class RemoteTable:
         cached: a damaged column that survived refetching serves *this*
         call's degradation policy and is then dropped, so no later reader —
         in particular another tenant sharing the cache — can observe it.
+        Under a lenient policy the result may therefore hold blocks that
+        fail their CRC32: decode it only through a verifying reader
+        (:func:`~repro.core.decompressor.decompress_column`).
         """
-        entry = self.column_entry(name)
-        column = self._columns.get(entry["file"])
-        if column is None:
-            column, verified = self._download_column_verified(entry)
-            if verified:
-                self._columns.put(entry["file"], column, column.nbytes)
-        return column
+        return self._fetch_column_flagged(name)[0]
+
+    def _fetch_column_for_rows(self, name: str) -> CompressedColumn:
+        """The whole column for the selective readers, which verify nothing.
+
+        :func:`read_rows` and :func:`scan_column` decode whatever block they
+        are handed, so the full-fetch fallbacks of a predicate scan never
+        hand them one that fails its CRC32. A checksum-clean column (every
+        fault-free scan) passes through untouched. One that stayed damaged
+        through every refetch is degraded here, per block: ``null_block``
+        swaps each damaged block for an all-NULL one — its selected rows come
+        back NULL and it matches no value predicate, exactly decompress-then-
+        mask under that policy — and ``skip`` raises, because dropping one
+        column's rows under a predicate has no row-aligned meaning.
+        """
+        column, verified = self._fetch_column_flagged(name)
+        if verified:
+            return column
+        blocks = list(column.blocks)
+        damaged = [index for index, block in enumerate(blocks) if not verify_block(block)]
+        # (A damaged count would shift every later row: nothing to align NULLs to.)
+        if self.on_corrupt == "skip" or column.count != self.column_entry(name)["rows"]:
+            raise IntegrityError(
+                f"table {self.name!r} column {name!r}: {len(damaged)} block(s) still fail "
+                f"their CRC32 after refetching; a predicate scan cannot skip rows"
+            )
+        get_registry().incr_many(
+            [
+                ("decompress.corrupt_blocks", len(damaged)),
+                ("decompress.corrupt_rows", sum(blocks[index].count for index in damaged)),
+            ]
+        )
+        for index in damaged:
+            blocks[index] = all_null_block(column.ctype, blocks[index].count)
+        return CompressedColumn(column.name, column.ctype, blocks)
 
     # -- manifest-level zone maps ----------------------------------------------
 
@@ -740,7 +778,9 @@ class RemoteTable:
         except _PrunedPathUnavailable:
             matches = None
         if matches is None:
-            matches = scan_column(self.fetch_column(column_name), predicate, self.decode_limits)
+            matches = scan_column(
+                self._fetch_column_for_rows(column_name), predicate, self.decode_limits
+            )
         return matches
 
     def matching_rows(self, where: Mapping[str, Predicate]) -> RoaringBitmap:
@@ -1043,7 +1083,7 @@ class RemoteTable:
         except _PrunedPathUnavailable:
             column = None
         if column is None:
-            column = self._read_rows(entry, self.fetch_column(name), rows)
+            column = self._read_rows(entry, self._fetch_column_for_rows(name), rows)
         return column
 
     def scan_pipelined(
@@ -1062,7 +1102,7 @@ class RemoteTable:
         pipeline fill — rather than the serial sum, and the returned report
         breaks that saving down. A column whose streamed bytes turn out
         damaged or unparsable falls back to the refetching
-        :meth:`_download_column` path (counted in
+        :meth:`_download_column_verified` path (counted in
         ``cloud.scan.pipeline.fallbacks``), so results are identical to
         :meth:`scan` under every ``on_corrupt`` policy.
         """

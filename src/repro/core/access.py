@@ -54,6 +54,10 @@ def read_rows(
     :func:`~repro.core.decompressor.cached_block` gate costs one take of its
     cached values; a miss decodes as ever and inserts nothing — a selective
     read never fills the cache.
+
+    No checksum is verified here (a cache hit aside): hand over only blocks
+    that passed :func:`~repro.core.file_format.verify_block`, or that carry
+    no checksum. A damaged payload decodes to wrong rows, not to an error.
     """
     indices = np.asarray(row_indices, dtype=np.int64)
     inverse = None

@@ -74,9 +74,6 @@ class BtrBlocksConfig:
     pseudodecimal_max_exception_fraction: float = 0.5
     #: Dictionary is excluded when distinct values exceed this fraction.
     dictionary_max_unique_fraction: float = 0.9
-    #: Fuse RLE+Dictionary decode only when the average run exceeds this
-    #: (paper Section 5: "only ... if the average run length is greater than 3").
-    fused_rle_dict_min_run: float = 3.0
     #: Use vectorised (NumPy) decompression kernels; False selects the scalar
     #: fallbacks used for the Section 6.8 ablation.
     vectorized: bool = True
@@ -86,12 +83,6 @@ class BtrBlocksConfig:
     collect_stats: bool = True
     #: Per-block string Bloom digests are skipped above this distinct count.
     stats_bloom_max_distinct: int = 512
-    #: What decompression does with a block whose payload fails its stored
-    #: CRC32 (or fails to parse, for checksum-less v1 files): "raise" a typed
-    #: IntegrityError, "skip" the block's rows, or emit a "null_block" of the
-    #: declared length with every row NULL (keeps row alignment across
-    #: columns). See docs/RELIABILITY.md.
-    on_corrupt: str = "raise"
     #: Scheme ids to exclude from the pool (for ablation experiments).
     excluded_schemes: frozenset[int] = field(default_factory=frozenset)
     #: Scheme ids to restrict the pool to (None = all registered schemes).
@@ -111,17 +102,6 @@ class BtrBlocksConfig:
     #: Invalidate the cache when a reused scheme's achieved ratio drops below
     #: this fraction of the ratio measured when the entry was validated.
     sticky_drift_ratio: float = 0.7
-    #: Ceilings for decoding untrusted bytes (see :class:`DecodeLimits`).
-    decode_limits: DecodeLimits = field(default_factory=DecodeLimits)
-    #: Byte budget for the decoded-block LRU used by remote scans
-    #: (``decode.cache.{hit,miss,evict}`` metrics); 0 disables it.
-    decode_cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES
-    #: Byte budget for RemoteTable's compressed-column LRU
-    #: (``cloud.table.column_cache.{hit,miss,evict}`` metrics).
-    column_cache_bytes: int = DEFAULT_COLUMN_CACHE_BYTES
-    #: How many chunk GETs a pipelined remote scan keeps in flight ahead
-    #: of the decoder (the readahead window K).
-    scan_readahead: int = DEFAULT_SCAN_READAHEAD
     #: Execution backend for block-parallel compress/decompress: "thread"
     #: (the GIL-bound pool), "process" (shared-memory process pool — real
     #: multi-core scaling), or "auto" (process when ≥2 usable CPUs and the

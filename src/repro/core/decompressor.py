@@ -7,7 +7,7 @@ the pure-Python scalar fallbacks used for the Section 6.8 ablation.
 
 Blocks read from checksummed (v2) column files are verified against their
 stored CRC32 before decoding. A damaged block is handled per the
-``on_corrupt`` policy (:class:`~repro.core.config.BtrBlocksConfig`):
+``on_corrupt`` parameter of the ``decompress_*`` entry points:
 
 * ``"raise"`` (default) — a typed :class:`~repro.exceptions.IntegrityError`;
 * ``"skip"`` — the block's rows are dropped from the reassembled column;
@@ -33,12 +33,13 @@ from repro.core.relation import Relation
 from repro.encodings import strutil
 from repro.encodings.base import (
     DecompressionContext,
+    SchemeId,
     Values,
     get_scheme,
     prefers_full_decode,
     take_values,
 )
-from repro.encodings.wire import unwrap
+from repro.encodings.wire import unwrap, wrap
 from repro.exceptions import (
     BtrBlocksError,
     CorruptBlockError,
@@ -408,6 +409,27 @@ def _null_block_placeholder(ctype: ColumnType, count: int) -> Values:
     if ctype is ColumnType.STRING:
         return StringArray.from_pylist([""] * count)
     return np.zeros(count, dtype=_EMPTY_DTYPES[ctype])
+
+
+_ONE_VALUE = {
+    ColumnType.INTEGER: SchemeId.ONE_VALUE_INT,
+    ColumnType.DOUBLE: SchemeId.ONE_VALUE_DOUBLE,
+    ColumnType.STRING: SchemeId.ONE_VALUE_STRING,
+}
+
+
+def all_null_block(ctype: ColumnType, count: int) -> CompressedBlock:
+    """The ``null_block`` degrade in compressed form: ``count`` placeholder
+    values under a full NULL bitmap. For readers that are handed blocks and
+    verify nothing (:func:`~repro.core.access.read_rows`,
+    :func:`~repro.query.executor.scan_column`): swapped in for a block that
+    failed its CRC32, its rows select as NULL and match no value predicate —
+    what :func:`decompress_column` makes of the damaged block itself."""
+    scheme = get_scheme(_ONE_VALUE[ctype])
+    # (One Value stores the value and reads no compression context.)
+    node = wrap(scheme.scheme_id, count, scheme.compress(_null_block_placeholder(ctype, 1), None))
+    nulls = RoaringBitmap.from_positions(np.arange(count, dtype=np.int64))
+    return CompressedBlock(count, node, nulls.serialize())
 
 
 def _record_column(

@@ -12,6 +12,8 @@ string structure (URLs, codes, names) and NULL density. See DESIGN.md.
 * :mod:`repro.datagen.tpch` — TPC-H-like tables.
 * :mod:`repro.datagen.csvio` — CSV writer/reader for the Section 6.4
   compression-speed experiment.
+* :mod:`repro.datagen.scheme_workloads` — one column generator per scheme
+  family (the selective-execution sweep and its bit-identity tests).
 """
 
 from repro.datagen.publicbi import generate_dataset, generate_suite, named_column

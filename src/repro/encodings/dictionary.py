@@ -172,19 +172,33 @@ class _NumericDict(Scheme):
         return np.asarray(uniq).take(_checked_codes(codes, len(uniq)))
 
 
+#: Fuse RLE+Dictionary decode only when the average run exceeds this
+#: (paper Section 5: "only ... if the average run length is greater than 3").
+FUSED_RLE_DICT_MIN_RUN = 3.0
+
+
 def _try_fused_rle(codes_blob: bytes, ctx: DecompressionContext):
     """Decode RLE-compressed codes as (run_values, run_lengths) when fusing pays.
 
     Returns ``None`` when the codes were not RLE-compressed or runs are short
-    (the paper fuses only for average run length > 3).
+    (:data:`FUSED_RLE_DICT_MIN_RUN`).
+
+    Dead as written, and left so on purpose (ROADMAP item 3): the ratio below
+    divides the run-length sum by the node's *value* count, which
+    ``decode_runs`` has just held equal to it, so it is 1.0 for every
+    non-empty node and the callers always take the plain route. Dividing by
+    ``len(run_lengths)`` would switch the fused branches on — after this
+    function holds ``count`` to ``ctx.limits.max_rows_per_block``: it reads
+    the child header with a bare ``unwrap``, not through the gate
+    ``decompress_child`` applies, and the callers ``np.repeat`` by it.
     """
     if not ctx.vectorized or not getattr(ctx, "fuse_rle_dict", True):
         return None
-    scheme_id, run_count, payload = unwrap(codes_blob)
+    scheme_id, count, payload = unwrap(codes_blob)
     if scheme_id != SchemeId.RLE_INT:
         return None
-    run_values, run_lengths = _RLEBase.decode_runs(payload, run_count, ctx, ColumnType.INTEGER)
-    if run_count and run_lengths.sum() / run_count <= 3.0:
+    run_values, run_lengths = _RLEBase.decode_runs(payload, count, ctx, ColumnType.INTEGER)
+    if count and run_lengths.sum() / count <= FUSED_RLE_DICT_MIN_RUN:
         return None
     return run_values, run_lengths
 

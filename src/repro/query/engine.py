@@ -27,6 +27,7 @@ from repro.core.access import read_rows
 from repro.core.blocks import CompressedRelation
 from repro.core.compressor import compress_relation
 from repro.core.config import BtrBlocksConfig
+from repro.core.file_format import verify_column
 from repro.core.relation import Relation
 from repro.metadata import ColumnZoneMap, build_zone_map, pruned_scan
 from repro.query.executor import scan_column
@@ -44,6 +45,10 @@ class CompressedTable:
         compressed: CompressedRelation,
         zone_maps: "Mapping[str, ColumnZoneMap] | None" = None,
     ) -> None:
+        # The scan kernels below verify no checksum, so damage stops here
+        # (free for blocks compressed in memory, which carry none).
+        for column in compressed.columns:
+            verify_column(column)
         self.compressed = compressed
         self.zone_maps = dict(zone_maps or {})
 

@@ -83,7 +83,8 @@ def scan_block(
     limits: "DecodeLimits | None" = None,
 ) -> np.ndarray:
     """Evaluate a predicate over one compressed block, returning a row mask.
-    ``limits`` bind its declared count and every nested decode."""
+    ``limits`` bind its declared count and every nested decode. ``blob`` is
+    parsed as it is: no checksum is verified here, that is the caller's job."""
     ctx = make_context(limits=limits)
     _, count, _ = _open_node(blob, ctype, ctx)
     registry = get_registry()
@@ -468,7 +469,9 @@ def scan_column(
 ) -> RoaringBitmap:
     """Evaluate a predicate over a whole compressed column.
 
-    Returns a Roaring bitmap of matching row positions.
+    Returns a Roaring bitmap of matching row positions. Block checksums are
+    not verified (:func:`filter_column` does): a column read from untrusted
+    bytes goes through :func:`~repro.core.file_format.verify_column` first.
     """
     positions = [
         hits + offset

@@ -98,7 +98,6 @@ from test_compressed_scan import (  # noqa: E402  (shared shape matrix)
     _values_equal,
 )
 
-from repro.bench import SCHEME_WORKLOADS  # noqa: E402
 from repro.core.blocks import CompressedBlock, CompressedColumn  # noqa: E402
 from repro.core.config import BtrBlocksConfig  # noqa: E402
 from repro.core.decompressor import (  # noqa: E402
@@ -107,6 +106,7 @@ from repro.core.decompressor import (  # noqa: E402
     decompress_column,
     make_context,
 )
+from repro.datagen.scheme_workloads import SCHEME_WORKLOADS  # noqa: E402
 from repro.encodings.base import take_values  # noqa: E402
 from repro.observe import MetricsRegistry, use_registry  # noqa: E402
 

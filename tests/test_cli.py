@@ -105,6 +105,12 @@ class TestScan:
 
 
 class TestServeBenchGuards:
+    def test_both_sweeps_run_through_the_cli(self, capsys):
+        assert main(["serve-bench", "--tenants", "1", "--requests", "2"]) == 0
+        assert "1 tenant(s)" in capsys.readouterr().out
+        assert main(["serve-bench", "--brownout", "--requests", "1"]) == 0
+        assert "overload layer saved" in capsys.readouterr().out
+
     def test_malformed_chaos_seed_env_fails_only_its_consumer(
         self, monkeypatch, tmp_path, csv_file, capsys
     ):
@@ -152,8 +158,11 @@ class TestParser:
             main([])
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            main(["explode"])
+        # ``bench`` is gone: perf numbers come from lakebench and benchmarks/.
+        for command in ("explode", "bench"):
+            with pytest.raises(SystemExit) as caught:
+                main([command])
+            assert caught.value.code == 2
 
     def test_module_entry_point(self, tmp_path, csv_file):
         import subprocess

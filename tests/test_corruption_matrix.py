@@ -806,3 +806,184 @@ class TestConcurrentReadersShareCachesSafely:
         healed = results["healed"]
         for name in ("code", "price"):
             assert columns_equal(healed.column(name), relation.column(name))
+
+
+# -- predicate scans over damaged objects: the selective readers verify nothing --
+#
+# ``read_rows`` and ``scan_column`` decode the block they are handed, so every
+# route a ``scan(where=)`` can take to them — ranged GETs of surviving blocks,
+# a cached column, a whole download when the manifest has no statistics —
+# must hand over only bytes that passed their CRC32. Per cell the outcome is
+# a typed error, a *detected* degrade (the counters say so) or the clean
+# answer; never a value the source does not hold.
+
+_SEL_ROWS, _SEL_BLOCK, _SEL_DAMAGED_BLOCK = 8192, 1024, 3
+
+
+def _selective_table(route: str):
+    """``(store, k, v)``: sorted key + payload ints in 1,024-row blocks; the
+    ``no_stats`` route commits a manifest without zone maps or block ranges."""
+    from repro.cloud import SimulatedObjectStore
+    from repro.cloud.remote_table import TableWriter
+    from repro.core.compressor import compress_relation
+    from repro.core.config import BtrBlocksConfig
+
+    rng = np.random.default_rng(MATRIX_SEED)
+    k = np.sort(rng.integers(0, 1_000_000, _SEL_ROWS)).astype(np.int32)
+    v = rng.integers(0, 1_000_000, _SEL_ROWS).astype(np.int32)
+    config = BtrBlocksConfig(block_size=_SEL_BLOCK, collect_stats=route != "no_stats")
+    store = SimulatedObjectStore()
+    TableWriter(store).write(
+        compress_relation(Relation("sel", [Column.ints("k", k), Column.ints("v", v)]), config)
+    )
+    return store, k, v
+
+
+def _flip_payload_byte(store, key: str, times: float) -> None:
+    """Flip one payload byte of block ``_SEL_DAMAGED_BLOCK`` in the first
+    ``times`` GETs that cover it (``inf``: the object is damaged at rest)."""
+    from repro.core.file_format import column_block_ranges
+
+    offset, size = column_block_ranges(column_from_bytes(store._objects[key]))[_SEL_DAMAGED_BLOCK]
+    position, real, left = offset + size // 2, store._attempt, [times]
+
+    def attempt(k, start, length, ranged):
+        data = real(k, start, length, ranged)
+        if k == key and left[0] > 0 and start <= position < start + len(data):
+            left[0] -= 1
+            data = bytearray(data)
+            data[position - start] ^= 0x40
+        return bytes(data)
+
+    store._attempt = attempt
+
+
+@pytest.mark.parametrize("duration", ["persistent", "one_refetch"])
+@pytest.mark.parametrize("route", ["ranged_get", "cached_column", "no_stats"])
+@pytest.mark.parametrize("damaged", ["filter", "projection"])
+@pytest.mark.parametrize("policy", ["raise", "skip", "null_block"])
+def test_predicate_scan_never_serves_damaged_bytes(policy, damaged, route, duration):
+    from repro.cloud.remote_table import RemoteTable
+    from repro.exceptions import IntegrityError
+    from repro.observe import MetricsRegistry, use_registry
+    from repro.query.predicates import Between
+
+    store, k, v = _selective_table(route)
+    table = RemoteTable.open(store, "sel", on_corrupt=policy)
+    if route == "cached_column":
+        table.scan()  # both columns verified and held before the damage
+    key = table.column_entry("k" if damaged == "filter" else "v")["file"]
+    _flip_payload_byte(store, key, float("inf") if duration == "persistent" else 1)
+
+    lo, hi = int(k[1500]), int(k[6500])  # blocks 1..6, the damaged one among them
+    matches = np.flatnonzero((k >= lo) & (k <= hi))
+    in_damaged = matches // _SEL_BLOCK == _SEL_DAMAGED_BLOCK
+    registry = MetricsRegistry()
+    try:
+        with use_registry(registry):
+            got = table.scan(["v"], where={"k": Between(lo, hi)}).column("v")
+    except IntegrityError:
+        assert route != "cached_column" and duration == "persistent"
+        assert policy in ("raise", "skip")
+        assert registry.get("cloud.table.integrity_failures") >= 1
+        return
+    expected_rows, expected_nulls = matches, np.zeros(len(matches), dtype=bool)
+    if route == "cached_column" or duration == "one_refetch":
+        # The clean answer, bit for bit: the damage was never seen, or cured.
+        assert registry.get("cloud.table.integrity_failures") == 0
+        assert registry.get("decompress.corrupt_blocks") == 0
+        refetched = route != "cached_column"
+        assert (registry.get("cloud.table.integrity_refetches") >= 1) == refetched
+    else:
+        # Only ``null_block`` degrades a predicate scan, and it says so: a
+        # damaged filter block matches nothing, a damaged projection block
+        # returns its selected rows as NULLs.
+        assert policy == "null_block"
+        assert registry.get("cloud.table.integrity_failures") >= 1
+        assert registry.get("decompress.corrupt_blocks") == 1
+        assert registry.get("decompress.corrupt_rows") == _SEL_BLOCK
+        if damaged == "filter":
+            expected_rows, expected_nulls = matches[~in_damaged], expected_nulls[~in_damaged]
+        else:
+            expected_nulls = in_damaged
+    assert len(got) == len(expected_rows)
+    assert np.array_equal(got.null_mask(), expected_nulls)
+    held = ~expected_nulls
+    assert np.array_equal(np.asarray(got.data)[held], v[expected_rows][held])
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        Column.ints("c", np.arange(600, dtype=np.int32) * 7),
+        Column.doubles("c", np.arange(600, dtype=np.float64) / 4),
+        Column.strings("c", [f"row-{i % 50}" for i in range(600)]),
+    ],
+    ids=lambda column: column.ctype.value,
+)
+def test_all_null_block_is_the_null_block_degrade(column):
+    """What the degraded predicate scan rests on: a damaged block swapped for
+    ``all_null_block`` reads, through the selective readers, exactly as
+    ``decompress_column(on_corrupt="null_block")`` reads the damaged block."""
+    from repro.core.access import read_rows
+    from repro.core.config import BtrBlocksConfig
+    from repro.core.decompressor import all_null_block
+    from repro.core.file_format import column_block_ranges, verify_block
+    from repro.query.executor import scan_column
+    from repro.query.predicates import IsNull
+    from repro.types import columns_equal
+
+    blob = bytearray(column_to_bytes(compress_column(column, BtrBlocksConfig(block_size=200))))
+    offset, size = column_block_ranges(column_from_bytes(bytes(blob)))[1]
+    blob[offset + size // 2] ^= 0x40
+    damaged = column_from_bytes(bytes(blob))
+    assert [verify_block(block) for block in damaged.blocks] == [True, False, True]
+    oracle = decompress_column(damaged, on_corrupt="null_block")
+
+    damaged.blocks[1] = all_null_block(damaged.ctype, damaged.blocks[1].count)
+    assert columns_equal(read_rows(damaged, np.arange(600)), oracle)
+    assert scan_column(damaged, IsNull()).to_array().tolist() == list(range(200, 400))
+
+
+def test_compressed_table_refuses_a_damaged_column():
+    """The in-memory engine scans through the same unverifying kernels."""
+    from repro.core.blocks import CompressedRelation
+    from repro.exceptions import IntegrityError
+    from repro.query.engine import CompressedTable
+
+    blob = bytearray(column_to_bytes(compress_column(Column.ints("c", np.arange(500) * 3))))
+    clean = column_from_bytes(bytes(blob))
+    CompressedTable(CompressedRelation("t", [clean]))
+    blob[len(blob) // 2] ^= 0x40
+    with pytest.raises(IntegrityError):
+        CompressedTable(CompressedRelation("t", [column_from_bytes(bytes(blob))]))
+
+
+def test_clean_predicate_scan_pays_no_extra_crc(monkeypatch):
+    """The fix sits on the unverified fallback only: on a clean table a
+    fresh-handle ``scan(where=)`` checksums each ranged-GET block once, a
+    repeat none, and one over a warm decode cache only its cache hits."""
+    from repro.cloud.remote_table import RemoteTable
+    from repro.core import file_format
+    from repro.query.predicates import Between
+
+    store, k, _v = _selective_table("ranged_get")
+    calls, real = [0], file_format.block_checksum
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(file_format, "block_checksum", counting)
+    table = RemoteTable.open(store, "sel")
+    where = {"k": Between(int(k[2000]), int(k[5000]))}  # blocks 1..4 of 8
+
+    def checksums(scan) -> int:
+        before = calls[0]
+        scan()
+        return calls[0] - before
+
+    assert checksums(lambda: table.scan(["v"], where=where)) == 4 + 4  # filter + projection
+    assert checksums(lambda: table.scan(["v"], where=where)) == 0  # blocks held verified
+    table.scan()
+    assert checksums(lambda: table.scan(["v"], where=where)) == 4  # hit-side CRC, projection

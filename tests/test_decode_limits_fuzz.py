@@ -320,3 +320,74 @@ class TestHostileFSSTTables:
         for vectorized in (True, False):
             out = decompress_block(blob, ColumnType.STRING, vectorized=vectorized)
             assert out.to_pylist() == [b"ab", b"c\x00", b"ab"]
+
+
+class TestHostileDictionaryRuns:
+    """A dictionary node's RLE-coded child can claim more values than any block.
+
+    ``dictionary._try_fused_rle`` reads the child's header with a bare
+    ``unwrap`` and its callers ``np.repeat`` by the run lengths. While that
+    route never fires the child still goes through ``decompress_child``'s
+    gate; whoever switches it on has to hold the child's count to
+    ``max_rows_per_block`` first. Either way: four declared rows over a
+    child of two runs claiming 16.8M values is a ``DecodeLimitError`` having
+    allocated nothing value-sized (a repeat would be 64 MB), on all three
+    routes that read the child.
+    """
+
+    CHILD_ROWS = (1 << 24) + 2  # two runs, just past DEFAULT_DECODE_LIMITS
+
+    @classmethod
+    def _hostile_codes(cls) -> bytes:
+        from repro.core.compressor import make_context
+        from repro.core.selector import SchemeSelector
+        from repro.encodings.base import SchemeId
+        from repro.encodings.wire import Writer, wrap
+        from repro.types import ColumnType
+
+        child = make_context(SchemeSelector()).compress_child
+        runs = Writer().u32(2)
+        runs.blob(child(np.array([0, 1], dtype=np.int32), ColumnType.INTEGER))
+        runs.blob(child(np.full(2, cls.CHILD_ROWS // 2, dtype=np.int32), ColumnType.INTEGER))
+        return wrap(SchemeId.RLE_INT, cls.CHILD_ROWS, runs.getvalue())
+
+    @classmethod
+    def _blocks(cls):
+        from repro.encodings.base import SchemeId
+        from repro.encodings.wire import Writer, wrap
+        from repro.types import ColumnType, StringArray
+
+        codes = cls._hostile_codes()
+        pool = StringArray.from_pylist(["a", "bb"])
+        raw_pool = Writer().array(pool.buffer).array(pool.offsets).getvalue()
+        payloads = {
+            (SchemeId.DICT_INT, ColumnType.INTEGER): Writer().array(np.arange(2, dtype=np.int32)),
+            (SchemeId.DICT_DOUBLE, ColumnType.DOUBLE): Writer().array(np.array([0.5, 1.5])),
+            (SchemeId.DICT_STRING, ColumnType.STRING): Writer().u8(0).u32(2).blob(raw_pool),
+        }
+        return [
+            (wrap(scheme_id, 4, writer.blob(codes).getvalue()), ctype)
+            for (scheme_id, ctype), writer in payloads.items()
+        ]
+
+    def test_child_count_is_held_before_anything_repeats(self):
+        from repro.core.decompressor import decode_block_into, decompress_block, make_context
+        from repro.core.file_format import CompressedBlock
+        from repro.exceptions import DecodeLimitError
+        from repro.types import ColumnType
+
+        def into(blob, ctype):
+            out = np.empty(4, dtype=np.int32 if ctype is ColumnType.INTEGER else np.float64)
+            decode_block_into(CompressedBlock(4, blob, None), ctype, make_context(), out)
+
+        for blob, ctype in self._blocks():
+            routes = [decompress_block] if ctype is ColumnType.STRING else [decompress_block, into]
+            for route in routes:
+                tracemalloc.start()
+                try:
+                    with pytest.raises(DecodeLimitError, match="limit is"):
+                        route(blob, ctype)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 32 * len(blob) + (64 << 10), (ctype, route.__name__, peak)
