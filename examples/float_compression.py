@@ -9,7 +9,10 @@ four published baselines (FPC, Gorilla, Chimp, Chimp128):
 * run-heavy small measurements  -> Gorilla/RLE territory
 
 Run:  python examples/float_compression.py
+(REPRO_BENCH_ROWS=<n> shrinks the columns; the baselines code ~40 us per value.)
 """
+
+import os
 
 import numpy as np
 
@@ -30,7 +33,7 @@ def pde_block_ratio(values: np.ndarray) -> float:
 
 def main() -> None:
     rng = np.random.default_rng(11)
-    n = 64_000
+    n = int(os.environ.get("REPRO_BENCH_ROWS", 64_000))
     workloads = {
         "prices (2 decimals)": dist.clean_price_doubles(n, rng, hi=500.0, unique_fraction=0.5),
         "coordinates": dist.coordinates(n, rng),

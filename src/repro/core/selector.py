@@ -291,6 +291,9 @@ class SchemeSelector:
             scheme.prepare_stats(sample, stats, self.config)
             if scheme.is_viable(stats, self.config):
                 survivors.append(scheme)
+            else:
+                decision.filtered.append(scheme.name)
+        decision.sample_top_share = stats.sample_top_share
         if len(survivors) == 1 and self._active_picks == 1:
             # Nothing to choose among on a pick that serves a real encode:
             # _compress_node answers "this or Uncompressed?" from the achieved

@@ -35,6 +35,9 @@ class Stats:
     #: Doubles only: fraction of values Pseudodecimal cannot encode (measured
     #: lazily on the sample by the selector; -1 = unknown).
     pde_exception_fraction: float = -1.0
+    #: Share of the selector's sample held by its most frequent value
+    #: (measured by Frequency when its unique-fraction test passes; -1 = not).
+    sample_top_share: float = -1.0
 
     @property
     def unique_fraction(self) -> float:

@@ -24,6 +24,24 @@ from repro.encodings.wire import Reader, Writer
 from repro.types import ColumnType, StringArray
 
 
+#: Frequency is the scheme for one dominant value (paper Section 2.2): with
+#: no majority value in the sample it is not estimated. It won no lakebench
+#: pick below a 55% top share (docs/PERFORMANCE.md section 3).
+MIN_TOP_SHARE = 0.5
+
+
+def _few_distinct(stats, config) -> bool:
+    """The statistics-only test; the sample is measured only once it passed."""
+    return stats.distinct_count > 1 and (
+        stats.unique_fraction <= config.frequency_max_unique_fraction
+    )
+
+
+def _is_viable(self, stats, config) -> bool:
+    # A negative share was never measured (sticky's re-check draws no sample).
+    return _few_distinct(stats, config) and not 0 <= stats.sample_top_share < MIN_TOP_SHARE
+
+
 def _split_selection(top_rows: RoaringBitmap, positions: np.ndarray):
     """``(selected row holds the top value?, ranks of the selected exceptions)``.
 
@@ -41,17 +59,21 @@ class _FrequencyBase(Scheme):
 
     name = "frequency"
 
-    def is_viable(self, stats, config) -> bool:
-        if stats.count == 0 or stats.distinct_count <= 1:
-            return False
-        return stats.unique_fraction <= config.frequency_max_unique_fraction
+    @staticmethod
+    def _keys(values: np.ndarray) -> np.ndarray:
+        """Doubles compare bitwise (NaNs are one value, 0.0 and -0.0 two)."""
+        return values.view(np.uint64) if values.dtype == np.float64 else values
+
+    def prepare_stats(self, sample: np.ndarray, stats, config) -> None:
+        if _few_distinct(stats, config):
+            counts = np.unique(self._keys(np.asarray(sample)), return_counts=True)[1]
+            stats.sample_top_share = float(counts.max()) / len(sample)
+
+    is_viable = _is_viable
 
     def _top_mask(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask of positions holding the most frequent value."""
-        if values.dtype == np.float64:
-            keys = values.view(np.uint64)
-        else:
-            keys = values
+        keys = self._keys(values)
         uniq, counts = np.unique(keys, return_counts=True)
         top = uniq[np.argmax(counts)]
         return keys == top
@@ -122,10 +144,12 @@ class FrequencyString(Scheme):
     name = "frequency"
     ctype = ColumnType.STRING
 
-    def is_viable(self, stats, config) -> bool:
-        if stats.count == 0 or stats.distinct_count <= 1:
-            return False
-        return stats.unique_fraction <= config.frequency_max_unique_fraction
+    def prepare_stats(self, sample: StringArray, stats, config) -> None:
+        if _few_distinct(stats, config):  # memoised codes: Dictionary's estimate asks too
+            counts = np.bincount(strutil.encode_distinct(sample)[0])
+            stats.sample_top_share = float(counts.max()) / len(sample)
+
+    is_viable = _is_viable
 
     def compress(self, values: StringArray, ctx: CompressionContext) -> bytes:
         codes, uniques = strutil.encode_distinct(values)

@@ -49,7 +49,9 @@ except ImportError:  # Python 3.10
 ESCAPE = 255
 MAX_SYMBOLS = 255
 MAX_SYMBOL_LENGTH = 8
-_GENERATIONS = 5
+#: 128ths of each sample chunk a training generation counts on, as in FSST's
+#: reference construction: every table but the last is replaced anyway.
+_SCHEDULE = (8, 38, 68, 98, 128)
 _SAMPLE_TARGET = 16 * 1024
 #: Buffers at least this large amortise compiling the tokenizer pattern
 #: (~3 ms per table; measured crossover, docs/PERFORMANCE.md section 2).
@@ -87,9 +89,7 @@ class SymbolTable:
         self.symbols = symbols
         long_by_prefix: dict[int, list[tuple[int, int, bytes]]] = {}
         short_codes = [-1] * 256
-        starter = np.zeros(256, dtype=bool)
         for code, sym in enumerate(symbols):
-            starter[sym[0]] = True
             if len(sym) == 1:
                 if short_codes[sym[0]] < 0:
                     short_codes[sym[0]] = code
@@ -100,7 +100,7 @@ class SymbolTable:
             entries.sort(key=lambda e: (-e[1], e[0]))
         self._long_by_prefix = long_by_prefix
         self._short_codes = short_codes
-        self._starter_lut = starter
+        self._starter_lut: np.ndarray | None = None  # built by the one reader, _next_starter
         self._tokenizer: tuple | None = None
 
     def _build_tokenizer(self) -> tuple:
@@ -129,6 +129,9 @@ class SymbolTable:
     def _next_starter(self, data: bytes) -> "np.ndarray | None":
         """``next_starter[i]`` = first position >= i whose byte can start a
         symbol (``len(data)`` past the last). ``None`` when every byte can."""
+        if self._starter_lut is None:
+            self._starter_lut = np.zeros(256, dtype=bool)
+            self._starter_lut[[sym[0] for sym in self.symbols]] = True
         codes = np.frombuffer(data, dtype=np.uint8)
         starter = self._starter_lut[codes]
         if starter.all():
@@ -303,11 +306,18 @@ def _take_sample(buffer: bytes, target: int = _SAMPLE_TARGET) -> bytes:
 
 
 def train_symbol_table(buffer: bytes) -> SymbolTable:
-    """Build a symbol table with the FSST bottom-up iteration."""
+    """Build a symbol table with the FSST bottom-up iteration.
+
+    Each generation counts on a growing prefix of *every* sample chunk, so
+    all of them see the block's whole spread and the last the whole sample.
+    """
     sample = _take_sample(buffer)
+    chunk = -(-len(sample) // 8) or 1
     table = SymbolTable([])
-    for _generation in range(_GENERATIONS):
-        singles, pairs = table.compress_counting(sample)
+    for share in _SCHEDULE:
+        prefix = -(-chunk * share // 128)
+        part = b"".join(sample[i : i + prefix] for i in range(0, len(sample), chunk))
+        singles, pairs = table.compress_counting(part)
         gains: dict[bytes, int] = {}
         for sym, freq in singles.items():
             # A 1-byte symbol saves the escape byte; longer symbols save

@@ -55,6 +55,11 @@ class SelectionDecision:
     #: True when that verification failed — the survivor's node was not
     #: strictly smaller than Uncompressed, which ``chosen`` now names.
     survivor_rejected: bool = False
+    #: Pooled schemes the viability filter removed (none was estimated), and
+    #: the statistic Frequency's filter read: the share of the sample held by
+    #: its most frequent value (-1 when Frequency did not measure it).
+    filtered: list[str] = field(default_factory=list)
+    sample_top_share: float = -1.0
 
     def finish(self, compressed_bytes: int) -> None:
         """Record the real outcome once the block has been encoded."""
@@ -82,6 +87,8 @@ class SelectionDecision:
             "fallback": self.fallback,
             "sole_survivor": self.sole_survivor,
             "survivor_rejected": self.survivor_rejected,
+            "filtered": list(self.filtered),
+            "sample_top_share": self.sample_top_share,
         }
 
 

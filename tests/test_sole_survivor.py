@@ -55,10 +55,10 @@ class ForcedEstimateSelector(SchemeSelector):
             self._active_picks -= 1
 
 
-def compress_both(column: Column, config: BtrBlocksConfig | None = None):
+def compress_both(column: Column, config: BtrBlocksConfig | None = None, oracle=ForcedEstimateSelector):
     """``(new column, its trace, oracle column, its trace)`` for one column."""
     out = []
-    for cls in (SchemeSelector, ForcedEstimateSelector):
+    for cls in (SchemeSelector, oracle):
         trace = SelectionTrace()
         with use_trace(trace):
             out += [compress_column(column, selector=cls(config)), trace]
@@ -107,6 +107,16 @@ def every_third_null(count: int) -> RoaringBitmap | None:
     return RoaringBitmap.from_positions(np.arange(0, count, 3)) if count else None
 
 
+def lakebench_workloads():
+    """``(PARTITIONS, WORKLOADS)`` of the benchmark's own ``workloads`` module."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "lakebench"))
+    try:
+        from workloads import PARTITIONS, WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return PARTITIONS, WORKLOADS
+
+
 # -- the oracle over the round-trip fuzz corpus ---------------------------------
 
 
@@ -132,13 +142,11 @@ def test_fuzz_corpus_equal_or_smaller(ctype, block_size):
 
 def test_lakebench_partitions_are_bit_identical():
     """3 workloads x 4 partitions at seed 100: the shortcut fires (FSST on
-    ``l_comment``, Pseudodecimal on ``l_extendedprice``, ...) and every block
-    equals the oracle's, so ``compression_ratio`` cannot move."""
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "lakebench"))
-    try:
-        from workloads import PARTITIONS, WORKLOADS
-    finally:
-        sys.path.pop(0)
+    ``l_comment``, Pseudodecimal on ``l_extendedprice``, Dictionary on the
+    double blocks whose only other candidate was a Frequency without a
+    majority value — ``l_quantity`` / ``l_discount`` / ``l_tax`` — ...) and
+    every block equals the oracle's, so the rule moves no ``compression_ratio``."""
+    PARTITIONS, WORKLOADS = lakebench_workloads()
     fired: dict[str, set] = {}
     for name, workload in WORKLOADS.items():
         for partition in range(PARTITIONS):
@@ -153,8 +161,8 @@ def test_lakebench_partitions_are_bit_identical():
                 old = compress_column(column, selector=ForcedEstimateSelector(workload.config()))
                 assert [b.data for b in new.blocks] == [b.data for b in old.blocks]
                 fired.setdefault(name, set()).update(survivors)
-    assert fired["tpch_cold"] == fired["tpch_small_warm"] == {"fsst", "pseudodecimal"}
-    assert fired["bi_cold"] == {"fsst", "pseudodecimal", "dictionary"}
+    everything = {"fsst", "pseudodecimal", "dictionary"}
+    assert fired["tpch_cold"] == fired["tpch_small_warm"] == fired["bi_cold"] == everything
 
 
 # -- hostile shapes: where estimate and achieved size can disagree --------------
@@ -190,7 +198,10 @@ def sample_blind_doubles(rows: int = 16_384) -> np.ndarray:
 
 #: ``(name, type, values, sole survivor or None, guard rejected it, new < old)``
 HOSTILE = [
-    ("binary_8", ColumnType.STRING, random_binary_strings(4096, 8), "fsst", False, False),
+    # The estimate's hold-out table, trained on growing prefixes of a 2.5 KiB half
+    # sample, says 0.93 (1.01 under five full passes) and stores Uncompressed;
+    # the real node is the same 35,220 bytes as ever, 0.72x of it.
+    ("binary_8", ColumnType.STRING, random_binary_strings(4096, 8), "fsst", False, True),
     ("binary_50", ColumnType.STRING, random_binary_strings(4096, 50), "fsst", False, False),
     # The estimate said 0.998 and stored Uncompressed; the real node is 0.99x of it.
     ("binary_200", ColumnType.STRING, random_binary_strings(2048, 200), "fsst", False, True),

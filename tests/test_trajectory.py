@@ -21,6 +21,7 @@ trajectory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trajectory)
 
 COMMITTED = sorted(ROOT.glob("BENCH_*.json"))
+ISSUES = sorted(json.loads(path.read_text())["issue"] for path in COMMITTED)
 
 
 @pytest.mark.parametrize("path", COMMITTED, ids=lambda path: path.name)
@@ -30,11 +31,11 @@ def test_committed_entry_matches_the_schema(path):
 
 
 def test_trend_accepts_the_committed_series(capsys):
-    assert len(COMMITTED) >= 5
     assert trajectory.main(["trend"]) == 0
     out = capsys.readouterr().out
     assert "tpch_small_warm scan_mb_s" in out and "FAIL" not in out
-    assert all(f"issue {issue:>3} " in out for issue in (16, 17, 18, 19, 20))
+    assert ISSUES[:6] == [16, 17, 18, 19, 20, 22]
+    assert all(f"issue {issue:>3} " in out for issue in ISSUES)
 
 
 def _doctored_root(tmp_path: Path, doctor) -> Path:
@@ -86,11 +87,11 @@ def test_a_later_benchmark_json_does_not_unmake_the_older_entries(tmp_path, caps
             metric["bound"] = 1e-6  # every entry moved more than this, one way or the other
     declared["end_to_end"].append({"name": "new_ms", "unit": "ms", "better": "lower", "bound": 0.1})
     (root / "BENCHMARK.json").write_text(json.dumps(declared))
-    assert trajectory.trend(root) == 1  # no ValueError: all five entries still parse
+    assert trajectory.trend(root) == 1  # no ValueError: every older entry still parses
     out = capsys.readouterr().out
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert fails and all(re.match(r"FAIL issue 20: \w+ (setup_s seed|new_ms: not measured)", line)
-                         for line in fails)
+    newest = rf"FAIL issue {ISSUES[-1]}: \w+ (setup_s seed|new_ms: not measured)"
+    assert fails and all(re.match(newest, line) for line in fails)
     assert sum("new_ms: not measured" in line for line in fails) == len(declared["workloads"])
     assert "issue  16" in out and "WORSE than bound" in out
 
