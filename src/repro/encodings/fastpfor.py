@@ -40,21 +40,23 @@ from repro.encodings.wire import Reader, Writer
 _EXCEPTION_COST_BITS = 8 + 64
 
 
-def choose_widths(deltas: np.ndarray) -> np.ndarray:
+def choose_widths(deltas: np.ndarray, lens: "np.ndarray | None" = None) -> np.ndarray:
     """Pick the cost-minimising bit width for every page at once.
 
-    Builds a (P, 41) histogram of delta bit lengths, converts it to
-    "exceptions if width=w" counts by a reverse cumulative sum, and takes the
-    argmin of ``128*w + exceptions*cost`` per page.
+    Builds a (P, 41) histogram of delta bit lengths (``lens``, measured here
+    unless the caller already has them), converts it to "exceptions if
+    width=w" counts by a reverse cumulative sum, and takes the argmin of
+    ``128*w + exceptions*cost`` per page.
     """
     page_count = deltas.shape[0]
     if page_count == 0:
         return np.empty(0, dtype=np.int64)
-    lens = bit_lengths(deltas)  # (P, 128), values 0..40 (deltas fit 33 bits)
+    if lens is None:
+        lens = bit_lengths(deltas)  # (P, 128), values 0..40 (deltas fit 33 bits)
     max_w = int(lens.max()) if lens.size else 0
-    hist = np.zeros((page_count, max_w + 1), dtype=np.int64)
-    rows = np.repeat(np.arange(page_count), PAGE)
-    np.add.at(hist, (rows, lens.reshape(-1)), 1)
+    cells = (np.arange(page_count) * (max_w + 1))[:, None] + lens
+    hist = np.bincount(cells.reshape(-1), minlength=page_count * (max_w + 1))
+    hist = hist.reshape(page_count, max_w + 1)
     # exceeding[p, w] = number of values on page p with bit length > w
     exceeding = hist[:, ::-1].cumsum(axis=1)[:, ::-1]
     exceeding = np.concatenate(
@@ -77,8 +79,8 @@ class FastPFOR(FastBP128):
 
     def compress(self, values: np.ndarray, ctx: CompressionContext) -> bytes:
         deltas, refs = paginate(values)
-        widths = choose_widths(deltas)
         lens = bit_lengths(deltas)
+        widths = choose_widths(deltas, lens)
         exc_mask = lens > widths[:, None]
         exc_pages, exc_slots = np.nonzero(exc_mask)
         exc_values = deltas[exc_pages, exc_slots]

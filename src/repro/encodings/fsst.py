@@ -7,9 +7,10 @@ built per block. Code 255 is an escape: the next stream byte is a literal.
 This is a from-scratch implementation of the same format:
 
 * **Training** follows the FSST bottom-up construction: several generations
-  of (a) compressing a sample with the current table while counting symbol
+  of (a) parsing a sample with the current table while counting symbol
   hits and adjacent-symbol pairs, then (b) keeping the 255 highest-gain
-  candidates (gain = frequency x length).
+  candidates (gain = frequency x length). A generation is whole-array work
+  on ``(word, length)`` keys; only the final table becomes ``bytes``.
 * **Compression** greedily emits the longest matching symbol per position.
   Small buffers walk a first-two-byte candidate index; large ones are
   tokenised by the symbol table compiled into one longest-match byte-trie
@@ -214,85 +215,29 @@ class SymbolTable:
             out += b"".join(map(emit.__getitem__, tokens))
         return bytes(out)
 
-    def compress_counting(self, data: bytes) -> tuple[dict[bytes, int], dict[bytes, int]]:
-        """Compress while counting symbol hits and adjacent concatenations.
 
-        Returns ``(symbol_counts, pair_counts)`` where pair keys are the
-        concatenated bytes of two adjacent matches (capped at 8 bytes).
-        """
-        if not self.symbols:
-            return _count_literals(data)
-        singles: dict[bytes, int] = {}
-        pairs: dict[bytes, int] = {}
-        long_by_prefix = self._long_by_prefix
-        short_codes = self._short_codes
-        symbols = self.symbols
-        startswith = data.startswith
-        pos = 0
-        n = len(data)
-        last = n - 1
-        prev: bytes | None = None
-        while pos < n:
-            first = data[pos]
-            match = None
-            if pos < last:
-                cands = long_by_prefix.get((first << 8) | data[pos + 1])
-                if cands is not None:
-                    for _code, length, sym in cands:
-                        if length == 2 or startswith(sym, pos):
-                            match = sym
-                            break
-            if match is None:
-                code = short_codes[first]
-                match = symbols[code] if code >= 0 else data[pos : pos + 1]
-            singles[match] = singles.get(match, 0) + 1
-            if prev is not None and len(prev) + len(match) <= MAX_SYMBOL_LENGTH:
-                joined = prev + match
-                pairs[joined] = pairs.get(joined, 0) + 1
-            prev = match
-            pos += len(match)
-        return singles, pairs
+_ESCAPED_BYTES = [re.escape(bytes([byte])) for byte in range(256)]
 
 
 def _trie_branches(node: dict) -> list[bytes]:
-    """One regex alternative per child byte of a symbol-trie node."""
-    branches = []
+    """One regex alternative per child byte of a symbol-trie node, the leaves
+    among them as one character class (siblings differ in this byte, so their
+    order cannot change the parse)."""
+    branches, leaves = [], []
     for byte, child in node.items():
         if byte is None:
+            continue
+        if len(child) == 1 and None in child:
+            leaves.append(_ESCAPED_BYTES[byte])
             continue
         tails = _trie_branches(child)
         if None in child:
             tails.append(b"")  # tried last: the symbol ending here
         tail = tails[0] if len(tails) == 1 else b"(?:" + b"|".join(tails) + b")"
-        branches.append(re.escape(bytes([byte])) + tail)
-    return branches
-
-
-def _count_literals(data: bytes) -> tuple[dict[bytes, int], dict[bytes, int]]:
-    """``compress_counting`` against an empty table, vectorised.
-
-    Every position matches as a 1-byte literal, so singles are per-byte
-    histograms and pairs are adjacent 2-byte histograms. Dict insertion
-    order replicates the scan order (first occurrence first) because
-    training's gain sort is stable and ties break on that order.
-    """
-    singles: dict[bytes, int] = {}
-    pairs: dict[bytes, int] = {}
-    codes = np.frombuffer(data, dtype=np.uint8)
-    if codes.size == 0:
-        return singles, pairs
-    values, first_seen, counts = np.unique(codes, return_index=True, return_counts=True)
-    for i in np.argsort(first_seen, kind="stable"):
-        singles[bytes([values[i]])] = int(counts[i])
-    if codes.size > 1:
-        pair_keys = (codes[:-1].astype(np.int32) << 8) | codes[1:]
-        values2, first_seen2, counts2 = np.unique(
-            pair_keys, return_index=True, return_counts=True
-        )
-        for i in np.argsort(first_seen2, kind="stable"):
-            key = int(values2[i])
-            pairs[bytes([key >> 8, key & 0xFF])] = int(counts2[i])
-    return singles, pairs
+        branches.append(_ESCAPED_BYTES[byte] + tail)
+    if len(leaves) > 1:
+        return branches + [b"[" + b"".join(leaves) + b"]"]
+    return branches + leaves
 
 
 def _take_sample(buffer: bytes, target: int = _SAMPLE_TARGET) -> bytes:
@@ -305,29 +250,105 @@ def _take_sample(buffer: bytes, target: int = _SAMPLE_TARGET) -> bytes:
     return b"".join(parts)
 
 
+#: ``_LOW_BYTES[n]``: the low ``n`` bytes of a little-endian 8-byte window.
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(MAX_SYMBOL_LENGTH + 1)], dtype="<u8")
+
+
+def _match_lengths(windows: np.ndarray, words: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Length of the longest symbol of ``(words, lens)`` at every position, 1 where
+    none matches: one pass per symbol length, longest first, over the positions
+    whose 2-byte prefix starts such a symbol and that no longer symbol claimed."""
+    n = windows.size
+    length = np.ones(n, dtype=np.uint8)
+    # Bit L of a 2-byte prefix: a symbol of length L starts with it.
+    prefixes = np.zeros(1 << 16, dtype=np.uint16)
+    np.bitwise_or.at(prefixes, words.astype(np.uint16), np.left_shift(1, lens, dtype=np.uint16))
+    unclaimed = prefixes.take(windows.astype(np.uint16))
+    for size in range(MAX_SYMBOL_LENGTH, 1, -1):
+        symbols = words[lens == size]
+        if not symbols.size:
+            continue
+        fits = max(n - size + 1, 0)  # the zero padding past the end is not data
+        at = np.flatnonzero(unclaimed[:fits] & (1 << size))
+        if size > 2:  # a 2-byte symbol is its prefix
+            symbols.sort()
+            window = windows[at] & _LOW_BYTES[size]
+            slot = np.minimum(symbols.searchsorted(window), symbols.size - 1)
+            at = at[symbols[slot] == window]
+        length[at] = size
+        unclaimed[at] = 0
+    return length
+
+
+def _greedy_parse(length: np.ndarray) -> list[int]:
+    """Token start positions: the orbit of 0 under ``i -> i + length[i]``."""
+    steps = length.tolist()
+    count = len(steps)
+    starts = []
+    append = starts.append
+    pos = 0
+    while pos < count:
+        append(pos)
+        pos += steps[pos]
+    return starts
+
+
+def _next_generation(part: bytes, words: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parse ``part`` with the table ``(words, lens)`` — symbols as zero-padded
+    little-endian ``uint64`` — and keep the 255 highest-gain candidates.
+
+    Candidates are the parse's tokens, then its adjacent pairs of at most 8
+    bytes, each in scan order; gain = frequency x length (a 1-byte symbol
+    saves the escape byte, a longer one its length minus the output code)
+    and ties keep first-appearance order.
+    """
+    if not part:
+        return words, lens
+    # The 8 bytes at every position as one word, zeros past the end: what
+    # ``strutil.pool_words`` reads, for every start and without its index.
+    windows = np.ndarray(len(part), "<u8", part + bytes(MAX_SYMBOL_LENGTH - 1), strides=(1,)).copy()
+    if words.size:
+        length = _match_lengths(windows, words, lens)
+        starts = np.array(_greedy_parse(length), dtype=np.intp)
+        token_lens = length[starts]
+        tokens = windows[starts] & _LOW_BYTES[token_lens]
+    else:  # every byte is a literal
+        token_lens = np.ones(windows.size, dtype=np.uint8)
+        tokens = windows & _LOW_BYTES[1]
+    pair_lens = token_lens[:-1] + token_lens[1:]
+    first = np.flatnonzero(pair_lens <= MAX_SYMBOL_LENGTH)
+    pairs = tokens[first] | (tokens[first + 1] << (8 * token_lens[first]).astype("<u8"))
+    cand_words = np.concatenate((tokens, pairs))
+    cand_lens = np.concatenate((token_lens, pair_lens[first]))
+    order = np.lexsort((cand_words, cand_lens))  # stable: a group's first row is its first appearance
+    cand_words, cand_lens = cand_words[order], cand_lens[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (cand_words[1:] != cand_words[:-1]) | (cand_lens[1:] != cand_lens[:-1])
+    heads = np.flatnonzero(new)
+    counts = np.diff(np.append(heads, order.size))
+    seen = np.argsort(order[heads])  # first appearance: tokens before pairs, each in scan order
+    heads, counts = heads[seen], counts[seen]
+    gains = counts * cand_lens[heads]
+    best = heads[np.argsort(-gains, kind="stable")[:MAX_SYMBOLS]]
+    return cand_words[best], cand_lens[best]
+
+
 def train_symbol_table(buffer: bytes) -> SymbolTable:
     """Build a symbol table with the FSST bottom-up iteration.
 
     Each generation counts on a growing prefix of *every* sample chunk, so
     all of them see the block's whole spread and the last the whole sample.
+    Generations hand each other arrays; only the last table becomes ``bytes``.
     """
     sample = _take_sample(buffer)
     chunk = -(-len(sample) // 8) or 1
-    table = SymbolTable([])
+    words, lens = np.empty(0, dtype="<u8"), np.empty(0, dtype=np.uint8)
     for share in _SCHEDULE:
         prefix = -(-chunk * share // 128)
         part = b"".join(sample[i : i + prefix] for i in range(0, len(sample), chunk))
-        singles, pairs = table.compress_counting(part)
-        gains: dict[bytes, int] = {}
-        for sym, freq in singles.items():
-            # A 1-byte symbol saves the escape byte; longer symbols save
-            # their length minus the single output code.
-            gains[sym] = gains.get(sym, 0) + freq * len(sym)
-        for sym, freq in pairs.items():
-            gains[sym] = gains.get(sym, 0) + freq * len(sym)
-        best = sorted(gains.items(), key=lambda kv: kv[1], reverse=True)[:MAX_SYMBOLS]
-        table = SymbolTable([sym for sym, _gain in best])
-    return table
+        words, lens = _next_generation(part, words, lens)
+    raw = words.tobytes()
+    return SymbolTable([raw[8 * i : 8 * i + size] for i, size in enumerate(lens.tolist())])
 
 
 def _escape_positions(codes: np.ndarray) -> np.ndarray:

@@ -24,16 +24,18 @@ _HEADER = struct.Struct("<BI")
 _ARRAY_HEAD = struct.Struct("<BI")
 _U32 = struct.Struct("<I")
 
-_DTYPE_CODES: dict[str, int] = {
-    "uint8": 0,
-    "int32": 1,
-    "int64": 2,
-    "float64": 3,
-    "uint16": 4,
-    "uint32": 5,
-    "uint64": 6,
+#: Wire code of each array dtype, keyed by the dtype object itself: it hashes
+#: in C, where ``dtype.name`` runs Python on every ``Writer.array`` call.
+_DTYPE_CODES: dict[np.dtype, int] = {
+    np.dtype("uint8"): 0,
+    np.dtype("int32"): 1,
+    np.dtype("int64"): 2,
+    np.dtype("float64"): 3,
+    np.dtype("uint16"): 4,
+    np.dtype("uint32"): 5,
+    np.dtype("uint64"): 6,
 }
-_CODE_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
+_CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 
 def wrap(scheme_id: int, count: int, payload: bytes) -> bytes:
@@ -74,7 +76,7 @@ class Writer:
     def array(self, arr: np.ndarray) -> "Writer":
         """A length- and dtype-prefixed numpy array."""
         arr = np.ascontiguousarray(arr)
-        code = _DTYPE_CODES.get(arr.dtype.name)
+        code = _DTYPE_CODES.get(arr.dtype)
         if code is None:
             raise ValueError(f"unsupported dtype {arr.dtype}")
         raw = arr.tobytes()

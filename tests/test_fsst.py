@@ -314,11 +314,13 @@ class TestMatcherEquivalence:
         assert after - before < 16 * 1024
 
     def test_counting_preserves_first_occurrence_order(self, rng):
-        # Training's gain sort is stable and ties break on dict insertion
-        # order, so the vectorised empty-table counter must list singles and
-        # pairs in first-occurrence scan order, exactly like a naive loop.
+        # Training's gain sort is stable and ties break on first appearance,
+        # so the reference trainer's vectorised empty-table counter must list
+        # singles and pairs in first-occurrence scan order, like a naive loop.
+        from fsst_reference import compress_counting
+
         data = bytes(rng.integers(0, 64, 1000, dtype=np.uint8))
-        singles, pairs = SymbolTable([]).compress_counting(data)
+        singles, pairs = compress_counting(SymbolTable([]), data)
         naive_singles, naive_pairs = {}, {}
         for i in range(len(data)):
             s = data[i : i + 1]

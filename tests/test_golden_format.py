@@ -48,6 +48,8 @@ REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
 #: as of PR 20, whose trainer counted every generation on the whole sample —
 #: files in the wild hold symbol tables trained that way.
 DECODE_ONLY = {"scheme_fsst.five_full_passes.bin"}
+#: Written and held by ``test_sole_survivor.py``; regeneration here leaves it alone.
+HELD_ELSEWHERE = {"lakebench_partitions.json"}
 
 
 def _encode(scheme_id: int, values) -> bytes:
@@ -180,7 +182,8 @@ def test_regen_writes_fixtures(fixtures):
         for stale in GOLDEN_DIR.glob("*.btr*"):
             stale.unlink()
         for stale in GOLDEN_DIR.glob("*.json"):
-            stale.unlink()
+            if stale.name not in HELD_ELSEWHERE:
+                stale.unlink()
         for name, blob in fixtures.items():
             (GOLDEN_DIR / name).write_bytes(blob)
     missing = [name for name in fixtures if not (GOLDEN_DIR / name).exists()]
@@ -193,7 +196,7 @@ def test_no_orphan_fixtures(fixtures):
         for p in GOLDEN_DIR.iterdir()
         if p.suffix in {".bin", ".btr", ".btrc", ".json"}
     }
-    assert on_disk == set(fixtures) | DECODE_ONLY, "fixture set drifted from the test's inputs"
+    assert on_disk == set(fixtures) | DECODE_ONLY | HELD_ELSEWHERE, "fixture set drifted from the test's inputs"
 
 
 @pytest.mark.parametrize("name", sorted(all_fixtures()))

@@ -8,7 +8,7 @@ schemes behind :class:`OldViabilitySelector`, and every block in this file is
 compressed under both: the bytes are equal, or the block is listed below with
 both decisions. The FSST trainer is held fixed on both sides — for the
 benchmark's tables at seed 100 at the parent commit's
-(``test_fsst_training.train_five_full_passes``), so "equal" there means equal
+(``fsst_reference.train_five_full_passes``), so "equal" there means equal
 to the parent commit's output.
 """
 
@@ -35,7 +35,7 @@ from repro.encodings.frequency import (
 from repro.observe import SelectionTrace, use_trace
 from repro.types import Column, ColumnType, StringArray, columns_equal
 
-from test_fsst_training import train_five_full_passes
+from fsst_reference import train_five_full_passes
 from test_sole_survivor import FUZZ_CASES, every_third_null, lakebench_workloads
 from test_sole_survivor import compress_both as _compress_both
 

@@ -12,8 +12,11 @@ reason is on its ``SelectionDecision``, and both outputs round-trip.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,11 @@ from repro.observe import MetricsRegistry, SelectionTrace, use_registry, use_tra
 from repro.types import Column, ColumnType, StringArray, columns_equal
 
 from test_roundtrip_fuzz import DOUBLE_CASES, INT_CASES, STRING_CASES
+
+#: blake2b per workload x partition over every block's bytes + NULL bitmap at
+#: seed 100: ``compression_ratio`` stays bit-equal unless a PR says otherwise
+#: (``REPRO_REGEN_GOLDEN=1`` rewrites it, and the PR then has to say why).
+PARTITION_DIGESTS = Path(__file__).parent / "golden" / "lakebench_partitions.json"
 
 FUZZ_CASES = {
     ColumnType.INTEGER: INT_CASES,
@@ -145,15 +153,22 @@ def test_lakebench_partitions_are_bit_identical():
     ``l_comment``, Pseudodecimal on ``l_extendedprice``, Dictionary on the
     double blocks whose only other candidate was a Frequency without a
     majority value — ``l_quantity`` / ``l_discount`` / ``l_tax`` — ...) and
-    every block equals the oracle's, so the rule moves no ``compression_ratio``."""
+    every block equals the oracle's, so the rule moves no ``compression_ratio``.
+    The same blocks are also held to the committed ``PARTITION_DIGESTS``, so no
+    other change moves it unnoticed either."""
     PARTITIONS, WORKLOADS = lakebench_workloads()
     fired: dict[str, set] = {}
+    digests: dict[str, str] = {}
     for name, workload in WORKLOADS.items():
         for partition in range(PARTITIONS):
+            digest = hashlib.blake2b(digest_size=16)
             for column in workload.generate(100, partition).columns:
                 trace = SelectionTrace()
                 with use_trace(trace):
                     new = compress_column(column, selector=SchemeSelector(workload.config()))
+                for block in new.blocks:
+                    digest.update(block.data)
+                    digest.update(block.nulls or b"-")
                 survivors = {d.sole_survivor for d in trace.decisions() if d.sole_survivor}
                 if not survivors:
                     continue  # no estimate was skipped: the parent's code path, verbatim
@@ -161,8 +176,12 @@ def test_lakebench_partitions_are_bit_identical():
                 old = compress_column(column, selector=ForcedEstimateSelector(workload.config()))
                 assert [b.data for b in new.blocks] == [b.data for b in old.blocks]
                 fired.setdefault(name, set()).update(survivors)
+            digests[f"{name}/{partition}"] = digest.hexdigest()
     everything = {"fsst", "pseudodecimal", "dictionary"}
     assert fired["tpch_cold"] == fired["tpch_small_warm"] == fired["bi_cold"] == everything
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        PARTITION_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    assert digests == json.loads(PARTITION_DIGESTS.read_text())
 
 
 # -- hostile shapes: where estimate and achieved size can disagree --------------

@@ -1,6 +1,8 @@
 """Tests for the block statistics pass."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.stats import column_stats, compute_stats
 from repro.types import Column, ColumnType, StringArray
@@ -52,6 +54,52 @@ class TestDoubleStats:
         values = np.array([np.nan] * 4 + [1.0] * 4)
         stats = compute_stats(values, ColumnType.DOUBLE)
         assert stats.avg_run_length == 4.0
+
+
+#: Bit patterns a distinct count must keep apart or collapse exactly as the
+#: ``uint64`` view does: two quiet-NaN payloads, a signalling and a negative
+#: NaN, both zeros, both infinities, a denormal.
+_SPECIAL_BITS = [
+    0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000,
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x3FF0000000000000,
+]
+
+
+class TestDistinctCountIsTheUniqueCount:
+    """``_numeric_stats`` counts distinct values as the runs of one sort; the
+    ``np.unique`` it replaced is the oracle, bitwise on doubles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-(2**31), 2**31 - 1) | st.integers(-3, 3), max_size=300))
+    def test_int32(self, values):
+        block = np.array(values, dtype=np.int32)
+        assert compute_stats(block, ColumnType.INTEGER).distinct_count == np.unique(block).size
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(_SPECIAL_BITS) | st.integers(0, 2**64 - 1), max_size=300))
+    def test_doubles_bitwise(self, bits):
+        block = np.array(bits, dtype=np.uint64).view(np.float64)
+        stats = compute_stats(block, ColumnType.DOUBLE)
+        assert stats.distinct_count == np.unique(block.view(np.uint64)).size
+        assert stats.distinct_value_bytes == 8 * stats.distinct_count
+
+    def test_nan_payloads_zeros_and_infinities(self):
+        block = np.array(_SPECIAL_BITS[:8] * 3, dtype=np.uint64).view(np.float64)
+        assert compute_stats(block, ColumnType.DOUBLE).distinct_count == 8
+
+    def test_empty_one_value_and_all_distinct(self):
+        for ctype, dtype in ((ColumnType.INTEGER, np.int32), (ColumnType.DOUBLE, np.float64)):
+            assert compute_stats(np.empty(0, dtype=dtype), ctype).distinct_count == 0
+            assert compute_stats(np.full(1, 7, dtype=dtype), ctype).distinct_count == 1
+            assert compute_stats(np.full(4096, 7, dtype=dtype), ctype).distinct_count == 1
+            shuffled = np.random.default_rng(0).permutation(16_384).astype(dtype)
+            assert compute_stats(shuffled, ctype).distinct_count == 16_384
+
+    def test_the_block_is_not_sorted_in_place(self):
+        block = np.array([3, 1, 2, 1], dtype=np.int32)
+        compute_stats(block, ColumnType.INTEGER)
+        assert block.tolist() == [3, 1, 2, 1]
 
 
 class TestStringStats:

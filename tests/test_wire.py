@@ -46,6 +46,16 @@ class TestWriterReader:
         with pytest.raises(ValueError):
             Writer().array(np.zeros(2, dtype=np.float32))
 
+    def test_dtype_spellings_share_a_code_and_foreign_byte_order_is_rejected(self):
+        # The code is looked up by dtype object: every spelling of a native
+        # dtype is that object, a byte-swapped one is not (its raw bytes
+        # would decode as different numbers under the native code).
+        for spelling in ("<i4", "=i4", "i", np.int32, np.intc):
+            assert Writer().array(np.arange(3, dtype=spelling)).getvalue()[0] == 1
+        assert Writer().array(np.arange(3, dtype=np.longlong)).getvalue()[0] == 2
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            Writer().array(np.arange(3, dtype=">i4"))
+
     def test_blob(self):
         blob = Writer().blob(b"abc").blob(b"").getvalue()
         reader = Reader(blob)
