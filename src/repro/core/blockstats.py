@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encodings.strutil import encode_distinct
+from repro.encodings.strutil import distinct_rows, encode_distinct
 from repro.exceptions import FormatError
 from repro.types import Column, ColumnType
 
@@ -196,9 +196,9 @@ def compute_block_stats(
     bloom = None
     if chunk.ctype is ColumnType.STRING:
         # Memoised on the chunk: the selector already coded these rows.
-        codes, uniques = encode_distinct(chunk.data)
-        present = uniques.to_pylist()
+        present = distinct_rows(chunk.data)
         if null_count:
+            codes = encode_distinct(chunk.data)[0]
             present = [present[code] for code in np.unique(codes[~null_mask]).tolist()]
         min_bytes, max_bytes = _string_bounds(present)
         if 0 < len(present) <= bloom_max_distinct:

@@ -294,6 +294,17 @@ class SchemeSelector:
             else:
                 decision.filtered.append(scheme.name)
         decision.sample_top_share = stats.sample_top_share
+        # A filter in front of the estimate: a survivor leaves when another
+        # survivor of this pick already beats it on the statistics.
+        by_id = {scheme.scheme_id: scheme for scheme in survivors}
+        viable, survivors = survivors, []
+        for scheme in viable:
+            dominator = scheme.dominated_by(stats, by_id)
+            if dominator is None:
+                survivors.append(scheme)
+            else:
+                decision.dominated[scheme.name] = dominator.name
+                get_registry().incr(f"selector.dominated.{scheme.name}")
         if len(survivors) == 1 and self._active_picks == 1:
             # Nothing to choose among on a pick that serves a real encode:
             # _compress_node answers "this or Uncompressed?" from the achieved

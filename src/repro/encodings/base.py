@@ -157,6 +157,12 @@ class Scheme(ABC):
         schemes need nothing beyond the standard statistics pass.
         """
 
+    def dominated_by(self, stats: "Stats", survivors: "dict[int, Scheme]") -> "Scheme | None":
+        """The viable scheme of this pick (``survivors``, by scheme id) that the
+        statistics alone say beats this one, so it is dropped un-estimated
+        (a filter in front of paper step 3). Default: none."""
+        return None
+
     def estimate_ratio(
         self, sample: Values, stats: "Stats", ctx: "CompressionContext"
     ) -> float:

@@ -207,6 +207,14 @@ class DictInt(_NumericDict):
     scheme_id = SchemeId.DICT_INT
     ctype = ColumnType.INTEGER
 
+    def dominated_by(self, stats, survivors):
+        """A viable bit-packer, when dense codes would be as wide as the
+        frame-of-reference values it packs — and Dictionary adds a pool."""
+        value_range = int(stats.max_value - stats.min_value)
+        if (stats.distinct_count - 1).bit_length() >= value_range.bit_length():
+            return survivors.get(SchemeId.FAST_BP128) or survivors.get(SchemeId.FAST_PFOR)
+        return None
+
 
 class DictDouble(_NumericDict):
     scheme_id = SchemeId.DICT_DOUBLE

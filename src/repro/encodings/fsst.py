@@ -54,6 +54,12 @@ MAX_SYMBOL_LENGTH = 8
 #: reference construction: every table but the last is replaced anyway.
 _SCHEDULE = (8, 38, 68, 98, 128)
 _SAMPLE_TARGET = 16 * 1024
+#: FSST is not estimated beside a viable Dictionary whose dedupe saving per
+#: row is at least this many code widths. Measured from both sides
+#: (docs/PERFORMANCE.md section 3): FSST's lead on its best text is 7% at 3.4
+#: and under 4% from 3.7 up; one-byte flags with 3-4 values read just under
+#: 4.0, where FSST is 1.5x Dictionary.
+MIN_DEDUPE_SAVING = 3.75
 #: Buffers at least this large amortise compiling the tokenizer pattern
 #: (~3 ms per table; measured crossover, docs/PERFORMANCE.md section 2).
 _TOKENIZER_THRESHOLD = 64 * 1024
@@ -433,6 +439,15 @@ class FSSTString(Scheme):
     def is_viable(self, stats, config) -> bool:
         # FSST needs actual string content to find symbols in.
         return stats.count > 0 and stats.total_string_bytes >= 16
+
+    def dominated_by(self, stats, survivors):
+        """A viable string Dictionary whose dedupe saving per row clears
+        :data:`MIN_DEDUPE_SAVING` times the width of one of its codes."""
+        saving = (1.0 - stats.unique_fraction) * stats.avg_string_length
+        code_bytes = (stats.distinct_count - 1).bit_length() / 8
+        if saving >= MIN_DEDUPE_SAVING * code_bytes:
+            return survivors.get(SchemeId.DICT_STRING)
+        return None
 
     def estimate_ratio(self, sample: StringArray, stats, ctx) -> float:
         """Holdout estimate: train the table on half the sample only.

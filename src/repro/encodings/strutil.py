@@ -40,6 +40,18 @@ def untrusted_strings(buffer: np.ndarray, offsets: np.ndarray) -> StringArray:
     return StringArray(buffer, offsets)
 
 
+def _distinct_memo(strings: StringArray) -> tuple[np.ndarray, StringArray, list[bytes]]:
+    """``(codes, uniques, the uniques as Python rows)``, memoised on ``strings``."""
+    if strings._distinct is None:
+        rows = strings.to_pylist()
+        uniques = list(dict.fromkeys(rows))  # first-appearance order
+        index = dict(zip(uniques, range(len(uniques))))
+        codes = np.fromiter(map(index.__getitem__, rows), dtype=np.int32, count=len(rows))
+        codes.flags.writeable = False
+        strings._distinct = (codes, StringArray.from_pylist(uniques), uniques)
+    return strings._distinct
+
+
 def encode_distinct(strings: StringArray) -> tuple[np.ndarray, StringArray]:
     """Map strings to dense codes in first-appearance order.
 
@@ -49,14 +61,13 @@ def encode_distinct(strings: StringArray) -> tuple[np.ndarray, StringArray]:
     the result is memoised on ``strings`` (``codes`` is read-only): a block
     is split into rows and coded once however many layers ask.
     """
-    if strings._distinct is None:
-        rows = strings.to_pylist()
-        uniques = list(dict.fromkeys(rows))  # first-appearance order
-        index = dict(zip(uniques, range(len(uniques))))
-        codes = np.fromiter(map(index.__getitem__, rows), dtype=np.int32, count=len(rows))
-        codes.flags.writeable = False
-        strings._distinct = (codes, StringArray.from_pylist(uniques))
-    return strings._distinct
+    return _distinct_memo(strings)[:2]
+
+
+def distinct_rows(strings: StringArray) -> list[bytes]:
+    """:func:`encode_distinct`'s ``uniques`` as the Python rows they were built
+    from (same memo, so the pool is never split again; do not mutate)."""
+    return _distinct_memo(strings)[2]
 
 
 def pool_words(buffer: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -60,6 +60,9 @@ class SelectionDecision:
     #: its most frequent value (-1 when Frequency did not measure it).
     filtered: list[str] = field(default_factory=list)
     sample_top_share: float = -1.0
+    #: Viable schemes dropped un-estimated because another survivor of the
+    #: same pick beats them on the statistics: ``scheme -> its dominator``.
+    dominated: dict[str, str] = field(default_factory=dict)
 
     def finish(self, compressed_bytes: int) -> None:
         """Record the real outcome once the block has been encoded."""
@@ -89,6 +92,7 @@ class SelectionDecision:
             "survivor_rejected": self.survivor_rejected,
             "filtered": list(self.filtered),
             "sample_top_share": self.sample_top_share,
+            "dominated": dict(self.dominated),
         }
 
 

@@ -47,8 +47,9 @@ class StringArray:
 
     ``buffer`` and ``offsets`` must be final at construction (fill
     preallocated arrays first, wrap them last): ``_distinct`` memoises
-    :func:`repro.encodings.strutil.encode_distinct`, its only writer, and
-    nothing invalidates it. The memo is not pickled.
+    :func:`repro.encodings.strutil.encode_distinct` (and ``distinct_rows``);
+    only ``strutil`` writes it and nothing invalidates it. The memo is not
+    pickled.
     """
 
     __slots__ = ("buffer", "offsets", "_distinct")

@@ -17,6 +17,7 @@ import zlib
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import repro
 from repro.bitmap import RoaringBitmap
@@ -26,6 +27,7 @@ from repro.core.compressor import compress_chunk_block, compress_column
 from repro.core.config import BtrBlocksConfig
 from repro.core.decompressor import decompress_column
 from repro.core.selector import SchemeSelector
+from repro.encodings import strutil
 from repro.query import Equals
 from repro.query.executor import filter_column
 from repro.types import Column, StringArray, columns_equal
@@ -57,6 +59,25 @@ def test_compressing_a_block_splits_its_rows_once(rng, monkeypatch):
         block = compress_chunk_block(chunk, 0, SchemeSelector(BtrBlocksConfig()))
         assert block.stats.min_bytes is not None
         assert split[id(chunk.data)] == 1, name
+        assert split[id(strutil.encode_distinct(chunk.data)[1])] == 0, name  # nor its pool, ever
+
+
+def test_block_statistics_split_nothing_the_selector_already_did(rng, monkeypatch):
+    """The zone map's bounds and Bloom filter read the distinct rows off the
+    memo: not the block again, and not the pool ``encode_distinct`` built from
+    those very rows (2.6 ms per 16,384-row ``l_comment`` block when it did)."""
+    blocks = _string_blocks(rng)
+    blocks["all_unique"] = Column.strings("comment", [b"row %d, no remarks" % i for i in range(6000)])
+    for name, chunk in blocks.items():
+        expected = blockstats.compute_block_stats(
+            Column(chunk.name, chunk.ctype, StringArray(chunk.data.buffer, chunk.data.offsets), chunk.nulls)
+        )
+        strutil.encode_distinct(chunk.data)  # what the selector's statistics pass leaves behind
+        with monkeypatch.context() as patch:
+            patch.setattr(StringArray, "to_pylist", lambda self: pytest.fail(f"{name}: rows split again"))
+            stats = blockstats.compute_block_stats(chunk)
+        assert stats == expected and stats.min_bytes is not None, name
+        assert strutil.distinct_rows(chunk.data) == strutil.encode_distinct(chunk.data)[1].to_pylist()
 
 
 def _lines_run_in_blockstats(chunk: Column) -> int:
