@@ -3,15 +3,12 @@
 Usage (also via ``python -m repro``)::
 
     python -m repro compress  data.csv  out.btr   [--block-size N] [--depth N]
-                                                  [--trace report.json]
-                                                  [--backend thread|process|auto] [--jobs N]
+                                                  [--trace report.json] [--jobs N]
     python -m repro decompress out.btr  back.csv  [--on-corrupt MODE]
-                                                  [--backend thread|process|auto] [--jobs N]
     python -m repro inspect   out.btr
     python -m repro stats     data.csv  [--decisions] [--output report.json]
     python -m repro scan      out.btr   [--columns a,b] [--fault-transient P]
-                              [--fault-truncate P] [--fault-corrupt P]
-                              [--backend thread|process|auto] [--jobs N] ...
+                              [--fault-truncate P] [--fault-corrupt P] ...
     python -m repro write     out.btr   [--fault-put-transient P] [--fault-torn P]
                               [--crash-after N] [--recover] ...
     python -m repro serve-bench [--tenants 1,4,16] [--requests N] [--output serve.json]
@@ -19,13 +16,12 @@ Usage (also via ``python -m repro``)::
 ``compress`` ingests a CSV (with type inference), compresses it and writes
 the single-buffer BtrBlocks serialization; ``--trace`` additionally dumps
 the observability report (per-column schemes, estimated vs. achieved
-ratios, phase timings) as JSON. ``--backend`` selects the parallel
-execution backend (``thread``, shared-memory ``process`` pool, or
-``auto``) for compress, decompress and scan-side block decode; ``--jobs``
-caps its worker count. Output bytes are identical across backends. ``inspect`` prints the per-column scheme
-histogram, sizes and ratios without decompressing any data. ``stats``
-compresses in memory purely to produce that JSON report. ``scan`` replays
-a column scan of the table through the simulated object store — optionally
+ratios, phase timings) as JSON; ``--jobs N`` compresses the blocks on N
+worker processes, with output bytes identical to the default single-process
+run. ``inspect`` prints the per-column scheme histogram, sizes and ratios
+without decompressing any data. ``stats`` compresses in memory purely to
+produce that JSON report. ``scan`` replays a column scan of the table
+through the simulated object store — optionally
 with an injected fault profile — and reports requests, retries, backoff,
 integrity events and simulated cost (see docs/RELIABILITY.md). ``write``
 replays the transactional *upload*: the table commits through the
@@ -80,31 +76,23 @@ def _int_from_env(name: str, fallback: int) -> int:
         raise SystemExit(f"repro: ${name}={raw!r} is not an integer") from None
 
 
-def _shutdown_process_pool(backend: "str | None") -> None:
-    """Tear down the warm worker pool after a one-shot CLI command."""
-    if backend in ("process", "auto"):
-        from repro import procpool
-
-        procpool.shutdown_pool()
-
-
 def _cmd_compress(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise SystemExit(
+            f"repro compress: --jobs must be a positive worker count (got {args.jobs})"
+        )
     text = Path(args.input).read_text(encoding="utf-8")
     relation = csv_to_relation(text, name=Path(args.input).stem)
     config = BtrBlocksConfig(block_size=args.block_size, max_cascade_depth=args.depth)
     registry, trace = MetricsRegistry(), SelectionTrace()
     with use_registry(registry), use_trace(trace):
-        if args.backend:
-            from repro.parallel import compress_relation_parallel
+        try:
+            compressed = compress_relation(relation, config, workers=args.jobs)
+        finally:
+            if args.jobs > 1:  # a one-shot command keeps no warm pool
+                from repro import procpool
 
-            try:
-                compressed = compress_relation_parallel(
-                    relation, config, max_workers=args.jobs, backend=args.backend
-                )
-            finally:
-                _shutdown_process_pool(args.backend)
-        else:
-            compressed = compress_relation(relation, config)
+                procpool.shutdown_pool()
     payload = relation_to_bytes(compressed)
     Path(args.output).write_bytes(payload)
     ratio = relation.nbytes / compressed.nbytes if compressed.nbytes else float("inf")
@@ -152,23 +140,9 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
         limits = replace(DEFAULT_DECODE_LIMITS, **overrides)
     compressed = relation_from_bytes(Path(args.input).read_bytes())
     with use_registry(registry):
-        if args.backend:
-            from repro.parallel import decompress_relation_parallel
-
-            try:
-                relation = decompress_relation_parallel(
-                    compressed,
-                    max_workers=args.jobs,
-                    on_corrupt=args.on_corrupt,
-                    limits=limits,
-                    backend=args.backend,
-                )
-            finally:
-                _shutdown_process_pool(args.backend)
-        else:
-            relation = decompress_relation(
-                compressed, on_corrupt=args.on_corrupt, limits=limits
-            )
+        relation = decompress_relation(
+            compressed, on_corrupt=args.on_corrupt, limits=limits
+        )
     Path(args.output).write_text(relation_to_csv(relation), encoding="utf-8")
     print(f"{args.input}: restored {relation.row_count} rows, "
           f"{len(relation.columns)} columns -> {args.output}")
@@ -200,19 +174,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     upload_btrblocks(store, compressed)
     registry, trace = MetricsRegistry(), SelectionTrace()
     with use_registry(registry), use_trace(trace):
-        try:
-            table = RemoteTable.open(
-                store,
-                compressed.name,
-                on_corrupt=args.on_corrupt,
-                parallel_backend=args.backend,
-                decode_workers=args.jobs,
-            )
-            names = ([c.strip() for c in args.columns.split(",") if c.strip()]
-                     if args.columns else None)
-            result = table.scan(columns=names)
-        finally:
-            _shutdown_process_pool(args.backend)
+        table = RemoteTable.open(store, compressed.name, on_corrupt=args.on_corrupt)
+        names = ([c.strip() for c in args.columns.split(",") if c.strip()]
+                 if args.columns else None)
+        result = table.scan(columns=names)
     pricing = store.pricing
     seconds = store.simulated_transfer_seconds()
     cost = pricing.request_cost(store.stats.get_requests) + pricing.compute_cost(seconds)
@@ -446,18 +411,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_args(sub: argparse.ArgumentParser) -> None:
-    """Shared execution-backend flags for compress/decompress/scan."""
-    from repro.core.config import PARALLEL_BACKENDS
-
-    sub.add_argument("--backend", choices=sorted(PARALLEL_BACKENDS),
-                     help="parallel execution backend: 'thread' (default), "
-                          "'process' (shared-memory worker pool) or 'auto'")
-    sub.add_argument("--jobs", type=int, metavar="N",
-                     help="worker count for the parallel backend "
-                          "(default: one per usable core)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -472,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument("--depth", type=int, default=3)
     compress.add_argument("--trace", metavar="PATH",
                           help="write the observability JSON report to PATH")
-    _add_backend_args(compress)
+    compress.add_argument("--jobs", type=int, default=1, metavar="N",
+                          help="compress blocks on N worker processes (default 1)")
     compress.set_defaults(func=_cmd_compress)
 
     decompress = sub.add_parser("decompress", help="decompress a .btr file to CSV")
@@ -484,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="decode limit: reject blocks declaring more rows")
     decompress.add_argument("--max-bytes-per-block", type=int, metavar="N",
                             help="decode limit: reject blocks declaring larger payloads")
-    _add_backend_args(decompress)
     decompress.set_defaults(func=_cmd_decompress)
 
     scan = sub.add_parser(
@@ -509,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="policy for checksum-damaged blocks (default raise)")
     scan.add_argument("--output", "-o", metavar="PATH",
                       help="write the observability JSON report to PATH")
-    _add_backend_args(scan)
     scan.set_defaults(func=_cmd_scan)
 
     write = sub.add_parser(

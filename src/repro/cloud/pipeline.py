@@ -48,9 +48,9 @@ from repro.core.decompressor import (
     make_context,
 )
 from repro.core.file_format import ColumnStreamParser
-from repro.exceptions import FormatError, WorkerDiedError
+from repro.exceptions import FormatError
 from repro.observe import get_registry
-from repro.types import Column, ColumnType
+from repro.types import ColumnType
 
 __all__ = [
     "ColumnPipelineStats",
@@ -223,8 +223,6 @@ def pipelined_fetch_column(
     cache=None,
     cache_key=None,
     executor: "ThreadPoolExecutor | None" = None,
-    backend: "str | None" = None,
-    max_workers: "int | None" = None,
 ):
     """Fetch + decode one column object with a K-chunk readahead pipeline.
 
@@ -235,17 +233,6 @@ def pipelined_fetch_column(
     (the metadata row count) sizes the zero-copy preallocation; without it
     — or for string columns — blocks decode through the legacy per-part
     assembly.
-
-    With ``backend="process"`` (or ``"auto"`` on a multi-core host), the
-    preallocated buffer lives in shared memory and each parsed block's
-    decode is handed to the process pool as it streams in
-    (:class:`~repro.procpool.ProcessBlockDecoder`) — fetch, parse and
-    multi-core decode all overlap. The decoded-block cache stays in the
-    parent: hits are copied into the shared buffer before dispatch, misses
-    are ``put`` from it after the drain. A process worker dying mid-scan is
-    *not* data damage — the parsed block bytes are intact in the parent —
-    so the pipeline re-decodes those blocks inline (counted under
-    ``parallel.backend.fallbacks``) instead of failing the scan.
 
     The streamed decode is always *strict*: any damage (checksum or parse
     failure in any block) raises immediately. Degrading a block here would
@@ -262,13 +249,6 @@ def pipelined_fetch_column(
     """
     if readahead < 1:
         raise ValueError(f"readahead window must be >= 1, got {readahead}")
-    from repro.parallel import resolve_backend
-
-    use_process_backend = (
-        resolve_backend(backend, None, None, max_workers) == "process"
-        if backend is not None
-        else False
-    )
     try:
         size = store.object_size(key)
     except KeyError:
@@ -290,9 +270,6 @@ def pipelined_fetch_column(
     parser = ColumnStreamParser(limits)
     ctx = make_context(True, limits=limits)
     buffer: "np.ndarray | None" = None
-    decoder = None  # ProcessBlockDecoder when the process backend is active
-    process_active = False
-    submitted: "list[tuple]" = []  # (block, row_offset, entry_key) in flight
     parts: "list[CorruptBlockResult | None]" = []
     legacy_parts: list = []
     total_rows = 0
@@ -304,36 +281,6 @@ def pipelined_fetch_column(
     requests = 0
     bytes_fetched = 0
     retry_seconds = 0.0
-
-    def out_slice(start: int, count: int) -> np.ndarray:
-        if decoder is not None:
-            return decoder.view(start, count)
-        return buffer[start : start + count]
-
-    def decode_inline(block, start: int, entry_key) -> None:
-        out = out_slice(start, block.count)
-        part = decode_block_into(block, parser.column.ctype, ctx, out)
-        if part is None and entry_key is not None:
-            cache.put(entry_key, out)
-        del out
-        parts.append(part)
-
-    def process_fallback() -> None:
-        """A worker died: re-decode every in-flight block in this process.
-
-        The block bytes are intact in the parent, so this is recovery, not
-        degradation — the scan's strict semantics are preserved.
-        """
-        nonlocal process_active
-        process_active = False
-        get_registry().incr("parallel.backend.fallbacks")
-        for block, start, entry_key in submitted:
-            out = out_slice(start, block.count)
-            part = decode_block_into(block, parser.column.ctype, ctx, out)
-            if part is None and entry_key is not None:
-                cache.put(entry_key, out)
-            del out
-        submitted.clear()
 
     own_executor = executor is None
     if own_executor:
@@ -364,24 +311,9 @@ def pipelined_fetch_column(
                 )
                 if use_prealloc:
                     total_rows = int(rows_hint)
-                    if use_process_backend:
-                        from repro.procpool import ProcessBlockDecoder
-
-                        # Sized past the whole object: every block payload is
-                        # a subset of the object's bytes (alignment padding is
-                        # what the slack covers).
-                        decoder = ProcessBlockDecoder(
-                            2 * size + 4096,
-                            total_rows,
-                            parser.column.ctype,
-                            limits=limits,
-                            max_workers=max_workers,
-                        )
-                        process_active = True
-                    else:
-                        buffer = np.empty(
-                            total_rows, dtype=_EMPTY_DTYPES[parser.column.ctype]
-                        )
+                    buffer = np.empty(
+                        total_rows, dtype=_EMPTY_DTYPES[parser.column.ctype]
+                    )
             for block in blocks:
                 if use_prealloc:
                     if row_offset + block.count > total_rows:
@@ -389,28 +321,19 @@ def pipelined_fetch_column(
                             f"column {key!r} declares more rows than its "
                             f"metadata ({total_rows})"
                         )
-                    start = row_offset
-                    row_offset += block.count
                     entry_key, cached = cached_block(
                         cache, cache_key, block_index, block, ctx.limits
                     )
+                    out = buffer[row_offset : row_offset + block.count]
+                    row_offset += block.count
                     if cached is not None:
-                        out = out_slice(start, block.count)
                         np.copyto(out, cached, casting="unsafe")
-                        del out
                         parts.append(None)
-                        block_index += 1
-                        continue
-                    if process_active:
-                        try:
-                            decoder.submit(block, start)
-                            submitted.append((block, start, entry_key))
-                            parts.append(None)  # strict decode: errors raise at drain
-                        except WorkerDiedError:
-                            process_fallback()
-                            decode_inline(block, start, entry_key)
                     else:
-                        decode_inline(block, start, entry_key)
+                        part = decode_block_into(block, parser.column.ctype, ctx, out)
+                        if part is None and entry_key is not None:
+                            cache.put(entry_key, out)
+                        parts.append(part)
                 else:
                     legacy_parts.append(
                         decode_block(block, parser.column.ctype, ctx)
@@ -420,34 +343,13 @@ def pipelined_fetch_column(
 
         started = time.perf_counter()
         compressed = parser.finish()
-        if process_active:
-            try:
-                decoder.drain()
-                for block, start, entry_key in submitted:
-                    if entry_key is not None:
-                        out = decoder.view(start, block.count)
-                        cache.put(entry_key, out)
-                        del out
-                submitted.clear()
-            except WorkerDiedError:
-                process_fallback()
         if use_prealloc:
             if row_offset != total_rows:
                 raise FormatError(
                     f"column {key!r} holds {row_offset} rows but its metadata "
                     f"declares {total_rows}"
                 )
-            if decoder is not None:
-                buffer = decoder.buffer_view()
             column = assemble_column_preallocated(compressed, buffer, parts)
-            if decoder is not None:
-                data = column.data
-                if isinstance(data, np.ndarray) and not data.flags.owndata:
-                    # Still a view over the shared output segment — copy out
-                    # before the decoder unlinks it.
-                    column = Column(column.name, column.ctype, data.copy(), column.nulls)
-                del data
-                buffer = None
         else:
             column = assemble_column(compressed, legacy_parts)
         if decode_times:
@@ -458,8 +360,6 @@ def pipelined_fetch_column(
     finally:
         if own_executor:
             executor.shutdown(wait=True)
-        if decoder is not None:
-            decoder.close()
     get_registry().observe_seconds("decompress", sum(decode_times))
 
     schedule = pipeline_schedule(fetch_times, decode_times, readahead)

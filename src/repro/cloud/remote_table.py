@@ -240,8 +240,6 @@ class RemoteTable:
         decode_cache_bytes: "int | None" = None,
         column_cache_bytes: "int | None" = None,
         readahead: "int | None" = None,
-        parallel_backend: "str | None" = None,
-        decode_workers: "int | None" = None,
         column_cache: "ByteBudgetLRU | None" = None,
         decode_cache: "DecodeCache | None" = None,
     ) -> None:
@@ -270,12 +268,6 @@ class RemoteTable:
         #: unversioned ``table.meta`` layout.
         self.version = version
         self.decode_limits = decode_limits
-        #: Decode execution backend ("thread" | "process" | "auto"; ``None``
-        #: = thread). Process decodes run on the shared-memory pool in
-        #: :mod:`repro.procpool`; see :func:`repro.parallel.resolve_backend`.
-        self.parallel_backend = parallel_backend
-        #: Worker count for the process backend (``None`` = usable CPUs).
-        self.decode_workers = decode_workers
         #: Validated manifest zone maps per column; ``None`` = known absent
         #: or rejected (``cloud.scan.zonemap.invalid``).
         self._zone_maps: "dict[str, ColumnZoneMap | None]" = {}
@@ -316,8 +308,6 @@ class RemoteTable:
         decode_cache_bytes: "int | None" = None,
         column_cache_bytes: "int | None" = None,
         readahead: "int | None" = None,
-        parallel_backend: "str | None" = None,
-        decode_workers: "int | None" = None,
         column_cache: "ByteBudgetLRU | None" = None,
         decode_cache: "DecodeCache | None" = None,
     ) -> "RemoteTable":
@@ -356,8 +346,6 @@ class RemoteTable:
                 decode_cache_bytes=decode_cache_bytes,
                 column_cache_bytes=column_cache_bytes,
                 readahead=readahead,
-                parallel_backend=parallel_backend,
-                decode_workers=decode_workers,
                 column_cache=column_cache,
                 decode_cache=decode_cache,
             )
@@ -377,8 +365,6 @@ class RemoteTable:
             decode_cache_bytes=decode_cache_bytes,
             column_cache_bytes=column_cache_bytes,
             readahead=readahead,
-            parallel_backend=parallel_backend,
-            decode_workers=decode_workers,
             column_cache=column_cache,
             decode_cache=decode_cache,
         )
@@ -801,14 +787,7 @@ class RemoteTable:
         return result
 
     def _decompress_remote_column(self, compressed, cache_key, held: bool) -> Column:
-        """Decode one downloaded column through the configured backend.
-
-        The thread/inline path keeps the decoded-block cache; the process
-        backend bypasses it (its workers cannot be handed the parent-side
-        cached arrays) and applies the worker-death policy of
-        :func:`repro.parallel.decompress_relation_parallel` — a killed
-        worker raises :class:`~repro.exceptions.WorkerDiedError` under
-        ``on_corrupt="raise"`` and reruns on the thread path otherwise.
+        """Decode one downloaded column through the handle's decode cache.
 
         ``held`` — the column's compressed bytes were in the column cache
         *before* this scan fetched them (a re-scan, or another handle on
@@ -816,19 +795,6 @@ class RemoteTable:
         the first decode of a fresh download keeps none (measurements:
         :func:`~repro.core.decompressor.decompress_column`).
         """
-        from repro.parallel import decompress_column_parallel, resolve_backend
-
-        backend = resolve_backend(
-            self.parallel_backend, None, len(compressed.blocks), self.decode_workers
-        )
-        if backend == "process":
-            return decompress_column_parallel(
-                compressed,
-                max_workers=self.decode_workers,
-                on_corrupt=self.on_corrupt,
-                limits=self.decode_limits,
-                backend="process",
-            )
         return decompress_column(
             compressed,
             on_corrupt=self.on_corrupt,
@@ -986,8 +952,6 @@ class RemoteTable:
                             limits=self.decode_limits,
                             cache=self.decode_cache,
                             cache_key=cache_key,
-                            backend=self.parallel_backend,
-                            max_workers=self.decode_workers,
                         )
                     except (
                         IntegrityError,

@@ -139,8 +139,6 @@ def scan_btrblocks_columns_pipelined(
     column_indexes: list[int],
     readahead: int = DEFAULT_SCAN_READAHEAD,
     decode_cache=None,
-    backend: "str | None" = None,
-    max_workers: "int | None" = None,
 ) -> "tuple[ColumnScanResult, PipelinedScanReport]":
     """Column scan with chunk readahead overlapped against block decode.
 
@@ -152,8 +150,7 @@ def scan_btrblocks_columns_pipelined(
     decode, so the returned report's ``wall_seconds`` reflects
     ``max(fetch, decode)`` per step instead of their sum. Pass a
     :class:`~repro.core.cache.DecodeCache` to serve repeat scans from
-    decoded blocks, and ``backend="process"`` / ``"auto"`` to decode the
-    streamed blocks on the shared-memory process pool.
+    decoded blocks.
     """
     store.stats.reset()
     import json
@@ -169,8 +166,6 @@ def scan_btrblocks_columns_pipelined(
             rows_hint=entry.get("rows"),
             cache=decode_cache,
             cache_key=(entry["file"], None),
-            backend=backend,
-            max_workers=max_workers,
         )
         stats.append(column_stats)
     result = ColumnScanResult(

@@ -18,6 +18,7 @@ from repro.core.selector import SchemeSelector
 from repro.encodings.base import CompressionContext, Values, values_nbytes
 from repro.encodings.uncompressed import UNCOMPRESSED_BY_TYPE
 from repro.encodings.wire import wrap
+from repro.exceptions import WorkerDiedError
 from repro.observe import get_registry
 from repro.types import Column, ColumnType
 
@@ -58,16 +59,11 @@ def _compress_node(
                 decision.survivor_rejected = True
                 demoted = raw
     if demoted is not None:
-        if selector.cache is not None:
-            # Never let sticky selection hand the failing (or expanding)
-            # scheme to the next block.
-            selector.cache.invalidate(ctype)
         if decision is not None:
             decision.chosen = uncompressed.name
         framed = demoted
     if decision is not None:
         decision.finish(len(framed))
-        selector.observe_result(decision)
     return framed
 
 
@@ -134,7 +130,7 @@ def compress_chunk_block(
 def compress_column_block(
     column: Column, index: int, start: int, stop: int, selector: SchemeSelector
 ) -> CompressedBlock:
-    """Compress one block-range of a column (the unit of parallel fan-out).
+    """Compress one block-range of a column.
 
     The selector is positioned with :meth:`SchemeSelector.begin_block`, so
     the result depends only on ``(column, index, config, seed)`` — never on
@@ -167,12 +163,34 @@ def compress_column(
 def compress_relation(
     relation: Relation,
     config: BtrBlocksConfig | None = None,
+    *,
+    workers: int = 1,
 ) -> CompressedRelation:
     """Compress every column of a relation.
 
     Each column gets a fresh, identically-seeded selector so results do not
-    depend on column order and match the thread-parallel API bit for bit.
+    depend on column order. ``workers > 1`` fans the ``(column, block)``
+    tasks out to that many processes (:mod:`repro.procpool`); every block
+    is positioned with :meth:`SchemeSelector.begin_block`, so the bytes,
+    block statistics and selection decisions are the inline loop's. A
+    relation of one block task, or a worker death mid-call, runs inline.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1:
+        get_registry().incr("parallel.compress_runs")
+        block_size = (config or BtrBlocksConfig()).block_size
+        tasks = sum(
+            1 for column in relation.columns
+            for _ in iter_block_ranges(len(column), block_size)
+        )
+        if tasks > 1:
+            from repro import procpool
+
+            try:
+                return procpool.compress_relation_process(relation, config, workers)
+            except WorkerDiedError:
+                get_registry().incr("parallel.backend.fallbacks")
     out = CompressedRelation(relation.name)
     for column in relation.columns:
         out.columns.append(compress_column(column, selector=SchemeSelector(config)))

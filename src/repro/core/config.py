@@ -46,12 +46,6 @@ DEFAULT_COLUMN_CACHE_BYTES = 256 << 20
 #: Default chunk-fetch readahead window for pipelined remote scans.
 DEFAULT_SCAN_READAHEAD = 4
 
-#: Execution backends the block-parallel pipeline can run on.
-PARALLEL_BACKENDS = ("thread", "process", "auto")
-#: ``"auto"`` only dispatches to the process pool when a call carries at
-#: least this many block tasks — below it, fork/IPC overhead dominates.
-DEFAULT_PROCESS_MIN_TASKS = 4
-
 
 @dataclass
 class BtrBlocksConfig:
@@ -87,31 +81,6 @@ class BtrBlocksConfig:
     excluded_schemes: frozenset[int] = field(default_factory=frozenset)
     #: Scheme ids to restrict the pool to (None = all registered schemes).
     allowed_schemes: frozenset[int] | None = None
-    #: Opt-in sticky scheme selection (LEA-style): once a column block has
-    #: picked a top-level scheme, later blocks with similar statistics reuse
-    #: it without sample compression. Off by default — with it enabled,
-    #: compressed bytes may legally differ from a non-sticky run (a cached
-    #: scheme can beat-or-tie differently than full re-selection).
-    sticky_selection: bool = False
-    #: Re-run full selection after this many consecutive cache reuses.
-    sticky_revalidate_every: int = 16
-    #: Stats similarity gate: max absolute difference in unique fraction.
-    sticky_unique_tolerance: float = 0.15
-    #: Stats similarity gate: max relative difference in average run length.
-    sticky_run_tolerance: float = 0.5
-    #: Invalidate the cache when a reused scheme's achieved ratio drops below
-    #: this fraction of the ratio measured when the entry was validated.
-    sticky_drift_ratio: float = 0.7
-    #: Execution backend for block-parallel compress/decompress: "thread"
-    #: (the GIL-bound pool), "process" (shared-memory process pool — real
-    #: multi-core scaling), or "auto" (process when ≥2 usable CPUs and the
-    #: call is large enough to amortise IPC, thread otherwise). Output is
-    #: bit-identical across backends; the thread/inline path remains the
-    #: fallback when a process worker dies.
-    parallel_backend: str = "thread"
-    #: "auto" keeps calls with fewer block tasks than this on the thread
-    #: path (process-pool dispatch has per-call shm + pickling overhead).
-    process_min_tasks: int = DEFAULT_PROCESS_MIN_TASKS
 
     def sample_size(self) -> int:
         """Total sampled values per block."""

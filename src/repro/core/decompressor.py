@@ -310,13 +310,12 @@ def decode_block(
     ctx: DecompressionContext,
     on_corrupt: str = "raise",
 ) -> "Values | CorruptBlockResult":
-    """Decode one compressed block's values (the unit of parallel fan-out).
+    """Decode one compressed block's values.
 
     Verifies the block's stored CRC32 (when present) first; damage is
     raised as :class:`IntegrityError` or turned into a
     :class:`CorruptBlockResult` per ``on_corrupt``. Records no metrics;
-    per-column totals are accounted once by :func:`assemble_column` so
-    sequential and parallel runs produce identical counters.
+    per-column totals are accounted once by :func:`assemble_column`.
     """
     emitted = block.count if on_corrupt == "null_block" else 0
     if not _block_is_intact(block, ctx, on_corrupt):
@@ -502,20 +501,12 @@ def assemble_column(compressed: CompressedColumn, parts: "list[Values | CorruptB
 def preallocate_column(
     compressed: CompressedColumn,
     limits: "DecodeLimits | None" = None,
-    buffer=None,
 ) -> np.ndarray:
     """Allocate the full column array the zero-copy path decodes into.
 
     Every block's declared count is held to ``max_rows_per_block`` *before*
     sizing the allocation, so a lying header cannot trigger an allocation
     bomb that the per-block gate would only catch afterwards.
-
-    ``buffer`` retargets the column at caller-owned memory (a
-    ``multiprocessing.shared_memory`` segment slice, for the process
-    backend): the same validation runs, then the returned array is a view
-    over exactly the column's rows at the start of ``buffer`` instead of a
-    fresh allocation — workers in other processes decode into the same
-    physical pages.
     """
     if limits is None:
         from repro.core.config import DEFAULT_DECODE_LIMITS
@@ -525,10 +516,7 @@ def preallocate_column(
     for block in compressed.blocks:
         _hold_to_row_limit(block, limits)
         total += block.count
-    dtype = _EMPTY_DTYPES[compressed.ctype]
-    if buffer is None:
-        return np.empty(total, dtype=dtype)
-    return np.frombuffer(buffer, dtype=dtype, count=total)
+    return np.empty(total, dtype=_EMPTY_DTYPES[compressed.ctype])
 
 
 def assemble_column_preallocated(

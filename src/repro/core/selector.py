@@ -8,20 +8,11 @@ the schemes' child compression through this same selector one level deeper.
 Step 3 exists to choose *among* survivors: when the filter leaves exactly
 one, a pick that serves a real encode returns it un-estimated and the
 compressor holds the encoded node to Uncompressed by achieved size instead.
-
-:class:`SelectionCache` adds opt-in *sticky* selection across the blocks of
-one column (``BtrBlocksConfig.sticky_selection``): after one block has gone
-through full selection, later blocks whose statistics are similar reuse its
-top-level scheme without compressing a sample — the LEA-style observation
-that selection knowledge transfers between similar data. Entries are
-re-validated every N reuses and invalidated when the achieved ratio drifts.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,112 +25,10 @@ from repro.encodings.base import (
     Scheme,
     Values,
     default_pool,
-    get_scheme,
     values_nbytes,
 )
 from repro.encodings.uncompressed import UNCOMPRESSED_BY_TYPE
 from repro.types import ColumnType
-
-
-@dataclass
-class _StickyEntry:
-    """One cached top-level choice: the scheme plus the stats it was valid for."""
-
-    scheme_id: int
-    unique_fraction: float
-    avg_run_length: float
-    #: None when the seeding pick had a sole survivor (nothing was estimated).
-    estimated_ratio: float | None
-    #: Achieved ratio of the block that (re-)validated this entry; None until
-    #: the compressor reports it back.
-    baseline_ratio: float | None = None
-    #: Consecutive reuses since the last full selection.
-    uses: int = 0
-
-
-class SelectionCache:
-    """Sticky cross-block selection state, shared by one column's blocks.
-
-    Thread-safe so (column, block) tasks fanned out to a pool can share one
-    instance. Hits, misses, re-validations and drift invalidations are
-    recorded in the process metrics registry under ``selector.sticky.*``.
-    """
-
-    def __init__(self, config: BtrBlocksConfig | None = None) -> None:
-        self.config = config or BtrBlocksConfig()
-        self._lock = threading.Lock()
-        self._entries: dict[ColumnType, _StickyEntry] = {}
-
-    def _similar(self, entry: _StickyEntry, stats) -> bool:
-        config = self.config
-        if abs(entry.unique_fraction - stats.unique_fraction) > config.sticky_unique_tolerance:
-            return False
-        a, b = entry.avg_run_length, stats.avg_run_length
-        return abs(a - b) <= config.sticky_run_tolerance * max(a, b, 1.0)
-
-    def lookup(self, ctype: ColumnType, stats) -> "tuple[Scheme, float | None] | None":
-        """The cached ``(scheme, estimated_ratio)`` if it may be reused here.
-
-        Returns ``None`` (a miss) when there is no entry, the entry is due
-        for re-validation, the block's statistics drifted away from the ones
-        the entry was validated for, or the cached scheme is no longer viable
-        (a OneValue entry must never swallow a block that grew a second
-        distinct value).
-        """
-        registry = get_registry()
-        with self._lock:
-            entry = self._entries.get(ctype)
-            if entry is None:
-                registry.incr("selector.sticky.misses")
-                return None
-            if entry.uses >= self.config.sticky_revalidate_every:
-                registry.incr("selector.sticky.misses")
-                registry.incr("selector.sticky.revalidations")
-                return None
-            scheme = get_scheme(entry.scheme_id)
-            if not self._similar(entry, stats) or not scheme.is_viable(stats, self.config):
-                registry.incr("selector.sticky.misses")
-                return None
-            entry.uses += 1
-            registry.incr("selector.sticky.hits")
-            return scheme, entry.estimated_ratio
-
-    def store(self, ctype: ColumnType, stats, scheme: Scheme, estimated_ratio: float | None) -> None:
-        """(Re-)seed the entry after a full selection ran."""
-        with self._lock:
-            self._entries[ctype] = _StickyEntry(
-                scheme_id=scheme.scheme_id,
-                unique_fraction=stats.unique_fraction,
-                avg_run_length=stats.avg_run_length,
-                estimated_ratio=estimated_ratio,
-            )
-
-    def invalidate(self, ctype: ColumnType) -> None:
-        """Drop the entry outright (the cached scheme failed mid-encode)."""
-        with self._lock:
-            if ctype in self._entries:
-                del self._entries[ctype]
-                get_registry().incr("selector.sticky.invalidations")
-
-    def observe(self, decision: "SelectionDecision") -> None:
-        """Feed back a finished block's achieved ratio (drift detection)."""
-        if decision.achieved_ratio is None:
-            return
-        ctype = ColumnType(decision.ctype)
-        with self._lock:
-            entry = self._entries.get(ctype)
-            if entry is None:
-                return
-            if not decision.cached:
-                if entry.baseline_ratio is None:
-                    entry.baseline_ratio = decision.achieved_ratio
-                return
-            baseline = entry.baseline_ratio
-            if baseline is not None and decision.achieved_ratio < (
-                self.config.sticky_drift_ratio * baseline
-            ):
-                del self._entries[ctype]
-                get_registry().incr("selector.sticky.invalidations")
 
 
 class SchemeSelector:
@@ -156,7 +45,6 @@ class SchemeSelector:
         config: BtrBlocksConfig | None = None,
         strategy: SamplingStrategy | None = None,
         seed: int = 42,
-        cache: SelectionCache | None = None,
     ) -> None:
         self.config = config or BtrBlocksConfig()
         self.strategy = strategy or SamplingStrategy(
@@ -165,10 +53,6 @@ class SchemeSelector:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.selection_seconds = 0.0
-        if cache is None and self.config.sticky_selection:
-            cache = SelectionCache(self.config)
-        #: Sticky cross-block cache (None unless sticky selection is on).
-        self.cache = cache
         #: Labels the compressor sets so trace records carry column/block ids.
         self.trace_column: str | None = None
         self.trace_block: int | None = None
@@ -182,8 +66,8 @@ class SchemeSelector:
 
         Reseeds the sampling RNG as a pure function of ``(seed, index)`` so a
         block's compressed bytes do not depend on which blocks ran before it
-        — the property that lets (column, block) tasks fan out to a thread
-        pool and still reassemble bit-identically to the sequential path.
+        — the property that lets (column, block) tasks fan out to a process
+        pool and still reassemble bit-identically to the inline loop.
         Block 0 keeps the plain seed, matching a fresh selector exactly.
         """
         self.trace_block = index
@@ -269,15 +153,6 @@ class SchemeSelector:
         decision: SelectionDecision,
     ) -> Scheme:
         stats = compute_stats(values, ctype)
-        cache = self.cache if decision.top_level else None
-        if cache is not None:
-            hit = cache.lookup(ctype, stats)
-            if hit is not None:
-                scheme, estimated_ratio = hit
-                decision.chosen = scheme.name
-                decision.estimated_ratio = estimated_ratio
-                decision.cached = True
-                return scheme
         # Drawn even if nothing gets estimated: it advances the RNG the real
         # encode's child picks read next, and feeds Pseudodecimal's viability.
         sample = take_sample(values, ctype, self.strategy, self.rng)
@@ -322,15 +197,4 @@ class SchemeSelector:
                     best_scheme = scheme
         decision.chosen = best_scheme.name
         decision.estimated_ratio = best_ratio
-        if cache is not None:
-            cache.store(ctype, stats, best_scheme, best_ratio)
         return best_scheme
-
-    def observe_result(self, decision: SelectionDecision) -> None:
-        """Feed a finished decision back into the sticky cache (drift check).
-
-        Called by the compressor after it fills in the achieved block size;
-        a no-op unless sticky selection is active.
-        """
-        if self.cache is not None and decision.top_level:
-            self.cache.observe(decision)

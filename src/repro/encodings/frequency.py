@@ -38,8 +38,7 @@ def _few_distinct(stats, config) -> bool:
 
 
 def _is_viable(self, stats, config) -> bool:
-    # A negative share was never measured (sticky's re-check draws no sample).
-    return _few_distinct(stats, config) and not 0 <= stats.sample_top_share < MIN_TOP_SHARE
+    return _few_distinct(stats, config) and stats.sample_top_share >= MIN_TOP_SHARE
 
 
 def _split_selection(top_rows: RoaringBitmap, positions: np.ndarray):

@@ -96,10 +96,9 @@ class WorkerDiedError(BtrBlocksError):
     """A process-pool worker died (killed, segfaulted, OOM'd) mid-task.
 
     The pool it belonged to is discarded — a broken pool poisons every
-    future submitted to it — and the caller either re-raises this typed
-    error (``on_corrupt="raise"``) or falls back to the thread/inline
-    execution path, which recomputes the whole call from the still-intact
-    inputs. Never a hang, never a torn column."""
+    future submitted to it — and ``compress_relation`` reruns the whole
+    call inline from the still-intact inputs. Never a hang, never a torn
+    column."""
 
 
 class DeadlineExceededError(BtrBlocksError):

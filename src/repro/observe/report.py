@@ -157,30 +157,20 @@ def _scan_section(counters: dict) -> dict:
 
 
 def _parallel_section(counters: dict) -> dict:
-    """Execution-backend activity rolled up: which backend ran, process-pool
-    lifecycle (starts, warm reuses, tasks, worker deaths, fallbacks) and
-    shared-memory traffic. Present only when a backend-routed call or a
-    shared-memory segment was recorded."""
-    backend_counters = {
-        name: value
-        for name, value in counters.items()
-        if name.startswith(("parallel.backend.", "parallel.shm."))
-    }
-    if not backend_counters:
+    """Process-pool compression rolled up: ``workers > 1`` calls, pool
+    lifecycle (runs, starts, warm reuses, tasks, worker deaths, inline
+    reruns) and shared-memory traffic. Present only when such a call ran."""
+    if not counters.get("parallel.compress_runs"):
         return {}
     return {
-        "backend_runs": {
-            "thread": counters.get("parallel.backend.thread.runs", 0),
-            "process": counters.get("parallel.backend.process.runs", 0),
-            "inline": counters.get("parallel.inline_runs", 0),
-        },
+        "compress_runs": counters["parallel.compress_runs"],
         "process_pool": {
+            "runs": counters.get("parallel.backend.process.runs", 0),
             "starts": counters.get("parallel.backend.process.pool_starts", 0),
             "reuses": counters.get("parallel.backend.process.pool_reuses", 0),
             "tasks": counters.get("parallel.backend.process.tasks", 0),
             "worker_deaths": counters.get("parallel.backend.process.worker_deaths", 0),
             "fallbacks": counters.get("parallel.backend.fallbacks", 0),
-            "sticky_fallbacks": counters.get("parallel.backend.sticky_fallbacks", 0),
         },
         "shared_memory": {
             "segments": counters.get("parallel.shm.segments", 0),

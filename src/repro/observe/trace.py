@@ -42,9 +42,6 @@ class SelectionDecision:
     compressed_bytes: int | None = None  #: framed output size, set by the compressor
     achieved_ratio: float | None = None  #: input_bytes / compressed_bytes
     selection_seconds: float = 0.0
-    #: True when the scheme came from the sticky selection cache (no sample
-    #: compression ran for this block).
-    cached: bool = False
     #: True when the originally-picked scheme raised mid-encode and the
     #: block fell back to Uncompressed (``chosen`` reflects the fallback).
     fallback: bool = False
@@ -86,7 +83,6 @@ class SelectionDecision:
             "compressed_bytes": self.compressed_bytes,
             "achieved_ratio": self.achieved_ratio,
             "selection_seconds": self.selection_seconds,
-            "cached": self.cached,
             "fallback": self.fallback,
             "sole_survivor": self.sole_survivor,
             "survivor_rejected": self.survivor_rejected,

@@ -1,43 +1,30 @@
-"""Process-pool execution backend: shared-memory block tasks.
+"""Process-pool compression: shared-memory block tasks.
 
-The thread pool in :mod:`repro.parallel` buys nothing on CPU-bound
-NumPy-plus-Python block decode — the GIL serialises it. This module runs the
-same per-``(column, block)`` work units in a pool of *processes* instead,
-with column data carried in ``multiprocessing.shared_memory`` segments so no
-column bytes are ever pickled:
+``compress_relation(..., workers=N)`` with ``N > 1`` lands here. The GIL
+serialises the Python half of every block's selection and encode, so the
+per-``(column, block)`` work units run in a pool of *processes*, with column
+data carried in one ``multiprocessing.shared_memory`` segment so no column
+bytes are ever pickled:
 
-* **Decompress** — the parent packs every block's compressed payload (data +
-  NULL bitmap, both needed for CRC verification) into one input segment and
-  sizes one output segment from the block headers (the same validated
-  pre-allocation as :func:`~repro.core.decompressor.preallocate_column`).
-  Each worker task rebuilds its :class:`~repro.core.blocks.CompressedBlock`
-  from an input-segment slice and decodes straight into its disjoint
-  output-segment slice via
-  :func:`~repro.core.decompressor.decode_block_into` — the zero-copy ``out=``
-  API retargeted at shared pages. Only tiny per-block results (``None`` /
-  :class:`~repro.core.decompressor.CorruptBlockResult`) cross the pipe.
-  String columns (and the scalar ablation) have variable-size outputs, so
-  their decoded values are pickled back instead.
-
-* **Compress** — the parent packs each column's raw values (and serialized
-  NULL bitmap) into the input segment; each worker task slices its block
-  range out of shared memory, rebuilds the chunk and runs the existing
-  :func:`~repro.core.compressor.compress_chunk_block` with a fresh,
-  identically-seeded selector — so compressed bytes are bit-identical to the
-  sequential and thread paths. Compressed blocks are small by definition and
-  pickle back, along with each worker's metrics snapshot and trace decisions
-  for the parent to merge (counter parity with the other backends).
+* the parent packs each column's raw values (and serialized NULL bitmap)
+  into the segment;
+* each worker task slices its block range out of shared memory, rebuilds the
+  chunk and runs :func:`~repro.core.compressor.compress_chunk_block` with a
+  fresh, identically-seeded selector — so compressed bytes are bit-identical
+  to the inline loop;
+* compressed blocks are small by definition and pickle back, along with each
+  worker's metrics snapshot and trace decisions for the parent to merge
+  (counter and trace parity with the inline loop).
 
 The pool itself is persistent: one :class:`ProcessPoolExecutor` (preferring
 the ``fork`` start method) is kept warm and reused across calls
 (``parallel.backend.process.pool_starts`` / ``pool_reuses``). A worker that
 dies mid-task (kill -9, segfault, OOM) breaks the pool; that surfaces as the
 typed :class:`~repro.exceptions.WorkerDiedError` after the broken pool is
-discarded — callers in :mod:`repro.parallel` either re-raise it
-(``on_corrupt="raise"``) or rerun the call on the thread/inline path from
-the still-intact inputs. Shared-memory segments are unlinked in ``finally``
-blocks, so success, failure and KeyboardInterrupt all leave ``/dev/shm``
-clean (``parallel.shm.*`` counters account the lifecycle).
+discarded, and ``compress_relation`` reruns the call inline from the
+untouched inputs. The segment is unlinked in a ``finally`` block, so success,
+failure and KeyboardInterrupt all leave ``/dev/shm`` clean
+(``parallel.shm.*`` counters account the lifecycle).
 """
 
 from __future__ import annotations
@@ -46,25 +33,18 @@ import itertools
 import multiprocessing as mp
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
+from typing import Sequence
 
 import numpy as np
 
 from repro.bitmap import RoaringBitmap
-from repro.core.blocks import CompressedBlock, CompressedColumn, CompressedRelation
+from repro.core.blocks import CompressedColumn, CompressedRelation
 from repro.core.compressor import compress_chunk_block, iter_block_ranges
-from repro.core.config import BtrBlocksConfig, DecodeLimits
-from repro.core.decompressor import (
-    _EMPTY_DTYPES,
-    assemble_column,
-    assemble_column_preallocated,
-    decode_block,
-    decode_block_into,
-    make_context,
-    preallocate_column,
-)
+from repro.core.config import BtrBlocksConfig
+from repro.core.decompressor import _EMPTY_DTYPES
 from repro.core.relation import Relation
 from repro.core.selector import SchemeSelector
 from repro.exceptions import WorkerDiedError
@@ -79,11 +59,9 @@ from repro.observe import (
 from repro.types import Column, ColumnType, StringArray
 
 __all__ = [
-    "ProcessBlockDecoder",
     "available",
+    "collect_futures",
     "compress_relation_process",
-    "decompress_relation_process",
-    "default_workers",
     "shutdown_pool",
     "start_method",
 ]
@@ -91,7 +69,7 @@ __all__ = [
 
 # -- test hooks ----------------------------------------------------------------
 
-#: When set to a stage name ("fetch-handoff" / "mid-decode" / "pre-assemble"),
+#: When set to a stage name ("fetch-handoff" / "mid-compress" / "pre-assemble"),
 #: the first worker task reaching that stage SIGKILLs its own process — the
 #: worker-death matrix's injection point. Inherited by fork-started workers,
 #: so tests must set it *before* the pool forks (shutdown_pool() first).
@@ -221,22 +199,13 @@ def available() -> bool:
     return start_method() is not None
 
 
-def default_workers() -> int:
-    """Usable CPUs: scheduling affinity when the platform exposes it."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def get_pool(max_workers: "int | None" = None) -> ProcessPoolExecutor:
+def get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared pool, started lazily and kept warm across calls.
 
     A pool is reused while the requested worker count matches; asking for a
     different count (or a prior worker death) starts a fresh one.
     """
     global _pool, _pool_workers
-    workers = max_workers or default_workers()
     if _pool is not None and _pool_workers == workers:
         get_registry().incr("parallel.backend.process.pool_reuses")
         return _pool
@@ -258,23 +227,45 @@ def shutdown_pool() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _dispatch(fn, job, tasks, max_workers: "int | None") -> list:
-    """Submit all tasks to the pool and collect results deterministically.
+def collect_futures(futures: "Sequence[Future]") -> list:
+    """Collect futures in submission order with deterministic errors.
 
-    Shares :func:`repro.parallel.collect_futures`' error discipline — on
-    failure every outstanding future is cancelled or drained and the error
-    of the *lowest-index* task is raised — and maps a broken pool (worker
-    killed mid-task) to the typed :class:`WorkerDiedError` after discarding
-    the pool so the next call starts clean.
+    On failure, pending futures are cancelled, everything still running is
+    drained (so no task can keep reading a segment after this returns), and
+    the error of the *lowest-index* task is raised — always the same
+    exception for the same failing inputs, regardless of scheduling.
     """
-    from repro.parallel import collect_futures
+    if not futures:
+        return []
+    done, pending = wait(futures, return_when=FIRST_EXCEPTION)
+    if any(not f.cancelled() and f.exception() is not None for f in done):
+        for future in pending:
+            future.cancel()
+    first_error: "BaseException | None" = None
+    for future in futures:  # submission order; .exception() drains running tasks
+        if future.cancelled():
+            continue
+        error = future.exception()
+        if error is not None and first_error is None:
+            first_error = error
+    if first_error is not None:
+        raise first_error
+    return [future.result() for future in futures]
 
+
+def _dispatch(job, tasks, workers: int) -> list:
+    """Submit every block task to the pool and collect results deterministically.
+
+    Errors follow :func:`collect_futures`; a broken pool (worker killed
+    mid-task) becomes the typed :class:`WorkerDiedError` after the pool is
+    discarded so the next call starts clean.
+    """
     registry = get_registry()
     try:
-        pool = get_pool(max_workers)
+        pool = get_pool(workers)
         futures = []
         for task in tasks:
-            futures.append(pool.submit(fn, job, task))
+            futures.append(pool.submit(_compress_task, job, task))
             _maybe_interrupt(len(futures))
         registry.incr("parallel.backend.process.tasks", len(futures))
         return collect_futures(futures)
@@ -286,168 +277,6 @@ def _dispatch(fn, job, tasks, max_workers: "int | None") -> list:
         ) from exc
 
 
-# -- decompression -------------------------------------------------------------
-
-def _decode_task(job, task):
-    """Worker: decode one block from the input segment into its output slice.
-
-    Returns ``(index, part)`` where ``part`` is ``None`` (success, rows are
-    in the output segment), a :class:`CorruptBlockResult` (degraded), or the
-    decoded values themselves for pickled-return (string / scalar) tasks.
-    Typed decode errors propagate through the future unchanged, so error
-    behaviour matches the thread backend exactly.
-    """
-    in_name, out_name, ctypes, vectorized, on_corrupt, limits = job
-    index, col_idx, data_off, data_len, nulls_off, nulls_len, count, checksum, out_off = task
-    seg_in = _attach_segment(in_name)
-    try:
-        _maybe_kill("fetch-handoff")
-        data = bytes(seg_in.buf[data_off : data_off + data_len])
-        nulls = bytes(seg_in.buf[nulls_off : nulls_off + nulls_len]) if nulls_len else None
-    finally:
-        _close_quiet(seg_in)
-    block = CompressedBlock(count, data, nulls, checksum=checksum)
-    ctype = ctypes[col_idx]
-    ctx = make_context(vectorized, limits=limits)
-    _maybe_kill("mid-decode")
-    if out_off is None:
-        part = decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
-        _maybe_kill("pre-assemble")
-        return index, part
-    seg_out = _attach_segment(out_name)
-    try:
-        out = np.ndarray((count,), dtype=_EMPTY_DTYPES[ctype], buffer=seg_out.buf, offset=out_off)
-        part = decode_block_into(block, ctype, ctx, out, on_corrupt=on_corrupt)
-        del out
-    finally:
-        _close_quiet(seg_out)
-    _maybe_kill("pre-assemble")
-    return index, part
-
-
-def decompress_relation_process(
-    compressed: CompressedRelation,
-    vectorized: bool = True,
-    max_workers: "int | None" = None,
-    on_corrupt: str = "raise",
-    limits: "DecodeLimits | None" = None,
-) -> Relation:
-    """Decompress a relation on the process pool (see module docstring).
-
-    Raises :class:`WorkerDiedError` when a worker is killed mid-call; the
-    caller (:func:`repro.parallel.decompress_relation_parallel`) owns the
-    raise-vs-fallback policy. Bit-identical output and identical
-    ``decompress.*`` counters to the sequential and thread paths — per-column
-    totals are recorded once by the parent-side assembly, exactly as there.
-    """
-    columns = compressed.columns
-    prealloc = [
-        vectorized and column.ctype is not ColumnType.STRING for column in columns
-    ]
-    in_total = 0
-    for column in columns:
-        for block in column.blocks:
-            in_total = _align(in_total + len(block.data)) + (
-                _align(len(block.nulls)) if block.nulls else 0
-            )
-    dtypes = [_EMPTY_DTYPES.get(column.ctype) for column in columns]
-    out_offs: "list[int | None]" = []
-    out_total = 0
-    for column, use, dtype in zip(columns, prealloc, dtypes):
-        if not use:
-            out_offs.append(None)
-            continue
-        out_offs.append(out_total)
-        rows = sum(block.count for block in column.blocks)
-        out_total = _align(out_total + rows * np.dtype(dtype).itemsize)
-
-    seg_in = _create_segment(in_total)
-    seg_out = _create_segment(out_total)
-    views: "list[np.ndarray | None]" = []
-
-    # The body runs in a nested function so that every local referencing the
-    # shared buffers (views, assembly temporaries) is gone by the time the
-    # ``finally`` closes and unlinks the segments.
-    def run() -> Relation:
-        ctx = make_context(vectorized, limits=limits)
-        tasks = []
-        in_off = 0
-        buf = seg_in.buf
-        for col_idx, column in enumerate(columns):
-            if prealloc[col_idx]:
-                views.append(
-                    preallocate_column(
-                        column,
-                        ctx.limits,
-                        buffer=memoryview(seg_out.buf)[out_offs[col_idx] :],
-                    )
-                )
-            else:
-                views.append(None)
-            itemsize = np.dtype(dtypes[col_idx]).itemsize if prealloc[col_idx] else 0
-            row_off = 0
-            for block in column.blocks:
-                data_off = in_off
-                buf[in_off : in_off + len(block.data)] = block.data
-                in_off = _align(in_off + len(block.data))
-                nulls_off = nulls_len = 0
-                if block.nulls:
-                    nulls_off, nulls_len = in_off, len(block.nulls)
-                    buf[in_off : in_off + nulls_len] = block.nulls
-                    in_off = _align(in_off + nulls_len)
-                out_off = (
-                    out_offs[col_idx] + row_off * itemsize if prealloc[col_idx] else None
-                )
-                tasks.append(
-                    (
-                        len(tasks),
-                        col_idx,
-                        data_off,
-                        len(block.data),
-                        nulls_off,
-                        nulls_len,
-                        block.count,
-                        block.checksum,
-                        out_off,
-                    )
-                )
-                row_off += block.count
-        job = (
-            seg_in.name,
-            seg_out.name,
-            [column.ctype for column in columns],
-            vectorized,
-            on_corrupt,
-            limits,
-        )
-        results = _dispatch(_decode_task, job, tasks, max_workers)
-        grouped: "list[list]" = [[] for _ in columns]
-        for (task, result) in zip(tasks, results):
-            grouped[task[1]].append(result[1])
-        out_columns = []
-        for column, view, parts in zip(columns, views, grouped):
-            if view is not None:
-                assembled = assemble_column_preallocated(column, view, parts)
-            else:
-                assembled = assemble_column(column, parts)
-            data = assembled.data
-            if isinstance(data, np.ndarray) and not data.flags.owndata:
-                # Still a view over the output segment — copy out before the
-                # segment is unlinked (one memcpy per column).
-                assembled = Column(
-                    assembled.name, assembled.ctype, data.copy(), assembled.nulls
-                )
-            out_columns.append(assembled)
-        return Relation(compressed.name, out_columns)
-
-    try:
-        return run()
-    finally:
-        views.clear()
-        _release_segment(seg_in)
-        _release_segment(seg_out)
-
-
 # -- compression ---------------------------------------------------------------
 
 def _compress_task(job, task):
@@ -455,8 +284,7 @@ def _compress_task(job, task):
 
     Runs under a fresh registry + trace and ships their contents back with
     the block, so the parent can merge them — counter and trace totals then
-    match the thread backend, where workers record into the shared registry
-    directly.
+    match the inline loop, which records into the caller's registry directly.
     """
     seg_name, config, descs = job
     index, col_idx, block_index, start, stop = task
@@ -498,7 +326,7 @@ def _compress_task(job, task):
     registry = MetricsRegistry()
     trace = SelectionTrace()
     with use_registry(registry), use_trace(trace):
-        _maybe_kill("mid-decode")
+        _maybe_kill("mid-compress")
         selector = SchemeSelector(config)
         block = compress_chunk_block(chunk, block_index, selector)
     _maybe_kill("pre-assemble")
@@ -506,18 +334,15 @@ def _compress_task(job, task):
 
 
 def compress_relation_process(
-    relation: Relation,
-    config: "BtrBlocksConfig | None" = None,
-    max_workers: "int | None" = None,
+    relation: Relation, config: "BtrBlocksConfig | None", workers: int
 ) -> CompressedRelation:
-    """Compress a relation on the process pool (see module docstring).
+    """Compress a relation on a pool of ``workers`` processes.
 
     Every block task builds a fresh, identically-seeded selector from the
-    pickled config, exactly like the thread path — compressed bytes are a
+    pickled config, exactly like the inline loop — compressed bytes are a
     pure function of ``(column, block index, config, seed)``, so output is
-    bit-identical across backends. Raises :class:`WorkerDiedError` on a
-    killed worker; :func:`repro.parallel.compress_relation_parallel` falls
-    back to the thread path (inputs are untouched, nothing is torn).
+    bit-identical. Raises :class:`WorkerDiedError` on a killed worker
+    (inputs are untouched, nothing is torn).
     """
     config = config or BtrBlocksConfig()
     total = 0
@@ -539,6 +364,7 @@ def compress_relation_process(
         layouts.append((data_off, aux_off, nulls_off, nulls_bytes))
 
     registry = get_registry()
+    registry.incr("parallel.backend.process.runs")
     seg = _create_segment(total)
     try:
         descs = []
@@ -577,7 +403,7 @@ def compress_relation_process(
             ):
                 tasks.append((len(tasks), col_idx, block_index, start, stop))
         job = (seg.name, config, descs)
-        results = _dispatch(_compress_task, job, tasks, max_workers)
+        results = _dispatch(job, tasks, workers)
     finally:
         _release_segment(seg)
 
@@ -590,125 +416,3 @@ def compress_relation_process(
             trace.record(decision)
     registry.incr("compress.columns", len(relation.columns))
     return CompressedRelation(relation.name, columns)
-
-
-# -- streaming decode for pipelined scans --------------------------------------
-
-class ProcessBlockDecoder:
-    """Streams block decode tasks into the process pool for pipelined scans.
-
-    :func:`~repro.cloud.pipeline.pipelined_fetch_column` parses blocks as
-    their chunk GETs complete; with a decoder attached, each parsed block's
-    bytes are copied straight into the input segment and its decode task
-    submitted immediately — fetch, parse and multi-core decode all overlap.
-    ``drain()`` collects results in block order (strict decode: typed errors
-    propagate). The caller owns the final assembly over :meth:`buffer_view`
-    and must :meth:`close` in a ``finally`` so the segments always unlink.
-    """
-
-    def __init__(
-        self,
-        input_bytes: int,
-        rows: int,
-        ctype: ColumnType,
-        vectorized: bool = True,
-        limits: "DecodeLimits | None" = None,
-        max_workers: "int | None" = None,
-    ) -> None:
-        self._dtype = np.dtype(_EMPTY_DTYPES[ctype])
-        self._rows = rows
-        self._seg_in = _create_segment(input_bytes)
-        self._seg_out = _create_segment(rows * self._dtype.itemsize)
-        self._job = (
-            self._seg_in.name,
-            self._seg_out.name,
-            [ctype],
-            vectorized,
-            "raise",
-            limits,
-        )
-        self._max_workers = max_workers
-        self._in_off = 0
-        self._futures: list = []
-        self._closed = False
-
-    def view(self, row_offset: int, count: int) -> np.ndarray:
-        """A parent-side array view of one block's output slice.
-
-        Transient: callers must drop the reference before :meth:`close`.
-        """
-        return np.ndarray(
-            (count,),
-            dtype=self._dtype,
-            buffer=self._seg_out.buf,
-            offset=row_offset * self._dtype.itemsize,
-        )
-
-    def submit(self, block: CompressedBlock, row_offset: int) -> None:
-        """Copy one block's bytes into shared memory and queue its decode."""
-        need = _align(len(block.data)) + _align(len(block.nulls) if block.nulls else 0)
-        if self._in_off + need > self._seg_in.size:
-            # Should not happen (the segment is sized past the whole object)
-            # but degrade exactly like a worker death: the caller redecodes
-            # in-process from the intact block bytes.
-            raise WorkerDiedError("process decoder input segment exhausted")
-        data_off = self._in_off
-        end = data_off + len(block.data)
-        self._seg_in.buf[data_off:end] = block.data
-        self._in_off = _align(end)
-        nulls_off = nulls_len = 0
-        if block.nulls:
-            nulls_off, nulls_len = self._in_off, len(block.nulls)
-            self._seg_in.buf[nulls_off : nulls_off + nulls_len] = block.nulls
-            self._in_off = _align(nulls_off + nulls_len)
-        task = (
-            len(self._futures),
-            0,
-            data_off,
-            len(block.data),
-            nulls_off,
-            nulls_len,
-            block.count,
-            block.checksum,
-            row_offset * self._dtype.itemsize,
-        )
-        try:
-            pool = get_pool(self._max_workers)
-            self._futures.append(pool.submit(_decode_task, self._job, task))
-        except BrokenProcessPool as exc:
-            shutdown_pool()
-            get_registry().incr("parallel.backend.process.worker_deaths")
-            raise WorkerDiedError(
-                "a process-pool worker died mid-task; pool discarded"
-            ) from exc
-        get_registry().incr("parallel.backend.process.tasks")
-
-    def drain(self) -> None:
-        """Wait for every submitted decode; deterministic error order."""
-        from repro.parallel import collect_futures
-
-        try:
-            collect_futures(self._futures)
-        except BrokenProcessPool as exc:
-            shutdown_pool()
-            get_registry().incr("parallel.backend.process.worker_deaths")
-            raise WorkerDiedError(
-                "a process-pool worker died mid-task; pool discarded"
-            ) from exc
-        finally:
-            self._futures = []
-
-    def buffer_view(self) -> np.ndarray:
-        """The whole output column as a shared-memory-backed array view."""
-        return np.ndarray((self._rows,), dtype=self._dtype, buffer=self._seg_out.buf)
-
-    def close(self) -> None:
-        """Unlink both segments (idempotent; call from ``finally``)."""
-        if self._closed:
-            return
-        self._closed = True
-        for future in self._futures:
-            future.cancel()
-        self._futures = []
-        _release_segment(self._seg_in)
-        _release_segment(self._seg_out)

@@ -46,6 +46,45 @@ class TestCompressDecompress:
         btr_path = tmp_path / "x.btr"
         assert main(["compress", str(csv_path), str(btr_path), "--block-size", "100"]) == 0
 
+    def test_jobs_write_the_single_process_bytes(self, tmp_path, csv_file, capsys):
+        csv_path, _ = csv_file
+        one, two = tmp_path / "one.btr", tmp_path / "two.btr"
+        assert main(["compress", str(csv_path), str(one), "--block-size", "100"]) == 0
+        assert main(["compress", str(csv_path), str(two), "--block-size", "100",
+                     "--jobs", "2"]) == 0
+        assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_non_positive_jobs_are_rejected(self, tmp_path, csv_file, jobs):
+        # Regression: `--jobs 0` used to mean "every usable CPU" on one
+        # backend and a ThreadPoolExecutor traceback on the other.
+        csv_path, _ = csv_file
+        with pytest.raises(SystemExit) as caught:
+            main(["compress", str(csv_path), str(tmp_path / "x.btr"), "--jobs", jobs])
+        assert "--jobs" in str(caught.value)
+        assert not (tmp_path / "x.btr").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "{csv}", "{out}", "--backend", "process"],
+        ["decompress", "{btr}", "{out}", "--backend", "process"],
+        ["decompress", "{btr}", "{out}", "--jobs", "2"],
+        ["scan", "{btr}", "--backend", "process"],
+        ["scan", "{btr}", "--jobs", "2"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_only_compress_takes_a_worker_count(self, tmp_path, csv_file, capsys, argv):
+        """Decoding runs inline: ``--jobs`` is a compress flag, and there is
+        no backend to choose."""
+        csv_path, _ = csv_file
+        btr, out = tmp_path / "x.btr", tmp_path / "out"
+        assert main(["compress", str(csv_path), str(btr)]) == 0
+        capsys.readouterr()
+        argv = [arg.format(csv=csv_path, btr=btr, out=out) for arg in argv]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect(self, tmp_path, csv_file, capsys):
         csv_path, _ = csv_file
         btr_path = tmp_path / "x.btr"

@@ -3,9 +3,8 @@
 A scheme that passed viability and sampling can still blow up against the
 full block (sample-blind edge values, overflow in a child transform). The
 compressor must fall back to ``Uncompressed`` for that block — sacrificing
-ratio, never the column — count the event, flag it in the selection trace,
-and evict any sticky-cache entry so the failing scheme is not handed to
-the next block.
+ratio, never the column — count the event and flag it in the selection
+trace.
 
 The same demotion, minus the failure: a *sole survivor* of the viability
 filter is picked without an estimate, so the compressor compares its real
@@ -116,24 +115,19 @@ class TestFallback:
         with pytest.raises(RuntimeError):
             compress_block(np.arange(10, dtype=np.int32), ColumnType.INTEGER)
 
-    def test_sticky_cache_invalidated(self, registry, monkeypatch):
-        # With sticky selection on, the full pick stores its winner in the
-        # cache before compressing. When that winner then fails mid-encode,
-        # the entry must be evicted so the *next* block re-selects rather
-        # than sticky-hitting a scheme known to blow up.
-        config = BtrBlocksConfig(block_size=1000, sticky_selection=True)
+    def test_every_block_degrades_on_its_own(self, registry, monkeypatch):
+        # Every block runs its own selection, so a scheme that wins and then
+        # fails on each full block is demoted block by block, never column-wide.
+        config = BtrBlocksConfig(block_size=1000)
         column = Column.ints("n", REPEATED)  # 4 blocks of 1000
         scheme = pick_non_uncompressed_scheme(
             REPEATED[:1000], ColumnType.INTEGER, config
         )
         failing(monkeypatch, scheme, full_size=1000)
         compressed = compress_column(column, selector=SchemeSelector(config))
-        assert registry.get("selector.sticky.invalidations") >= 1
-        assert registry.get("selector.sticky.hits") == 0
-        assert registry.get("compressor.fallback.total") >= 1
-        # Every block degraded independently; the column still round-trips.
-        decoded = decompress_column(compressed)
-        np.testing.assert_array_equal(decoded.data, REPEATED)
+        assert registry.get("compressor.fallback.total") == 4
+        assert compressed.scheme_histogram() == {"uncompressed": 4}
+        np.testing.assert_array_equal(decompress_column(compressed).data, REPEATED)
 
     def test_fallback_column_round_trips_with_nulls(self, registry, monkeypatch):
         from repro.bitmap import RoaringBitmap
@@ -202,33 +196,29 @@ class TestSoleSurvivorGuard:
         assert decision.chosen == "fsst" == get_scheme(unwrap(blob)[0]).name
         assert registry.get("selector.sole_survivor.rejected") == 0
 
-    def test_sticky_entry_invalidated(self, registry):
-        # The miss seeds the sticky entry with the un-estimated survivor;
-        # when the guard then rejects it the entry must go, exactly as after
-        # an encoder failure, so the next block is not handed FSST unverified.
-        config = BtrBlocksConfig(block_size=16, sticky_selection=True)
+    def test_every_block_rejects_its_own_survivor(self, registry):
+        config = BtrBlocksConfig(block_size=16)
         column = Column.strings("blob", long_random_strings(rows=64))  # 4 blocks
         compressed = compress_column(column, selector=SchemeSelector(config))
         assert registry.get("selector.sole_survivor.rejected") == 4
-        assert registry.get("selector.sticky.invalidations") == 4
-        assert registry.get("selector.sticky.hits") == 0
         assert registry.get("compressor.fallback.total") == 0
         assert compressed.scheme_histogram() == {"uncompressed": 4}
         assert columns_equal(decompress_column(compressed), column)
 
-    def test_sticky_entry_of_a_kept_survivor_is_reused(self, registry):
-        # Seeded with estimated_ratio=None; later blocks hit it untouched.
-        config = BtrBlocksConfig(block_size=500, sticky_selection=True)
+    def test_a_kept_survivor_is_picked_unestimated_on_every_block(self, registry):
+        config = BtrBlocksConfig(block_size=500)
         column = Column.strings(
             "note", [f"ticket {i:06d}: printer on fire" for i in range(2000)]
         )
         trace = SelectionTrace()
         with use_trace(trace):
             compressed = compress_column(column, selector=SchemeSelector(config))
-        assert registry.get("selector.sticky.hits") == 3
-        assert registry.get("selector.sole_survivor.picks") == 1
-        cached = [d for d in trace.decisions() if d.cached]
-        assert len(cached) == 3 and all(d.estimated_ratio is None for d in cached)
+        assert registry.get("selector.sole_survivor.picks") == 4
+        assert registry.get("selector.sole_survivor.rejected") == 0
+        top_level = [d for d in trace.decisions() if d.top_level]
+        assert len(top_level) == 4
+        assert all(d.chosen == "fsst" and d.estimated_ratio is None for d in top_level)
+        assert compressed.scheme_histogram() == {"fsst": 4}
         assert columns_equal(decompress_column(compressed), column)
 
     def test_rejected_column_round_trips_with_nulls(self, registry):

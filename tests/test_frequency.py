@@ -33,7 +33,9 @@ class TestViability:
         assert not FREQ_INT.is_viable(stats, CONFIG)
 
     def test_dominant_value_viable(self, rng):
-        stats = compute_stats(dominant_ints(rng), ColumnType.INTEGER)
+        values = dominant_ints(rng)
+        stats = compute_stats(values, ColumnType.INTEGER)
+        FREQ_INT.prepare_stats(values, stats, CONFIG)  # the selector measures first
         assert FREQ_INT.is_viable(stats, CONFIG)
 
 

@@ -283,15 +283,11 @@ def _block_with_top_share(ctype: ColumnType, share: float, rows: int = 1000):
 
 
 @pytest.mark.parametrize("ctype", list(ColumnType), ids=lambda ctype: ctype.value)
-def test_unmeasured_top_share_is_viable_and_the_threshold_is_a_majority(ctype):
-    """``sample_top_share == -1`` (no sample: sticky's re-check of a cached
-    scheme) answers as the old filter did; a measured share decides at 0.5."""
+def test_the_threshold_is_a_measured_majority(ctype):
+    """The selector measures the share before it asks; the answer flips at 0.5."""
     config = BtrBlocksConfig()
     (old,) = [scheme for scheme in OLD_FREQUENCY.values() if scheme.ctype is ctype]
     scheme = get_scheme(old.scheme_id)
-    stats = compute_stats(_block_with_top_share(ctype, 0.1), ctype)
-    assert stats.sample_top_share == -1.0
-    assert scheme.is_viable(stats, config) and old.is_viable(stats, config)
     for share, viable in ((0.1, False), (0.499, False), (0.5, True), (0.9, True)):
         values = _block_with_top_share(ctype, share)
         stats = compute_stats(values, ctype)
