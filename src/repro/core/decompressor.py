@@ -192,12 +192,11 @@ def _decompress_node_filtered(
 
 
 #: Contexts are immutable and stateless, so default-limit ones are shared.
-_DEFAULT_CONTEXTS: dict[tuple[bool, bool], DecompressionContext] = {}
+_DEFAULT_CONTEXTS: dict[bool, DecompressionContext] = {}
 
 
 def make_context(
     vectorized: bool = True,
-    fuse_rle_dict: bool = True,
     limits: "DecodeLimits | None" = None,
 ) -> DecompressionContext:
     """A decompression context that recursively dispatches on scheme ids."""
@@ -207,16 +206,14 @@ def make_context(
             _decompress_node_into,
             _decompress_node_filtered,
             vectorized=vectorized,
-            fuse_rle_dict=fuse_rle_dict,
             **extra,
         )
 
     if limits is not None:
         return build(limits=limits)
-    key = (vectorized, fuse_rle_dict)
-    if key not in _DEFAULT_CONTEXTS:
-        _DEFAULT_CONTEXTS[key] = build()
-    return _DEFAULT_CONTEXTS[key]
+    if vectorized not in _DEFAULT_CONTEXTS:
+        _DEFAULT_CONTEXTS[vectorized] = build()
+    return _DEFAULT_CONTEXTS[vectorized]
 
 
 def decompress_block(blob: bytes, ctype: ColumnType, vectorized: bool = True) -> Values:

@@ -92,7 +92,6 @@ class DecompressionContext:
         decompress_into_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], None]",
         decompress_filtered_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], Values]",
         vectorized: bool = True,
-        fuse_rle_dict: bool = True,
         limits: "DecodeLimits | None" = None,
     ) -> None:
         from repro.core.config import DEFAULT_DECODE_LIMITS
@@ -101,7 +100,6 @@ class DecompressionContext:
         self._decompress_into_fn = decompress_into_fn
         self._decompress_filtered_fn = decompress_filtered_fn
         self.vectorized = vectorized
-        self.fuse_rle_dict = fuse_rle_dict
         self.limits = limits if limits is not None else DEFAULT_DECODE_LIMITS
 
     def decompress_child(self, blob: bytes, ctype: ColumnType) -> Values:

@@ -7,17 +7,20 @@ minimum) so negative and large-offset data packs well, and vectorises both
 directions by *grouping pages of equal bit width* and packing/unpacking each
 group in one NumPy pass — the structural analog of the SIMD kernels.
 
-Both directions decode a width-``w`` lane through one of three kernels,
-picked per width (wire bytes are identical for all of them):
+Little-bitorder packing makes a width-``w`` lane periodic: every
+``c = w // gcd(w, 8)`` bytes hold ``m = 8 // gcd(w, 8)`` values. Decoding
+picks one of two kernels per width (wire bytes are identical for both):
 
 * byte-aligned widths (0/8/16/32/64) *are* little-endian fixed-width
-  integer arrays under little-bitorder packing, so they pack and unpack as
-  a plain ``view``/``astype`` — no bit manipulation at all;
-* other widths with a repeating group of at most 8 bytes
-  (``w // gcd(w, 8) <= 8``, e.g. 6, 10, 12) decode each group through one
-  zero-padded ``uint64`` word with a shift/mask per in-group value;
-* wide odd widths (9, 11, ...) fall back to an 8-byte window gather per
-  value (``shift + width < 64`` holds for every width the packer emits).
+  integer arrays, so they unpack as a plain ``view``/``astype``;
+* every other width reads unaligned ``uint64`` words at stride ``c``: one
+  word per group when the group fits in 8 bytes (shifts ``j*w``), else one
+  word per in-group value at byte ``(j*w) >> 3`` (shift ``(j*w) & 7``) —
+  then one shift and one mask over the whole lane.
+
+Mixed-width pages decode one width at a time, each width's pages copied out
+of the payload as whole rows. Pages hold int32 deltas, so a declared width
+above 32 is corrupt and both schemes reject it before unpacking.
 
 The width-grouped packing helpers are shared with FastPFOR.
 """
@@ -92,20 +95,34 @@ def _lane_mask(w: int) -> np.uint64:
     return (np.uint64(1) << np.uint64(w)) - np.uint64(1)
 
 
-#: Per-width constants (shift vectors, gather windows) reused across calls;
-#: widths come from a u8 wire field, so the cache is bounded at 256 entries.
+#: Widest page either scheme writes: pages hold int32 deltas.
+MAX_WIDTH = 32
+_WIDTH_BYTES = bytes(range(MAX_WIDTH + 1))
+
+#: Per-width constants reused across calls; widths come from a u8 wire
+#: field, so the cache is bounded at 256 entries.
 _LANE_CONSTS: dict[int, tuple] = {}
 
 
 def _lane_consts(w: int) -> tuple:
+    """``(c, m, mask, columns, shifts)``: value ``j`` of a group is the word at
+    in-group byte ``columns[j]`` shifted right by ``shifts[j]``, masked.
+
+    A group of at most 8 bytes is one word (``columns`` reads byte 0 only,
+    ``shifts`` are ``j*w``); a wider one reads a word per value at byte
+    ``(j*w) >> 3``, shifted by ``(j*w) & 7``. That is exact while shift plus
+    width fit one word: every width but 59, 61, 62 and 63, none of which a
+    page may declare (:func:`check_widths`).
+    """
     consts = _LANE_CONSTS.get(w)
     if consts is None:
         c, m = _lane_geometry(w)
-        group_shifts = np.arange(m, dtype=np.uint64) * np.uint64(w)
-        bit_starts = np.arange(PAGE, dtype=np.int64) * w
-        window = (bit_starts >> 3)[:, None] + np.arange(8, dtype=np.int64)[None, :]
-        window_shifts = (bit_starts & 7).astype(np.uint64)
-        consts = (c, m, _lane_mask(w), group_shifts, window, window_shifts)
+        bits = np.arange(m, dtype=np.int64) * w
+        if c <= 8:
+            columns, shifts = slice(0, 1), bits
+        else:
+            columns, shifts = bits >> 3, bits & 7
+        consts = (c, m, _lane_mask(w), columns, shifts.astype(np.uint64))
         _LANE_CONSTS[w] = consts
     return consts
 
@@ -116,7 +133,7 @@ def _encode_lane(group: np.ndarray, w: int) -> np.ndarray:
     dtype = _ALIGNED_DTYPES.get(w)
     if dtype is not None:
         return group.astype(dtype).view(np.uint8).reshape(k, 16 * w)
-    c, m, _mask, group_shifts, _window, _wshifts = _lane_consts(w)
+    c, m, _mask, _columns, group_shifts = _lane_consts(w)
     if c <= 8:
         words = np.bitwise_or.reduce(group.reshape(-1, m) << group_shifts, axis=1)
         return np.ascontiguousarray(words[:, None].view(np.uint8)[:, :c]).reshape(
@@ -133,29 +150,22 @@ def _decode_lane(grp: np.ndarray, w: int) -> np.ndarray:
     dtype = _ALIGNED_DTYPES.get(w)
     if dtype is not None:
         return grp.reshape(-1).view(dtype).reshape(k, PAGE).astype(np.uint64)
-    c, m, mask, group_shifts, window, window_shifts = _lane_consts(w)
-    if c <= 8:
-        # Value j of a group occupies bits [j*w, j*w + w) with
-        # (m-1)*w + w == c*8, so the shift+mask below can never read a bit
-        # past the group's own c bytes — padding left uninitialised is safe.
-        flat = grp.reshape(-1)
-        if flat.size >= 2048:
-            # One contiguous copy + unaligned strided uint64 reads beats the
-            # (N, 8) scatter below once the lane is big enough to amortise
-            # the strided-view setup.
-            padded = np.empty(flat.size + 8, dtype=np.uint8)
-            padded[: flat.size] = flat
-            words = np.ndarray(
-                (flat.size // c,), np.uint64, buffer=padded.data, strides=(c,)
-            )
-            return ((words[:, None] >> group_shifts[None, :]) & mask).reshape(k, PAGE)
-        buf = np.empty((k * PAGE // m, 8), dtype=np.uint8)
+    c, m, mask, columns, shifts = _lane_consts(w)
+    # Every word read below holds its values' bits whole; the mask drops
+    # the neighbours' bits, so padding left uninitialised is safe.
+    flat = grp.reshape(-1)
+    if c <= 8 and flat.size < 2048:
+        # A small one-word lane scatters each group into an 8-byte slot:
+        # cheaper than the strided view's setup at this size.
+        buf = np.empty((flat.size // c, 8), dtype=np.uint8)
         buf[:, :c] = flat.reshape(-1, c)
-        return ((buf.view(np.uint64) >> group_shifts[None, :]) & mask).reshape(k, PAGE)
-    buf = np.zeros((k, 16 * w + 8), dtype=np.uint8)
-    buf[:, : 16 * w] = grp
-    words = buf[:, window].reshape(-1).view(np.uint64).reshape(k, PAGE)
-    return (words >> window_shifts[None, :]) & mask
+        return ((buf.view(np.uint64) >> shifts) & mask).reshape(k, PAGE)
+    # One contiguous copy with a word of slack, then unaligned uint64 reads:
+    # word (g, b) starts at byte g*c + b of the lane.
+    padded = np.empty(flat.size + 8, dtype=np.uint8)
+    padded[: flat.size] = flat
+    words = np.ndarray((flat.size // c, c), np.uint64, buffer=padded.data, strides=(c, 1))
+    return ((words[:, columns] >> shifts) & mask).reshape(k, PAGE)
 
 
 def _uniform(widths: np.ndarray) -> bool:
@@ -200,6 +210,29 @@ def pack_pages(deltas: np.ndarray, widths: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+def _page_offsets(widths: np.ndarray) -> np.ndarray:
+    """Byte offset of every page in the packed payload, plus its end."""
+    offsets = np.zeros(widths.size + 1, dtype=np.int64)
+    np.cumsum(16 * widths, out=offsets[1:])
+    return offsets
+
+
+def _unpack_rows(raw: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """(P, 128) deltas of the pages of ``widths`` packed at byte ``starts``."""
+    out = np.zeros((widths.size, PAGE), dtype=np.uint64)
+    for width in np.unique(widths):
+        w = int(width)
+        if w == 0:
+            continue
+        rows = np.nonzero(widths == width)[0]
+        span = 16 * w
+        # Row r of this view is the ``span`` bytes from byte r: indexing it
+        # by the pages' starts copies each page as one row, bounds-checked.
+        lanes = np.ndarray((raw.size - span + 1, span), np.uint8, buffer=raw, strides=(1, 1))
+        out[rows] = _decode_lane(lanes[starts[rows]], w)
+    return out
+
+
 def unpack_pages(payload: bytes, widths: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pack_pages`; returns (P, 128) uint64 deltas."""
     page_count = widths.size
@@ -212,19 +245,7 @@ def unpack_pages(payload: bytes, widths: np.ndarray) -> np.ndarray:
             return np.zeros((page_count, PAGE), dtype=np.uint64)
         return _decode_lane(raw[: page_count * 16 * w].reshape(page_count, 16 * w), w)
     widths = widths.astype(np.int64, copy=False)
-    unique = np.unique(widths)
-    sizes = 16 * widths
-    offsets = np.zeros(page_count + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    out = np.zeros((page_count, PAGE), dtype=np.uint64)
-    for width in unique:
-        w = int(width)
-        if w == 0:
-            continue
-        rows = np.nonzero(widths == width)[0]
-        src = offsets[rows][:, None] + np.arange(16 * w, dtype=np.int64)
-        out[rows] = _decode_lane(raw[src], w)
-    return out
+    return _unpack_rows(raw, _page_offsets(widths)[:-1], widths)
 
 
 def unpack_pages_subset(payload: bytes, widths: np.ndarray, page_ids: np.ndarray) -> np.ndarray:
@@ -235,12 +256,10 @@ def unpack_pages_subset(payload: bytes, widths: np.ndarray, page_ids: np.ndarray
     page count — the selection-vector analog of the full unpack.
     """
     widths = widths.astype(np.int64, copy=False)
-    page_count = widths.size
     if page_ids.size == 0:
         return np.zeros((0, PAGE), dtype=np.uint64)
     raw = np.frombuffer(payload, dtype=np.uint8)
-    offsets = np.zeros(page_count + 1, dtype=np.int64)
-    np.cumsum(16 * widths, out=offsets[1:])
+    offsets = _page_offsets(widths)
     if int(offsets[-1]) > raw.size:
         raise CorruptBlockError(
             f"bit-packed payload holds {raw.size} bytes, pages declare {int(offsets[-1])}"
@@ -250,16 +269,23 @@ def unpack_pages_subset(payload: bytes, widths: np.ndarray, page_ids: np.ndarray
         # A contiguous page range (any clustered selection) is a payload of
         # its own: unpack it at full speed instead of gathering page by page.
         return unpack_pages(raw[offsets[first] : offsets[last + 1]], widths[first : last + 1])
-    out = np.zeros((page_ids.size, PAGE), dtype=np.uint64)
-    sel_widths = widths[page_ids]
-    for width in np.unique(sel_widths):
-        w = int(width)
-        if w == 0:
-            continue
-        rows = np.nonzero(sel_widths == width)[0]
-        src = offsets[page_ids[rows]][:, None] + np.arange(16 * w, dtype=np.int64)
-        out[rows] = _decode_lane(raw[src], w)
-    return out
+    return _unpack_rows(raw, offsets[page_ids], widths[page_ids])
+
+
+def check_widths(widths: np.ndarray) -> None:
+    """Hold declared page widths to the format before anything unpacks.
+
+    Widths are a u8 field and pages hold int32 deltas, so no writer emits
+    a page wider than :data:`MAX_WIDTH`; a wider one is corrupt bytes, and
+    at 59, 61, 62 and 63 bits the lane kernel would decode it wrongly
+    rather than fail.
+    """
+    # Deleting every legal width byte leaves nothing of an honest header:
+    # one C call, ~5x cheaper than a NumPy max on a cascade's one-page nodes.
+    if widths.dtype != np.uint8 or widths.tobytes().translate(None, _WIDTH_BYTES):
+        raise CorruptBlockError(
+            f"bit-packed page widths must be u8 values <= {MAX_WIDTH}"
+        )
 
 
 def check_selected_pages(page_ids: np.ndarray, widths: np.ndarray, *per_page: np.ndarray) -> None:
@@ -335,6 +361,7 @@ class FastBP128(Scheme):
         refs = reader.array()
         widths = reader.array()
         packed = reader.blob()
+        check_widths(widths)
         if page_ids is not None:
             check_selected_pages(page_ids, widths, refs)
             deltas = unpack_pages_subset(packed, widths, page_ids)
@@ -346,9 +373,9 @@ class FastBP128(Scheme):
         # uint64 addition wraps mod 2^64 and the final int32 cast is modular
         # too, so adding the (two's-complement) refs in place is bit-identical
         # to widening every delta to int64 first — without the extra pass.
-        # ``casting="unsafe"`` applies the same modular int32 -> uint64 cast
-        # as ``refs.astype(np.uint64)`` without materialising the temporary.
-        np.add(deltas, refs[:, None], out=deltas, casting="unsafe")
+        # The refs are cast up front, one entry per page: a cast inside the
+        # broadcast add is buffered and costs ~5x the add itself.
+        np.add(deltas, refs.astype(np.uint64)[:, None], out=deltas)
         return deltas
 
     def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:

@@ -6,11 +6,6 @@ FastBP128). For strings, the dictionary pool itself is FSST-compressed when
 that is beneficial — the paper's "Dict+FSST" tree node — and decompression
 replaces codes with (offset, length) views into the pool instead of copying
 strings (Section 5, "String Dictionaries").
-
-Decompression also implements the paper's *fused RLE+Dictionary* fast path:
-when the code sequence was RLE-compressed and runs are long (average > 3 by
-default), the dictionary lookup happens on the run values and the result is
-replicated, skipping the intermediate code array.
 """
 
 from __future__ import annotations
@@ -27,8 +22,7 @@ from repro.encodings.base import (
     SchemeId,
     register_scheme,
 )
-from repro.encodings.rle import _RLEBase, repeat_into
-from repro.encodings.wire import Reader, Writer, unwrap
+from repro.encodings.wire import Reader, Writer
 from repro.exceptions import FormatError
 from repro.types import ColumnType, StringArray
 
@@ -119,10 +113,6 @@ class _NumericDict(Scheme):
         reader = Reader(payload)
         uniq = reader.array()
         codes_blob = reader.blob()
-        fused = _try_fused_rle(codes_blob, ctx)
-        if fused is not None:
-            run_codes, run_lengths = fused
-            return np.repeat(uniq[_checked_codes(run_codes, len(uniq))], run_lengths)
         codes = _checked_codes(ctx.decompress_child(codes_blob, ColumnType.INTEGER), len(uniq))
         if ctx.vectorized:
             return uniq.take(codes)  # 2x faster than uniq[codes] on int32 codes
@@ -148,13 +138,6 @@ class _NumericDict(Scheme):
                 )
             np.copyto(out, values, casting="unsafe")
             return
-        fused = _try_fused_rle(codes_blob, ctx)
-        if fused is not None:
-            run_codes, run_lengths = fused
-            repeat_into(
-                uniq[_checked_codes(run_codes, len(uniq))], np.asarray(run_lengths), count, out
-            )
-            return
         codes = _checked_codes(ctx.decompress_child(codes_blob, ColumnType.INTEGER), len(uniq))
         if len(codes) != count:
             raise FormatError(
@@ -170,37 +153,6 @@ class _NumericDict(Scheme):
         codes_blob = reader.blob()
         codes = ctx.decompress_child_filtered(codes_blob, ColumnType.INTEGER, positions)
         return np.asarray(uniq).take(_checked_codes(codes, len(uniq)))
-
-
-#: Fuse RLE+Dictionary decode only when the average run exceeds this
-#: (paper Section 5: "only ... if the average run length is greater than 3").
-FUSED_RLE_DICT_MIN_RUN = 3.0
-
-
-def _try_fused_rle(codes_blob: bytes, ctx: DecompressionContext):
-    """Decode RLE-compressed codes as (run_values, run_lengths) when fusing pays.
-
-    Returns ``None`` when the codes were not RLE-compressed or runs are short
-    (:data:`FUSED_RLE_DICT_MIN_RUN`).
-
-    Dead as written, and left so on purpose (ROADMAP item 3): the ratio below
-    divides the run-length sum by the node's *value* count, which
-    ``decode_runs`` has just held equal to it, so it is 1.0 for every
-    non-empty node and the callers always take the plain route. Dividing by
-    ``len(run_lengths)`` would switch the fused branches on — after this
-    function holds ``count`` to ``ctx.limits.max_rows_per_block``: it reads
-    the child header with a bare ``unwrap``, not through the gate
-    ``decompress_child`` applies, and the callers ``np.repeat`` by it.
-    """
-    if not ctx.vectorized or not getattr(ctx, "fuse_rle_dict", True):
-        return None
-    scheme_id, count, payload = unwrap(codes_blob)
-    if scheme_id != SchemeId.RLE_INT:
-        return None
-    run_values, run_lengths = _RLEBase.decode_runs(payload, count, ctx, ColumnType.INTEGER)
-    if count and run_lengths.sum() / count <= FUSED_RLE_DICT_MIN_RUN:
-        return None
-    return run_values, run_lengths
 
 
 class DictInt(_NumericDict):
@@ -314,11 +266,6 @@ class DictString(Scheme):
         pool_count = reader.u32()
         pool = self._decompress_pool(pool_kind, reader.blob(), pool_count, ctx)
         codes_blob = reader.blob()
-        fused = _try_fused_rle(codes_blob, ctx)
-        if fused is not None:
-            run_codes, run_lengths = fused
-            expanded = np.repeat(_checked_codes(run_codes, len(pool)), run_lengths)
-            return strutil.gather(pool, expanded)
         codes = _checked_codes(ctx.decompress_child(codes_blob, ColumnType.INTEGER), len(pool))
         if ctx.vectorized:
             return strutil.gather(pool, codes)

@@ -28,6 +28,7 @@ from repro.encodings.bitpack import (
     FastBP128,
     bit_lengths,
     check_selected_pages,
+    check_widths,
     pack_pages,
     page_header_bounds,
     paginate,
@@ -109,6 +110,7 @@ class FastPFOR(FastBP128):
         exc_slots = reader.array()
         exc_values = reader.array()
         packed = reader.blob()
+        check_widths(widths)
         if page_ids is not None:
             check_selected_pages(page_ids, widths, refs, exc_per_page)
             deltas = unpack_pages_subset(packed, widths, page_ids)
@@ -134,10 +136,9 @@ class FastPFOR(FastBP128):
                     deltas[page, exc_slots[exc_index]] = exc_values[exc_index]
                     exc_index += 1
         # In-place modular add; bit-identical to widening to int64 first
-        # because the final int32 cast truncates mod 2^32 either way (the
-        # unsafe cast is the same modular int32 -> uint64 conversion as
-        # ``refs.astype(np.uint64)``, minus the temporary).
-        np.add(deltas, refs[:, None], out=deltas, casting="unsafe")
+        # because the final int32 cast truncates mod 2^32 either way (refs
+        # are cast per page, not inside the buffered broadcast add).
+        np.add(deltas, refs.astype(np.uint64)[:, None], out=deltas)
         return deltas
 
     def header_bounds(

@@ -80,7 +80,7 @@ class _RLEBase(Scheme):
 
     @staticmethod
     def decode_runs(payload: bytes, count: int, ctx: DecompressionContext, ctype: ColumnType):
-        """Decode the two child sequences (used by the fused RLE+Dict path).
+        """Decode the two child sequences (run values, run lengths).
 
         Run lengths are held to the header *before* anything replicates
         them: a corrupt length must surface as a typed error, never size an

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -62,3 +65,70 @@ def scheme_round_trip(scheme, values, config=None, vectorized=True):
     payload = scheme.compress(values, ctx)
     out = scheme.decompress(payload, len(values), decompression_context(vectorized))
     return payload, out
+
+
+def lakebench_workloads():
+    """``(PARTITIONS, WORKLOADS)`` of the benchmark's own ``workloads`` module."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "lakebench"))
+    try:
+        from workloads import PARTITIONS, WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return PARTITIONS, WORKLOADS
+
+
+class LakebenchPartitions:
+    """The benchmark's own tables, generated once per seed and compressed
+    once per seed x FSST trainer for the whole session.
+
+    Keys are ``(workload name, partition)``. :meth:`compressed` compresses
+    every column inline, as the benchmark's writer does, with a fresh
+    ``SchemeSelector(workload.config())`` under its own ``SelectionTrace``;
+    the partition oracles assert against these and hold their own
+    reference selectors, digests and listed exceptions.
+    """
+
+    def __init__(self) -> None:
+        self.partitions, self.workloads = lakebench_workloads()
+        self._relations: dict = {}
+        self._compressed: dict = {}
+
+    def relations(self, seed: int) -> dict:
+        if seed not in self._relations:
+            self._relations[seed] = {
+                (name, partition): workload.generate(seed, partition)
+                for name, workload in self.workloads.items()
+                for partition in range(self.partitions)
+            }
+        return self._relations[seed]
+
+    def compressed(self, seed: int, trainer) -> dict:
+        """``key -> [(column, compressed column, its trace)]``, every FSST
+        table trained by ``trainer``."""
+        from repro.core.compressor import compress_column
+        from repro.core.selector import SchemeSelector
+        from repro.encodings import fsst
+        from repro.observe import SelectionTrace, use_trace
+
+        if (seed, trainer) in self._compressed:
+            return self._compressed[seed, trainer]
+        todays, fsst.train_symbol_table = fsst.train_symbol_table, trainer
+        try:
+            out = {}
+            for key, relation in self.relations(seed).items():
+                config = self.workloads[key[0]].config()
+                out[key] = []
+                for column in relation.columns:
+                    trace = SelectionTrace()
+                    with use_trace(trace):
+                        compressed = compress_column(column, selector=SchemeSelector(config))
+                    out[key].append((column, compressed, trace))
+        finally:
+            fsst.train_symbol_table = todays
+        self._compressed[seed, trainer] = out
+        return out
+
+
+@pytest.fixture(scope="session")
+def lakebench() -> LakebenchPartitions:
+    return LakebenchPartitions()

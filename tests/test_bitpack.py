@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitpack_reference as reference
+from repro.core.decompressor import make_context
 from repro.encodings.base import SchemeId, get_scheme
 from repro.encodings.bitpack import (
     PAGE,
@@ -13,8 +15,10 @@ from repro.encodings.bitpack import (
     paginate,
     unpack_pages,
     unpack_pages_scalar,
+    unpack_pages_subset,
 )
 from repro.encodings.fastpfor import choose_widths
+from repro.encodings.wire import Reader
 
 from conftest import scheme_round_trip
 
@@ -175,3 +179,126 @@ def test_property_pfor_round_trip(values):
     arr = np.array(values, dtype=np.int32)
     _, out = scheme_round_trip(PFOR, arr)
     assert np.array_equal(out, arr)
+
+
+# -- the vectorised kernels against the scalar decode --------------------------
+
+#: Every width a page may declare: byte-aligned ones unpack as a view, every
+#: other one through the strided-word kernel.
+EQUIVALENCE_WIDTHS = [*range(33), 64]
+#: Page counts on both sides of the small-lane branch (2,048 packed bytes)
+#: at every width, and the multi-block sizes the scans decode.
+EQUIVALENCE_PAGES = (1, 3, 16, 17, 128, 256)
+#: Distinct random pages drawn per width.
+POOL_PAGES = 8
+
+
+def random_pages(rng: np.random.Generator, widths: np.ndarray) -> np.ndarray:
+    """(P, 128) uint64 deltas, page *i* filling ``widths[i]`` bits (its
+    largest value in slot 0, so every page uses its top bit)."""
+    masks = np.array([(1 << int(w)) - 1 for w in widths], dtype=np.uint64)
+    deltas = rng.integers(0, 2**64, (widths.size, PAGE), dtype=np.uint64) & masks[:, None]
+    deltas[:, 0] = masks
+    return deltas
+
+
+@pytest.fixture(scope="module")
+def page_pool():
+    """width -> (each pool page's packed bytes, its ``unpack_pages_scalar`` rows).
+
+    The scalar decode walks a payload page by page, so a payload assembled
+    from these pages decodes under it to the same pages' rows: each page is
+    decoded bit by bit once, and every shape below is assembled from them.
+    """
+    rng = np.random.default_rng(26)
+    pool = {}
+    for width in EQUIVALENCE_WIDTHS:
+        widths = np.full(POOL_PAGES, width, dtype=np.uint8)
+        deltas = random_pages(rng, widths)
+        packed = pack_pages(deltas, widths)
+        scalar = unpack_pages_scalar(packed, widths)
+        assert np.array_equal(scalar, deltas)
+        step = 16 * width
+        pool[width] = ([packed[i * step : (i + 1) * step] for i in range(POOL_PAGES)], scalar)
+    return pool
+
+
+def assert_kernels_equal_scalar(page_pool, widths: np.ndarray, rng: np.random.Generator) -> None:
+    """``unpack_pages`` and ``unpack_pages_subset`` (a contiguous and a
+    scattered page subset) return the scalar decode's rows for ``widths``."""
+    picks = rng.integers(0, POOL_PAGES, widths.size)
+    payload = b"".join(page_pool[int(w)][0][i] for w, i in zip(widths, picks))
+    expected = np.stack([page_pool[int(w)][1][i] for w, i in zip(widths, picks)])
+    assert np.array_equal(unpack_pages(payload, widths), expected)
+    start = int(rng.integers(0, widths.size))
+    contiguous = np.arange(start, int(rng.integers(start + 1, widths.size + 1)))
+    scattered = np.arange(widths.size % 2, widths.size, 2)
+    for page_ids in (contiguous, scattered):
+        assert np.array_equal(unpack_pages_subset(payload, widths, page_ids), expected[page_ids])
+
+
+@pytest.mark.parametrize("width", EQUIVALENCE_WIDTHS)
+def test_kernels_equal_the_scalar_decode(page_pool, width):
+    """Uniform pages and a 2-width mix, at every page count."""
+    rng = np.random.default_rng(width)
+    partner = EQUIVALENCE_WIDTHS[(EQUIVALENCE_WIDTHS.index(width) + 11) % len(EQUIVALENCE_WIDTHS)]
+    for pages in EQUIVALENCE_PAGES:
+        assert_kernels_equal_scalar(page_pool, np.full(pages, width, dtype=np.uint8), rng)
+        mixed = rng.choice([width, partner], pages).astype(np.uint8)
+        mixed[-1] = partner
+        mixed[0] = width
+        assert_kernels_equal_scalar(page_pool, mixed, rng)
+
+
+@pytest.mark.parametrize("pages", EQUIVALENCE_PAGES)
+def test_eight_width_mixes_equal_the_scalar_decode(page_pool, pages):
+    rng = np.random.default_rng(pages)
+    for _ in range(6):
+        choices = [0, *rng.choice(EQUIVALENCE_WIDTHS[1:], 7, replace=False).tolist()]
+        assert_kernels_equal_scalar(page_pool, rng.choice(choices, pages).astype(np.uint8), rng)
+
+
+@pytest.mark.parametrize("pages", EQUIVALENCE_PAGES)
+def test_fastpfor_mixed_pages_with_exceptions(pages):
+    """Pages of 0-23 bit ranges around a negative base, 2% outliers patched
+    in as exceptions: the full decode (vectorised and scalar) and both page
+    subsets return the input."""
+    rng = np.random.default_rng(1000 + pages)
+    spans = rng.integers(0, 24, pages)
+    values = rng.integers(0, 1 << 23, (pages, PAGE)) >> (23 - spans)[:, None]
+    outliers = rng.random(values.shape) < 0.02
+    values[outliers] = rng.integers(1 << 28, 1 << 30, int(outliers.sum()))
+    values = (values.reshape(-1) - (1 << 29)).astype(np.int32)
+    payload, fast = scheme_round_trip(PFOR, values)
+    _, slow = scheme_round_trip(PFOR, values, vectorized=False)
+    assert np.array_equal(fast, values) and np.array_equal(slow, values)
+    reader = Reader(payload)
+    reader.array()
+    widths, exc_per_page = reader.array(), reader.array()
+    assert exc_per_page.sum() > 0 and (pages == 1 or np.unique(widths).size > 1)
+    start = int(rng.integers(0, pages))
+    for page_ids in (np.arange(start, pages), np.arange(pages % 2, pages, 2)):
+        positions = (page_ids[:, None] * PAGE + np.arange(0, PAGE, 3)).reshape(-1)
+        got = PFOR.decompress_filtered(payload, values.size, make_context(), positions)
+        assert np.array_equal(got, values[positions])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(EQUIVALENCE_WIDTHS), min_size=1, max_size=20),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_kernels_equal_scalar_and_reference(widths, seed):
+    """Any page sequence: the kernels, the scalar decode and the kernels
+    they replaced agree, whole and on a random page subset."""
+    rng = np.random.default_rng(seed)
+    widths = np.array(widths, dtype=np.uint8)
+    deltas = random_pages(rng, widths)
+    payload = pack_pages(deltas, widths)
+    scalar = unpack_pages_scalar(payload, widths)
+    assert np.array_equal(scalar, deltas)
+    assert np.array_equal(unpack_pages(payload, widths), scalar)
+    assert np.array_equal(reference.unpack_pages(payload, widths), scalar)
+    page_ids = np.flatnonzero(rng.random(widths.size) < 0.5)
+    assert np.array_equal(unpack_pages_subset(payload, widths, page_ids), scalar[page_ids])
+    assert np.array_equal(reference.unpack_pages_subset(payload, widths, page_ids), scalar[page_ids])

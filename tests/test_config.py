@@ -1,6 +1,5 @@
 """Tests for configuration handling."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import BtrBlocksConfig
@@ -26,38 +25,6 @@ class TestDefaults:
 
     def test_vectorized_by_default(self):
         assert BtrBlocksConfig().vectorized is True
-
-    def test_fused_rle_dict_threshold(self):
-        # Paper Section 5: fuse only when the average run length exceeds 3.
-        from repro.core.compressor import make_context as compression_context
-        from repro.core.decompressor import decompress_block, make_context
-        from repro.core.selector import SchemeSelector
-        from repro.encodings.base import get_scheme
-        from repro.encodings.dictionary import FUSED_RLE_DICT_MIN_RUN, _try_fused_rle
-        from repro.encodings.wire import Writer, wrap
-        from repro.types import ColumnType
-
-        uniq = np.arange(100, 110, dtype=np.int32)
-
-        def rle_coded(run: int) -> bytes:
-            codes = np.repeat(np.arange(10, dtype=np.int32), run)
-            payload = get_scheme(SchemeId.RLE_INT).compress(
-                codes, compression_context(SchemeSelector(seed=7))
-            )
-            return wrap(SchemeId.RLE_INT, len(codes), payload)
-
-        assert FUSED_RLE_DICT_MIN_RUN == 3.0
-        for run in (3, 4):  # either side of the threshold decodes the same values
-            payload = Writer().array(uniq).blob(rle_coded(run)).getvalue()
-            node = wrap(SchemeId.DICT_INT, 10 * run, payload)
-            decoded = decompress_block(node, ColumnType.INTEGER)
-            assert decoded.tolist() == np.repeat(uniq, run).tolist()
-        assert _try_fused_rle(rle_coded(3), make_context()) is None
-        # Runs of 4 should fuse and do not: the route is dead as written (see
-        # _try_fused_rle's docstring, ROADMAP item 3). This line flips with the
-        # fix, which has to bind DecodeLimits on the child first
-        # (test_decode_limits_fuzz.py::TestHostileDictionaryRuns).
-        assert _try_fused_rle(rle_coded(4), make_context()) is None
 
 
 class TestWithPool:

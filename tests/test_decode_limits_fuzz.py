@@ -325,14 +325,13 @@ class TestHostileFSSTTables:
 class TestHostileDictionaryRuns:
     """A dictionary node's RLE-coded child can claim more values than any block.
 
-    ``dictionary._try_fused_rle`` reads the child's header with a bare
-    ``unwrap`` and its callers ``np.repeat`` by the run lengths. While that
-    route never fires the child still goes through ``decompress_child``'s
-    gate; whoever switches it on has to hold the child's count to
-    ``max_rows_per_block`` first. Either way: four declared rows over a
-    child of two runs claiming 16.8M values is a ``DecodeLimitError`` having
-    allocated nothing value-sized (a repeat would be 64 MB), on all three
-    routes that read the child.
+    The child goes through ``decompress_child``'s gate, which holds its count
+    to ``max_rows_per_block`` before the RLE decoder repeats anything (a
+    route that read the child's header with a bare ``unwrap`` and repeated
+    by its run lengths would not be). Four declared rows over a child of two
+    runs claiming 16.8M values is a ``DecodeLimitError`` having allocated
+    nothing value-sized (a repeat would be 64 MB), on all three routes that
+    read the child.
     """
 
     CHILD_ROWS = (1 << 24) + 2  # two runs, just past DEFAULT_DECODE_LIMITS
@@ -391,3 +390,60 @@ class TestHostileDictionaryRuns:
                 finally:
                     tracemalloc.stop()
                 assert peak <= 32 * len(blob) + (64 << 10), (ctype, route.__name__, peak)
+
+
+class TestHostilePageWidths:
+    """A bit-packed page may not declare a width wider than its int32 deltas.
+
+    No writer emits one, and at 59, 61, 62 and 63 bits the lane kernel's
+    shift plus width overflows its 64-bit word, so such a page decoded to
+    wrong values without an error. Every width above 32 is now a typed error
+    on the full, scalar and page-subset routes of both bit-packers.
+    """
+
+    @staticmethod
+    def _blocks(width: int):
+        from repro.encodings.base import SchemeId
+        from repro.encodings.bitpack import PAGE, pack_pages
+        from repro.encodings.wire import Writer, wrap
+
+        pages = 3
+        deltas = np.random.default_rng(width).integers(0, 1 << 58, (pages, PAGE), dtype=np.uint64)
+        deltas[:, 0] = np.uint64((1 << width) - 1)
+        widths = np.full(pages, width, dtype=np.uint8)
+        head = Writer().array(np.zeros(pages, dtype=np.int32)).array(widths)
+        no_exceptions = (
+            Writer().array(np.zeros(pages, dtype=np.uint8)).array(np.empty(0, dtype=np.uint8))
+            .array(np.empty(0, dtype=np.uint64))
+        )
+        packed = Writer().blob(pack_pages(deltas, widths))
+        return {
+            SchemeId.FAST_BP128: wrap(
+                SchemeId.FAST_BP128, pages * PAGE, head.getvalue() + packed.getvalue()
+            ),
+            SchemeId.FAST_PFOR: wrap(
+                SchemeId.FAST_PFOR, pages * PAGE,
+                head.getvalue() + no_exceptions.getvalue() + packed.getvalue(),
+            ),
+        }
+
+    @pytest.mark.parametrize("width", [33, 57, 59, 61, 62, 63, 64])
+    def test_wider_than_int32_is_rejected_on_every_route(self, width):
+        from repro.core.decompressor import decompress_block, make_context
+        from repro.encodings.base import get_scheme
+        from repro.encodings.wire import unwrap
+        from repro.exceptions import CorruptBlockError
+        from repro.types import ColumnType
+
+        for scheme_id, blob in self._blocks(width).items():
+            scheme, (_, count, payload) = get_scheme(scheme_id), unwrap(blob)
+            routes = {
+                "vectorized": lambda: decompress_block(blob, ColumnType.INTEGER),
+                "scalar": lambda: decompress_block(blob, ColumnType.INTEGER, vectorized=False),
+                "subset": lambda: scheme.decompress_filtered(
+                    payload, count, make_context(), np.array([0, 300])
+                ),
+            }
+            for route, decode in routes.items():
+                with pytest.raises(CorruptBlockError, match="page widths"):
+                    decode()

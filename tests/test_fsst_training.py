@@ -34,7 +34,6 @@ from repro.encodings.fsst import (
 from repro.types import ColumnType, StringArray
 
 from test_fsst import ADVERSARIAL_TABLES, _adversarial_data
-from test_sole_survivor import lakebench_workloads
 
 
 def _comment_bytes(rows: int) -> bytes:
@@ -207,18 +206,16 @@ def test_tables_equal_the_loops(name):
         assert_same_table(data[:cut])
 
 
-def test_tables_equal_the_loops_on_every_lakebench_string_column():
-    PARTITIONS, WORKLOADS = lakebench_workloads()
+def test_tables_equal_the_loops_on_every_lakebench_string_column(lakebench):
     columns = 0
-    for workload in WORKLOADS.values():
-        for partition in range(PARTITIONS):
-            for column in workload.generate(100, partition).columns:
-                if column.ctype is ColumnType.STRING:
-                    buffer = column.data.buffer.tobytes()
-                    assert_same_table(buffer)
-                    assert_same_table(buffer[: len(buffer) // 29])  # about one 2,048-row block
-                    columns += 1
-    assert columns >= 3 * PARTITIONS
+    for relation in lakebench.relations(100).values():
+        for column in relation.columns:
+            if column.ctype is ColumnType.STRING:
+                buffer = column.data.buffer.tobytes()
+                assert_same_table(buffer)
+                assert_same_table(buffer[: len(buffer) // 29])  # about one 2,048-row block
+                columns += 1
+    assert columns >= 3 * lakebench.partitions
 
 
 @pytest.mark.parametrize("seed", range(1, 7))

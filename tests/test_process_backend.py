@@ -27,6 +27,7 @@ from repro.core.compressor import compress_relation, iter_block_ranges
 from repro.core.config import BtrBlocksConfig
 from repro.core.decompressor import decompress_relation
 from repro.core.relation import Relation
+from repro.encodings import fsst
 from repro.encodings.base import SchemeId
 from repro.observe import MetricsRegistry, SelectionTrace, use_registry, use_trace
 from repro.procpool import collect_futures
@@ -38,7 +39,7 @@ from test_encoder_fallback import (
     long_random_strings,
     pick_non_uncompressed_scheme,
 )
-from test_sole_survivor import PARTITION_DIGESTS, lakebench_workloads
+from test_sole_survivor import PARTITION_DIGESTS
 
 pytestmark = pytest.mark.skipif(
     not procpool.available(), reason="no multiprocessing start method"
@@ -271,16 +272,22 @@ _GOLDEN_PARTITIONS = json.loads(PARTITION_DIGESTS.read_text())
 
 
 @pytest.mark.parametrize("key", list(_GOLDEN_PARTITIONS), ids=lambda key: key.replace("/", "-"))
-def test_lakebench_partitions_match_the_committed_digests(key):
-    """The benchmark's own tables at seed 100, compressed on the pool, hash
-    to the digests the inline loop committed."""
-    _, workloads = lakebench_workloads()
+def test_lakebench_partitions_match_the_committed_digests(key, lakebench):
+    """The benchmark's own tables at seed 100, compressed on the pool, are
+    block for block the inline loop's bytes and hash to the digests the
+    inline loop committed."""
     workload, partition = key.split("/")
-    relation = workloads[workload].generate(100, int(partition))
+    relation = lakebench.relations(100)[workload, int(partition)]
     registry = MetricsRegistry()
     with use_registry(registry):
-        compressed = compress_relation(relation, workloads[workload].config(), workers=WORKERS)
+        compressed = compress_relation(
+            relation, lakebench.workloads[workload].config(), workers=WORKERS
+        )
     assert registry.snapshot()["counters"]["parallel.backend.process.runs"] == 1
+    inline = lakebench.compressed(100, fsst.train_symbol_table)[workload, int(partition)]
+    assert [[b.data for b in c.blocks] for c in compressed.columns] == [
+        [b.data for b in c.blocks] for _, c, _ in inline
+    ]
     digest = hashlib.blake2b(digest_size=16)
     for column in compressed.columns:
         for block in column.blocks:

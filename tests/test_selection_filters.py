@@ -45,7 +45,7 @@ from repro.observe import MetricsRegistry, SelectionTrace, use_registry, use_tra
 from repro.types import Column, ColumnType, StringArray, columns_equal
 
 from fsst_reference import train_five_full_passes
-from test_sole_survivor import FUZZ_CASES, compress_both, every_third_null, lakebench_workloads
+from test_sole_survivor import FUZZ_CASES, compress_both, every_third_null
 
 
 def _unique_fraction_only(self, stats, config) -> bool:
@@ -176,40 +176,36 @@ LAKEBENCH_MOVED_AT_4242 = {
     [(100, train_five_full_passes, ["top-share"]), (4242, fsst.train_symbol_table, list(ORACLES))],
     ids=["seed100-pr22-parent-trainer", "seed4242-todays-trainer"],
 )
-def test_lakebench_bytes_equal_or_listed(seed, trainer, oracles, monkeypatch):
+def test_lakebench_bytes_equal_or_listed(seed, trainer, oracles, monkeypatch, lakebench):
     """3 workloads x 4 partitions. The Frequency filter removes it from hundreds
     of picks and moves no byte, whichever FSST trainer both sides share (under
     PR 22's parent's, whatever moved ``compression_ratio`` there was the training
     schedule alone). Dominance drops FSST or integer Dictionary from hundreds
     more and moves one column, which shrinks."""
     monkeypatch.setattr(fsst, "train_symbol_table", trainer)
-    PARTITIONS, WORKLOADS = lakebench_workloads()
-    fired = {oracle: dict.fromkeys(WORKLOADS, 0) for oracle in oracles}
+    fired = {oracle: dict.fromkeys(lakebench.workloads, 0) for oracle in oracles}
     moved = {}
-    for name, workload in WORKLOADS.items():
-        for partition in range(PARTITIONS):
-            for column in workload.generate(seed, partition).columns:
-                trace = SelectionTrace()
-                with use_trace(trace):
-                    new = compress_column(column, selector=SchemeSelector(workload.config()))
-                new_top = {d.block: d for d in trace.decisions() if d.top_level}
-                for oracle in oracles:
-                    selector, removed_by, _ = ORACLES[oracle]
-                    removed = removed_by(trace)
-                    if not removed:
-                        continue  # every pick filtered as the oracle's would: same code, same bytes
-                    fired[oracle][name] += len(removed)
-                    old_trace = SelectionTrace()
-                    with use_trace(old_trace):
-                        old = compress_column(column, selector=selector(workload.config()))
-                    assert [b.stats for b in new.blocks] == [b.stats for b in old.blocks]
-                    old_top = {d.block: d for d in old_trace.decisions() if d.top_level}
-                    for block, (n, o) in enumerate(zip(new.blocks, old.blocks)):
-                        if n.data != o.data:
-                            assert columns_equal(decompress_column(new), column)
-                            moved[(oracle, name, partition, column.name, block)] = (
-                                new_top[block].chosen, len(n.data), old_top[block].chosen, len(o.data)
-                            )
+    for (name, partition), columns in lakebench.compressed(seed, trainer).items():
+        config = lakebench.workloads[name].config()
+        for column, new, trace in columns:
+            new_top = {d.block: d for d in trace.decisions() if d.top_level}
+            for oracle in oracles:
+                selector, removed_by, _ = ORACLES[oracle]
+                removed = removed_by(trace)
+                if not removed:
+                    continue  # every pick filtered as the oracle's would: same code, same bytes
+                fired[oracle][name] += len(removed)
+                old_trace = SelectionTrace()
+                with use_trace(old_trace):
+                    old = compress_column(column, selector=selector(config))
+                assert [b.stats for b in new.blocks] == [b.stats for b in old.blocks]
+                old_top = {d.block: d for d in old_trace.decisions() if d.top_level}
+                for block, (n, o) in enumerate(zip(new.blocks, old.blocks)):
+                    if n.data != o.data:
+                        assert columns_equal(decompress_column(new), column)
+                        moved[(oracle, name, partition, column.name, block)] = (
+                            new_top[block].chosen, len(n.data), old_top[block].chosen, len(o.data)
+                        )
     if seed == 100:  # 93 / 336 / 640 before dominance took integer Dictionary's nested picks away
         assert fired == {"top-share": {"bi_cold": 67, "tpch_cold": 272, "tpch_small_warm": 512}}
         assert moved == {}

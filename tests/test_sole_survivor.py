@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,16 +114,6 @@ def every_third_null(count: int) -> RoaringBitmap | None:
     return RoaringBitmap.from_positions(np.arange(0, count, 3)) if count else None
 
 
-def lakebench_workloads():
-    """``(PARTITIONS, WORKLOADS)`` of the benchmark's own ``workloads`` module."""
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "lakebench"))
-    try:
-        from workloads import PARTITIONS, WORKLOADS
-    finally:
-        sys.path.pop(0)
-    return PARTITIONS, WORKLOADS
-
-
 # -- the oracle over the round-trip fuzz corpus ---------------------------------
 
 
@@ -148,7 +137,7 @@ def test_fuzz_corpus_equal_or_smaller(ctype, block_size):
 # -- the oracle over the benchmark's own tables ---------------------------------
 
 
-def test_lakebench_partitions_are_bit_identical():
+def test_lakebench_partitions_are_bit_identical(lakebench):
     """3 workloads x 4 partitions at seed 100: the shortcut fires (FSST on
     ``l_comment``, Pseudodecimal on ``l_extendedprice``, Dictionary on the
     double blocks whose only other candidate was a Frequency without a
@@ -157,27 +146,23 @@ def test_lakebench_partitions_are_bit_identical():
     — ...) and every block equals the oracle's, so the rule moves no ``compression_ratio``.
     The same blocks are also held to the committed ``PARTITION_DIGESTS``, so no
     other change moves it unnoticed either."""
-    PARTITIONS, WORKLOADS = lakebench_workloads()
     fired: dict[str, set] = {}
     digests: dict[str, str] = {}
-    for name, workload in WORKLOADS.items():
-        for partition in range(PARTITIONS):
-            digest = hashlib.blake2b(digest_size=16)
-            for column in workload.generate(100, partition).columns:
-                trace = SelectionTrace()
-                with use_trace(trace):
-                    new = compress_column(column, selector=SchemeSelector(workload.config()))
-                for block in new.blocks:
-                    digest.update(block.data)
-                    digest.update(block.nulls or b"-")
-                survivors = {d.sole_survivor for d in trace.decisions() if d.sole_survivor}
-                if not survivors:
-                    continue  # no estimate was skipped: the parent's code path, verbatim
-                assert not any(d.survivor_rejected for d in trace.decisions())
-                old = compress_column(column, selector=ForcedEstimateSelector(workload.config()))
-                assert [b.data for b in new.blocks] == [b.data for b in old.blocks]
-                fired.setdefault(name, set()).update(survivors)
-            digests[f"{name}/{partition}"] = digest.hexdigest()
+    for (name, partition), columns in lakebench.compressed(100, fsst.train_symbol_table).items():
+        digest = hashlib.blake2b(digest_size=16)
+        for column, new, trace in columns:
+            for block in new.blocks:
+                digest.update(block.data)
+                digest.update(block.nulls or b"-")
+            survivors = {d.sole_survivor for d in trace.decisions() if d.sole_survivor}
+            if not survivors:
+                continue  # no estimate was skipped: the parent's code path, verbatim
+            assert not any(d.survivor_rejected for d in trace.decisions())
+            config = lakebench.workloads[name].config()
+            old = compress_column(column, selector=ForcedEstimateSelector(config))
+            assert [b.data for b in new.blocks] == [b.data for b in old.blocks]
+            fired.setdefault(name, set()).update(survivors)
+        digests[f"{name}/{partition}"] = digest.hexdigest()
     everything = {"fsst", "pseudodecimal", "dictionary"}
     assert fired["tpch_cold"] == fired["tpch_small_warm"] == fired["bi_cold"] == everything
     if os.environ.get("REPRO_REGEN_GOLDEN"):
