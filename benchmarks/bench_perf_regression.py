@@ -1,4 +1,4 @@
-"""The never-loses gates: selective execution, string gathers and integer unpacks vs the plain path.
+"""The never-loses gates: selective execution, string gathers, integer unpacks and string assembly vs the plain path.
 
 ``test_selective_sweep_never_loses`` is the sweep gate: it runs the
 compressed-domain sweep (:func:`bench_compressed_scan`, below) once, at
@@ -26,6 +26,13 @@ they replaced (``tests/bitpack_reference.py``) over every width 1-32 x
 16 / 128 / 256 pages x uniform / 2-width / 8-width pages x whole / a
 scattered 1-8-page subset.
 
+``test_string_assembly_sweep_never_loses`` holds the string column assembly
+to it: ``decompress_column`` (offsets rebased into one column array, cache
+hits' narrow offsets rebased as stored) against the concatenating assembly it
+replaced (``tests/assembly_reference.py``) over string shapes x 1-32 blocks
+x 64-65,536 rows per block x a cold decode / a warm one served by the cache,
+bar the small one-block warm cells ``KNOWN_SLOW_ASSEMBLY_CELLS`` lists.
+
 ``test_compressed_scan_sweep_covers_every_cell`` holds the sweep's shape at
 256 rows: cell count, labels, and minima that name a real cell.
 """
@@ -40,9 +47,11 @@ import numpy as np
 from _harness import paired_seconds, print_table
 from repro.bitmap import RoaringBitmap
 from repro.core.access import read_rows
+from repro.core.cache import DecodeCache
 from repro.core.compressor import compress_column
 from repro.core.config import BtrBlocksConfig
 from repro.core.decompressor import decompress_column
+from repro.core.file_format import column_from_bytes, column_to_bytes
 from repro.datagen.scheme_workloads import SCHEME_WORKLOADS
 from repro.encodings.base import take_values
 from repro.encodings.bitpack import PAGE, pack_pages, unpack_pages, unpack_pages_subset
@@ -496,3 +505,91 @@ def test_unpack_shape_sweep_never_loses():
     print(f"whole sweep: min speedup {speedups[worst]:.2f}x at {worst}")
     losing = {cell: round(s, 2) for cell, s in speedups.items() if s < MIN_SPEEDUP}
     assert not losing, f"the unpack loses to the reference kernels (gate >= {MIN_SPEEDUP}): {losing}"
+
+
+#: The string-assembly sweep: ``(label, distinct rows, shortest, longest
+#: row in bytes)`` -- a code-like dictionary column, a text-like one whose
+#: blocks go FSST, and random bytes stored Uncompressed -- x columns of
+#: ``(blocks, rows per block)``: one 65,536-row block (``bi_cold``, and the
+#: default block size), small one-block columns, four 16,384-row blocks
+#: (``tpch_cold``), 2,048-row ones (``tpch_small_warm``) and a 64-row floor.
+ASSEMBLY_STRINGS = (("codes", 7, 3, 7), ("text", 4_096, 20, 60), ("random", 0, 12, 12))
+ASSEMBLY_LAYOUTS = (
+    (1, 65_536), (1, 16_384), (1, 2_048), (2, 2_048), (4, 16_384), (8, 2_048), (32, 2_048),
+    (32, 64),
+)
+
+#: Assembly cells known to sit under the bar, each held to its own floor
+#: (docs/PERFORMANCE.md, "The string assembly path"). A small one-block
+#: column served warm has nothing to assemble: the old route wrapped the
+#: cache entry and returned it, the rebasing one runs the column-level
+#: preallocation pass, ``StringSlots`` and ``fill_block`` for the same
+#: widening copy -- ~1-1.5 us of Python per column against a 10-25 us
+#: decode, 0.88-0.98x measured. It is under 2% by 65,536 rows.
+KNOWN_SLOW_ASSEMBLY_CELLS = {
+    f"{label}/1x{rows}/warm": 0.8
+    for label, *_ in ASSEMBLY_STRINGS
+    for rows in (2_048, 16_384)
+}
+
+
+def assembly_column(rng: np.random.Generator, label: str, distinct: int, shortest: int,
+                    longest: int, blocks: int, rows: int):
+    """One compressed, checksummed string column of ``blocks`` x ``rows``."""
+    total = blocks * rows
+    if distinct:
+        pool = [bytes(rng.integers(97, 123, int(rng.integers(shortest, longest + 1)), dtype=np.uint8))
+                for _ in range(distinct)]
+        values = [pool[i] for i in rng.integers(0, distinct, total)]
+    else:
+        values = [bytes(row) for row in rng.integers(0, 256, (total, longest), dtype=np.uint8)]
+    column = Column.strings(label, values)
+    return column_from_bytes(column_to_bytes(compress_column(column, BtrBlocksConfig(block_size=rows))))
+
+
+def test_string_assembly_sweep_never_loses():
+    """No string column may decode slower through the rebasing assembly than
+    through the concatenating one it replaced (kept as the oracle in
+    ``tests/assembly_reference.py``), cold or served warm from the decode
+    cache: >= ``MIN_SPEEDUP``, bar the listed cells and their floors."""
+    sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
+    import assembly_reference as reference
+
+    rng = np.random.default_rng(DEFAULT_SEED)
+    speedups, rows = {}, []
+    for label, distinct, shortest, longest in ASSEMBLY_STRINGS:
+        for blocks, block_rows in ASSEMBLY_LAYOUTS:
+            compressed = assembly_column(rng, label, distinct, shortest, longest, blocks, block_rows)
+            cache = DecodeCache(1 << 30)
+            decompress_column(compressed, cache=cache, cache_key=("warm", 1))
+            cells = {
+                "cold": (lambda: decompress_column(compressed),
+                         lambda: reference.decode_string_column(compressed)),
+                "warm": (lambda: decompress_column(compressed, cache=cache, cache_key=("warm", 1)),
+                         lambda: reference.decode_string_column(compressed, cache, ("warm", 1))),
+            }
+            row = [label, blocks, block_rows]
+            for mode, (new, old) in cells.items():
+                got, want = new().data, old().data
+                assert np.array_equal(got.offsets, want.offsets) and np.array_equal(got.buffer, want.buffer)
+                speedup = retimed_speedup(new, old)
+                speedups[f"{label}/{blocks}x{block_rows}/{mode}"] = speedup
+                row.append(speedup)
+            rows.append(row)
+    print_table(
+        "decompress_column (rebased offsets) vs the concatenating assembly, string columns "
+        "(speedup, best of >= 80, interleaved)",
+        ["strings", "blocks", "rows/block", "cold", "warm"],
+        rows,
+    )
+    worst = min(speedups, key=speedups.get)
+    print(f"whole sweep: min speedup {speedups[worst]:.2f}x at {worst}")
+    assert set(KNOWN_SLOW_ASSEMBLY_CELLS) <= set(speedups), "a listed cell is not in the sweep"
+    losing = {
+        cell: round(s, 2) for cell, s in speedups.items()
+        if s < KNOWN_SLOW_ASSEMBLY_CELLS.get(cell, MIN_SPEEDUP)
+    }
+    assert not losing, (
+        f"the string assembly loses to the reference (gate >= {MIN_SPEEDUP}, listed cells "
+        f"their own floor): {losing}"
+    )

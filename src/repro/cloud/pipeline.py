@@ -34,23 +34,17 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import DEFAULT_SCAN_READAHEAD, DecodeLimits
 from repro.core.decompressor import (
-    _EMPTY_DTYPES,
     CorruptBlockResult,
-    assemble_column,
+    _allocate,
     assemble_column_preallocated,
-    cached_block,
-    decode_block,
-    decode_block_into,
+    fill_block,
     make_context,
 )
 from repro.core.file_format import ColumnStreamParser
 from repro.exceptions import FormatError
 from repro.observe import get_registry
-from repro.types import ColumnType
 
 __all__ = [
     "ColumnPipelineStats",
@@ -218,7 +212,8 @@ def pipelined_fetch_column(
     store,
     key: str,
     readahead: int = DEFAULT_SCAN_READAHEAD,
-    rows_hint: "int | None" = None,
+    *,
+    rows_hint: int,
     limits: "DecodeLimits | None" = None,
     cache=None,
     cache_key=None,
@@ -230,9 +225,14 @@ def pipelined_fetch_column(
     :class:`~repro.types.Column`, the parsed
     :class:`~repro.core.blocks.CompressedColumn` (for the caller's column
     cache), and the :class:`ColumnPipelineStats` accounting. ``rows_hint``
-    (the metadata row count) sizes the zero-copy preallocation; without it
-    — or for string columns — blocks decode through the legacy per-part
-    assembly.
+    (the metadata row count) sizes the column's preallocation
+    (:func:`~repro.core.decompressor.preallocate_column`'s target), and
+    every completed block is filled into its slot by
+    :func:`~repro.core.decompressor.fill_block` — the decode cache's gate
+    and entries included — exactly as a batch decode does. This is a
+    column's first download, so string blocks are looked up but not
+    admitted (the rule lives on
+    :func:`~repro.core.decompressor.decompress_column`).
 
     The streamed decode is always *strict*: any damage (checksum or parse
     failure in any block) raises immediately. Degrading a block here would
@@ -269,13 +269,10 @@ def pipelined_fetch_column(
 
     parser = ColumnStreamParser(limits)
     ctx = make_context(True, limits=limits)
-    buffer: "np.ndarray | None" = None
+    total_rows = int(rows_hint)
+    data = None
     parts: "list[CorruptBlockResult | None]" = []
-    legacy_parts: list = []
-    total_rows = 0
     row_offset = 0
-    block_index = 0
-    use_prealloc = False
     fetch_times: list[float] = []
     decode_times: list[float] = []
     requests = 0
@@ -291,67 +288,43 @@ def pipelined_fetch_column(
         )
         next_offset = readahead
         for _ in range(len(offsets)):
-            data, chunk_requests, chunk_backoff = pending.popleft().result()
+            chunk, chunk_requests, chunk_backoff = pending.popleft().result()
             if next_offset < len(offsets):
                 pending.append(executor.submit(fetch, offsets[next_offset]))
                 next_offset += 1
             requests += chunk_requests
-            bytes_fetched += len(data)
+            bytes_fetched += len(chunk)
             retry_seconds += chunk_backoff
             fetch_times.append(
-                simulated_fetch_seconds(pricing, len(data), 1, chunk_backoff)
+                simulated_fetch_seconds(pricing, len(chunk), 1, chunk_backoff)
             )
             started = time.perf_counter()
-            first_blocks = not parser.header_ready
-            blocks = parser.feed(data)
-            if first_blocks and parser.header_ready:
-                use_prealloc = (
-                    rows_hint is not None
-                    and parser.column.ctype is not ColumnType.STRING
-                )
-                if use_prealloc:
-                    total_rows = int(rows_hint)
-                    buffer = np.empty(
-                        total_rows, dtype=_EMPTY_DTYPES[parser.column.ctype]
-                    )
+            blocks = parser.feed(chunk)
+            if data is None and parser.header_ready:
+                data = _allocate(parser.column.ctype, total_rows)
             for block in blocks:
-                if use_prealloc:
-                    if row_offset + block.count > total_rows:
-                        raise FormatError(
-                            f"column {key!r} declares more rows than its "
-                            f"metadata ({total_rows})"
-                        )
-                    entry_key, cached = cached_block(
-                        cache, cache_key, block_index, block, ctx.limits
+                if row_offset + block.count > total_rows:
+                    raise FormatError(
+                        f"column {key!r} declares more rows than its "
+                        f"metadata ({total_rows})"
                     )
-                    out = buffer[row_offset : row_offset + block.count]
-                    row_offset += block.count
-                    if cached is not None:
-                        np.copyto(out, cached, casting="unsafe")
-                        parts.append(None)
-                    else:
-                        part = decode_block_into(block, parser.column.ctype, ctx, out)
-                        if part is None and entry_key is not None:
-                            cache.put(entry_key, out)
-                        parts.append(part)
-                else:
-                    legacy_parts.append(
-                        decode_block(block, parser.column.ctype, ctx)
+                parts.append(
+                    fill_block(
+                        data, row_offset, len(parts), block, parser.column.ctype, ctx,
+                        cache, cache_key, admit_strings=False,
                     )
-                block_index += 1
+                )
+                row_offset += block.count
             decode_times.append(time.perf_counter() - started)
 
         started = time.perf_counter()
         compressed = parser.finish()
-        if use_prealloc:
-            if row_offset != total_rows:
-                raise FormatError(
-                    f"column {key!r} holds {row_offset} rows but its metadata "
-                    f"declares {total_rows}"
-                )
-            column = assemble_column_preallocated(compressed, buffer, parts)
-        else:
-            column = assemble_column(compressed, legacy_parts)
+        if row_offset != total_rows:
+            raise FormatError(
+                f"column {key!r} holds {row_offset} rows but its metadata "
+                f"declares {total_rows}"
+            )
+        column = assemble_column_preallocated(compressed, data, parts)
         if decode_times:
             decode_times[-1] += time.perf_counter() - started
         else:

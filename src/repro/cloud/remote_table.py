@@ -948,7 +948,7 @@ class RemoteTable:
                             self._store,
                             entry["file"],
                             readahead=readahead,
-                            rows_hint=entry.get("rows"),
+                            rows_hint=entry["rows"],
                             limits=self.decode_limits,
                             cache=self.decode_cache,
                             cache_key=cache_key,

@@ -163,7 +163,7 @@ def scan_btrblocks_columns_pipelined(
             store,
             entry["file"],
             readahead=readahead,
-            rows_hint=entry.get("rows"),
+            rows_hint=entry["rows"],
             cache=decode_cache,
             cache_key=(entry["file"], None),
         )

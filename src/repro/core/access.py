@@ -27,7 +27,7 @@ from repro.core.decompressor import (
 from repro.encodings import strutil
 from repro.encodings.base import locate_sorted, take_values
 from repro.observe import get_registry
-from repro.types import Column, ColumnType
+from repro.types import Column, ColumnType, StringArray
 
 
 def read_rows(
@@ -82,6 +82,8 @@ def read_rows(
         local = indices[lo:hi] - offsets[block_id] if block_id else indices[lo:hi]
         _key, cached = cached_block(cache, cache_key, block_id, block, ctx.limits)
         if cached is not None:
+            if isinstance(cached, tuple):  # a string entry's (buffer, offsets)
+                cached = StringArray(*cached)
             parts.append(take_values(cached, local))
         else:
             parts.append(

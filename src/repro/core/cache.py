@@ -9,8 +9,9 @@ Two consumers share the same LRU core:
 * :class:`DecodeCache` — decoded block values of all three column types,
   keyed by ``(object key, version, block index, checksum)``. Re-scanning a
   remote column, or reading rows of it, serves previously decoded blocks
-  (numbers with one ``memcpy`` into the preallocated output) instead of a
-  cascade decode.
+  (numbers with one ``memcpy`` into the preallocated output, strings with
+  one rebase of their offsets into the column's) instead of a cascade
+  decode.
 
 Both record ``{prefix}.hit`` / ``{prefix}.miss`` / ``{prefix}.evict``
 counters into the active metrics registry, resolved at call time so
@@ -147,25 +148,27 @@ class DecodeCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._lru
 
-    def lookup(self, key: Hashable, block, verify) -> "np.ndarray | StringArray | None":
+    def lookup(self, key: Hashable, block, verify) -> "np.ndarray | tuple[np.ndarray, np.ndarray] | None":
         """The cached values of ``block`` if they may be served, else ``None``.
 
         Served means present, as long as the block in hand declares (the
         count its caller held to its own limits) and ``verify(block)`` — the
         caller's ``verify_block`` — passing on the bytes in hand.
         ``{prefix}.hit`` counts exactly the served look-ups, ``{prefix}.miss``
-        the rest, which the caller decodes. Numbers come back as the
-        read-only entry (copy it out), strings as a fresh ``StringArray``
-        over the read-only buffer and offsets widened into the caller's own
-        array — no ``encode_distinct`` memo ever rides on cache memory.
+        the rest, which the caller decodes. The entry comes back as stored
+        and read-only: a number block's array (copy it out), a string
+        block's ``(buffer, offsets)`` pair with the offsets still narrow —
+        what a column assembler rebases straight into its own offsets
+        (:class:`~repro.encodings.strutil.StringSlots`); wrap it in a
+        ``StringArray`` only to read rows out of it. No ``encode_distinct``
+        memo can ride on cache memory.
         """
         entry = self._lru.get(key)
         served = entry is not None and entry[0] == block.count and verify(block)
         get_registry().incr(f"{self.metric_prefix}.{'hit' if served else 'miss'}")
         if not served:
             return None
-        stored = entry[1]
-        return StringArray(*stored) if isinstance(stored, tuple) else stored
+        return entry[1]
 
     def put(self, key: Hashable, values: "np.ndarray | StringArray") -> None:
         """Cache a read-only copy of one block's decoded values."""

@@ -311,14 +311,24 @@ def decode_block(
 
     Verifies the block's stored CRC32 (when present) first; damage is
     raised as :class:`IntegrityError` or turned into a
-    :class:`CorruptBlockResult` per ``on_corrupt``. Records no metrics;
-    per-column totals are accounted once by :func:`assemble_column`.
+    :class:`CorruptBlockResult` per ``on_corrupt``. The values must number
+    the block's declared count, the size of its slot in the column: a node
+    header that disagrees (nothing but a CRC32 ties the two, and v1 blocks
+    carry none) is a :class:`FormatError`, raised or degraded like any
+    parse failure -- :func:`decode_block_into` rejects the same before it
+    decodes. Records no metrics; per-column totals are accounted once by
+    :func:`assemble_column_preallocated`.
     """
     emitted = block.count if on_corrupt == "null_block" else 0
     if not _block_is_intact(block, ctx, on_corrupt):
         return CorruptBlockResult(emitted)
     try:
-        return _decompress_node(block.data, ctype, ctx)
+        values = _decompress_node(block.data, ctype, ctx)
+        if len(values) != block.count:
+            raise FormatError(
+                f"block declared {block.count} values but its node decoded {len(values)}"
+            )
+        return values
     except BtrBlocksError:
         # Checksum-less (v1 / in-memory) blocks can only reveal damage by
         # failing to parse; degrade those the same way.
@@ -446,60 +456,50 @@ def _record_column(
     get_registry().incr_many(counters)
 
 
-def assemble_column(compressed: CompressedColumn, parts: "list[Values | CorruptBlockResult]") -> Column:
-    """Reassemble decoded block values (in block order) into a column.
+def _allocate(ctype: ColumnType, rows: int) -> "np.ndarray | strutil.StringSlots":
+    """The column-level target a column's blocks decode into: a number
+    column's one array, or a string column's offsets (plus its buffers)."""
+    if ctype is ColumnType.STRING:
+        return strutil.StringSlots(rows)
+    return np.empty(rows, dtype=_EMPTY_DTYPES[ctype])
 
-    Rebases per-block NULL positions to column offsets, concatenates the
-    value parts, and records the column's decompression counters. An empty
-    column keeps its logical dtype (int32 / float64) rather than decaying
-    to NumPy's default float64. :class:`CorruptBlockResult` parts (degraded
-    damaged blocks) contribute either nothing (``skip``) or an all-NULL run
-    of their declared length (``null_block``); later blocks' NULL positions
-    are rebased onto the actually-emitted row offsets.
+
+def assemble_column(compressed: CompressedColumn, parts: "list[Values | CorruptBlockResult]") -> Column:
+    """Reassemble values decoded block by block (in block order) into a column.
+
+    The route of the scalar ablation, whose decoders return their values:
+    each part -- :func:`decode_block`'s, so exactly its block's declared
+    count or a :class:`CorruptBlockResult` -- is copied into its block's
+    slot of the preallocated column
+    (a degraded block's slot gets the NULL placeholder), and
+    :func:`assemble_column_preallocated` finishes it, so both routes share
+    one NULL rebase, one compaction and one set of counters.
     """
-    null_positions: list[np.ndarray] = []
-    value_parts: list[Values] = []
-    offset = 0
-    corrupt_blocks = 0
-    corrupt_rows = 0
-    checksummed = 0
+    data = _allocate(compressed.ctype, sum(block.count for block in compressed.blocks))
+    strings = isinstance(data, strutil.StringSlots)
+    row = 0
     for block, part in zip(compressed.blocks, parts):
-        if isinstance(part, CorruptBlockResult):
-            corrupt_blocks += 1
-            corrupt_rows += block.count
-            if part.emitted:
-                null_positions.append(np.arange(offset, offset + part.emitted, dtype=np.int64))
-                value_parts.append(_null_block_placeholder(compressed.ctype, part.emitted))
-                offset += part.emitted
-            continue
-        if block.checksum is not None:
-            checksummed += 1
-        if block.nulls is not None:
-            positions = RoaringBitmap.deserialize(block.nulls).to_array()
-            if positions.size:
-                null_positions.append(positions.astype(np.int64) + offset)
-        value_parts.append(part)
-        offset += block.count
-    _record_column(compressed, offset, checksummed, corrupt_blocks, corrupt_rows)
-    nulls = None
-    if null_positions:
-        nulls = RoaringBitmap.from_positions(np.concatenate(null_positions))
-    if compressed.ctype is ColumnType.STRING:
-        data: Values = strutil.concat([p for p in value_parts if isinstance(p, StringArray)])
-    else:
-        arrays = [np.asarray(p) for p in value_parts if len(p)]
-        if arrays:
-            data = np.concatenate(arrays)
+        corrupt = isinstance(part, CorruptBlockResult)
+        if corrupt and strings:
+            data.fill_empty(row, part.emitted)
+        elif corrupt:
+            data[row : row + part.emitted] = 0
+        elif strings:
+            data.fill(row, part.buffer, part.offsets)
         else:
-            data = np.empty(0, dtype=_EMPTY_DTYPES[compressed.ctype])
-    return Column(compressed.name, compressed.ctype, data, nulls)
+            data[row : row + block.count] = part
+        row += block.count
+    slots = [part if isinstance(part, CorruptBlockResult) else None for part in parts]
+    return assemble_column_preallocated(compressed, data, slots)
 
 
 def preallocate_column(
     compressed: CompressedColumn,
     limits: "DecodeLimits | None" = None,
-) -> np.ndarray:
-    """Allocate the full column array the zero-copy path decodes into.
+) -> "np.ndarray | strutil.StringSlots":
+    """Allocate the column-level target the blocks decode into: the full
+    array of a number column, the full offsets of a string column
+    (:class:`~repro.encodings.strutil.StringSlots`).
 
     Every block's declared count is held to ``max_rows_per_block`` *before*
     sizing the allocation, so a lying header cannot trigger an allocation
@@ -513,24 +513,80 @@ def preallocate_column(
     for block in compressed.blocks:
         _hold_to_row_limit(block, limits)
         total += block.count
-    return np.empty(total, dtype=_EMPTY_DTYPES[compressed.ctype])
+    return _allocate(compressed.ctype, total)
+
+
+def fill_block(
+    data: "np.ndarray | strutil.StringSlots",
+    row: int,
+    index: int,
+    block: CompressedBlock,
+    ctype: ColumnType,
+    ctx: DecompressionContext,
+    cache=None,
+    cache_key=None,
+    on_corrupt: str = "raise",
+    admit_strings: bool = True,
+) -> "CorruptBlockResult | None":
+    """Block ``index`` of a column into its slot at ``row`` of ``data``.
+
+    A warm :class:`~repro.core.cache.DecodeCache` entry that passes
+    :func:`cached_block` is copied in as stored (a string entry's narrow
+    offsets rebased straight into the column's); anything else decodes —
+    numbers straight into their slice (:func:`decode_block_into`), strings
+    to one block whose offsets are rebased the same way — and a clean
+    decode is inserted, string blocks only if ``admit_strings``. Returns
+    what :func:`assemble_column_preallocated` takes per block: ``None``, or
+    the :class:`CorruptBlockResult` of a degraded block, whose slot holds
+    the NULL placeholder.
+    """
+    # A miss must not pay the checksum twice (decode verifies it): the
+    # gate holds the block to its CRC only once it has an entry.
+    key, cached = cached_block(cache, cache_key, index, block, ctx.limits)
+    if isinstance(data, strutil.StringSlots):
+        if cached is not None:
+            data.fill(row, *cached)
+            return None
+        part = decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
+        if isinstance(part, CorruptBlockResult):
+            data.fill_empty(row, part.emitted)
+            return part
+        data.fill(row, part.buffer, part.offsets)
+        if key is not None and admit_strings:
+            cache.put(key, part)
+        return None
+    out = data[row : row + block.count]
+    if cached is not None:
+        np.copyto(out, cached, casting="unsafe")
+        return None
+    part = decode_block_into(block, ctype, ctx, out, on_corrupt=on_corrupt)
+    if part is None and key is not None:
+        cache.put(key, out)
+    return part
+
+
+def _shift(data: "np.ndarray | strutil.StringSlots", to: int, source: int, count: int) -> None:
+    """Move ``count`` slots down from row ``source`` to row ``to`` (a string
+    column moves its end offsets: a skipped block added no bytes)."""
+    values = data.ends if isinstance(data, strutil.StringSlots) else data
+    values[to : to + count] = values[source : source + count]
 
 
 def assemble_column_preallocated(
     compressed: CompressedColumn,
-    data: np.ndarray,
+    data: "np.ndarray | strutil.StringSlots",
     parts: "list[CorruptBlockResult | None]",
 ) -> Column:
-    """Finish a zero-copy column decode: nulls, compaction, counters.
+    """Finish a column decode: nulls, compaction, counters.
 
-    ``data`` is the preallocated array whose fixed per-block slices
-    :func:`decode_block_into` already filled; ``parts`` holds one entry per
+    ``data`` is the :func:`preallocate_column` target whose fixed per-block
+    slots :func:`fill_block` already filled; ``parts`` holds one entry per
     block — ``None`` for a successful decode, :class:`CorruptBlockResult`
-    for a degraded one. Rebases NULL positions exactly like
-    :func:`assemble_column` and records the identical counters. Skipped
-    blocks leave holes that are compacted by shifting later segments down
-    (rare: only under ``on_corrupt="skip"`` with actual damage), after
-    which the array is trimmed to the emitted row count.
+    for a degraded one. Rebases per-block NULL positions to column offsets
+    and records the column's decompression counters. Skipped blocks leave
+    holes that are compacted by shifting later slots down (:func:`_shift`;
+    rare — only under ``on_corrupt="skip"`` with actual damage), after
+    which the column is trimmed to the emitted row count.
     """
     null_positions: list[np.ndarray] = []
     write_offset = 0
@@ -544,9 +600,7 @@ def assemble_column_preallocated(
             corrupt_rows += block.count
             if part.emitted:
                 if write_offset != read_offset:
-                    data[write_offset : write_offset + part.emitted] = data[
-                        read_offset : read_offset + part.emitted
-                    ]
+                    _shift(data, write_offset, read_offset, part.emitted)
                 null_positions.append(
                     np.arange(write_offset, write_offset + part.emitted, dtype=np.int64)
                 )
@@ -560,18 +614,18 @@ def assemble_column_preallocated(
             if positions.size:
                 null_positions.append(positions.astype(np.int64) + write_offset)
         if write_offset != read_offset:
-            data[write_offset : write_offset + block.count] = data[
-                read_offset : read_offset + block.count
-            ]
+            _shift(data, write_offset, read_offset, block.count)
         write_offset += block.count
         read_offset += block.count
     _record_column(compressed, write_offset, checksummed, corrupt_blocks, corrupt_rows)
     nulls = None
     if null_positions:
         nulls = RoaringBitmap.from_positions(np.concatenate(null_positions))
-    if write_offset != data.size:
-        data = data[:write_offset].copy()
-    return Column(compressed.name, compressed.ctype, data, nulls)
+    if isinstance(data, strutil.StringSlots):
+        column_data = data.finish(write_offset)
+    else:
+        column_data = data if write_offset == data.size else data[:write_offset].copy()
+    return Column(compressed.name, compressed.ctype, column_data, nulls)
 
 
 def decompress_column(
@@ -585,10 +639,12 @@ def decompress_column(
 ) -> Column:
     """Reassemble a full column from its compressed blocks.
 
-    Numeric columns take the zero-copy path: one allocation sized from the
-    block headers, every block decoding straight into its slice. String
-    blocks decode to parts that :func:`assemble_column` concatenates; only
-    the scalar ablation keeps the uncached legacy assembly.
+    Every type takes one path: one allocation sized from the block headers
+    (:func:`preallocate_column`), every block filled into its slot by
+    :func:`fill_block` — a number block decodes straight into its slice, a
+    string block's offsets are rebased into the column's — and the
+    blocks' string buffers joined once. Only the scalar ablation, uncached,
+    decodes block by block and hands its parts to :func:`assemble_column`.
 
     With a :class:`~repro.core.cache.DecodeCache` and a ``cache_key``
     identifying this column's bytes (object key + version for remote
@@ -627,34 +683,18 @@ def decompress_column(
                 for block in compressed.blocks
             ]
         return assemble_column(compressed, parts)
-    strings = ctype is ColumnType.STRING
     with get_registry().timer("decompress"):
-        data = None if strings else preallocate_column(compressed, ctx.limits)
-        offset = 0
-        parts: list = []
+        data = preallocate_column(compressed, ctx.limits)
+        row = 0
+        parts = []
         for index, block in enumerate(compressed.blocks):
-            if not strings:
-                out = data[offset : offset + block.count]
-                offset += block.count
-            # A miss must not pay the checksum twice (decode verifies it):
-            # the gate holds the block to its CRC only once it has an entry.
-            key, cached = cached_block(cache, cache_key, index, block, ctx.limits)
-            if cached is not None:
-                if not strings:
-                    np.copyto(out, cached, casting="unsafe")
-                parts.append(cached if strings else None)
-                continue
-            if strings:
-                part = decoded = decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
-            else:
-                part = decode_block_into(block, ctype, ctx, out, on_corrupt=on_corrupt)
-                decoded = out
-            decoded_clean = key is not None and not isinstance(part, CorruptBlockResult)
-            if decoded_clean and (admit_strings or not strings):
-                cache.put(key, decoded)
-            parts.append(part)
-    if strings:
-        return assemble_column(compressed, parts)
+            parts.append(
+                fill_block(
+                    data, row, index, block, ctype, ctx,
+                    cache, cache_key, on_corrupt, admit_strings,
+                )
+            )
+            row += block.count
     return assemble_column_preallocated(compressed, data, parts)
 
 
@@ -684,6 +724,7 @@ __all__ = [
     "decompress_block",
     "decompress_column",
     "decompress_relation",
+    "fill_block",
     "make_context",
     "preallocate_column",
 ]

@@ -61,7 +61,7 @@ from repro.query.predicates import (
     LessThan,
     Predicate,
 )
-from repro.types import Column, ColumnType, StringArray
+from repro.types import Column, ColumnType
 
 _ONE_VALUE = {SchemeId.ONE_VALUE_INT, SchemeId.ONE_VALUE_DOUBLE, SchemeId.ONE_VALUE_STRING}
 _DICT = {SchemeId.DICT_INT, SchemeId.DICT_DOUBLE, SchemeId.DICT_STRING}
@@ -531,7 +531,7 @@ def filter_column(
             continue  # degrade policies drop the block's matches
         parts.append(values)
     if compressed.ctype is ColumnType.STRING:
-        data = strutil.concat(parts) if parts else StringArray.empty(0)
+        data = strutil.concat(parts)
     else:
         dtype = np.int32 if compressed.ctype is ColumnType.INTEGER else np.float64
         data = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.cloud import SimulatedObjectStore
-from repro.cloud import pipeline as pipeline_module
 from repro.cloud.remote_table import RemoteTable, TableWriter
 from repro.core import access, decompressor
 from repro.core.cache import ByteBudgetLRU, DecodeCache
@@ -70,11 +69,9 @@ def _spied(*targets):
 
 
 def _block_decodes():
-    """Spies on every full-block decode a scan can make, wherever it makes it."""
-    return _spied(
-        *((module, name) for module in (decompressor, pipeline_module)
-          for name in ("decode_block", "decode_block_into"))
-    )
+    """Spies on every full-block decode a scan can make: batch decodes and
+    the chunk pipeline both fill blocks through ``decompressor.fill_block``."""
+    return _spied((decompressor, "decode_block"), (decompressor, "decode_block_into"))
 
 
 def _calls(spies) -> int:
@@ -135,6 +132,25 @@ def test_pipelined_cached_branch_admits_and_download_branch_does_not(store):
     _assert_scan_is_the_source(relation)
     assert _calls(decodes) == 0
     assert (report.cache_hits, report.cache_misses) == ((len(NUMBERS) + len(STRINGS)) * BLOCKS, 0)
+
+
+def test_pipeline_download_serves_strings_a_shared_cache_holds(store):
+    """The chunk pipeline fills every block through the cache's gate: a
+    handle that downloads the columns itself still serves the string blocks
+    another handle admitted to a shared decode cache, and admits none."""
+    decode_cache = DecodeCache(1 << 24)
+    warm = RemoteTable.open(store, "orders", decode_cache=decode_cache)
+    warm.scan()
+    warm.scan()  # a held column's decode: strings admitted
+    entries = len(decode_cache)
+    assert entries == (len(NUMBERS) + len(STRINGS)) * BLOCKS
+    fresh = RemoteTable.open(store, "orders", decode_cache=decode_cache)
+    with _block_decodes() as decodes:
+        relation, report = fresh.scan_pipelined()
+    _assert_scan_is_the_source(relation)
+    assert _calls(decodes) == 0 and report.fallbacks == 0
+    assert (report.cache_hits, report.cache_misses) == (entries, 0)
+    assert len(decode_cache) == entries
 
 
 WHERE = {"key": Between(1000, 2999)}  # three of the four blocks, one whole

@@ -28,12 +28,12 @@ import numpy as np
 import pytest
 
 from repro.core.compressor import compress_relation
-from repro.core.config import DecodeLimits
+from repro.core.config import BtrBlocksConfig, DecodeLimits
 from repro.core.decompressor import decompress_column
 from repro.core.file_format import column_from_bytes, column_to_bytes
 from repro.bitmap import RoaringBitmap
 from repro.core.relation import Relation
-from repro.exceptions import BtrBlocksError
+from repro.exceptions import BtrBlocksError, FormatError
 from repro.types import Column
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "192024773"), 0)
@@ -58,7 +58,7 @@ ALLOC_CEILING = 32 << 20
 BOMB_VALUES = (0xFFFFFFFF, 0x7FFFFFFF, 0x10000000, 1 << 20, 65537)
 
 
-def build_corpus() -> "dict[str, bytes]":
+def build_corpus(config: "BtrBlocksConfig | None" = None) -> "dict[str, bytes]":
     rng = np.random.default_rng(SEED)
     rows = 900
     strings = [f"city-{i % 7}" for i in range(rows)]
@@ -69,7 +69,7 @@ def build_corpus() -> "dict[str, bytes]":
         Column.strings("city", strings),
         Column.ints("maybe", rng.integers(0, 9, rows), nulls=nulls),
     ])
-    compressed = compress_relation(relation)
+    compressed = compress_relation(relation, config)
     corpus = {}
     for column in compressed.columns:
         corpus[f"{column.name}.v1"] = column_to_bytes(column, version=1)
@@ -78,6 +78,8 @@ def build_corpus() -> "dict[str, bytes]":
 
 
 CORPUS = build_corpus()
+#: The same columns cut into three 300-row blocks.
+THREE_BLOCKS = build_corpus(BtrBlocksConfig(block_size=300))
 
 
 def decode_mutant(data: bytes) -> None:
@@ -447,3 +449,53 @@ class TestHostilePageWidths:
             for route, decode in routes.items():
                 with pytest.raises(CorruptBlockError, match="page widths"):
                     decode()
+
+
+def rows_of(column) -> list:
+    data = column.data
+    return data.to_pylist() if hasattr(data, "to_pylist") else data.tolist()
+
+
+class TestBlockCountDisagreesWithNode:
+    """A v1 block's declared count and its node's are tied by nothing but
+    the decode (there is no CRC32), so a count one off is damage every route
+    must see: a typed failure under ``"raise"``, a degraded block -- its own
+    declared rows NULL, or none -- under the lenient policies, and never a
+    raw numpy error or a slot left uninitialised. The declared count sizes
+    the block's slot of the column, which the string and scalar routes fill
+    from what the node decodes.
+    """
+
+    @staticmethod
+    def _mutant(corpus, name: str, block: int, delta: int):
+        data = bytearray(corpus[name])
+        at = u32_field_offsets(bytes(data))[1 + 3 * block]
+        (count,) = struct.unpack_from("<I", data, at)
+        struct.pack_into("<I", data, at, count + delta)
+        return column_from_bytes(bytes(data), limits=TINY_LIMITS), count + delta
+
+    CASES = [
+        pytest.param(corpus, name, block, id=f"{label}-{name}-block{block}")
+        for label, corpus, blocks in (("one", CORPUS, (0,)), ("three", THREE_BLOCKS, (0, 1, 2)))
+        for name in ("city.v1", "id.v1", "price.v1")
+        for block in blocks
+    ]
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("corpus, name, block", CASES)
+    def test_off_by_one_fails_typed_or_degrades(self, corpus, name, block, delta, vectorized):
+        intact = column_from_bytes(corpus[name])
+        blocks = intact.blocks
+        expected = rows_of(decompress_column(intact))
+        before = sum(b.count for b in blocks[:block])
+        after = expected[before + blocks[block].count :]
+        column, declared = self._mutant(corpus, name, block, delta)
+        with pytest.raises(FormatError, match=f"{declared}"):
+            decompress_column(column, vectorized, on_corrupt="raise", limits=TINY_LIMITS)
+        placeholder = b"" if name == "city.v1" else 0
+        for policy, emitted in (("null_block", declared), ("skip", 0)):
+            back = decompress_column(column, vectorized, on_corrupt=policy, limits=TINY_LIMITS)
+            assert rows_of(back) == expected[:before] + [placeholder] * emitted + after
+            nulls = back.nulls.to_array().tolist() if back.nulls is not None else []
+            assert nulls == list(range(before, before + emitted))

@@ -315,7 +315,7 @@ class TestRetryAccounting:
         retries_before = store.stats.retries
         _column, _compressed, stats = pipelined_fetch_column(
             store, meta["columns"][0]["file"], readahead=3,
-            rows_hint=meta["columns"][0].get("rows"),
+            rows_hint=meta["columns"][0]["rows"],
         )
         assert store.stats.retries > retries_before
         assert stats.retry_seconds > 0

@@ -1,4 +1,4 @@
-"""Tests for the shared string utilities (gather, concat, runs)."""
+"""Tests for the shared string utilities (gather, concat / StringSlots, runs)."""
 
 import pickle
 import tracemalloc
@@ -18,6 +18,7 @@ from repro.encodings.strutil import (
 )
 from repro.types import StringArray
 
+import assembly_reference
 from test_roundtrip_fuzz import STRING_CASES  # the adversarial string corpus
 
 
@@ -332,6 +333,74 @@ class TestConcat:
     def test_single_part_is_returned_not_copied(self):
         a = StringArray.from_pylist(["x", "yy"])
         assert concat([a]) is a
+
+
+def _assert_same_strings(got: StringArray, want: StringArray) -> None:
+    assert got.offsets.dtype == np.int64 and np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.buffer, want.buffer)
+
+
+class TestStringSlots:
+    """The rebasing assembly against the concatenating one it replaced
+    (``assembly_reference.concat``), byte for byte."""
+
+    @pytest.mark.parametrize("narrow", [np.uint8, np.uint16, np.uint32, np.int64])
+    def test_narrow_offsets_rebase_like_wide_ones(self, narrow):
+        rng = np.random.default_rng(7)
+        # Buffers straddling each narrow dtype's range, rebased past it.
+        longest = {np.uint8: 250, np.uint16: 65_000, np.uint32: 70_000, np.int64: 9}[narrow]
+        parts = [_uniform_pool(rng, count, longest // max(count, 1)) for count in (1, 0, 3, 1, 2)]
+        slots = strutil.StringSlots(sum(map(len, parts)))
+        row = 0
+        for part in parts:
+            slots.fill(row, part.buffer, part.offsets.astype(narrow))
+            row += len(part)
+        _assert_same_strings(slots.finish(row), assembly_reference.concat(parts))
+
+    def test_one_block_adopts_its_offsets(self):
+        part = StringArray.from_pylist(["ab", "", "cde"])
+        slots = strutil.StringSlots(3)
+        slots.fill(0, part.buffer, part.offsets)
+        got = slots.finish(3)
+        assert got.offsets is part.offsets and got.buffer is part.buffer
+
+    def test_holes_compact_and_placeholders_are_empty(self):
+        """A skipped block's rows are a hole the caller shifts later ends
+        over (no bytes were added); a placeholder's rows are empty strings."""
+        a, b = StringArray.from_pylist(["x", "yy"]), StringArray.from_pylist(["zzz"])
+        slots = strutil.StringSlots(2 + 4 + 2 + 1)
+        slots.fill(0, a.buffer, a.offsets)
+        # rows 2-5: a skipped block's hole; rows 6-7: a NULL block
+        slots.fill_empty(6, 2)
+        slots.fill(8, b.buffer, b.offsets)
+        slots.ends[2:5] = slots.ends[6:9]
+        got = slots.finish(5)
+        assert got.to_pylist() == [b"x", b"yy", b"", b"", b"zzz"]
+        assert not np.shares_memory(got.offsets, slots.offsets)
+
+    def test_concat_of_nothing_is_empty(self):
+        assert len(concat([])) == 0 and concat([]).buffer.size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.binary(max_size=40), max_size=12), max_size=8),
+    st.lists(st.sampled_from(["<u1", "<u2", "<u4", "<i8"]), min_size=8, max_size=8),
+)
+def test_property_slots_equal_the_concatenating_assembly(blocks, dtypes):
+    """Any blocks, offsets in any dtype they fit (the decode cache's narrow
+    entries), assemble to the reference's exact offsets and buffer."""
+    parts = [StringArray.from_pylist(rows) for rows in blocks]
+    slots = strutil.StringSlots(sum(map(len, parts)))
+    row = 0
+    for part, dtype in zip(parts, dtypes):
+        if part.buffer.size >= np.iinfo(dtype).max:
+            dtype = "<i8"
+        slots.fill(row, part.buffer, part.offsets.astype(dtype))
+        row += len(part)
+    _assert_same_strings(slots.finish(row), assembly_reference.concat(parts))
+    if len(parts) != 1:
+        _assert_same_strings(concat(parts), assembly_reference.concat(parts))
 
 
 class TestRuns:

@@ -1,8 +1,10 @@
 """Bit-identity of the zero-copy decode path and the decode cache.
 
-The tentpole contract: ``decompress_column``'s preallocated ``out=`` path
-and cache-served decodes must be byte-equal to the legacy per-block
-assembly (``decode_block`` + ``assemble_column``) for every scheme family ×
+The contract: ``decompress_column``'s preallocated path (number
+blocks decoded into their slice, string blocks' offsets rebased into the
+column's) and cache-served decodes must be byte-equal to the legacy per-block
+assembly (``decode_block`` + the concatenating ``assemble_column`` kept in
+``assembly_reference.py``) for every scheme family ×
 dtype × NULL layout — including when ~5% of blocks are damaged, under every
 ``on_corrupt`` mode. A warm cache must never mask fresh corruption, and
 ``DecodeLimits`` must bind before the cache can serve anything — for
@@ -23,13 +25,7 @@ from repro.core.blocks import CompressedBlock
 from repro.core.cache import DecodeCache
 from repro.core.compressor import compress_column
 from repro.core.config import BtrBlocksConfig, DEFAULT_DECODE_LIMITS
-from repro.core.decompressor import (
-    ON_CORRUPT_MODES,
-    assemble_column,
-    decode_block,
-    decompress_column,
-    make_context,
-)
+from repro.core.decompressor import ON_CORRUPT_MODES, decompress_column
 from repro.core.file_format import column_from_bytes, column_to_bytes
 from repro.encodings import strutil
 from repro.encodings.base import SchemeId, all_schemes
@@ -37,6 +33,8 @@ from repro.encodings.wire import unwrap
 from repro.exceptions import BtrBlocksError, DecodeLimitError, IntegrityError
 from repro.observe import MetricsRegistry, use_registry
 from repro.types import Column, ColumnType, StringArray
+
+import assembly_reference
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "418"), 0)
 ROWS = 3000
@@ -114,7 +112,7 @@ def _string_columns(columns: "dict[str, Column]") -> "dict[str, tuple[int, Colum
 def _cache_cases():
     """``(case id, source column, compressed)``: the number column the cache
     tests always used, then every string scheme x NULLs x multi- / single-block
-    (a single-block hit goes through ``concat``'s return-the-part shortcut)."""
+    (a single-block column adopts its one block's offsets)."""
     integers = {s.scheme_id for s in all_schemes() if s.ctype is ColumnType.INTEGER}
     columns = _scheme_columns()
     cases = [("bitpack", columns["bitpack"], _compressed(columns["bitpack"]))]
@@ -133,13 +131,8 @@ def _cache_cases():
 
 
 def _legacy_decode(compressed, on_corrupt: str = "raise") -> Column:
-    """The pre-tentpole path: per-block decode + concatenating assembly."""
-    ctx = make_context(True)
-    parts = [
-        decode_block(block, compressed.ctype, ctx, on_corrupt=on_corrupt)
-        for block in compressed.blocks
-    ]
-    return assemble_column(compressed, parts)
+    """The path before the preallocated assembly: per-block decode + concatenation."""
+    return assembly_reference.decode_column(compressed, on_corrupt)
 
 
 def _assert_bit_identical(a: Column, b: Column) -> None:
@@ -340,7 +333,7 @@ def test_string_entries_are_charged_evicted_and_bounded_like_number_entries():
         cache.put("ints", np.arange(40, dtype=np.int32))
         assert cache.current_bytes == 803 + 160
         # Touch the oldest entry: the next insert evicts "wide", not it.
-        assert cache.lookup("small", _block(100), _accept) == small
+        assert StringArray(*cache.lookup("small", _block(100), _accept)) == small
         cache.put("again", strings(100, 2))
         assert "wide" not in cache and "small" in cache and "ints" in cache
         assert registry.get("decode.cache.evict") == 1
@@ -351,22 +344,21 @@ def test_string_entries_are_charged_evicted_and_bounded_like_number_entries():
 
 
 def test_string_entry_owns_its_memory_and_carries_no_memo(cache_cases):
-    """No entry is a view onto a block payload, and ``encode_distinct``'s memo
-    on a served value never rides back into the cache."""
+    """No entry is a view onto a block payload, an entry is handed out as
+    the read-only pair it is stored as (offsets narrow), and
+    ``encode_distinct``'s memo on a served column never rides back into the
+    cache."""
     payload = bytes(range(256)) * 4
     offsets = np.arange(0, len(payload) + 1, 8)
     view = StringArray(np.frombuffer(payload, dtype=np.uint8), offsets)
     assert view.buffer.base is not None
     cache = DecodeCache(1 << 20)
     cache.put("k", view)
-    served = cache.lookup("k", _block(len(view)), _accept)
-    assert served == view
-    assert served.buffer.flags.owndata and not served.buffer.flags.writeable
-    assert not np.shares_memory(served.buffer, view.buffer)
-    assert not np.shares_memory(served.offsets, offsets)
-    strutil.encode_distinct(served)
-    assert served._distinct is not None
-    assert cache.lookup("k", _block(len(view)), _accept)._distinct is None
+    buffer, narrow = cache.lookup("k", _block(len(view)), _accept)
+    assert StringArray(buffer, narrow) == view and narrow.dtype == np.uint16
+    assert buffer.flags.owndata and not buffer.flags.writeable and not narrow.flags.writeable
+    assert not np.shares_memory(buffer, view.buffer)
+    assert not np.shares_memory(narrow, offsets)
     # The same through the real decode: Uncompressed strings decode to a
     # view of the block payload, and what the cache serves is not one.
     case, _source, compressed = next(c for c in cache_cases if c[0] == "uncompressed-no_nulls-single")
@@ -375,6 +367,9 @@ def test_string_entry_owns_its_memory_and_carries_no_memo(cache_cases):
     assert isinstance(decoded.data.buffer.base, bytes), case
     served = decompress_column(compressed, cache=decode_cache, cache_key=("obj", 1))
     assert served.data.buffer.flags.owndata, case
+    strutil.encode_distinct(served.data)
+    again = decompress_column(compressed, cache=decode_cache, cache_key=("obj", 1))
+    assert again.data._distinct is None, case
 
 
 # -- read_rows through the cache -------------------------------------------------
