@@ -57,7 +57,7 @@ from repro.encodings.base import take_values
 from repro.encodings.bitpack import PAGE, pack_pages, unpack_pages, unpack_pages_subset
 from repro.observe import MetricsRegistry, use_registry
 from repro.query.executor import filter_column
-from repro.query.predicates import Between, In
+from repro.query.predicates import Between, Equals, In
 from repro.types import Column, StringArray
 
 DEFAULT_SEED = 42
@@ -593,3 +593,97 @@ def test_string_assembly_sweep_never_loses():
         f"the string assembly loses to the reference (gate >= {MIN_SPEEDUP}, listed cells "
         f"their own floor): {losing}"
     )
+
+
+#: The cached-filter sweep: one warm block per cell of number scheme family
+#: (``SCHEME_WORKLOADS``' numbers, numeric dictionaries, Uncompressed) x block
+#: rows (``tpch_small_warm``'s 2,048, the 16,384 of ``tpch_cold`` and the
+#: default 65,536) x predicate x NULLs.
+CACHED_FILTER_ROWS = (2_048, 16_384, 65_536)
+CACHED_FILTER_PREDICATES = ("Equals", "1%", "60%")
+
+
+def cached_filter_predicate(values: np.ndarray, label: str):
+    """``Equals`` a value the block holds, or a range over the lowest 1% / 60%."""
+    if label == "Equals":
+        return Equals(values[len(values) // 2].item())
+    fraction = 0.01 if label == "1%" else 0.60
+    return Between(values.min().item(), np.quantile(values, fraction).item())
+
+
+def warm_block(column: Column):
+    """``(block, cache, cache_key)``: a one-block checksummed column's block,
+    decoded once into a fresh decode cache the way a scan fills it."""
+    compressed = column_from_bytes(
+        column_to_bytes(compress_column(column, BtrBlocksConfig(block_size=len(column))))
+    )
+    cache, key = DecodeCache(1 << 30), ("warm", 1)
+    decompress_column(compressed, cache=cache, cache_key=key)
+    return compressed.blocks[0], cache, key
+
+
+def test_cached_filter_sweep_never_loses():
+    """No warm number block may filter slower over its cached values --
+    ``executor.block_mask`` with the cache: the ``cached_block`` gate, the
+    hit's CRC32 and ``evaluate`` -- than through ``scan_block``'s walk of its
+    compressed cascade (``block_mask`` without one): >= ``MIN_SPEEDUP``, no
+    exceptions. One string-dictionary cell is printed, not gated: the reason
+    string blocks stay in code space."""
+    from repro.query.executor import block_mask
+
+    speedups, rows = {}, []
+    numbers = {name: make for name, make in SCHEME_WORKLOADS.items()
+               if name not in ("dictionary", "fsst")}
+    numbers.update({
+        "dictionary_int": lambda rows, rng: Column.ints("v", rng.integers(0, 12, rows) * 1_000_003),
+        "dictionary_double": lambda rows, rng: Column.doubles("v", rng.integers(0, 12, rows) * 0.37),
+        "uncompressed_int": lambda rows, rng: Column.ints("v", rng.integers(-(2**31), 2**31 - 1, rows)),
+        "uncompressed_double": lambda rows, rng: Column.doubles("v", rng.standard_normal(rows)),
+    })
+    for name, make in numbers.items():
+        for block_rows in CACHED_FILTER_ROWS:
+            for nulls in ("no NULLs", "NULLs"):
+                rng = np.random.default_rng(DEFAULT_SEED)
+                column = make(block_rows, rng)
+                if nulls == "NULLs":
+                    column = Column(column.name, column.ctype, column.data,
+                                    RoaringBitmap.from_bools(rng.random(block_rows) < 0.05))
+                block, cache, key = warm_block(column)
+                row = [name, block_rows, nulls]
+                for label in CACHED_FILTER_PREDICATES:
+                    predicate = cached_filter_predicate(np.asarray(column.data), label)
+
+                    def cached():
+                        return block_mask(0, block, column.ctype, predicate, None, cache, key)
+
+                    def compressed():
+                        return block_mask(0, block, column.ctype, predicate)
+
+                    assert np.array_equal(cached(), compressed())
+                    speedup = retimed_speedup(cached, compressed)
+                    speedups[f"{name}/{block_rows}/{nulls}/{label}"] = speedup
+                    row.append(speedup)
+                rows.append(row)
+    print_table(
+        "filter over a warm block's cached values vs scan_block over its cascade "
+        "(speedup, best of >= 80, interleaved)",
+        ["family", "rows", "NULLs", *CACHED_FILTER_PREDICATES],
+        rows,
+    )
+    worst = min(speedups, key=speedups.get)
+    print(f"whole sweep: min speedup {speedups[worst]:.2f}x at {worst}")
+
+    strings = SCHEME_WORKLOADS["dictionary"](16_384, np.random.default_rng(DEFAULT_SEED))
+    block, cache, key = warm_block(strings)
+    predicate = In([strings.data[0], strings.data[1]])
+    entry = cache.lookup((key, 0, block.checksum), block, lambda _block: True)
+    evaluate_s, scan_s = paired_seconds(
+        lambda: predicate.evaluate(StringArray(*entry)),
+        lambda: block_mask(0, block, strings.ctype, predicate),
+        repeats=4,
+    )
+    print(f"string dictionary, 16,384 rows, In of two: evaluate over the cached values "
+          f"{evaluate_s * 1e3:.2f} ms vs scan_block in code space {scan_s * 1e3:.3f} ms "
+          f"({evaluate_s / scan_s:.0f}x slower): string filters stay in code space")
+    losing = {cell: round(s, 2) for cell, s in speedups.items() if s < MIN_SPEEDUP}
+    assert not losing, f"the cached filter loses to scan_block (gate >= {MIN_SPEEDUP}): {losing}"

@@ -31,6 +31,8 @@ BITMAP_WORDS = 1024
 _KIND_ARRAY = 0
 _KIND_BITMAP = 1
 _KIND_RUN = 2
+#: Payload word size of the array and bitmap containers.
+_WORD_BYTES = {_KIND_ARRAY: 2, _KIND_BITMAP: 8}
 
 _MAGIC = b"RB01"
 
@@ -308,6 +310,8 @@ class RoaringBitmap:
         """Inverse of :meth:`serialize`."""
         if data[:4] != _MAGIC:
             raise CorruptBlockError("bad roaring bitmap magic")
+        if len(data) < 8:
+            raise CorruptBlockError("truncated roaring bitmap header")
         count = int(np.frombuffer(data, dtype=np.uint32, count=1, offset=4)[0])
         bm = cls()
         offset = 8
@@ -324,6 +328,8 @@ class RoaringBitmap:
             if len(raw) != int(size):
                 raise CorruptBlockError("truncated roaring bitmap payload")
             offset += int(size)
+            if kind in _WORD_BYTES and size % _WORD_BYTES[kind]:
+                raise CorruptBlockError("roaring container payload is not whole words")
             if kind == _KIND_ARRAY:
                 payload = np.frombuffer(raw, dtype=np.uint16)
             elif kind == _KIND_BITMAP:

@@ -650,8 +650,9 @@ class RemoteTable:
         """Zone-map-pruned predicate evaluation for one column.
 
         Skipped blocks cost no GETs; surviving blocks arrive by ranged GET
-        (or from cache) and are answered in the compressed domain. Returns
-        ``None`` when the manifest carries no usable statistics.
+        (or from cache) and are answered over their decoded values when the
+        decode cache serves them, in the compressed domain otherwise.
+        Returns ``None`` when the manifest carries no usable statistics.
         """
         zone_map = self._zone_map(entry)
         if zone_map is None:
@@ -673,9 +674,10 @@ class RemoteTable:
         if cached is None and ranges is None:
             return None  # nothing cached and no extents to range-GET with
         ctype = ColumnType(entry["type"])
-        # The shared scan driver consumes (block, offset) pairs; this
-        # generator feeds it only the zone-map survivors, validated or
-        # ranged-GET on the way through.
+        # The shared scan driver consumes (index, block, offset) triples;
+        # this generator feeds it only the zone-map survivors, validated or
+        # ranged-GET on the way through, and the driver answers each from
+        # the decode cache where it can.
         positions = [
             hits + offset
             for _block, offset, hits in iter_matching_positions(
@@ -683,6 +685,8 @@ class RemoteTable:
                 ctype,
                 predicate,
                 self.decode_limits,
+                self.decode_cache,
+                self._column_cache_key(entry),
             )
         ]
         if not positions:
@@ -690,7 +694,7 @@ class RemoteTable:
         return RoaringBitmap.from_positions(np.concatenate(positions))
 
     def _survivor_blocks(self, entry, survivors, cached, ranges, zone_map):
-        """Yield ``(block, column-row offset)`` for zone-map survivors.
+        """Yield ``(block index, block, column-row offset)`` for zone-map survivors.
 
         Cached columns serve blocks after re-validation against their
         statistics entry; uncached ones arrive by ranged GET. Either way a
@@ -712,7 +716,7 @@ class RemoteTable:
                 )
             else:
                 block = self._fetch_pruned_block(entry, index, ranges, zone_map)
-            yield block, offsets[index]
+            yield index, block, offsets[index]
 
     def _read_rows_pruned(self, entry: dict, rows: np.ndarray) -> "Column | None":
         """Materialise specific rows of one column fetching only their blocks.
@@ -757,7 +761,9 @@ class RemoteTable:
 
     def _column_matches(self, column_name: str, predicate: Predicate) -> RoaringBitmap:
         """One filter column's matching rows: pruned path first, full scan
-        in the compressed domain as fallback."""
+        as fallback. Both answer a number block the decode cache serves over
+        its decoded values and every other block in the compressed domain
+        (:func:`~repro.query.executor.block_mask`); neither fills the cache."""
         entry = self.column_entry(column_name)
         try:
             matches = self._pruned_matching_rows(entry, predicate)
@@ -765,7 +771,11 @@ class RemoteTable:
             matches = None
         if matches is None:
             matches = scan_column(
-                self._fetch_column_for_rows(column_name), predicate, self.decode_limits
+                self._fetch_column_for_rows(column_name),
+                predicate,
+                self.decode_limits,
+                self.decode_cache,
+                self._column_cache_key(entry),
             )
         return matches
 

@@ -62,6 +62,22 @@ def repeat_into(run_values: np.ndarray, run_lengths: np.ndarray, count: int, out
     np.copyto(out, values, casting="unsafe")
 
 
+def check_run_lengths(run_lengths, run_count: int, count: int) -> np.ndarray:
+    """Hold decoded run lengths to the node: ``run_count`` of them, none
+    negative, covering exactly the declared ``count`` rows — checked before
+    anything is repeated by them, so a corrupt length surfaces as a typed
+    error instead of sizing an allocation."""
+    run_lengths = np.asarray(run_lengths)
+    if len(run_lengths) != run_count:
+        raise CorruptBlockError("RLE run arrays do not match the run count")
+    if run_count and int(run_lengths.min()) < 0:
+        raise CorruptBlockError("RLE run lengths are negative")
+    total = int(run_lengths.sum(dtype=np.int64))
+    if total != count:
+        raise FormatError(f"block declared {count} values but rle runs cover {total}")
+    return run_lengths
+
+
 class _RLEBase(Scheme):
     """Shared RLE implementation; subclasses fix the value type."""
 
@@ -89,15 +105,10 @@ class _RLEBase(Scheme):
         reader = Reader(payload)
         run_count = reader.u32()
         run_values = ctx.decompress_child(reader.blob(), ctype)
-        run_lengths = np.asarray(ctx.decompress_child(reader.blob(), ColumnType.INTEGER))
-        if len(run_values) != run_count or len(run_lengths) != run_count:
+        run_lengths = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
+        if len(run_values) != run_count:
             raise CorruptBlockError("RLE run arrays do not match the run count")
-        if run_count and int(run_lengths.min()) < 0:
-            raise CorruptBlockError("RLE run lengths are negative")
-        total = int(run_lengths.sum(dtype=np.int64))
-        if total != count:
-            raise FormatError(f"block declared {count} values but rle runs cover {total}")
-        return run_values, run_lengths
+        return run_values, check_run_lengths(run_lengths, run_count, count)
 
     def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
         run_values, run_lengths = self.decode_runs(payload, count, ctx, self.ctype)

@@ -24,6 +24,10 @@ stream is RLE over bit-packed run values evaluates the compiled code
 predicate per *run*, and the run values' page headers can reject runs
 without unpacking a word.
 
+Behind a warm decode cache none of this runs for most number blocks:
+:func:`block_mask`, the operator every scan driver computes a block's mask
+with, answers a block the cache serves over its decoded values.
+
 NULL semantics follow SQL: NULL rows never match a value predicate, and the
 dedicated :class:`~repro.query.predicates.IsNull` matches exactly them.
 
@@ -39,8 +43,15 @@ import numpy as np
 
 from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedBlock, CompressedColumn
-from repro.core.config import DecodeLimits
-from repro.core.decompressor import _open_node, decode_block_filtered, make_context
+from repro.core.config import DEFAULT_DECODE_LIMITS, DecodeLimits
+from repro.core.decompressor import (
+    _hold_to_row_limit,
+    _open_node,
+    _run_scheme,
+    cached_block,
+    decode_block_filtered,
+    make_context,
+)
 from repro.encodings.base import (
     DecompressionContext,
     SchemeId,
@@ -48,9 +59,9 @@ from repro.encodings.base import (
     prefers_full_decode,
 )
 from repro.encodings.bitpack import PAGE
-from repro.encodings.rle import _RLEBase
+from repro.encodings.rle import _RLEBase, check_run_lengths
 from repro.encodings.wire import Reader, unwrap
-from repro.exceptions import CorruptBlockError
+from repro.exceptions import BtrBlocksError, CorruptBlockError, FormatError
 from repro.observe import get_registry
 from repro.query.predicates import (
     Between,
@@ -68,6 +79,15 @@ _DICT = {SchemeId.DICT_INT, SchemeId.DICT_DOUBLE, SchemeId.DICT_STRING}
 _RLE = {SchemeId.RLE_INT, SchemeId.RLE_DOUBLE}
 _FREQUENCY = {SchemeId.FREQUENCY_INT, SchemeId.FREQUENCY_DOUBLE, SchemeId.FREQUENCY_STRING}
 _BITPACKED = {SchemeId.FAST_BP128, SchemeId.FAST_PFOR}
+#: Number roots :func:`scan_block` answers as fast as a cache hit would:
+#: One Value with one comparison, Uncompressed over the values its payload
+#: already is (a hit would add the CRC32). As a node's first byte, its
+#: scheme id (``wire.unwrap``).
+_SCANNED_ROOTS = frozenset(
+    bytes([scheme_id])
+    for scheme_id in (SchemeId.ONE_VALUE_INT, SchemeId.ONE_VALUE_DOUBLE,
+                      SchemeId.UNCOMPRESSED_INT, SchemeId.UNCOMPRESSED_DOUBLE)
+)
 
 #: Sentinel results of code-space compilation: the predicate matches no /
 #: every dictionary entry, so no code ever needs materialising.
@@ -84,9 +104,12 @@ def scan_block(
 ) -> np.ndarray:
     """Evaluate a predicate over one compressed block, returning a row mask.
     ``limits`` bind its declared count and every nested decode. ``blob`` is
-    parsed as it is: no checksum is verified here, that is the caller's job."""
+    parsed as it is: no checksum is verified here, that is the caller's job.
+    Malformed bytes fail typed, as a decode of them would: scheme code runs
+    under the decoder's error typing, and the mask is held to the declared
+    count."""
     ctx = make_context(limits=limits)
-    _, count, _ = _open_node(blob, ctype, ctx)
+    scheme, count, _ = _open_node(blob, ctype, ctx)
     registry = get_registry()
     registry.incr_many([("query.cdomain.blocks", 1), ("query.cdomain.rows", count)])
     if isinstance(predicate, IsNull):
@@ -94,7 +117,11 @@ def scan_block(
         if nulls is not None:
             mask = nulls.to_mask(count)
         return mask
-    mask = _scan_node(blob, ctype, predicate, ctx)
+    mask = _run_scheme(scheme, _scan_node, blob, ctype, predicate, ctx)
+    if np.shape(mask) != (count,):
+        raise FormatError(
+            f"block declared {count} values but {scheme.name} scanned {np.size(mask)}"
+        )
     if nulls is not None and len(nulls):
         mask &= ~nulls.to_mask(count)
     return mask
@@ -155,9 +182,7 @@ def _scan_rle(
     if run_mask.all():
         return np.ones(count, dtype=bool)
     run_lengths = ctx.decompress_child(lengths_blob, ColumnType.INTEGER)
-    if len(run_lengths) != run_count:
-        raise CorruptBlockError("RLE run arrays do not match the run count")
-    return np.repeat(run_mask, run_lengths)
+    return np.repeat(run_mask, check_run_lengths(run_lengths, run_count, count))
 
 
 def _scan_frequency(
@@ -173,7 +198,10 @@ def _scan_frequency(
     top_mask = bitmap.to_mask(count)
     out = np.empty(count, dtype=bool)
     out[top_mask] = predicate.evaluate_scalar(top)
-    out[~top_mask] = _scan_node(reader.blob(), ctype, predicate, ctx)
+    exceptions = _scan_node(reader.blob(), ctype, predicate, ctx)
+    if len(exceptions) != count - int(top_mask.sum()):
+        raise CorruptBlockError("frequency exceptions do not fill the rows the bitmap leaves")
+    out[~top_mask] = exceptions
     return out
 
 
@@ -432,32 +460,78 @@ def _scan_bitpacked(
 
 def enumerate_blocks(
     compressed: CompressedColumn,
-) -> Iterator[tuple[CompressedBlock, int]]:
-    """Yield ``(block, column-row offset)`` for every block, in order."""
+) -> Iterator[tuple[int, CompressedBlock, int]]:
+    """Yield ``(block index, block, column-row offset)`` for every block, in order."""
     offset = 0
-    for block in compressed.blocks:
-        yield block, offset
+    for index, block in enumerate(compressed.blocks):
+        yield index, block, offset
         offset += block.count
 
 
-def iter_matching_positions(
-    block_iter: Iterable[tuple[CompressedBlock, int]],
+def block_mask(
+    index: int,
+    block: CompressedBlock,
     ctype: ColumnType,
     predicate: Predicate,
     limits: "DecodeLimits | None" = None,
+    cache=None,
+    cache_key=None,
+) -> np.ndarray:
+    """The one scan operator: block ``index``'s row mask for ``predicate``.
+
+    A number block that a warm :class:`~repro.core.cache.DecodeCache` serves
+    through :func:`~repro.core.decompressor.cached_block` — the gate
+    ``decompress_column`` and ``read_rows`` use: limits, declared count, the
+    CRC32 of the block in hand — is answered over its decoded values. Every
+    other block, and every block of a string column or under
+    :class:`~repro.query.predicates.IsNull`, is evaluated in the compressed
+    domain by :func:`scan_block` (string predicates compile into dictionary
+    code space there; ``evaluate`` over a ``StringArray`` runs per row, and
+    NULLs are answered from the bitmap), as are One Value and Uncompressed
+    blocks, which it answers as fast as a hit would. Nothing is inserted into
+    the cache. NULL rows never match a value predicate on either route.
+    """
+    nulls = RoaringBitmap.deserialize(block.nulls) if block.nulls else None
+    if (
+        cache is not None
+        and ctype is not ColumnType.STRING
+        and not isinstance(predicate, IsNull)
+        and block.data[:1] not in _SCANNED_ROOTS
+    ):
+        _key, values = cached_block(
+            cache, cache_key, index, block, limits or DEFAULT_DECODE_LIMITS
+        )
+        if values is not None:
+            mask = np.asarray(predicate.evaluate(values), dtype=bool)
+            if nulls is not None and len(nulls):
+                mask &= ~nulls.to_mask(block.count)
+            return mask
+    return scan_block(block.data, ctype, predicate, nulls, limits=limits)
+
+
+def iter_matching_positions(
+    block_iter: Iterable[tuple[int, CompressedBlock, int]],
+    ctype: ColumnType,
+    predicate: Predicate,
+    limits: "DecodeLimits | None" = None,
+    cache=None,
+    cache_key=None,
 ) -> Iterator[tuple[CompressedBlock, int, np.ndarray]]:
     """The shared scan driver: yield ``(block, offset, hit rows)`` per block.
 
-    ``block_iter`` yields ``(block, column-row offset)`` pairs — callers
-    control which blocks are seen (zone-map pruning on the remote path skips
-    some) and what offsets they sit at. Blocks with no hits are consumed
-    silently; hit rows are block-local, sorted and unique, ready for
+    ``block_iter`` yields ``(block index, block, column-row offset)`` —
+    callers control which blocks are seen (zone-map pruning on the remote
+    path skips some) and what offsets they sit at. Each block's mask comes
+    from :func:`block_mask`, which reads ``cache`` under ``cache_key`` (the
+    key :func:`~repro.core.decompressor.decompress_column` filled it under).
+    Blocks with no hits are consumed silently; hit rows are block-local,
+    sorted and unique, ready for
     :func:`~repro.core.decompressor.decode_block_filtered`; ``limits`` bind each.
     """
-    for block, offset in block_iter:
-        nulls = RoaringBitmap.deserialize(block.nulls) if block.nulls else None
-        mask = scan_block(block.data, ctype, predicate, nulls, limits=limits)
-        hits = np.nonzero(mask)[0]
+    for index, block, offset in block_iter:
+        hits = np.flatnonzero(
+            block_mask(index, block, ctype, predicate, limits, cache, cache_key)
+        )
         if hits.size:
             yield block, offset, hits
 
@@ -466,17 +540,20 @@ def scan_column(
     compressed: CompressedColumn,
     predicate: Predicate,
     limits: "DecodeLimits | None" = None,
+    cache=None,
+    cache_key=None,
 ) -> RoaringBitmap:
     """Evaluate a predicate over a whole compressed column.
 
     Returns a Roaring bitmap of matching row positions. Block checksums are
-    not verified (:func:`filter_column` does): a column read from untrusted
-    bytes goes through :func:`~repro.core.file_format.verify_column` first.
+    not verified (:func:`filter_column` does; a ``cache`` hit verifies its
+    block): a column read from untrusted bytes goes through
+    :func:`~repro.core.file_format.verify_column` first.
     """
     positions = [
         hits + offset
         for _block, offset, hits in iter_matching_positions(
-            enumerate_blocks(compressed), compressed.ctype, predicate, limits
+            enumerate_blocks(compressed), compressed.ctype, predicate, limits, cache, cache_key
         )
     ]
     if not positions:
@@ -501,34 +578,41 @@ def filter_column(
     Checksums are verified *before* the compressed-domain scan evaluates a
     block (damaged bytes must not be parsed at all): a CRC mismatch raises
     :class:`~repro.exceptions.IntegrityError` under ``"raise"`` and drops
-    the block's rows under either degrade policy.
+    the block's rows under either degrade policy. A block whose payload
+    fails to parse (the only damage signal checksum-less v1 blocks give)
+    raises its typed error under ``"raise"`` and is dropped the same way
+    under either degrade policy — the decode step's treatment. A declared
+    count over the limits raises under every policy, as it does on decode.
     """
     from repro.core.decompressor import CorruptBlockResult
     from repro.core.file_format import verify_block
     from repro.encodings import strutil
     from repro.exceptions import IntegrityError
 
-    def _verified_blocks():
-        for block, offset in enumerate_blocks(compressed):
-            if not verify_block(block):
-                if on_corrupt == "raise":
-                    raise IntegrityError(
-                        f"block of {block.count} values: payload does not "
-                        f"match stored CRC32"
-                    )
-                continue
-            yield block, offset
-
     ctx = make_context()
     parts = []
-    for block, _offset, hits in iter_matching_positions(
-        _verified_blocks(), compressed.ctype, predicate
-    ):
+    for index, block, _offset in enumerate_blocks(compressed):
+        if not verify_block(block):
+            if on_corrupt == "raise":
+                raise IntegrityError(
+                    f"block of {block.count} values: payload does not "
+                    f"match stored CRC32"
+                )
+            continue
+        _hold_to_row_limit(block, ctx.limits)
+        try:
+            hits = np.flatnonzero(block_mask(index, block, compressed.ctype, predicate))
+        except BtrBlocksError:
+            if on_corrupt == "raise":
+                raise
+            continue  # degrade policies drop the block's matches
+        if not hits.size:
+            continue
         values = decode_block_filtered(
             block, compressed.ctype, ctx, hits, on_corrupt=on_corrupt
         )
         if isinstance(values, CorruptBlockResult):
-            continue  # degrade policies drop the block's matches
+            continue
         parts.append(values)
     if compressed.ctype is ColumnType.STRING:
         data = strutil.concat(parts)

@@ -5,7 +5,8 @@ String blocks enter it only when the handle decodes a column whose
 compressed bytes it *already held* in its column cache — a re-scan, or a
 second handle on shared caches — so a one-shot handle retains nothing it
 will never read again (``docs/PERFORMANCE.md`` §5 has the measurements).
-Look-ups always happen, on the scan path and under ``scan(where=)``, and a
+Look-ups always happen, on the scan path and under ``scan(where=)`` — in
+its materialising read, and in its filter for number columns — and a
 handle's ``DecodeLimits`` bind on every one of those routes.
 """
 
@@ -26,7 +27,8 @@ from repro.core.config import BtrBlocksConfig, DecodeLimits
 from repro.core.relation import Relation
 from repro.exceptions import DecodeLimitError
 from repro.observe import MetricsRegistry, use_registry
-from repro.query.predicates import Between
+from repro.query import executor
+from repro.query.predicates import Between, Equals
 from repro.types import Column, ColumnType, columns_equal
 
 ROWS = 4096
@@ -154,31 +156,61 @@ def test_pipeline_download_serves_strings_a_shared_cache_holds(store):
 
 
 WHERE = {"key": Between(1000, 2999)}  # three of the four blocks, one whole
+SURVIVORS = 3
 
 
 def test_selective_scan_reads_a_warm_cache_and_never_fills_a_cold_one(store):
+    """Both halves of ``scan(where=)`` read the cache: the filter looks up
+    the key column's three surviving blocks and answers them over their
+    cached values (no ``scan_block``), the materialising read looks up the
+    three touched blocks of each of the four columns."""
     warm = RemoteTable.open(store, "orders")
     for _ in range(3):
         warm.scan()
     entries = len(warm.decode_cache)
     registry = MetricsRegistry()
-    with use_registry(registry), _spied((access, "_decompress_node_filtered")) as decodes:
+    with use_registry(registry), _spied(
+        (access, "_decompress_node_filtered"), (executor, "scan_block")
+    ) as (decodes, scans):
         served = warm.scan(columns=list(NUMBERS + STRINGS), where=WHERE)
-    assert _calls(decodes) == 0  # every touched block of every column came from the cache
-    assert registry.get("decode.cache.hit") == 4 * 3 and registry.get("decode.cache.miss") == 0
+    assert decodes.call_count == 0  # every touched block of every column came from the cache
+    assert scans.call_count == 0  # and so did every filter block
+    looked_up = SURVIVORS + 4 * 3
+    assert registry.get("decode.cache.hit") == looked_up and registry.get("decode.cache.miss") == 0
     assert registry.get("query.cdomain.filtered.rows_total") == 4 * 3 * 1024
+    assert registry.get("query.cdomain.blocks") == 0
     assert len(warm.decode_cache) == entries
 
     cold = RemoteTable.open(store, "orders")
     registry = MetricsRegistry()
-    with use_registry(registry):
+    with use_registry(registry), _spied((executor, "scan_block")) as (scans,):
         decoded = cold.scan(columns=list(NUMBERS + STRINGS), where=WHERE)
-    assert len(cold.decode_cache) == 0  # a selective read never fills the cache
-    assert registry.get("decode.cache.hit") == 0 and registry.get("decode.cache.miss") == 4 * 3
+    assert scans.call_count == SURVIVORS
+    assert len(cold.decode_cache) == 0  # neither half fills the cache
+    assert registry.get("decode.cache.hit") == 0 and registry.get("decode.cache.miss") == looked_up
     source = _relation()
     for mine, theirs in zip(served.columns, decoded.columns):
         assert columns_equal(mine, theirs)
         assert columns_equal(mine, source.column(mine.name).slice(1000, 3000))
+
+
+def test_string_filter_stays_in_code_space_behind_a_warm_cache(store):
+    """A string filter column is scanned in the compressed domain even when
+    the cache holds its blocks: ``scan_block`` once per block, no look-up."""
+    warm = RemoteTable.open(store, "orders")
+    for _ in range(2):
+        warm.scan()
+    assert len(warm.decode_cache) == (len(NUMBERS) + len(STRINGS)) * BLOCKS
+    registry = MetricsRegistry()
+    with use_registry(registry), _spied((executor, "scan_block")) as (scans,):
+        served = warm.scan(columns=["key"], where={"status": Equals("shipped")})
+    assert scans.call_count == BLOCKS
+    assert registry.get("query.cdomain.blocks") == BLOCKS
+    assert registry.get("decode.cache.hit") == BLOCKS  # the materialised key column
+    assert registry.get("decode.cache.miss") == 0
+    source = _relation()
+    shipped = np.flatnonzero(np.array(list(source.column("status").data)) == b"shipped")
+    assert np.array_equal(served.column("key").data, source.column("key").data[shipped])
 
 
 class TestDecodeLimitsBindOnTheSelectivePath:

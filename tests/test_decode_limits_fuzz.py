@@ -499,3 +499,63 @@ class TestBlockCountDisagreesWithNode:
             assert rows_of(back) == expected[:before] + [placeholder] * emitted + after
             nulls = back.nulls.to_array().tolist() if back.nulls is not None else []
             assert nulls == list(range(before, before + emitted))
+
+
+class TestScanBitFlips:
+    """The compressed-domain scan parses the same untrusted bytes a decode
+    does and fails the same way: one-bit flips of the v1 golden fixtures
+    (1,500 per file, bit offsets from ``default_rng(5)``) through
+    ``filter_column`` raise only typed errors, allocate within the ceiling
+    (an RLE scan once repeated its run verdicts by unchecked run lengths —
+    ~1 GiB, then 8 GiB), and under ``skip`` / ``null_block`` raise only where
+    ``decompress_column(on_corrupt="skip")`` raises too."""
+
+    FLIPS = 1_500
+    GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+    @staticmethod
+    def _predicates():
+        from repro.query.predicates import Between, Equals, In
+
+        return {
+            "column_city.btrc": Equals("OSLO"),
+            "column_price.btrc": Between(1.0, 10.0),
+            "column_runs.btrc": In([3, 4, 5]),
+        }
+
+    @staticmethod
+    def _fails(call, data: bytes) -> bool:
+        try:
+            call(column_from_bytes(data))
+        except TYPED:
+            return True
+        return False
+
+    @pytest.mark.parametrize("name", ["column_city.btrc", "column_price.btrc", "column_runs.btrc"])
+    def test_one_bit_flips_scan_typed_and_degrade_like_decode(self, name):
+        from repro.query.executor import filter_column
+
+        predicate = self._predicates()[name]
+        with open(os.path.join(self.GOLDEN, name), "rb") as fh:
+            data = fh.read()
+        bits = np.random.default_rng(5).integers(0, len(data) * 8, self.FLIPS).tolist()
+        peak = 0
+        for bit in bits:
+            mutant = bytearray(data)
+            mutant[bit // 8] ^= 1 << (bit % 8)
+            mutant = bytes(mutant)
+            decode_fails = self._fails(
+                lambda column: decompress_column(column, on_corrupt="skip"), mutant
+            )
+            tracemalloc.start()  # (the decode may size rows from a flipped count)
+            try:
+                self._fails(lambda column: filter_column(column, predicate), mutant)
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            for policy in ("skip", "null_block"):
+                scan_fails = self._fails(
+                    lambda column: filter_column(column, predicate, on_corrupt=policy), mutant
+                )
+                assert decode_fails or not scan_fails, f"{name} bit {bit} under {policy}"
+        assert peak < ALLOC_CEILING, f"{name}: a scan allocated {peak:,} bytes"
