@@ -15,7 +15,7 @@ import pytest
 from repro.core.compressor import compress_column
 from repro.core.config import BtrBlocksConfig
 from repro.core.decompressor import decompress_column
-from repro.metadata import build_zone_map, pruned_scan
+from repro.metadata import pruned_scan
 from repro.observe import MetricsRegistry, use_registry
 from repro.query import Between, Equals, scan_column
 from repro.query.executor import filter_column
@@ -28,14 +28,14 @@ def sorted_ints():
     values = np.sort(rng.integers(0, 10_000_000, 256_000)).astype(np.int32)
     column = Column.ints("order_id", values)
     config = BtrBlocksConfig(block_size=16_000)
-    return values, compress_column(column, config), build_zone_map(column, 16_000)
+    return values, compress_column(column, config)
 
 
 def test_zone_map_pruned_range_scan(benchmark, sorted_ints):
-    values, compressed, zone_map = sorted_ints
+    values, compressed = sorted_ints
     predicate = Between(5_000_000, 5_050_000)
 
-    result = benchmark(lambda: pruned_scan(compressed, zone_map, predicate))
+    result = benchmark(lambda: pruned_scan(compressed, predicate))
     matches, blocks_read = result
     expected = np.nonzero((values >= 5_000_000) & (values <= 5_050_000))[0]
     assert np.array_equal(matches.to_array(), expected)
@@ -44,7 +44,7 @@ def test_zone_map_pruned_range_scan(benchmark, sorted_ints):
 
 
 def test_decompress_then_filter_baseline(benchmark, sorted_ints):
-    values, compressed, _zone_map = sorted_ints
+    values, compressed = sorted_ints
     predicate = Between(5_000_000, 5_050_000)
 
     def naive():
@@ -69,7 +69,7 @@ def test_compressed_domain_dictionary_scan(benchmark):
 def test_filtered_scan_partial_decode_bitpack(benchmark, sorted_ints):
     """1%-selectivity filter on bit-packed data: page headers reject almost
     every page, and surviving blocks decode only their hit rows."""
-    values, compressed, _zone_map = sorted_ints
+    values, compressed = sorted_ints
     lo, hi = 5_000_000, 5_050_000
     predicate = Between(lo, hi)
 
@@ -136,7 +136,7 @@ def test_rle_filtered_decode_matching_runs_only(benchmark):
 
 def test_scan_speedup_summary(benchmark, sorted_ints):
     """One-shot comparison printed as a mini-table."""
-    values, compressed, zone_map = sorted_ints
+    values, compressed = sorted_ints
     predicate = Between(5_000_000, 5_050_000)
 
     def run():
@@ -145,7 +145,7 @@ def test_scan_speedup_summary(benchmark, sorted_ints):
         predicate.evaluate(np.asarray(column.data))
         naive = time.perf_counter() - started
         started = time.perf_counter()
-        pruned_scan(compressed, zone_map, predicate)
+        pruned_scan(compressed, predicate)
         pruned = time.perf_counter() - started
         return naive, pruned
 

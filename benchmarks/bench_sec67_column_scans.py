@@ -2,7 +2,8 @@
 
 The paper's first end-to-end experiment fetches only the columns random
 queries touch. BtrBlocks stores one file per column plus a separate
-metadata file (1 metadata GET, then parallel chunked column GETs); Parquet
+metadata file -- here the manifest ``TableWriter`` commits and ``RemoteTable``
+reads (1 manifest GET, then parallel chunked column GETs); Parquet
 bundles everything into one file with a trailing footer, forcing three
 *dependent* requests (footer length -> footer -> column ranges). On the
 five largest workbooks the paper measures BtrBlocks scans ~9x cheaper than
@@ -16,11 +17,10 @@ import numpy as np
 import pytest
 
 from _harness import print_table, publicbi_largest_five
-from repro.cloud import SimulatedObjectStore
+from repro.cloud import SimulatedObjectStore, TableWriter
 from repro.cloud.scan import (
     scan_btrblocks_columns,
     scan_parquet_like_columns,
-    upload_btrblocks,
     upload_parquet_like,
 )
 from repro.core.compressor import compress_relation
@@ -41,7 +41,7 @@ def test_sec67_single_column_loads(benchmark):
         store = SimulatedObjectStore()
         rows = []
         for relation in relations:
-            upload_btrblocks(store, compress_relation(relation))
+            TableWriter(store).write(compress_relation(relation))
             for codec in ("none", "snappy"):
                 fmt = ParquetLikeFormat(codec)
                 upload_parquet_like(store, f"{relation.name}-{codec}",
@@ -53,7 +53,7 @@ def test_sec67_single_column_loads(benchmark):
             # from the workbooks' dashboards).
             picks = rng.choice(len(relation.columns), size=2, replace=False)
             names = [relation.columns[i].name for i in picks]
-            btr = scan_btrblocks_columns(store, relation.name, list(picks))
+            btr = scan_btrblocks_columns(store, relation.name, names)
             totals["btrblocks"] += btr.cost_usd(store, DATA_SCALE)
             requests["btrblocks"] += btr.scaled_requests(store, DATA_SCALE)
             for codec, label in (("none", "parquet"), ("snappy", "parquet+snappy")):

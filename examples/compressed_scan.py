@@ -5,8 +5,8 @@ The paper keeps statistics out of the data files (Section 2.1) and notes
 that BtrBlocks can support processing compressed data (Section 7). This
 example shows both layers working together on a sales table:
 
-1. a zone map (per-block min/max/null stats, stored as separate metadata)
-   prunes blocks whose range cannot match the predicate;
+1. a zone map (the per-block min/max/null stats compression attaches,
+   kept apart from the encoded data) prunes blocks whose range cannot match the predicate;
 2. surviving blocks answer the predicate in the compressed domain where the
    encoding allows (One Value, Dictionary, RLE, Frequency fast paths);
 3. only matching rows are materialised.
@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.compressor import compress_column
 from repro.core.config import BtrBlocksConfig
 from repro.core.decompressor import decompress_column
-from repro.metadata import build_zone_map, pruned_scan
+from repro.metadata import pruned_scan
 from repro.query import Between, Equals, filter_column, scan_column
 from repro.types import Column
 
@@ -41,7 +41,6 @@ def main() -> None:
     config = BtrBlocksConfig(block_size=block_size)
     compressed_ids = compress_column(Column.ints("order_id", order_ids), config)
     compressed_status = compress_column(status, config)
-    zone_map = build_zone_map(Column.ints("order_id", order_ids), block_size)
 
     predicate = Between(4_000_000, 4_100_000)
 
@@ -51,7 +50,7 @@ def main() -> None:
     naive_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    matches, blocks_read = pruned_scan(compressed_ids, zone_map, predicate)
+    matches, blocks_read = pruned_scan(compressed_ids, predicate)
     pruned_seconds = time.perf_counter() - started
 
     assert np.array_equal(matches.to_array(), np.nonzero(naive_mask)[0])
@@ -75,21 +74,24 @@ def main() -> None:
     assert set(shipped_rows.data.to_pylist()) == {b"shipped"}
     print(f"materialised {len(shipped_rows):,} matching strings ✓")
 
-    # The same layers through the table-level API: compress once, then run
-    # filtered projections and aggregates without ever holding the
-    # decompressed table in memory.
+    # The same layers through the table-level API: commit once to a
+    # (simulated) object store, then run filtered projections and
+    # aggregates without ever holding the decompressed table in memory.
+    from repro.cloud import RemoteTable, SimulatedObjectStore, TableWriter
+    from repro.core.compressor import compress_relation
     from repro.core.relation import Relation
-    from repro.query.engine import CompressedTable
 
     amounts = np.round(rng.uniform(1.0, 500.0, n), 2)
-    table = CompressedTable.from_relation(
+    store = SimulatedObjectStore()
+    TableWriter(store).write(compress_relation(
         Relation("orders", [
             Column.ints("order_id", order_ids),
             Column.doubles("amount", amounts),
             status,
         ]),
         config,
-    )
+    ))
+    table = RemoteTable.open(store, "orders")
     where = {"order_id": Between(4_000_000, 4_100_000), "status": Equals("shipped")}
     count = table.count(where)
     revenue = table.aggregate("amount", "sum", where)

@@ -2,22 +2,21 @@
 """Data-lake scenario: store a table on (simulated) S3 and scan it.
 
 Mirrors the paper's Section 6.7 setting: a Public-BI-like workbook is
-compressed with BtrBlocks (one file per column + a separate metadata file)
+compressed with BtrBlocks (one file per column + a versioned manifest)
 and with the Parquet-like baseline (one file, footer at the end). The script
 then runs two scans against the simulated object store:
 
 1. a full-table scan, comparing simulated cost per format;
 2. a single-column scan, showing why Parquet's footer design needs three
-   dependent round trips while BtrBlocks needs one metadata read.
+   dependent round trips while BtrBlocks needs one manifest read.
 
 Run:  python examples/data_lake_scan.py
 """
 
-from repro.cloud import ScanCostModel, SimulatedObjectStore
+from repro.cloud import ScanCostModel, SimulatedObjectStore, TableWriter
 from repro.cloud.scan import (
     scan_btrblocks_columns,
     scan_parquet_like_columns,
-    upload_btrblocks,
     upload_parquet_like,
 )
 from repro.core.compressor import compress_relation
@@ -39,7 +38,7 @@ def full_table_scans(table) -> None:
 
 def single_column_scans(table) -> None:
     store = SimulatedObjectStore()
-    upload_btrblocks(store, compress_relation(table))
+    TableWriter(store).write(compress_relation(table))
 
     from repro.baselines.parquet_like import ParquetLikeFormat
 
@@ -47,7 +46,7 @@ def single_column_scans(table) -> None:
     upload_parquet_like(store, table.name, parquet_file)
 
     wanted = table.column_names()[0]
-    btr = scan_btrblocks_columns(store, table.name, [0])
+    btr = scan_btrblocks_columns(store, table.name, [wanted])
     parquet = scan_parquet_like_columns(store, table.name, [wanted])
 
     print(f"\nsingle-column scan of {wanted!r}:")
@@ -64,7 +63,7 @@ def remote_query(table) -> None:
     from repro.query import GreaterThan
 
     store = SimulatedObjectStore()
-    upload_btrblocks(store, compress_relation(table))
+    TableWriter(store).write(compress_relation(table))
     store.stats.reset()
 
     remote = RemoteTable.open(store, table.name)
@@ -73,7 +72,7 @@ def remote_query(table) -> None:
     count = remote.count({target: GreaterThan(0.0)})
     print(f"\nremote query: COUNT(*) WHERE {target} > 0 -> {count:,} rows")
     print(f"  transferred {store.stats.bytes_downloaded / 1e3:.1f} kB in "
-          f"{store.stats.get_requests} GETs (1 metadata + the filter column; "
+          f"{store.stats.get_requests} GETs (1 manifest + the filter column; "
           f"the other {len(table.columns) - 1} columns never left the store)")
 
 

@@ -36,9 +36,7 @@ from repro.core.file_format import (
     column_from_bytes,
     column_to_bytes,
     relation_from_bytes,
-    relation_from_files,
     relation_to_bytes,
-    relation_to_files,
 )
 from repro.core.sampling import SamplingStrategy
 from repro.core.selector import SchemeSelector
@@ -82,7 +80,5 @@ __all__ = [
     "decompress_column",
     "decompress_relation",
     "relation_from_bytes",
-    "relation_from_files",
     "relation_to_bytes",
-    "relation_to_files",
 ]

@@ -20,9 +20,9 @@ ratios, phase timings) as JSON; ``--jobs N`` compresses the blocks on N
 worker processes, with output bytes identical to the default single-process
 run. ``inspect`` prints the per-column scheme histogram, sizes and ratios
 without decompressing any data. ``stats`` compresses in memory purely to
-produce that JSON report. ``scan`` replays a column scan of the table
-through the simulated object store — optionally
-with an injected fault profile — and reports requests, retries, backoff,
+produce that JSON report. ``scan`` commits the table to a clean simulated
+object store, then reads it back through ``RemoteTable`` — optionally under
+an injected fault profile — and reports requests, retries, backoff,
 integrity events and simulated cost (see docs/RELIABILITY.md). ``write``
 replays the transactional *upload*: the table commits through the
 multipart + manifest protocol under injected PUT faults (torn writes,
@@ -156,8 +156,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     """Replay a (optionally fault-injected) cloud column scan of a table."""
-    from repro.cloud import FaultProfile, RemoteTable, SimulatedObjectStore
-    from repro.cloud.scan import upload_btrblocks
+    from repro.cloud import FaultProfile, RemoteTable, SimulatedObjectStore, TableWriter
 
     compressed = relation_from_bytes(Path(args.input).read_bytes())
     profile = None
@@ -170,8 +169,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     }
     if any(rate > 0 for rate in rates.values()):
         profile = FaultProfile(seed=args.seed, **rates)
-    store = SimulatedObjectStore(faults=profile)
-    upload_btrblocks(store, compressed)
+    store = SimulatedObjectStore()
+    TableWriter(store).write(compressed)
+    store.set_faults(profile)
     registry, trace = MetricsRegistry(), SelectionTrace()
     with use_registry(registry), use_trace(trace):
         table = RemoteTable.open(store, compressed.name, on_corrupt=args.on_corrupt)

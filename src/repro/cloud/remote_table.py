@@ -1,11 +1,11 @@
 """Query compressed tables directly from the (simulated) object store.
 
 The full data-lake consumer story: a table lives on S3 as one file per
-column plus a metadata file (paper Section 6.7's layout). A
-:class:`RemoteTable` reads only the metadata up front; column files download
-lazily — and only the columns a query touches — then predicates evaluate in
-the compressed domain. Requests and bytes are accounted by the store, so
-the cost of any access pattern is measurable.
+column plus a metadata file (paper Section 6.7's layout), here a versioned
+manifest. A :class:`RemoteTable` reads only the manifest up front; column
+files download lazily — and only the columns a query touches — then
+predicates evaluate in the compressed domain. Requests and bytes are
+accounted by the store, so the cost of any access pattern is measurable.
 
 The write side is transactional. A :class:`TableWriter` stages every column
 object and a manifest through the store's multipart protocol, then commits
@@ -18,9 +18,10 @@ dead weight that :func:`recover` sweeps.
 Example::
 
     store = SimulatedObjectStore()
-    upload_btrblocks(store, compress_relation(relation))
+    TableWriter(store).write(compress_relation(relation))
     table = RemoteTable.open(store, relation.name)
     result = table.scan(columns=["price"], where={"city": Equals("OSLO")})
+    total = table.aggregate("price", "sum", where={"city": Equals("OSLO")})
     print(store.stats.get_requests, store.stats.bytes_downloaded)
 """
 
@@ -85,6 +86,9 @@ from repro.types import Column, ColumnType
 MANIFEST_DIR = "_manifests"
 
 _VERSION_DIR_RE = re.compile(r"^v(\d{6})/")
+
+#: :meth:`RemoteTable.aggregate`'s functions (``count`` counts non-NULL rows).
+_AGGREGATES = {"sum": np.sum, "min": np.min, "max": np.max, "mean": np.mean, "count": None}
 
 
 def manifest_key(name: str, version: int) -> str:
@@ -234,8 +238,8 @@ class RemoteTable:
         store: SimulatedObjectStore,
         name: str,
         metadata: dict,
+        version: int,
         on_corrupt: str = "raise",
-        version: "int | None" = None,
         decode_limits: "DecodeLimits | None" = None,
         decode_cache_bytes: "int | None" = None,
         column_cache_bytes: "int | None" = None,
@@ -248,8 +252,9 @@ class RemoteTable:
         self._metadata = metadata
         #: Downloaded compressed columns, bounded by byte budget (LRU).
         #: Injectable so a multi-tenant server shares one budget across
-        #: handles; keys embed the object key (and so the table + version),
-        #: which keeps shared entries collision-free.
+        #: handles; keys are the manifest's object key, which names the
+        #: table and version (``<table>/vNNNNNN/...``), so shared entries
+        #: never collide. The decode cache is keyed the same way.
         self._columns = column_cache if column_cache is not None else ByteBudgetLRU(
             DEFAULT_COLUMN_CACHE_BYTES if column_cache_bytes is None else column_cache_bytes,
             metric_prefix="cloud.table.column_cache",
@@ -264,8 +269,7 @@ class RemoteTable:
             self.decode_cache = DecodeCache(decode_cache_bytes) if decode_cache_bytes > 0 else None
         self.readahead = DEFAULT_SCAN_READAHEAD if readahead is None else readahead
         self.on_corrupt = on_corrupt
-        #: Committed version this handle reads, or ``None`` for the legacy
-        #: unversioned ``table.meta`` layout.
+        #: Committed version this handle reads.
         self.version = version
         self.decode_limits = decode_limits
         #: Validated manifest zone maps per column; ``None`` = known absent
@@ -319,14 +323,9 @@ class RemoteTable:
         the last object a commit writes — and lands atomically via the
         multipart protocol — an interrupted writer's staged garbage is
         never observable here: every manifest this LIST can see describes a
-        fully-uploaded version. Tables uploaded the legacy way (a bare
-        ``table.meta``, no manifests) fall back to that single GET.
+        fully-uploaded version. A table with no manifest raises
+        :class:`~repro.exceptions.FormatError`.
         """
-
-        def validate(metadata: dict) -> None:
-            for entry in metadata["columns"]:
-                entry["name"], entry["file"]
-
         manifests = store.keys(f"{name}/{MANIFEST_DIR}/")
         if version is not None:
             key = manifest_key(name, version)
@@ -335,23 +334,11 @@ class RemoteTable:
         elif manifests:
             key = max(manifests)
         else:
-            # Legacy unversioned layout (e.g. upload_btrblocks).
-            metadata = cls._fetch_json(store, f"{name}/table.meta", validate)
-            return cls(
-                store,
-                name,
-                metadata,
-                on_corrupt=on_corrupt,
-                decode_limits=decode_limits,
-                decode_cache_bytes=decode_cache_bytes,
-                column_cache_bytes=column_cache_bytes,
-                readahead=readahead,
-                column_cache=column_cache,
-                decode_cache=decode_cache,
-            )
+            raise FormatError(f"table {name!r} has no committed version")
 
         def validate_manifest(metadata: dict) -> None:
-            validate(metadata)
+            for entry in metadata["columns"]:
+                entry["name"], entry["file"]
             int(metadata["version"])
 
         metadata = cls._fetch_json(store, key, validate_manifest)
@@ -359,8 +346,8 @@ class RemoteTable:
             store,
             name,
             metadata,
+            int(metadata["version"]),
             on_corrupt=on_corrupt,
-            version=int(metadata["version"]),
             decode_limits=decode_limits,
             decode_cache_bytes=decode_cache_bytes,
             column_cache_bytes=column_cache_bytes,
@@ -428,10 +415,6 @@ class RemoteTable:
             # under a lenient policy.
             raise last_error
         return column_from_bytes(payload, limits=self.decode_limits), False
-
-    def _column_cache_key(self, entry: dict):
-        """Cache identity for one column's bytes: object key + version."""
-        return (entry["file"], self.version)
 
     def _fetch_column_flagged(self, name: str) -> "tuple[CompressedColumn, bool]":
         """:meth:`fetch_column` plus whether the column is checksum-clean."""
@@ -607,7 +590,7 @@ class RemoteTable:
         download — ``raise`` raises, lenient policies fall back to the full
         fetch-and-filter path (``cloud.scan.zonemap.fallbacks``).
         """
-        cache_key = (entry["file"], self.version, index)
+        cache_key = (entry["file"], index)
         block = self._columns.get(cache_key)
         if block is not None:
             return block
@@ -686,7 +669,7 @@ class RemoteTable:
                 predicate,
                 self.decode_limits,
                 self.decode_cache,
-                self._column_cache_key(entry),
+                entry["file"],
             )
         ]
         if not positions:
@@ -753,7 +736,7 @@ class RemoteTable:
             compressed,
             rows,
             cache=self.decode_cache,
-            cache_key=self._column_cache_key(entry),
+            cache_key=entry["file"],
             limits=self.decode_limits,
         )
 
@@ -775,7 +758,7 @@ class RemoteTable:
                 predicate,
                 self.decode_limits,
                 self.decode_cache,
-                self._column_cache_key(entry),
+                entry["file"],
             )
         return matches
 
@@ -916,7 +899,7 @@ class RemoteTable:
             with capture_step(self._store, "decode", name, **context) as step:
                 out.append(
                     self._decompress_remote_column(
-                        compressed, self._column_cache_key(entry), held
+                        compressed, entry["file"], held
                     )
                 )
             # (The step's hit / miss counts exist once its capture has closed.)
@@ -945,7 +928,7 @@ class RemoteTable:
         cache_misses = 0
         for name in names:
             entry = self.column_entry(name)
-            cache_key = self._column_cache_key(entry)
+            cache_key = entry["file"]
             self._check_deadline(deadline_seconds)
             with capture_step(self._store, "pipeline", name, **context) as step:
                 cached = self._columns.get(entry["file"])
@@ -1086,6 +1069,28 @@ class RemoteTable:
 
     def count(self, where: Mapping[str, Predicate]) -> int:
         return len(self.matching_rows(where))
+
+    def aggregate(
+        self,
+        column: str,
+        agg: str,
+        where: "Mapping[str, Predicate] | None" = None,
+    ) -> float:
+        """Aggregate one column over the rows :meth:`scan` returns.
+
+        NULL rows are excluded, following SQL aggregate semantics; string
+        columns support only ``count``.
+        """
+        if agg not in _AGGREGATES:
+            raise ValueError(f"unknown aggregate {agg!r}; choose from {sorted(_AGGREGATES)}")
+        if self.column_entry(column)["type"] == ColumnType.STRING.value and agg != "count":
+            raise ValueError("only 'count' is supported for string columns")
+        materialised = self.scan(columns=[column], where=where).columns[0]
+        mask = ~materialised.null_mask()
+        if agg == "count":
+            return int(mask.sum())
+        values = np.asarray(materialised.data)[mask]
+        return float(_AGGREGATES[agg](values)) if values.size else float("nan")
 
 
 class TableWriter:
@@ -1247,9 +1252,9 @@ def recover(store: SimulatedObjectStore, name: str) -> RecoveryReport:
     uploads orphaned by a duplicate-delivered initiate) and data objects in
     version directories that no committed manifest references (the writer
     died between completing columns and completing the manifest, or lost a
-    commit race). Committed versions and the legacy unversioned layout are
-    never touched. Aborts and deletes are free requests, so recovery costs
-    nothing beyond the bytes already sunk.
+    commit race). Committed versions are never touched. Aborts and deletes
+    are free requests, so recovery costs nothing beyond the bytes already
+    sunk.
     """
     registry = get_registry()
     aborted = 0

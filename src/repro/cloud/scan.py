@@ -3,31 +3,26 @@
 OLAP queries fetch individual columns, and the two formats differ in how
 many *dependent* round trips that takes:
 
-* **BtrBlocks** stores one file per column plus one table metadata file
-  (Section 2.1 / 6.7): a scan issues one metadata GET, then fetches the
-  needed column files in parallel, chunked at 16 MB.
+* **BtrBlocks** stores one file per column plus one metadata file per
+  table (Section 2.1 / 6.7), here the manifest a
+  :class:`~repro.cloud.remote_table.TableWriter` commits: a scan issues one
+  manifest GET, then fetches the needed column files in parallel, chunked
+  at 16 MB.
 * **Parquet** bundles all columns into one file with a footer at the end:
   a client must (1) GET the footer length, (2) GET the footer, (3) GET the
   column byte ranges — three dependent requests before data arrives [54].
 
-This module uploads both layouts to the simulated store and replays those
-request patterns, which is what makes single-column BtrBlocks scans ~9x
+This module uploads the Parquet layout to the simulated store and replays
+both request patterns, which is what makes single-column BtrBlocks scans ~9x
 cheaper than compressed Parquet in the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cloud.objectstore import SimulatedObjectStore
-from repro.cloud.pipeline import (
-    ColumnPipelineStats,
-    PipelinedScanReport,
-    pipelined_fetch_column,
-)
-from repro.core.blocks import CompressedRelation
-from repro.core.config import DEFAULT_SCAN_READAHEAD
-from repro.core.file_format import relation_to_files
+from repro.cloud.remote_table import RemoteTable
 from repro.observe import get_registry
 
 
@@ -60,9 +55,6 @@ class ColumnScanResult:
     dependent_round_trips: int
     retries: int = 0
     backoff_seconds: float = 0.0
-    #: Optionally captured column-file payloads (``keep_payloads=True``),
-    #: keyed by object name; excluded from accounting and comparisons.
-    payloads: "dict[str, bytes] | None" = field(default=None, repr=False, compare=False)
 
     def seconds(self, store: SimulatedObjectStore, data_scale: float = 1.0) -> float:
         """Simulated time: bulk transfer + round trips + retry backoff.
@@ -92,105 +84,31 @@ class ColumnScanResult:
         )
 
 
-def upload_btrblocks(store: SimulatedObjectStore, compressed: CompressedRelation) -> None:
-    """Upload a compressed relation in the one-file-per-column layout."""
-    store.put_many(relation_to_files(compressed))
-
-
 def scan_btrblocks_columns(
-    store: SimulatedObjectStore,
-    table: str,
-    column_indexes: list[int],
-    keep_payloads: bool = False,
+    store: SimulatedObjectStore, table: str, column_names: list[str]
 ) -> ColumnScanResult:
-    """Fetch selected columns: 1 metadata GET, then parallel chunked GETs.
+    """Fetch selected columns of a committed table: 1 manifest GET, then
+    parallel chunked GETs of each column object.
 
-    Every GET goes through the store's retry layer, so a scan against a
-    fault-injecting store sees retried requests and backoff in its
-    accounting but still receives the exact bytes a fault-free store would
-    serve (pass ``keep_payloads=True`` to capture them for comparison).
+    The columns are read by :class:`~repro.cloud.remote_table.RemoteTable`
+    (``open`` + ``fetch_column``), so every GET goes through the store's
+    retry layer and damaged downloads are refetched; the accounting comes
+    from ``store.stats``.
     """
     store.stats.reset()
-    import json
-
-    meta = json.loads(store.get(f"{table}/table.meta").decode("utf-8"))
-    payloads: dict[str, bytes] | None = {} if keep_payloads else None
-    for index in column_indexes:
-        filename = meta["columns"][index]["file"]
-        payload = store.get_chunked(filename)
-        if payloads is not None:
-            payloads[filename] = payload
+    remote = RemoteTable.open(store, table)
+    for name in column_names:
+        remote.fetch_column(name)
     result = ColumnScanResult(
         label="btrblocks",
         requests=store.stats.get_requests,
         bytes_downloaded=store.stats.bytes_downloaded,
-        dependent_round_trips=2,  # metadata, then (parallel) column fetches
+        dependent_round_trips=2,  # manifest, then (parallel) column fetches
         retries=store.stats.retries,
         backoff_seconds=store.stats.backoff_seconds,
-        payloads=payloads,
     )
     _record_scan(result, store)
     return result
-
-
-def scan_btrblocks_columns_pipelined(
-    store: SimulatedObjectStore,
-    table: str,
-    column_indexes: list[int],
-    readahead: int = DEFAULT_SCAN_READAHEAD,
-    decode_cache=None,
-) -> "tuple[ColumnScanResult, PipelinedScanReport]":
-    """Column scan with chunk readahead overlapped against block decode.
-
-    Same request pattern (and therefore the same request/byte/cost
-    accounting) as :func:`scan_btrblocks_columns` — one metadata GET, then
-    chunked column GETs — but each column streams through
-    :func:`~repro.cloud.pipeline.pipelined_fetch_column`: up to
-    ``readahead`` chunk requests stay in flight while completed blocks
-    decode, so the returned report's ``wall_seconds`` reflects
-    ``max(fetch, decode)`` per step instead of their sum. Pass a
-    :class:`~repro.core.cache.DecodeCache` to serve repeat scans from
-    decoded blocks.
-    """
-    store.stats.reset()
-    import json
-
-    meta = json.loads(store.get(f"{table}/table.meta").decode("utf-8"))
-    stats: list[ColumnPipelineStats] = []
-    for index in column_indexes:
-        entry = meta["columns"][index]
-        _column, _compressed, column_stats = pipelined_fetch_column(
-            store,
-            entry["file"],
-            readahead=readahead,
-            rows_hint=entry["rows"],
-            cache=decode_cache,
-            cache_key=(entry["file"], None),
-        )
-        stats.append(column_stats)
-    result = ColumnScanResult(
-        label="btrblocks_pipelined",
-        requests=store.stats.get_requests,
-        bytes_downloaded=store.stats.bytes_downloaded,
-        dependent_round_trips=2,
-        retries=store.stats.retries,
-        backoff_seconds=store.stats.backoff_seconds,
-    )
-    _record_scan(result, store)
-    report = PipelinedScanReport.from_columns(stats, readahead)
-    registry = get_registry()
-    registry.incr_many(
-        [
-            ("cloud.scan.pipeline.scans", 1),
-            ("cloud.scan.pipeline.chunks", report.chunks),
-            ("cloud.scan.pipeline.fetch_seconds", report.fetch_seconds),
-            ("cloud.scan.pipeline.decode_seconds", report.decode_seconds),
-            ("cloud.scan.pipeline.wall_seconds", report.wall_seconds),
-            ("cloud.scan.pipeline.overlap_seconds", report.overlap_seconds),
-        ]
-    )
-    store.clock.sleep(max(0.0, report.wall_seconds - report.retry_seconds))
-    return result, report
 
 
 def upload_parquet_like(store: SimulatedObjectStore, table: str, file) -> None:

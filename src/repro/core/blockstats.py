@@ -9,7 +9,7 @@ all produced from the same uncompressed chunk at write time:
 * appended to v2 column files as a CRC32-protected trailing section (see
   :func:`stats_footer_to_bytes` and ``docs/FORMAT.md``) that old readers —
   which stop after the declared block count — never look at;
-* embedded in the table manifest / ``table.meta`` JSON, which is what lets
+* embedded in the table manifest (or ``.btr`` index) JSON, which is what lets
   :class:`~repro.cloud.remote_table.RemoteTable` prune whole chunk GETs.
 
 Pruning must never produce a false negative, so every bound here is
@@ -316,7 +316,7 @@ def stats_footer_from_bytes(data: bytes) -> "list[BlockStats]":
     return entries
 
 
-# -- JSON form (manifests and table.meta) --------------------------------------
+# -- JSON form (manifests and the .btr index) ----------------------------------
 
 
 def _b64(data: "bytes | None") -> "str | None":
@@ -367,7 +367,7 @@ def _entries_crc(entries_json: list) -> int:
 
 
 def stats_to_json(entries: "list[BlockStats]") -> dict:
-    """The ``"stats"`` object embedded in manifest / table.meta column
+    """The ``"stats"`` object embedded in manifest (or ``.btr`` index) column
     entries: versioned entry list plus a CRC32 over its canonical JSON."""
     entries_json = [stats_entry_to_json(entry) for entry in entries]
     return {"v": 1, "entries": entries_json, "crc": _entries_crc(entries_json)}

@@ -7,9 +7,11 @@ uses one file per column (Section 6.7). This module implements exactly that:
 
 * :func:`column_to_bytes` / :func:`column_from_bytes` — one column file
   containing its compressed blocks.
-* :func:`relation_to_files` / :func:`relation_from_files` — a table as a
-  dict of ``{filename: bytes}``: one file per column plus ``<table>.meta``
-  describing the schema, counts and per-column sizes.
+* :func:`relation_to_bytes` / :func:`relation_from_bytes` — a table as one
+  local ``.btr`` buffer: one file per column plus a ``table.meta`` object
+  describing the schema, counts and per-column sizes. On an object store
+  the same column files are committed under a versioned manifest instead
+  (:mod:`repro.cloud.remote_table`).
 
 Two column-file versions exist. v1 (magic ``BTRC``) has no checksums; v2
 (magic ``BTR2``, the default writer output) appends a CRC32 of each block's
@@ -23,7 +25,7 @@ self-checking ``ZMAP`` footer *after* the last block (``docs/FORMAT.md``
 §7) — readers that stop at the declared block count never see it, which is
 what keeps stats-bearing files readable by pre-footer readers, and lets a
 damaged footer drop the statistics without touching the data. The same
-statistics go into ``table.meta`` / manifest column entries as zone-map
+statistics go into manifest (and ``.btr`` index) column entries as zone-map
 JSON plus per-block byte ranges (:func:`column_meta_entry`), which is what
 ``RemoteTable`` uses to prune and range-GET individual blocks.
 """
@@ -461,7 +463,7 @@ def column_meta_entry(
     version: int = FORMAT_VERSION,
     with_stats: "bool | None" = None,
 ) -> dict:
-    """One column's entry for a table manifest / ``table.meta``.
+    """One column's entry for a table manifest (or a ``.btr`` index).
 
     When the column carries per-block statistics (and ``with_stats`` is not
     ``False``), the entry additionally records ``block_ranges`` — each
@@ -494,12 +496,19 @@ def column_meta_entry(
     return entry
 
 
-def relation_to_files(
+def relation_to_bytes(
     relation: CompressedRelation,
     version: int = FORMAT_VERSION,
     with_stats: "bool | None" = None,
-) -> dict[str, bytes]:
-    """Serialize a relation to the paper's S3 layout: per-column files + metadata."""
+) -> bytes:
+    """Serialize a relation to the local single-file ``.btr`` container.
+
+    A length-prefixed JSON index ``{"name", "files": {key: size}}`` is
+    followed by one column file per column and a ``<name>/table.meta``
+    object (schema, counts, sizes and the :func:`column_meta_entry` of each
+    column). Object stores hold tables in the manifest layout instead
+    (:class:`~repro.cloud.remote_table.TableWriter`).
+    """
     files: dict[str, bytes] = {}
     meta = {"name": relation.name, "columns": []}
     if version != 1:
@@ -512,35 +521,9 @@ def relation_to_files(
             column_meta_entry(column, filename, len(payload), version, with_stats)
         )
     files[f"{relation.name}/table.meta"] = json.dumps(meta).encode("utf-8")
-    return files
-
-
-def relation_from_files(files: dict[str, bytes], name: str) -> CompressedRelation:
-    """Inverse of :func:`relation_to_files`."""
-    meta_key = f"{name}/table.meta"
-    if meta_key not in files:
-        raise FormatError(f"missing metadata file {meta_key}")
-    meta = json.loads(files[meta_key].decode("utf-8"))
-    relation = CompressedRelation(meta["name"])
-    for entry in meta["columns"]:
-        relation.columns.append(column_from_bytes(files[entry["file"]]))
-    return relation
-
-
-def relation_to_bytes(
-    relation: CompressedRelation,
-    version: int = FORMAT_VERSION,
-    with_stats: "bool | None" = None,
-) -> bytes:
-    """Single-buffer convenience serialization (metadata + columns inline)."""
-    files = relation_to_files(relation, version=version, with_stats=with_stats)
-    index = {
-        key: len(value) for key, value in files.items()
-    }
+    index = {key: len(value) for key, value in files.items()}
     header = json.dumps({"name": relation.name, "files": index}).encode("utf-8")
-    parts = [struct.pack("<I", len(header)), header]
-    parts.extend(files[key] for key in index)
-    return b"".join(parts)
+    return b"".join([struct.pack("<I", len(header)), header, *files.values()])
 
 
 def relation_from_bytes(data: bytes) -> CompressedRelation:
@@ -552,4 +535,10 @@ def relation_from_bytes(data: bytes) -> CompressedRelation:
     for key, size in header["files"].items():
         files[key] = data[pos : pos + size]
         pos += size
-    return relation_from_files(files, header["name"])
+    meta_key = f"{header['name']}/table.meta"
+    if meta_key not in files:
+        raise FormatError(f"missing metadata file {meta_key}")
+    meta = json.loads(files[meta_key].decode("utf-8"))
+    return CompressedRelation(
+        meta["name"], [column_from_bytes(files[entry["file"]]) for entry in meta["columns"]]
+    )

@@ -4,8 +4,9 @@ The paper argues metadata and statistics belong *outside* the data file so a
 scan can "prune data using statistics and indices before accessing a file
 through a high-latency network" (Section 2.1). This package implements that
 layer: per-block min/max/null statistics collected at compression time,
-serialized as a standalone object, and a pruning scan that combines them
-with the predicate evaluation in :mod:`repro.query`.
+persisted in the table manifest or serialized as a standalone object, and a
+pruning scan that combines them with the predicate evaluation in
+:mod:`repro.query`.
 """
 
 from repro.metadata.zonemap import ColumnZoneMap, ZoneMapEntry, build_zone_map, pruned_scan

@@ -1,10 +1,14 @@
 """Per-block zone maps (min / max / null count / string digest) and pruning.
 
-A :class:`ColumnZoneMap` lives in a separate metadata object — never inside
-the compressed column file — mirroring the paper's "one file per column plus
-a metadata file" S3 layout. ``pruned_scan`` consults it first, so blocks
-whose statistics cannot satisfy the predicate are skipped without reading
-(or downloading) a single compressed byte.
+A :class:`ColumnZoneMap` lives outside the compressed column data,
+mirroring the paper's "one file per column plus a metadata file" S3 layout:
+on an object store its entries are the ``stats`` of the table manifest's
+column entries, which :class:`~repro.cloud.remote_table.RemoteTable`
+consults before any data GET; ``to_bytes`` / ``from_bytes`` also serialize
+one as a standalone metadata object. ``pruned_scan`` applies the map of an
+in-memory column — the stats its own blocks carry, so the map lines up with
+the blocks by construction — and skips blocks whose statistics cannot
+satisfy the predicate without decoding a single compressed byte.
 
 The per-block record itself is :class:`~repro.core.blockstats.BlockStats`
 (re-exported here as :data:`ZoneMapEntry`): numeric min/max, null count,
@@ -26,13 +30,13 @@ from repro.core.blocks import CompressedColumn
 from repro.core.blockstats import (
     BlockStats,
     ZoneMapEntry,
-    compute_block_stats,
     stats_entry_from_json,
     stats_entry_to_json,
 )
-from repro.query.executor import scan_block
+from repro.exceptions import FormatError
+from repro.query.executor import enumerate_blocks, iter_matching_positions
 from repro.query.predicates import Predicate
-from repro.types import Column, ColumnType
+from repro.types import ColumnType
 
 __all__ = [
     "ZoneMapEntry",
@@ -84,55 +88,40 @@ class ColumnZoneMap:
         return cls(payload["column"], ColumnType(payload["type"]), entries)
 
 
-def build_zone_map(
-    column: Column,
-    block_size: int = 64_000,
-    bloom_max_distinct: "int | None" = None,
-) -> ColumnZoneMap:
-    """Collect per-block statistics from the uncompressed column.
+def build_zone_map(compressed: CompressedColumn) -> ColumnZoneMap:
+    """The zone map of a compressed column: the stats its blocks carry.
 
-    Call this alongside compression — the block boundaries must match the
-    compressor's ``block_size``. (Compression itself already attaches the
-    same records to its blocks when ``config.collect_stats`` is on; this
-    helper covers data that was never compressed here.)
+    Compression attaches one record per block when ``config.collect_stats``
+    is on, so the map has exactly one entry per block. Raises
+    :class:`~repro.exceptions.FormatError` when a block carries no stats or
+    a file parser flagged them as damaged (``stats_invalid``).
     """
-    entries = []
-    total = len(column)
-    kwargs = {} if bloom_max_distinct is None else {"bloom_max_distinct": bloom_max_distinct}
-    for start in range(0, max(total, 1), block_size):
-        stop = min(start + block_size, total)
-        entries.append(compute_block_stats(column.slice(start, stop), **kwargs))
-        if total == 0:
-            break
-    return ColumnZoneMap(column.name, column.ctype, entries)
+    stats = compressed.block_stats
+    if stats is None or compressed.stats_invalid:
+        raise FormatError(f"column {compressed.name!r} carries no valid block statistics")
+    return ColumnZoneMap(compressed.name, compressed.ctype, stats)
 
 
 def pruned_scan(
-    compressed: CompressedColumn,
-    zone_map: ColumnZoneMap,
-    predicate: Predicate,
+    compressed: CompressedColumn, predicate: Predicate
 ) -> tuple[RoaringBitmap, int]:
-    """Zone-map-pruned predicate scan.
+    """Zone-map-pruned predicate scan over the column's own block stats.
 
     Returns ``(matching_positions, blocks_read)``; pruned blocks contribute
-    no reads and no matches.
+    no reads and no matches. Surviving blocks go through the shared scan
+    driver, :func:`~repro.query.executor.iter_matching_positions`.
     """
-    survivors = set(zone_map.pruned_blocks(predicate))
-    positions = []
-    offset = 0
-    blocks_read = 0
-    for index, block in enumerate(compressed.blocks):
-        if index in survivors:
-            blocks_read += 1
-            nulls = RoaringBitmap.deserialize(block.nulls) if block.nulls else None
-            mask = scan_block(block.data, compressed.ctype, predicate, nulls)
-            hit = np.nonzero(mask)[0]
-            if hit.size:
-                positions.append(hit + offset)
-        offset += block.count
+    survivors = set(build_zone_map(compressed).pruned_blocks(predicate))
+    blocks = [item for item in enumerate_blocks(compressed) if item[0] in survivors]
+    positions = [
+        hits + offset
+        for _block, offset, hits in iter_matching_positions(
+            blocks, compressed.ctype, predicate
+        )
+    ]
     bitmap = (
         RoaringBitmap.from_positions(np.concatenate(positions))
         if positions
         else RoaringBitmap()
     )
-    return bitmap, blocks_read
+    return bitmap, len(blocks)

@@ -31,15 +31,4 @@ __all__ = [
     "scan_block",
     "scan_column",
     "filter_column",
-    "CompressedTable",
 ]
-
-
-def __getattr__(name):
-    # CompressedTable pulls in the metadata/access layers; import lazily so
-    # `repro.query` stays cheap for predicate-only users.
-    if name == "CompressedTable":
-        from repro.query.engine import CompressedTable
-
-        return CompressedTable
-    raise AttributeError(name)

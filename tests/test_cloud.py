@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cloud import PricingModel, ScanCostModel, SimulatedObjectStore
+from repro.cloud import PricingModel, ScanCostModel, SimulatedObjectStore, TableWriter
 from repro.cloud.scan import (
     scan_btrblocks_columns,
     scan_parquet_like_columns,
-    upload_btrblocks,
     upload_parquet_like,
 )
 from repro.core.compressor import compress_relation
@@ -123,9 +122,9 @@ class TestCostModel:
 class TestColumnScans:
     def test_btrblocks_column_scan(self, relation):
         store = SimulatedObjectStore()
-        upload_btrblocks(store, compress_relation(relation))
-        result = scan_btrblocks_columns(store, "sales", [1])
-        assert result.requests >= 2  # metadata + at least one column chunk
+        TableWriter(store).write(compress_relation(relation))
+        result = scan_btrblocks_columns(store, "sales", ["price"])
+        assert result.requests >= 2  # manifest + at least one column chunk
         assert result.bytes_downloaded > 0
         assert result.dependent_round_trips == 2
 
@@ -141,14 +140,14 @@ class TestColumnScans:
     def test_btrblocks_downloads_less_for_single_column(self, relation):
         store = SimulatedObjectStore()
         compressed = compress_relation(relation)
-        upload_btrblocks(store, compressed)
-        btr = scan_btrblocks_columns(store, "sales", [1])
+        TableWriter(store).write(compressed)
+        btr = scan_btrblocks_columns(store, "sales", ["price"])
         total = sum(store.object_size(k) for k in store.keys("sales/"))
         assert btr.bytes_downloaded < total
 
     def test_column_scan_cost_positive(self, relation):
         store = SimulatedObjectStore()
-        upload_btrblocks(store, compress_relation(relation))
-        result = scan_btrblocks_columns(store, "sales", [0, 2])
+        TableWriter(store).write(compress_relation(relation))
+        result = scan_btrblocks_columns(store, "sales", ["id", "region"])
         assert result.cost_usd(store) > 0
         assert result.seconds(store) > 0

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cloud import PricingModel, SimulatedObjectStore
+from repro.cloud import PricingModel, SimulatedObjectStore, TableWriter
 from repro.cloud.scan import (
     ColumnScanResult,
     scan_btrblocks_columns,
     scan_parquet_like_columns,
-    upload_btrblocks,
     upload_parquet_like,
 )
 from repro.core.compressor import compress_relation
 from repro.core.relation import Relation
 from repro.baselines.parquet_like import ParquetLikeFormat
+from repro.exceptions import FormatError
 from repro.types import Column
 
 
@@ -51,13 +51,6 @@ class TestDataScale:
 
 
 class TestUploads:
-    def test_btrblocks_layout_keys(self, relation):
-        store = SimulatedObjectStore()
-        upload_btrblocks(store, compress_relation(relation))
-        keys = store.keys("t/")
-        assert "t/table.meta" in keys
-        assert any(k.endswith(".btr") for k in keys)
-
     def test_parquet_footer_readable(self, relation):
         store = SimulatedObjectStore()
         upload_parquet_like(store, "t", ParquetLikeFormat("none").compress_relation(relation))
@@ -67,16 +60,30 @@ class TestUploads:
 
     def test_btrblocks_column_subset_cheaper_than_full(self, relation):
         store = SimulatedObjectStore()
-        upload_btrblocks(store, compress_relation(relation))
-        one = scan_btrblocks_columns(store, "t", [0])
-        both = scan_btrblocks_columns(store, "t", [0, 1])
+        TableWriter(store).write(compress_relation(relation))
+        one = scan_btrblocks_columns(store, "t", ["a"])
+        both = scan_btrblocks_columns(store, "t", ["a", "b"])
         assert one.bytes_downloaded < both.bytes_downloaded
+
+    def test_every_scan_pays_its_own_gets(self, relation):
+        """Each §6.7 query is costed alone: a repeat scan of the same columns
+        is billed the manifest and column GETs again, not served from a
+        cache left by the first."""
+        store = SimulatedObjectStore(pricing=PricingModel(chunk_bytes=1024))
+        TableWriter(store).write(compress_relation(relation))
+        first = scan_btrblocks_columns(store, "t", ["a", "b"])
+        second = scan_btrblocks_columns(store, "t", ["a", "b"])
+        assert first.requests > 3  # manifest + several chunk GETs
+        assert (second.requests, second.bytes_downloaded) == (
+            first.requests,
+            first.bytes_downloaded,
+        )
 
     def test_missing_column_raises(self, relation):
         store = SimulatedObjectStore()
-        upload_btrblocks(store, compress_relation(relation))
-        with pytest.raises(IndexError):
-            scan_btrblocks_columns(store, "t", [99])
+        TableWriter(store).write(compress_relation(relation))
+        with pytest.raises(FormatError):
+            scan_btrblocks_columns(store, "t", ["missing"])
 
 
 class TestPricingVariants:

@@ -945,20 +945,6 @@ def test_all_null_block_is_the_null_block_degrade(column):
     assert scan_column(damaged, IsNull()).to_array().tolist() == list(range(200, 400))
 
 
-def test_compressed_table_refuses_a_damaged_column():
-    """The in-memory engine scans through the same unverifying kernels."""
-    from repro.core.blocks import CompressedRelation
-    from repro.exceptions import IntegrityError
-    from repro.query.engine import CompressedTable
-
-    blob = bytearray(column_to_bytes(compress_column(Column.ints("c", np.arange(500) * 3))))
-    clean = column_from_bytes(bytes(blob))
-    CompressedTable(CompressedRelation("t", [clean]))
-    blob[len(blob) // 2] ^= 0x40
-    with pytest.raises(IntegrityError):
-        CompressedTable(CompressedRelation("t", [column_from_bytes(bytes(blob))]))
-
-
 def test_clean_predicate_scan_pays_no_extra_crc(monkeypatch):
     """The fix sits on the unverified fallback only: on a clean table a
     fresh-handle ``scan(where=)`` checksums each ranged-GET block once, a

@@ -9,17 +9,14 @@ reliability section of JSON reports.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.cloud import FaultProfile, RetryPolicy, SimulatedClock, SimulatedObjectStore
 from repro.cloud.faults import FaultInjector
 from repro.cloud.pricing import PricingModel
-from repro.cloud.remote_table import RemoteTable
+from repro.cloud.remote_table import RemoteTable, TableWriter
 from repro.cloud.retry import call_with_retry
-from repro.cloud.scan import upload_btrblocks
 from repro.core.compressor import compress_column, compress_relation
 from repro.core.config import BtrBlocksConfig
 from repro.core.decompressor import decompress_column
@@ -27,7 +24,6 @@ from repro.core.file_format import (
     block_checksum,
     column_from_bytes,
     column_to_bytes,
-    relation_to_files,
 )
 from repro.core.relation import Relation
 from repro.exceptions import (
@@ -317,16 +313,13 @@ class TestOnCorrupt:
 
 
 def _corrupting_table(relation, max_attempts, on_corrupt="raise"):
-    """A RemoteTable over an always-corrupting store, built with known-good
-    metadata so the corruption lands on the checksummed column path."""
-    store = make_store(
-        FaultProfile(seed=4, corrupt_rate=1.0),
-        retry=RetryPolicy(max_attempts=max_attempts),
-    )
-    files = relation_to_files(compress_relation(relation))
-    store.put_many(files)
-    metadata = json.loads(files["t/table.meta"])
-    return RemoteTable(store, "t", metadata, on_corrupt=on_corrupt)
+    """A RemoteTable whose store corrupts every GET after ``open`` read a
+    clean manifest, so the corruption lands on the checksummed column path."""
+    store = make_store(retry=RetryPolicy(max_attempts=max_attempts))
+    TableWriter(store).write(compress_relation(relation))
+    table = RemoteTable.open(store, "t", on_corrupt=on_corrupt)
+    store.set_faults(FaultProfile(seed=4, corrupt_rate=1.0))
+    return table
 
 
 class TestRemoteTableIntegrity:
@@ -345,16 +338,16 @@ class TestRemoteTableIntegrity:
         out = table.scan(columns=["a"])
         assert len(out.columns[0].data) == len(relation.columns[0].data)
 
-    def test_unparseable_metadata_refetched_then_typed_error(self, relation):
-        """Corrupted metadata (plain JSON, no checksum) is refetched up to
+    def test_unparseable_manifest_refetched_then_typed_error(self, relation):
+        """A corrupted manifest (plain JSON, no checksum) is refetched up to
         the retry budget and then fails with FormatError, never a raw
         JSONDecodeError."""
         registry = MetricsRegistry()
-        store = make_store(
-            FaultProfile(seed=4, corrupt_rate=1.0), retry=RetryPolicy(max_attempts=3)
-        )
+        store = make_store(retry=RetryPolicy(max_attempts=3))
+        TableWriter(store).write(compress_relation(relation))
+        (key,) = store.keys("t/_manifests/")
+        store.put(key, store.get(key)[:-40])  # torn JSON on every download
         with use_registry(registry):
-            upload_btrblocks(store, compress_relation(relation))
             with pytest.raises(FormatError):
                 RemoteTable.open(store, "t")
         assert registry.snapshot()["counters"]["cloud.table.meta_refetches"] == 3
@@ -366,7 +359,7 @@ class TestRemoteTableIntegrity:
             retry=RetryPolicy(max_attempts=8),
         )
         with use_registry(registry):
-            upload_btrblocks(store, compress_relation(relation))
+            TableWriter(store).write(compress_relation(relation))
             table = RemoteTable.open(store, "t")
             out = table.scan()
         for original, restored in zip(relation.columns, out.columns):
@@ -472,7 +465,7 @@ class TestBrownoutEpisodes:
             )
         )
         with use_registry(registry):
-            upload_btrblocks(store, compress_relation(relation))
+            TableWriter(store).write(compress_relation(relation))
             store.stats.reset()
             store.clock.reset()
             RemoteTable.open(store, "t").scan()
@@ -487,7 +480,7 @@ class TestReliabilityReport:
         registry = MetricsRegistry()
         store = make_store()
         with use_registry(registry):
-            upload_btrblocks(store, compress_relation(relation))
+            TableWriter(store).write(compress_relation(relation))
             RemoteTable.open(store, "t").scan()
             report = build_report(registry)
         assert "reliability" not in report
@@ -499,7 +492,7 @@ class TestReliabilityReport:
             retry=RetryPolicy(max_attempts=10),
         )
         with use_registry(registry):
-            upload_btrblocks(store, compress_relation(relation))
+            TableWriter(store).write(compress_relation(relation))
             RemoteTable.open(store, "t").scan()
             report = build_report(registry)
         reliability = report["reliability"]

@@ -9,9 +9,7 @@ from repro.core.file_format import (
     column_from_bytes,
     column_to_bytes,
     relation_from_bytes,
-    relation_from_files,
     relation_to_bytes,
-    relation_to_files,
 )
 from repro.core.relation import Relation
 from repro.exceptions import FormatError
@@ -55,36 +53,21 @@ class TestColumnSerialization:
         assert restored.name == "prix_en_€"
 
 
-class TestRelationFiles:
-    def test_one_file_per_column_plus_meta(self, compressed_relation):
-        _, compressed = compressed_relation
-        files = relation_to_files(compressed)
-        assert len(files) == 4  # 3 columns + table.meta
-        assert "sales/table.meta" in files
-
-    def test_files_round_trip(self, compressed_relation):
-        rel, compressed = compressed_relation
-        files = relation_to_files(compressed)
-        restored = relation_from_files(files, "sales")
-        back = decompress_relation(restored)
-        assert all(columns_equal(a, b) for a, b in zip(rel.columns, back.columns))
-
-    def test_missing_metadata_raises(self, compressed_relation):
-        _, compressed = compressed_relation
-        files = relation_to_files(compressed)
-        del files["sales/table.meta"]
-        with pytest.raises(FormatError):
-            relation_from_files(files, "sales")
-
-    def test_metadata_is_json_with_sizes(self, compressed_relation):
+class TestManifest:
+    def test_one_object_per_column_plus_manifest(self, compressed_relation):
         import json
 
+        from repro.cloud import SimulatedObjectStore, TableWriter
+
         _, compressed = compressed_relation
-        files = relation_to_files(compressed)
-        meta = json.loads(files["sales/table.meta"])
+        store = SimulatedObjectStore()
+        TableWriter(store).write(compressed)
+        (manifest_key,) = store.keys("sales/_manifests/")
+        assert len(store.keys("sales/")) == 4  # 3 columns + the manifest
+        meta = json.loads(store.get(manifest_key))
         assert [c["name"] for c in meta["columns"]] == ["id", "price", "region"]
         for entry in meta["columns"]:
-            assert entry["bytes"] == len(files[entry["file"]])
+            assert entry["bytes"] == store.object_size(entry["file"])
 
 
 class TestSingleBuffer:
@@ -93,6 +76,21 @@ class TestSingleBuffer:
         blob = relation_to_bytes(compressed)
         back = decompress_relation(relation_from_bytes(blob))
         assert all(columns_equal(a, b) for a, b in zip(rel.columns, back.columns))
+
+    def test_missing_metadata_raises(self, compressed_relation):
+        import json
+        import struct
+
+        _, compressed = compressed_relation
+        blob = relation_to_bytes(compressed)
+        (header_len,) = struct.unpack_from("<I", blob, 0)
+        header = json.loads(blob[4 : 4 + header_len])
+        header["files"]["sales/other.meta"] = header["files"].pop("sales/table.meta")
+        renamed = json.dumps(header).encode("utf-8")
+        with pytest.raises(FormatError, match="missing metadata file"):
+            relation_from_bytes(
+                struct.pack("<I", len(renamed)) + renamed + blob[4 + header_len :]
+            )
 
     def test_size_close_to_sum_of_parts(self, compressed_relation):
         _, compressed = compressed_relation

@@ -10,8 +10,8 @@ import pytest
 
 from repro.cli import main
 from repro.cloud.objectstore import SimulatedObjectStore
-from repro.cloud.remote_table import RemoteTable
-from repro.cloud.scan import scan_btrblocks_columns, upload_btrblocks
+from repro.cloud.remote_table import RemoteTable, TableWriter
+from repro.cloud.scan import scan_btrblocks_columns
 from repro.core.compressor import compress_block, compress_relation
 from repro.core.decompressor import decompress_block, decompress_relation
 from repro.core.relation import Relation
@@ -228,24 +228,28 @@ class TestCloudWiring:
     def test_scan_counters(self, isolated, relation):
         registry, _ = isolated
         store = SimulatedObjectStore()
-        upload_btrblocks(store, compress_relation(relation))
-        result = scan_btrblocks_columns(store, "obs", [0])
+        TableWriter(store).write(compress_relation(relation))
+        result = scan_btrblocks_columns(store, "obs", ["price"])
         counters = registry.snapshot()["counters"]
         assert counters["cloud.scan.scans"] == 1
         assert counters["cloud.scan.requests"] == result.requests
         assert counters["cloud.scan.bytes"] == result.bytes_downloaded
         assert counters["cloud.scan.cost_usd"] > 0
+        # Read through RemoteTable: the same transfer also counts as cloud.table.*
+        assert counters["cloud.table.objects_fetched"] == 2  # manifest + one column
+        assert counters["cloud.table.requests"] == result.requests
+        assert counters["cloud.table.bytes"] == result.bytes_downloaded
 
     def test_remote_table_counters(self, isolated, relation):
         registry, _ = isolated
         store = SimulatedObjectStore()
-        upload_btrblocks(store, compress_relation(relation))
+        TableWriter(store).write(compress_relation(relation))
         table = RemoteTable.open(store, "obs")
         table.scan(columns=["price"])
         table.scan(columns=["price"])  # cached: no second download
         counters = registry.snapshot()["counters"]
         assert counters["cloud.table.scans"] == 2
-        assert counters["cloud.table.objects_fetched"] == 2  # meta + one column
+        assert counters["cloud.table.objects_fetched"] == 2  # manifest + one column
         assert counters["cloud.table.bytes"] > 0
         assert counters["cloud.table.cost_usd"] > 0
 
@@ -255,8 +259,8 @@ class TestReport:
         registry, trace = isolated
         compressed = compress_relation(relation)
         store = SimulatedObjectStore()
-        upload_btrblocks(store, compressed)
-        scan_btrblocks_columns(store, "obs", [0, 1])
+        TableWriter(store).write(compressed)
+        scan_btrblocks_columns(store, "obs", ["price", "city"])
         report = build_report(registry, trace)
         assert set(report) == {"counters", "timers", "columns", "trace"}
         assert {c["column"] for c in report["columns"]} == {"price", "city", "qty"}

@@ -21,13 +21,9 @@ from repro.cloud import (
     RemoteTable,
     ScanCostModel,
     SimulatedObjectStore,
+    TableWriter,
     pipeline_schedule,
     pipelined_fetch_column,
-)
-from repro.cloud.scan import (
-    scan_btrblocks_columns,
-    scan_btrblocks_columns_pipelined,
-    upload_btrblocks,
 )
 from repro.core.blocks import CompressedBlock
 from repro.core.cache import ByteBudgetLRU, DecodeCache
@@ -60,9 +56,12 @@ def _relation(rows: int = 4000) -> Relation:
     )
 
 
-def _uploaded_store(compressed, **store_kwargs):
+def _uploaded_store(compressed, faults=None, **store_kwargs):
+    """A store holding ``compressed`` committed fault-free; ``faults`` then
+    apply to every read."""
     store = SimulatedObjectStore(**store_kwargs)
-    upload_btrblocks(store, compressed)
+    TableWriter(store).write(compressed)
+    store.set_faults(faults)
     return store
 
 
@@ -308,14 +307,11 @@ class TestRetryAccounting:
             pricing=SMALL_CHUNKS,
             faults=FaultProfile(seed=2, throttle_rate=0.2),
         )
-        import json
-
-        meta = json.loads(store.get(f"{compressed.name}/table.meta").decode("utf-8"))
+        entry = RemoteTable.open(store, compressed.name).column_entry("a")
         backoff_before = store.stats.backoff_seconds
         retries_before = store.stats.retries
         _column, _compressed, stats = pipelined_fetch_column(
-            store, meta["columns"][0]["file"], readahead=3,
-            rows_hint=meta["columns"][0]["rows"],
+            store, entry["file"], readahead=3, rows_hint=entry["rows"]
         )
         assert store.stats.retries > retries_before
         assert stats.retry_seconds > 0
@@ -330,8 +326,8 @@ class TestRetryAccounting:
             pricing=SMALL_CHUNKS,
             faults=FaultProfile(seed=2, throttle_rate=0.2),
         )
-        _result, report = scan_btrblocks_columns_pipelined(
-            store, compressed.name, [0, 1, 2], readahead=3
+        _result, report = RemoteTable.open(store, compressed.name).scan_pipelined(
+            readahead=3
         )
         assert report.retry_seconds > 0
         metrics = ScanCostModel(store.pricing).simulate(
@@ -345,10 +341,9 @@ class TestRetryAccounting:
     def test_clock_advances_by_pipelined_wall(self):
         compressed = compress_relation(_relation())
         store = _uploaded_store(compressed, pricing=SMALL_CHUNKS)
+        table = RemoteTable.open(store, compressed.name)
         before = store.clock.now_seconds
-        _result, report = scan_btrblocks_columns_pipelined(
-            store, compressed.name, [0, 1, 2], readahead=4
-        )
+        _result, report = table.scan_pipelined(readahead=4)
         assert report.retry_seconds == 0.0
         assert store.clock.now_seconds - before == pytest.approx(report.wall_seconds)
 
@@ -356,13 +351,14 @@ class TestRetryAccounting:
         compressed = compress_relation(_relation())
         batch_store = _uploaded_store(compressed, pricing=SMALL_CHUNKS)
         pipe_store = _uploaded_store(compressed, pricing=SMALL_CHUNKS)
-        batch = scan_btrblocks_columns(batch_store, compressed.name, [0, 1, 2])
-        piped, report = scan_btrblocks_columns_pipelined(
-            pipe_store, compressed.name, [0, 1, 2], readahead=4
+        RemoteTable.open(batch_store, compressed.name).scan()
+        _piped, report = RemoteTable.open(pipe_store, compressed.name).scan_pipelined(
+            readahead=4
         )
-        assert piped.requests == batch.requests
-        assert piped.bytes_downloaded == batch.bytes_downloaded
-        assert report.chunks == piped.requests - 1  # all but the metadata GET
+        assert pipe_store.stats.get_requests == batch_store.stats.get_requests
+        assert pipe_store.stats.bytes_downloaded == batch_store.stats.bytes_downloaded
+        # All but the manifest GET.
+        assert report.chunks == pipe_store.stats.get_requests - 1
         assert report.wall_seconds <= report.serial_seconds + 1e-12
 
 
@@ -406,7 +402,7 @@ class TestScanPipelined:
 
         def damaged_store():
             store = _uploaded_store(compressed, pricing=SMALL_CHUNKS)
-            key = f"{relation.name}/col_0000.btr"
+            key = RemoteTable.open(store, relation.name).column_entry("a")["file"]
             blob = bytearray(store.get(key))
             # Damage the payload of the last *block* (the file now ends with
             # the stats footer, so -3 would only graze the statistics).

@@ -9,13 +9,14 @@ type × several null layouts, with the oracle computed independently in
 plain NumPy over the uncompressed data, and the answers compared
 bit-for-bit (``columns_equal`` — NaN payloads and negative zero included).
 
-Four execution surfaces are checked against the same oracle:
+Three execution surfaces over a committed (``TableWriter``) table are
+checked against the same oracle:
 
-* :class:`~repro.query.engine.CompressedTable.scan` (local, zone maps on);
-* :class:`~repro.cloud.remote_table.RemoteTable.scan` over a committed
-  (``TableWriter``) table — the manifest-pruned block-GET path;
+* :class:`~repro.cloud.remote_table.RemoteTable.scan` on a fresh handle per
+  case — the manifest-pruned block-GET path;
 * :meth:`RemoteTable.scan_pipelined` with a predicate;
-* :class:`RemoteTable` over the legacy ``upload_btrblocks`` layout.
+* one *warm* handle reused across every case, whose decode cache serves
+  later filters over decoded values instead of the compressed cascade.
 
 Seeds are fixed per parameter id, so a failure replays deterministically.
 """
@@ -28,11 +29,9 @@ import pytest
 from repro.bitmap import RoaringBitmap
 from repro.cloud import SimulatedObjectStore
 from repro.cloud.remote_table import RemoteTable, TableWriter
-from repro.cloud.scan import upload_btrblocks
 from repro.core.compressor import compress_relation
 from repro.core.config import BtrBlocksConfig
 from repro.core.relation import Relation
-from repro.query.engine import CompressedTable
 from repro.query.predicates import (
     Between,
     Equals,
@@ -182,38 +181,37 @@ SEEDS = [101, 202]
 @pytest.mark.parametrize("seed", SEEDS)
 class TestEquivalence:
     """One committed table per (seed, layout); every predicate case runs
-    against all four execution surfaces inside the test to amortise setup."""
+    against all three execution surfaces inside the test to amortise setup."""
 
     _cache: dict = {}
 
     @pytest.fixture()
     def setup(self, seed, null_layout):
-        # One compression + commit per (seed, layout); the four surface
-        # tests only ever read from the stores, so sharing is safe.
+        # One compression + commit per (seed, layout); the surface tests
+        # only ever read from the store, so sharing is safe.
         key = (seed, null_layout)
         if key not in self._cache:
             relation = _make_relation(seed, null_layout)
-            config = BtrBlocksConfig(block_size=BLOCK)
-            compressed = compress_relation(relation, config)
             store = SimulatedObjectStore()
-            TableWriter(store).write(compressed)
-            legacy_store = SimulatedObjectStore()
-            upload_btrblocks(legacy_store, compressed)
-            self._cache[key] = (relation, config, compressed, store, legacy_store)
+            TableWriter(store).write(
+                compress_relation(relation, BtrBlocksConfig(block_size=BLOCK))
+            )
+            self._cache[key] = (relation, store)
         return self._cache[key]
 
-    def test_local_scan_matches_oracle(self, setup):
-        relation, config, _, _, _ = setup
-        table = CompressedTable.from_relation(relation, config)
+    def test_warm_handle_matches_oracle(self, setup):
+        relation, store = setup
+        table = RemoteTable.open(store, relation.name)
         names = [c.name for c in relation.columns]
+        table.scan(columns=names)  # fill the decode cache
         for case_id, where in _predicate_cases(relation):
             mask = _oracle_mask(relation, where)
             got = table.scan(columns=names, where=where)
-            _assert_scan_equal(got, relation, names, mask, f"local/{case_id}")
-            assert table.count(where) == int(mask.sum()), f"local/{case_id}"
+            _assert_scan_equal(got, relation, names, mask, f"warm/{case_id}")
+            assert table.count(where) == int(mask.sum()), f"warm/{case_id}"
 
     def test_remote_scan_matches_oracle(self, setup):
-        relation, _, _, store, _ = setup
+        relation, store = setup
         names = [c.name for c in relation.columns]
         for case_id, where in _predicate_cases(relation):
             mask = _oracle_mask(relation, where)
@@ -222,7 +220,7 @@ class TestEquivalence:
             _assert_scan_equal(got, relation, names, mask, f"remote/{case_id}")
 
     def test_remote_pipelined_scan_matches_oracle(self, setup):
-        relation, _, _, store, _ = setup
+        relation, store = setup
         names = [c.name for c in relation.columns]
         for case_id, where in _predicate_cases(relation):
             mask = _oracle_mask(relation, where)
@@ -230,15 +228,6 @@ class TestEquivalence:
             got, report = table.scan_pipelined(columns=names, where=where)
             assert report.wall_seconds >= 0.0
             _assert_scan_equal(got, relation, names, mask, f"pipelined/{case_id}")
-
-    def test_legacy_layout_scan_matches_oracle(self, setup):
-        relation, _, _, _, legacy_store = setup
-        names = [c.name for c in relation.columns]
-        for case_id, where in _predicate_cases(relation):
-            mask = _oracle_mask(relation, where)
-            table = RemoteTable.open(legacy_store, relation.name)
-            got = table.scan(columns=names, where=where)
-            _assert_scan_equal(got, relation, names, mask, f"legacy/{case_id}")
 
 
 def test_pruned_scan_never_fetches_more_than_full():

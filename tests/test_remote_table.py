@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.bitmap import RoaringBitmap
 from repro.cloud import SimulatedObjectStore
-from repro.cloud.remote_table import RemoteTable
-from repro.cloud.scan import upload_btrblocks
+from repro.cloud.remote_table import RemoteTable, TableWriter
 from repro.core.compressor import compress_relation
+from repro.core.config import BtrBlocksConfig
 from repro.core.relation import Relation
 from repro.exceptions import FormatError
-from repro.query import Between, Equals
+from repro.query import Between, Equals, GreaterThan
 from repro.types import Column
 
 
@@ -21,7 +22,7 @@ def store_with_table(rng):
         Column.strings("city", [["OSLO", "PARIS", "ROME"][i % 3] for i in range(4000)]),
     ])
     store = SimulatedObjectStore()
-    upload_btrblocks(store, compress_relation(relation))
+    TableWriter(store).write(compress_relation(relation))
     return store, relation
 
 
@@ -33,6 +34,14 @@ class TestOpen:
         assert store.stats.get_requests == 1
         assert table.column_names() == ["id", "price", "city"]
         assert table.row_count == 4000
+
+    @pytest.mark.parametrize("objects", [{}, {"sales/table.meta": b'{"columns": []}'}])
+    def test_no_manifest_is_no_committed_version(self, objects):
+        store = SimulatedObjectStore()
+        for key, payload in objects.items():
+            store.put(key, payload)
+        with pytest.raises(FormatError, match="table 'sales' has no committed version"):
+            RemoteTable.open(store, "sales")
 
     def test_unknown_column(self, store_with_table):
         store, _ = store_with_table
@@ -95,3 +104,136 @@ class TestQueryResults:
         assert out.row_count == relation.row_count
         assert np.array_equal(np.asarray(out.column("price").data),
                               np.asarray(relation.column("price").data))
+
+
+# -- queries over a committed table, checked against NumPy ---------------------
+
+
+def _committed(relation, config=None, **write_kwargs) -> RemoteTable:
+    store = SimulatedObjectStore()
+    TableWriter(store).write(compress_relation(relation, config), **write_kwargs)
+    return RemoteTable.open(store, relation.name)
+
+
+@pytest.fixture
+def table(rng):
+    n = 3000
+    cities = ["PHOENIX", "RALEIGH", "OSLO"]
+    relation = Relation("sales", [
+        Column.ints("id", np.arange(n)),
+        Column.doubles("price", np.round(rng.uniform(0, 100, n), 2)),
+        Column.strings("city", [cities[i] for i in rng.integers(0, 3, n)]),
+    ])
+    return relation, _committed(relation, BtrBlocksConfig(block_size=1000))
+
+
+def oracle_mask(relation, where):
+    mask = np.ones(relation.row_count, dtype=bool)
+    for name, predicate in where.items():
+        column = relation.column(name)
+        mask &= np.asarray(predicate.evaluate(column.data), dtype=bool)
+        mask &= ~column.null_mask()
+    return mask
+
+
+class TestMatchingRows:
+    def test_single_predicate(self, table):
+        relation, remote = table
+        where = {"price": GreaterThan(50.0)}
+        expected = np.nonzero(oracle_mask(relation, where))[0]
+        assert np.array_equal(remote.matching_rows(where).to_array(), expected)
+
+    def test_conjunction(self, table):
+        relation, remote = table
+        where = {"price": Between(10.0, 60.0), "city": Equals("PHOENIX")}
+        expected = np.nonzero(oracle_mask(relation, where))[0]
+        assert np.array_equal(remote.matching_rows(where).to_array(), expected)
+
+    def test_empty_where_matches_all(self, table):
+        relation, remote = table
+        assert len(remote.matching_rows({})) == relation.row_count
+
+    def test_contradiction_short_circuits(self, table):
+        _, remote = table
+        where = {"id": Equals(5), "price": GreaterThan(1000.0)}
+        assert remote.count(where) == 0
+
+
+class TestProjection:
+    def test_projection_and_filter(self, table):
+        _, remote = table
+        out = remote.scan(columns=["city", "price"], where={"id": Between(100, 110)})
+        assert out.column_names() == ["city", "price"]
+        assert out.row_count == 11
+
+    def test_values_match_oracle(self, table):
+        relation, remote = table
+        where = {"city": Equals("OSLO")}
+        out = remote.scan(columns=["price"], where=where)
+        expected = np.asarray(relation.column("price").data)[oracle_mask(relation, where)]
+        assert np.array_equal(np.asarray(out.column("price").data), expected)
+
+
+class TestAggregate:
+    def test_sum_matches_numpy(self, table):
+        relation, remote = table
+        where = {"city": Equals("PHOENIX")}
+        expected = float(np.asarray(relation.column("price").data)[oracle_mask(relation, where)].sum())
+        assert remote.aggregate("price", "sum", where) == pytest.approx(expected)
+
+    def test_min_max_mean(self, table):
+        relation, remote = table
+        prices = np.asarray(relation.column("price").data)
+        assert remote.aggregate("price", "min") == prices.min()
+        assert remote.aggregate("price", "max") == prices.max()
+        assert remote.aggregate("price", "mean") == pytest.approx(prices.mean())
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("agg", ["sum", "min", "max", "mean", "count"])
+    def test_nullable_column_matches_numpy(self, rng, agg, filtered):
+        n = 2500
+        values = np.round(rng.uniform(-50, 50, n), 2)
+        nulls = np.sort(rng.choice(n, size=n // 7, replace=False))
+        relation = Relation("t", [
+            Column.ints("id", np.arange(n)),
+            Column.doubles("v", values, RoaringBitmap.from_positions(nulls)),
+        ])
+        where = {"id": Between(300, 1900)} if filtered else None
+        keep = (np.arange(n) >= 300) & (np.arange(n) <= 1900) if filtered else np.ones(n, bool)
+        keep[nulls] = False
+        expected = keep.sum() if agg == "count" else getattr(np, agg)(values[keep])
+        remote = _committed(relation, BtrBlocksConfig(block_size=1000))
+        assert remote.aggregate("v", agg, where) == pytest.approx(expected)
+
+    def test_empty_selection_is_nan(self, table):
+        _, remote = table
+        assert np.isnan(remote.aggregate("price", "mean", {"id": Equals(-1)}))
+
+    def test_string_aggregates_restricted(self, table):
+        _, remote = table
+        with pytest.raises(ValueError):
+            remote.aggregate("city", "sum")
+        assert remote.aggregate("city", "count") == 3000
+
+    def test_unknown_aggregate(self, table):
+        _, remote = table
+        with pytest.raises(ValueError):
+            remote.aggregate("price", "median")
+
+
+class TestZoneMapIntegration:
+    def test_manifest_zone_map_for_every_column(self, table):
+        _, remote = table
+        for name in remote.column_names():
+            assert remote.column_entry(name)["stats"]
+        # Strings get zone maps too: byte-prefix bounds plus a Bloom digest
+        # for low-cardinality blocks.
+        city = remote._zone_map(remote.column_entry("city"))
+        assert all(e.min_bytes is not None for e in city.entries)
+
+    def test_without_zone_maps_results_identical(self, table):
+        relation, with_maps = table
+        without = _committed(relation, BtrBlocksConfig(block_size=1000), with_stats=False)
+        assert "stats" not in without.column_entry("id")
+        where = {"id": Between(1500, 1600)}
+        assert with_maps.matching_rows(where) == without.matching_rows(where)

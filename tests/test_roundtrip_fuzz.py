@@ -22,7 +22,6 @@ Four layers are fuzzed:
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -326,12 +325,13 @@ def test_float_codecs_round_trip(codec, compress, decompress, name, values):
 
 from repro.cloud import FaultProfile, RetryPolicy, SimulatedObjectStore  # noqa: E402
 from repro.cloud.pricing import PricingModel  # noqa: E402
-from repro.cloud.remote_table import RemoteTable  # noqa: E402
+from repro.cloud.remote_table import RemoteTable, TableWriter  # noqa: E402
 from repro.cloud.scan import scan_btrblocks_columns  # noqa: E402
 from repro.core.compressor import compress_relation  # noqa: E402
-from repro.core.file_format import column_from_bytes, column_to_bytes, relation_to_files  # noqa: E402
+from repro.core.file_format import column_from_bytes, column_to_bytes  # noqa: E402
 from repro.core.relation import Relation  # noqa: E402
 from repro.exceptions import RetryExhaustedError  # noqa: E402
+from repro.observe import MetricsRegistry, use_registry  # noqa: E402
 
 #: Deterministic default; CI's fault-matrix job also feeds one randomized
 #: seed through this knob (probabilistic assertions are gated on it below).
@@ -392,31 +392,45 @@ def _fuzz_relation() -> Relation:
     )
 
 
+_FUZZ_COLUMNS = ["ids", "price", "city"]
+
+
 @pytest.fixture(scope="module")
-def fuzz_files() -> dict[str, bytes]:
-    return relation_to_files(compress_relation(_fuzz_relation()))
+def fuzz_compressed():
+    return compress_relation(_fuzz_relation())
 
 
-def test_faulty_scan_bit_identical_to_fault_free(fuzz_files):
+def _committed_store(compressed, profile=None, **store_kwargs) -> SimulatedObjectStore:
+    """``compressed`` committed fault-free; ``profile`` then applies to reads."""
+    store = SimulatedObjectStore(pricing=_SMALL_CHUNKS, **store_kwargs)
+    TableWriter(store).write(compressed)
+    store.set_faults(profile)
+    return store
+
+
+def _column_payloads(store: SimulatedObjectStore) -> dict[str, bytes]:
+    """Every column object of the committed table, read through the retry layer."""
+    table = RemoteTable.open(store, "fuzz")
+    keys = [table.column_entry(name)["file"] for name in _FUZZ_COLUMNS]
+    return {key: store.get_chunked(key) for key in keys}
+
+
+def test_faulty_scan_bit_identical_to_fault_free(fuzz_compressed):
     """The PR's acceptance criterion: 5% transient errors + 1% truncated
     ranges, and the retried scan still returns the exact fault-free bytes."""
-    clean = SimulatedObjectStore(pricing=_SMALL_CHUNKS)
-    clean.put_many(fuzz_files)
-    faulty = SimulatedObjectStore(
-        pricing=_SMALL_CHUNKS,
-        faults=FaultProfile(
-            seed=FAULT_SEED, transient_error_rate=0.05, truncate_rate=0.01
-        ),
+    clean = _committed_store(fuzz_compressed)
+    faulty = _committed_store(
+        fuzz_compressed,
+        FaultProfile(seed=FAULT_SEED, transient_error_rate=0.05, truncate_rate=0.01),
         retry=RetryPolicy(max_attempts=10),
     )
-    faulty.put_many(fuzz_files)
 
-    want = scan_btrblocks_columns(clean, "fuzz", [0, 1, 2], keep_payloads=True)
-    got = scan_btrblocks_columns(faulty, "fuzz", [0, 1, 2], keep_payloads=True)
+    want = scan_btrblocks_columns(clean, "fuzz", _FUZZ_COLUMNS)
+    with use_registry(MetricsRegistry()) as registry:
+        got = scan_btrblocks_columns(faulty, "fuzz", _FUZZ_COLUMNS)
 
-    assert got.payloads == want.payloads
-    for filename, payload in got.payloads.items():
-        assert payload == fuzz_files[filename]
+    # Transport faults are the store's alone: RemoteTable must never refetch.
+    assert registry.get("cloud.table.integrity_refetches") == 0
     assert want.retries == 0 and want.backoff_seconds == 0.0
     if _DEFAULT_SEED:
         # ~1200 range-GETs at >=6% combined fault rate: the deterministic
@@ -426,9 +440,10 @@ def test_faulty_scan_bit_identical_to_fault_free(fuzz_files):
         assert got.backoff_seconds > 0.0
         assert faulty.clock.now_seconds > 0.0
         assert got.requests > want.requests  # truncated attempts are billed
+    assert _column_payloads(faulty) == _column_payloads(clean)
 
 
-def test_faulty_remote_scan_decodes_identically(fuzz_files):
+def test_faulty_remote_scan_decodes_identically(fuzz_compressed):
     """All five fault classes at once — including bit flips that only the
     v2 checksums can catch — and a RemoteTable scan still decodes every
     column bit-identically via verify-then-refetch."""
@@ -440,15 +455,13 @@ def test_faulty_remote_scan_decodes_identically(fuzz_files):
         truncate_rate=0.01,
         corrupt_rate=0.005,
     )
-    store = SimulatedObjectStore(
-        pricing=_SMALL_CHUNKS, faults=profile, retry=RetryPolicy(max_attempts=10)
-    )
-    store.put_many(fuzz_files)
+    store = _committed_store(fuzz_compressed, retry=RetryPolicy(max_attempts=10))
     # Metadata integrity is out of scope here (it is JSON, not checksummed):
-    # hand the table known-good metadata so the run exercises the column
-    # path, where CRC32 + refetch is the contract under test.
-    metadata = json.loads(fuzz_files["fuzz/table.meta"])
-    table = RemoteTable(store, "fuzz", metadata)
+    # the handle reads a clean manifest before the faults switch on, so the
+    # run exercises the column path, where CRC32 + refetch is the contract
+    # under test.
+    table = RemoteTable.open(store, "fuzz")
+    store.set_faults(profile)
     result = table.scan()
     for original, restored in zip(_fuzz_relation().columns, result.columns):
         assert columns_equal(original, restored)
@@ -482,18 +495,16 @@ def test_timeouts_burn_simulated_client_wait():
     assert store.stats.backoff_seconds >= 4 * policy.timeout_seconds
 
 
-def test_fault_free_store_accounting_unchanged(fuzz_files):
+def test_fault_free_store_accounting_unchanged(fuzz_compressed):
     """A store with no profile attached serves byte- and request-identical
     to one with an all-zero profile: fault plumbing costs nothing."""
-    plain = SimulatedObjectStore(pricing=_SMALL_CHUNKS)
-    zeroed = SimulatedObjectStore(pricing=_SMALL_CHUNKS, faults=FaultProfile())
-    plain.put_many(fuzz_files)
-    zeroed.put_many(fuzz_files)
-    a = scan_btrblocks_columns(plain, "fuzz", [0, 1, 2], keep_payloads=True)
-    b = scan_btrblocks_columns(zeroed, "fuzz", [0, 1, 2], keep_payloads=True)
-    assert a.payloads == b.payloads
+    plain = _committed_store(fuzz_compressed)
+    zeroed = _committed_store(fuzz_compressed, FaultProfile())
+    a = scan_btrblocks_columns(plain, "fuzz", _FUZZ_COLUMNS)
+    b = scan_btrblocks_columns(zeroed, "fuzz", _FUZZ_COLUMNS)
     assert (a.requests, a.bytes_downloaded, a.retries) == (
         b.requests,
         b.bytes_downloaded,
         b.retries,
     )
+    assert _column_payloads(plain) == _column_payloads(zeroed)

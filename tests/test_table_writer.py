@@ -16,7 +16,6 @@ import pytest
 
 from repro.cloud import RemoteTable, SimulatedObjectStore, TableWriter, recover
 from repro.cloud.remote_table import MANIFEST_DIR, manifest_key, version_prefix
-from repro.cloud.scan import upload_btrblocks
 from repro.core.compressor import compress_relation
 from repro.core.decompressor import decompress_relation
 from repro.core.relation import Relation
@@ -97,14 +96,8 @@ class TestCommit:
             RemoteTable.open(store, "trips", version=9)
 
     def test_open_unwritten_table(self, store):
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError, match="has no committed version"):
             RemoteTable.open(store, "nope")
-
-    def test_legacy_unversioned_layout_still_opens(self, store):
-        upload_btrblocks(store, compress_relation(make_relation()))
-        table = RemoteTable.open(store, "trips")
-        assert table.version is None
-        assert table.row_count == 3000
 
     def test_commit_counters(self, store):
         registry = MetricsRegistry()

@@ -8,6 +8,7 @@ from repro.core import blockstats
 from repro.core.blockstats import BlockStats, BloomFilter, compute_block_stats
 from repro.core.compressor import compress_column
 from repro.core.config import BtrBlocksConfig
+from repro.exceptions import FormatError
 from repro.metadata import ColumnZoneMap, ZoneMapEntry, build_zone_map, pruned_scan
 from repro.query import Between, Equals, GreaterThan, IsNull
 from repro.types import Column, ColumnType, StringArray
@@ -26,9 +27,14 @@ def config():
     return BtrBlocksConfig(block_size=1000)
 
 
+def _zone_map(column: Column) -> ColumnZoneMap:
+    """The zone map of ``column`` compressed in 1000-row blocks."""
+    return build_zone_map(compress_column(column, BtrBlocksConfig(block_size=1000)))
+
+
 class TestBuildZoneMap:
     def test_block_boundaries(self, sorted_column):
-        zm = build_zone_map(sorted_column, block_size=1000)
+        zm = _zone_map(sorted_column)
         assert len(zm.entries) == 4
         assert zm.entries[0].minimum == 0
         assert zm.entries[0].maximum == 999
@@ -37,13 +43,13 @@ class TestBuildZoneMap:
     def test_null_counts(self):
         column = Column.ints("c", np.zeros(2000, dtype=np.int32),
                              RoaringBitmap.from_positions([5, 1500, 1501]))
-        zm = build_zone_map(column, block_size=1000)
+        zm = _zone_map(column)
         assert zm.entries[0].null_count == 1
         assert zm.entries[1].null_count == 2
 
     def test_string_columns_get_byte_bounds(self):
         column = Column.strings("s", ["a", "b"] * 500)
-        zm = build_zone_map(column, block_size=1000)
+        zm = _zone_map(column)
         # Strings carry conservative byte-prefix bounds (and a Bloom filter
         # for low-cardinality blocks) instead of numeric min/max.
         assert zm.entries[0].minimum is None
@@ -55,16 +61,16 @@ class TestBuildZoneMap:
         # would let GreaterThan(huge) prune a block that contains inf.
         # Only NaN (unordered) is excluded.
         column = Column.doubles("d", np.array([np.inf, 1.0, -np.inf, 5.0] * 10))
-        zm = build_zone_map(column, block_size=1000)
+        zm = _zone_map(column)
         assert zm.entries[0].minimum == -np.inf
         assert zm.entries[0].maximum == np.inf
         nan_column = Column.doubles("d", np.array([np.nan, 1.0, np.nan, 5.0] * 10))
-        zm = build_zone_map(nan_column, block_size=1000)
+        zm = _zone_map(nan_column)
         assert zm.entries[0].minimum == 1.0
         assert zm.entries[0].maximum == 5.0
 
     def test_serialization_round_trip(self, sorted_column):
-        zm = build_zone_map(sorted_column, block_size=1000)
+        zm = _zone_map(sorted_column)
         restored = ColumnZoneMap.from_bytes(zm.to_bytes())
         assert restored.column_name == zm.column_name
         assert restored.ctype is zm.ctype
@@ -161,7 +167,7 @@ class TestPruning:
         assert not entry.may_match(IsNull())
 
     def test_pruned_blocks_selective(self, sorted_column):
-        zm = build_zone_map(sorted_column, block_size=1000)
+        zm = _zone_map(sorted_column)
         assert zm.pruned_blocks(Equals(2500)) == [2]
         assert zm.pruned_blocks(Between(900, 1100)) == [0, 1]
         assert zm.pruned_blocks(GreaterThan(10_000)) == []
@@ -170,8 +176,7 @@ class TestPruning:
 class TestPrunedScan:
     def test_reads_only_surviving_blocks(self, sorted_column, config):
         compressed = compress_column(sorted_column, config)
-        zm = build_zone_map(sorted_column, block_size=1000)
-        matches, blocks_read = pruned_scan(compressed, zm, Equals(2500))
+        matches, blocks_read = pruned_scan(compressed, Equals(2500))
         assert blocks_read == 1
         assert matches.to_array().tolist() == [2500]
 
@@ -179,16 +184,30 @@ class TestPrunedScan:
         from repro.query import scan_column
 
         compressed = compress_column(sorted_column, config)
-        zm = build_zone_map(sorted_column, block_size=1000)
         predicate = Between(1500, 2200)
-        pruned, blocks_read = pruned_scan(compressed, zm, predicate)
+        pruned, blocks_read = pruned_scan(compressed, predicate)
         full = scan_column(compressed, predicate)
         assert pruned == full
         assert blocks_read == 2
 
     def test_no_matches_reads_nothing(self, sorted_column, config):
         compressed = compress_column(sorted_column, config)
-        zm = build_zone_map(sorted_column, block_size=1000)
-        matches, blocks_read = pruned_scan(compressed, zm, GreaterThan(10_000))
+        matches, blocks_read = pruned_scan(compressed, GreaterThan(10_000))
         assert blocks_read == 0
         assert len(matches) == 0
+
+    def test_zone_map_lines_up_with_the_blocks(self):
+        """The map is the column's own block stats (a map built from the raw
+        column at 4,000 rows over 16,000-row blocks once returned no rows)."""
+        values = np.sort(np.random.default_rng(1).integers(0, 1_000_000, 64_000))
+        compressed = compress_column(Column.ints("s", values), BtrBlocksConfig(block_size=16_000))
+        entries = build_zone_map(compressed).entries
+        assert [e.row_count for e in entries] == [b.count for b in compressed.blocks]
+        matches, blocks_read = pruned_scan(compressed, Between(900_000, 1_000_000))
+        assert matches.to_array().tolist() == np.flatnonzero(values >= 900_000).tolist()
+        assert blocks_read == 1
+
+    def test_column_without_stats_is_a_format_error(self, sorted_column):
+        compressed = compress_column(sorted_column, BtrBlocksConfig(collect_stats=False))
+        with pytest.raises(FormatError, match="no valid block statistics"):
+            pruned_scan(compressed, Equals(2500))
