@@ -24,11 +24,9 @@ The write side mirrors S3's upload semantics:
   nothing is listable or readable until ``complete_multipart`` installs the
   assembled object in one atomic step. Part uploads and completes are
   idempotent, so duplicate delivery on retry is harmless; a torn part can
-  never complete (mirroring S3's ETag check). ``put_many`` routes through
-  this path and rolls back on failure, so a mid-batch error leaves none of
-  the batch visible (a writer *crash* mid-complete can still expose a
-  prefix — crash-consistent multi-object commits need the manifest protocol
-  of :class:`~repro.cloud.remote_table.TableWriter`).
+  never complete (mirroring S3's ETag check). Crash-consistent
+  multi-object commits need the manifest protocol of
+  :class:`~repro.cloud.remote_table.TableWriter`.
 
 Billing follows S3 on both sides: attempts the server rejects are free;
 attempts that moved bytes bill one request and exactly the bytes that
@@ -56,7 +54,6 @@ from repro.exceptions import (
     TornWriteError,
     TransientRequestError,
     TruncatedReadError,
-    WriterCrashError,
 )
 
 
@@ -241,45 +238,6 @@ class SimulatedObjectStore:
 
     def _install(self, key: str, data: bytes) -> None:
         self._objects[key] = bytes(data)
-
-    def put_many(self, files: dict[str, bytes]) -> None:
-        """All-or-nothing batch upload via the multipart/commit path.
-
-        Every object is fully staged (invisibly) before the first one is
-        completed, and any failure rolls the batch back — readers never see
-        a partial batch. The one exception is an injected *writer crash*
-        mid-completion: a dead writer cannot roll back, which is exactly
-        why crash-consistent table commits go through
-        :class:`~repro.cloud.remote_table.TableWriter`'s manifest instead.
-        """
-        staged: list[tuple[str, str]] = []
-        previous: dict[str, bytes | None] = {}
-        completed: list[str] = []
-        try:
-            for key, data in files.items():
-                upload_id = self.initiate_multipart(key)
-                staged.append((upload_id, key))
-                self.upload_parts(upload_id, data)
-            for upload_id, key in staged:
-                previous[key] = self._objects.get(key)
-                self.complete_multipart(upload_id)
-                completed.append(key)
-        except WriterCrashError:
-            raise  # a dead writer performs no rollback
-        except BaseException:
-            for key in completed:
-                if previous[key] is None:
-                    self._objects.pop(key, None)
-                else:
-                    self._objects[key] = previous[key]
-            for upload_id, key in staged:
-                upload = self._uploads.get(upload_id)
-                if upload is not None and upload.pending:
-                    try:
-                        self.abort_multipart(upload_id)
-                    except WriterCrashError:  # pragma: no cover - defensive
-                        break
-            raise
 
     def delete(self, key: str) -> int:
         """Remove an object; returns the bytes freed. Free, as on S3."""

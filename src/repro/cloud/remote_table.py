@@ -53,7 +53,7 @@ from repro.core.config import (
     DEFAULT_SCAN_READAHEAD,
     DecodeLimits,
 )
-from repro.core.decompressor import all_null_block, decompress_column
+from repro.core.decompressor import all_null_block, concat_values, decompress_column
 from repro.core.file_format import (
     FORMAT_VERSION,
     block_from_region,
@@ -64,6 +64,7 @@ from repro.core.file_format import (
     verify_column,
 )
 from repro.core.relation import Relation
+from repro.encodings.base import locate_sorted, take_values
 from repro.exceptions import (
     CommitConflictError,
     CorruptBlockError,
@@ -78,7 +79,7 @@ from repro.exceptions import (
 )
 from repro.metadata import ColumnZoneMap
 from repro.observe import get_registry
-from repro.query.executor import iter_matching_positions, scan_column
+from repro.query.executor import collect_matches, enumerate_blocks
 from repro.query.predicates import Predicate
 from repro.types import Column, ColumnType
 
@@ -627,10 +628,9 @@ class RemoteTable:
             )
         raise _PrunedPathUnavailable()
 
-    def _pruned_matching_rows(
-        self, entry: dict, predicate: Predicate
-    ) -> "RoaringBitmap | None":
-        """Zone-map-pruned predicate evaluation for one column.
+    def _pruned_matching_rows(self, entry: dict, predicate: Predicate, values: bool):
+        """Zone-map-pruned predicate evaluation for one column:
+        :func:`~repro.query.executor.collect_matches`' ``(rows, handover)``.
 
         Skipped blocks cost no GETs; surviving blocks arrive by ranged GET
         (or from cache) and are answered over their decoded values when the
@@ -652,7 +652,7 @@ class RemoteTable:
                 "cloud.scan.pruned_bytes", sum(ranges[i][1] for i in pruned)
             )
         if not survivors:
-            return RoaringBitmap()
+            return RoaringBitmap(), None
         cached = self._columns.get(entry["file"])
         if cached is None and ranges is None:
             return None  # nothing cached and no extents to range-GET with
@@ -661,20 +661,15 @@ class RemoteTable:
         # this generator feeds it only the zone-map survivors, validated or
         # ranged-GET on the way through, and the driver answers each from
         # the decode cache where it can.
-        positions = [
-            hits + offset
-            for _block, offset, hits in iter_matching_positions(
-                self._survivor_blocks(entry, survivors, cached, ranges, zone_map),
-                ctype,
-                predicate,
-                self.decode_limits,
-                self.decode_cache,
-                entry["file"],
-            )
-        ]
-        if not positions:
-            return RoaringBitmap()
-        return RoaringBitmap.from_positions(np.concatenate(positions))
+        return collect_matches(
+            self._survivor_blocks(entry, survivors, cached, ranges, zone_map),
+            ctype,
+            predicate,
+            self.decode_limits,
+            self.decode_cache,
+            entry["file"],
+            values,
+        )
 
     def _survivor_blocks(self, entry, survivors, cached, ranges, zone_map):
         """Yield ``(block index, block, column-row offset)`` for zone-map survivors.
@@ -742,23 +737,29 @@ class RemoteTable:
 
     # -- predicate evaluation --------------------------------------------------
 
-    def _column_matches(self, column_name: str, predicate: Predicate) -> RoaringBitmap:
-        """One filter column's matching rows: pruned path first, full scan
-        as fallback. Both answer a number block the decode cache serves over
-        its decoded values and every other block in the compressed domain
+    def _column_matches(
+        self, column_name: str, predicate: Predicate, values: bool = False
+    ) -> "tuple[RoaringBitmap, tuple | None]":
+        """One filter column's ``(matching rows, handover of their values if
+        asked)``: pruned path first, full scan as fallback. Both answer a
+        number block the decode cache serves over its decoded values and
+        every other block in the compressed domain
         (:func:`~repro.query.executor.block_mask`); neither fills the cache."""
         entry = self.column_entry(column_name)
         try:
-            matches = self._pruned_matching_rows(entry, predicate)
+            matches = self._pruned_matching_rows(entry, predicate, values)
         except _PrunedPathUnavailable:
             matches = None
         if matches is None:
-            matches = scan_column(
-                self._fetch_column_for_rows(column_name),
+            compressed = self._fetch_column_for_rows(column_name)
+            matches = collect_matches(
+                enumerate_blocks(compressed),
+                compressed.ctype,
                 predicate,
                 self.decode_limits,
                 self.decode_cache,
                 entry["file"],
+                values,
             )
         return matches
 
@@ -771,7 +772,7 @@ class RemoteTable:
         """
         result: RoaringBitmap | None = None
         for column_name, predicate in where.items():
-            matches = self._column_matches(column_name, predicate)
+            matches = self._column_matches(column_name, predicate)[0]
             result = matches if result is None else (result & matches)
             if result is not None and len(result) == 0:
                 return result
@@ -858,12 +859,19 @@ class RemoteTable:
         }
         if where:
             result: RoaringBitmap | None = None
+            # A projected filter column is materialised from what its
+            # filter decoded (``_materialise_rows``), not decoded again.
+            handed: "dict[str, tuple]" = {}
             for column_name, predicate in where.items():
                 self._check_deadline(deadline_seconds)
                 with capture_step(
                     self._store, "filter", column_name, **context
                 ) as step:
-                    matches = self._column_matches(column_name, predicate)
+                    matches, handover = self._column_matches(
+                        column_name, predicate, column_name in names
+                    )
+                    if handover is not None:
+                        handed[column_name] = handover
                     result = matches if result is None else (result & matches)
                     step.decode_bytes = step.bytes_fetched
                 yield step
@@ -878,7 +886,7 @@ class RemoteTable:
                 with capture_step(
                     self._store, "materialise", name, **context
                 ) as step:
-                    out.append(self._materialise_rows(name, rows))
+                    out.append(self._materialise_rows(name, rows, handed.get(name)))
                     step.decode_bytes = step.bytes_fetched
                 yield step
             relation = Relation(self.name, out)
@@ -1032,9 +1040,26 @@ class RemoteTable:
         """
         return self._drive_steps(self.scan_steps(columns, where=where))
 
-    def _materialise_rows(self, name: str, rows: np.ndarray) -> Column:
-        """Rows of one column: block-pruned when possible, else full fetch."""
+    def _materialise_rows(self, name: str, rows: np.ndarray, handover=None) -> Column:
+        """Rows of one column: taken from its filter's ``handover`` (rows,
+        values) where it covers them, the rest block-pruned when possible,
+        else from a full fetch."""
         entry = self.column_entry(name)
+        if handover is not None:
+            covered, values = handover
+            if np.array_equal(covered, rows):  # one predicate, every block handed
+                return Column(name, ColumnType(entry["type"]), values)
+            at, found = locate_sorted(covered, rows)
+            if found.all():
+                return Column(name, ColumnType(entry["type"]), take_values(values, at))
+            # Blocks whose route decoded none of their hits: read those rows,
+            # then put both parts back in row order.
+            rest = self._materialise_rows(name, rows[~found])
+            taken = int(found.sum())
+            order = np.where(found, np.cumsum(found) - 1, taken + np.cumsum(~found) - 1)
+            parts = [take_values(values, at[found]), rest.data]
+            # (No NULLs: every row is a hit of the column's value predicate.)
+            return Column(name, rest.ctype, take_values(concat_values(parts, rest.ctype), order))
         try:
             column = self._read_rows_pruned(entry, rows)
         except _PrunedPathUnavailable:

@@ -9,7 +9,9 @@ block, only the *selected* rows materialise, through the same
 selection-vector kernels the filtered scan path uses (dictionaries gather
 only their codes, bit-packing unpacks only their pages). One point read
 costs one partial block decode, not a full one; a read dense enough that
-a partial decode would lose costs exactly a full one.
+a partial decode would lose costs exactly a full one. A filter column's rows
+come from its filter instead (:func:`~repro.query.executor.block_mask`),
+counted under the same ``query.cdomain.filtered.*`` counters.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ import numpy as np
 from repro.bitmap import RoaringBitmap, strictly_increasing
 from repro.core.blocks import CompressedColumn
 from repro.core.decompressor import (
-    _EMPTY_DTYPES,
     _decompress_node_filtered,
     cached_block,
+    concat_values,
     make_context,
 )
-from repro.encodings import strutil
 from repro.encodings.base import locate_sorted, take_values
 from repro.observe import get_registry
 from repro.types import Column, ColumnType, StringArray
@@ -104,14 +105,7 @@ def read_rows(
             ]
         )
 
-    if len(parts) == 1:
-        data = parts[0]
-    elif ctype is ColumnType.STRING:
-        data = strutil.concat(parts)
-    elif parts:
-        data = np.concatenate(parts)
-    else:
-        data = np.empty(0, dtype=_EMPTY_DTYPES[ctype])
+    data = concat_values(parts, ctype)
     null_rows = np.concatenate(null_parts)
     if inverse is not None:
         data = take_values(data, inverse)

@@ -235,6 +235,15 @@ _EMPTY_DTYPES = {
 }
 
 
+def concat_values(parts: "list[Values]", ctype: ColumnType) -> Values:
+    """Value sequences joined end to end; none make an empty one of ``ctype``."""
+    if len(parts) == 1:
+        return parts[0]
+    if ctype is ColumnType.STRING:
+        return strutil.concat(parts)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=_EMPTY_DTYPES[ctype])
+
+
 @dataclass(frozen=True)
 class CorruptBlockResult:
     """Sentinel a damaged block decodes to under a degrade policy.

@@ -53,6 +53,22 @@ def _split_selection(top_rows: RoaringBitmap, positions: np.ndarray):
     return is_top, (positions - before)[~is_top]
 
 
+def fill_selection(top, is_top: np.ndarray, exceptions):
+    """A selection's values, in row order: ``top`` (a string's bytes, a
+    number's one-element array) where ``is_top``, the selected
+    ``exceptions`` in turn elsewhere."""
+    if isinstance(top, bytes):  # a pool: code 0 is the top value, 1 + i exception i
+        pool = strutil.concat([StringArray.from_pylist([top]), exceptions])
+        codes = np.zeros(is_top.size, dtype=np.int64)
+        codes[~is_top] = 1 + np.arange(len(exceptions), dtype=np.int64)
+        return strutil.gather(pool, codes)
+    out = np.empty(is_top.size, dtype=top.dtype)
+    if is_top.any():
+        out[is_top] = top[0]
+    out[~is_top] = np.asarray(exceptions)
+    return out
+
+
 class _FrequencyBase(Scheme):
     """Shared top-value/bitmap/exceptions logic for numeric types."""
 
@@ -95,10 +111,7 @@ class _FrequencyBase(Scheme):
         exceptions = ctx.decompress_child(reader.blob(), self.ctype)
         mask = bitmap.to_mask(count)
         if ctx.vectorized:
-            out = np.empty(count, dtype=top_value.dtype)
-            out[mask] = top_value[0]
-            out[~mask] = exceptions
-            return out
+            return fill_selection(top_value, mask, exceptions)
         out = np.empty(count, dtype=top_value.dtype)
         exc_pos = 0
         for i in range(count):
@@ -117,13 +130,10 @@ class _FrequencyBase(Scheme):
         bitmap = RoaringBitmap.deserialize(reader.blob())
         exc_blob = reader.blob()
         sel_top, exc_ranks = _split_selection(bitmap, positions)
-        out = np.empty(sel_top.size, dtype=top_value.dtype)
-        if sel_top.any():
-            out[sel_top] = top_value[0]
+        exceptions = top_value[:0]
         if exc_ranks.size:
             exceptions = ctx.decompress_child_filtered(exc_blob, self.ctype, exc_ranks)
-            out[~sel_top] = np.asarray(exceptions)
-        return out
+        return fill_selection(top_value, sel_top, exceptions)
 
 
 class FrequencyInt(_FrequencyBase):
@@ -187,10 +197,7 @@ class FrequencyString(Scheme):
         exc_blob = reader.blob()
         sel_top, exc_ranks = _split_selection(bitmap, positions)
         exceptions = ctx.decompress_child_filtered(exc_blob, ColumnType.STRING, exc_ranks)
-        pool = strutil.concat([StringArray.from_pylist([top]), exceptions])
-        codes = np.zeros(sel_top.size, dtype=np.int64)
-        codes[~sel_top] = 1 + np.arange(len(exceptions), dtype=np.int64)
-        return strutil.gather(pool, codes)
+        return fill_selection(top, sel_top, exceptions)
 
 
 register_scheme(FrequencyInt())

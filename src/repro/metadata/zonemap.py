@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
 
 from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedColumn
@@ -34,7 +33,7 @@ from repro.core.blockstats import (
     stats_entry_to_json,
 )
 from repro.exceptions import FormatError
-from repro.query.executor import enumerate_blocks, iter_matching_positions
+from repro.query.executor import collect_matches, enumerate_blocks
 from repro.query.predicates import Predicate
 from repro.types import ColumnType
 
@@ -113,15 +112,4 @@ def pruned_scan(
     """
     survivors = set(build_zone_map(compressed).pruned_blocks(predicate))
     blocks = [item for item in enumerate_blocks(compressed) if item[0] in survivors]
-    positions = [
-        hits + offset
-        for _block, offset, hits in iter_matching_positions(
-            blocks, compressed.ctype, predicate
-        )
-    ]
-    bitmap = (
-        RoaringBitmap.from_positions(np.concatenate(positions))
-        if positions
-        else RoaringBitmap()
-    )
-    return bitmap, len(blocks)
+    return collect_matches(blocks, compressed.ctype, predicate)[0], len(blocks)

@@ -26,7 +26,10 @@ without unpacking a word.
 
 Behind a warm decode cache none of this runs for most number blocks:
 :func:`block_mask`, the operator every scan driver computes a block's mask
-with, answers a block the cache serves over its decoded values.
+with, answers a block the cache serves over its decoded values. On request
+it also returns the values at the hit rows, built from what its route
+decoded (runs repeated, codes through the pool, accepted pages unpacked with
+the undecided ones), so a projected filter column is never decoded twice.
 
 NULL semantics follow SQL: NULL rows never match a value predicate, and the
 dedicated :class:`~repro.query.predicates.IsNull` matches exactly them.
@@ -49,9 +52,11 @@ from repro.core.decompressor import (
     _open_node,
     _run_scheme,
     cached_block,
+    concat_values,
     decode_block_filtered,
     make_context,
 )
+from repro.encodings import strutil
 from repro.encodings.base import (
     DecompressionContext,
     SchemeId,
@@ -59,6 +64,8 @@ from repro.encodings.base import (
     prefers_full_decode,
 )
 from repro.encodings.bitpack import PAGE
+from repro.encodings.dictionary import _checked_codes, read_numeric_dict, read_string_dict
+from repro.encodings.frequency import fill_selection
 from repro.encodings.rle import _RLEBase, check_run_lengths
 from repro.encodings.wire import Reader, unwrap
 from repro.exceptions import BtrBlocksError, CorruptBlockError, FormatError
@@ -72,7 +79,7 @@ from repro.query.predicates import (
     LessThan,
     Predicate,
 )
-from repro.types import Column, ColumnType
+from repro.types import Column, ColumnType, StringArray
 
 _ONE_VALUE = {SchemeId.ONE_VALUE_INT, SchemeId.ONE_VALUE_DOUBLE, SchemeId.ONE_VALUE_STRING}
 _DICT = {SchemeId.DICT_INT, SchemeId.DICT_DOUBLE, SchemeId.DICT_STRING}
@@ -93,6 +100,7 @@ _SCANNED_ROOTS = frozenset(
 #: every dictionary entry, so no code ever needs materialising.
 _NONE_MATCH = "none"
 _ALL_MATCH = "all"
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def scan_block(
@@ -101,57 +109,87 @@ def scan_block(
     predicate: Predicate,
     nulls: RoaringBitmap | None = None,
     limits: "DecodeLimits | None" = None,
-) -> np.ndarray:
-    """Evaluate a predicate over one compressed block, returning a row mask.
+    values: bool = False,
+):
+    """Evaluate a predicate over one compressed block, returning a row mask;
+    with ``values``, ``(mask, values at its hit rows)`` from what the route
+    decoded (``None`` under :class:`IsNull` or if it decoded none of them).
     ``limits`` bind its declared count and every nested decode. ``blob`` is
     parsed as it is: no checksum is verified here, that is the caller's job.
     Malformed bytes fail typed, as a decode of them would: scheme code runs
-    under the decoder's error typing, and the mask is held to the declared
-    count."""
+    under the decoder's error typing, and the mask (and the values) are held
+    to the declared count."""
     ctx = make_context(limits=limits)
     scheme, count, _ = _open_node(blob, ctype, ctx)
     registry = get_registry()
     registry.incr_many([("query.cdomain.blocks", 1), ("query.cdomain.rows", count)])
     if isinstance(predicate, IsNull):
-        mask = np.zeros(count, dtype=bool)
-        if nulls is not None:
-            mask = nulls.to_mask(count)
-        return mask
-    mask = _run_scheme(scheme, _scan_node, blob, ctype, predicate, ctx)
+        mask = np.zeros(count, dtype=bool) if nulls is None else nulls.to_mask(count)
+        return (mask, None) if values else mask
+    mask, hit_values = _run_scheme(
+        scheme, _scan_node, blob, ctype, predicate, ctx, values, True
+    )
     if np.shape(mask) != (count,):
         raise FormatError(
             f"block declared {count} values but {scheme.name} scanned {np.size(mask)}"
         )
+    if hit_values is not None and len(hit_values) != np.count_nonzero(mask):
+        raise FormatError(f"{scheme.name} decoded {len(hit_values)} values for its hits")
     if nulls is not None and len(nulls):
-        mask &= ~nulls.to_mask(count)
-    return mask
+        null_mask = nulls.to_mask(count)
+        if hit_values is not None:
+            hit_values = _kept(hit_values, ~null_mask[mask])
+        mask &= ~null_mask
+    return (mask, hit_values) if values else mask
+
+
+def _kept(values, keep: np.ndarray):
+    """``values`` where ``keep`` is set, in order."""
+    if isinstance(values, StringArray):
+        return strutil.gather(values, np.flatnonzero(keep))
+    return np.compress(keep, values)
+
+
+def _evaluated(values, predicate: Predicate, want: bool, block_level: bool):
+    """The decode-then-evaluate route: ``(mask, hit values if wanted)``.
+    Handing on hits from a whole block's decode counts as a full decode."""
+    mask = np.asarray(predicate.evaluate(values), dtype=bool)
+    if not want:
+        return mask, None
+    if block_level and mask.any():
+        get_registry().incr("query.cdomain.filtered.full_decodes")
+    return mask, _kept(values, mask)
 
 
 def _scan_node(
-    blob: bytes, ctype: ColumnType, predicate: Predicate, ctx: DecompressionContext
-) -> np.ndarray:
-    """Recursive compressed-domain evaluation; returns a block-length mask."""
+    blob: bytes, ctype: ColumnType, predicate: Predicate, ctx: DecompressionContext,
+    want: bool = False, block_level: bool = False,
+):
+    """Recursive compressed-domain evaluation: ``(block-length mask, values
+    at its hits)``; the values are ``None`` unless ``want``ed, and when the
+    route decoded none of them. ``block_level``: ``blob`` is a block's root."""
     scheme_id, count, payload = unwrap(blob)
     if scheme_id in _ONE_VALUE:
-        return _scan_one_value(payload, count, ctype, predicate)
+        return _scan_one_value(scheme_id, payload, count, ctype, predicate, ctx, want)
     if scheme_id in _DICT:
-        return _scan_dictionary(scheme_id, payload, count, ctype, predicate, ctx)
+        return _scan_dictionary(scheme_id, payload, count, ctype, predicate, ctx, want)
     if scheme_id in _RLE:
-        return _scan_rle(payload, count, ctype, predicate, ctx)
+        return _scan_rle(payload, count, ctype, predicate, ctx, want)
     if scheme_id in _FREQUENCY:
-        return _scan_frequency(payload, count, ctype, predicate, ctx)
+        return _scan_frequency(payload, count, ctype, predicate, ctx, want)
     if scheme_id in _BITPACKED:
-        return _scan_bitpacked(scheme_id, payload, count, predicate, ctx)
-    values = ctx.decompress_child(blob, ctype)
-    return np.asarray(predicate.evaluate(values), dtype=bool)
+        return _scan_bitpacked(scheme_id, payload, count, predicate, ctx, want, block_level)
+    return _evaluated(ctx.decompress_child(blob, ctype), predicate, want, block_level)
 
 
 # -- leaf fast paths -----------------------------------------------------------
 
 
 def _scan_one_value(
-    payload: bytes, count: int, ctype: ColumnType, predicate: Predicate
-) -> np.ndarray:
+    scheme_id: int, payload: bytes, count: int, ctype: ColumnType, predicate: Predicate,
+    ctx: DecompressionContext, want: bool,
+):
+    """One comparison decides the block; its hit values are a fill."""
     reader = Reader(payload)
     if ctype is ColumnType.INTEGER:
         value: object = reader.i64()
@@ -159,50 +197,62 @@ def _scan_one_value(
         value = float(reader.array()[0])
     else:
         value = reader.blob()
-    return np.full(count, predicate.evaluate_scalar(value), dtype=bool)
+    mask = np.full(count, predicate.evaluate_scalar(value), dtype=bool)
+    if not want:
+        return mask, None
+    return mask, get_scheme(scheme_id).decompress_filtered(
+        payload, count, ctx, np.flatnonzero(mask)
+    )
 
 
 def _scan_rle(
     payload: bytes, count: int, ctype: ColumnType, predicate: Predicate,
-    ctx: DecompressionContext,
-) -> np.ndarray:
-    """Evaluate on the run values (recursively), replicate per run length."""
+    ctx: DecompressionContext, want: bool,
+):
+    """Evaluate on the run values (recursively), replicate per run length;
+    the hit runs' values repeat by the same lengths."""
     reader = Reader(payload)
     run_count = reader.u32()
     values_blob = reader.blob()
     lengths_blob = reader.blob()
-    run_mask = _scan_node(values_blob, ctype, predicate, ctx)
+    run_mask, run_hits = _scan_node(values_blob, ctype, predicate, ctx, want)
     if len(run_mask) != run_count:
         raise CorruptBlockError("RLE run arrays do not match the run count")
     # A uniform run verdict needs no lengths: every row inherits it. This is
     # the common case for selective predicates (most blocks have no matching
-    # run) and skips the lengths child entirely.
+    # run) and skips the lengths child entirely -- unless the hit values are
+    # handed on, which a materialising decode would repeat by them anyway.
     if not run_mask.any():
-        return np.zeros(count, dtype=bool)
-    if run_mask.all():
-        return np.ones(count, dtype=bool)
-    run_lengths = ctx.decompress_child(lengths_blob, ColumnType.INTEGER)
-    return np.repeat(run_mask, check_run_lengths(run_lengths, run_count, count))
+        return np.zeros(count, dtype=bool), run_hits
+    if run_hits is None and run_mask.all():
+        return np.ones(count, dtype=bool), None
+    run_lengths = check_run_lengths(
+        ctx.decompress_child(lengths_blob, ColumnType.INTEGER), run_count, count
+    )
+    if run_hits is not None:
+        run_hits = np.repeat(run_hits, run_lengths[run_mask])
+    return np.repeat(run_mask, run_lengths), run_hits
 
 
 def _scan_frequency(
     payload: bytes, count: int, ctype: ColumnType, predicate: Predicate,
-    ctx: DecompressionContext,
-) -> np.ndarray:
+    ctx: DecompressionContext, want: bool,
+):
+    """One comparison for the top value, recursion on the exceptions; hit
+    values are the top value plus the exceptions' hit values."""
     reader = Reader(payload)
-    if ctype is ColumnType.STRING:
-        top: object = reader.blob()
-    else:
-        top = reader.array()[0]
+    top = reader.blob() if ctype is ColumnType.STRING else reader.array()
     bitmap = RoaringBitmap.deserialize(reader.blob())
     top_mask = bitmap.to_mask(count)
     out = np.empty(count, dtype=bool)
-    out[top_mask] = predicate.evaluate_scalar(top)
-    exceptions = _scan_node(reader.blob(), ctype, predicate, ctx)
+    out[top_mask] = predicate.evaluate_scalar(top if ctype is ColumnType.STRING else top[0])
+    exceptions, exception_hits = _scan_node(reader.blob(), ctype, predicate, ctx, want)
     if len(exceptions) != count - int(top_mask.sum()):
         raise CorruptBlockError("frequency exceptions do not fill the rows the bitmap leaves")
     out[~top_mask] = exceptions
-    return out
+    if exception_hits is None:
+        return out, None
+    return out, fill_selection(top, top_mask[out], exception_hits)
 
 
 # -- code-space predicate compilation (dictionary blocks) ----------------------
@@ -289,51 +339,57 @@ def _compile_pool_mask(dict_matches: np.ndarray):
     return None
 
 
+def _pool_values(pool, codes):
+    """The dictionary's values at ``codes``, each checked inside the pool."""
+    codes = _checked_codes(codes, len(pool))
+    if isinstance(pool, StringArray):
+        return strutil.gather(pool, codes)
+    return pool.take(codes)
+
+
 def _scan_dictionary(
     scheme_id: int, payload: bytes, count: int, ctype: ColumnType,
-    predicate: Predicate, ctx: DecompressionContext,
-) -> np.ndarray:
+    predicate: Predicate, ctx: DecompressionContext, want: bool,
+):
+    """Code-space evaluation; hit values are the pool at the hit codes."""
     registry = get_registry()
     if ctype is ColumnType.STRING:
-        from repro.encodings.dictionary import read_string_dict
-
         pool, codes_blob = read_string_dict(payload, ctx)
-        compiled = _compile_pool_mask(np.asarray(predicate.evaluate(pool), dtype=bool))
-        dict_matches = None
     else:
-        from repro.encodings.dictionary import read_numeric_dict
-
         pool, codes_blob = read_numeric_dict(payload)
-        compiled = None
-        if scheme_id == SchemeId.DICT_INT:
-            compiled = _compile_sorted_int(pool, predicate)
-        dict_matches = None
-        if compiled is None:
-            dict_matches = np.asarray(predicate.evaluate(pool), dtype=bool)
-            compiled = _compile_pool_mask(dict_matches)
+    compiled = _compile_sorted_int(pool, predicate) if scheme_id == SchemeId.DICT_INT else None
+    if compiled is None:
+        dict_matches = np.asarray(predicate.evaluate(pool), dtype=bool)
+        compiled = _compile_pool_mask(dict_matches)
     if compiled == _NONE_MATCH:
         registry.incr("query.cdomain.code_compiled")
-        return np.zeros(count, dtype=bool)
+        return np.zeros(count, dtype=bool), _pool_values(pool, _NO_ROWS) if want else None
     if compiled == _ALL_MATCH:
+        # No code was decoded: nothing to hand on.
         registry.incr("query.cdomain.code_compiled")
-        return np.ones(count, dtype=bool)
+        return np.ones(count, dtype=bool), None
     if isinstance(compiled, Predicate):
         # The compiled predicate recurses through the code stream, gaining
         # the RLE per-run and bit-packed page-bound kernels on the codes.
         registry.incr("query.cdomain.code_compiled")
-        return _scan_node(codes_blob, ColumnType.INTEGER, compiled, ctx)
-    # Fallback: map the pool mask over the codes (per run when RLE-coded).
+        mask, codes = _scan_node(codes_blob, ColumnType.INTEGER, compiled, ctx, want)
+        return mask, None if codes is None else _pool_values(pool, codes)
+    # Fallback: map the pool mask over the codes (per run when RLE-coded),
+    # every code held to the pool first.
     registry.incr("query.cdomain.code_fallbacks")
-    if dict_matches is None:
-        dict_matches = np.asarray(predicate.evaluate(pool), dtype=bool)
     code_scheme, code_count, code_payload = unwrap(codes_blob)
     if code_scheme == SchemeId.RLE_INT:
-        run_values, run_lengths = _RLEBase.decode_runs(
+        run_codes, run_lengths = _RLEBase.decode_runs(
             code_payload, code_count, ctx, ColumnType.INTEGER
         )
-        return np.repeat(dict_matches[run_values], run_lengths)
-    codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER)
-    return dict_matches[codes]
+        run_mask = dict_matches[_checked_codes(run_codes, len(pool))]
+        mask = np.repeat(run_mask, run_lengths)
+        if not want:
+            return mask, None
+        return mask, _pool_values(pool, np.repeat(run_codes[run_mask], run_lengths[run_mask]))
+    codes = _checked_codes(ctx.decompress_child(codes_blob, ColumnType.INTEGER), len(pool))
+    mask = dict_matches[codes]
+    return mask, _pool_values(pool, codes[mask]) if want else None
 
 
 # -- header-derived micro bounds (FOR / bit-packed pages) ----------------------
@@ -413,8 +469,8 @@ def _page_bounds(scheme_id: int, payload: bytes):
 
 def _scan_bitpacked(
     scheme_id: int, payload: bytes, count: int, predicate: Predicate,
-    ctx: DecompressionContext,
-) -> np.ndarray:
+    ctx: DecompressionContext, want: bool, block_level: bool,
+):
     """Bit-packed scan with page-granular reject/accept from headers alone.
 
     Pages whose conservative interval cannot match are skipped without
@@ -422,6 +478,8 @@ def _scan_bitpacked(
     same way; only undecided pages are unpacked (and only they), through
     the selection-vector kernel — unless so many are undecided that the
     shared crossover rule prefers one contiguous unpack of the whole node.
+    Handing the hit values on unpacks the accepted pages too, in the same
+    selection-vector call.
     """
     scheme = get_scheme(scheme_id)
     bounds = _page_bounds(scheme_id, payload)
@@ -431,12 +489,12 @@ def _scan_bitpacked(
         if may is None:
             may = np.ones(lo.shape, dtype=bool)
         always = _pages_always_match(predicate, lo, hi) & may
-        undecided = np.nonzero(may & ~always)[0]
-    if bounds is None or prefers_full_decode(undecided.size, lo.size):
+        unpacked = np.flatnonzero(may if want else may & ~always)
+    if bounds is None or prefers_full_decode(unpacked.size, lo.size):
         # No usable headers, or they decide too few pages to beat one
         # contiguous unpack: every page decodes, none is counted as decided.
         values = scheme.decompress(payload, count, ctx)
-        return np.asarray(predicate.evaluate(values), dtype=bool)
+        return _evaluated(values, predicate, want, block_level)
     get_registry().incr_many(
         [
             ("query.cdomain.pages", int(lo.size)),
@@ -447,12 +505,16 @@ def _scan_bitpacked(
     mask = np.zeros(lo.size * PAGE, dtype=bool)
     if always.any():
         mask.reshape(-1, PAGE)[always] = True
-    if undecided.size:
-        rows = (undecided[:, None] * PAGE + np.arange(PAGE, dtype=np.int64)).reshape(-1)
+    hit_values = np.empty(0, dtype=np.int32) if want else None
+    if unpacked.size:
+        rows = (unpacked[:, None] * PAGE + np.arange(PAGE, dtype=np.int64)).reshape(-1)
         rows = rows[rows < count]
         values = scheme.decompress_filtered(payload, count, ctx, rows)
-        mask[rows] = predicate.evaluate(values)
-    return mask[:count]
+        # (Accepted pages stay accepted whatever their unpacked values say.)
+        mask[rows] |= np.asarray(predicate.evaluate(values), dtype=bool)
+        if want:
+            hit_values = np.compress(mask[rows], values)
+    return mask[:count], hit_values
 
 
 # -- shared block-iteration driver --------------------------------------------
@@ -476,8 +538,10 @@ def block_mask(
     limits: "DecodeLimits | None" = None,
     cache=None,
     cache_key=None,
-) -> np.ndarray:
-    """The one scan operator: block ``index``'s row mask for ``predicate``.
+    values: bool = False,
+):
+    """The one scan operator: ``(row mask, values at its hit rows)`` of
+    block ``index`` for ``predicate``; the values only on request.
 
     A number block that a warm :class:`~repro.core.cache.DecodeCache` serves
     through :func:`~repro.core.decompressor.cached_block` — the gate
@@ -490,6 +554,11 @@ def block_mask(
     NULLs are answered from the bitmap), as are One Value and Uncompressed
     blocks, which it answers as fast as a hit would. Nothing is inserted into
     the cache. NULL rows never match a value predicate on either route.
+
+    The hit values are what the route decoded anyway (:func:`scan_block`),
+    so a materialising reader need not decode the block again; ``None``
+    when nothing was handed. A handed block counts as a filtered decode
+    (``query.cdomain.filtered.*``, plus ``reused_blocks``).
     """
     nulls = RoaringBitmap.deserialize(block.nulls) if block.nulls else None
     if (
@@ -498,15 +567,32 @@ def block_mask(
         and not isinstance(predicate, IsNull)
         and block.data[:1] not in _SCANNED_ROOTS
     ):
-        _key, values = cached_block(
+        _key, cached = cached_block(
             cache, cache_key, index, block, limits or DEFAULT_DECODE_LIMITS
         )
-        if values is not None:
-            mask = np.asarray(predicate.evaluate(values), dtype=bool)
+        if cached is not None:
+            mask = np.asarray(predicate.evaluate(cached), dtype=bool)
             if nulls is not None and len(nulls):
                 mask &= ~nulls.to_mask(block.count)
-            return mask
-    return scan_block(block.data, ctype, predicate, nulls, limits=limits)
+            return mask, _handed(block, np.compress(mask, cached) if values else None)
+    scanned = scan_block(block.data, ctype, predicate, nulls, limits=limits, values=values)
+    if not values:
+        return scanned, None
+    return scanned[0], _handed(block, scanned[1])
+
+
+def _handed(block: CompressedBlock, hit_values):
+    """Count a block whose hit values go on to materialisation."""
+    if hit_values is not None and len(hit_values):
+        get_registry().incr_many(
+            [
+                ("query.cdomain.filtered.blocks", 1),
+                ("query.cdomain.filtered.rows_selected", len(hit_values)),
+                ("query.cdomain.filtered.rows_total", block.count),
+                ("query.cdomain.filtered.reused_blocks", 1),
+            ]
+        )
+    return hit_values
 
 
 def iter_matching_positions(
@@ -516,24 +602,57 @@ def iter_matching_positions(
     limits: "DecodeLimits | None" = None,
     cache=None,
     cache_key=None,
-) -> Iterator[tuple[CompressedBlock, int, np.ndarray]]:
-    """The shared scan driver: yield ``(block, offset, hit rows)`` per block.
+    values: bool = False,
+) -> Iterator[tuple[CompressedBlock, int, np.ndarray, object]]:
+    """The shared scan driver: yield ``(block, offset, hit rows, hit values)``
+    per block.
 
     ``block_iter`` yields ``(block index, block, column-row offset)`` —
     callers control which blocks are seen (zone-map pruning on the remote
     path skips some) and what offsets they sit at. Each block's mask comes
     from :func:`block_mask`, which reads ``cache`` under ``cache_key`` (the
-    key :func:`~repro.core.decompressor.decompress_column` filled it under).
-    Blocks with no hits are consumed silently; hit rows are block-local,
-    sorted and unique, ready for
+    key :func:`~repro.core.decompressor.decompress_column` filled it under)
+    and, with ``values``, hands over the values at the hit rows (else
+    ``None``). Blocks with no hits are consumed silently; hit rows are
+    block-local, sorted and unique, ready for
     :func:`~repro.core.decompressor.decode_block_filtered`; ``limits`` bind each.
     """
     for index, block, offset in block_iter:
-        hits = np.flatnonzero(
-            block_mask(index, block, ctype, predicate, limits, cache, cache_key)
+        mask, hit_values = block_mask(
+            index, block, ctype, predicate, limits, cache, cache_key, values
         )
+        hits = np.flatnonzero(mask)
         if hits.size:
-            yield block, offset, hits
+            yield block, offset, hits, hit_values
+
+
+def collect_matches(
+    block_iter: Iterable[tuple[int, CompressedBlock, int]],
+    ctype: ColumnType,
+    predicate: Predicate,
+    limits: "DecodeLimits | None" = None,
+    cache=None,
+    cache_key=None,
+    values: bool = False,
+) -> "tuple[RoaringBitmap, tuple | None]":
+    """:func:`iter_matching_positions` (same arguments) collected into
+    ``(matching rows, handover)``. The handover is ``(column rows, their
+    values)`` over every block that handed its hit values on — sorted rows,
+    values in the same order — or ``None`` when no block did."""
+    positions, covered, parts = [], [], []
+    for _block, offset, hits, hit_values in iter_matching_positions(
+        block_iter, ctype, predicate, limits, cache, cache_key, values
+    ):
+        positions.append(hits + offset)
+        if hit_values is not None:
+            covered.append(positions[-1])
+            parts.append(hit_values)
+    if not positions:
+        return RoaringBitmap(), None
+    rows = RoaringBitmap.from_positions(np.concatenate(positions))
+    if not parts:
+        return rows, None
+    return rows, (np.concatenate(covered), concat_values(parts, ctype))
 
 
 def scan_column(
@@ -550,15 +669,9 @@ def scan_column(
     block): a column read from untrusted bytes goes through
     :func:`~repro.core.file_format.verify_column` first.
     """
-    positions = [
-        hits + offset
-        for _block, offset, hits in iter_matching_positions(
-            enumerate_blocks(compressed), compressed.ctype, predicate, limits, cache, cache_key
-        )
-    ]
-    if not positions:
-        return RoaringBitmap()
-    return RoaringBitmap.from_positions(np.concatenate(positions))
+    return collect_matches(
+        enumerate_blocks(compressed), compressed.ctype, predicate, limits, cache, cache_key
+    )[0]
 
 
 def filter_column(
@@ -568,12 +681,14 @@ def filter_column(
 ) -> Column:
     """Materialise only the rows matching the predicate.
 
-    The compressed-domain scan picks the matching rows per block; blocks
-    with no hits are skipped entirely, and surviving blocks materialise
-    *only* their hit rows through the selection-vector decode — dictionaries
-    gather only matching codes, bit-packed pages unpack only where hits
-    live. Decode work scales with selectivity, up to the dispatcher's
-    crossover to a plain decode + take.
+    The compressed-domain scan picks the matching rows per block and hands
+    over the values it decoded at them (:func:`block_mask`); blocks with no
+    hits are skipped entirely. A block whose route decoded none of its hits
+    (:class:`~repro.query.predicates.IsNull`, an all-matching code-space
+    compile) materialises *only* them through the selection-vector decode —
+    dictionaries gather only matching codes, bit-packed pages unpack only
+    where hits live — up to the dispatcher's crossover to a plain decode +
+    take. No block decodes twice.
 
     Checksums are verified *before* the compressed-domain scan evaluates a
     block (damaged bytes must not be parsed at all): a CRC mismatch raises
@@ -586,7 +701,6 @@ def filter_column(
     """
     from repro.core.decompressor import CorruptBlockResult
     from repro.core.file_format import verify_block
-    from repro.encodings import strutil
     from repro.exceptions import IntegrityError
 
     ctx = make_context()
@@ -601,22 +715,19 @@ def filter_column(
             continue
         _hold_to_row_limit(block, ctx.limits)
         try:
-            hits = np.flatnonzero(block_mask(index, block, compressed.ctype, predicate))
+            mask, values = block_mask(index, block, compressed.ctype, predicate, values=True)
         except BtrBlocksError:
             if on_corrupt == "raise":
                 raise
             continue  # degrade policies drop the block's matches
-        if not hits.size:
-            continue
-        values = decode_block_filtered(
-            block, compressed.ctype, ctx, hits, on_corrupt=on_corrupt
-        )
-        if isinstance(values, CorruptBlockResult):
-            continue
+        if values is None:  # the route decoded none of its hits
+            hits = np.flatnonzero(mask)
+            if not hits.size:
+                continue
+            values = decode_block_filtered(
+                block, compressed.ctype, ctx, hits, on_corrupt=on_corrupt
+            )
+            if isinstance(values, CorruptBlockResult):
+                continue
         parts.append(values)
-    if compressed.ctype is ColumnType.STRING:
-        data = strutil.concat(parts)
-    else:
-        dtype = np.int32 if compressed.ctype is ColumnType.INTEGER else np.float64
-        data = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-    return Column(compressed.name, compressed.ctype, data)
+    return Column(compressed.name, compressed.ctype, concat_values(parts, compressed.ctype))

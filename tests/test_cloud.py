@@ -72,7 +72,8 @@ class TestObjectStore:
 
     def test_keys_prefix(self):
         store = SimulatedObjectStore()
-        store.put_many({"a/1": b"", "a/2": b"", "b/1": b""})
+        for key in ("a/1", "a/2", "b/1"):
+            store.put(key, b"")
         assert store.keys("a/") == ["a/1", "a/2"]
 
     def test_transfer_seconds_positive(self):

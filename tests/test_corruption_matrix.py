@@ -949,7 +949,8 @@ def test_clean_predicate_scan_pays_no_extra_crc(monkeypatch):
     """The fix sits on the unverified fallback only: on a clean table a
     fresh-handle ``scan(where=)`` checksums each ranged-GET block once, a
     repeat none, and one over a warm decode cache only its cache hits --
-    the filter's and the projection's."""
+    the filter's and the projection's. A projected filter column takes the
+    values its filter's hits handed over: no second look-up, no CRC."""
     from repro.cloud.remote_table import RemoteTable
     from repro.core import file_format
     from repro.query.predicates import Between
@@ -974,3 +975,4 @@ def test_clean_predicate_scan_pays_no_extra_crc(monkeypatch):
     assert checksums(lambda: table.scan(["v"], where=where)) == 0  # blocks held verified
     table.scan()
     assert checksums(lambda: table.scan(["v"], where=where)) == 4 + 4  # hit-side CRC, both halves
+    assert checksums(lambda: table.scan(["k", "v"], where=where)) == 4 + 4  # k handed over

@@ -162,8 +162,9 @@ SURVIVORS = 3
 def test_selective_scan_reads_a_warm_cache_and_never_fills_a_cold_one(store):
     """Both halves of ``scan(where=)`` read the cache: the filter looks up
     the key column's three surviving blocks and answers them over their
-    cached values (no ``scan_block``), the materialising read looks up the
-    three touched blocks of each of the four columns."""
+    cached values (no ``scan_block``), handing those values on to the
+    projected key column; the materialising read looks up the three touched
+    blocks of each of the other three columns."""
     warm = RemoteTable.open(store, "orders")
     for _ in range(3):
         warm.scan()
@@ -175,9 +176,10 @@ def test_selective_scan_reads_a_warm_cache_and_never_fills_a_cold_one(store):
         served = warm.scan(columns=list(NUMBERS + STRINGS), where=WHERE)
     assert decodes.call_count == 0  # every touched block of every column came from the cache
     assert scans.call_count == 0  # and so did every filter block
-    looked_up = SURVIVORS + 4 * 3
+    looked_up = SURVIVORS + 3 * 3
     assert registry.get("decode.cache.hit") == looked_up and registry.get("decode.cache.miss") == 0
     assert registry.get("query.cdomain.filtered.rows_total") == 4 * 3 * 1024
+    assert registry.get("query.cdomain.filtered.reused_blocks") == SURVIVORS
     assert registry.get("query.cdomain.blocks") == 0
     assert len(warm.decode_cache) == entries
 

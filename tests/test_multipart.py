@@ -2,8 +2,7 @@
 
 Covers the S3-shaped invariants the transactional write path leans on:
 parts are invisible until complete, completes are atomic and idempotent,
-torn parts can never complete, aborts are free and reclaim staged bytes —
-plus the regression test for ``put_many``'s old partial-failure bug.
+torn parts can never complete, aborts are free and reclaim staged bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.cloud import FaultProfile, SimulatedObjectStore
 from repro.exceptions import (
     MultipartUploadError,
     NoSuchUploadError,
-    ObjectStoreError,
     RetryExhaustedError,
     TornWriteError,
     WriterCrashError,
@@ -215,54 +213,6 @@ class TestFaultyPuts:
             store.initiate_multipart("t/other")
 
 
-class TestPutMany:
-    def test_batch_commits_all(self):
-        store = make_store()
-        store.put_many({"t/a": b"1", "t/b": b"22", "t/c": b"333"})
-        assert store.keys() == ["t/a", "t/b", "t/c"]
-        assert store.get("t/c") == b"333"
-
-    def test_mid_batch_failure_leaves_nothing_visible(self):
-        # Regression: put_many used to be a naive loop, so a failure on the
-        # Nth object left objects 1..N-1 committed. A 90% per-attempt fault
-        # rate makes retry exhaustion a statistical certainty across 36
-        # PUT-class requests, for any seed.
-        store = make_store(FaultProfile(seed=SEED, put_transient_error_rate=0.9))
-        files = {f"t/obj{i:02d}": bytes([i]) * 64 for i in range(12)}
-        with pytest.raises(ObjectStoreError):
-            store.put_many(files)
-        assert store.keys("t/") == []
-        assert store.staged_bytes("t/") == 0
-
-    def test_failed_overwrite_batch_restores_previous_values(self):
-        store = make_store()
-        store.put_many({"t/a": b"old-a", "t/b": b"old-b"})
-        store.set_faults(FaultProfile(seed=SEED, put_transient_error_rate=0.9))
-        with pytest.raises(ObjectStoreError):
-            store.put_many({"t/a": b"new-a", "t/b": b"new-b", "t/c": b"new-c"})
-        store.set_faults(None)
-        assert store.get("t/a") == b"old-a"
-        assert store.get("t/b") == b"old-b"
-        assert store.keys("t/") == ["t/a", "t/b"]
-
-    def test_batch_is_all_or_nothing_under_faults(self):
-        # At a moderate fault rate the batch usually commits through
-        # retries; rarely (seed-dependent) retries exhaust. Both are legal —
-        # what is never legal is a partially visible batch.
-        store = make_store(
-            FaultProfile(seed=SEED, put_transient_error_rate=0.1, torn_write_rate=0.1)
-        )
-        files = {f"t/obj{i:02d}": bytes([65 + i]) * 128 for i in range(8)}
-        try:
-            store.put_many(files)
-        except ObjectStoreError:
-            assert store.keys("t/") == []
-            assert store.staged_bytes("t/") == 0
-            return
-        for key, data in files.items():
-            assert store.get(key) == data
-
-
 class TestBilling:
     def test_clean_put_bills_request_and_bytes(self):
         store = make_store()
@@ -284,7 +234,7 @@ class TestBilling:
         from repro.cloud import WriteCostModel
 
         store = make_store()
-        store.put_many({"t/a": b"L" * 10_000})
+        store.put("t/a", b"L" * 10_000)
         model = WriteCostModel(store.pricing)
         metrics = model.from_stats("t", store.stats)
         cost = model.cost_usd(metrics)
