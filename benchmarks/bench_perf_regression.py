@@ -303,14 +303,16 @@ KNOWN_SLOW_CELLS = {
     **{f"workloads/{name}/scattered/{label}": 0.45
        for name in ("bitpack", "rle") for label, _ in SWEEP_FRACTIONS},
     **{f"workloads/bitpack/clustered/{label}": 0.6 for label in ("90%", "100%")},
-    # A scattered selection touches every page and run, so the dispatcher
-    # answers it with full decode + take per block; read_rows then pays
-    # ~1 ns/row to validate, rebase and concatenate the int64 selection that
-    # one whole-column take avoids -- 5-15% of a 3-18 ns/row numeric decode.
+    # Past 1/8 of a block's rows a scattered selection is answered with full
+    # decode + take per block; read_rows then pays ~1 ns/row to validate,
+    # rebase and concatenate the int64 selection that one whole-column take
+    # avoids -- 5-15% of a 3-18 ns/row numeric decode. (The bit-packed
+    # families' 1% cells gather their rows by bit address and read 1.2-1.9.)
     **{f"materialise/{name}/scattered/{label}": 0.8
        for name in ("rle", "frequency", "bitpack", "bitpack_nulls", "fastpfor",
                     "pseudodecimal")
-       for label in ("1%", "10%", "50%", "90%")},
+       for label in ("1%", "10%", "50%", "90%")
+       if label != "1%" or name in ("rle", "frequency")},
 }
 
 

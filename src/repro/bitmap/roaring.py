@@ -13,7 +13,7 @@ of three container kinds, chosen by local density:
   entirely NULL or entirely non-NULL).
 
 The public surface mirrors what BtrBlocks needs from CRoaring: bulk
-construction from positions, membership tests, iteration, cardinality,
+construction from positions, rank and membership, iteration, cardinality,
 set algebra, and a compact serialization that rides inside compressed blocks.
 """
 
@@ -120,31 +120,27 @@ class _Container:
             return _bitmap_to_values(self.payload)
         return _runs_to_values(self.payload)
 
-    def contains(self, low: int) -> bool:
+    def rank(self, low: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """``(values below each, is it present?)`` for sorted int64 ``low``,
+        counted in place: a binary search of the array or the run starts, or
+        the bitmap's per-word popcounts."""
         if self.kind == _KIND_ARRAY:
-            i = int(np.searchsorted(self.payload, low))
-            return i < self.payload.size and int(self.payload[i]) == low
+            below = np.searchsorted(self.payload, low)
+            return below, self.payload[np.minimum(below, self.payload.size - 1)] == low
         if self.kind == _KIND_BITMAP:
-            word = int(self.payload[low >> 6])
-            return bool((word >> (low & 63)) & 1)
-        starts = self.payload[:, 0]
-        i = int(np.searchsorted(starts, low, side="right")) - 1
-        if i < 0:
-            return False
-        start = int(starts[i])
-        return start <= low <= start + int(self.payload[i, 1])
-
-    def contains_many(self, low: np.ndarray) -> np.ndarray:
-        """Vectorised membership test for an array of uint16 values."""
-        if self.kind == _KIND_BITMAP:
-            words = self.payload[low >> 6]
-            return ((words >> (low.astype(np.uint64) & np.uint64(63))) & np.uint64(1)).astype(bool)
-        vals = self.values()
-        idx = np.searchsorted(vals, low)
-        idx = np.minimum(idx, vals.size - 1) if vals.size else idx
-        if vals.size == 0:
-            return np.zeros(low.size, dtype=bool)
-        return vals[idx] == low
+            word = low >> 6
+            shift = (low & 63).astype(np.uint64)
+            words = self.payload[word]
+            counts = np.bitwise_count(self.payload)
+            below = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))[word]
+            below += np.bitwise_count(words & ((np.uint64(1) << shift) - np.uint64(1)))
+            return below, ((words >> shift) & np.uint64(1)).astype(bool)
+        starts = self.payload[:, 0].astype(np.int64)
+        lengths = self.payload[:, 1].astype(np.int64) + 1
+        run = np.maximum(np.searchsorted(starts, low, side="right") - 1, 0)
+        offset = low - starts[run]
+        before = np.concatenate(([0], np.cumsum(lengths)))[run] + np.clip(offset, 0, lengths[run])
+        return before, (offset >= 0) & (offset < lengths[run])
 
     def nbytes(self) -> int:
         return int(self.payload.nbytes)
@@ -203,14 +199,7 @@ class RoaringBitmap:
         return bool(self._containers)
 
     def __contains__(self, value: int) -> bool:
-        if value < 0 or value > 0xFFFFFFFF:
-            return False
-        key = value >> 16
-        try:
-            i = self._keys.index(key)
-        except ValueError:
-            return False
-        return self._containers[i].contains(value & 0xFFFF)
+        return 0 <= value <= 0xFFFFFFFF and bool(self.rank(np.array([value]))[1][0])
 
     def __iter__(self) -> Iterator[int]:
         for key, container in zip(self._keys, self._containers):
@@ -235,25 +224,25 @@ class RoaringBitmap:
         mask[positions] = True
         return mask
 
-    def contains_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised membership test over an int array."""
-        values = np.asarray(values, dtype=np.int64)
-        out = np.zeros(values.size, dtype=bool)
-        if not self._containers:
-            return out
-        highs = values >> 16
-        lows = (values & 0xFFFF).astype(np.uint16)
-        for key, container in zip(self._keys, self._containers):
-            sel = highs == key
-            if np.any(sel):
-                out[sel] = container.contains_many(lows[sel])
-        return out
+    def rank(self, positions: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """``(set positions before each, is it set?)`` for sorted ``positions``.
 
-    def intersects_range(self, start: int, stop: int) -> bool:
-        """True if any set position falls in [start, stop)."""
-        positions = self.to_array()
-        i = int(np.searchsorted(positions, start))
-        return i < positions.size and int(positions[i]) < stop
+        What ``locate_sorted(self.to_array(), positions)`` returns, counted
+        per container without expanding one: the containers wholly below a
+        position count their cardinality, the one holding it ranks in place.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        keys = np.asarray(self._keys, dtype=np.int64)
+        cards = np.cumsum([c.cardinality for c in self._containers], dtype=np.int64)
+        highs = positions >> 16
+        before = np.concatenate(([0], cards))[np.searchsorted(keys, highs)]
+        present = np.zeros(positions.size, dtype=bool)
+        first, stop = np.searchsorted(highs, keys), np.searchsorted(highs, keys, side="right")
+        for i in np.flatnonzero(stop > first):
+            part = slice(first[i], stop[i])
+            below, present[part] = self._containers[i].rank(positions[part] & 0xFFFF)
+            before[part] += below
+        return before, present
 
     def container_kinds(self) -> list[str]:
         """Container kind names in key order (useful for tests/introspection)."""
@@ -330,24 +319,36 @@ class RoaringBitmap:
             offset += int(size)
             if kind in _WORD_BYTES and size % _WORD_BYTES[kind]:
                 raise CorruptBlockError("roaring container payload is not whole words")
+            if bm._keys and int(key) <= bm._keys[-1]:
+                raise CorruptBlockError("roaring container keys are not strictly increasing")
             if kind == _KIND_ARRAY:
                 payload = np.frombuffer(raw, dtype=np.uint16)
+                if not strictly_increasing(payload):
+                    raise CorruptBlockError("array container values are not strictly increasing")
+                held = payload.size
             elif kind == _KIND_BITMAP:
+                if size != 8 * BITMAP_WORDS:
+                    raise CorruptBlockError(f"bitmap container of {size} bytes, not {8 * BITMAP_WORDS}")
                 payload = np.frombuffer(raw, dtype=np.uint64)
+                held = int(np.bitwise_count(payload).sum())
             elif kind == _KIND_RUN:
                 if size % 4:
                     raise CorruptBlockError("run container payload not (start, length) pairs")
                 payload = np.frombuffer(raw, dtype=np.uint16).reshape(-1, 2)
-                # 16 payload bytes can declare up to 64K positions per pair;
-                # bound the expansion so corrupt run lengths cannot blow an
-                # allocation past a container's 2^16 value space.
-                extent = int((payload[:, 1].astype(np.int64) + 1).sum()) if len(payload) else 0
-                if extent > 65536:
-                    raise CorruptBlockError(
-                        f"run container declares {extent} positions, max is 65536"
-                    )
+                # Runs must be sorted, disjoint and end inside the container's
+                # 2^16 values: an overflowing one would wrap on expansion, and
+                # ranks search the starts.
+                starts = payload[:, 0].astype(np.int64)
+                ends = starts + payload[:, 1]
+                if ends.size and (ends[-1] > 0xFFFF or (starts[1:] <= ends[:-1]).any()):
+                    raise CorruptBlockError("run container runs overflow or overlap")
+                held = int((ends - starts).sum()) + ends.size
             else:
                 raise CorruptBlockError(f"unknown container kind {kind}")
+            if held != int(card) or not held:
+                raise CorruptBlockError(
+                    f"roaring container declares {int(card)} positions, holds {held}"
+                )
             bm._keys.append(int(key))
             bm._containers.append(_Container(int(kind), payload, int(card)))
         return bm

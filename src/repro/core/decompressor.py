@@ -134,18 +134,14 @@ def _decompress_node_into(
 def _selects_sparsely(scheme, count: int, positions: np.ndarray) -> bool:
     """The filtered-vs-full crossover, from the selection alone.
 
-    The selection is costed in the scheme's own unit (a row, a 128-value
-    page): it can touch at most one unit per selected row and no more than
-    its row span covers — an O(1) upper bound. Once that reaches
+    Every scheme's filtered form costs the rows it selects. Once they reach
     :func:`~repro.encodings.base.prefers_full_decode`'s share of the node,
     one full decode plus a take is cheaper, unless the scheme's filtered
     form wins even then.
     """
     if scheme.filtered_wins_dense or positions.size == 0:
         return True
-    unit = scheme.selection_unit
-    touched = min(positions.size, (int(positions[-1]) - int(positions[0])) // unit + 1)
-    return not prefers_full_decode(touched * unit, count)
+    return not prefers_full_decode(positions.size, count)
 
 
 def _decompress_node_filtered(
@@ -203,7 +199,6 @@ def make_context(
     def build(**extra) -> DecompressionContext:
         return DecompressionContext(
             _decompress_node,
-            _decompress_node_into,
             _decompress_node_filtered,
             vectorized=vectorized,
             **extra,

@@ -89,7 +89,6 @@ class DecompressionContext:
     def __init__(
         self,
         decompress_fn: Callable[[bytes, ColumnType, "DecompressionContext"], Values],
-        decompress_into_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], None]",
         decompress_filtered_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], Values]",
         vectorized: bool = True,
         limits: "DecodeLimits | None" = None,
@@ -97,17 +96,12 @@ class DecompressionContext:
         from repro.core.config import DEFAULT_DECODE_LIMITS
 
         self._decompress_fn = decompress_fn
-        self._decompress_into_fn = decompress_into_fn
         self._decompress_filtered_fn = decompress_filtered_fn
         self.vectorized = vectorized
         self.limits = limits if limits is not None else DEFAULT_DECODE_LIMITS
 
     def decompress_child(self, blob: bytes, ctype: ColumnType) -> Values:
         return self._decompress_fn(blob, ctype, self)
-
-    def decompress_child_into(self, blob: bytes, ctype: ColumnType, out: np.ndarray) -> None:
-        """Decode a child sequence directly into the ``out`` view."""
-        self._decompress_into_fn(blob, ctype, self, out)
 
     def decompress_child_filtered(
         self, blob: bytes, ctype: ColumnType, positions: np.ndarray
@@ -138,11 +132,6 @@ class Scheme(ABC):
     #: row is selected, so the dispatcher's crossover never reroutes it
     #: (string dictionaries: the filtered form gathers from the cached pool).
     filtered_wins_dense: bool = False
-    #: Rows in the smallest piece ``decompress_filtered`` can skip (a row; a
-    #: 128-value page for the bit-packed schemes). A selection costs the
-    #: kernel every unit it touches, not every row it picks, and the
-    #: dispatcher's crossover counts in these units.
-    selection_unit: int = 1
 
     def is_viable(self, stats: "Stats", config: "BtrBlocksConfig") -> bool:
         """Cheap statistics-based filter (paper step 2). Default: viable."""
@@ -260,20 +249,6 @@ FULL_DECODE_DIVISOR = 8
 def prefers_full_decode(touched: int, present: int) -> bool:
     """The one crossover rule: ``touched`` of ``present`` rows' worth of work."""
     return touched * FULL_DECODE_DIVISOR >= present
-
-
-def sorted_unique_rank(ids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """``(unique ids, rank of each id among them)`` for non-decreasing ``ids``.
-
-    What ``np.unique`` + ``searchsorted`` compute, without sorting: sorted
-    selections map to non-decreasing page / run ids by construction.
-    """
-    if ids.size == 0:
-        return ids, ids
-    # Run starts -> np.repeat: 3x cheaper than a cumsum over the bool mask.
-    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
-    counts = np.diff(starts, append=ids.size)
-    return ids[starts], np.repeat(np.arange(starts.size), counts)
 
 
 def locate_sorted(haystack: np.ndarray, needles: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":

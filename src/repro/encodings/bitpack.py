@@ -22,6 +22,12 @@ Mixed-width pages decode one width at a time, each width's pages copied out
 of the payload as whole rows. Pages hold int32 deltas, so a declared width
 above 32 is corrupt and both schemes reject it before unpacking.
 
+A selection decodes through the *row* kernel (:func:`gather_rows`): each
+selected value is read at its bit address — one unaligned ``uint64`` word,
+a shift and a mask per row — so a selection costs the rows it returns, and
+the dispatcher's crossover counts rows for these schemes as for any other.
+Past that crossover the full decode runs.
+
 The width-grouped packing helpers are shared with FastPFOR.
 """
 
@@ -36,8 +42,8 @@ from repro.encodings.base import (
     DecompressionContext,
     Scheme,
     SchemeId,
+    locate_sorted,
     register_scheme,
-    sorted_unique_rank,
 )
 from repro.encodings.wire import Reader, Writer
 from repro.exceptions import CorruptBlockError
@@ -252,8 +258,10 @@ def unpack_pages_subset(payload: bytes, widths: np.ndarray, page_ids: np.ndarray
     """Unpack only the pages in ``page_ids`` (sorted unique) from
     :func:`pack_pages` output; returns ``(len(page_ids), 128)`` uint64 deltas.
 
-    Decode cost scales with the number of *selected* pages, not the block's
-    page count — the selection-vector analog of the full unpack.
+    Cost scales with the number of selected pages, not the block's page
+    count. No decode route calls it (a selection gathers rows,
+    :func:`gather_rows`); ``benchmarks/bench_perf_regression.py`` holds it
+    to the reference kernel.
     """
     widths = widths.astype(np.int64, copy=False)
     if page_ids.size == 0:
@@ -272,6 +280,51 @@ def unpack_pages_subset(payload: bytes, widths: np.ndarray, page_ids: np.ndarray
     return _unpack_rows(raw, offsets[page_ids], widths[page_ids])
 
 
+#: Mask of a width-``w`` field, by width (the row kernel's mixed-width case).
+_FIELD_MASKS = (np.uint64(1) << np.arange(MAX_WIDTH + 1, dtype=np.uint64)) - np.uint64(1)
+
+
+def gather_rows(payload: bytes, widths: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The uint64 deltas at sorted ``rows`` of :func:`pack_pages` output,
+    each read at its bit address.
+
+    Value ``j`` of page ``p`` is the ``widths[p]``-bit field at bit
+    ``8 * offset[p] + j * widths[p]`` (``row * w`` when every page shares
+    width ``w``; a byte-aligned shared width is a plain integer array). A
+    width is at most 32 and a field starts at most 7 bits into its byte, so
+    one unaligned ``uint64`` read, a shift and a mask recover it; a field in
+    the payload's last 7 bytes reads the word that ends at the final byte
+    instead, its shift grown to match.
+    """
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    if _uniform(widths):
+        w = int(widths[0])
+        end = widths.size * 16 * w
+        dtype = _ALIGNED_DTYPES.get(w)
+        if dtype is not None and end <= raw.size:
+            return raw[:end].view(dtype)[rows].astype(np.uint64)
+        bits, mask = rows * w, _FIELD_MASKS[w]
+    else:
+        offsets = _page_offsets(widths.astype(np.int64))
+        end = int(offsets[-1])
+        pages = rows >> 7
+        page_widths = widths[pages]
+        bits = (offsets[pages] << 3) + (rows & (PAGE - 1)) * page_widths
+        mask = _FIELD_MASKS[page_widths]
+    if end > raw.size:
+        raise CorruptBlockError(f"bit-packed payload holds {raw.size} bytes, pages declare {end}")
+    if raw.size < 8:  # every width is 0: no field has a bit
+        return np.zeros(rows.size, dtype=np.uint64)
+    words = np.ndarray((raw.size - 7,), np.uint64, buffer=raw, strides=(1,))
+    at = bits >> 3
+    if int(at[-1]) <= raw.size - 8:
+        shifts = (bits & 7).view(np.uint64)
+    else:
+        at = np.minimum(at, raw.size - 8)
+        shifts = (bits - (at << 3)).view(np.uint64)
+    return (words[at] >> shifts) & mask
+
+
 def check_widths(widths: np.ndarray) -> None:
     """Hold declared page widths to the format before anything unpacks.
 
@@ -288,17 +341,17 @@ def check_widths(widths: np.ndarray) -> None:
         )
 
 
-def check_selected_pages(page_ids: np.ndarray, widths: np.ndarray, *per_page: np.ndarray) -> None:
-    """Hold a page selection (sorted, non-empty) to the page headers.
+def check_selected_pages(last_page: int, widths: np.ndarray, refs: np.ndarray) -> None:
+    """Hold a selection (sorted, non-empty) to the page headers.
 
-    Every per-page header array must describe the same pages, and the last
+    The page refs must describe the same pages as the widths, and the last
     selected page must exist: corrupt geometry is a typed error here, never
     an out-of-bounds gather.
     """
-    if any(a.size != widths.size for a in per_page) or widths.size <= int(page_ids[-1]):
+    if refs.size != widths.size or widths.size <= last_page:
         raise CorruptBlockError(
-            f"page headers describe {[a.size for a in per_page]} entries for "
-            f"{widths.size} pages, page {int(page_ids[-1])} selected"
+            f"page headers describe {refs.size} refs for {widths.size} pages, "
+            f"page {last_page} selected"
         )
 
 
@@ -333,13 +386,15 @@ def unpack_pages_scalar(payload: bytes, widths: np.ndarray) -> np.ndarray:
     return out
 
 
+_NO_EXCEPTIONS = np.empty(0, dtype=np.int64)
+
+
 class FastBP128(Scheme):
     """Per-page frame-of-reference + bit-packing for int32 data."""
 
     scheme_id = SchemeId.FAST_BP128
     name = "fastbp128"
     ctype = ColumnType.INTEGER
-    selection_unit = PAGE
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0
@@ -353,29 +408,47 @@ class FastBP128(Scheme):
         writer.blob(pack_pages(deltas, widths))
         return writer.getvalue()
 
-    def _decode_pages(
-        self, payload: bytes, ctx: DecompressionContext, page_ids: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        """Decoded (P, 128) pages: all of them, or only ``page_ids`` (sorted)."""
+    def _parse(self, payload: bytes):
+        """``(refs, widths, packed, exception keys, exception values)``, the
+        widths checked; FastBP128 pages have no exceptions."""
         reader = Reader(payload)
         refs = reader.array()
         widths = reader.array()
         packed = reader.blob()
         check_widths(widths)
-        if page_ids is not None:
-            check_selected_pages(page_ids, widths, refs)
-            deltas = unpack_pages_subset(packed, widths, page_ids)
-            refs = refs[page_ids]
-        elif ctx.vectorized:
+        return refs, widths, packed, _NO_EXCEPTIONS, _NO_EXCEPTIONS
+
+    def _decode_pages(self, payload: bytes, ctx: DecompressionContext) -> np.ndarray:
+        """All pages decoded, as a (P, 128) uint64 array."""
+        refs, widths, packed, keys, exc_values = self._parse(payload)
+        if ctx.vectorized:
             deltas = unpack_pages(packed, widths)
+            if keys.size:
+                deltas.reshape(-1)[keys] = exc_values
         else:
             deltas = unpack_pages_scalar(packed, widths)
+            for key, value in zip(keys.tolist(), exc_values.tolist()):
+                deltas[key // PAGE, key % PAGE] = value
         # uint64 addition wraps mod 2^64 and the final int32 cast is modular
         # too, so adding the (two's-complement) refs in place is bit-identical
         # to widening every delta to int64 first — without the extra pass.
         # The refs are cast up front, one entry per page: a cast inside the
         # broadcast add is buffered and costs ~5x the add itself.
         np.add(deltas, refs.astype(np.uint64)[:, None], out=deltas)
+        return deltas
+
+    def _decode_rows(self, payload: bytes, rows: np.ndarray) -> np.ndarray:
+        """The uint64 values at sorted ``rows``, each gathered at its bit
+        address (:func:`gather_rows`) and patched by key; the same modular
+        add as :meth:`_decode_pages`, so bit-identical."""
+        refs, widths, packed, keys, exc_values = self._parse(payload)
+        check_selected_pages(int(rows[-1]) // PAGE, widths, refs)
+        deltas = gather_rows(packed, widths, rows)
+        if keys.size:
+            at, patched = locate_sorted(keys, rows)
+            deltas[patched] = exc_values[at[patched]]
+        # (refs cast before the gather: the wire array may sit unaligned.)
+        deltas += refs.astype(np.uint64)[rows >> 7]
         return deltas
 
     def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
@@ -411,11 +484,7 @@ class FastBP128(Scheme):
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
             return np.empty(0, dtype=np.int32)
-        # Only the pages holding selected rows decode — through the same
-        # modular add + int32 cast as the full decode, so bit-identical.
-        uniq_pages, rows = sorted_unique_rank(positions // PAGE)
-        deltas = self._decode_pages(payload, ctx, uniq_pages)
-        return deltas[rows, positions % PAGE].astype(np.int32)
+        return self._decode_rows(payload, positions).astype(np.int32)
 
 
 FASTBP128_SCHEME = register_scheme(FastBP128())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bitmap import strictly_increasing
 from repro.encodings.base import (
     CompressionContext,
     DecompressionContext,
@@ -27,16 +28,13 @@ from repro.encodings.bitpack import (
     PAGE,
     FastBP128,
     bit_lengths,
-    check_selected_pages,
     check_widths,
     pack_pages,
     page_header_bounds,
     paginate,
-    unpack_pages,
-    unpack_pages_scalar,
-    unpack_pages_subset,
 )
 from repro.encodings.wire import Reader, Writer
+from repro.exceptions import CorruptBlockError
 
 _EXCEPTION_COST_BITS = 8 + 64
 
@@ -68,11 +66,45 @@ def choose_widths(deltas: np.ndarray, lens: "np.ndarray | None" = None) -> np.nd
     return np.argmin(costs, axis=1).astype(np.int64)
 
 
+def exception_keys(
+    page_count: int, exc_per_page: np.ndarray, exc_slots: np.ndarray, exc_values: np.ndarray
+) -> np.ndarray:
+    """Row key ``page * 128 + slot`` of every exception, in stored order.
+
+    The one geometry check every decode route shares: counts and slots are
+    the writer's u8 (so never negative), the per-page counts cover every
+    page and add up to the stored exceptions, every slot lies inside its
+    page and the keys strictly increase. The full decode's scatter and the
+    row route's key search then find the same exceptions — or both raise
+    the same error.
+    """
+    if exc_per_page.dtype != np.uint8 or exc_slots.dtype != np.uint8:
+        raise CorruptBlockError(
+            f"FastPFOR exception counts / slots are {exc_per_page.dtype} / "
+            f"{exc_slots.dtype}, not uint8"
+        )
+    if (
+        exc_per_page.size != page_count
+        or int(exc_per_page.sum()) != exc_values.size
+        or exc_slots.size != exc_values.size
+    ):
+        raise CorruptBlockError(
+            f"FastPFOR declares {int(exc_per_page.sum())} exceptions over "
+            f"{exc_per_page.size} of {page_count} pages, stores "
+            f"{exc_slots.size} slots and {exc_values.size} values"
+        )
+    keys = np.repeat(np.arange(page_count, dtype=np.int64) * PAGE, exc_per_page) + exc_slots
+    if keys.size and (int(exc_slots.max()) >= PAGE or not strictly_increasing(keys)):
+        raise CorruptBlockError("FastPFOR exception slots leave their page or are out of order")
+    return keys
+
+
 class FastPFOR(FastBP128):
     """Patched per-page bit-packing for int32 data.
 
     Shares FastBP128's page geometry — and therefore its decode entry
-    points and selection-vector kernel; only the page codec differs.
+    points and its row kernel; only the payload differs, adding exceptions
+    that every route finds by row key.
     """
 
     scheme_id = SchemeId.FAST_PFOR
@@ -100,9 +132,7 @@ class FastPFOR(FastBP128):
         writer.blob(pack_pages(packed_deltas, widths))
         return writer.getvalue()
 
-    def _decode_pages(
-        self, payload: bytes, ctx: DecompressionContext, page_ids: "np.ndarray | None" = None
-    ) -> np.ndarray:
+    def _parse(self, payload: bytes):
         reader = Reader(payload)
         refs = reader.array()
         widths = reader.array()
@@ -111,35 +141,8 @@ class FastPFOR(FastBP128):
         exc_values = reader.array()
         packed = reader.blob()
         check_widths(widths)
-        if page_ids is not None:
-            check_selected_pages(page_ids, widths, refs, exc_per_page)
-            deltas = unpack_pages_subset(packed, widths, page_ids)
-            refs = refs[page_ids]
-            if exc_values.size:
-                # Row of each page in ``deltas`` (-1: not selected), so only
-                # the selected pages' exceptions are patched in.
-                page_rows = np.full(widths.size, -1, dtype=np.int64)
-                page_rows[page_ids] = np.arange(page_ids.size)
-                exc_rows = np.repeat(page_rows, exc_per_page)
-                sel = exc_rows >= 0
-                deltas[exc_rows[sel], exc_slots[sel]] = exc_values[sel]
-        elif ctx.vectorized:
-            deltas = unpack_pages(packed, widths)
-            if exc_values.size:
-                exc_pages = np.repeat(np.arange(widths.size), exc_per_page)
-                deltas[exc_pages, exc_slots] = exc_values
-        else:
-            deltas = unpack_pages_scalar(packed, widths)
-            exc_index = 0
-            for page, exc_count in enumerate(exc_per_page.tolist()):
-                for _ in range(exc_count):
-                    deltas[page, exc_slots[exc_index]] = exc_values[exc_index]
-                    exc_index += 1
-        # In-place modular add; bit-identical to widening to int64 first
-        # because the final int32 cast truncates mod 2^32 either way (refs
-        # are cast per page, not inside the buffered broadcast add).
-        np.add(deltas, refs.astype(np.uint64)[:, None], out=deltas)
-        return deltas
+        keys = exception_keys(widths.size, exc_per_page, exc_slots, exc_values)
+        return refs, widths, packed, keys, exc_values
 
     def header_bounds(
         self, payload: bytes, count: int, ctx: DecompressionContext

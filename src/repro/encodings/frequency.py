@@ -17,7 +17,6 @@ from repro.encodings.base import (
     DecompressionContext,
     Scheme,
     SchemeId,
-    locate_sorted,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
@@ -45,11 +44,12 @@ def _split_selection(top_rows: RoaringBitmap, positions: np.ndarray):
     """``(selected row holds the top value?, ranks of the selected exceptions)``.
 
     An exception's row in the cascaded exceptions child is its position
-    minus the top-value rows before it, so the selection costs a binary
-    search per selected row — never a pass over the whole block.
+    minus the top-value rows before it, which the bitmap ranks in place
+    (:meth:`RoaringBitmap.rank`): the selection costs a search per selected
+    row — never a pass over the whole block.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    before, is_top = locate_sorted(top_rows.to_array(), positions)
+    before, is_top = top_rows.rank(positions)
     return is_top, (positions - before)[~is_top]
 
 

@@ -22,7 +22,6 @@ from repro.encodings.base import (
     DecompressionContext,
     Scheme,
     SchemeId,
-    locate_sorted,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
@@ -145,19 +144,19 @@ class Pseudodecimal(Scheme):
         reader = Reader(payload)
         digits = ctx.decompress_child_filtered(reader.blob(), ColumnType.INTEGER, positions)
         exponents = ctx.decompress_child_filtered(reader.blob(), ColumnType.INTEGER, positions)
-        patch_rows = RoaringBitmap.deserialize(reader.blob()).to_array()
+        patch_rows = RoaringBitmap.deserialize(reader.blob())
         patches = reader.array()
         # The same elementwise multiply as the full decode, on the selected
         # rows only, so every double comes out bit-identical.
         out = np.asarray(digits).astype(np.float64) * FRAC10[np.minimum(exponents, MAX_EXPONENT)]
-        if patch_rows.size != patches.size:
+        if len(patch_rows) != patches.size:
             raise CorruptBlockError(
-                f"pseudodecimal marks {patch_rows.size} exceptions but stores {patches.size}"
+                f"pseudodecimal marks {len(patch_rows)} exceptions but stores {patches.size}"
             )
         # Patch only the exceptions whose rows are selected: a selected row is
-        # an exception iff it sits in the sorted exception list, at the index
-        # that is also its slot in ``patches``.
-        slots, is_patch = locate_sorted(patch_rows, np.asarray(positions, dtype=np.int64))
+        # an exception iff the bitmap holds it, and the exceptions before it
+        # are its slot in ``patches``.
+        slots, is_patch = patch_rows.rank(positions)
         out[is_patch] = patches[slots[is_patch]]
         return out
 

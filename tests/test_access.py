@@ -108,6 +108,7 @@ from repro.core.decompressor import (  # noqa: E402
 )
 from repro.datagen.scheme_workloads import SCHEME_WORKLOADS  # noqa: E402
 from repro.encodings.base import take_values  # noqa: E402
+from repro.encodings.bitpack import PAGE, FastBP128  # noqa: E402
 from repro.observe import MetricsRegistry, use_registry  # noqa: E402
 
 
@@ -216,24 +217,40 @@ def test_every_dispatcher_outcome_is_bit_identical(workload):
     assert "whole" in outcomes and len(outcomes) >= 2, outcomes
 
 
-def test_dispatcher_takes_all_three_paths_on_bitpacked_data():
-    """Pins the crossover's shape where it matters most: page-granular."""
+def test_dispatcher_takes_all_three_paths_on_bitpacked_data(monkeypatch):
+    """Pins the crossover's outcomes on bit-packed data, in exact counts: a
+    selection below 1/8 of the node gathers its rows by bit address, be it
+    page-sparse, clustered or whole pages; one past 1/8 decodes the node
+    whole."""
     column = SCHEME_WORKLOADS["bitpack"](SWEEP_BLOCK, np.random.default_rng(SEED))
     compressed = compress_column(column, BtrBlocksConfig(block_size=SWEEP_BLOCK))
     ctx = make_context()
     block = compressed.blocks[0]
     rng = np.random.default_rng(SEED + 14)
+    routes = []
+    decode_rows, decode_pages = FastBP128._decode_rows, FastBP128._decode_pages
+    monkeypatch.setattr(
+        FastBP128, "_decode_rows", lambda self, *a: routes.append("rows") or decode_rows(self, *a)
+    )
+    monkeypatch.setattr(
+        FastBP128, "_decode_pages", lambda self, *a: routes.append("full") or decode_pages(self, *a)
+    )
 
-    def full_decodes(positions) -> int:
+    def route(positions) -> "tuple[list[str], int]":
+        routes.clear()
         registry = MetricsRegistry()
         with use_registry(registry):
-            decode_block_filtered(block, compressed.ctype, ctx, positions)
-        return int(registry.get("query.cdomain.filtered.full_decodes"))
+            got = decode_block_filtered(block, compressed.ctype, ctx, positions)
+        assert np.array_equal(got, column.data[positions])
+        return list(routes), int(registry.get("query.cdomain.filtered.full_decodes"))
 
-    assert full_decodes(_sweep_selection(rng, "clustered", 1)) == 0  # two pages of 32
-    assert full_decodes(_sweep_selection(rng, "scattered", 1)) == 1  # touches every page
-    assert full_decodes(_sweep_selection(rng, "clustered", 50)) == 1
-    assert full_decodes(np.arange(SWEEP_BLOCK)) == 1
+    page_sparse = _sweep_selection(rng, "scattered", 1)  # 40 rows over 32 pages
+    assert route(page_sparse) == (["rows"], 0)
+    assert route(_sweep_selection(rng, "clustered", 1)) == (["rows"], 0)  # 40 rows of 2 pages
+    assert route(np.arange(3 * PAGE, 5 * PAGE)) == (["rows"], 0)  # two whole pages
+    assert route(_sweep_selection(rng, "scattered", 13)) == (["full"], 1)  # past 1/8
+    assert route(_sweep_selection(rng, "clustered", 50)) == (["full"], 1)
+    assert route(np.arange(SWEEP_BLOCK)) == (["full"], 1)
     # read_rows has no rule of its own: the same dispatcher, the same counter.
     registry = MetricsRegistry()
     with use_registry(registry):

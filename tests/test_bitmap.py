@@ -1,13 +1,21 @@
 """Tests for the Roaring bitmap substrate."""
 
+import os
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import RoaringBitmap
 from repro.bitmap.roaring import ARRAY_MAX, _Container
+from repro.encodings.base import locate_sorted
 from repro.exceptions import CorruptBlockError
+
+#: Seeds the rank properties; CI's fault-matrix job also runs them randomised.
+FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "20261017"), 0)
 
 
 class TestConstruction:
@@ -116,14 +124,15 @@ class TestContainerSelection:
 
 
 class TestQueries:
-    def test_contains_many(self):
+    def test_rank(self):
         bm = RoaringBitmap.from_positions([2, 4, 100_000])
-        probe = np.array([1, 2, 3, 4, 100_000, 100_001])
-        assert bm.contains_many(probe).tolist() == [False, True, False, True, True, False]
+        before, present = bm.rank(np.array([1, 2, 3, 4, 100_000, 100_001]))
+        assert present.tolist() == [False, True, False, True, True, False]
+        assert before.tolist() == [0, 0, 1, 1, 2, 3]
 
-    def test_contains_many_empty_bitmap(self):
-        bm = RoaringBitmap()
-        assert not bm.contains_many(np.array([1, 2, 3])).any()
+    def test_rank_empty_bitmap(self):
+        before, present = RoaringBitmap().rank(np.array([1, 2, 3]))
+        assert not present.any() and not before.any()
 
     def test_to_mask(self):
         bm = RoaringBitmap.from_positions([0, 3])
@@ -132,13 +141,6 @@ class TestQueries:
     def test_to_mask_clips_out_of_range(self):
         bm = RoaringBitmap.from_positions([2, 99])
         assert bm.to_mask(4).tolist() == [False, False, True, False]
-
-    def test_intersects_range(self):
-        bm = RoaringBitmap.from_positions([10, 20])
-        assert bm.intersects_range(5, 11)
-        assert bm.intersects_range(20, 21)
-        assert not bm.intersects_range(11, 20)
-        assert not bm.intersects_range(21, 100)
 
     def test_iteration_order(self):
         bm = RoaringBitmap.from_positions([70_000, 3, 65_536])
@@ -194,6 +196,67 @@ class TestSerialization:
             RoaringBitmap.deserialize(blob[:-2])
 
 
+def test_declared_numpy_floor_counts_bits():
+    """Bitmap containers count their bits with ``np.bitwise_count``, new in
+    NumPy 2.0: the declared dependency floor must provide it, whichever
+    NumPy runs this suite."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)', pyproject)
+    assert floor is not None and int(floor.group(1)) >= 2
+
+
+def _serialized(*containers) -> bytes:
+    """Serialized bytes of ``(key, kind, declared cardinality, payload)`` containers."""
+    parts = [b"RB01", np.uint32(len(containers)).tobytes()]
+    for key, kind, card, payload in containers:
+        raw = np.asarray(payload).tobytes()
+        parts += [np.array([key, kind, card, len(raw)], dtype=np.uint32).tobytes(), raw]
+    return b"".join(parts)
+
+
+class TestHostileContainers:
+    """A rank counts what the containers declare, so every container is
+    held to its kind's geometry and its declared cardinality on the way in:
+    anything else is a typed error, never a wrong rank."""
+
+    WORDS = np.full(1024, 0x5, dtype=np.uint64)  # two bits per word: 2,048 positions
+
+    def test_the_honest_containers_deserialize(self):
+        blob = _serialized(
+            (0, 0, 3, np.array([1, 5, 9], dtype=np.uint16)),
+            (1, 1, 2048, self.WORDS),
+            (2, 2, 150, np.array([[0, 99], [200, 49]], dtype=np.uint16)),
+        )
+        before, present = RoaringBitmap.deserialize(blob).rank(np.array([5, 65_538, 131_272]))
+        assert before.tolist() == [1, 3 + 1, 3 + 2048 + 100] and present.all()
+
+    @pytest.mark.parametrize(
+        "container, match",
+        [
+            ((0, 1, 1024, WORDS[:512]), "bitmap container of 4096 bytes"),
+            ((0, 1, 2048, np.concatenate([WORDS, WORDS[:1]])), "bitmap container"),
+            ((0, 2, 1001, np.array([[65_000, 1000]], dtype=np.uint16)), "overflow"),
+            ((0, 2, 20, np.array([[0, 9], [5, 9]], dtype=np.uint16)), "overlap"),
+            ((0, 2, 20, np.array([[50, 9], [0, 9]], dtype=np.uint16)), "overlap"),
+            ((0, 0, 4, np.array([1, 5, 9], dtype=np.uint16)), "declares 4 positions, holds 3"),
+            ((0, 1, 2047, WORDS), "declares 2047 positions, holds 2048"),
+            ((0, 2, 99, np.array([[0, 99]], dtype=np.uint16)), "declares 99 positions, holds 100"),
+            ((0, 0, 0, np.empty(0, dtype=np.uint16)), "declares 0 positions, holds 0"),
+            ((0, 0, 3, np.array([1, 9, 5], dtype=np.uint16)), "strictly increasing"),
+        ],
+        ids=["bitmap-short", "bitmap-long", "run-overflow", "runs-overlap", "runs-unsorted",
+             "array-card", "bitmap-card", "run-card", "empty", "array-unsorted"],
+    )
+    def test_hostile_container_raises_typed(self, container, match):
+        with pytest.raises(CorruptBlockError, match=match):
+            RoaringBitmap.deserialize(_serialized(container))
+
+    def test_keys_out_of_order_raise_typed(self):
+        array = np.array([1], dtype=np.uint16)
+        with pytest.raises(CorruptBlockError, match="keys"):
+            RoaringBitmap.deserialize(_serialized((3, 0, 1, array), (3, 0, 1, array)))
+
+
 class TestContainerInternals:
     def test_bitmap_container_round_trip(self):
         rng = np.random.default_rng(3)
@@ -230,3 +293,42 @@ def test_property_set_algebra_matches_python_sets(a_list, b_list):
     assert set((bm_a | bm_b).to_array().tolist()) == a | b
     assert set((bm_a & bm_b).to_array().tolist()) == a & b
     assert set((bm_a - bm_b).to_array().tolist()) == a - b
+
+
+def _container_lows(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """Low values that ``_Container.from_sorted`` stores as a ``kind`` container."""
+    if kind == "array":
+        return rng.choice(65_536, int(rng.integers(1, ARRAY_MAX + 1)), replace=False)
+    if kind == "bitmap":
+        return rng.choice(65_536, int(rng.integers(ARRAY_MAX + 1, 40_000)), replace=False)
+    starts = np.sort(rng.choice(np.arange(0, 65_536, 2_048), int(rng.integers(1, 8)), replace=False))
+    return np.concatenate([s + np.arange(int(rng.integers(200, 2_048))) for s in starts])
+
+
+@seed(FAULT_SEED)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(["array", "bitmap", "run"]), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_rank_matches_to_array_and_locate_sorted(kinds, draw):
+    """Array, bitmap and run containers, alone or several keys deep (with
+    gaps between keys), and the empty bitmap: the in-place rank is exactly
+    the expanded positions' ``locate_sorted``, for members, non-members,
+    positions between and beyond the containers."""
+    rng = np.random.default_rng(draw)
+    keys = np.cumsum(rng.integers(1, 3, len(kinds))) - 1
+    parts = [
+        (int(key) << 16) + np.sort(_container_lows(kind, rng)) for key, kind in zip(keys, kinds)
+    ]
+    positions = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    bm = RoaringBitmap.deserialize(RoaringBitmap.from_positions(positions).serialize())
+    assert bm.container_kinds() == list(kinds)
+    universe = (int(keys[-1]) + 2) << 16 if len(kinds) else 1 << 17
+    probes = np.union1d(
+        rng.choice(universe, 2_000, replace=False), rng.choice(positions, min(positions.size, 500))
+    ).astype(np.int64) if positions.size else np.sort(rng.choice(universe, 2_000, replace=False))
+    before, present = bm.rank(probes)
+    expected_before, expected_present = locate_sorted(bm.to_array().astype(np.int64), probes)
+    assert np.array_equal(before, expected_before)
+    assert np.array_equal(present, expected_present)

@@ -1,8 +1,10 @@
 """Tests for FastBP128 and FastPFOR integer packing."""
 
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import bitpack_reference as reference
@@ -11,6 +13,7 @@ from repro.encodings.base import SchemeId, get_scheme
 from repro.encodings.bitpack import (
     PAGE,
     bit_lengths,
+    gather_rows,
     pack_pages,
     paginate,
     unpack_pages,
@@ -278,9 +281,11 @@ def test_fastpfor_mixed_pages_with_exceptions(pages):
     assert exc_per_page.sum() > 0 and (pages == 1 or np.unique(widths).size > 1)
     start = int(rng.integers(0, pages))
     for page_ids in (np.arange(start, pages), np.arange(pages % 2, pages, 2)):
-        positions = (page_ids[:, None] * PAGE + np.arange(0, PAGE, 3)).reshape(-1)
-        got = PFOR.decompress_filtered(payload, values.size, make_context(), positions)
-        assert np.array_equal(got, values[positions])
+        # Every third row of the pages, and the whole pages.
+        for step in (3, 1):
+            positions = (page_ids[:, None] * PAGE + np.arange(0, PAGE, step)).reshape(-1)
+            got = PFOR.decompress_filtered(payload, values.size, make_context(), positions)
+            assert np.array_equal(got, values[positions])
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,3 +307,42 @@ def test_property_kernels_equal_scalar_and_reference(widths, seed):
     page_ids = np.flatnonzero(rng.random(widths.size) < 0.5)
     assert np.array_equal(unpack_pages_subset(payload, widths, page_ids), scalar[page_ids])
     assert np.array_equal(reference.unpack_pages_subset(payload, widths, page_ids), scalar[page_ids])
+
+
+#: Seeds the row-kernel property; CI's fault-matrix job also runs it randomised.
+FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "20261017"), 0)
+ROW_SHAPES = ("single", "last", "scattered", "clustered")
+
+
+@seed(FAULT_SEED)
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1, 2, 8]),
+    st.sampled_from([1, 16, 128, 256]),
+    st.sampled_from(ROW_SHAPES),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_row_kernel_equals_the_scalar_decode(page_pool, mix, pages, shape, draw):
+    """``gather_rows`` reads the scalar decode's values at widths 0-32, over
+    uniform / 2-width / 8-width pages, for one row, the last row of the last
+    page (its word ends at the payload's final byte), scattered rows and a
+    clustered run that leaves most of its pages' rows out."""
+    rng = np.random.default_rng(draw)
+    choices = rng.choice(33, mix, replace=False)
+    widths = rng.choice(choices, pages).astype(np.uint8)
+    if shape == "last":
+        widths[-1] = choices.max()
+    picks = rng.integers(0, POOL_PAGES, pages)
+    payload = b"".join(page_pool[int(w)][0][i] for w, i in zip(widths, picks))
+    expected = np.stack([page_pool[int(w)][1][i] for w, i in zip(widths, picks)]).reshape(-1)
+    total = pages * PAGE
+    if shape == "single":
+        rows = rng.integers(0, total, 1)
+    elif shape == "last":
+        rows = np.array([total - 1])
+    elif shape == "scattered":
+        rows = np.sort(rng.choice(total, min(total, int(rng.integers(2, 300))), replace=False))
+    else:
+        start = int(rng.integers(0, total))
+        rows = np.arange(start, min(total, start + int(rng.integers(1, 100))))
+    assert np.array_equal(gather_rows(payload, widths, rows.astype(np.int64)), expected[rows])

@@ -400,7 +400,7 @@ class TestHostilePageWidths:
     No writer emits one, and at 59, 61, 62 and 63 bits the lane kernel's
     shift plus width overflows its 64-bit word, so such a page decoded to
     wrong values without an error. Every width above 32 is now a typed error
-    on the full, scalar and page-subset routes of both bit-packers.
+    on the full, scalar and row routes of both bit-packers.
     """
 
     @staticmethod
@@ -442,13 +442,112 @@ class TestHostilePageWidths:
             routes = {
                 "vectorized": lambda: decompress_block(blob, ColumnType.INTEGER),
                 "scalar": lambda: decompress_block(blob, ColumnType.INTEGER, vectorized=False),
-                "subset": lambda: scheme.decompress_filtered(
+                "rows": lambda: scheme.decompress_filtered(
                     payload, count, make_context(), np.array([0, 300])
                 ),
             }
             for route, decode in routes.items():
                 with pytest.raises(CorruptBlockError, match="page widths"):
                     decode()
+
+
+class TestHostileExceptionGeometry:
+    """FastPFOR finds an exception by its row key ``page * 128 + slot``: the
+    full decode scatters by it and the row route searches the keys for the
+    selected rows. A slot of 128 or more would land on the next page's row,
+    a negative one on the previous page's, and keys out of order or
+    repeated would let the search and the scatter pick different
+    exceptions, so one geometry check runs before any route and every
+    hostile header fails it, on every route, with the same typed error.
+    Headers are cut from a seeded honest block (``REPRO_FAULT_SEED``)."""
+
+    PAGES = 6
+
+    @classmethod
+    def _honest(cls):
+        from repro.encodings.base import SchemeId, get_scheme
+        from repro.encodings.bitpack import PAGE
+        from repro.encodings.wire import Reader
+
+        rng = np.random.default_rng(SEED)
+        values = rng.integers(0, 64, cls.PAGES * PAGE)
+        outliers = rng.choice(values.size, 24, replace=False)
+        outliers[:2] = (2 * PAGE + 5, 2 * PAGE + 9)  # a page with two exceptions
+        values[outliers] = rng.integers(1 << 20, 1 << 28, outliers.size)
+        payload = get_scheme(SchemeId.FAST_PFOR).compress(values.astype(np.int32), None)
+        reader = Reader(payload)
+        arrays = [reader.array() for _ in range(5)]
+        return values, arrays, reader.blob()
+
+    @classmethod
+    def _mutants(cls):
+        values, (refs, widths, per_page, slots, exc), packed = cls._honest()
+        two = int(np.cumsum(per_page)[1])  # the first exception of page 2
+        assert per_page[2] >= 2 and slots[two] < slots[two + 1]
+        beyond, swapped, repeated, miscounted = (slots.copy() for _ in range(4))
+        beyond[two] += 128  # -> row 5 of page 3
+        # Slot -1 of the first exception keeps the keys increasing and every
+        # slot below 128: only the writer's u8 dtype rules it out.
+        negative = slots.astype(np.int64)
+        negative[0] = -1
+        swapped[[two, two + 1]] = slots[[two + 1, two]]
+        repeated[two + 1] = slots[two]
+        miscounted_pages = per_page.copy()
+        miscounted_pages[2] += 1
+        return values, {
+            "slot-past-its-page": (refs, widths, per_page, beyond, exc, packed),
+            "negative-slot": (refs, widths, per_page, negative, exc, packed),
+            "keys-out-of-order": (refs, widths, per_page, swapped, exc, packed),
+            "key-repeated": (refs, widths, per_page, repeated, exc, packed),
+            "counts-exceed-values": (refs, widths, miscounted_pages, slots, exc, packed),
+            "values-exceed-counts": (refs, widths, per_page, slots[:-1], exc[:-1], packed),
+        }
+
+    @staticmethod
+    def _payload(arrays, packed) -> bytes:
+        from repro.encodings.wire import Writer
+
+        writer = Writer()
+        for array in arrays:
+            writer.array(array)
+        return writer.blob(packed).getvalue()
+
+    @staticmethod
+    def _routes(payload: bytes, count: int):
+        """The full (vectorised and scalar) and row routes."""
+        from repro.core.decompressor import make_context
+        from repro.encodings.base import SchemeId, get_scheme
+        from repro.encodings.bitpack import PAGE
+
+        scheme, ctx = get_scheme(SchemeId.FAST_PFOR), make_context()
+        rows = np.concatenate(([5, 2 * PAGE + 5, 2 * PAGE + 9], np.arange(3 * PAGE, 4 * PAGE)))
+        return {
+            "full": (lambda: scheme.decompress(payload, count, ctx), slice(None)),
+            "scalar": (
+                lambda: scheme.decompress(payload, count, make_context(vectorized=False)),
+                slice(None),
+            ),
+            "rows": (lambda: scheme.decompress_filtered(payload, count, ctx, rows), rows),
+        }
+
+    @pytest.mark.parametrize(
+        "mutant",
+        ["slot-past-its-page", "negative-slot", "keys-out-of-order", "key-repeated",
+         "counts-exceed-values", "values-exceed-counts"],
+    )
+    def test_every_route_raises_the_same_typed_error(self, mutant):
+        from repro.exceptions import CorruptBlockError
+
+        values, mutants = self._mutants()
+        *arrays, packed = mutants[mutant]
+        for route, (decode, _) in self._routes(self._payload(arrays, packed), values.size).items():
+            with pytest.raises(CorruptBlockError, match="FastPFOR"):
+                decode()
+
+    def test_the_honest_header_decodes_on_every_route(self):
+        values, arrays, packed = self._honest()
+        for route, (decode, rows) in self._routes(self._payload(arrays, packed), values.size).items():
+            assert np.array_equal(decode(), values[rows]), route
 
 
 def rows_of(column) -> list:
