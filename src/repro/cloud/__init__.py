@@ -23,22 +23,12 @@ remote_table.recover` sweeping whatever a crashed writer left staged.
 from repro.cloud.costmodel import ScanCostModel, ScanMetrics, WriteCostModel, WriteMetrics
 from repro.cloud.faults import FaultProfile
 from repro.cloud.objectstore import SimulatedObjectStore, TransferStats, UploadInfo
-from repro.cloud.pipeline import (
-    ColumnPipelineStats,
-    PipelineSchedule,
-    PipelinedScanReport,
-    pipeline_schedule,
-    pipelined_fetch_column,
-)
 from repro.cloud.pricing import PricingModel
 from repro.cloud.remote_table import RecoveryReport, RemoteTable, TableWriter, recover
 from repro.cloud.retry import RetryPolicy, SimulatedClock
 
 __all__ = [
-    "ColumnPipelineStats",
     "FaultProfile",
-    "PipelineSchedule",
-    "PipelinedScanReport",
     "PricingModel",
     "RecoveryReport",
     "RemoteTable",
@@ -52,7 +42,5 @@ __all__ = [
     "UploadInfo",
     "WriteCostModel",
     "WriteMetrics",
-    "pipeline_schedule",
-    "pipelined_fetch_column",
     "recover",
 ]

@@ -37,11 +37,6 @@ import numpy as np
 
 from repro.bitmap import RoaringBitmap
 from repro.cloud.objectstore import SimulatedObjectStore
-from repro.cloud.pipeline import (
-    ColumnPipelineStats,
-    PipelinedScanReport,
-    pipelined_fetch_column,
-)
 from repro.cloud.retry import SimulatedClock
 from repro.core.access import read_rows
 from repro.core.blocks import CompressedBlock, CompressedColumn, CompressedRelation
@@ -50,7 +45,6 @@ from repro.core.cache import ByteBudgetLRU, DecodeCache
 from repro.core.config import (
     DEFAULT_COLUMN_CACHE_BYTES,
     DEFAULT_DECODE_CACHE_BYTES,
-    DEFAULT_SCAN_READAHEAD,
     DecodeLimits,
 )
 from repro.core.decompressor import all_null_block, concat_values, decompress_column
@@ -67,14 +61,11 @@ from repro.core.relation import Relation
 from repro.encodings.base import locate_sorted, take_values
 from repro.exceptions import (
     CommitConflictError,
-    CorruptBlockError,
     DeadlineExceededError,
     FormatError,
     IntegrityError,
     NoSuchUploadError,
     RangeNotSatisfiableError,
-    TypeMismatchError,
-    UnknownSchemeError,
     WriterCrashError,
 )
 from repro.metadata import ColumnZoneMap
@@ -132,13 +123,12 @@ class ScanStep:
     see each other's time and a stage's accounting is exactly its own.
 
     ``clock_seconds`` is the simulated time the stage itself accrued
-    (retry backoff, timeout waits, pipelined wall time). The transfer
-    fields let a scheduler price the stage deterministically instead:
-    ``decode_bytes`` is the compressed payload the stage actually decoded
-    (cache hits already discounted).
+    (retry backoff, timeout waits). The transfer fields let a scheduler
+    price the stage deterministically instead: ``decode_bytes`` is the
+    compressed payload the stage decoded.
     """
 
-    kind: str  # "filter" | "materialise" | "fetch" | "decode" | "pipeline"
+    kind: str  # "open" | "filter" | "materialise" | "column"
     column: "str | None" = None
     clock_seconds: float = 0.0
     requests: int = 0
@@ -244,7 +234,6 @@ class RemoteTable:
         decode_limits: "DecodeLimits | None" = None,
         decode_cache_bytes: "int | None" = None,
         column_cache_bytes: "int | None" = None,
-        readahead: "int | None" = None,
         column_cache: "ByteBudgetLRU | None" = None,
         decode_cache: "DecodeCache | None" = None,
     ) -> None:
@@ -268,7 +257,6 @@ class RemoteTable:
             self.decode_cache = decode_cache
         else:
             self.decode_cache = DecodeCache(decode_cache_bytes) if decode_cache_bytes > 0 else None
-        self.readahead = DEFAULT_SCAN_READAHEAD if readahead is None else readahead
         self.on_corrupt = on_corrupt
         #: Committed version this handle reads.
         self.version = version
@@ -312,7 +300,6 @@ class RemoteTable:
         decode_limits: "DecodeLimits | None" = None,
         decode_cache_bytes: "int | None" = None,
         column_cache_bytes: "int | None" = None,
-        readahead: "int | None" = None,
         column_cache: "ByteBudgetLRU | None" = None,
         decode_cache: "DecodeCache | None" = None,
     ) -> "RemoteTable":
@@ -352,7 +339,6 @@ class RemoteTable:
             decode_limits=decode_limits,
             decode_cache_bytes=decode_cache_bytes,
             column_cache_bytes=column_cache_bytes,
-            readahead=readahead,
             column_cache=column_cache,
             decode_cache=decode_cache,
         )
@@ -821,23 +807,21 @@ class RemoteTable:
         self,
         columns: "Iterable[str] | None" = None,
         where: "Mapping[str, Predicate] | None" = None,
-        pipelined: bool = False,
-        readahead: "int | None" = None,
         deadline_seconds: "float | None" = None,
         retry_budget=None,
     ):
         """The scan as a reentrant generator of atomic stages.
 
         Yields one :class:`ScanStep` per stage — a filter column evaluated,
-        a projection column materialised, a column fetched, decoded, or
-        streamed through the chunk pipeline — and *returns* (as the
-        generator's ``StopIteration`` value) the finished
-        :class:`~repro.core.relation.Relation`, or ``(relation, report)``
-        when ``pipelined``. Each stage runs synchronously with a private
-        clock (see :func:`capture_step`); the driver decides how the
-        captured time reaches the shared clock: :meth:`scan` replays it
-        immediately, a serving loop suspends between stages so many scans
-        interleave deterministically without sharing mid-stage state.
+        a projection column materialised, or (without ``where``) a whole
+        column fetched and decoded — and *returns* (as the generator's
+        ``StopIteration`` value) the finished
+        :class:`~repro.core.relation.Relation`. Each stage runs
+        synchronously with a private clock (see :func:`capture_step`); the
+        caller decides how the captured time reaches the shared clock:
+        :meth:`scan` replays it immediately, a serving loop suspends between
+        stages so many scans interleave deterministically without sharing
+        mid-stage state.
 
         ``deadline_seconds`` is an *absolute* instant on the store's shared
         clock: the remaining budget is checked at every stage boundary
@@ -851,8 +835,6 @@ class RemoteTable:
         registry = get_registry()
         registry.incr("cloud.table.scans")
         names = list(columns) if columns is not None else self.column_names()
-        if readahead is None:
-            readahead = self.readahead
         context = {
             "deadline_seconds": deadline_seconds,
             "retry_budget": retry_budget,
@@ -889,131 +871,20 @@ class RemoteTable:
                     out.append(self._materialise_rows(name, rows, handed.get(name)))
                     step.decode_bytes = step.bytes_fetched
                 yield step
-            relation = Relation(self.name, out)
-            if pipelined:
-                return relation, PipelinedScanReport.from_columns([], readahead)
-            return relation
-        if pipelined:
-            return (yield from self._pipelined_steps(names, readahead, context))
+            return Relation(self.name, out)
         out = []
         for name in names:
             entry = self.column_entry(name)
             self._check_deadline(deadline_seconds)
-            with capture_step(self._store, "fetch", name, **context) as step:
+            with capture_step(self._store, "column", name, **context) as step:
                 held = entry["file"] in self._columns
                 compressed = self.fetch_column(name)
-            yield step
-            self._check_deadline(deadline_seconds)
-            with capture_step(self._store, "decode", name, **context) as step:
                 out.append(
-                    self._decompress_remote_column(
-                        compressed, entry["file"], held
-                    )
+                    self._decompress_remote_column(compressed, entry["file"], held)
                 )
-            # (The step's hit / miss counts exist once its capture has closed.)
-            decoded = step.cache_hits + step.cache_misses
-            step.decode_bytes = (
-                compressed.nbytes * step.cache_misses // decoded
-                if decoded
-                else compressed.nbytes
-            )
+                step.decode_bytes = compressed.nbytes
             yield step
         return Relation(self.name, out)
-
-    def _pipelined_steps(
-        self, names: "list[str]", readahead: int, context: "dict | None" = None
-    ):
-        """Full-column projection stages with readahead GETs overlapped with
-        decode; one :class:`ScanStep` per column (see :meth:`scan_pipelined`
-        for the semantics each stage preserves)."""
-        registry = get_registry()
-        context = context or {}
-        deadline_seconds = context.get("deadline_seconds")
-        out = []
-        stats: list[ColumnPipelineStats] = []
-        fallbacks = 0
-        cache_hits = 0
-        cache_misses = 0
-        for name in names:
-            entry = self.column_entry(name)
-            cache_key = entry["file"]
-            self._check_deadline(deadline_seconds)
-            with capture_step(self._store, "pipeline", name, **context) as step:
-                cached = self._columns.get(entry["file"])
-                if cached is not None:
-                    out.append(self._decompress_remote_column(cached, cache_key, True))
-                    step.decode_bytes = cached.nbytes
-                else:
-                    try:
-                        column, compressed, column_stats = pipelined_fetch_column(
-                            self._store,
-                            entry["file"],
-                            readahead=readahead,
-                            rows_hint=entry["rows"],
-                            limits=self.decode_limits,
-                            cache=self.decode_cache,
-                            cache_key=cache_key,
-                        )
-                    except (
-                        IntegrityError,
-                        FormatError,
-                        CorruptBlockError,
-                        TypeMismatchError,
-                        UnknownSchemeError,
-                    ):
-                        # Streamed bytes were damaged (or the metadata row
-                        # count lied): refetch through the retrying download
-                        # path, which owns the refetch budget and final
-                        # on_corrupt decision — exactly what the batch path
-                        # does with a damaged download.
-                        registry.incr("cloud.scan.pipeline.fallbacks")
-                        fallbacks += 1
-                        compressed, verified = self._download_column_verified(entry)
-                        if verified:
-                            self._columns.put(
-                                entry["file"], compressed, compressed.nbytes
-                            )
-                        out.append(
-                            self._decompress_remote_column(compressed, cache_key, False)
-                        )
-                        step.decode_bytes = compressed.nbytes
-                    else:
-                        self._columns.put(entry["file"], compressed, compressed.nbytes)
-                        _record_transfer(
-                            self._store,
-                            column_stats.requests,
-                            column_stats.bytes_fetched,
-                        )
-                        stats.append(column_stats)
-                        out.append(column)
-                        step.decode_bytes = compressed.nbytes
-                        # The chunk pipeline's wall time beyond its retry
-                        # backoff (which the capture clock already holds).
-                        step.clock_seconds += max(
-                            0.0,
-                            column_stats.wall_seconds - column_stats.retry_seconds,
-                        )
-            cache_hits += step.cache_hits
-            cache_misses += step.cache_misses
-            yield step
-        report = PipelinedScanReport.from_columns(
-            stats,
-            readahead,
-            fallbacks=fallbacks,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-        )
-        registry.incr_many(
-            [
-                ("cloud.scan.pipeline.scans", 1),
-                ("cloud.scan.pipeline.chunks", report.chunks),
-                ("cloud.scan.pipeline.fetch_seconds", report.fetch_seconds),
-                ("cloud.scan.pipeline.decode_seconds", report.decode_seconds),
-                ("cloud.scan.pipeline.wall_seconds", report.wall_seconds),
-                ("cloud.scan.pipeline.overlap_seconds", report.overlap_seconds),
-            ]
-        )
-        return Relation(self.name, out), report
 
     def _drive_steps(self, gen):
         """Run a :meth:`scan_steps` generator to completion synchronously,
@@ -1067,30 +938,6 @@ class RemoteTable:
         if column is None:
             column = self._read_rows(entry, self._fetch_column_for_rows(name), rows)
         return column
-
-    def scan_pipelined(
-        self,
-        columns: "Iterable[str] | None" = None,
-        readahead: "int | None" = None,
-        where: "Mapping[str, Predicate] | None" = None,
-    ) -> "tuple[Relation, PipelinedScanReport]":
-        """Full-column projection with readahead GETs overlapped with decode.
-
-        Each column object downloads in chunk-size range GETs with up to
-        ``readahead`` requests in flight ahead of the decoder, which parses
-        and decodes blocks as their bytes complete (see
-        :mod:`repro.cloud.pipeline`). The store's simulated clock advances
-        by the *pipelined* wall time — ``max(fetch, decode)`` per step plus
-        pipeline fill — rather than the serial sum, and the returned report
-        breaks that saving down. A column whose streamed bytes turn out
-        damaged or unparsable falls back to the refetching
-        :meth:`_download_column_verified` path (counted in
-        ``cloud.scan.pipeline.fallbacks``), so results are identical to
-        :meth:`scan` under every ``on_corrupt`` policy.
-        """
-        return self._drive_steps(
-            self.scan_steps(columns, where=where, pipelined=True, readahead=readahead)
-        )
 
     def count(self, where: Mapping[str, Predicate]) -> int:
         return len(self.matching_rows(where))

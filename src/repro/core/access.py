@@ -28,7 +28,7 @@ from repro.core.decompressor import (
 )
 from repro.encodings.base import locate_sorted, take_values
 from repro.observe import get_registry
-from repro.types import Column, ColumnType, StringArray
+from repro.types import Column, StringArray
 
 
 def read_rows(
@@ -114,13 +114,3 @@ def read_rows(
         null_rows = np.flatnonzero(is_null[inverse])
     nulls = RoaringBitmap.from_positions(null_rows) if null_rows.size else None
     return Column(compressed.name, ctype, data, nulls)
-
-
-def read_value(compressed: CompressedColumn, row: int):
-    """One value (bytes for strings, Python scalar otherwise); None if NULL."""
-    column = read_rows(compressed, [row])
-    if column.nulls is not None and 0 in column.nulls:
-        return None
-    if compressed.ctype is ColumnType.STRING:
-        return column.data[0]
-    return column.data[0].item()

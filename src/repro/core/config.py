@@ -43,8 +43,6 @@ DEFAULT_DECODE_LIMITS = DecodeLimits()
 DEFAULT_DECODE_CACHE_BYTES = 64 << 20
 #: Default byte budget for RemoteTable's downloaded-column cache.
 DEFAULT_COLUMN_CACHE_BYTES = 256 << 20
-#: Default chunk-fetch readahead window for pipelined remote scans.
-DEFAULT_SCAN_READAHEAD = 4
 
 
 @dataclass

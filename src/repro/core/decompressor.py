@@ -268,8 +268,8 @@ def _hold_to_row_limit(block: CompressedBlock, limits: DecodeLimits) -> None:
 
 def cached_block(cache, cache_key, index: int, block: CompressedBlock, limits: DecodeLimits):
     """The one gate between a warm :class:`~repro.core.cache.DecodeCache`
-    and a reader — number scan, string scan, :func:`~repro.core.access.
-    read_rows` and the chunk pipeline all serve a block through it.
+    and a reader — number scan, string scan, column decode and
+    :func:`~repro.core.access.read_rows` all serve a block through it.
 
     Returns ``(key, values)``: ``key`` — ``(column identity, block index,
     block CRC32)`` — is what a successful decode is ``put`` under, ``None``

@@ -313,149 +313,6 @@ def _attach_stats_footer(column: CompressedColumn, trailer: bytes) -> None:
         block.stats = entry
 
 
-class ColumnStreamParser:
-    """Incrementally parse a column file as its byte chunks arrive.
-
-    The pipelined remote scan fetches a column object in fixed-size range
-    GETs and decodes blocks while later chunks are still in flight; this
-    parser is what turns the arriving byte stream into blocks without
-    waiting for the whole object. :meth:`feed` consumes one chunk and
-    returns every block it completed; :meth:`finish` closes the stream.
-
-    Validation matches :func:`column_from_bytes`: the bytes are untrusted,
-    every declared count and length is held to ``limits`` *before* the
-    corresponding wait or slice (a bomb header raises without buffering
-    gigabytes), and the v2 header CRC is checked as soon as the header is
-    complete. Block checksums are, as in the batch parser, left for decode
-    time. Only already-consumed bytes are retained, so peak buffering is
-    one chunk plus one unfinished block.
-    """
-
-    def __init__(self, limits: "DecodeLimits | None" = None) -> None:
-        self._limits = limits or DEFAULT_DECODE_LIMITS
-        self._buf = bytearray()
-        self.column: "CompressedColumn | None" = None
-        self.block_count = 0
-        self.version = 0
-        self._done = False
-
-    @property
-    def header_ready(self) -> bool:
-        return self.column is not None
-
-    @property
-    def complete(self) -> bool:
-        return self._done
-
-    def feed(self, chunk: bytes) -> list[CompressedBlock]:
-        """Consume one chunk; returns the blocks it completed (in order)."""
-        if self._done:
-            # Trailing bytes after the last block may be a stats footer;
-            # keep them for :meth:`finish`.
-            self._buf += chunk
-            return []
-        self._buf += chunk
-        completed: list[CompressedBlock] = []
-        while not self._done:
-            if self.column is None:
-                if not self._parse_header():
-                    break
-            elif len(self.column.blocks) >= self.block_count:
-                self._done = True
-            else:
-                block = self._parse_block()
-                if block is None:
-                    break
-                completed.append(block)
-                if len(self.column.blocks) >= self.block_count:
-                    self._done = True
-        return completed
-
-    def finish(self) -> CompressedColumn:
-        """The fully-parsed column; raises if the stream ended early."""
-        if not self._done:
-            have = len(self.column.blocks) if self.column is not None else 0
-            raise FormatError(
-                f"column stream ended after {have} of {self.block_count} blocks"
-            )
-        if self.version == 2 and self._buf:
-            _attach_stats_footer(self.column, bytes(self._buf))
-        return self.column
-
-    def _parse_header(self) -> bool:
-        buf = self._buf
-        if len(buf) < 7:
-            return False
-        magic = bytes(buf[:4])
-        if magic == _COLUMN_MAGIC:
-            version = 1
-        elif magic == _COLUMN_MAGIC_V2:
-            version = 2
-        else:
-            raise FormatError("bad column file magic")
-        type_code, name_len = struct.unpack_from("<BH", buf, 4)
-        if type_code not in _CODE_TYPES:
-            raise FormatError(f"unknown column type code {type_code}")
-        if name_len > self._limits.max_name_bytes:
-            raise DecodeLimitError(
-                f"declared column name length {name_len} exceeds limit "
-                f"{self._limits.max_name_bytes}"
-            )
-        crc_len = 4 if version == 2 else 0
-        need = 7 + name_len + 4 + crc_len
-        if len(buf) < need:
-            return False
-        try:
-            name = bytes(buf[7 : 7 + name_len]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"column name is not valid UTF-8: {exc}") from exc
-        (block_count,) = struct.unpack_from("<I", buf, 7 + name_len)
-        if version == 2:
-            (header_crc,) = struct.unpack_from("<I", buf, 7 + name_len + 4)
-            if zlib.crc32(bytes(buf[: 7 + name_len + 4])) & 0xFFFFFFFF != header_crc:
-                raise IntegrityError("column file header does not match its CRC32")
-        if block_count > self._limits.max_blocks_per_column:
-            raise DecodeLimitError(
-                f"declared block count {block_count} exceeds limit "
-                f"{self._limits.max_blocks_per_column}"
-            )
-        del buf[:need]
-        self.column = CompressedColumn(name, _CODE_TYPES[type_code])
-        self.block_count = block_count
-        self.version = version
-        return True
-
-    def _parse_block(self) -> "CompressedBlock | None":
-        buf = self._buf
-        header_size = 12 if self.version == 1 else 16
-        if len(buf) < header_size:
-            return None
-        if self.version == 1:
-            count, data_len, nulls_len = struct.unpack_from("<III", buf, 0)
-            checksum = None
-        else:
-            count, data_len, nulls_len, checksum = struct.unpack_from("<IIII", buf, 0)
-        if count > self._limits.max_rows_per_block:
-            raise DecodeLimitError(
-                f"declared block row count {count} exceeds limit "
-                f"{self._limits.max_rows_per_block}"
-            )
-        if data_len > self._limits.max_bytes_per_block or nulls_len > self._limits.max_bytes_per_block:
-            raise DecodeLimitError(
-                f"declared block payload ({data_len} + {nulls_len} bytes) "
-                f"exceeds limit {self._limits.max_bytes_per_block}"
-            )
-        total = header_size + data_len + nulls_len
-        if len(buf) < total:
-            return None
-        data = bytes(buf[header_size : header_size + data_len])
-        nulls = bytes(buf[header_size + data_len : total]) if nulls_len else None
-        del buf[:total]
-        block = CompressedBlock(count, data, nulls, checksum=checksum)
-        self.column.blocks.append(block)
-        return block
-
-
 def column_meta_entry(
     column: CompressedColumn,
     filename: str,

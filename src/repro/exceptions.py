@@ -13,10 +13,6 @@ class UnknownSchemeError(BtrBlocksError):
     """A block references a scheme id that is not in the registry."""
 
 
-class SchemeNotViableError(BtrBlocksError):
-    """A scheme was asked to compress data it declared itself non-viable for."""
-
-
 class TypeMismatchError(BtrBlocksError):
     """A column or block was used with data of the wrong type."""
 

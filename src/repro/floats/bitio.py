@@ -63,10 +63,6 @@ class BitReader:
     def read_bit(self) -> int:
         return self.read(1)
 
-    @property
-    def remaining_bits(self) -> int:
-        return self._total_bits - self._pos
-
 
 def leading_zeros64(x: int) -> int:
     """Count of leading zero bits in a 64-bit value."""

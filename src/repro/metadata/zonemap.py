@@ -4,8 +4,7 @@ A :class:`ColumnZoneMap` lives outside the compressed column data,
 mirroring the paper's "one file per column plus a metadata file" S3 layout:
 on an object store its entries are the ``stats`` of the table manifest's
 column entries, which :class:`~repro.cloud.remote_table.RemoteTable`
-consults before any data GET; ``to_bytes`` / ``from_bytes`` also serialize
-one as a standalone metadata object. ``pruned_scan`` applies the map of an
+consults before any data GET. ``pruned_scan`` applies the map of an
 in-memory column — the stats its own blocks carry, so the map lines up with
 the blocks by construction — and skips blocks whose statistics cannot
 satisfy the predicate without decoding a single compressed byte.
@@ -20,18 +19,11 @@ prune identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-
 
 from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedColumn
-from repro.core.blockstats import (
-    BlockStats,
-    ZoneMapEntry,
-    stats_entry_from_json,
-    stats_entry_to_json,
-)
+from repro.core.blockstats import BlockStats, ZoneMapEntry
 from repro.exceptions import FormatError
 from repro.query.executor import collect_matches, enumerate_blocks
 from repro.query.predicates import Predicate
@@ -63,28 +55,6 @@ class ColumnZoneMap:
         for entry in self.entries:
             offsets.append(offsets[-1] + entry.row_count)
         return offsets
-
-    # -- serialization (a standalone metadata object) -------------------------
-
-    def to_bytes(self) -> bytes:
-        payload = {
-            "column": self.column_name,
-            "type": self.ctype.value,
-            "entries": [stats_entry_to_json(e) for e in self.entries],
-        }
-        return json.dumps(payload).encode("utf-8")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ColumnZoneMap":
-        payload = json.loads(data.decode("utf-8"))
-        entries = []
-        for item in payload["entries"]:
-            if len(item) == 4:  # pre-stats files: [rows, nulls, min, max]
-                row_count, null_count, minimum, maximum = item
-                entries.append(BlockStats(row_count, null_count, minimum, maximum))
-            else:
-                entries.append(stats_entry_from_json(item))
-        return cls(payload["column"], ColumnType(payload["type"]), entries)
 
 
 def build_zone_map(compressed: CompressedColumn) -> ColumnZoneMap:

@@ -42,7 +42,6 @@ from typing import Mapping
 
 from repro.cloud.breaker import CircuitBreaker
 from repro.cloud.objectstore import SimulatedObjectStore
-from repro.cloud.pipeline import simulated_fetch_seconds
 from repro.cloud.remote_table import RemoteTable, ScanStep, capture_step
 from repro.cloud.retry import RetryBudget
 from repro.core.cache import ByteBudgetLRU, DecodeCache
@@ -589,21 +588,25 @@ class ScanServer:
         return table, step
 
     def _service_seconds(self, step: ScanStep) -> float:
-        """Deterministic modeled duration of one scan stage."""
+        """Deterministic modeled duration of one scan stage.
+
+        Transfer is bytes over bandwidth plus per-request latency plus the
+        stage's retry backoff; decode is decoded bytes over the fixed decode
+        rate. A whole-column stage overlaps transfer with decode — Fig. 1's
+        ``max(network, decompression)`` — while backoff delays both.
+        """
         pricing = self._store.pricing
-        fetch = (
-            simulated_fetch_seconds(
-                pricing, step.bytes_fetched, step.requests, step.backoff_seconds
+        fetch = step.backoff_seconds
+        if step.requests:
+            fetch += (
+                step.bytes_fetched / pricing.s3_bytes_per_second
+                + step.requests * pricing.request_latency_seconds
             )
-            if step.requests
-            else step.backoff_seconds
-        )
         decode = step.decode_bytes / self.decode_bytes_per_second
         # Brownout-elevated latency the store injected during the stage is
         # pure added wall time — it overlaps with nothing.
         extra = step.brownout_seconds
-        if step.kind == "pipeline":
-            # The chunk pipeline overlaps transfer with decode.
+        if step.kind == "column":
             return (
                 max(fetch - step.backoff_seconds, decode)
                 + step.backoff_seconds
@@ -680,7 +683,6 @@ class ScanServer:
         gen = table.scan_steps(
             columns,
             where=request.where,
-            pipelined=request.kind == "scan",
             deadline_seconds=deadline,
             retry_budget=budget,
         )
@@ -692,14 +694,13 @@ class ScanServer:
             try:
                 step = next(gen)
             except StopIteration as stop:
-                outcome = stop.value
+                relation = stop.value
                 break
             except BaseException:
                 bill_diff(before)
                 raise
             consumed.add_step(step)
             await self._stage_sleep(self._service_seconds(step), deadline)
-        relation = outcome[0] if isinstance(outcome, tuple) else outcome
         return ScanResponse(
             request=request,
             relation=relation,

@@ -9,8 +9,8 @@ deterministically:
   :func:`repro.datagen.distributions.zipf_int`, the same skew generator the
   data synthesizer uses, so "hot" follows a Zipf law with exponent
   ``zipf_a``. Point reads predicate on a hot column with a value sampled
-  from the table's own domain; the rest are full projections down the
-  pipelined path.
+  from the table's own domain; the rest are full projections, one
+  whole-column stage per column.
 * **When** — arrivals are open-loop (they do not wait for responses; an
   overloaded server sheds load through admission control, exactly what the
   backpressure tests need). Each tenant emits bursts of

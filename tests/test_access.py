@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bitmap import RoaringBitmap
-from repro.core.access import read_rows, read_value
+from repro.core.access import read_rows
 from repro.core.compressor import compress_column
 from repro.types import Column
 
@@ -65,21 +65,6 @@ class TestReadRows:
         compressed = compress_column(column, small_config)
         out = read_rows(compressed, [10, 1500])
         assert out.nulls.to_array().tolist() == [1]
-
-
-class TestReadValue:
-    def test_scalar_types(self, small_config, rng):
-        ints = compress_column(Column.ints("i", np.arange(1200)), small_config)
-        assert read_value(ints, 1100) == 1100
-        strings = compress_column(Column.strings("s", ["a", "b"] * 600), small_config)
-        assert read_value(strings, 1) == b"b"
-
-    def test_null_returns_none(self, small_config):
-        column = Column.ints("c", np.zeros(100, dtype=np.int32),
-                             RoaringBitmap.from_positions([50]))
-        compressed = compress_column(column, small_config)
-        assert read_value(compressed, 50) is None
-        assert read_value(compressed, 51) == 0
 
 
 # -- property suite: read_rows == decompress-then-take, on every path ----------

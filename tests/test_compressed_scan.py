@@ -14,7 +14,7 @@ the uncompressed data:
 * ``filter_column`` values == decompress-evaluate-gather, bit-for-bit;
 * ``decode_block_filtered(positions)`` == full decode + take, for random
   selections, on every block of every shape;
-* ``RemoteTable.scan`` / ``scan_pipelined`` with conjunctions == the same
+* ``RemoteTable.scan`` with conjunctions == the same
   oracle, over a committed table;
 * corrupted blocks produce the same typed errors and degrade results
   (``raise`` / ``skip`` / ``null_block``) through the filtered path as the
@@ -378,12 +378,6 @@ def test_remote_scan_surfaces_match_oracle():
         table = RemoteTable.open(store, relation.name)
         got = table.scan(columns=["key"], where=where)
         assert _values_equal(ColumnType.INTEGER, got.columns[0].data, expected_keys), case_id
-
-        table = RemoteTable.open(store, relation.name)
-        piped, _report = table.scan_pipelined(columns=["key"], where=where)
-        assert _values_equal(
-            ColumnType.INTEGER, piped.columns[0].data, expected_keys
-        ), case_id
 
 
 # -- corruption: filtered decode keeps decode_block's contract -----------------

@@ -71,8 +71,9 @@ def _spied(*targets):
 
 
 def _block_decodes():
-    """Spies on every full-block decode a scan can make: batch decodes and
-    the chunk pipeline both fill blocks through ``decompressor.fill_block``."""
+    """Spies on every full-block decode a scan can make: a column decode
+    fills its blocks through ``decompressor.fill_block``, which calls one of
+    these on every block the cache does not serve."""
     return _spied((decompressor, "decode_block"), (decompressor, "decode_block_into"))
 
 
@@ -100,10 +101,12 @@ def test_fresh_handle_admits_strings_on_its_second_scan(store):
         _assert_scan_is_the_source(table.scan())
         steps = _steps(table)
     assert _calls(decodes) == 0
-    decode_steps = [step for step in steps if step.kind == "decode"]
-    assert {step.column for step in decode_steps} == set(NUMBERS + STRINGS)
-    for step in decode_steps:
-        assert (step.cache_hits, step.cache_misses, step.decode_bytes) == (BLOCKS, 0, 0)
+    column_steps = [step for step in steps if step.kind == "column"]
+    assert {step.column for step in column_steps} == set(NUMBERS + STRINGS)
+    for step in column_steps:
+        compressed = table.fetch_column(step.column)
+        assert (step.cache_hits, step.cache_misses) == (BLOCKS, 0)
+        assert step.decode_bytes == compressed.nbytes
 
 
 def test_second_handle_on_shared_caches_admits_on_its_first_scan(store):
@@ -123,23 +126,10 @@ def test_second_handle_on_shared_caches_admits_on_its_first_scan(store):
     assert _calls(decodes) == 0
 
 
-def test_pipelined_cached_branch_admits_and_download_branch_does_not(store):
-    table = RemoteTable.open(store, "orders")
-    table.scan_pipelined()  # download branch: the chunk pipeline's own decode
-    assert len(table.decode_cache) == len(NUMBERS) * BLOCKS
-    table.scan_pipelined()  # cached branch: a held column's decode
-    assert len(table.decode_cache) == (len(NUMBERS) + len(STRINGS)) * BLOCKS
-    with _block_decodes() as decodes:
-        relation, report = table.scan_pipelined()
-    _assert_scan_is_the_source(relation)
-    assert _calls(decodes) == 0
-    assert (report.cache_hits, report.cache_misses) == ((len(NUMBERS) + len(STRINGS)) * BLOCKS, 0)
-
-
-def test_pipeline_download_serves_strings_a_shared_cache_holds(store):
-    """The chunk pipeline fills every block through the cache's gate: a
-    handle that downloads the columns itself still serves the string blocks
-    another handle admitted to a shared decode cache, and admits none."""
+def test_download_serves_strings_a_shared_cache_holds(store):
+    """A column decode fills every block through the cache's gate: a handle
+    that downloads the columns itself still serves the string blocks another
+    handle admitted to a shared decode cache, and admits none."""
     decode_cache = DecodeCache(1 << 24)
     warm = RemoteTable.open(store, "orders", decode_cache=decode_cache)
     warm.scan()
@@ -147,11 +137,12 @@ def test_pipeline_download_serves_strings_a_shared_cache_holds(store):
     entries = len(decode_cache)
     assert entries == (len(NUMBERS) + len(STRINGS)) * BLOCKS
     fresh = RemoteTable.open(store, "orders", decode_cache=decode_cache)
-    with _block_decodes() as decodes:
-        relation, report = fresh.scan_pipelined()
-    _assert_scan_is_the_source(relation)
-    assert _calls(decodes) == 0 and report.fallbacks == 0
-    assert (report.cache_hits, report.cache_misses) == (entries, 0)
+    registry = MetricsRegistry()
+    with use_registry(registry), _block_decodes() as decodes:
+        _assert_scan_is_the_source(fresh.scan())
+    assert _calls(decodes) == 0
+    assert registry.get("cloud.table.column_cache.miss") == len(NUMBERS + STRINGS)
+    assert (registry.get("decode.cache.hit"), registry.get("decode.cache.miss")) == (entries, 0)
     assert len(decode_cache) == entries
 
 

@@ -9,12 +9,11 @@ type × several null layouts, with the oracle computed independently in
 plain NumPy over the uncompressed data, and the answers compared
 bit-for-bit (``columns_equal`` — NaN payloads and negative zero included).
 
-Three execution surfaces over a committed (``TableWriter``) table are
+Two execution surfaces over a committed (``TableWriter``) table are
 checked against the same oracle:
 
 * :class:`~repro.cloud.remote_table.RemoteTable.scan` on a fresh handle per
   case — the manifest-pruned block-GET path;
-* :meth:`RemoteTable.scan_pipelined` with a predicate;
 * one *warm* handle reused across every case, whose decode cache serves
   later filters over decoded values instead of the compressed cascade.
 
@@ -218,16 +217,6 @@ class TestEquivalence:
             table = RemoteTable.open(store, relation.name)  # cold: no caches
             got = table.scan(columns=names, where=where)
             _assert_scan_equal(got, relation, names, mask, f"remote/{case_id}")
-
-    def test_remote_pipelined_scan_matches_oracle(self, setup):
-        relation, store = setup
-        names = [c.name for c in relation.columns]
-        for case_id, where in _predicate_cases(relation):
-            mask = _oracle_mask(relation, where)
-            table = RemoteTable.open(store, relation.name)
-            got, report = table.scan_pipelined(columns=names, where=where)
-            assert report.wall_seconds >= 0.0
-            _assert_scan_equal(got, relation, names, mask, f"pipelined/{case_id}")
 
 
 def test_pruned_scan_never_fetches_more_than_full():

@@ -8,9 +8,10 @@ Three layers, bottom up:
    wake-ups, deadlock detection, unobserved failures),
 3. the :class:`~repro.serve.server.ScanServer` invariants: served bytes are
    bit-identical to a sequential ``RemoteTable.scan`` oracle across seeds ×
-   tenant counts × fault profiles; point reads are never starved behind
-   scan convoys (fairness); the wait queue never exceeds its bound and
-   rejections are typed and billed zero (backpressure).
+   tenant counts × fault profiles; each stage kind is priced by its own
+   formula; point reads are never starved behind scan convoys (fairness);
+   the wait queue never exceeds its bound and rejections are typed and
+   billed zero (backpressure).
 
 Everything runs on simulated time from fixed seeds — a failure here replays
 bit-identically under the same ``REPRO_SERVE_SEED``.
@@ -25,7 +26,8 @@ import pytest
 
 from repro.cloud.faults import FaultProfile
 from repro.cloud.objectstore import SimulatedObjectStore
-from repro.cloud.remote_table import RemoteTable
+from repro.cloud.pricing import PricingModel
+from repro.cloud.remote_table import RemoteTable, ScanStep
 from repro.cloud.retry import RetryPolicy, SimulatedClock
 from repro.exceptions import AdmissionRejectedError, ServeDeadlockError
 from repro.observe import MetricsRegistry, use_registry
@@ -428,6 +430,58 @@ class TestServedBytesMatchSequentialOracle:
             ]
 
         assert run_once() == run_once()
+
+
+# -- stage pricing -------------------------------------------------------------
+
+
+class TestStagePricing:
+    """``ScanServer._service_seconds`` on hand-built stages: a whole-column
+    stage overlaps transfer with decode (Fig. 1's ``max(network,
+    decompression)``), a filter or materialise stage pays both in turn, and
+    retry backoff and brownout add to either."""
+
+    #: 1 GB/s transfer, 10 ms per request; the server decodes 100 MB/s.
+    PRICING = PricingModel(
+        network_gbit=8.0, s3_client_gbit=8.0, request_latency_seconds=0.01
+    )
+    DECODE_BYTES_PER_SECOND = 1e8
+
+    def _price(self, kind, **fields) -> float:
+        store = SimulatedObjectStore(pricing=self.PRICING)
+        server = ScanServer(
+            store,
+            EventLoop(clock=store.clock),
+            decode_bytes_per_second=self.DECODE_BYTES_PER_SECOND,
+        )
+        return server._service_seconds(ScanStep(kind=kind, column="c", **fields))
+
+    #: shape -> (stage fields, transfer seconds, decode seconds).
+    STAGES = {
+        "transfer-bound": (
+            dict(bytes_fetched=2_000_000_000, requests=2, decode_bytes=100_000_000),
+            2.02,
+            1.0,
+        ),
+        "decode-bound": (
+            dict(bytes_fetched=100_000_000, requests=1, decode_bytes=300_000_000),
+            0.11,
+            3.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", ["column", "filter", "materialise"])
+    @pytest.mark.parametrize("shape", sorted(STAGES))
+    def test_each_stage_kind_is_priced_by_its_formula(self, kind, shape):
+        fields, transfer, decode = self.STAGES[shape]
+        seconds = self._price(kind, backoff_seconds=0.5, brownout_seconds=0.25, **fields)
+        work = max(transfer, decode) if kind == "column" else transfer + decode
+        assert seconds == pytest.approx(work + 0.5 + 0.25)
+
+    def test_a_column_served_from_cache_costs_its_decode(self):
+        # No GET and no backoff: 50 MB decoded at 100 MB/s is the whole cost.
+        seconds = self._price("column", decode_bytes=50_000_000)
+        assert seconds == pytest.approx(0.5)
 
 
 # -- fairness ------------------------------------------------------------------

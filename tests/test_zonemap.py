@@ -69,13 +69,6 @@ class TestBuildZoneMap:
         assert zm.entries[0].minimum == 1.0
         assert zm.entries[0].maximum == 5.0
 
-    def test_serialization_round_trip(self, sorted_column):
-        zm = _zone_map(sorted_column)
-        restored = ColumnZoneMap.from_bytes(zm.to_bytes())
-        assert restored.column_name == zm.column_name
-        assert restored.ctype is zm.ctype
-        assert restored.entries == zm.entries
-
 
 def _row_by_row_string_stats(chunk: Column, bloom_max_distinct: int) -> BlockStats:
     """The per-row loop ``compute_block_stats`` replaced, kept as its oracle."""
