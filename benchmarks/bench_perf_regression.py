@@ -27,11 +27,11 @@ they replaced (``tests/bitpack_reference.py``) over every width 1-32 x
 scattered 1-8-page subset.
 
 ``test_string_assembly_sweep_never_loses`` holds the string column assembly
-to it: ``decompress_column`` (offsets rebased into one column array, cache
-hits' narrow offsets rebased as stored) against the concatenating assembly it
-replaced (``tests/assembly_reference.py``) over string shapes x 1-32 blocks
-x 64-65,536 rows per block x a cold decode / a warm one served by the cache,
-bar the small one-block warm cells ``KNOWN_SLOW_ASSEMBLY_CELLS`` lists.
+to it: ``decompress_column`` (offsets rebased into one column array, a warm
+column served from its one decode-cache entry) against the concatenating
+assembly over per-block cache entries it replaced
+(``tests/assembly_reference.py``) over string shapes x 1-32 blocks x
+64-65,536 rows per block x a cold decode / a warm one served by the cache.
 
 ``test_compressed_scan_sweep_covers_every_cell`` holds the sweep's shape at
 256 rows: cell count, labels, and minima that name a real cell.
@@ -523,20 +523,6 @@ ASSEMBLY_LAYOUTS = (
     (32, 64),
 )
 
-#: Assembly cells known to sit under the bar, each held to its own floor
-#: (docs/PERFORMANCE.md, "The string assembly path"). A small one-block
-#: column served warm has nothing to assemble: the old route wrapped the
-#: cache entry and returned it, the rebasing one runs the column-level
-#: preallocation pass, ``StringSlots`` and ``fill_block`` for the same
-#: widening copy -- ~1-1.5 us of Python per column against a 10-25 us
-#: decode, 0.88-0.98x measured. It is under 2% by 65,536 rows.
-KNOWN_SLOW_ASSEMBLY_CELLS = {
-    f"{label}/1x{rows}/warm": 0.8
-    for label, *_ in ASSEMBLY_STRINGS
-    for rows in (2_048, 16_384)
-}
-
-
 def assembly_column(rng: np.random.Generator, label: str, distinct: int, shortest: int,
                     longest: int, blocks: int, rows: int):
     """One compressed, checksummed string column of ``blocks`` x ``rows``."""
@@ -555,7 +541,7 @@ def test_string_assembly_sweep_never_loses():
     """No string column may decode slower through the rebasing assembly than
     through the concatenating one it replaced (kept as the oracle in
     ``tests/assembly_reference.py``), cold or served warm from the decode
-    cache: >= ``MIN_SPEEDUP``, bar the listed cells and their floors."""
+    cache: >= ``MIN_SPEEDUP``, no exceptions."""
     sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
     import assembly_reference as reference
 
@@ -588,15 +574,8 @@ def test_string_assembly_sweep_never_loses():
     )
     worst = min(speedups, key=speedups.get)
     print(f"whole sweep: min speedup {speedups[worst]:.2f}x at {worst}")
-    assert set(KNOWN_SLOW_ASSEMBLY_CELLS) <= set(speedups), "a listed cell is not in the sweep"
-    losing = {
-        cell: round(s, 2) for cell, s in speedups.items()
-        if s < KNOWN_SLOW_ASSEMBLY_CELLS.get(cell, MIN_SPEEDUP)
-    }
-    assert not losing, (
-        f"the string assembly loses to the reference (gate >= {MIN_SPEEDUP}, listed cells "
-        f"their own floor): {losing}"
-    )
+    losing = {cell: round(s, 2) for cell, s in speedups.items() if s < MIN_SPEEDUP}
+    assert not losing, f"the string assembly loses to the reference (gate >= {MIN_SPEEDUP}): {losing}"
 
 
 #: The cached-filter sweep: one warm block per cell of number scheme family
@@ -628,8 +607,9 @@ def warm_block(column: Column):
 
 def test_cached_filter_sweep_never_loses():
     """No warm number block may filter slower over its cached values --
-    ``executor.block_mask`` with the cache: the ``cached_block`` gate, the
-    hit's CRC32 and ``evaluate`` -- than through ``scan_block``'s walk of its
+    ``executor.block_mask`` with the column's cache entry (looked up once
+    per column by the scan driver): the ``cached_block`` gate, the hit's
+    CRC32 and ``evaluate`` -- than through ``scan_block``'s walk of its
     compressed cascade (``block_mask`` without one): >= ``MIN_SPEEDUP``, no
     exceptions. One string-dictionary cell is printed, not gated: the reason
     string blocks stay in code space."""
@@ -653,12 +633,13 @@ def test_cached_filter_sweep_never_loses():
                     column = Column(column.name, column.ctype, column.data,
                                     RoaringBitmap.from_bools(rng.random(block_rows) < 0.05))
                 block, cache, key = warm_block(column)
+                entry = cache.get(key)  # looked up once per column, as a scan does
                 row = [name, block_rows, nulls]
                 for label in CACHED_FILTER_PREDICATES:
                     predicate = cached_filter_predicate(np.asarray(column.data), label)
 
                     def cached():
-                        return block_mask(0, block, column.ctype, predicate, None, cache, key)[0]
+                        return block_mask(0, block, column.ctype, predicate, None, cache, entry)[0]
 
                     def compressed():
                         return block_mask(0, block, column.ctype, predicate)[0]
@@ -680,9 +661,9 @@ def test_cached_filter_sweep_never_loses():
     strings = SCHEME_WORKLOADS["dictionary"](16_384, np.random.default_rng(DEFAULT_SEED))
     block, cache, key = warm_block(strings)
     predicate = In([strings.data[0], strings.data[1]])
-    entry = cache.lookup((key, 0, block.checksum), block, lambda _block: True)
+    entry = cache.get(key)
     evaluate_s, scan_s = paired_seconds(
-        lambda: predicate.evaluate(StringArray(*entry)),
+        lambda: predicate.evaluate(entry.span(0, 1)),
         lambda: block_mask(0, block, strings.ctype, predicate),
         repeats=4,
     )

@@ -712,7 +712,7 @@ class RemoteTable:
 
     def _read_rows(self, entry: dict, compressed: CompressedColumn, rows: np.ndarray) -> Column:
         """:func:`read_rows` under this handle's limits, taking the rows of
-        every block the decode cache holds from there (and filling nothing)."""
+        every touched block the decode cache serves from there (and filling nothing)."""
         return read_rows(
             compressed,
             rows,
@@ -771,7 +771,7 @@ class RemoteTable:
 
         ``held`` — the column's compressed bytes were in the column cache
         *before* this scan fetched them (a re-scan, or another handle on
-        shared caches) — admits decoded string blocks to the decode cache;
+        shared caches) — admits a decoded string column to the decode cache;
         the first decode of a fresh download keeps none (measurements:
         :func:`~repro.core.decompressor.decompress_column`).
         """

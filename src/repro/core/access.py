@@ -28,7 +28,7 @@ from repro.core.decompressor import (
 )
 from repro.encodings.base import locate_sorted, take_values
 from repro.observe import get_registry
-from repro.types import Column, StringArray
+from repro.types import Column
 
 
 def read_rows(
@@ -49,12 +49,14 @@ def read_rows(
     extra take. Python work is per touched block, never per row, and
     nothing is re-sorted.
 
-    ``limits`` bind every touched block. With a decode ``cache`` and the
-    ``cache_key`` :func:`~repro.core.decompressor.decompress_column` filled
-    it under, a touched block that passes the scan's own
-    :func:`~repro.core.decompressor.cached_block` gate costs one take of its
-    cached values; a miss decodes as ever and inserts nothing — a selective
-    read never fills the cache.
+    ``limits`` bind every touched block before any is served. With a decode
+    ``cache`` and the ``cache_key``
+    :func:`~repro.core.decompressor.decompress_column` filled it under, every
+    touched block goes through the scan's own
+    :func:`~repro.core.decompressor.cached_block` gate; when all of them pass,
+    the request is one take over the cached column, otherwise a served block
+    costs one take of its slice and a miss decodes as ever. Nothing is
+    inserted — a selective read never fills the cache.
 
     No checksum is verified here (a cache hit aside): hand over only blocks
     that passed :func:`~repro.core.file_format.verify_block`, or that carry
@@ -72,34 +74,42 @@ def read_rows(
     ctx = make_context(vectorized, limits=limits)
     # bounds[b]:bounds[b + 1] is block b's slice of the sorted request.
     bounds = np.searchsorted(indices, offsets)
+    touched = np.flatnonzero(bounds[1:] > bounds[:-1]).tolist()
+    entry = cache.get(cache_key) if cache is not None else None
+    served = [cached_block(cache, entry, b, blocks[b], ctx.limits) for b in touched]
+    if cache is not None:
+        cache.count(served.count(True), served.count(False))
+    # Every touched block served, at the rows the entry holds them at: one take.
+    whole = bool(touched) and all(served) and offsets.tolist() == entry.starts
     parts: list = []
+    if whole:
+        span = entry.span(touched[0], touched[-1] + 1)
+        first = offsets[touched[0]]
+        parts.append(take_values(span, indices - first if first else indices))
     null_parts = [np.empty(0, dtype=np.int64)]
     rows_total = 0
-    for block_id in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+    for block_id, hit in zip(touched, served):
         block = blocks[block_id]
         lo, hi = int(bounds[block_id]), int(bounds[block_id + 1])
         rows_total += block.count
+        if whole and not block.nulls:
+            continue
         # (Block 0 starts at row 0: single-block columns skip the rebase.)
         local = indices[lo:hi] - offsets[block_id] if block_id else indices[lo:hi]
-        _key, cached = cached_block(cache, cache_key, block_id, block, ctx.limits)
-        if cached is not None:
-            if isinstance(cached, tuple):  # a string entry's (buffer, offsets)
-                cached = StringArray(*cached)
-            parts.append(take_values(cached, local))
-        else:
-            parts.append(
-                _decompress_node_filtered(block.data, ctype, ctx, local, block_level=True)
-            )
+        if not hit:
+            parts.append(_decompress_node_filtered(block.data, ctype, ctx, local, block_level=True))
+        elif not whole:
+            parts.append(take_values(entry.span(block_id, block_id + 1), local))
         if block.nulls:
             # Both sides are sorted: search the block's NULL rows into the
             # selection, O(nulls log selected) with nothing per selected row.
             null_rows = RoaringBitmap.deserialize(block.nulls).to_array()
             at, selected = locate_sorted(local, null_rows)
             null_parts.append(lo + at[selected])
-    if parts:
+    if touched:
         get_registry().incr_many(
             [
-                ("query.cdomain.filtered.blocks", len(parts)),
+                ("query.cdomain.filtered.blocks", len(touched)),
                 ("query.cdomain.filtered.rows_selected", int(indices.size)),
                 ("query.cdomain.filtered.rows_total", rows_total),
             ]

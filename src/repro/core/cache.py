@@ -6,22 +6,24 @@ Two consumers share the same LRU core:
   of its values rather than an entry count. :class:`~repro.cloud.
   remote_table.RemoteTable` bounds its downloaded-column cache with one so
   a wide-table scan cannot hold every compressed column in memory forever.
-* :class:`DecodeCache` — decoded block values of all three column types,
-  keyed by ``(object key, version, block index, checksum)``. Re-scanning a
-  remote column, or reading rows of it, serves previously decoded blocks
-  (numbers with one ``memcpy`` into the preallocated output, strings with
-  one rebase of their offsets into the column's) instead of a cascade
-  decode.
+* :class:`DecodeCache` — decoded columns of all three types, one entry
+  per column keyed by ``(object key, version)``. Re-scanning a remote
+  column serves it with one look-up, the CRC32 of each block in hand and
+  one copy (a string column shares the cached buffer); reading rows of it
+  is one take; filtering a block reads its slice. A partly served column
+  fills its served blocks from slices of the entry and decodes the rest.
 
 Both record ``{prefix}.hit`` / ``{prefix}.miss`` / ``{prefix}.evict``
 counters into the active metrics registry, resolved at call time so
-:func:`~repro.observe.use_registry` scopes apply.
+:func:`~repro.observe.use_registry` scopes apply; the decode cache counts
+hits and misses per block.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import accumulate
 from typing import Any, Hashable
 
 import numpy as np
@@ -88,6 +90,11 @@ class ByteBudgetLRU:
         with self._lock:
             return key in self._entries
 
+    def values(self) -> list:
+        """A snapshot of every cached value, least recent first."""
+        with self._lock:
+            return [value for value, _ in self._entries.values()]
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -109,30 +116,71 @@ def _frozen(owned: np.ndarray) -> np.ndarray:
     return owned
 
 
+class CachedColumn:
+    """One decoded column as :class:`DecodeCache` holds it.
+
+    ``values`` is a number column's one frozen array, or a string column's
+    frozen ``(buffer, offsets)`` pair -- two plain columns (Rozenberg), the
+    offsets in the narrowest unsigned dtype that holds them. ``starts`` are
+    the blocks' first rows (plus the row count) and ``blocks`` each block's
+    ``(declared count, CRC32)``: what the block in hand must match before
+    its rows are served.
+    """
+
+    __slots__ = ("values", "starts", "blocks")
+
+    def __init__(self, values, starts: "list[int]", blocks: "tuple[tuple[int, int], ...]") -> None:
+        self.values = values
+        self.starts = starts
+        self.blocks = blocks
+
+    def span(self, first: int, stop: int) -> "np.ndarray | StringArray":
+        """The rows of blocks ``[first, stop)``: a read-only view of a number
+        column (copy it out before writing), or a new :class:`StringArray`
+        over (a slice of) the read-only buffer with its own widened offsets,
+        so no ``encode_distinct`` memo rides on cache memory."""
+        start, stop = self.starts[first], self.starts[stop]
+        if not isinstance(self.values, tuple):
+            return self.values[start:stop]
+        buffer, offsets = self.values
+        lo, hi = int(offsets[start]), int(offsets[stop])
+        if (lo, hi) != (0, buffer.size):
+            buffer = buffer[lo:hi]
+        widened = offsets[start : stop + 1].astype(np.int64)
+        if lo:
+            widened -= lo
+        return StringArray(buffer, widened)
+
+
 class DecodeCache:
-    """Bounded cache of *successfully* decoded block values.
+    """Bounded cache of *successfully* decoded columns.
 
-    Keys must identify the exact bytes that were decoded — callers use
-    ``(object key, version, block index, checksum)``, where the CRC32 is
-    seeded with the block's declared count, so a block whose payload (or
-    count) changed can never alias a stale entry. Only checksummed (v2)
-    blocks are worth caching: without a checksum in the key, an object
-    overwritten in place could serve stale rows. Corrupt or degraded
-    blocks are never inserted, and a *hit* still requires the block in
-    hand to pass its checksum — a damaged download therefore degrades
-    through ``on_corrupt`` exactly as it would without the cache.
+    An entry is one whole :class:`CachedColumn` under the column's key --
+    callers use ``(object key, version)``, which identifies the exact bytes
+    that were decoded. Only checksummed (v2) columns are worth caching:
+    without a CRC32 per block, an object overwritten in place could serve
+    stale rows. Columns with a corrupt or degraded block are never
+    inserted, and a block is served only while the block in hand declares
+    the count and CRC32 the entry recorded (the CRC32 is seeded with the
+    count) *and* passes that checksum -- a damaged download therefore
+    degrades through ``on_corrupt`` exactly as it would without the cache.
 
-    Entries are read-only copies that own their memory — a number block one
-    array, a string block two plain columns (Rozenberg): its ``buffer`` and
-    its ``offsets`` in the narrowest unsigned dtype that holds them, charged
-    at the bytes of both — so nothing cached is a view onto a block payload
-    or can be mutated through a served value. (The representation is a
-    measured choice: docs/PERFORMANCE.md §5 has the three candidates.)
+    Entries are read-only copies that own their memory, charged at the bytes
+    of their arrays, so nothing cached is a view onto a block payload or can
+    be mutated through a served value. A column larger than the whole budget
+    is declined (``{prefix}.declined``): with the budget below the largest hot
+    column, that column decodes on every scan. (The representation is a
+    measured choice: docs/PERFORMANCE.md §5.)
+
+    ``len()`` is the number of blocks the cache can serve; ``{prefix}.hit``
+    / ``{prefix}.miss`` are counted per block by the readers (:meth:`count`),
+    ``{prefix}.evict`` per column entry pushed out for room.
     """
 
     def __init__(self, capacity_bytes: int, metric_prefix: str = "decode.cache") -> None:
-        self._lru = ByteBudgetLRU(capacity_bytes)  # hits are counted here, when served
+        self._lru = ByteBudgetLRU(capacity_bytes)  # hits are counted by the readers
         self.metric_prefix = metric_prefix
+        self._counters = (f"{metric_prefix}.hit", f"{metric_prefix}.miss")
 
     @property
     def capacity_bytes(self) -> int:
@@ -143,43 +191,40 @@ class DecodeCache:
         return self._lru.current_bytes
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return sum(len(entry.blocks) for entry in self._lru.values())
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._lru
 
-    def lookup(self, key: Hashable, block, verify) -> "np.ndarray | tuple[np.ndarray, np.ndarray] | None":
-        """The cached values of ``block`` if they may be served, else ``None``.
+    def get(self, key: Hashable) -> "CachedColumn | None":
+        """The column entry under ``key`` (marking it most recent), or
+        ``None``; one look-up per column, no counters."""
+        return self._lru.get(key)
 
-        Served means present, as long as the block in hand declares (the
-        count its caller held to its own limits) and ``verify(block)`` — the
-        caller's ``verify_block`` — passing on the bytes in hand.
-        ``{prefix}.hit`` counts exactly the served look-ups, ``{prefix}.miss``
-        the rest, which the caller decodes. The entry comes back as stored
-        and read-only: a number block's array (copy it out), a string
-        block's ``(buffer, offsets)`` pair with the offsets still narrow —
-        what a column assembler rebases straight into its own offsets
-        (:class:`~repro.encodings.strutil.StringSlots`); wrap it in a
-        ``StringArray`` only to read rows out of it. No ``encode_distinct``
-        memo can ride on cache memory.
-        """
-        entry = self._lru.get(key)
-        served = entry is not None and entry[0] == block.count and verify(block)
-        get_registry().incr(f"{self.metric_prefix}.{'hit' if served else 'miss'}")
-        if not served:
-            return None
-        return entry[1]
+    def count(self, hits: int, misses: int) -> None:
+        """Record ``hits`` blocks served and ``misses`` decoded instead."""
+        for name, n in zip(self._counters, (hits, misses)):
+            if n:
+                get_registry().incr(name, n)
 
-    def put(self, key: Hashable, values: "np.ndarray | StringArray") -> None:
-        """Cache a read-only copy of one block's decoded values."""
+    def put(self, key: Hashable, values: "np.ndarray | StringArray", blocks) -> None:
+        """Cache a read-only copy of one column's decoded ``values``, the
+        cleanly decoded ``blocks`` they came from recorded beside them."""
         if isinstance(values, StringArray):
             narrow = np.min_scalar_type(values.buffer.size)
+            nbytes = values.buffer.size + values.offsets.size * narrow.itemsize
+        else:
+            nbytes = values.nbytes
+        if nbytes > self.capacity_bytes:
+            get_registry().incr(f"{self.metric_prefix}.declined")
+            return
+        if isinstance(values, StringArray):
             stored = (_frozen(values.buffer.copy()), _frozen(values.offsets.astype(narrow)))
-            nbytes = stored[0].nbytes + stored[1].nbytes
         else:
             stored = _frozen(np.array(values, copy=True))
-            nbytes = stored.nbytes
-        evicted = self._lru.put(key, (len(values), stored), nbytes)
+        starts = [0, *accumulate(block.count for block in blocks)]
+        entry = CachedColumn(stored, starts, tuple((block.count, block.checksum) for block in blocks))
+        evicted = self._lru.put(key, entry, nbytes)
         if evicted:
             get_registry().incr(f"{self.metric_prefix}.evict", evicted)
 
@@ -187,4 +232,4 @@ class DecodeCache:
         self._lru.clear()
 
 
-__all__ = ["ByteBudgetLRU", "DecodeCache"]
+__all__ = ["ByteBudgetLRU", "CachedColumn", "DecodeCache"]

@@ -39,7 +39,7 @@ class DecodeLimits:
 #: Ceilings applied when the caller does not supply their own.
 DEFAULT_DECODE_LIMITS = DecodeLimits()
 
-#: Default byte budget for the decoded-block cache on remote scans.
+#: Default byte budget for the decoded-column cache on remote scans.
 DEFAULT_DECODE_CACHE_BYTES = 64 << 20
 #: Default byte budget for RemoteTable's downloaded-column cache.
 DEFAULT_COLUMN_CACHE_BYTES = 256 << 20

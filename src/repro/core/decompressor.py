@@ -266,24 +266,25 @@ def _hold_to_row_limit(block: CompressedBlock, limits: DecodeLimits) -> None:
         )
 
 
-def cached_block(cache, cache_key, index: int, block: CompressedBlock, limits: DecodeLimits):
+def cached_block(cache, entry, index: int, block: CompressedBlock, limits: DecodeLimits):
     """The one gate between a warm :class:`~repro.core.cache.DecodeCache`
-    and a reader — number scan, string scan, column decode and
-    :func:`~repro.core.access.read_rows` all serve a block through it.
+    and a reader -- column decode, :func:`~repro.core.access.read_rows` and
+    the filter's :func:`~repro.query.executor.block_mask` all serve a block
+    through it, from the column's ``entry`` (``cache.get(cache_key)``, one
+    look-up per column, ``None`` when the cache has none).
 
-    Returns ``(key, values)``: ``key`` — ``(column identity, block index,
-    block CRC32)`` — is what a successful decode is ``put`` under, ``None``
-    for a block that is never cached (no cache, no identity for the column's
-    bytes, no checksum to pin the block's by). The caller's limits bind
-    first; then the entry must match the declared count and the block *in
-    hand* must pass its CRC32 — a warm cache may never mask fresh damage.
-    ``values`` of ``None`` sends the caller down its ordinary decode.
+    The caller's limits bind first; then the entry must record the count and
+    CRC32 the block declares, and the block *in hand* must pass that CRC32
+    -- a warm cache may never mask fresh damage. ``True`` serves the block
+    from ``entry.span(index, index + 1)``; ``False`` is a miss the caller decodes
+    (and counts); ``None`` is a block that is never cached (no cache, or no
+    checksum to pin the block's bytes by) and counts as neither.
     """
     _hold_to_row_limit(block, limits)
-    if cache is None or cache_key is None or block.checksum is None:
-        return None, None
-    key = (cache_key, index, block.checksum)
-    return key, cache.lookup(key, block, verify_block)
+    if cache is None or block.checksum is None:
+        return None
+    recorded = entry.blocks[index : index + 1] if entry is not None else ()
+    return recorded == ((block.count, block.checksum),) and verify_block(block)
 
 
 def _block_is_intact(block: CompressedBlock, ctx: DecompressionContext, on_corrupt: str) -> bool:
@@ -483,15 +484,12 @@ def assemble_column(compressed: CompressedColumn, parts: "list[Values | CorruptB
     strings = isinstance(data, strutil.StringSlots)
     row = 0
     for block, part in zip(compressed.blocks, parts):
-        corrupt = isinstance(part, CorruptBlockResult)
-        if corrupt and strings:
-            data.fill_empty(row, part.emitted)
-        elif corrupt:
-            data[row : row + part.emitted] = 0
+        if not isinstance(part, CorruptBlockResult):
+            _fill_rows(data, row, part)
         elif strings:
-            data.fill(row, part.buffer, part.offsets)
+            data.fill_empty(row, part.emitted)
         else:
-            data[row : row + block.count] = part
+            data[row : row + part.emitted] = 0
         row += block.count
     slots = [part if isinstance(part, CorruptBlockResult) else None for part in parts]
     return assemble_column_preallocated(compressed, data, slots)
@@ -520,53 +518,39 @@ def preallocate_column(
     return _allocate(compressed.ctype, total)
 
 
+def _fill_rows(data: "np.ndarray | strutil.StringSlots", row: int, values: Values) -> None:
+    """Decoded ``values`` into the slots from ``row`` (a string column's
+    offsets rebased into the column's)."""
+    if isinstance(data, strutil.StringSlots):
+        data.fill(row, values.buffer, values.offsets)
+    else:
+        np.copyto(data[row : row + len(values)], values, casting="unsafe")
+
+
 def fill_block(
     data: "np.ndarray | strutil.StringSlots",
     row: int,
-    index: int,
     block: CompressedBlock,
     ctype: ColumnType,
     ctx: DecompressionContext,
-    cache=None,
-    cache_key=None,
     on_corrupt: str = "raise",
-    admit_strings: bool = True,
 ) -> "CorruptBlockResult | None":
-    """Block ``index`` of a column into its slot at ``row`` of ``data``.
-
-    A warm :class:`~repro.core.cache.DecodeCache` entry that passes
-    :func:`cached_block` is copied in as stored (a string entry's narrow
-    offsets rebased straight into the column's); anything else decodes —
-    numbers straight into their slice (:func:`decode_block_into`), strings
-    to one block whose offsets are rebased the same way — and a clean
-    decode is inserted, string blocks only if ``admit_strings``. Returns
-    what :func:`assemble_column_preallocated` takes per block: ``None``, or
-    the :class:`CorruptBlockResult` of a degraded block, whose slot holds
-    the NULL placeholder.
+    """Decode a block the cache did not serve into its slot at ``row`` of
+    ``data``: a number block straight into its slice
+    (:func:`decode_block_into`), a string block to one block whose offsets
+    are rebased into the column's. Returns what
+    :func:`assemble_column_preallocated` takes per block: ``None``, or the
+    :class:`CorruptBlockResult` of a degraded block, whose slot holds the
+    NULL placeholder.
     """
-    # A miss must not pay the checksum twice (decode verifies it): the
-    # gate holds the block to its CRC only once it has an entry.
-    key, cached = cached_block(cache, cache_key, index, block, ctx.limits)
-    if isinstance(data, strutil.StringSlots):
-        if cached is not None:
-            data.fill(row, *cached)
-            return None
-        part = decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
-        if isinstance(part, CorruptBlockResult):
-            data.fill_empty(row, part.emitted)
-            return part
-        data.fill(row, part.buffer, part.offsets)
-        if key is not None and admit_strings:
-            cache.put(key, part)
-        return None
-    out = data[row : row + block.count]
-    if cached is not None:
-        np.copyto(out, cached, casting="unsafe")
-        return None
-    part = decode_block_into(block, ctype, ctx, out, on_corrupt=on_corrupt)
-    if part is None and key is not None:
-        cache.put(key, out)
-    return part
+    if not isinstance(data, strutil.StringSlots):
+        return decode_block_into(block, ctype, ctx, data[row : row + block.count], on_corrupt=on_corrupt)
+    part = decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
+    if isinstance(part, CorruptBlockResult):
+        data.fill_empty(row, part.emitted)
+        return part
+    data.fill(row, part.buffer, part.offsets)
+    return None
 
 
 def _shift(data: "np.ndarray | strutil.StringSlots", to: int, source: int, count: int) -> None:
@@ -578,13 +562,14 @@ def _shift(data: "np.ndarray | strutil.StringSlots", to: int, source: int, count
 
 def assemble_column_preallocated(
     compressed: CompressedColumn,
-    data: "np.ndarray | strutil.StringSlots",
+    data: "np.ndarray | strutil.StringSlots | StringArray",
     parts: "list[CorruptBlockResult | None]",
 ) -> Column:
     """Finish a column decode: nulls, compaction, counters.
 
     ``data`` is the :func:`preallocate_column` target whose fixed per-block
-    slots :func:`fill_block` already filled; ``parts`` holds one entry per
+    slots :func:`fill_block` already filled (or, for a column the decode
+    cache served whole, its values); ``parts`` holds one entry per
     block — ``None`` for a successful decode, :class:`CorruptBlockResult`
     for a degraded one. Rebases per-block NULL positions to column offsets
     and records the column's decompression counters. Skipped blocks leave
@@ -628,7 +613,7 @@ def assemble_column_preallocated(
     if isinstance(data, strutil.StringSlots):
         column_data = data.finish(write_offset)
     else:
-        column_data = data if write_offset == data.size else data[:write_offset].copy()
+        column_data = data if write_offset == len(data) else data[:write_offset].copy()
     return Column(compressed.name, compressed.ctype, column_data, nulls)
 
 
@@ -652,14 +637,20 @@ def decompress_column(
 
     With a :class:`~repro.core.cache.DecodeCache` and a ``cache_key``
     identifying this column's bytes (object key + version for remote
-    columns), successfully decoded checksummed blocks of every type are
-    served from and inserted into the cache. A hit goes through
-    :func:`cached_block` — limits, length, then the block in hand against
-    its stored CRC32 — so a damaged download follows the same
+    columns), the column is looked up once and every block goes through
+    :func:`cached_block` — limits, declared count, then the block in hand
+    against its stored CRC32 — so a damaged download follows the same
     ``on_corrupt`` path as an uncached decode: cached rows can never mask
-    fresh corruption.
+    fresh corruption. A column the cache serves whole is one copy of its
+    entry and allocates nothing from the headers: a number column comes back
+    as a fresh writable array, a string column shares the entry's read-only
+    buffer under widened offsets. Otherwise the column is preallocated at
+    its first unserved block, and each run of served blocks is one slice of
+    the entry copied into its slots. A column the cache has no entry for,
+    and whose every block is checksummed and decodes clean, is inserted
+    whole.
 
-    ``admit_strings=False`` looks string blocks up but inserts none. It is
+    ``admit_strings=False`` looks string columns up but inserts none. It is
     the one place the admission rule lives: :class:`~repro.cloud.
     remote_table.RemoteTable` passes whether it already *held* the column's
     compressed bytes before this decode, so a one-shot handle retains no
@@ -675,8 +666,8 @@ def decompress_column(
     a held column's decode      0.633 / 0.672 / 0.702  85.0-85.8 MB
     ==========================  =====================  ============
 
-    Number blocks keep first-touch insertion (ISSUE 19 measured it free:
-    0.574 s with their ``put``, 0.587 s without).
+    Number columns keep first-touch insertion (measured free: 0.574 s with
+    their ``put``, 0.587 s without).
     """
     ctx = make_context(vectorized, limits=limits)
     ctype = compressed.ctype
@@ -687,19 +678,48 @@ def decompress_column(
                 for block in compressed.blocks
             ]
         return assemble_column(compressed, parts)
-    with get_registry().timer("decompress"):
-        data = preallocate_column(compressed, ctx.limits)
-        row = 0
-        parts = []
-        for index, block in enumerate(compressed.blocks):
-            parts.append(
-                fill_block(
-                    data, row, index, block, ctype, ctx,
-                    cache, cache_key, on_corrupt, admit_strings,
-                )
-            )
-            row += block.count
-    return assemble_column_preallocated(compressed, data, parts)
+    entry = cache.get(cache_key) if cache is not None else None
+    hits = misses = 0
+    data = None  # allocated at the first block the cache does not serve
+    try:
+        with get_registry().timer("decompress"):
+            parts: list = []
+            # Blocks run_first.. (from row run_row) are served and not yet
+            # copied: each run of served blocks is one copy.
+            row = run_first = run_row = 0
+            for index, block in enumerate(compressed.blocks):
+                served = cached_block(cache, entry, index, block, ctx.limits)
+                if served:
+                    hits += 1
+                    parts.append(None)
+                    row += block.count
+                    continue
+                misses += served is False
+                if data is None:
+                    data = preallocate_column(compressed, ctx.limits)
+                if run_first < index:
+                    _fill_rows(data, run_row, entry.span(run_first, index))
+                parts.append(fill_block(data, row, block, ctype, ctx, on_corrupt))
+                row += block.count
+                run_first, run_row = index + 1, row
+            if data is None:  # every block served (or none): one copy of the entry
+                data = entry.span(0, len(parts)) if parts else _allocate(ctype, 0)
+                if ctype is not ColumnType.STRING:
+                    data = data.copy()
+            elif run_first < len(parts):
+                _fill_rows(data, run_row, entry.span(run_first, len(parts)))
+    finally:
+        if cache is not None:
+            cache.count(hits, misses)
+    column = assemble_column_preallocated(compressed, data, parts)
+    if (
+        parts
+        and misses == len(parts)  # no entry, every block checksummed...
+        and all(part is None for part in parts)  # ...and decoded clean
+        and (admit_strings or ctype is not ColumnType.STRING)
+    ):
+        cache.put(cache_key, column.data, compressed.blocks)
+    return column
 
 
 def decompress_relation(

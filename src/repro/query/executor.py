@@ -537,16 +537,18 @@ def block_mask(
     predicate: Predicate,
     limits: "DecodeLimits | None" = None,
     cache=None,
-    cache_key=None,
+    entry=None,
     values: bool = False,
 ):
     """The one scan operator: ``(row mask, values at its hit rows)`` of
     block ``index`` for ``predicate``; the values only on request.
 
     A number block that a warm :class:`~repro.core.cache.DecodeCache` serves
-    through :func:`~repro.core.decompressor.cached_block` — the gate
+    from the column's ``entry`` (``cache.get(cache_key)``) through
+    :func:`~repro.core.decompressor.cached_block` — the gate
     ``decompress_column`` and ``read_rows`` use: limits, declared count, the
-    CRC32 of the block in hand — is answered over its decoded values. Every
+    CRC32 of the block in hand — is answered over its slice of the cached
+    column. Every
     other block, and every block of a string column or under
     :class:`~repro.query.predicates.IsNull`, is evaluated in the compressed
     domain by :func:`scan_block` (string predicates compile into dictionary
@@ -567,10 +569,10 @@ def block_mask(
         and not isinstance(predicate, IsNull)
         and block.data[:1] not in _SCANNED_ROOTS
     ):
-        _key, cached = cached_block(
-            cache, cache_key, index, block, limits or DEFAULT_DECODE_LIMITS
-        )
-        if cached is not None:
+        served = cached_block(cache, entry, index, block, limits or DEFAULT_DECODE_LIMITS)
+        cache.count(served is True, served is False)
+        if served:
+            cached = entry.span(index, index + 1)
             mask = np.asarray(predicate.evaluate(cached), dtype=bool)
             if nulls is not None and len(nulls):
                 mask &= ~nulls.to_mask(block.count)
@@ -610,16 +612,18 @@ def iter_matching_positions(
     ``block_iter`` yields ``(block index, block, column-row offset)`` —
     callers control which blocks are seen (zone-map pruning on the remote
     path skips some) and what offsets they sit at. Each block's mask comes
-    from :func:`block_mask`, which reads ``cache`` under ``cache_key`` (the
-    key :func:`~repro.core.decompressor.decompress_column` filled it under)
-    and, with ``values``, hands over the values at the hit rows (else
-    ``None``). Blocks with no hits are consumed silently; hit rows are
-    block-local, sorted and unique, ready for
+    from :func:`block_mask`, which reads the column's entry in ``cache``
+    under ``cache_key`` (the key
+    :func:`~repro.core.decompressor.decompress_column` filled it under;
+    looked up once) and, with ``values``, hands over the values at the hit
+    rows (else ``None``). Blocks with no hits are consumed silently; hit rows
+    are block-local, sorted and unique, ready for
     :func:`~repro.core.decompressor.decode_block_filtered`; ``limits`` bind each.
     """
+    entry = cache.get(cache_key) if cache is not None else None
     for index, block, offset in block_iter:
         mask, hit_values = block_mask(
-            index, block, ctype, predicate, limits, cache, cache_key, values
+            index, block, ctype, predicate, limits, cache, entry, values
         )
         hits = np.flatnonzero(mask)
         if hits.size:

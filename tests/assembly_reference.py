@@ -4,16 +4,21 @@ rebased into one column array.
 ``repro.core.decompressor`` now fills every type into a preallocated
 column-level target: a number block decodes into its slice, a string block's
 own offsets are rebased into the column's offsets by the bytes before it
-(``strutil.StringSlots``), and a cache hit's narrow offsets go there as
-stored. What it replaced -- each string block decoded (or served from the
-cache as a fresh ``StringArray``, its offsets widened) into a part, and the
-parts concatenated by recomputing every row's length and prefix-summing them
-again -- lives on here, verbatim, as the reference the new assembly is held to
-byte for byte (``test_zero_copy.py``, ``test_strutil.py``) and timed against
+(``strutil.StringSlots``), and a run of blocks the decode cache serves is
+one slice of the cached column. What it replaced -- each string block decoded (or served from a
+per-block cache entry as a fresh ``StringArray``, its offsets widened) into a
+part, and the parts concatenated by recomputing every row's length and
+prefix-summing them again -- lives on here as the reference the new assembly
+is held to byte for byte (``test_zero_copy.py``, ``test_strutil.py``) and
+timed against
 (``benchmarks/bench_perf_regression.py::test_string_assembly_sweep_never_loses``).
+The decode cache now holds whole columns; the per-block entries the old
+branch read are kept here, private to it, behind the same gate.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -22,11 +27,12 @@ from repro.core.decompressor import (
     _EMPTY_DTYPES,
     CorruptBlockResult,
     _null_block_placeholder,
+    _hold_to_row_limit,
     _record_column,
-    cached_block,
     decode_block,
     make_context,
 )
+from repro.core.file_format import verify_block
 from repro.encodings.base import Values
 from repro.observe import get_registry
 from repro.types import Column, ColumnType, StringArray
@@ -105,20 +111,42 @@ def decode_column(compressed, on_corrupt: str = "raise", vectorized: bool = True
     return assemble_column(compressed, parts)
 
 
+#: The decode cache's per-block entries from before it held whole columns,
+#: per cache: ``(cache key, block index, CRC32) -> (declared count, (buffer,
+#: narrow offsets))``, read-only copies.
+_BLOCK_ENTRIES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _frozen_copy(values: StringArray) -> "tuple[np.ndarray, np.ndarray]":
+    narrow = np.min_scalar_type(values.buffer.size)
+    stored = (values.buffer.copy(), values.offsets.astype(narrow))
+    for array in stored:
+        array.setflags(write=False)
+    return stored
+
+
 def decode_string_column(compressed, cache=None, cache_key=None, admit_strings: bool = True) -> Column:
-    """``decompress_column``'s old string branch: a served entry widened into
-    a fresh ``StringArray``, a miss decoded to a part (and inserted), and the
-    parts handed to the concatenating :func:`assemble_column`."""
+    """``decompress_column``'s old string branch over the old per-block cache
+    entries: behind the same gate (limits, declared count, the CRC32 of the
+    block in hand), a served entry widened into a fresh ``StringArray``, a
+    miss decoded to a part (and inserted), each counted per block in
+    ``cache``; the parts handed to the concatenating :func:`assemble_column`."""
     ctx = make_context(True)
+    entries = _BLOCK_ENTRIES.setdefault(cache, {}) if cache is not None else None
     with get_registry().timer("decompress"):
         parts: list = []
         for index, block in enumerate(compressed.blocks):
-            key, cached = cached_block(cache, cache_key, index, block, ctx.limits)
-            if cached is not None:
-                parts.append(StringArray(*cached))
+            _hold_to_row_limit(block, ctx.limits)
+            key = None if entries is None or block.checksum is None else (cache_key, index, block.checksum)
+            entry = entries.get(key) if key is not None else None
+            if entry is not None and entry[0] == block.count and verify_block(block):
+                cache.count(1, 0)
+                parts.append(StringArray(*entry[1]))
                 continue
             part = decode_block(block, compressed.ctype, ctx)
-            if key is not None and admit_strings:
-                cache.put(key, part)
+            if key is not None:
+                cache.count(0, 1)
+                if admit_strings:
+                    entries[key] = (block.count, _frozen_copy(part))
             parts.append(part)
     return assemble_column(compressed, parts)

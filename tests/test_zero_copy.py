@@ -309,12 +309,9 @@ def test_writing_into_a_served_column_cannot_reach_the_cache(cache_cases):
         _assert_bit_identical(again, _legacy_decode(compressed))
 
 
-def _block(count: int) -> CompressedBlock:
-    return CompressedBlock(count, b"")
-
-
-def _accept(_block) -> bool:
-    return True
+def _blocks(*counts: int) -> "list[CompressedBlock]":
+    """Blocks as a column entry records them: declared counts, a CRC32 each."""
+    return [CompressedBlock(count, b"", checksum=index) for index, count in enumerate(counts)]
 
 
 def test_string_entries_are_charged_evicted_and_bounded_like_number_entries():
@@ -326,26 +323,27 @@ def test_string_entries_are_charged_evicted_and_bounded_like_number_entries():
     registry = MetricsRegistry()
     with use_registry(registry):
         cache = DecodeCache(1000)
-        cache.put("small", small)
-        assert cache.current_bytes == 200 + 101
-        cache.put("wide", wide)
+        cache.put("small", small, _blocks(60, 40))
+        assert cache.current_bytes == 200 + 101 and len(cache) == 2
+        cache.put("wide", wide, _blocks(100))
         assert cache.current_bytes == 200 + 101 + 300 + 2 * 101
-        cache.put("ints", np.arange(40, dtype=np.int32))
-        assert cache.current_bytes == 803 + 160
+        cache.put("ints", np.arange(40, dtype=np.int32), _blocks(40))
+        assert cache.current_bytes == 803 + 160 and len(cache) == 4
         # Touch the oldest entry: the next insert evicts "wide", not it.
-        assert StringArray(*cache.lookup("small", _block(100), _accept)) == small
-        cache.put("again", strings(100, 2))
+        assert cache.get("small").span(0, 2) == small
+        cache.put("again", strings(100, 2), _blocks(100))
         assert "wide" not in cache and "small" in cache and "ints" in cache
         assert registry.get("decode.cache.evict") == 1
         before = cache.current_bytes
-        cache.put("too-big", strings(100, 10))  # 1000 bytes + offsets > budget
+        cache.put("too-big", strings(100, 10), _blocks(100))  # 1000 bytes + offsets > budget
         assert "too-big" not in cache and cache.current_bytes == before
-        assert cache.lookup("too-big", _block(100), _accept) is None
+        assert cache.get("too-big") is None
+        assert registry.get("decode.cache.declined") == 1
 
 
 def test_string_entry_owns_its_memory_and_carries_no_memo(cache_cases):
-    """No entry is a view onto a block payload, an entry is handed out as
-    the read-only pair it is stored as (offsets narrow), and
+    """No entry is a view onto a block payload, an entry is stored as a
+    read-only pair (offsets narrow) and served as a new ``StringArray``, and
     ``encode_distinct``'s memo on a served column never rides back into the
     cache."""
     payload = bytes(range(256)) * 4
@@ -353,9 +351,12 @@ def test_string_entry_owns_its_memory_and_carries_no_memo(cache_cases):
     view = StringArray(np.frombuffer(payload, dtype=np.uint8), offsets)
     assert view.buffer.base is not None
     cache = DecodeCache(1 << 20)
-    cache.put("k", view)
-    buffer, narrow = cache.lookup("k", _block(len(view)), _accept)
-    assert StringArray(buffer, narrow) == view and narrow.dtype == np.uint16
+    cache.put("k", view, _blocks(3, 4, len(view) - 7))
+    entry = cache.get("k")
+    buffer, narrow = entry.values
+    assert entry.span(0, 3) == view and narrow.dtype == np.uint16
+    assert entry.span(0, 3) is not entry.span(0, 3)
+    assert entry.span(1, 2) == StringArray.from_pylist(view.to_pylist()[3:7])
     assert buffer.flags.owndata and not buffer.flags.writeable and not narrow.flags.writeable
     assert not np.shares_memory(buffer, view.buffer)
     assert not np.shares_memory(narrow, offsets)
