@@ -21,7 +21,7 @@ import numpy as np
 from repro.bitmap import RoaringBitmap, strictly_increasing
 from repro.core.blocks import CompressedColumn
 from repro.core.decompressor import (
-    _decompress_node_filtered,
+    _decode_node,
     cached_block,
     concat_values,
     make_context,
@@ -97,7 +97,7 @@ def read_rows(
         # (Block 0 starts at row 0: single-block columns skip the rebase.)
         local = indices[lo:hi] - offsets[block_id] if block_id else indices[lo:hi]
         if not hit:
-            parts.append(_decompress_node_filtered(block.data, ctype, ctx, local, block_level=True))
+            parts.append(_decode_node(block.data, ctype, ctx, local, block_level=True))
         elif not whole:
             parts.append(take_values(entry.span(block_id, block_id + 1), local))
         if block.nulls:

@@ -2,12 +2,18 @@
 
 Decompression mirrors the cascade in reverse: every node stores the scheme it
 cascaded into, so decoding is a recursive dispatch over scheme ids (paper
-Section 3.2). The ``vectorized`` flag selects between the NumPy kernels and
-the pure-Python scalar fallbacks used for the Section 6.8 ablation.
+Section 3.2). That dispatch is one function, :func:`_decode_node`, at every
+cascade level and for every route -- the whole node, only the rows at a
+selection of ``positions``, or the whole node into a caller's ``out`` slot --
+and one block decode, :func:`decode_block`, wraps it with the CRC32 check
+and the ``on_corrupt`` policy. The ``vectorized`` flag selects between the
+NumPy kernels and the pure-Python scalar fallbacks used for the Section 6.8
+ablation.
 
 Blocks read from checksummed (v2) column files are verified against their
 stored CRC32 before decoding. A damaged block is handled per the
-``on_corrupt`` parameter of the ``decompress_*`` entry points:
+``on_corrupt`` parameter of :func:`decode_block` and the ``decompress_*``
+entry points:
 
 * ``"raise"`` (default) — a typed :class:`~repro.exceptions.IntegrityError`;
 * ``"skip"`` — the block's rows are dropped from the reassembled column;
@@ -98,39 +104,6 @@ def _run_scheme(scheme, method, *args):
         ) from exc
 
 
-def _decode_opened(scheme, count: int, payload: bytes, ctx: DecompressionContext) -> Values:
-    """Full decode of a node :func:`_open_node` has already admitted."""
-    values = _run_scheme(scheme, scheme.decompress, payload, count, ctx)
-    if len(values) != count:
-        raise FormatError(
-            f"block declared {count} values but {scheme.name} decoded {len(values)}"
-        )
-    return values
-
-
-def _decompress_node(blob: bytes, ctype: ColumnType, ctx: DecompressionContext) -> Values:
-    return _decode_opened(*_open_node(blob, ctype, ctx), ctx)
-
-
-def _decompress_node_into(
-    blob: bytes, ctype: ColumnType, ctx: DecompressionContext, out: np.ndarray
-) -> None:
-    """Zero-copy variant of :func:`_decompress_node`: decode into ``out``.
-
-    ``out`` is a writable view of exactly the declared value count; a header
-    whose count disagrees with the slot is rejected *before* any scheme code
-    runs (the legacy path detects the same corruption after decoding, as a
-    length mismatch). On failure ``out`` may hold partial data — callers
-    degrade or re-raise, never read it.
-    """
-    scheme, count, payload = _open_node(blob, ctype, ctx)
-    if count != len(out):
-        raise FormatError(
-            f"block declared {count} values but its slot holds {len(out)}"
-        )
-    _run_scheme(scheme, scheme.decompress_into, payload, count, ctx, out)
-
-
 def _selects_sparsely(scheme, count: int, positions: np.ndarray) -> bool:
     """The filtered-vs-full crossover, from the selection alone.
 
@@ -144,47 +117,58 @@ def _selects_sparsely(scheme, count: int, positions: np.ndarray) -> bool:
     return not prefers_full_decode(positions.size, count)
 
 
-def _decompress_node_filtered(
+def _decode_node(
     blob: bytes,
     ctype: ColumnType,
     ctx: DecompressionContext,
-    positions: np.ndarray,
-    *,
+    positions: "np.ndarray | None" = None,
+    out: "np.ndarray | None" = None,
     block_level: bool = False,
-) -> Values:
-    """Selection-vector variant of :func:`_decompress_node`.
+) -> "Values | None":
+    """Decode one cascade node, at every level of every decode: the
+    :func:`_open_node` gate, the route's own check, then one
+    :func:`_run_scheme` call held to the count it was asked for.
 
-    ``positions`` are the sorted unique row indices to materialise, each in
-    ``[0, declared count)`` — the public entry points establish that, inner
-    cascade levels *derive* child positions from decoded geometry (frequency
-    bitmaps), which is non-decreasing by construction. The
-    endpoints are held to the declared count so corrupt geometry surfaces as
-    a typed error here, not as an out-of-bounds crash inside a kernel.
-
-    Selections past the crossover (and the scalar ablation, which has no
-    selective kernels) decode through the ordinary full path and take — no
-    take at all when the selection covers the node. ``block_level`` callers
-    have that counted as ``query.cdomain.filtered.full_decodes``.
+    * ``out`` (a writable view of a number column's slot) is decoded into
+      and ``None`` returned. A header whose count disagrees with the slot is
+      rejected before any scheme code runs; on failure ``out`` may hold
+      partial data -- callers degrade or re-raise, never read it.
+    * ``positions`` (sorted unique rows: the public entry points establish
+      that, inner cascade levels derive them from decoded geometry) returns
+      those rows. Their endpoints are held to the declared count, so corrupt
+      geometry is a typed error here, not an out-of-bounds crash inside a
+      kernel. Selections past the crossover (and the scalar ablation, which
+      has no selective kernels) decode whole and take -- no take when the
+      selection covers the node; ``block_level`` callers have that counted
+      as ``query.cdomain.filtered.full_decodes``.
+    * Neither returns the node's values.
     """
     scheme, count, payload = _open_node(blob, ctype, ctx)
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.size and (int(positions[0]) < 0 or int(positions[-1]) >= count):
-        raise CorruptBlockError(
-            f"selection rows span [{int(positions[0])}, {int(positions[-1])}] "
-            f"but the block declares {count} values"
-        )
-    if not (ctx.vectorized and _selects_sparsely(scheme, count, positions)):
-        if block_level:
-            get_registry().incr("query.cdomain.filtered.full_decodes")
-        values = _decode_opened(scheme, count, payload, ctx)
-        return values if positions.size == count else take_values(values, positions)
-    values = _run_scheme(scheme, scheme.decompress_filtered, payload, count, ctx, positions)
-    if len(values) != positions.size:
-        raise FormatError(
-            f"selection asked for {positions.size} values but {scheme.name} "
-            f"decoded {len(values)}"
-        )
-    return values
+    method, extra, want, take = scheme.decompress, (), count, None
+    if out is not None:
+        if count != len(out):
+            raise FormatError(f"block declared {count} values but its slot holds {len(out)}")
+        method, extra = scheme.decompress_into, (out,)
+    elif positions is not None:
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and (int(positions[0]) < 0 or int(positions[-1]) >= count):
+            raise CorruptBlockError(
+                f"selection rows span [{int(positions[0])}, {int(positions[-1])}] "
+                f"but the block declares {count} values"
+            )
+        if ctx.vectorized and _selects_sparsely(scheme, count, positions):
+            method, extra, want = scheme.decompress_filtered, (positions,), positions.size
+        else:
+            if block_level:
+                get_registry().incr("query.cdomain.filtered.full_decodes")
+            if positions.size != count:
+                take = positions
+    values = _run_scheme(scheme, method, payload, count, ctx, *extra)
+    if out is not None:
+        return None
+    if len(values) != want:
+        raise FormatError(f"{scheme.name} decoded {len(values)} values where {want} were asked for")
+    return values if take is None else take_values(values, take)
 
 
 #: Contexts are immutable and stateless, so default-limit ones are shared.
@@ -195,19 +179,12 @@ def make_context(
     vectorized: bool = True,
     limits: "DecodeLimits | None" = None,
 ) -> DecompressionContext:
-    """A decompression context that recursively dispatches on scheme ids."""
-    def build(**extra) -> DecompressionContext:
-        return DecompressionContext(
-            _decompress_node,
-            _decompress_node_filtered,
-            vectorized=vectorized,
-            **extra,
-        )
-
+    """A decompression context whose every cascade level decodes through
+    :func:`_decode_node`."""
     if limits is not None:
-        return build(limits=limits)
+        return DecompressionContext(_decode_node, vectorized, limits)
     if vectorized not in _DEFAULT_CONTEXTS:
-        _DEFAULT_CONTEXTS[vectorized] = build()
+        _DEFAULT_CONTEXTS[vectorized] = DecompressionContext(_decode_node, vectorized)
     return _DEFAULT_CONTEXTS[vectorized]
 
 
@@ -215,7 +192,7 @@ def decompress_block(blob: bytes, ctype: ColumnType, vectorized: bool = True) ->
     """Decompress one block produced by ``compress_block``."""
     registry = get_registry()
     with registry.timer("decompress"):
-        values = _decompress_node(blob, ctype, make_context(vectorized))
+        values = _decode_node(blob, ctype, make_context(vectorized))
     registry.incr("decompress.blocks")
     registry.incr("decompress.rows", len(values))
     registry.incr("decompress.input_bytes", len(blob))
@@ -288,7 +265,8 @@ def cached_block(cache, entry, index: int, block: CompressedBlock, limits: Decod
 
 
 def _block_is_intact(block: CompressedBlock, ctx: DecompressionContext, on_corrupt: str) -> bool:
-    """Shared preamble of the ``decode_block*`` entry points.
+    """The policy gate of every reader that verifies what it is handed
+    (:func:`decode_block`, :func:`~repro.query.executor.filter_column`).
 
     Validates the policy, bounds the declared count and verifies the stored
     CRC32 (when present). ``False`` means a damaged block under a degrade
@@ -310,109 +288,69 @@ def decode_block(
     block: CompressedBlock,
     ctype: ColumnType,
     ctx: DecompressionContext,
+    *,
+    positions: "np.ndarray | None" = None,
+    out: "np.ndarray | None" = None,
     on_corrupt: str = "raise",
-) -> "Values | CorruptBlockResult":
-    """Decode one compressed block's values.
+) -> "Values | CorruptBlockResult | None":
+    """Decode one compressed block: all of it, only the rows at
+    ``positions``, or all of it into ``out``.
 
-    Verifies the block's stored CRC32 (when present) first; damage is
-    raised as :class:`IntegrityError` or turned into a
-    :class:`CorruptBlockResult` per ``on_corrupt``. The values must number
-    the block's declared count, the size of its slot in the column: a node
-    header that disagrees (nothing but a CRC32 ties the two, and v1 blocks
-    carry none) is a :class:`FormatError`, raised or degraded like any
-    parse failure -- :func:`decode_block_into` rejects the same before it
-    decodes. Records no metrics; per-column totals are accounted once by
+    * Full decode returns the block's values. They must number the block's
+      declared count, the size of its slot in the column: a node header
+      that disagrees (nothing but a CRC32 ties the two, and v1 blocks carry
+      none) is a :class:`FormatError`, raised or degraded like any parse
+      failure.
+    * ``positions`` (sorted unique, block-local) returns only those rows:
+      dictionaries gather only selected codes, bit-packing unpacks only the
+      pages holding selected rows, frequency decodes only selected
+      exceptions, up to the crossover to a full decode plus a take.
+      Positions that are not strictly increasing are a caller bug
+      (``ValueError``), rejected before any payload byte is parsed. Records
+      ``query.cdomain.filtered.*`` counters (rows decoded vs the block's
+      total) so selectivity scaling is observable.
+    * ``out`` (a writable slice of a preallocated number column holding
+      exactly ``block.count`` elements) is filled and ``None`` returned.
+
+    The stored CRC32 (when present) is verified first; damage is raised as
+    :class:`IntegrityError` or turned into a :class:`CorruptBlockResult` per
+    ``on_corrupt``: no rows under ``"skip"``; under ``"null_block"`` the
+    block's declared count (``len(positions)`` for a selection) of NULL
+    placeholders, ``out`` zero-filled over any partial decode. Records no
+    other metrics; per-column totals are accounted once by
     :func:`assemble_column_preallocated`.
     """
-    emitted = block.count if on_corrupt == "null_block" else 0
-    if not _block_is_intact(block, ctx, on_corrupt):
-        return CorruptBlockResult(emitted)
-    try:
-        values = _decompress_node(block.data, ctype, ctx)
-        if len(values) != block.count:
-            raise FormatError(
-                f"block declared {block.count} values but its node decoded {len(values)}"
-            )
-        return values
-    except BtrBlocksError:
-        # Checksum-less (v1 / in-memory) blocks can only reveal damage by
-        # failing to parse; degrade those the same way.
-        if on_corrupt == "raise":
-            raise
-        return CorruptBlockResult(emitted, reason="decode failure")
-
-
-def decode_block_filtered(
-    block: CompressedBlock,
-    ctype: ColumnType,
-    ctx: DecompressionContext,
-    positions: np.ndarray,
-    on_corrupt: str = "raise",
-) -> "Values | CorruptBlockResult":
-    """Decode only the rows at ``positions`` (sorted unique, block-local).
-
-    The selection-vector analog of :func:`decode_block`: identical CRC32
-    verification order, error types and degrade semantics, but schemes
-    decode only what the selection needs — dictionaries gather only selected
-    codes, bit-packing unpacks only pages holding selected rows, frequency
-    decodes only selected exceptions. A degraded damaged block emits ``len(positions)``
-    NULL placeholders under ``"null_block"`` and nothing under ``"skip"``.
-    Records ``query.cdomain.filtered.*`` counters (rows decoded vs the
-    block's total) so selectivity scaling is observable. Positions that are
-    not strictly increasing are a caller bug (``ValueError``), rejected
-    before any payload byte is parsed — everything below relies on it.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    if not strictly_increasing(positions):
-        raise ValueError("selection positions must be sorted and duplicate-free")
-    get_registry().incr_many(
-        [
-            ("query.cdomain.filtered.blocks", 1),
-            ("query.cdomain.filtered.rows_selected", int(positions.size)),
-            ("query.cdomain.filtered.rows_total", block.count),
-        ]
-    )
-    emitted = positions.size if on_corrupt == "null_block" else 0
-    if not _block_is_intact(block, ctx, on_corrupt):
-        return CorruptBlockResult(emitted)
-    try:
-        return _decompress_node_filtered(block.data, ctype, ctx, positions, block_level=True)
-    except BtrBlocksError:
-        if on_corrupt == "raise":
-            raise
-        return CorruptBlockResult(emitted, reason="decode failure")
-
-
-def decode_block_into(
-    block: CompressedBlock,
-    ctype: ColumnType,
-    ctx: DecompressionContext,
-    out: np.ndarray,
-    on_corrupt: str = "raise",
-) -> "CorruptBlockResult | None":
-    """Zero-copy variant of :func:`decode_block`: decode into ``out``.
-
-    ``out`` is a writable slice of the preallocated column array holding
-    exactly ``block.count`` elements. Returns ``None`` on success (the slice
-    is fully written) or a :class:`CorruptBlockResult` under a degrade
-    policy — a ``null_block`` result leaves the slice zero-filled (the NULL
-    placeholder), a ``skip`` result leaves it unspecified (the assembly
-    compaction pass drops it). Identical verification order, error types and
-    degrade semantics to :func:`decode_block`; records no metrics.
-    """
+    if positions is not None:
+        positions = np.asarray(positions, dtype=np.int64)
+        if not strictly_increasing(positions):
+            raise ValueError("selection positions must be sorted and duplicate-free")
+        get_registry().incr_many(
+            [
+                ("query.cdomain.filtered.blocks", 1),
+                ("query.cdomain.filtered.rows_selected", int(positions.size)),
+                ("query.cdomain.filtered.rows_total", block.count),
+            ]
+        )
     reason = "checksum mismatch"
     if _block_is_intact(block, ctx, on_corrupt):
         try:
-            _decompress_node_into(block.data, ctype, ctx, out)
-            return None
+            values = _decode_node(block.data, ctype, ctx, positions, out, block_level=True)
+            if positions is None and out is None and len(values) != block.count:
+                raise FormatError(
+                    f"block declared {block.count} values but its node decoded {len(values)}"
+                )
+            return values
         except BtrBlocksError:
+            # Checksum-less (v1 / in-memory) blocks can only reveal damage by
+            # failing to parse; degrade those the same way.
             if on_corrupt == "raise":
                 raise
             reason = "decode failure"
-    if on_corrupt == "null_block":
+    if on_corrupt != "null_block":
+        return CorruptBlockResult(0, reason=reason)
+    if out is not None:
         out[:] = 0  # the NULL placeholder, over any partial decode
-        return CorruptBlockResult(block.count, reason=reason)
-    return CorruptBlockResult(0, reason=reason)
+    return CorruptBlockResult(block.count if positions is None else positions.size, reason=reason)
 
 
 def _null_block_placeholder(ctype: ColumnType, count: int) -> Values:
@@ -536,15 +474,14 @@ def fill_block(
     on_corrupt: str = "raise",
 ) -> "CorruptBlockResult | None":
     """Decode a block the cache did not serve into its slot at ``row`` of
-    ``data``: a number block straight into its slice
-    (:func:`decode_block_into`), a string block to one block whose offsets
-    are rebased into the column's. Returns what
-    :func:`assemble_column_preallocated` takes per block: ``None``, or the
-    :class:`CorruptBlockResult` of a degraded block, whose slot holds the
-    NULL placeholder.
+    ``data``: a number block straight into its slice (:func:`decode_block`
+    with ``out``), a string block to one block whose offsets are rebased
+    into the column's. Returns what :func:`assemble_column_preallocated`
+    takes per block: ``None``, or the :class:`CorruptBlockResult` of a
+    degraded block, whose slot holds the NULL placeholder.
     """
     if not isinstance(data, strutil.StringSlots):
-        return decode_block_into(block, ctype, ctx, data[row : row + block.count], on_corrupt=on_corrupt)
+        return decode_block(block, ctype, ctx, out=data[row : row + block.count], on_corrupt=on_corrupt)
     part = decode_block(block, ctype, ctx, on_corrupt=on_corrupt)
     if isinstance(part, CorruptBlockResult):
         data.fill_empty(row, part.emitted)
@@ -743,8 +680,6 @@ __all__ = [
     "assemble_column_preallocated",
     "cached_block",
     "decode_block",
-    "decode_block_filtered",
-    "decode_block_into",
     "decompress_block",
     "decompress_column",
     "decompress_relation",

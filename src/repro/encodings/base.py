@@ -88,31 +88,26 @@ class DecompressionContext:
 
     def __init__(
         self,
-        decompress_fn: Callable[[bytes, ColumnType, "DecompressionContext"], Values],
-        decompress_filtered_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray], Values]",
+        decode_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray | None], Values]",
         vectorized: bool = True,
         limits: "DecodeLimits | None" = None,
     ) -> None:
         from repro.core.config import DEFAULT_DECODE_LIMITS
 
-        self._decompress_fn = decompress_fn
-        self._decompress_filtered_fn = decompress_filtered_fn
+        self._decode_fn = decode_fn
         self.vectorized = vectorized
         self.limits = limits if limits is not None else DEFAULT_DECODE_LIMITS
 
-    def decompress_child(self, blob: bytes, ctype: ColumnType) -> Values:
-        return self._decompress_fn(blob, ctype, self)
-
-    def decompress_child_filtered(
-        self, blob: bytes, ctype: ColumnType, positions: np.ndarray
+    def decompress_child(
+        self, blob: bytes, ctype: ColumnType, positions: "np.ndarray | None" = None
     ) -> Values:
-        """Decode only the child values at sorted row ``positions``.
+        """Decode a child node, or only its values at sorted row ``positions``.
 
-        Cascades the selection vector one level deeper (so e.g. dictionary
-        codes packed with FastBP128 unpack only the pages that hold selected
-        rows), through the same dispatcher — and crossover — as the block.
+        A selection cascades one level deeper (so e.g. dictionary codes
+        packed with FastBP128 unpack only the pages that hold selected
+        rows), through the same dispatcher -- and crossover -- as the block.
         """
-        return self._decompress_filtered_fn(blob, ctype, self, positions)
+        return self._decode_fn(blob, ctype, self, positions)
 
 
 class Scheme(ABC):
@@ -175,22 +170,6 @@ class Scheme(ABC):
     @abstractmethod
     def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> Values:
         """Inverse of :meth:`compress`; must return bitwise-identical values."""
-
-    def header_bounds(
-        self, payload: bytes, count: int, ctx: DecompressionContext
-    ) -> "tuple[int, int] | None":
-        """Conservative ``(minimum, maximum)`` of the decoded values, derived
-        from header metadata alone — no payload words are unpacked.
-
-        The interval must *contain* every decoded value but need not be
-        tight: a range predicate that rejects (or accepts) the whole interval
-        can then reject (or accept) the block without decoding it, even when
-        no zone map is available. ``None`` (the default) means the scheme
-        cannot bound its output cheaply. Only frame-of-reference integer
-        schemes override this — their ``(reference, bit_width)`` page headers
-        are exactly such bounds.
-        """
-        return None
 
     def decompress_filtered(
         self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray

@@ -254,32 +254,6 @@ def unpack_pages(payload: bytes, widths: np.ndarray) -> np.ndarray:
     return _unpack_rows(raw, _page_offsets(widths)[:-1], widths)
 
 
-def unpack_pages_subset(payload: bytes, widths: np.ndarray, page_ids: np.ndarray) -> np.ndarray:
-    """Unpack only the pages in ``page_ids`` (sorted unique) from
-    :func:`pack_pages` output; returns ``(len(page_ids), 128)`` uint64 deltas.
-
-    Cost scales with the number of selected pages, not the block's page
-    count. No decode route calls it (a selection gathers rows,
-    :func:`gather_rows`); ``benchmarks/bench_perf_regression.py`` holds it
-    to the reference kernel.
-    """
-    widths = widths.astype(np.int64, copy=False)
-    if page_ids.size == 0:
-        return np.zeros((0, PAGE), dtype=np.uint64)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    offsets = _page_offsets(widths)
-    if int(offsets[-1]) > raw.size:
-        raise CorruptBlockError(
-            f"bit-packed payload holds {raw.size} bytes, pages declare {int(offsets[-1])}"
-        )
-    first, last = int(page_ids[0]), int(page_ids[-1])
-    if last - first + 1 == page_ids.size:
-        # A contiguous page range (any clustered selection) is a payload of
-        # its own: unpack it at full speed instead of gathering page by page.
-        return unpack_pages(raw[offsets[first] : offsets[last + 1]], widths[first : last + 1])
-    return _unpack_rows(raw, offsets[page_ids], widths[page_ids])
-
-
 #: Mask of a width-``w`` field, by width (the row kernel's mixed-width case).
 _FIELD_MASKS = (np.uint64(1) << np.arange(MAX_WIDTH + 1, dtype=np.uint64)) - np.uint64(1)
 
@@ -353,21 +327,6 @@ def check_selected_pages(last_page: int, widths: np.ndarray, refs: np.ndarray) -
             f"page headers describe {refs.size} refs for {widths.size} pages, "
             f"page {last_page} selected"
         )
-
-
-def page_header_bounds(refs: np.ndarray, widths: np.ndarray) -> "tuple[int, int]":
-    """Conservative (min, max) of FOR/bit-packed data from page headers alone.
-
-    Page *i* holds values in ``[refs[i], refs[i] + 2**widths[i] - 1]``; the
-    hull over pages bounds the block. Exact on the low side (references are
-    page minima), conservative on the high side (the width covers the page's
-    max delta but other values may sit lower). Shifts are clipped at 62 so a
-    hostile width byte cannot overflow int64 — clipping only widens the
-    interval, which stays valid for both reject and accept decisions.
-    """
-    refs64 = refs.astype(np.int64)
-    spans = (np.int64(1) << np.minimum(widths.astype(np.int64), 62)) - 1
-    return int(refs64.min()), int((refs64 + spans).max())
 
 
 def unpack_pages_scalar(payload: bytes, widths: np.ndarray) -> np.ndarray:
@@ -464,19 +423,6 @@ class FastBP128(Scheme):
                 f"bit-packed pages hold {values.size} values, {count} declared"
             )
         np.copyto(out, values[:count], casting="unsafe")
-
-    def header_bounds(
-        self, payload: bytes, count: int, ctx: DecompressionContext
-    ) -> "tuple[int, int] | None":
-        try:
-            reader = Reader(payload)
-            refs = reader.array()
-            widths = reader.array()
-        except Exception:
-            return None
-        if refs.size == 0 or refs.size != widths.size:
-            return None
-        return page_header_bounds(refs, widths)
 
     def decompress_filtered(
         self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray

@@ -151,7 +151,7 @@ class _NumericDict(Scheme):
         reader = Reader(payload)
         uniq = reader.array()
         codes_blob = reader.blob()
-        codes = ctx.decompress_child_filtered(codes_blob, ColumnType.INTEGER, positions)
+        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions)
         return np.asarray(uniq).take(_checked_codes(codes, len(uniq)))
 
 
@@ -279,7 +279,7 @@ class DictString(Scheme):
         pool_count = reader.u32()
         pool = self.cached_pool(pool_kind, reader.blob(), pool_count, ctx)
         codes_blob = reader.blob()
-        codes = ctx.decompress_child_filtered(codes_blob, ColumnType.INTEGER, positions)
+        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions)
         return strutil.gather(pool, _checked_codes(codes, len(pool)))
 
 

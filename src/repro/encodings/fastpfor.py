@@ -20,7 +20,6 @@ import numpy as np
 from repro.bitmap import strictly_increasing
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     SchemeId,
     register_scheme,
 )
@@ -30,7 +29,6 @@ from repro.encodings.bitpack import (
     bit_lengths,
     check_widths,
     pack_pages,
-    page_header_bounds,
     paginate,
 )
 from repro.encodings.wire import Reader, Writer
@@ -143,38 +141,6 @@ class FastPFOR(FastBP128):
         check_widths(widths)
         keys = exception_keys(widths.size, exc_per_page, exc_slots, exc_values)
         return refs, widths, packed, keys, exc_values
-
-    def header_bounds(
-        self, payload: bytes, count: int, ctx: DecompressionContext
-    ) -> "tuple[int, int] | None":
-        try:
-            reader = Reader(payload)
-            refs = reader.array()
-            widths = reader.array()
-            exc_per_page = reader.array()
-            reader.array()  # exc_slots: positions do not move the hull
-            exc_values = reader.array()
-        except Exception:
-            return None
-        if (
-            refs.size == 0
-            or refs.size != widths.size
-            or exc_per_page.size != widths.size
-            or int(exc_per_page.sum()) != exc_values.size
-        ):
-            return None
-        lo, hi = page_header_bounds(refs, widths)
-        if exc_values.size:
-            # Exceptions store the *full* delta, so they can sit above the
-            # packed lane's 2**width - 1 ceiling; raise the hull to cover
-            # them (clipped like the width spans so hostile values cannot
-            # overflow int64 — clipping only widens the interval).
-            exc_pages = np.repeat(np.arange(widths.size), exc_per_page)
-            exc_deltas = np.minimum(exc_values, np.uint64(1) << np.uint64(62)).astype(
-                np.int64
-            )
-            hi = max(hi, int((refs[exc_pages].astype(np.int64) + exc_deltas).max()))
-        return lo, hi
 
 
 FASTPFOR_SCHEME = register_scheme(FastPFOR())

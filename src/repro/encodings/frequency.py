@@ -132,7 +132,7 @@ class _FrequencyBase(Scheme):
         sel_top, exc_ranks = _split_selection(bitmap, positions)
         exceptions = top_value[:0]
         if exc_ranks.size:
-            exceptions = ctx.decompress_child_filtered(exc_blob, self.ctype, exc_ranks)
+            exceptions = ctx.decompress_child(exc_blob, self.ctype, exc_ranks)
         return fill_selection(top_value, sel_top, exceptions)
 
 
@@ -196,7 +196,7 @@ class FrequencyString(Scheme):
         bitmap = RoaringBitmap.deserialize(reader.blob())
         exc_blob = reader.blob()
         sel_top, exc_ranks = _split_selection(bitmap, positions)
-        exceptions = ctx.decompress_child_filtered(exc_blob, ColumnType.STRING, exc_ranks)
+        exceptions = ctx.decompress_child(exc_blob, ColumnType.STRING, exc_ranks)
         return fill_selection(top, sel_top, exceptions)
 
 

@@ -42,15 +42,6 @@ class OneValueInt(Scheme):
     ) -> None:
         out.fill(np.int32(Reader(payload).i64()))
 
-    def header_bounds(
-        self, payload: bytes, count: int, ctx: DecompressionContext
-    ) -> "tuple[int, int] | None":
-        try:
-            value = int(np.int32(Reader(payload).i64()))
-        except Exception:
-            return None
-        return value, value
-
     def decompress_filtered(
         self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
     ) -> np.ndarray:
@@ -74,18 +65,6 @@ class OneValueDouble(Scheme):
     def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
         value = Reader(payload).array()
         return np.repeat(value, count)
-
-    def header_bounds(
-        self, payload: bytes, count: int, ctx: DecompressionContext
-    ) -> "tuple[float, float] | None":
-        try:
-            value = Reader(payload).array()
-        except Exception:
-            return None
-        if value.size != 1 or value.dtype != np.float64 or np.isnan(value[0]):
-            return None
-        v = float(value[0])
-        return v, v
 
     def decompress_into(
         self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray

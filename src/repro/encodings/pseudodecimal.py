@@ -142,8 +142,8 @@ class Pseudodecimal(Scheme):
         self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
     ) -> np.ndarray:
         reader = Reader(payload)
-        digits = ctx.decompress_child_filtered(reader.blob(), ColumnType.INTEGER, positions)
-        exponents = ctx.decompress_child_filtered(reader.blob(), ColumnType.INTEGER, positions)
+        digits = ctx.decompress_child(reader.blob(), ColumnType.INTEGER, positions)
+        exponents = ctx.decompress_child(reader.blob(), ColumnType.INTEGER, positions)
         patch_rows = RoaringBitmap.deserialize(reader.blob())
         patches = reader.array()
         # The same elementwise multiply as the full decode, on the selected

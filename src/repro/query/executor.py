@@ -48,12 +48,13 @@ from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedBlock, CompressedColumn
 from repro.core.config import DEFAULT_DECODE_LIMITS, DecodeLimits
 from repro.core.decompressor import (
-    _hold_to_row_limit,
+    CorruptBlockResult,
+    _block_is_intact,
     _open_node,
     _run_scheme,
     cached_block,
     concat_values,
-    decode_block_filtered,
+    decode_block,
     make_context,
 )
 from repro.encodings import strutil
@@ -618,7 +619,7 @@ def iter_matching_positions(
     looked up once) and, with ``values``, hands over the values at the hit
     rows (else ``None``). Blocks with no hits are consumed silently; hit rows
     are block-local, sorted and unique, ready for
-    :func:`~repro.core.decompressor.decode_block_filtered`; ``limits`` bind each.
+    :func:`~repro.core.decompressor.decode_block`'s ``positions``; ``limits`` bind each.
     """
     entry = cache.get(cache_key) if cache is not None else None
     for index, block, offset in block_iter:
@@ -694,30 +695,21 @@ def filter_column(
     where hits live — up to the dispatcher's crossover to a plain decode +
     take. No block decodes twice.
 
-    Checksums are verified *before* the compressed-domain scan evaluates a
-    block (damaged bytes must not be parsed at all): a CRC mismatch raises
-    :class:`~repro.exceptions.IntegrityError` under ``"raise"`` and drops
-    the block's rows under either degrade policy. A block whose payload
-    fails to parse (the only damage signal checksum-less v1 blocks give)
-    raises its typed error under ``"raise"`` and is dropped the same way
-    under either degrade policy — the decode step's treatment. A declared
-    count over the limits raises under every policy, as it does on decode.
+    Every block passes the decode's own policy gate first
+    (:func:`~repro.core.decompressor._block_is_intact`): the policy is
+    validated, a declared count over the limits raises under every policy,
+    and a CRC mismatch raises :class:`~repro.exceptions.IntegrityError`
+    under ``"raise"`` -- damaged bytes are never parsed -- and drops the
+    block's rows under either degrade policy. A block whose payload fails
+    to parse (the only damage signal checksum-less v1 blocks give) raises
+    its typed error under ``"raise"`` and is dropped the same way under
+    either degrade policy.
     """
-    from repro.core.decompressor import CorruptBlockResult
-    from repro.core.file_format import verify_block
-    from repro.exceptions import IntegrityError
-
     ctx = make_context()
     parts = []
     for index, block, _offset in enumerate_blocks(compressed):
-        if not verify_block(block):
-            if on_corrupt == "raise":
-                raise IntegrityError(
-                    f"block of {block.count} values: payload does not "
-                    f"match stored CRC32"
-                )
+        if not _block_is_intact(block, ctx, on_corrupt):
             continue
-        _hold_to_row_limit(block, ctx.limits)
         try:
             mask, values = block_mask(index, block, compressed.ctype, predicate, values=True)
         except BtrBlocksError:
@@ -728,8 +720,8 @@ def filter_column(
             hits = np.flatnonzero(mask)
             if not hits.size:
                 continue
-            values = decode_block_filtered(
-                block, compressed.ctype, ctx, hits, on_corrupt=on_corrupt
+            values = decode_block(
+                block, compressed.ctype, ctx, positions=hits, on_corrupt=on_corrupt
             )
             if isinstance(values, CorruptBlockResult):
                 continue

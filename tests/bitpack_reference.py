@@ -21,7 +21,6 @@ from repro.encodings.bitpack import (
     _lane_mask,
     _uniform,
 )
-from repro.exceptions import CorruptBlockError
 
 #: Per-width constants (shift vectors, gather windows) reused across calls;
 #: widths come from a u8 wire field, so the cache is bounded at 256 entries.
@@ -95,40 +94,5 @@ def unpack_pages(payload: bytes, widths: np.ndarray) -> np.ndarray:
             continue
         rows = np.nonzero(widths == width)[0]
         src = offsets[rows][:, None] + np.arange(16 * w, dtype=np.int64)
-        out[rows] = _decode_lane(raw[src], w)
-    return out
-
-
-def unpack_pages_subset(payload: bytes, widths: np.ndarray, page_ids: np.ndarray) -> np.ndarray:
-    """Unpack only the pages in ``page_ids`` (sorted unique) from
-    :func:`pack_pages` output; returns ``(len(page_ids), 128)`` uint64 deltas.
-
-    Decode cost scales with the number of *selected* pages, not the block's
-    page count — the selection-vector analog of the full unpack.
-    """
-    widths = widths.astype(np.int64, copy=False)
-    page_count = widths.size
-    if page_ids.size == 0:
-        return np.zeros((0, PAGE), dtype=np.uint64)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    offsets = np.zeros(page_count + 1, dtype=np.int64)
-    np.cumsum(16 * widths, out=offsets[1:])
-    if int(offsets[-1]) > raw.size:
-        raise CorruptBlockError(
-            f"bit-packed payload holds {raw.size} bytes, pages declare {int(offsets[-1])}"
-        )
-    first, last = int(page_ids[0]), int(page_ids[-1])
-    if last - first + 1 == page_ids.size:
-        # A contiguous page range (any clustered selection) is a payload of
-        # its own: unpack it at full speed instead of gathering page by page.
-        return unpack_pages(raw[offsets[first] : offsets[last + 1]], widths[first : last + 1])
-    out = np.zeros((page_ids.size, PAGE), dtype=np.uint64)
-    sel_widths = widths[page_ids]
-    for width in np.unique(sel_widths):
-        w = int(width)
-        if w == 0:
-            continue
-        rows = np.nonzero(sel_widths == width)[0]
-        src = offsets[page_ids[rows]][:, None] + np.arange(16 * w, dtype=np.int64)
         out[rows] = _decode_lane(raw[src], w)
     return out

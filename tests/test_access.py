@@ -87,7 +87,6 @@ from repro.core.blocks import CompressedBlock, CompressedColumn  # noqa: E402
 from repro.core.config import BtrBlocksConfig  # noqa: E402
 from repro.core.decompressor import (  # noqa: E402
     decode_block,
-    decode_block_filtered,
     decompress_column,
     make_context,
 )
@@ -174,7 +173,7 @@ def _sweep_selection(rng, layout: str, percent: int) -> np.ndarray:
 def test_every_dispatcher_outcome_is_bit_identical(workload):
     """Filtered kernel, full-decode-then-take and whole-block decode all give
     decode-then-take's bits, at 1/10/50/90/100% for clustered and scattered
-    selections — through ``decode_block_filtered`` and through ``read_rows``."""
+    selections — through ``decode_block(positions=)`` and through ``read_rows``."""
     rng = np.random.default_rng(SEED + 13)
     column = SCHEME_WORKLOADS[workload](SWEEP_ROWS, np.random.default_rng(SEED))
     compressed = compress_column(column, BtrBlocksConfig(block_size=SWEEP_BLOCK))
@@ -188,7 +187,7 @@ def test_every_dispatcher_outcome_is_bit_identical(workload):
             positions = _sweep_selection(rng, layout, percent)
             registry = MetricsRegistry()
             with use_registry(registry):
-                got = decode_block_filtered(block, compressed.ctype, ctx, positions)
+                got = decode_block(block, compressed.ctype, ctx, positions=positions)
             expected = take_values(full, positions)
             assert _values_equal(compressed.ctype, got, expected), (layout, percent)
             if positions.size == block.count:
@@ -225,7 +224,7 @@ def test_dispatcher_takes_all_three_paths_on_bitpacked_data(monkeypatch):
         routes.clear()
         registry = MetricsRegistry()
         with use_registry(registry):
-            got = decode_block_filtered(block, compressed.ctype, ctx, positions)
+            got = decode_block(block, compressed.ctype, ctx, positions=positions)
         assert np.array_equal(got, column.data[positions])
         return list(routes), int(registry.get("query.cdomain.filtered.full_decodes"))
 
@@ -292,14 +291,14 @@ class TestSelectionContract:
     """Sorted duplicate-free positions are validated once, where they enter."""
 
     @pytest.mark.parametrize("positions", [[3, 1], [1, 1], [0, 5, 4]])
-    def test_decode_block_filtered_rejects_unsorted_positions(self, int_column, positions):
+    def test_decode_block_rejects_unsorted_positions(self, int_column, positions):
         _, compressed = int_column
         block = compressed.blocks[0]
         with pytest.raises(ValueError, match="sorted and duplicate-free"):
-            decode_block_filtered(block, compressed.ctype, make_context(), positions)
+            decode_block(block, compressed.ctype, make_context(), positions=positions)
 
     def test_rejection_precedes_any_payload_parse(self, int_column):
         _, compressed = int_column
         garbage = CompressedBlock(compressed.blocks[0].count, b"\xff" * 40)
         with pytest.raises(ValueError, match="sorted and duplicate-free"):
-            decode_block_filtered(garbage, compressed.ctype, make_context(), [2, 1])
+            decode_block(garbage, compressed.ctype, make_context(), positions=[2, 1])

@@ -205,7 +205,7 @@ def test_a_column_over_the_budget_is_never_cached_and_every_block_decodes():
     cache = DecodeCache(10_000)
     registry = MetricsRegistry()
     with use_registry(registry), mock.patch.object(
-        decompressor, "decode_block_into", wraps=decompressor.decode_block_into
+        decompressor, "decode_block", wraps=decompressor.decode_block
     ) as decodes:
         for _ in range(3):
             assert columns_equal(

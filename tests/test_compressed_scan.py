@@ -3,7 +3,7 @@
 The compressed-domain executor answers predicates without materialising
 values (code-space compilation, per-run RLE evaluation, page-header
 reject/accept), and the selection-vector decode materialises only chosen
-rows (``decode_block_filtered``). Both are pure optimisations, so this
+rows (``decode_block(positions=)``). Both are pure optimisations, so this
 suite locks down the only property that matters: they can never change an
 answer. Every check compares against an oracle computed independently over
 the uncompressed data:
@@ -12,13 +12,14 @@ the uncompressed data:
   crafted to steer the selector into every scheme family (and their
   cascades), four NULL layouts and every predicate type;
 * ``filter_column`` values == decompress-evaluate-gather, bit-for-bit;
-* ``decode_block_filtered(positions)`` == full decode + take, for random
+* ``decode_block(positions=)`` == full decode + take, for random
   selections, on every block of every shape;
 * ``RemoteTable.scan`` with conjunctions == the same
   oracle, over a committed table;
 * corrupted blocks produce the same typed errors and degrade results
-  (``raise`` / ``skip`` / ``null_block``) through the filtered path as the
-  full-decode path — never silently wrong values.
+  (``raise`` / ``skip`` / ``null_block``) on every route of
+  ``decode_block`` — whole, ``positions=``, ``out=`` — and ``filter_column``
+  holds blocks to the same gate — never silently wrong values.
 
 Seeds follow ``REPRO_FAULT_SEED`` so CI's randomized fault-matrix run
 replays through this suite too.
@@ -37,8 +38,8 @@ from repro.cloud.remote_table import RemoteTable, TableWriter
 from repro.core.compressor import compress_column, compress_relation
 from repro.core.decompressor import (
     CorruptBlockResult,
+    ON_CORRUPT_MODES,
     decode_block,
-    decode_block_filtered,
     decompress_column,
     make_context,
 )
@@ -50,6 +51,7 @@ from repro.encodings.dictionary import clear_string_pool_cache
 from repro.exceptions import (
     BtrBlocksError,
     CorruptBlockError,
+    DecodeLimitError,
     IntegrityError,
 )
 from repro.observe import MetricsRegistry, use_registry
@@ -259,7 +261,7 @@ def test_scan_and_filter_match_oracle(shape, null_layout):
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_filtered_decode_matches_full_decode_take(shape):
-    """decode_block_filtered(positions) == decode + take, on every block."""
+    """decode_block(positions=) == decode + take, on every block."""
     rng = np.random.default_rng(SEED + 1)
     column = _make_column(shape, "none")
     compressed = compress_column(column, BtrBlocksConfig(block_size=BLOCK))
@@ -270,7 +272,7 @@ def test_filtered_decode_matches_full_decode_take(shape):
             if size > block.count:
                 continue
             positions = np.sort(rng.choice(block.count, size=size, replace=False))
-            got = decode_block_filtered(block, compressed.ctype, ctx, positions)
+            got = decode_block(block, compressed.ctype, ctx, positions=positions)
             expected = _gather(compressed.ctype, full, positions)
             assert _values_equal(compressed.ctype, got, expected), (shape, size)
 
@@ -293,11 +295,11 @@ def test_filtered_decode_positions_contract():
     ctx = make_context()
     block = compressed.blocks[0]
     with pytest.raises(CorruptBlockError):
-        decode_block_filtered(
-            block, compressed.ctype, ctx, np.asarray([block.count], dtype=np.int64)
+        decode_block(
+            block, compressed.ctype, ctx, positions=np.asarray([block.count], dtype=np.int64)
         )
     with pytest.raises(CorruptBlockError):
-        decode_block_filtered(block, compressed.ctype, ctx, np.asarray([-1], dtype=np.int64))
+        decode_block(block, compressed.ctype, ctx, positions=np.asarray([-1], dtype=np.int64))
 
 
 def test_filtered_decode_counters_scale_with_selectivity():
@@ -380,10 +382,24 @@ def test_remote_scan_surfaces_match_oracle():
         assert _values_equal(ColumnType.INTEGER, got.columns[0].data, expected_keys), case_id
 
 
-# -- corruption: filtered decode keeps decode_block's contract -----------------
+# -- corruption: every decode route keeps one contract -------------------------
 
 
 CORRUPT_SHAPES = ["rle", "sorted", "fastpfor", "frequency", "dict_string", "fsst"]
+STRING_SHAPES = {"dict_string", "fsst"}
+
+# The crossover routes a selection to the filtered kernel, to full-decode-
+# then-take or to a plain whole-block decode. Damage must surface the same
+# way whichever one a selection lands on -- and on the whole-block and
+# into-a-slot routes too.
+DISPATCH_SELECTIONS = ["sparse", "dense", "whole"]
+
+CORRUPT_ROUTES = [
+    pytest.param(shape, route, id=f"{shape}-{route}")
+    for shape in CORRUPT_SHAPES
+    for route in ["full", "out", *DISPATCH_SELECTIONS]
+    if not (route == "out" and shape in STRING_SHAPES)  # only number blocks decode into a slot
+]
 
 
 def _checksummed(compressed):
@@ -391,28 +407,73 @@ def _checksummed(compressed):
     return column_from_bytes(column_to_bytes(compressed))
 
 
-@pytest.mark.parametrize("shape", CORRUPT_SHAPES)
-def test_corrupt_block_filtered_decode_matrix(shape):
-    """A payload flip surfaces identically through the filtered path:
-    IntegrityError under ``raise``, an empty part under ``skip``, a NULL
-    placeholder of exactly ``len(positions)`` under ``null_block``."""
+def _dispatch_positions(rng, count: int, selection: str) -> np.ndarray:
+    if selection == "whole":
+        return np.arange(count, dtype=np.int64)
+    size = 3 if selection == "sparse" else (3 * count) // 4
+    return np.sort(rng.choice(count, size=size, replace=False))
+
+
+@pytest.mark.parametrize("on_corrupt", ON_CORRUPT_MODES)
+@pytest.mark.parametrize("shape, route", CORRUPT_ROUTES)
+def test_corrupt_block_matrix_on_every_route(shape, route, on_corrupt):
+    """A payload flip surfaces identically on every route of ``decode_block``
+    (the whole block, a selection on each dispatcher path, the block into
+    its slot): IntegrityError under ``raise``, no rows under ``skip``, a
+    NULL placeholder of exactly the rows asked for under ``null_block`` --
+    a slot zero-filled. Clean, each route gives decode-then-take's values."""
+    rng = np.random.default_rng(SEED + 4)
     column = _make_column(shape, "none")
     compressed = _checksummed(compress_column(column, BtrBlocksConfig(block_size=BLOCK)))
-    ctx = make_context()
+    ctype, ctx = compressed.ctype, make_context()
     block = compressed.blocks[1]
+    full = decode_block(block, ctype, ctx)
+    route_args, expected = {}, full
+    if route == "out":
+        route_args["out"] = np.empty(block.count, dtype=full.dtype)
+    elif route != "full":
+        route_args["positions"] = _dispatch_positions(rng, block.count, route)
+        expected = _gather(ctype, full, route_args["positions"])
+    clean = decode_block(block, ctype, ctx, **route_args)
+    if route == "out":
+        assert clean is None and np.array_equal(route_args["out"], full)
+        route_args["out"].fill(1)  # a degraded slot must not keep what it held
+    else:
+        assert _values_equal(ctype, clean, expected)
+
     payload = bytearray(block.data)
     payload[len(payload) // 2] ^= 0xFF
     block.data = bytes(payload)
-    positions = np.asarray([0, 1, min(5, block.count - 1)], dtype=np.int64)
+    if on_corrupt == "raise":
+        with pytest.raises(IntegrityError):
+            decode_block(block, ctype, ctx, on_corrupt=on_corrupt, **route_args)
+        return
+    result = decode_block(block, ctype, ctx, on_corrupt=on_corrupt, **route_args)
+    assert isinstance(result, CorruptBlockResult)
+    assert len(result) == (len(expected) if on_corrupt == "null_block" else 0)
+    if route == "out" and on_corrupt == "null_block":
+        assert not route_args["out"].any()
 
-    with pytest.raises(IntegrityError):
-        decode_block_filtered(block, compressed.ctype, ctx, positions, on_corrupt="raise")
-    skipped = decode_block_filtered(block, compressed.ctype, ctx, positions, on_corrupt="skip")
-    assert isinstance(skipped, CorruptBlockResult) and len(skipped) == 0
-    nulled = decode_block_filtered(
-        block, compressed.ctype, ctx, positions, on_corrupt="null_block"
-    )
-    assert isinstance(nulled, CorruptBlockResult) and len(nulled) == positions.size
+
+@pytest.mark.parametrize(
+    "on_corrupt, error",
+    [("raise", DecodeLimitError), ("skip", DecodeLimitError), ("null_block", DecodeLimitError),
+     ("bogus", ValueError)],
+)
+def test_filter_column_holds_blocks_to_the_decode_gate(on_corrupt, error):
+    """``filter_column`` passes every block through the decode's own policy
+    gate: a block declaring more rows than the limit raises DecodeLimitError
+    under every policy -- its wrong CRC32 notwithstanding -- and an unknown
+    policy is a ValueError, never a silently dropped block."""
+    column = _make_column("bitpack", "none")
+    compressed = _checksummed(compress_column(column, BtrBlocksConfig(block_size=BLOCK)))
+    block = compressed.blocks[1]
+    block.count = make_context().limits.max_rows_per_block + 1
+    block.checksum ^= 1
+    with pytest.raises(error):
+        decode_block(block, compressed.ctype, make_context(), on_corrupt=on_corrupt)
+    with pytest.raises(error):
+        filter_column(compressed, Between(0, 255), on_corrupt=on_corrupt)
 
 
 @pytest.mark.parametrize("shape", CORRUPT_SHAPES)
@@ -441,81 +502,6 @@ def test_corrupt_block_filter_column_degrades_cleanly(shape):
         assert _values_equal(column.ctype, got.data, expected), policy
 
 
-@pytest.mark.parametrize("shape", CORRUPT_SHAPES)
-def test_raw_node_flips_never_hang_filtered_decode(shape):
-    """Checksum-less blocks keep the historical weaker contract through the
-    filtered path: a damaged node either raises a typed error or returns a
-    result of the requested length — never a hang, never a wrong length."""
-    import struct
-
-    acceptable = (
-        BtrBlocksError,
-        ValueError,
-        KeyError,
-        IndexError,
-        OverflowError,
-        EOFError,
-        struct.error,
-    )
-    rng = np.random.default_rng(SEED + 3)
-    column = _make_column(shape, "none")
-    compressed = compress_column(column, BtrBlocksConfig(block_size=BLOCK))
-    ctx = make_context()
-    block = compressed.blocks[0]
-    positions = np.sort(rng.choice(block.count, size=16, replace=False))
-    for offset in rng.integers(0, len(block.data), 40):
-        damaged = bytearray(block.data)
-        damaged[int(offset)] ^= 0x40
-        clone = type(block)(count=block.count, data=bytes(damaged), nulls=block.nulls)
-        try:
-            result = decode_block_filtered(clone, compressed.ctype, ctx, positions)
-        except acceptable:
-            continue
-        assert len(result) == positions.size, f"offset {int(offset)}"
-
-
-# -- the same guarantees on every path the dispatcher can take ------------------
-#
-# The crossover routes a selection to the filtered kernel, to full-decode-
-# then-take or to a plain whole-block decode. Damage must surface the same
-# way whichever one a selection lands on.
-
-DISPATCH_SELECTIONS = ["sparse", "dense", "whole"]
-
-
-def _dispatch_positions(rng, count: int, selection: str) -> np.ndarray:
-    if selection == "whole":
-        return np.arange(count, dtype=np.int64)
-    size = 3 if selection == "sparse" else (3 * count) // 4
-    return np.sort(rng.choice(count, size=size, replace=False))
-
-
-@pytest.mark.parametrize("selection", DISPATCH_SELECTIONS)
-@pytest.mark.parametrize("shape", CORRUPT_SHAPES)
-def test_corrupt_block_matrix_on_every_dispatcher_path(shape, selection):
-    rng = np.random.default_rng(SEED + 4)
-    column = _make_column(shape, "none")
-    compressed = _checksummed(compress_column(column, BtrBlocksConfig(block_size=BLOCK)))
-    ctx = make_context()
-    block = compressed.blocks[1]
-    positions = _dispatch_positions(rng, block.count, selection)
-    clean = decode_block_filtered(block, compressed.ctype, ctx, positions)
-    expected = _gather(compressed.ctype, decode_block(block, compressed.ctype, ctx), positions)
-    assert _values_equal(compressed.ctype, clean, expected)
-
-    payload = bytearray(block.data)
-    payload[len(payload) // 2] ^= 0xFF
-    block.data = bytes(payload)
-    with pytest.raises(IntegrityError):
-        decode_block_filtered(block, compressed.ctype, ctx, positions, on_corrupt="raise")
-    skipped = decode_block_filtered(block, compressed.ctype, ctx, positions, on_corrupt="skip")
-    assert isinstance(skipped, CorruptBlockResult) and len(skipped) == 0
-    nulled = decode_block_filtered(
-        block, compressed.ctype, ctx, positions, on_corrupt="null_block"
-    )
-    assert isinstance(nulled, CorruptBlockResult) and len(nulled) == positions.size
-
-
 @pytest.mark.parametrize("selection", DISPATCH_SELECTIONS)
 @pytest.mark.parametrize("shape", CORRUPT_SHAPES + ["decimal"])
 def test_raw_node_flips_on_every_dispatcher_path(shape, selection):
@@ -537,7 +523,7 @@ def test_raw_node_flips_on_every_dispatcher_path(shape, selection):
         damaged[int(offset)] ^= 0x40
         clone = type(block)(count=block.count, data=bytes(damaged), nulls=block.nulls)
         try:
-            result = decode_block_filtered(clone, compressed.ctype, ctx, positions)
+            result = decode_block(clone, compressed.ctype, ctx, positions=positions)
         except acceptable:
             continue
         assert len(result) == positions.size, f"offset {int(offset)}"

@@ -72,9 +72,9 @@ def _spied(*targets):
 
 def _block_decodes():
     """Spies on every full-block decode a scan can make: a column decode
-    fills its blocks through ``decompressor.fill_block``, which calls one of
-    these on every block the cache does not serve."""
-    return _spied((decompressor, "decode_block"), (decompressor, "decode_block_into"))
+    fills its blocks through ``decompressor.fill_block``, which calls
+    ``decode_block`` on every block the cache does not serve."""
+    return _spied((decompressor, "decode_block"))
 
 
 def _calls(spies) -> int:
@@ -162,7 +162,7 @@ def test_selective_scan_reads_a_warm_cache_and_never_fills_a_cold_one(store):
     entries = len(warm.decode_cache)
     registry = MetricsRegistry()
     with use_registry(registry), _spied(
-        (access, "_decompress_node_filtered"), (executor, "scan_block")
+        (access, "_decode_node"), (executor, "scan_block")
     ) as (decodes, scans):
         served = warm.scan(columns=list(NUMBERS + STRINGS), where=WHERE)
     assert decodes.call_count == 0  # every touched block of every column came from the cache

@@ -372,14 +372,14 @@ class TestHostileDictionaryRuns:
         ]
 
     def test_child_count_is_held_before_anything_repeats(self):
-        from repro.core.decompressor import decode_block_into, decompress_block, make_context
+        from repro.core.decompressor import decode_block, decompress_block, make_context
         from repro.core.file_format import CompressedBlock
         from repro.exceptions import DecodeLimitError
         from repro.types import ColumnType
 
         def into(blob, ctype):
             out = np.empty(4, dtype=np.int32 if ctype is ColumnType.INTEGER else np.float64)
-            decode_block_into(CompressedBlock(4, blob, None), ctype, make_context(), out)
+            decode_block(CompressedBlock(4, blob, None), ctype, make_context(), out=out)
 
         for blob, ctype in self._blocks():
             routes = [decompress_block] if ctype is ColumnType.STRING else [decompress_block, into]

@@ -178,7 +178,7 @@ def _scan(table: RemoteTable, columns, where):
     with use_registry(registry), mock.patch.object(
         remote_table, "read_rows", wraps=remote_table.read_rows
     ) as reads, mock.patch.object(
-        access, "_decompress_node_filtered", wraps=access._decompress_node_filtered
+        access, "_decode_node", wraps=access._decode_node
     ) as decodes:
         relation = table.scan(columns=columns, where=where)
     return relation, registry, reads.call_count, decodes.call_count
@@ -290,7 +290,7 @@ def test_filter_column_decodes_each_block_once(family):
         if isinstance(predicate, IsNull):
             continue  # filter_column materialises value rows only
         with mock.patch(
-            "repro.query.executor.decode_block_filtered"
+            "repro.query.executor.decode_block"
         ) as second_decode:
             got = filter_column(compressed, predicate)
         hits = np.flatnonzero(_mask(source, predicate))
