@@ -20,8 +20,8 @@ from repro.core.compressor import compress_block
 from repro.core.decompressor import decompress_block
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
+    deliver,
     get_scheme,
     register_scheme,
 )
@@ -53,15 +53,18 @@ class DeltaInt(Scheme):
         writer.blob(ctx.compress_child(deltas, ColumnType.INTEGER))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        # One decode for every route: with no selective kernel of its own, a
+        # scheme decodes whole and ``deliver`` takes ``positions`` or fills
+        # the ``out`` slot.
         reader = Reader(payload)
         first = reader.i64()
         deltas = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
-        out = np.empty(count, dtype=np.int64)
-        out[0] = first
-        np.cumsum(deltas.astype(np.int64), out=out[1:])
-        out[1:] += first
-        return out.astype(np.int32)
+        values = np.empty(count, dtype=np.int64)
+        values[0] = first
+        np.cumsum(deltas.astype(np.int64), out=values[1:])
+        values[1:] += first
+        return deliver(values.astype(np.int32), count, positions, out)
 
 
 def main() -> None:

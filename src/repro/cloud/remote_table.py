@@ -325,8 +325,10 @@ class RemoteTable:
             raise FormatError(f"table {name!r} has no committed version")
 
         def validate_manifest(metadata: dict) -> None:
+            """Every field the reader indexes, before anything trusts it."""
             for entry in metadata["columns"]:
-                entry["name"], entry["file"]
+                entry["name"], entry["file"], ColumnType(entry["type"])
+                int(entry["rows"]), int(entry["bytes"]), int(entry["blocks"])
             int(metadata["version"])
 
         metadata = cls._fetch_json(store, key, validate_manifest)

@@ -127,7 +127,8 @@ def _decode_node(
 ) -> "Values | None":
     """Decode one cascade node, at every level of every decode: the
     :func:`_open_node` gate, the route's own check, then one
-    :func:`_run_scheme` call held to the count it was asked for.
+    :func:`_run_scheme` call of the scheme's one ``decompress``, held to
+    the count it was asked for.
 
     * ``out`` (a writable view of a number column's slot) is decoded into
       and ``None`` returned. A header whose count disagrees with the slot is
@@ -144,11 +145,10 @@ def _decode_node(
     * Neither returns the node's values.
     """
     scheme, count, payload = _open_node(blob, ctype, ctx)
-    method, extra, want, take = scheme.decompress, (), count, None
+    take = None
     if out is not None:
         if count != len(out):
             raise FormatError(f"block declared {count} values but its slot holds {len(out)}")
-        method, extra = scheme.decompress_into, (out,)
     elif positions is not None:
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size and (int(positions[0]) < 0 or int(positions[-1]) >= count):
@@ -156,16 +156,16 @@ def _decode_node(
                 f"selection rows span [{int(positions[0])}, {int(positions[-1])}] "
                 f"but the block declares {count} values"
             )
-        if ctx.vectorized and _selects_sparsely(scheme, count, positions):
-            method, extra, want = scheme.decompress_filtered, (positions,), positions.size
-        else:
+        if not (ctx.vectorized and _selects_sparsely(scheme, count, positions)):
             if block_level:
                 get_registry().incr("query.cdomain.filtered.full_decodes")
             if positions.size != count:
                 take = positions
-    values = _run_scheme(scheme, method, payload, count, ctx, *extra)
+            positions = None
+    values = _run_scheme(scheme, scheme.decompress, payload, count, ctx, positions, out)
     if out is not None:
         return None
+    want = count if positions is None else positions.size
     if len(values) != want:
         raise FormatError(f"{scheme.name} decoded {len(values)} values where {want} were asked for")
     return values if take is None else take_values(values, take)

@@ -123,7 +123,7 @@ class Scheme(ABC):
     scheme_id: int
     name: str
     ctype: ColumnType
-    #: ``decompress_filtered`` beats full-decode-then-take even when every
+    #: ``decompress(positions=)`` beats full-decode-then-take even when every
     #: row is selected, so the dispatcher's crossover never reroutes it
     #: (string dictionaries: the filtered form gathers from the cached pool).
     filtered_wins_dense: bool = False
@@ -168,51 +168,35 @@ class Scheme(ABC):
         """Compress values to a payload (header framing is the caller's job)."""
 
     @abstractmethod
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> Values:
-        """Inverse of :meth:`compress`; must return bitwise-identical values."""
+    def decompress(
+        self,
+        payload: bytes,
+        count: int,
+        ctx: DecompressionContext,
+        positions: "np.ndarray | None" = None,
+        out: "np.ndarray | None" = None,
+    ) -> "Values | None":
+        """Inverse of :meth:`compress`, bitwise-identical, on one of three
+        routes: all ``count`` values; only those at ``positions`` (sorted,
+        unique, in ``[0, count)``), in position order; or all of them
+        written into ``out`` (a writable view of ``count`` elements of a
+        number column's dtype), returning ``None``.
 
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> Values:
-        """Decode only the values at ``positions`` (sorted, unique, in
-        ``[0, count)``), returning them in position order.
-
-        This is the selection-vector partial-decode surface: dictionaries
-        gather only the selected codes, bit-packing unpacks only the pages
-        containing selected rows, frequency decodes only the selected
-        exceptions. The default decodes fully and takes — bit-identical,
-        no savings — so every scheme participates correctly and only hot
-        schemes need a real kernel. Kernels *rely* on the sorted contract
-        (the public entry points establish it) and are vectorised only: the
-        dispatcher sends them selections sparse enough to win
-        (:func:`prefers_full_decode`), never the scalar ablation.
+        The payload is parsed once and every structural check holds on every
+        route. A scheme without a selective kernel decodes whole and hands
+        the values to :func:`deliver`. Selective kernels *rely* on the
+        sorted contract (the public entry points establish it) and are
+        vectorised only: the dispatcher sends them selections sparse enough
+        to win (:func:`prefers_full_decode`), never the scalar ablation.
         """
-        values = self.decompress(payload, count, ctx)
-        if len(values) != count:
-            raise FormatError(
-                f"block declared {count} values but {self.name} decoded {len(values)}"
-            )
-        return take_values(values, positions)
 
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        """Decode ``count`` values directly into the NumPy view ``out``.
+    # ``lakebench/tracer.py`` wraps these two names as resolved through each
+    # scheme's MRO; they stay as forwards so it finds them. Nothing calls them.
+    def decompress_into(self, payload, count, ctx, out):
+        return self.decompress(payload, count, ctx, out=out)
 
-        ``out`` is a writable view of exactly ``count`` elements with the
-        column's logical dtype (int32 / float64) — typically a slice of a
-        preallocated column array. The default decodes via
-        :meth:`decompress` and copies, which is already zero-intermediate
-        for schemes whose decode is a buffer view (Uncompressed); schemes
-        with a cheaper direct path (fill, gather, repeat) override it.
-        Only numeric schemes participate; strings always assemble legacy.
-        """
-        values = self.decompress(payload, count, ctx)
-        if len(values) != count:
-            raise FormatError(
-                f"block declared {count} values but {self.name} decoded {len(values)}"
-            )
-        np.copyto(out, np.asarray(values), casting="unsafe")
+    def decompress_filtered(self, payload, count, ctx, positions):
+        return self.decompress(payload, count, ctx, positions=positions)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} id={self.scheme_id} {self.ctype.value}>"
@@ -241,6 +225,24 @@ def locate_sorted(haystack: np.ndarray, needles: np.ndarray) -> "tuple[np.ndarra
     inside = index < haystack.size
     found[inside] = haystack[index[inside]] == needles[inside]
     return index, found
+
+
+def deliver(
+    values: Values,
+    count: int,
+    positions: "np.ndarray | None" = None,
+    out: "np.ndarray | None" = None,
+) -> "Values | None":
+    """A whole node's decoded ``values`` on the route asked for: copied into
+    ``out``, taken at ``positions``, or as they are. Held to the declared
+    ``count`` first, so no route copies or takes from a node that decoded
+    to a different length."""
+    if len(values) != count:
+        raise FormatError(f"block declared {count} values but its node decoded {len(values)}")
+    if out is not None:
+        np.copyto(out, values, casting="unsafe")
+        return None
+    return values if positions is None else take_values(values, positions)
 
 
 def take_values(values: Values, positions: np.ndarray) -> Values:

@@ -42,6 +42,7 @@ from repro.encodings.base import (
     DecompressionContext,
     Scheme,
     SchemeId,
+    deliver,
     locate_sorted,
     register_scheme,
 )
@@ -410,27 +411,16 @@ class FastBP128(Scheme):
         deltas += refs.astype(np.uint64)[rows >> 7]
         return deltas
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        values = self._decode_pages(payload, ctx)
-        return values.reshape(-1)[:count].astype(np.int32)
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        values = self._decode_pages(payload, ctx).reshape(-1)
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        if positions is not None:
+            if positions.size == 0:
+                return np.empty(0, dtype=np.int32)
+            return self._decode_rows(payload, positions).astype(np.int32)
+        values = self._decode_pages(payload, ctx).reshape(-1)[:count]
         if values.size < count:
-            raise CorruptBlockError(
-                f"bit-packed pages hold {values.size} values, {count} declared"
-            )
-        np.copyto(out, values[:count], casting="unsafe")
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size == 0:
-            return np.empty(0, dtype=np.int32)
-        return self._decode_rows(payload, positions).astype(np.int32)
+            raise CorruptBlockError(f"bit-packed pages hold {values.size} values, {count} declared")
+        # (``out`` takes the modular uint64 -> int32 cast straight from the pages.)
+        return deliver(values if out is not None else values.astype(np.int32), count, None, out)
 
 
 FASTBP128_SCHEME = register_scheme(FastBP128())

@@ -20,6 +20,7 @@ from repro.encodings.base import (
     DecompressionContext,
     Scheme,
     SchemeId,
+    deliver,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
@@ -109,50 +110,20 @@ class _NumericDict(Scheme):
         size = 16 + codes_stored + corrected_pool
         return sample.nbytes / max(size, 32.0)
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        reader = Reader(payload)
-        uniq = reader.array()
-        codes_blob = reader.blob()
-        codes = _checked_codes(ctx.decompress_child(codes_blob, ColumnType.INTEGER), len(uniq))
-        if ctx.vectorized:
-            return uniq.take(codes)  # 2x faster than uniq[codes] on int32 codes
-        out = np.empty(count, dtype=uniq.dtype)
-        for i, code in enumerate(codes.tolist()):
-            out[i] = uniq[code]
-        return out
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        if not ctx.vectorized:
-            super().decompress_into(payload, count, ctx, out)
-            return
-        reader = Reader(payload)
-        uniq = reader.array()
-        codes_blob = reader.blob()
-        if uniq.dtype != out.dtype:
-            values = self.decompress(payload, count, ctx)
-            if len(values) != count:
-                raise FormatError(
-                    f"block declared {count} values but {self.name} decoded {len(values)}"
-                )
-            np.copyto(out, values, casting="unsafe")
-            return
-        codes = _checked_codes(ctx.decompress_child(codes_blob, ColumnType.INTEGER), len(uniq))
-        if len(codes) != count:
-            raise FormatError(
-                f"block declared {count} values but {self.name} decoded {len(codes)}"
-            )
-        np.take(uniq, codes, out=out)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        reader = Reader(payload)
-        uniq = reader.array()
-        codes_blob = reader.blob()
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        uniq, codes_blob = read_numeric_dict(payload)
         codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions)
-        return np.asarray(uniq).take(_checked_codes(codes, len(uniq)))
+        codes = _checked_codes(codes, len(uniq))
+        if not ctx.vectorized:
+            values = np.empty(len(codes), dtype=uniq.dtype)
+            for i, code in enumerate(codes.tolist()):
+                values[i] = uniq[code]
+        elif out is not None and uniq.dtype == out.dtype and len(codes) == count:
+            np.take(uniq, codes, out=out)
+            return None
+        else:
+            values = uniq.take(codes)  # 2x faster than uniq[codes] on int32 codes
+        return values if positions is not None else deliver(values, count, None, out)
 
 
 class DictInt(_NumericDict):
@@ -236,6 +207,12 @@ class DictString(Scheme):
             return _POOL_FSST, fsst
         return _POOL_RAW, raw
 
+    @staticmethod
+    def _parse(payload: bytes) -> "tuple[int, int, bytes, bytes]":
+        """``(pool kind, pool count, pool blob, codes blob)``."""
+        reader = Reader(payload)
+        return reader.u8(), reader.u32(), reader.blob(), reader.blob()
+
     def _decompress_pool(self, kind: int, data: bytes, count: int, ctx) -> StringArray:
         from repro.encodings.fsst import FSST_SCHEME
 
@@ -247,8 +224,8 @@ class DictString(Scheme):
     def cached_pool(self, kind: int, data: bytes, count: int, ctx) -> StringArray:
         """The decoded pool, served from the content-addressed cache.
 
-        Used by the scan/filtered paths, where the same block's pool is
-        decoded once per predicate; the full ``decompress`` path keeps its
+        Used by the scan and ``positions`` routes, where the same block's
+        pool is decoded once per predicate; the full decode keeps its
         cache-free behaviour (one decode per materialisation is already
         optimal there, and skipping the cache keeps its memory profile).
         """
@@ -260,27 +237,13 @@ class DictString(Scheme):
             cache.put(key, pool, pool.nbytes)
         return pool
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
-        reader = Reader(payload)
-        pool_kind = reader.u8()
-        pool_count = reader.u32()
-        pool = self._decompress_pool(pool_kind, reader.blob(), pool_count, ctx)
-        codes_blob = reader.blob()
-        codes = _checked_codes(ctx.decompress_child(codes_blob, ColumnType.INTEGER), len(pool))
-        if ctx.vectorized:
-            return strutil.gather(pool, codes)
-        return pool.take(codes)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> StringArray:
-        reader = Reader(payload)
-        pool_kind = reader.u8()
-        pool_count = reader.u32()
-        pool = self.cached_pool(pool_kind, reader.blob(), pool_count, ctx)
-        codes_blob = reader.blob()
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        kind, pool_count, pool_blob, codes_blob = self._parse(payload)
+        pool_of = self._decompress_pool if positions is None else self.cached_pool
+        pool = pool_of(kind, pool_blob, pool_count, ctx)
         codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions)
-        return strutil.gather(pool, _checked_codes(codes, len(pool)))
+        codes = _checked_codes(codes, len(pool))
+        return strutil.gather(pool, codes) if ctx.vectorized else pool.take(codes)
 
 
 def read_numeric_dict(payload: bytes) -> "tuple[np.ndarray, bytes]":
@@ -300,11 +263,8 @@ def read_string_dict(payload: bytes, ctx: DecompressionContext) -> "tuple[String
     The pool comes from the content-addressed cache, so repeated predicates
     against the same block decode it once.
     """
-    reader = Reader(payload)
-    pool_kind = reader.u8()
-    pool_count = reader.u32()
-    pool = DICT_STRING_SCHEME.cached_pool(pool_kind, reader.blob(), pool_count, ctx)
-    return pool, reader.blob()
+    kind, pool_count, pool_blob, codes_blob = DictString._parse(payload)
+    return DICT_STRING_SCHEME.cached_pool(kind, pool_blob, pool_count, ctx), codes_blob
 
 
 register_scheme(DictInt())

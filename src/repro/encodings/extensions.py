@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
+    deliver,
     get_scheme,
     register_scheme,
 )
@@ -60,11 +60,11 @@ class TruncationInt(Scheme):
         writer.array(deltas.astype(dtype))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decompress(self, payload, count, ctx, positions=None, out=None):
         reader = Reader(payload)
         base = reader.i64()
         deltas = reader.array()
-        return (deltas.astype(np.int64) + base).astype(np.int32)
+        return deliver((deltas.astype(np.int64) + base).astype(np.int32), count, positions, out)
 
 
 class DeltaZigZagInt(Scheme):
@@ -94,7 +94,7 @@ class DeltaZigZagInt(Scheme):
             writer.array(deltas)
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decompress(self, payload, count, ctx, positions=None, out=None):
         reader = Reader(payload)
         first = reader.i64()
         cascaded = reader.u8()
@@ -103,11 +103,11 @@ class DeltaZigZagInt(Scheme):
             deltas = (zigzag >> 1) ^ -(zigzag & 1)
         else:
             deltas = reader.array()
-        out = np.empty(count, dtype=np.int64)
-        out[0] = first
-        np.cumsum(deltas, out=out[1:])
-        out[1:] += first
-        return out.astype(np.int32)
+        values = np.empty(count, dtype=np.int64)
+        values[0] = first
+        np.cumsum(deltas, out=values[1:])
+        values[1:] += first
+        return deliver(values.astype(np.int32), count, positions, out)
 
 
 def register_extension_schemes() -> list[Scheme]:

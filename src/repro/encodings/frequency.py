@@ -14,12 +14,13 @@ from repro.bitmap import RoaringBitmap
 from repro.encodings import strutil
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
     SchemeId,
+    deliver,
     register_scheme,
 )
-from repro.encodings.wire import Reader, Writer
+from repro.encodings.wire import Reader, Writer, unwrap
+from repro.exceptions import CorruptBlockError
 from repro.types import ColumnType, StringArray
 
 
@@ -34,10 +35,6 @@ def _few_distinct(stats, config) -> bool:
     return stats.distinct_count > 1 and (
         stats.unique_fraction <= config.frequency_max_unique_fraction
     )
-
-
-def _is_viable(self, stats, config) -> bool:
-    return _few_distinct(stats, config) and stats.sample_top_share >= MIN_TOP_SHARE
 
 
 def _split_selection(top_rows: RoaringBitmap, positions: np.ndarray):
@@ -69,10 +66,45 @@ def fill_selection(top, is_top: np.ndarray, exceptions):
     return out
 
 
-class _FrequencyBase(Scheme):
-    """Shared top-value/bitmap/exceptions logic for numeric types."""
+class _Frequency(Scheme):
+    """What every frequency node shares: viability, the payload layout and
+    its one decode."""
 
     name = "frequency"
+
+    def is_viable(self, stats, config) -> bool:
+        return _few_distinct(stats, config) and stats.sample_top_share >= MIN_TOP_SHARE
+
+    def _parse(self, payload: bytes, count: int):
+        """``(top value, its rows, exceptions blob)`` -- the top a string's
+        bytes or a number's one-element array -- with the exceptions child
+        held to fill exactly the rows the bitmap leaves, on every route."""
+        reader = Reader(payload)
+        top = reader.blob() if self.ctype is ColumnType.STRING else reader.array()
+        top_rows = RoaringBitmap.deserialize(reader.blob())
+        exceptions = reader.blob()
+        if unwrap(exceptions)[1] != count - len(top_rows):
+            raise CorruptBlockError("frequency exceptions do not fill the rows the bitmap leaves")
+        return top, top_rows, exceptions
+
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        top, top_rows, exc_blob = self._parse(payload, count)
+        if positions is not None:
+            is_top, exc_ranks = _split_selection(top_rows, positions)
+            if exc_ranks.size:
+                exceptions = ctx.decompress_child(exc_blob, self.ctype, exc_ranks)
+            else:  # every selected row holds the top value
+                exceptions = StringArray.from_pylist([]) if isinstance(top, bytes) else top[:0]
+            return fill_selection(top, is_top, exceptions)
+        exceptions = ctx.decompress_child(exc_blob, self.ctype)
+        mask = top_rows.to_mask(count)
+        if ctx.vectorized:
+            return deliver(fill_selection(top, mask, exceptions), count, None, out)
+        return deliver(self._fill_scalar(top, mask, exceptions), count, None, out)
+
+
+class _FrequencyBase(_Frequency):
+    """Top value + bitmap + exceptions for numeric types."""
 
     @staticmethod
     def _keys(values: np.ndarray) -> np.ndarray:
@@ -83,8 +115,6 @@ class _FrequencyBase(Scheme):
         if _few_distinct(stats, config):
             counts = np.unique(self._keys(np.asarray(sample)), return_counts=True)[1]
             stats.sample_top_share = float(counts.max()) / len(sample)
-
-    is_viable = _is_viable
 
     def _top_mask(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask of positions holding the most frequent value."""
@@ -104,36 +134,17 @@ class _FrequencyBase(Scheme):
         writer.blob(ctx.compress_child(exceptions, self.ctype))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        reader = Reader(payload)
-        top_value = reader.array()
-        bitmap = RoaringBitmap.deserialize(reader.blob())
-        exceptions = ctx.decompress_child(reader.blob(), self.ctype)
-        mask = bitmap.to_mask(count)
-        if ctx.vectorized:
-            return fill_selection(top_value, mask, exceptions)
-        out = np.empty(count, dtype=top_value.dtype)
+    @staticmethod
+    def _fill_scalar(top: np.ndarray, mask: np.ndarray, exceptions) -> np.ndarray:
+        values = np.empty(mask.size, dtype=top.dtype)
         exc_pos = 0
-        for i in range(count):
+        for i in range(mask.size):
             if mask[i]:
-                out[i] = top_value[0]
+                values[i] = top[0]
             else:
-                out[i] = exceptions[exc_pos]
+                values[i] = exceptions[exc_pos]
                 exc_pos += 1
-        return out
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        reader = Reader(payload)
-        top_value = reader.array()
-        bitmap = RoaringBitmap.deserialize(reader.blob())
-        exc_blob = reader.blob()
-        sel_top, exc_ranks = _split_selection(bitmap, positions)
-        exceptions = top_value[:0]
-        if exc_ranks.size:
-            exceptions = ctx.decompress_child(exc_blob, self.ctype, exc_ranks)
-        return fill_selection(top_value, sel_top, exceptions)
+        return values
 
 
 class FrequencyInt(_FrequencyBase):
@@ -146,19 +157,16 @@ class FrequencyDouble(_FrequencyBase):
     ctype = ColumnType.DOUBLE
 
 
-class FrequencyString(Scheme):
+class FrequencyString(_Frequency):
     """Frequency encoding for strings: top string + bitmap + exception pool."""
 
     scheme_id = SchemeId.FREQUENCY_STRING
-    name = "frequency"
     ctype = ColumnType.STRING
 
     def prepare_stats(self, sample: StringArray, stats, config) -> None:
         if _few_distinct(stats, config):  # memoised codes: Dictionary's estimate asks too
             counts = np.bincount(strutil.encode_distinct(sample)[0])
             stats.sample_top_share = float(counts.max()) / len(sample)
-
-    is_viable = _is_viable
 
     def compress(self, values: StringArray, ctx: CompressionContext) -> bytes:
         codes, uniques = strutil.encode_distinct(values)
@@ -173,31 +181,14 @@ class FrequencyString(Scheme):
         writer.blob(ctx.compress_child(exceptions, ColumnType.STRING))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
-        reader = Reader(payload)
-        top = reader.blob()
-        bitmap = RoaringBitmap.deserialize(reader.blob())
-        exceptions = ctx.decompress_child(reader.blob(), ColumnType.STRING)
-        mask = bitmap.to_mask(count)
-        # Treat [top] + exceptions as a pool and gather: code 0 is the top
-        # value, exception i maps to pool row 1 + i.
+    @staticmethod
+    def _fill_scalar(top: bytes, mask: np.ndarray, exceptions: StringArray) -> StringArray:
+        # [top] + exceptions as a pool: code 0 is the top value, exception i
+        # maps to pool row 1 + i.
         pool = strutil.concat([StringArray.from_pylist([top]), exceptions])
-        codes = np.zeros(count, dtype=np.int64)
+        codes = np.zeros(mask.size, dtype=np.int64)
         codes[~mask] = 1 + np.arange(len(exceptions), dtype=np.int64)
-        if ctx.vectorized:
-            return strutil.gather(pool, codes)
         return pool.take(codes)
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> StringArray:
-        reader = Reader(payload)
-        top = reader.blob()
-        bitmap = RoaringBitmap.deserialize(reader.blob())
-        exc_blob = reader.blob()
-        sel_top, exc_ranks = _split_selection(bitmap, positions)
-        exceptions = ctx.decompress_child(exc_blob, ColumnType.STRING, exc_ranks)
-        return fill_selection(top, sel_top, exceptions)
 
 
 register_scheme(FrequencyInt())

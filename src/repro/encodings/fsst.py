@@ -33,9 +33,9 @@ import numpy as np
 from repro.encodings import strutil
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
     SchemeId,
+    deliver,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
@@ -490,7 +490,7 @@ class FSSTString(Scheme):
         writer.blob(ctx.compress_child(lengths, ColumnType.INTEGER))
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
+    def decompress(self, payload, count, ctx, positions=None, out=None):
         reader = Reader(payload)
         symbol_count = reader.u8()
         symbols = strutil.untrusted_strings(reader.array(), reader.array())
@@ -509,7 +509,7 @@ class FSSTString(Scheme):
             buffer = decode_stream_scalar(stream, symbols)
         if int(offsets[-1]) != buffer.size:
             raise CorruptBlockError("FSST output size does not match string lengths")
-        return StringArray(buffer, offsets)
+        return deliver(StringArray(buffer, offsets), count, positions, out)
 
 
 FSST_SCHEME = register_scheme(FSSTString())

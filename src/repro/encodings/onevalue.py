@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
     SchemeId,
     register_scheme,
@@ -21,98 +20,72 @@ from repro.exceptions import CorruptBlockError
 from repro.types import ColumnType, StringArray
 
 
-class OneValueInt(Scheme):
-    scheme_id = SchemeId.ONE_VALUE_INT
+class _OneValue(Scheme):
+    """The stored value, repeated to the rows a route asks for."""
+
     name = "one_value"
     filtered_wins_dense = True  # a fill of the selection length
-    ctype = ColumnType.INTEGER
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0 and stats.distinct_count == 1
+
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        value = self._parse(payload)
+        if out is not None:
+            out.fill(value[0])
+            return None
+        return self._repeat(value, count if positions is None else len(positions))
+
+    @staticmethod
+    def _repeat(value: np.ndarray, n: int) -> np.ndarray:
+        return np.repeat(value, n)
+
+
+class OneValueInt(_OneValue):
+    scheme_id = SchemeId.ONE_VALUE_INT
+    ctype = ColumnType.INTEGER
 
     def compress(self, values: np.ndarray, ctx: CompressionContext) -> bytes:
         return Writer().i64(int(values[0])).getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        value = Reader(payload).i64()
-        return np.full(count, value, dtype=np.int32)
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        out.fill(np.int32(Reader(payload).i64()))
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        value = Reader(payload).i64()
-        return np.full(len(positions), value, dtype=np.int32)
+    @staticmethod
+    def _parse(payload: bytes) -> np.ndarray:
+        """The value, as a one-element int32 array."""
+        return np.asarray([Reader(payload).i64()], dtype=np.int32)
 
 
-class OneValueDouble(Scheme):
+class OneValueDouble(_OneValue):
     scheme_id = SchemeId.ONE_VALUE_DOUBLE
-    name = "one_value"
-    filtered_wins_dense = True  # a fill of the selection length
     ctype = ColumnType.DOUBLE
-
-    def is_viable(self, stats, config) -> bool:
-        return stats.count > 0 and stats.distinct_count == 1
 
     def compress(self, values: np.ndarray, ctx: CompressionContext) -> bytes:
         # Store the exact bit pattern so NaN payloads and -0.0 round-trip.
         return Writer().array(np.asarray(values[:1], dtype=np.float64)).getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        value = Reader(payload).array()
-        return np.repeat(value, count)
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
+    @staticmethod
+    def _parse(payload: bytes) -> np.ndarray:
+        """The value, as the one-element array it is stored as."""
         value = Reader(payload).array()
         if value.size != 1:
-            raise CorruptBlockError(
-                f"one_value payload holds {value.size} values, expected 1"
-            )
-        out.fill(value[0])
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        value = Reader(payload).array()
-        if value.size != 1:
-            raise CorruptBlockError(
-                f"one_value payload holds {value.size} values, expected 1"
-            )
-        return np.repeat(value, len(positions))
+            raise CorruptBlockError(f"one_value payload holds {value.size} values, expected 1")
+        return value
 
 
-class OneValueString(Scheme):
+class OneValueString(_OneValue):
     scheme_id = SchemeId.ONE_VALUE_STRING
-    name = "one_value"
-    filtered_wins_dense = True  # a fill of the selection length
     ctype = ColumnType.STRING
-
-    def is_viable(self, stats, config) -> bool:
-        return stats.count > 0 and stats.distinct_count == 1
 
     def compress(self, values: StringArray, ctx: CompressionContext) -> bytes:
         return Writer().blob(values[0]).getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
-        value = Reader(payload).blob()
-        buffer = np.frombuffer(value * count, dtype=np.uint8)
-        offsets = np.arange(count + 1, dtype=np.int64) * len(value)
-        return StringArray(buffer, offsets)
+    @staticmethod
+    def _parse(payload: bytes) -> bytes:
+        return Reader(payload).blob()
 
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> StringArray:
-        value = Reader(payload).blob()
-        n = len(positions)
+    @staticmethod
+    def _repeat(value: bytes, n: int) -> StringArray:
         buffer = np.frombuffer(value * n, dtype=np.uint8)
-        offsets = np.arange(n + 1, dtype=np.int64) * len(value)
-        return StringArray(buffer, offsets)
+        return StringArray(buffer, np.arange(n + 1, dtype=np.int64) * len(value))
 
 
 register_scheme(OneValueInt())

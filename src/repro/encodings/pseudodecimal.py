@@ -19,9 +19,9 @@ import numpy as np
 from repro.bitmap import RoaringBitmap
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
     SchemeId,
+    deliver,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
@@ -113,52 +113,48 @@ class Pseudodecimal(Scheme):
         writer.array(patches)
         return writer.getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    @staticmethod
+    def _parse(payload: bytes) -> "tuple[bytes, bytes, RoaringBitmap, np.ndarray]":
+        """``(digits blob, exponents blob, patched rows, patches)``: one
+        patch per row the bitmap marks."""
         reader = Reader(payload)
-        digits = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
-        exponents = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
-        patch_bitmap = RoaringBitmap.deserialize(reader.blob())
-        patches = reader.array()
-        if ctx.vectorized:
-            # digits * 10^-exp in one vector multiply; clamp the exception
-            # exponent into table range, those slots are patched right after.
-            safe_exponents = np.minimum(exponents, MAX_EXPONENT)
-            out = digits.astype(np.float64) * FRAC10[safe_exponents]
-            if patches.size:
-                out[patch_bitmap.to_array()] = patches
-            return out
-        out = np.empty(count, dtype=np.float64)
-        patch_positions = set(patch_bitmap.to_array().tolist())
-        patch_index = 0
-        for i in range(count):
-            if i in patch_positions:
-                out[i] = patches[patch_index]
-                patch_index += 1
-            else:
-                out[i] = float(digits[i]) * FRAC10[exponents[i]]
-        return out
-
-    def decompress_filtered(
-        self, payload: bytes, count: int, ctx: DecompressionContext, positions: np.ndarray
-    ) -> np.ndarray:
-        reader = Reader(payload)
-        digits = ctx.decompress_child(reader.blob(), ColumnType.INTEGER, positions)
-        exponents = ctx.decompress_child(reader.blob(), ColumnType.INTEGER, positions)
+        digits, exponents = reader.blob(), reader.blob()
         patch_rows = RoaringBitmap.deserialize(reader.blob())
         patches = reader.array()
-        # The same elementwise multiply as the full decode, on the selected
-        # rows only, so every double comes out bit-identical.
-        out = np.asarray(digits).astype(np.float64) * FRAC10[np.minimum(exponents, MAX_EXPONENT)]
         if len(patch_rows) != patches.size:
             raise CorruptBlockError(
                 f"pseudodecimal marks {len(patch_rows)} exceptions but stores {patches.size}"
             )
-        # Patch only the exceptions whose rows are selected: a selected row is
-        # an exception iff the bitmap holds it, and the exceptions before it
-        # are its slot in ``patches``.
+        return digits, exponents, patch_rows, patches
+
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        digits_blob, exponents_blob, patch_rows, patches = self._parse(payload)
+        digits = ctx.decompress_child(digits_blob, ColumnType.INTEGER, positions)
+        exponents = ctx.decompress_child(exponents_blob, ColumnType.INTEGER, positions)
+        if not ctx.vectorized and positions is None:  # (no scalar selective kernel)
+            values = np.empty(count, dtype=np.float64)
+            patch_positions = set(patch_rows.to_array().tolist())
+            patch_index = 0
+            for i in range(count):
+                if i in patch_positions:
+                    values[i] = patches[patch_index]
+                    patch_index += 1
+                else:
+                    values[i] = float(digits[i]) * FRAC10[exponents[i]]
+            return deliver(values, count, None, out)
+        # digits * 10^-exp in one vector multiply, the same on every route so
+        # every double comes out bit-identical; the exception exponent is
+        # clamped into table range, those slots are patched right after.
+        values = np.asarray(digits).astype(np.float64) * FRAC10[np.minimum(exponents, MAX_EXPONENT)]
+        if positions is None:
+            if patches.size:
+                values[patch_rows.to_array()] = patches
+            return deliver(values, count, None, out)
+        # A selected row is an exception iff the bitmap holds it, and the
+        # exceptions before it are its slot in ``patches``.
         slots, is_patch = patch_rows.rank(positions)
-        out[is_patch] = patches[slots[is_patch]]
-        return out
+        values[is_patch] = patches[slots[is_patch]]
+        return values
 
 
 PSEUDODECIMAL_SCHEME = register_scheme(Pseudodecimal())

@@ -17,6 +17,7 @@ from repro.encodings.base import (
     DecompressionContext,
     Scheme,
     SchemeId,
+    deliver,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
@@ -39,27 +40,6 @@ def split_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], changes))
     ends = np.concatenate((changes, [values.size]))
     return values[starts], (ends - starts).astype(np.int32)
-
-
-def repeat_into(run_values: np.ndarray, run_lengths: np.ndarray, count: int, out: np.ndarray) -> None:
-    """Replicate runs straight into ``out`` (``np.repeat`` has no ``out=``).
-
-    A single run — the OneValue-shaped case RLE often degenerates to —
-    broadcasts with ``fill`` and touches each output byte once. Everything
-    else replicates through one ``np.repeat`` intermediate and a copy into
-    the view; malformed lengths surface exactly like the legacy path (a
-    negative length raises inside ``np.repeat``, a total that disagrees
-    with the declared count is a :class:`FormatError`).
-    """
-    if run_values.size == 1 and run_values.dtype == out.dtype and int(run_lengths[0]) == count:
-        out.fill(run_values[0])
-        return
-    values = np.repeat(run_values, run_lengths)
-    if len(values) != count:
-        raise FormatError(
-            f"block declared {count} values but rle decoded {len(values)}"
-        )
-    np.copyto(out, values, casting="unsafe")
 
 
 def check_run_lengths(run_lengths, run_count: int, count: int) -> np.ndarray:
@@ -95,41 +75,42 @@ class _RLEBase(Scheme):
         return writer.getvalue()
 
     @staticmethod
-    def decode_runs(payload: bytes, count: int, ctx: DecompressionContext, ctype: ColumnType):
+    def _parse(payload: bytes) -> "tuple[int, bytes, bytes]":
+        """``(run count, run values blob, run lengths blob)``."""
+        reader = Reader(payload)
+        return reader.u32(), reader.blob(), reader.blob()
+
+    @classmethod
+    def decode_runs(cls, payload: bytes, count: int, ctx: DecompressionContext, ctype: ColumnType):
         """Decode the two child sequences (run values, run lengths).
 
         Run lengths are held to the header *before* anything replicates
         them: a corrupt length must surface as a typed error, never size an
         allocation.
         """
-        reader = Reader(payload)
-        run_count = reader.u32()
-        run_values = ctx.decompress_child(reader.blob(), ctype)
-        run_lengths = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
+        run_count, values_blob, lengths_blob = cls._parse(payload)
+        run_values = ctx.decompress_child(values_blob, ctype)
+        run_lengths = ctx.decompress_child(lengths_blob, ColumnType.INTEGER)
         if len(run_values) != run_count:
             raise CorruptBlockError("RLE run arrays do not match the run count")
         return run_values, check_run_lengths(run_lengths, run_count, count)
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
+    def decompress(self, payload, count, ctx, positions=None, out=None):
         run_values, run_lengths = self.decode_runs(payload, count, ctx, self.ctype)
         if ctx.vectorized:
-            return np.repeat(run_values, run_lengths)
-        out = np.empty(count, dtype=run_values.dtype)
+            if out is not None and run_values.size == 1 and run_values.dtype == out.dtype:
+                # One run -- the OneValue shape RLE often degenerates to --
+                # broadcasts with ``fill``, touching each output byte once.
+                out.fill(run_values[0])
+                return None
+            return deliver(np.repeat(run_values, run_lengths), count, positions, out)
+        values = np.empty(count, dtype=run_values.dtype)
         pos = 0
         for value, length in zip(run_values.tolist(), run_lengths.tolist()):
             for i in range(length):
-                out[pos + i] = value
+                values[pos + i] = value
             pos += length
-        return out
-
-    def decompress_into(
-        self, payload: bytes, count: int, ctx: DecompressionContext, out: np.ndarray
-    ) -> None:
-        if not ctx.vectorized:
-            super().decompress_into(payload, count, ctx, out)
-            return
-        run_values, run_lengths = self.decode_runs(payload, count, ctx, self.ctype)
-        repeat_into(np.asarray(run_values), np.asarray(run_lengths), count, out)
+        return deliver(values, count, positions, out)
 
 
 class RLEInt(_RLEBase):

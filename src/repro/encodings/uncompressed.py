@@ -12,9 +12,9 @@ import numpy as np
 from repro.encodings.strutil import untrusted_strings
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
     SchemeId,
+    deliver,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
@@ -24,8 +24,8 @@ from repro.types import ColumnType, StringArray
 class _UncompressedNumeric(Scheme):
     """Shared raw-array behaviour for the two numeric terminators."""
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> np.ndarray:
-        return Reader(payload).array()
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        return deliver(Reader(payload).array(), count, positions, out)
 
 
 class UncompressedInt(_UncompressedNumeric):
@@ -62,10 +62,10 @@ class UncompressedString(Scheme):
         # (string buffers stay far below 2 GiB at 64k values per block).
         return Writer().array(values.buffer).array(values.offsets.astype(np.int32)).getvalue()
 
-    def decompress(self, payload: bytes, count: int, ctx: DecompressionContext) -> StringArray:
+    def decompress(self, payload, count, ctx, positions=None, out=None):
         reader = Reader(payload)
         buffer = reader.array()
-        return untrusted_strings(buffer, reader.array())
+        return deliver(untrusted_strings(buffer, reader.array()), count, positions, out)
 
 
 INT = register_scheme(UncompressedInt())

@@ -68,7 +68,7 @@ from repro.encodings.bitpack import PAGE
 from repro.encodings.dictionary import _checked_codes, read_numeric_dict, read_string_dict
 from repro.encodings.frequency import fill_selection
 from repro.encodings.rle import _RLEBase, check_run_lengths
-from repro.encodings.wire import Reader, unwrap
+from repro.encodings.wire import unwrap
 from repro.exceptions import BtrBlocksError, CorruptBlockError, FormatError
 from repro.observe import get_registry
 from repro.query.predicates import (
@@ -177,7 +177,7 @@ def _scan_node(
     if scheme_id in _RLE:
         return _scan_rle(payload, count, ctype, predicate, ctx, want)
     if scheme_id in _FREQUENCY:
-        return _scan_frequency(payload, count, ctype, predicate, ctx, want)
+        return _scan_frequency(scheme_id, payload, count, ctype, predicate, ctx, want)
     if scheme_id in _BITPACKED:
         return _scan_bitpacked(scheme_id, payload, count, predicate, ctx, want, block_level)
     return _evaluated(ctx.decompress_child(blob, ctype), predicate, want, block_level)
@@ -191,19 +191,13 @@ def _scan_one_value(
     ctx: DecompressionContext, want: bool,
 ):
     """One comparison decides the block; its hit values are a fill."""
-    reader = Reader(payload)
-    if ctype is ColumnType.INTEGER:
-        value: object = reader.i64()
-    elif ctype is ColumnType.DOUBLE:
-        value = float(reader.array()[0])
-    else:
-        value = reader.blob()
-    mask = np.full(count, predicate.evaluate_scalar(value), dtype=bool)
+    scheme = get_scheme(scheme_id)
+    value = scheme._parse(payload)
+    scalar = value if ctype is ColumnType.STRING else value[0].item()
+    mask = np.full(count, predicate.evaluate_scalar(scalar), dtype=bool)
     if not want:
         return mask, None
-    return mask, get_scheme(scheme_id).decompress_filtered(
-        payload, count, ctx, np.flatnonzero(mask)
-    )
+    return mask, scheme.decompress(payload, count, ctx, positions=np.flatnonzero(mask))
 
 
 def _scan_rle(
@@ -212,10 +206,7 @@ def _scan_rle(
 ):
     """Evaluate on the run values (recursively), replicate per run length;
     the hit runs' values repeat by the same lengths."""
-    reader = Reader(payload)
-    run_count = reader.u32()
-    values_blob = reader.blob()
-    lengths_blob = reader.blob()
+    run_count, values_blob, lengths_blob = _RLEBase._parse(payload)
     run_mask, run_hits = _scan_node(values_blob, ctype, predicate, ctx, want)
     if len(run_mask) != run_count:
         raise CorruptBlockError("RLE run arrays do not match the run count")
@@ -236,18 +227,16 @@ def _scan_rle(
 
 
 def _scan_frequency(
-    payload: bytes, count: int, ctype: ColumnType, predicate: Predicate,
+    scheme_id: int, payload: bytes, count: int, ctype: ColumnType, predicate: Predicate,
     ctx: DecompressionContext, want: bool,
 ):
     """One comparison for the top value, recursion on the exceptions; hit
     values are the top value plus the exceptions' hit values."""
-    reader = Reader(payload)
-    top = reader.blob() if ctype is ColumnType.STRING else reader.array()
-    bitmap = RoaringBitmap.deserialize(reader.blob())
+    top, bitmap, exc_blob = get_scheme(scheme_id)._parse(payload, count)
     top_mask = bitmap.to_mask(count)
     out = np.empty(count, dtype=bool)
     out[top_mask] = predicate.evaluate_scalar(top if ctype is ColumnType.STRING else top[0])
-    exceptions, exception_hits = _scan_node(reader.blob(), ctype, predicate, ctx, want)
+    exceptions, exception_hits = _scan_node(exc_blob, ctype, predicate, ctx, want)
     if len(exceptions) != count - int(top_mask.sum()):
         raise CorruptBlockError("frequency exceptions do not fill the rows the bitmap leaves")
     out[~top_mask] = exceptions
@@ -433,36 +422,25 @@ def _pages_always_match(predicate: Predicate, lo: np.ndarray, hi: np.ndarray) ->
     return np.zeros(lo.shape, dtype=bool)
 
 
-def _page_bounds(scheme_id: int, payload: bytes):
-    """Per-page conservative [lo, hi] from the FOR headers, or ``None``.
+def _page_bounds(scheme, payload: bytes):
+    """Per-page conservative [lo, hi] from the FOR headers, or ``None``
+    (headers the decode would reject: it then raises them typed).
 
     The low side is exact (references are page minima); the high side adds
     the packed lane's ``2**width - 1`` span, and for FastPFOR additionally
-    the page's largest exception delta. Shifts/exceptions clip at ``2**62``
-    so hostile header bytes cannot overflow int64 — clipping only widens.
+    the page's largest exception delta. Exceptions clip at ``2**62`` so
+    hostile header bytes cannot overflow int64 — clipping only widens.
     """
     try:
-        reader = Reader(payload)
-        refs = reader.array()
-        widths = reader.array()
+        refs, widths, _packed, keys, exc_values = scheme._parse(payload)
         if refs.size == 0 or refs.size != widths.size:
             return None
         lo = refs.astype(np.int64)
-        spans = (np.int64(1) << np.minimum(widths.astype(np.int64), 62)) - 1
-        hi = lo + spans
-        if scheme_id == SchemeId.FAST_PFOR:
-            exc_per_page = reader.array()
-            reader.array()  # exc_slots: positions do not move the bounds
-            exc_values = reader.array()
-            if exc_per_page.size != widths.size or int(exc_per_page.sum()) != exc_values.size:
-                return None
-            if exc_values.size:
-                starts = np.zeros(exc_per_page.size, dtype=np.int64)
-                np.cumsum(exc_per_page[:-1], out=starts[1:])
-                has = np.asarray(exc_per_page) > 0
-                exc_deltas = np.minimum(exc_values, np.uint64(1) << np.uint64(62)).astype(np.int64)
-                exc_max = np.maximum.reduceat(exc_deltas, starts[has])
-                hi[has] = np.maximum(hi[has], lo[has] + exc_max)
+        hi = lo + (np.int64(1) << widths.astype(np.int64)) - 1
+        if exc_values.size:
+            pages = keys // PAGE
+            exc_deltas = np.minimum(exc_values, np.uint64(1) << np.uint64(62)).astype(np.int64)
+            np.maximum.at(hi, pages, lo[pages] + exc_deltas)
     except Exception:
         return None
     return lo, hi
@@ -483,7 +461,7 @@ def _scan_bitpacked(
     selection-vector call.
     """
     scheme = get_scheme(scheme_id)
-    bounds = _page_bounds(scheme_id, payload)
+    bounds = _page_bounds(scheme, payload)
     if bounds is not None:
         lo, hi = bounds
         may = _pages_may_match(predicate, lo, hi)
@@ -510,7 +488,7 @@ def _scan_bitpacked(
     if unpacked.size:
         rows = (unpacked[:, None] * PAGE + np.arange(PAGE, dtype=np.int64)).reshape(-1)
         rows = rows[rows < count]
-        values = scheme.decompress_filtered(payload, count, ctx, rows)
+        values = scheme.decompress(payload, count, ctx, positions=rows)
         # (Accepted pages stay accepted whatever their unpacked values say.)
         mask[rows] |= np.asarray(predicate.evaluate(values), dtype=bool)
         if want:

@@ -277,7 +277,7 @@ def test_fastpfor_mixed_pages_with_exceptions(pages):
         # Every third row of the pages, and the whole pages.
         for step in (3, 1):
             positions = (page_ids[:, None] * PAGE + np.arange(0, PAGE, step)).reshape(-1)
-            got = PFOR.decompress_filtered(payload, values.size, make_context(), positions)
+            got = PFOR.decompress(payload, values.size, make_context(), positions=positions)
             assert np.array_equal(got, values[positions])
 
 

@@ -442,8 +442,8 @@ class TestHostilePageWidths:
             routes = {
                 "vectorized": lambda: decompress_block(blob, ColumnType.INTEGER),
                 "scalar": lambda: decompress_block(blob, ColumnType.INTEGER, vectorized=False),
-                "rows": lambda: scheme.decompress_filtered(
-                    payload, count, make_context(), np.array([0, 300])
+                "rows": lambda: scheme.decompress(
+                    payload, count, make_context(), positions=np.array([0, 300])
                 ),
             }
             for route, decode in routes.items():
@@ -527,7 +527,7 @@ class TestHostileExceptionGeometry:
                 lambda: scheme.decompress(payload, count, make_context(vectorized=False)),
                 slice(None),
             ),
-            "rows": (lambda: scheme.decompress_filtered(payload, count, ctx, rows), rows),
+            "rows": (lambda: scheme.decompress(payload, count, ctx, positions=rows), rows),
         }
 
     @pytest.mark.parametrize(

@@ -177,13 +177,13 @@ class TestOutOfRangeCodes:
         paths = {
             "full": lambda: scheme.decompress(payload, count, make_context(True)),
             "scalar": lambda: scheme.decompress(payload, count, make_context(False)),
-            "filtered": lambda: scheme.decompress_filtered(
-                payload, count, make_context(True), rows
+            "filtered": lambda: scheme.decompress(
+                payload, count, make_context(True), positions=rows
             ),
         }
         if empty_out is not None:
-            paths["into"] = lambda: scheme.decompress_into(
-                payload, count, make_context(True), empty_out(count)
+            paths["into"] = lambda: scheme.decompress(
+                payload, count, make_context(True), out=empty_out(count)
             )
         return paths
 
@@ -192,7 +192,7 @@ class TestOutOfRangeCodes:
     def test_string_dictionary_rejects_the_code_on_every_path(self, bad, rle):
         from repro.exceptions import FormatError
 
-        codes = np.repeat([0, bad, 2, 1], 5)  # runs of 5: the fused path takes them
+        codes = np.repeat([0, bad, 2, 1], 5)
         payload = self._string_payload(codes, rle)
         for name, decode in self._decodes(DICT_STRING, payload, len(codes), None).items():
             with pytest.raises(FormatError, match="out of pool range"):

@@ -352,6 +352,43 @@ class TestRemoteTableIntegrity:
                 RemoteTable.open(store, "t")
         assert registry.snapshot()["counters"]["cloud.table.meta_refetches"] == 3
 
+    def test_flipped_manifest_fields_end_typed_or_correct(self, relation):
+        """Every bit of each column entry's ``type`` / ``rows`` / ``bytes`` /
+        ``blocks`` key and value, flipped in turn: ``open``, a filtered and a
+        full scan each return the table or raise a typed error. A field the
+        reader indexes is validated at ``open``, so a mangled key or an
+        unknown type goes through the refetch loop to a ``FormatError``
+        instead of escaping as a raw ``KeyError`` / ``ValueError``."""
+        import re
+
+        from repro.exceptions import BtrBlocksError
+        from repro.query.predicates import Between
+
+        store = make_store(retry=RetryPolicy(max_attempts=1))
+        TableWriter(store).write(compress_relation(relation, BtrBlocksConfig(block_size=1024)))
+        (key,) = store.keys("t/_manifests/")
+        manifest = store.get(key)
+        spans = [
+            match.span()
+            for match in re.finditer(rb'"(type|rows|bytes|blocks)": ("[a-z]+"|[0-9]+)', manifest)
+        ]
+        assert len(spans) == 4 * len(relation.columns)
+        where = {"a": Between(100, 400)}
+        expected = RemoteTable.open(store, "t").scan(where=where)
+        for start, end in spans:
+            for bit in range(8 * start, 8 * end):
+                damaged = bytearray(manifest)
+                damaged[bit >> 3] ^= 1 << (bit & 7)
+                store.put(key, bytes(damaged))
+                try:
+                    table = RemoteTable.open(store, "t")
+                    filtered, full = table.scan(where=where), table.scan()
+                except BtrBlocksError:
+                    continue
+                for got, want in zip(filtered.columns + full.columns,
+                                     expected.columns + relation.columns):
+                    assert columns_equal(got, want), (bit, bytes(damaged[start:end]))
+
     def test_transient_faults_do_not_reach_integrity_layer(self, relation):
         registry = MetricsRegistry()
         store = make_store(

@@ -93,3 +93,43 @@ class TestStringFrequency:
         values = StringArray.from_pylist(([""] * 9 + ["rare"]) * 30)
         _, out = scheme_round_trip(FREQ_STRING, values)
         assert out == values
+
+
+class TestExceptionCountHeldOnEveryRoute:
+    """The exceptions child must fill exactly the rows the top value's
+    bitmap leaves: one check where the payload is parsed. An exceptions
+    child one value too long once decoded without error through the scalar
+    and ``positions=`` routes while the full decode raised."""
+
+    def test_every_route_raises(self, rng):
+        import pytest
+
+        from repro.core.blocks import CompressedBlock
+        from repro.core.decompressor import decode_block, decompress_block, make_context
+        from repro.encodings.wire import Reader, Writer, wrap
+        from repro.exceptions import CorruptBlockError
+
+        values = dominant_ints(rng, n=2000)
+        payload, _ = scheme_round_trip(FREQ_INT, values)
+        reader = Reader(payload)
+        top, bitmap = reader.array(), reader.blob()
+        raw = get_scheme(SchemeId.UNCOMPRESSED_INT)
+        long_by_one = np.append(values[values != 7], 7).astype(np.int32)
+        child = wrap(raw.scheme_id, long_by_one.size, raw.compress(long_by_one, None))
+        block = CompressedBlock(2000, wrap(
+            FREQ_INT.scheme_id, 2000, Writer().array(top).blob(bitmap).blob(child).getvalue()
+        ))
+        ctx = make_context()
+        routes = {
+            "full": lambda: decompress_block(block.data, ColumnType.INTEGER),
+            "out": lambda: decode_block(
+                block, ColumnType.INTEGER, ctx, out=np.empty(2000, dtype=np.int32)
+            ),
+            "positions": lambda: decode_block(
+                block, ColumnType.INTEGER, ctx, positions=np.asarray([0, 1, 1999])
+            ),
+            "scalar": lambda: decompress_block(block.data, ColumnType.INTEGER, vectorized=False),
+        }
+        for route, decode in routes.items():
+            with pytest.raises(CorruptBlockError, match="do not fill the rows"):
+                decode()

@@ -151,7 +151,7 @@ class TestRoundTrip:
 
 
 class TestFilteredDecode:
-    """``decompress_filtered`` == full decode + take, bit for bit on doubles."""
+    """``decompress(positions=)`` == full decode + take, bit for bit on doubles."""
 
     def _selections(self, rng, count):
         yield np.empty(0, dtype=np.int64)
@@ -176,7 +176,7 @@ class TestFilteredDecode:
         ctx = make_context()
         for selection in self._selections(rng, len(values)):
             for positions in (selection if isinstance(selection, tuple) else (selection,)):
-                got = PDE.decompress_filtered(payload, len(values), ctx, positions)
+                got = PDE.decompress(payload, len(values), ctx, positions=positions)
                 assert got.dtype == np.float64
                 assert np.array_equal(got.view(np.uint64), values[positions].view(np.uint64))
 
@@ -187,7 +187,7 @@ class TestFilteredDecode:
         for values in (np.round(rng.uniform(0, 10, 3000), 1), rng.standard_normal(3000)):
             payload, _ = scheme_round_trip(PDE, values)
             positions = np.sort(rng.choice(3000, size=40, replace=False))
-            got = PDE.decompress_filtered(payload, 3000, ctx, positions)
+            got = PDE.decompress(payload, 3000, ctx, positions=positions)
             assert np.array_equal(got.view(np.uint64), values[positions].view(np.uint64))
 
     def test_mismatched_patch_list_is_a_typed_error(self, rng):
@@ -202,7 +202,50 @@ class TestFilteredDecode:
         digits, exponents, bitmap, patches = reader.blob(), reader.blob(), reader.blob(), reader.array()
         short = Writer().blob(digits).blob(exponents).blob(bitmap).array(patches[:-1]).getvalue()
         with pytest.raises(CorruptBlockError):
-            PDE.decompress_filtered(short, 2000, make_context(), np.asarray([0, 100, 1999]))
+            PDE.decompress(short, 2000, make_context(), positions=np.asarray([0, 100, 1999]))
+
+
+class TestPatchCountHeldOnEveryRoute:
+    """A bitmap that marks more exceptions than the patch array stores is
+    one structural check, made where the payload is parsed: a real block
+    re-framed with ``patches[:0]`` once decoded its 52 marked rows as
+    ``digits * 10^-23`` garbage through the full and ``out=`` routes while
+    the ``positions=`` route raised."""
+
+    ROWS = 5000
+
+    def _block(self, rng):
+        from repro.core.blocks import CompressedBlock
+        from repro.encodings.wire import Reader, Writer, wrap
+
+        values = np.round(rng.uniform(0, 100, self.ROWS), 2)
+        values[::97] = np.nan  # 52 exceptions
+        payload, _ = scheme_round_trip(PDE, values)
+        reader = Reader(payload)
+        digits, exponents, bitmap, patches = reader.blob(), reader.blob(), reader.blob(), reader.array()
+        assert patches.size == 52
+        emptied = Writer().blob(digits).blob(exponents).blob(bitmap).array(patches[:0]).getvalue()
+        return CompressedBlock(self.ROWS, wrap(PDE.scheme_id, self.ROWS, emptied))
+
+    def test_every_route_raises(self, rng):
+        from repro.core.decompressor import decode_block, decompress_block, make_context
+        from repro.exceptions import CorruptBlockError
+
+        block = self._block(rng)
+        ctx = make_context()
+        routes = {
+            "full": lambda: decompress_block(block.data, ColumnType.DOUBLE),
+            "out": lambda: decode_block(
+                block, ColumnType.DOUBLE, ctx, out=np.empty(self.ROWS, dtype=np.float64)
+            ),
+            "positions": lambda: decode_block(
+                block, ColumnType.DOUBLE, ctx, positions=np.asarray([0, 97, 4999])
+            ),
+            "scalar": lambda: decompress_block(block.data, ColumnType.DOUBLE, vectorized=False),
+        }
+        for route, decode in routes.items():
+            with pytest.raises(CorruptBlockError, match="marks 52 exceptions but stores 0"):
+                decode()
 
 
 class TestFrac10Table:
