@@ -12,7 +12,9 @@ magnitude larger; ratios and relative speeds stabilise well below that.
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import time
 from functools import lru_cache
 from typing import Callable
@@ -81,6 +83,41 @@ def paired_seconds(
         best_plain = min(best_plain, ended - middle)
         rounds += 1
     return best_fast, best_plain
+
+
+def paired_speedup(
+    fast: Callable[[], object], plain: Callable[[], object], repeats: int
+) -> "tuple[float, float, float]":
+    """``(fast seconds, plain seconds, plain / fast)`` as medians over
+    interleaved pairs.
+
+    Each round times one call of each alternative back to back, in turns
+    (odd rounds run ``plain`` first), for as many rounds as
+    :func:`paired_seconds` makes. The speedup is the median of the rounds'
+    own ratios, so drift between rounds cancels inside each ratio and a
+    neighbour's burst moves the median by one rank, not the answer: where a
+    minimum is whichever round the host was quietest for, a median repeats.
+    The garbage collector is off while the rounds run (as ``timeit`` has it):
+    its passes cost what the measuring process holds, not what is measured.
+    """
+    seconds: "dict[Callable, list[float]]" = {fast: [], plain: []}
+    rounds = 0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        deadline = time.perf_counter() + 0.004 * max(repeats, 1)
+        while rounds < 5 * max(repeats, 1) or time.perf_counter() < deadline:
+            for call in (plain, fast) if rounds % 2 else (fast, plain):
+                started = time.perf_counter()
+                call()
+                seconds[call].append(time.perf_counter() - started)
+            rounds += 1
+    finally:
+        if collecting:
+            gc.enable()
+    ratios = [p / f for f, p in zip(seconds[fast], seconds[plain])]
+    median = statistics.median
+    return median(seconds[fast]), median(seconds[plain]), median(ratios)
 
 
 def print_table(title: str, headers: list[str], rows: list[list]) -> None:

@@ -640,7 +640,7 @@ class RemoteTable:
                 "cloud.scan.pruned_bytes", sum(ranges[i][1] for i in pruned)
             )
         if not survivors:
-            return RoaringBitmap(), None
+            return np.empty(0, dtype=np.int64), None
         cached = self._columns.get(entry["file"])
         if cached is None and ranges is None:
             return None  # nothing cached and no extents to range-GET with
@@ -699,7 +699,7 @@ class RemoteTable:
             return None
         if self._columns.get(entry["file"]) is not None:
             return None  # full column in cache: no GET to save
-        # ``rows`` come sorted from the filter bitmap: block ``i`` is needed
+        # ``rows`` come sorted from the filter: block ``i`` is needed
         # iff some row falls between its offset and the next block's.
         bounds = np.searchsorted(rows, zone_map.block_offsets())
         needed = bounds[1:] > bounds[:-1]
@@ -727,12 +727,13 @@ class RemoteTable:
 
     def _column_matches(
         self, column_name: str, predicate: Predicate, values: bool = False
-    ) -> "tuple[RoaringBitmap, tuple | None]":
+    ) -> "tuple[np.ndarray, tuple | None]":
         """One filter column's ``(matching rows, handover of their values if
-        asked)``: pruned path first, full scan as fallback. Both answer a
-        number block the decode cache serves over its decoded values and
-        every other block in the compressed domain
-        (:func:`~repro.query.executor.block_mask`); neither fills the cache."""
+        asked)``, the rows as sorted ``int64`` positions: pruned path first,
+        full scan as fallback. Both answer a number block the decode cache
+        serves over its decoded values and every other block in the
+        compressed domain (:func:`~repro.query.executor.block_mask`); neither
+        fills the cache."""
         entry = self.column_entry(column_name)
         try:
             matches = self._pruned_matching_rows(entry, predicate, values)
@@ -758,15 +759,17 @@ class RemoteTable:
         block granularity before any data bytes move; the rest download
         whole and scan in the compressed domain as before.
         """
-        result: RoaringBitmap | None = None
+        return RoaringBitmap.from_positions(self._matching_positions(where))
+
+    def _matching_positions(self, where: Mapping[str, Predicate]) -> np.ndarray:
+        """:meth:`matching_rows` as sorted ``int64`` positions."""
+        rows = None
         for column_name, predicate in where.items():
             matches = self._column_matches(column_name, predicate)[0]
-            result = matches if result is None else (result & matches)
-            if result is not None and len(result) == 0:
-                return result
-        if result is None:
-            return RoaringBitmap.from_positions(np.arange(self.row_count))
-        return result
+            rows = matches if rows is None else np.intersect1d(rows, matches, assume_unique=True)
+            if rows.size == 0:
+                break
+        return np.arange(self.row_count, dtype=np.int64) if rows is None else rows
 
     def _decompress_remote_column(self, compressed, cache_key, held: bool) -> Column:
         """Decode one downloaded column through the handle's decode cache.
@@ -842,7 +845,7 @@ class RemoteTable:
             "retry_budget": retry_budget,
         }
         if where:
-            result: RoaringBitmap | None = None
+            rows = None
             # A projected filter column is materialised from what its
             # filter decoded (``_materialise_rows``), not decoded again.
             handed: "dict[str, tuple]" = {}
@@ -856,14 +859,13 @@ class RemoteTable:
                     )
                     if handover is not None:
                         handed[column_name] = handover
-                    result = matches if result is None else (result & matches)
+                    rows = matches if rows is None else np.intersect1d(
+                        rows, matches, assume_unique=True
+                    )
                     step.decode_bytes = step.bytes_fetched
                 yield step
-                if result is not None and len(result) == 0:
+                if rows.size == 0:
                     break
-            if result is None:
-                result = RoaringBitmap.from_positions(np.arange(self.row_count))
-            rows = result.to_array().astype(np.int64)
             out = []
             for name in names:
                 self._check_deadline(deadline_seconds)
@@ -942,7 +944,7 @@ class RemoteTable:
         return column
 
     def count(self, where: Mapping[str, Predicate]) -> int:
-        return len(self.matching_rows(where))
+        return int(self._matching_positions(where).size)
 
     def aggregate(
         self,

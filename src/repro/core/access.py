@@ -16,6 +16,8 @@ counted under the same ``query.cdomain.filtered.*`` counters.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from repro.bitmap import RoaringBitmap, strictly_increasing
@@ -67,30 +69,31 @@ def read_rows(
     if not strictly_increasing(indices):
         indices, inverse = np.unique(indices, return_inverse=True)
     blocks, ctype = compressed.blocks, compressed.ctype
-    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-    np.cumsum([block.count for block in blocks], out=offsets[1:])
+    # Python ints, in the form a cache entry records its ``starts`` in.
+    offsets = [0, *accumulate(block.count for block in blocks)]
     if indices.size and (indices[0] < 0 or indices[-1] >= offsets[-1]):
-        raise IndexError(f"row index out of range 0..{int(offsets[-1]) - 1}")
+        raise IndexError(f"row index out of range 0..{offsets[-1] - 1}")
     ctx = make_context(vectorized, limits=limits)
     # bounds[b]:bounds[b + 1] is block b's slice of the sorted request.
     bounds = np.searchsorted(indices, offsets)
     touched = np.flatnonzero(bounds[1:] > bounds[:-1]).tolist()
+    bounds = bounds.tolist()
     entry = cache.get(cache_key) if cache is not None else None
     served = [cached_block(cache, entry, b, blocks[b], ctx.limits) for b in touched]
     if cache is not None:
         cache.count(served.count(True), served.count(False))
     # Every touched block served, at the rows the entry holds them at: one take.
-    whole = bool(touched) and all(served) and offsets.tolist() == entry.starts
+    whole = bool(touched) and all(served) and offsets == entry.starts
     parts: list = []
     if whole:
         span = entry.span(touched[0], touched[-1] + 1)
         first = offsets[touched[0]]
         parts.append(take_values(span, indices - first if first else indices))
-    null_parts = [np.empty(0, dtype=np.int64)]
+    null_parts = []
     rows_total = 0
     for block_id, hit in zip(touched, served):
         block = blocks[block_id]
-        lo, hi = int(bounds[block_id]), int(bounds[block_id + 1])
+        lo, hi = bounds[block_id], bounds[block_id + 1]
         rows_total += block.count
         if whole and not block.nulls:
             continue
@@ -116,9 +119,12 @@ def read_rows(
         )
 
     data = concat_values(parts, ctype)
-    null_rows = np.concatenate(null_parts)
     if inverse is not None:
         data = take_values(data, inverse)
+    if not null_parts:
+        return Column(compressed.name, ctype, data)
+    null_rows = np.concatenate(null_parts)
+    if inverse is not None:
         is_null = np.zeros(indices.size, dtype=bool)
         is_null[null_rows] = True
         null_rows = np.flatnonzero(is_null[inverse])

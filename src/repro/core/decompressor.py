@@ -124,12 +124,15 @@ def _decode_node(
     positions: "np.ndarray | None" = None,
     out: "np.ndarray | None" = None,
     block_level: bool = False,
+    expected: "int | None" = None,
 ) -> "Values | None":
     """Decode one cascade node, at every level of every decode: the
     :func:`_open_node` gate, the route's own check, then one
     :func:`_run_scheme` call of the scheme's one ``decompress``, held to
     the count it was asked for.
 
+    * ``expected`` (a cascaded child's row count as its parent holds it) must
+      equal the declared count, whatever the route.
     * ``out`` (a writable view of a number column's slot) is decoded into
       and ``None`` returned. A header whose count disagrees with the slot is
       rejected before any scheme code runs; on failure ``out`` may hold
@@ -145,6 +148,8 @@ def _decode_node(
     * Neither returns the node's values.
     """
     scheme, count, payload = _open_node(blob, ctype, ctx)
+    if expected is not None and count != expected:
+        raise FormatError(f"child node declared {count} values but its parent holds {expected}")
     take = None
     if out is not None:
         if count != len(out):

@@ -88,7 +88,7 @@ class DecompressionContext:
 
     def __init__(
         self,
-        decode_fn: "Callable[[bytes, ColumnType, DecompressionContext, np.ndarray | None], Values]",
+        decode_fn: "Callable[..., Values]",
         vectorized: bool = True,
         limits: "DecodeLimits | None" = None,
     ) -> None:
@@ -99,15 +99,22 @@ class DecompressionContext:
         self.limits = limits if limits is not None else DEFAULT_DECODE_LIMITS
 
     def decompress_child(
-        self, blob: bytes, ctype: ColumnType, positions: "np.ndarray | None" = None
+        self,
+        blob: bytes,
+        ctype: ColumnType,
+        positions: "np.ndarray | None" = None,
+        count: "int | None" = None,
     ) -> Values:
         """Decode a child node, or only its values at sorted row ``positions``.
 
         A selection cascades one level deeper (so e.g. dictionary codes
         packed with FastBP128 unpack only the pages that hold selected
         rows), through the same dispatcher -- and crossover -- as the block.
+        ``count`` is the row count the parent holds the child to: a child
+        header declaring another is rejected on every route, selective ones
+        included (a selection alone never reads past its last row).
         """
-        return self._decode_fn(blob, ctype, self, positions)
+        return self._decode_fn(blob, ctype, self, positions, expected=count)
 
 
 class Scheme(ABC):

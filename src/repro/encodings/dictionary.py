@@ -112,7 +112,7 @@ class _NumericDict(Scheme):
 
     def decompress(self, payload, count, ctx, positions=None, out=None):
         uniq, codes_blob = read_numeric_dict(payload)
-        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions)
+        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions, count)
         codes = _checked_codes(codes, len(uniq))
         if not ctx.vectorized:
             values = np.empty(len(codes), dtype=uniq.dtype)
@@ -241,7 +241,7 @@ class DictString(Scheme):
         kind, pool_count, pool_blob, codes_blob = self._parse(payload)
         pool_of = self._decompress_pool if positions is None else self.cached_pool
         pool = pool_of(kind, pool_blob, pool_count, ctx)
-        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions)
+        codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions, count)
         codes = _checked_codes(codes, len(pool))
         return strutil.gather(pool, codes) if ctx.vectorized else pool.take(codes)
 

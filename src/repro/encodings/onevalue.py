@@ -38,7 +38,7 @@ class _OneValue(Scheme):
 
     @staticmethod
     def _repeat(value: np.ndarray, n: int) -> np.ndarray:
-        return np.repeat(value, n)
+        return value.repeat(n)
 
 
 class OneValueInt(_OneValue):

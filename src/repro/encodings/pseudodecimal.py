@@ -129,8 +129,8 @@ class Pseudodecimal(Scheme):
 
     def decompress(self, payload, count, ctx, positions=None, out=None):
         digits_blob, exponents_blob, patch_rows, patches = self._parse(payload)
-        digits = ctx.decompress_child(digits_blob, ColumnType.INTEGER, positions)
-        exponents = ctx.decompress_child(exponents_blob, ColumnType.INTEGER, positions)
+        digits = ctx.decompress_child(digits_blob, ColumnType.INTEGER, positions, count)
+        exponents = ctx.decompress_child(exponents_blob, ColumnType.INTEGER, positions, count)
         if not ctx.vectorized and positions is None:  # (no scalar selective kernel)
             values = np.empty(count, dtype=np.float64)
             patch_positions = set(patch_rows.to_array().tolist())

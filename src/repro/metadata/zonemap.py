@@ -82,4 +82,5 @@ def pruned_scan(
     """
     survivors = set(build_zone_map(compressed).pruned_blocks(predicate))
     blocks = [item for item in enumerate_blocks(compressed) if item[0] in survivors]
-    return collect_matches(blocks, compressed.ctype, predicate)[0], len(blocks)
+    rows = collect_matches(blocks, compressed.ctype, predicate)[0]
+    return RoaringBitmap.from_positions(rows), len(blocks)

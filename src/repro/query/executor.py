@@ -44,7 +44,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.bitmap import RoaringBitmap
+from repro.bitmap import RoaringBitmap, strictly_increasing
 from repro.core.blocks import CompressedBlock, CompressedColumn
 from repro.core.config import DEFAULT_DECODE_LIMITS, DecodeLimits
 from repro.core.decompressor import (
@@ -377,7 +377,8 @@ def _scan_dictionary(
         if not want:
             return mask, None
         return mask, _pool_values(pool, np.repeat(run_codes[run_mask], run_lengths[run_mask]))
-    codes = _checked_codes(ctx.decompress_child(codes_blob, ColumnType.INTEGER), len(pool))
+    codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, count=count)
+    codes = _checked_codes(codes, len(pool))
     mask = dict_matches[codes]
     return mask, _pool_values(pool, codes[mask]) if want else None
 
@@ -617,11 +618,13 @@ def collect_matches(
     cache=None,
     cache_key=None,
     values: bool = False,
-) -> "tuple[RoaringBitmap, tuple | None]":
+) -> "tuple[np.ndarray, tuple | None]":
     """:func:`iter_matching_positions` (same arguments) collected into
-    ``(matching rows, handover)``. The handover is ``(column rows, their
-    values)`` over every block that handed its hit values on — sorted rows,
-    values in the same order — or ``None`` when no block did."""
+    ``(matching rows, handover)``: the rows are one strictly increasing
+    ``int64`` array of column positions (blocks arrive in ascending row
+    order, so their hits concatenate sorted). The handover is ``(column
+    rows, their values)`` over every block that handed its hit values on —
+    sorted rows, values in the same order — or ``None`` when no block did."""
     positions, covered, parts = [], [], []
     for _block, offset, hits, hit_values in iter_matching_positions(
         block_iter, ctype, predicate, limits, cache, cache_key, values
@@ -631,8 +634,9 @@ def collect_matches(
             covered.append(positions[-1])
             parts.append(hit_values)
     if not positions:
-        return RoaringBitmap(), None
-    rows = RoaringBitmap.from_positions(np.concatenate(positions))
+        return _NO_ROWS, None
+    rows = np.concatenate(positions)
+    assert strictly_increasing(rows), "blocks must arrive in ascending row order"
     if not parts:
         return rows, None
     return rows, (np.concatenate(covered), concat_values(parts, ctype))
@@ -652,9 +656,9 @@ def scan_column(
     block): a column read from untrusted bytes goes through
     :func:`~repro.core.file_format.verify_column` first.
     """
-    return collect_matches(
+    return RoaringBitmap.from_positions(collect_matches(
         enumerate_blocks(compressed), compressed.ctype, predicate, limits, cache, cache_key
-    )[0]
+    )[0])
 
 
 def filter_column(

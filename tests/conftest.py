@@ -12,6 +12,25 @@ from repro.core.config import BtrBlocksConfig
 from repro.types import Column, StringArray
 
 
+@pytest.fixture(scope="module", autouse=True)
+def scheme_registry():
+    """Restore the process-global scheme registry after every module.
+
+    :func:`~repro.encodings.extensions.register_extension_schemes` adds
+    schemes to the registry that :func:`~repro.encodings.base.default_pool`
+    (every selector's candidate pool) is read from. This snapshots the
+    registry before a module runs and puts it back afterwards, so a module
+    that registers extensions leaves the default pools of the modules after
+    it as they were, whatever order the files run in.
+    """
+    from repro.encodings import base
+
+    saved = dict(base._REGISTRY)
+    yield
+    base._REGISTRY.clear()
+    base._REGISTRY.update(saved)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -34,7 +34,7 @@ from repro.core.file_format import column_from_bytes, column_to_bytes
 from repro.bitmap import RoaringBitmap
 from repro.core.relation import Relation
 from repro.exceptions import BtrBlocksError, FormatError
-from repro.types import Column
+from repro.types import Column, ColumnType
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "192024773"), 0)
 
@@ -599,6 +599,86 @@ class TestBlockCountDisagreesWithNode:
             nulls = back.nulls.to_array().tolist() if back.nulls is not None else []
             assert nulls == list(range(before, before + emitted))
 
+
+class TestChildCountHeldToParent:
+    """A cascaded child's declared count is held to its parent's on every
+    route. A selection alone reads nothing past its last row, so before the
+    parent handed its count down, a 1,000-row Pseudodecimal node whose
+    digits child was re-framed to declare 999 rows answered
+    ``positions=[0, 500]`` while its full decode raised ``FormatError``."""
+
+    ROWS = 1000
+
+    @classmethod
+    def _node(cls, kind: str, child: str, delta: int) -> "tuple[bytes, ColumnType]":
+        from conftest import scheme_round_trip
+        from repro.encodings.base import SchemeId, get_scheme
+        from repro.encodings.wire import Reader, Writer, unwrap, wrap
+        from repro.types import StringArray
+
+        def reframed(blob: bytes) -> bytes:
+            scheme_id, count, payload = unwrap(blob)
+            return wrap(scheme_id, count + delta, payload)
+
+        rng = np.random.default_rng(3)
+        if kind == "pseudodecimal":
+            scheme, ctype = get_scheme(SchemeId.PSEUDODECIMAL), ColumnType.DOUBLE
+            payload, _ = scheme_round_trip(scheme, np.round(rng.uniform(0, 100, cls.ROWS), 2))
+            reader = Reader(payload)
+            parts = {"digits": reader.blob(), "exponents": reader.blob()}
+            parts[child] = reframed(parts[child])
+            bitmap, patches = reader.blob(), reader.array()
+            writer = Writer().blob(parts["digits"]).blob(parts["exponents"]).blob(bitmap)
+            payload = writer.array(patches).getvalue()
+        elif kind == "dict_int":
+            scheme, ctype = get_scheme(SchemeId.DICT_INT), ColumnType.INTEGER
+            payload, _ = scheme_round_trip(scheme, rng.integers(0, 50, cls.ROWS).astype(np.int32))
+            reader = Reader(payload)
+            pool, codes = reader.array(), reader.blob()
+            payload = Writer().array(pool).blob(reframed(codes)).getvalue()
+        else:
+            scheme, ctype = get_scheme(SchemeId.DICT_STRING), ColumnType.STRING
+            vocab = [b"open", b"shipped", b"lost", b"returned"]
+            values = StringArray.from_pylist([vocab[i] for i in rng.integers(0, 4, cls.ROWS)])
+            payload, _ = scheme_round_trip(scheme, values)
+            reader = Reader(payload)
+            pool_kind, pool_count, pool, codes = (
+                reader.u8(), reader.u32(), reader.blob(), reader.blob()
+            )
+            writer = Writer()
+            writer.u8(pool_kind)
+            writer.u32(pool_count)
+            payload = writer.blob(pool).blob(reframed(codes)).getvalue()
+        return wrap(scheme.scheme_id, cls.ROWS, payload), ctype
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize(
+        "kind, child",
+        [("pseudodecimal", "digits"), ("pseudodecimal", "exponents"),
+         ("dict_int", "codes"), ("dict_string", "codes")],
+    )
+    def test_every_route_raises(self, kind, child, delta):
+        from repro.core.blocks import CompressedBlock
+        from repro.core.decompressor import decode_block, decompress_block, make_context
+        from repro.query.executor import scan_block
+        from repro.query.predicates import Between, Equals
+
+        blob, ctype = self._node(kind, child, delta)
+        ctx = make_context()
+        block = CompressedBlock(self.ROWS, blob)
+        predicate = Equals(b"open") if kind == "dict_string" else Between(0, 10)
+        routes = {
+            "full": lambda: decompress_block(blob, ctype),
+            "positions": lambda: decode_block(block, ctype, ctx, positions=np.asarray([0, 500])),
+            "one row": lambda: decode_block(block, ctype, ctx, positions=np.asarray([7])),
+            "scan": lambda: scan_block(blob, ctype, predicate, values=True),
+        }
+        if ctype is not ColumnType.STRING:
+            out = np.empty(self.ROWS, dtype=np.float64 if kind == "pseudodecimal" else np.int32)
+            routes["out"] = lambda: decode_block(block, ctype, ctx, out=out)
+        for route, decode in routes.items():
+            with pytest.raises(FormatError, match=f"{self.ROWS + delta}"):
+                decode()
 
 class TestScanBitFlips:
     """The compressed-domain scan parses the same untrusted bytes a decode

@@ -1,8 +1,8 @@
 """Tests for the optional extension schemes.
 
-Named ``test_zz_*`` so it runs last: :func:`register_extension_schemes`
-mutates the global registry, and earlier tests assert default-pool scheme
-choices.
+:func:`register_extension_schemes` mutates the global registry; the
+``scheme_registry`` fixture in ``conftest.py`` restores it after the module,
+so the default-pool scheme choices other modules assert hold in any order.
 """
 
 import numpy as np

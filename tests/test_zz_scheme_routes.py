@@ -6,8 +6,8 @@ shared corpus per type, every route must give what the full decode gives:
 ``positions=p`` the full decode taken at ``p``, ``out=slot`` the full decode
 bit for bit.
 
-Named ``test_zz_*`` so it runs after the default-pool tests:
-:func:`register_extension_schemes` mutates the global registry.
+:func:`register_extension_schemes` mutates the global registry; the
+``scheme_registry`` fixture in ``conftest.py`` restores it after the module.
 """
 
 from __future__ import annotations
