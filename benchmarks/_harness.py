@@ -12,6 +12,7 @@ magnitude larger; ratios and relative speeds stabilise well below that.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import os
 import statistics
@@ -58,31 +59,36 @@ def measure_decompress_seconds(adapter, relations) -> tuple[int, int, float]:
     return uncompressed, compressed, seconds
 
 
-def paired_seconds(
-    fast: Callable[[], object], plain: Callable[[], object], repeats: int
-) -> "tuple[float, float]":
-    """Fastest per-call time of two alternatives, measured interleaved.
+#: glibc ``mallopt`` parameters, and the values :func:`_pin_allocator` sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
 
-    A speedup is a ratio of two timings; alternating the calls makes host
-    drift hit both sides alike, and taking each side's minimum over at least
-    ``5 * repeats`` rounds (and ``4 ms * repeats`` of wall time, so
-    microsecond-scale smoke runs get hundreds of rounds) drops the
-    one-sided noise a neighbour adds: 25 rounds leave +-7% on the ratio,
-    100 leave +-2% (the CI sweep gate runs ``repeats=16``).
+
+@lru_cache(maxsize=None)
+def _pin_allocator() -> None:
+    """Fix glibc ``malloc``'s thresholds for the rest of the process.
+
+    By default glibc serves a block above its mmap threshold (128 KiB at
+    start) with fresh pages that fault on first touch, raises the threshold
+    to the size of each such block freed, and returns heap memory past twice
+    that to the system. Whether a measured alternative's large arrays cost
+    page faults on every call then depends on the arrays freed earlier in
+    the process and on where long-lived objects pin the heap top: the
+    sweep's ``workloads/rle/clustered/90%`` / ``100%`` cells, both sides
+    holding the same work, read 0.89-0.92 in one script and 1.11-1.15 in
+    another that timed the same cells in the same order, and 1.12-1.15 /
+    0.90-0.95 in either under a fixed 128 KiB / 32 MiB threshold. Pinned at
+    32 MiB, with trimming past 64 MiB, every block of a benchmark's size
+    comes from the warm heap on both sides, whatever ran before. Not glibc:
+    nothing to pin.
     """
-    best_fast = best_plain = float("inf")
-    rounds = 0
-    deadline = time.perf_counter() + 0.004 * max(repeats, 1)
-    while rounds < 5 * max(repeats, 1) or time.perf_counter() < deadline:
-        started = time.perf_counter()
-        fast()
-        middle = time.perf_counter()
-        plain()
-        ended = time.perf_counter()
-        best_fast = min(best_fast, middle - started)
-        best_plain = min(best_plain, ended - middle)
-        rounds += 1
-    return best_fast, best_plain
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def paired_speedup(
@@ -92,19 +98,27 @@ def paired_speedup(
     interleaved pairs.
 
     Each round times one call of each alternative back to back, in turns
-    (odd rounds run ``plain`` first), for as many rounds as
-    :func:`paired_seconds` makes. The speedup is the median of the rounds'
-    own ratios, so drift between rounds cancels inside each ratio and a
+    (odd rounds run ``plain`` first), for at least ``5 * repeats`` rounds
+    and ``4 ms * repeats`` of wall time (so microsecond-scale smoke runs get
+    hundreds of rounds). The speedup is the median of the rounds' own
+    ratios, so drift between rounds cancels inside each ratio and a
     neighbour's burst moves the median by one rank, not the answer: where a
     minimum is whichever round the host was quietest for, a median repeats.
     The garbage collector is off while the rounds run (as ``timeit`` has it):
     its passes cost what the measuring process holds, not what is measured.
+
+    A verdict must not depend on what ran before it in the process, so the
+    allocator is pinned first (:func:`_pin_allocator`) and one untimed round
+    of both sides grows the heap to the cell's arrays.
     """
+    _pin_allocator()
     seconds: "dict[Callable, list[float]]" = {fast: [], plain: []}
     rounds = 0
     collecting = gc.isenabled()
     gc.disable()
     try:
+        fast()
+        plain()
         deadline = time.perf_counter() + 0.004 * max(repeats, 1)
         while rounds < 5 * max(repeats, 1) or time.perf_counter() < deadline:
             for call in (plain, fast) if rounds % 2 else (fast, plain):

@@ -56,7 +56,9 @@ class DeltaInt(Scheme):
     def decompress(self, payload, count, ctx, positions=None, out=None):
         # One decode for every route: with no selective kernel of its own, a
         # scheme decodes whole and ``deliver`` takes ``positions`` or fills
-        # the ``out`` slot.
+        # the ``out`` slot. With no ``scan`` rule of its own, it answers
+        # predicates by decode-then-evaluate (docs/SCHEMES.md,
+        # "Compressed-domain fast paths").
         reader = Reader(payload)
         first = reader.i64()
         deltas = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)

@@ -125,11 +125,13 @@ def _decode_node(
     out: "np.ndarray | None" = None,
     block_level: bool = False,
     expected: "int | None" = None,
-) -> "Values | None":
-    """Decode one cascade node, at every level of every decode: the
-    :func:`_open_node` gate, the route's own check, then one
-    :func:`_run_scheme` call of the scheme's one ``decompress``, held to
-    the count it was asked for.
+    predicate=None,
+    want: bool = False,
+):
+    """Decode one cascade node, at every level of every decode and scan:
+    the :func:`_open_node` gate, the route's own check, then one
+    :func:`_run_scheme` call of the scheme's one ``decompress`` (or, with a
+    ``predicate``, its one ``scan``), held to the count it was asked for.
 
     * ``expected`` (a cascaded child's row count as its parent holds it) must
       equal the declared count, whatever the route.
@@ -146,10 +148,23 @@ def _decode_node(
       selection covers the node; ``block_level`` callers have that counted
       as ``query.cdomain.filtered.full_decodes``.
     * Neither returns the node's values.
+    * ``predicate`` returns ``(mask, values)``: the node's row mask and,
+      when ``want``, the values at its hits (``None`` if the scheme's rule
+      decoded none of them). The mask must cover the declared count, the
+      values number its hits.
     """
     scheme, count, payload = _open_node(blob, ctype, ctx)
     if expected is not None and count != expected:
         raise FormatError(f"child node declared {count} values but its parent holds {expected}")
+    if predicate is not None:
+        mask, values = _run_scheme(
+            scheme, scheme.scan, payload, count, ctx, predicate, want, block_level
+        )
+        if np.shape(mask) != (count,):
+            raise FormatError(f"node declared {count} values but {scheme.name} scanned {np.size(mask)}")
+        if values is not None and len(values) != np.count_nonzero(mask):
+            raise FormatError(f"{scheme.name} decoded {len(values)} values for its hits")
+        return mask, values
     take = None
     if out is not None:
         if count != len(out):

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from repro.exceptions import FormatError, UnknownSchemeError
+from repro.observe import get_registry
 from repro.types import ColumnType, StringArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -116,6 +117,15 @@ class DecompressionContext:
         """
         return self._decode_fn(blob, ctype, self, positions, expected=count)
 
+    def scan_child(
+        self, blob: bytes, ctype: ColumnType, predicate, want: bool = False,
+        count: "int | None" = None,
+    ) -> "tuple[np.ndarray, Values | None]":
+        """Evaluate ``predicate`` over a child node: ``(row mask, values at
+        its hits)`` (:meth:`Scheme.scan`), through the same dispatcher, gate
+        and ``count`` check as :meth:`decompress_child`."""
+        return self._decode_fn(blob, ctype, self, predicate=predicate, want=want, expected=count)
+
 
 class Scheme(ABC):
     """One encoding scheme for one data type.
@@ -134,6 +144,10 @@ class Scheme(ABC):
     #: row is selected, so the dispatcher's crossover never reroutes it
     #: (string dictionaries: the filtered form gathers from the cached pool).
     filtered_wins_dense: bool = False
+    #: :meth:`scan` answers a number block as fast as a hit in the warm decode
+    #: cache would (One Value: one comparison; Uncompressed: its payload is
+    #: the values, a hit would add the CRC32), so the scan never asks it.
+    scan_beats_cache: bool = False
 
     def is_viable(self, stats: "Stats", config: "BtrBlocksConfig") -> bool:
         """Cheap statistics-based filter (paper step 2). Default: viable."""
@@ -197,6 +211,41 @@ class Scheme(ABC):
         to win (:func:`prefers_full_decode`), never the scalar ablation.
         """
 
+    def scan(
+        self,
+        payload: bytes,
+        count: int,
+        ctx: DecompressionContext,
+        predicate,
+        want: bool,
+        block_level: bool = False,
+    ) -> "tuple[np.ndarray, Values | None]":
+        """This scheme's predicate rule: ``(mask, values)``, the ``count``-row
+        match mask and, when ``want``, the values at its hit rows in order
+        (``None`` when the rule decoded none of them).
+
+        The default decodes the node whole and evaluates: every scheme
+        without a cheaper rule inherits it. Overrides answer from their
+        layout (read through the same ``_parse`` as :meth:`decompress`) and
+        push the predicate into their children with
+        :meth:`DecompressionContext.scan_child`. The dispatcher holds every
+        result to the node. Handing on hits decoded from a whole block
+        (``block_level``: the node is a block's root) counts as
+        ``query.cdomain.filtered.full_decodes``.
+        """
+        values = self.decompress(payload, count, ctx)
+        mask = np.asarray(predicate.evaluate(values), dtype=bool)
+        if not want:
+            return mask, None
+        if block_level and mask.any():
+            get_registry().incr("query.cdomain.filtered.full_decodes")
+        return mask, kept_values(values, mask)
+
+    def children(self, payload: bytes, count: int) -> "list[tuple[str, bytes]]":
+        """``(label, node)`` of every cascaded child node, in payload
+        order (``repro.inspect`` explains a cascade with it). Default: none."""
+        return []
+
     # ``lakebench/tracer.py`` wraps these two names as resolved through each
     # scheme's MRO; they stay as forwards so it finds them. Nothing calls them.
     def decompress_into(self, payload, count, ctx, out):
@@ -259,6 +308,13 @@ def take_values(values: Values, positions: np.ndarray) -> Values:
 
         return strutil.gather(values, np.asarray(positions, dtype=np.int64))
     return np.asarray(values)[positions]
+
+
+def kept_values(values: Values, keep: np.ndarray) -> Values:
+    """``values`` where the boolean ``keep`` is set, in order."""
+    if isinstance(values, StringArray):
+        return take_values(values, np.flatnonzero(keep))
+    return np.compress(keep, values)
 
 
 def values_nbytes(values: Values) -> int:

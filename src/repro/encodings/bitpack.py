@@ -44,10 +44,12 @@ from repro.encodings.base import (
     SchemeId,
     deliver,
     locate_sorted,
+    prefers_full_decode,
     register_scheme,
 )
 from repro.encodings.wire import Reader, Writer
 from repro.exceptions import CorruptBlockError
+from repro.observe import get_registry
 from repro.types import ColumnType
 
 PAGE = 128
@@ -421,6 +423,60 @@ class FastBP128(Scheme):
             raise CorruptBlockError(f"bit-packed pages hold {values.size} values, {count} declared")
         # (``out`` takes the modular uint64 -> int32 cast straight from the pages.)
         return deliver(values if out is not None else values.astype(np.int32), count, None, out)
+
+    def scan(self, payload, count, ctx, predicate, want, block_level=False):
+        """Page-granular reject / accept from the FOR headers alone.
+
+        Each page's values lie in a conservative ``[lo, hi]``: the low side
+        is exact (references are page minima), the high side adds the packed
+        lane's ``2**width - 1`` span and, for FastPFOR, the page's largest
+        exception delta (clipped at ``2**62`` so hostile header bytes cannot
+        overflow int64 -- clipping only widens). The predicate's own interval
+        tests over those arrays skip the pages that cannot match and accept
+        the pages that always do, without unpacking a word; only undecided
+        pages are unpacked, through the row kernel -- unless so many are
+        undecided that the shared crossover prefers one contiguous unpack of
+        the whole node. Handing the hit values on unpacks the accepted pages
+        too, in the same call.
+        """
+        refs, widths, _packed, keys, exc_values = self._parse(payload)
+        if refs.size == 0 or refs.size != widths.size:  # the decode raises what it must
+            return super().scan(payload, count, ctx, predicate, want, block_level)
+        lo = refs.astype(np.int64)
+        hi = lo + (np.int64(1) << widths.astype(np.int64)) - 1
+        if keys.size:
+            pages = keys // PAGE
+            exc_deltas = np.minimum(exc_values, np.uint64(1) << np.uint64(62)).astype(np.int64)
+            np.maximum.at(hi, pages, lo[pages] + exc_deltas)
+        may = predicate.may_match_range(lo, hi)
+        if not isinstance(may, np.ndarray):  # one answer for every page
+            may = np.full(lo.shape, bool(may))
+        always = may & predicate.always_matches_range(lo, hi)
+        unpacked = np.flatnonzero(may if want else may & ~always)
+        if prefers_full_decode(unpacked.size, lo.size):
+            # The headers decide too few pages to beat one contiguous unpack:
+            # every page decodes, none is counted as decided.
+            return super().scan(payload, count, ctx, predicate, want, block_level)
+        get_registry().incr_many(
+            [
+                ("query.cdomain.pages", int(lo.size)),
+                ("query.cdomain.pages_skipped", int(lo.size - may.sum())),
+                ("query.cdomain.pages_accepted", int(always.sum())),
+            ]
+        )
+        mask = np.zeros(lo.size * PAGE, dtype=bool)
+        if always.any():
+            mask.reshape(-1, PAGE)[always] = True
+        hit_values = np.empty(0, dtype=np.int32) if want else None
+        if unpacked.size:
+            rows = (unpacked[:, None] * PAGE + np.arange(PAGE, dtype=np.int64)).reshape(-1)
+            rows = rows[rows < count]
+            values = self.decompress(payload, count, ctx, positions=rows)
+            # (Accepted pages stay accepted whatever their unpacked values say.)
+            mask[rows] |= np.asarray(predicate.evaluate(values), dtype=bool)
+            if want:
+                hit_values = np.compress(mask[rows], values)
+        return mask[:count], hit_values
 
 
 FASTBP128_SCHEME = register_scheme(FastBP128())

@@ -17,14 +17,15 @@ import numpy as np
 from repro.encodings import strutil
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
     SchemeId,
     deliver,
     register_scheme,
 )
-from repro.encodings.wire import Reader, Writer
+from repro.encodings.wire import Reader, Writer, wrap
 from repro.exceptions import FormatError
+from repro.observe import get_registry
+from repro.query.predicates import Between, Equals, GreaterThan, In, LessThan, Predicate
 from repro.types import ColumnType, StringArray
 
 _POOL_RAW = 0
@@ -101,17 +102,21 @@ class _NumericDict(Scheme):
         block-level per-row share instead of against the sample alone.
         """
         sample = np.asarray(sample)
-        payload = self.compress(sample, ctx.child())
-        reader = Reader(payload)
-        reader.array()  # sample pool (to be replaced by the amortised cost)
-        codes_stored = len(reader.blob())
+        # (The sample's pool is replaced by the amortised cost.)
+        codes_stored = len(self._parse(self.compress(sample, ctx.child()))[1])
         share = len(sample) / stats.count if stats.count else 1.0
         corrected_pool = stats.distinct_value_bytes * share
         size = 16 + codes_stored + corrected_pool
         return sample.nbytes / max(size, 32.0)
 
+    @staticmethod
+    def _parse(payload: bytes) -> "tuple[np.ndarray, bytes]":
+        """``(sorted pool, codes blob)``."""
+        reader = Reader(payload)
+        return reader.array(), reader.blob()
+
     def decompress(self, payload, count, ctx, positions=None, out=None):
-        uniq, codes_blob = read_numeric_dict(payload)
+        uniq, codes_blob = self._parse(payload)
         codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions, count)
         codes = _checked_codes(codes, len(uniq))
         if not ctx.vectorized:
@@ -124,6 +129,15 @@ class _NumericDict(Scheme):
         else:
             values = uniq.take(codes)  # 2x faster than uniq[codes] on int32 codes
         return values if positions is not None else deliver(values, count, None, out)
+
+    def scan(self, payload, count, ctx, predicate, want, block_level=False):
+        pool, codes_blob = self._parse(payload)
+        sorted_pool = self.scheme_id == SchemeId.DICT_INT
+        compiled = _compile_sorted_int(pool, predicate) if sorted_pool else None
+        return _scan_codes(pool, codes_blob, count, ctx, predicate, want, compiled)
+
+    def children(self, payload, count):
+        return [("codes", self._parse(payload)[1])]
 
 
 class DictInt(_NumericDict):
@@ -168,12 +182,8 @@ class DictString(Scheme):
         with the block-level pool bytes scaled down to sample size, applying
         the pool compression factor observed on the sample (FSST vs raw).
         """
-        payload = self.compress(sample, ctx.child())
-        reader = Reader(payload)
-        reader.u8()
-        reader.u32()
-        pool_stored = len(reader.blob())
-        codes_stored = len(reader.blob())
+        _kind, _count, pool_blob, codes_blob = self._parse(self.compress(sample, ctx.child()))
+        pool_stored, codes_stored = len(pool_blob), len(codes_blob)
         _codes, sample_uniques = strutil.encode_distinct(sample)
         sample_pool_raw = sample_uniques.nbytes
         pool_factor = pool_stored / sample_pool_raw if sample_pool_raw else 1.0
@@ -245,26 +255,130 @@ class DictString(Scheme):
         codes = _checked_codes(codes, len(pool))
         return strutil.gather(pool, codes) if ctx.vectorized else pool.take(codes)
 
+    def scan(self, payload, count, ctx, predicate, want, block_level=False):
+        """Code-space evaluation over the cached pool (repeated predicates
+        against the same block decode it once)."""
+        kind, pool_count, pool_blob, codes_blob = self._parse(payload)
+        pool = self.cached_pool(kind, pool_blob, pool_count, ctx)
+        return _scan_codes(pool, codes_blob, count, ctx, predicate, want)
 
-def read_numeric_dict(payload: bytes) -> "tuple[np.ndarray, bytes]":
-    """Split a numeric dictionary payload into (sorted pool, codes blob).
+    def children(self, payload, count):
+        from repro.encodings.fsst import FSST_SCHEME
 
-    The compressed-domain executor uses this to compile predicates into code
-    space without materialising any values.
+        kind, pool_count, pool_blob, codes_blob = self._parse(payload)
+        pool = [("pool", wrap(FSST_SCHEME.scheme_id, pool_count, pool_blob))] if kind == _POOL_FSST else []
+        return pool + [("codes", codes_blob)]
+
+
+# -- code-space predicates -------------------------------------------------------
+
+#: Sentinel results of code-space compilation: the predicate matches no /
+#: every dictionary entry, so no code ever needs materialising.
+_NONE_MATCH = "none"
+_ALL_MATCH = "all"
+_NO_CODES = np.empty(0, dtype=np.int64)
+
+
+class _PoolMatches(Predicate):
+    """A pool's match mask as a predicate over codes: the code-space form of
+    a predicate that compiles to nothing more compact."""
+
+    def __init__(self, matches: np.ndarray) -> None:
+        self.matches = matches
+
+    def evaluate(self, codes) -> np.ndarray:
+        return self.matches[_checked_codes(codes, self.matches.size)]
+
+
+def _compile_sorted_int(pool: np.ndarray, predicate: Predicate):
+    """Binary-search compilation against a sorted int pool, or None.
+
+    Numeric dictionary pools for int32 are value-sorted and unique
+    (``np.unique``), so Eq/In/range constants translate to code ids /
+    contiguous code ranges in O(log n) without touching the pool mask.
+    (Double pools are sorted by *bit pattern*, not numeric order, so they
+    take the pool-mask route instead.)
     """
-    reader = Reader(payload)
-    uniq = reader.array()
-    return uniq, reader.blob()
+    n = int(pool.size)
+    if isinstance(predicate, (Equals, In)):
+        needles = np.asarray([predicate.value] if isinstance(predicate, Equals) else predicate.values)
+        if needles.dtype.kind not in "iuf":  # (string constants: the pool is evaluated)
+            return None
+        ids = np.unique(np.searchsorted(pool, needles))
+        present = ids[ids < n]
+        present = present[np.isin(pool[present], needles)]
+        if present.size == 0:
+            return _NONE_MATCH
+        if isinstance(predicate, Equals):
+            return Equals(int(present[0]))
+        return _ALL_MATCH if present.size == n else In(present.tolist())
+    # A range: (constant, searchsorted side) of each end it bounds.
+    if isinstance(predicate, Between):
+        low, high = (predicate.low, "left"), (predicate.high, "right")
+    elif isinstance(predicate, GreaterThan):
+        low, high = (predicate.value, "left" if predicate.inclusive else "right"), None
+    elif isinstance(predicate, LessThan):
+        low, high = None, (predicate.value, "right" if predicate.inclusive else "left")
+    else:
+        return None
+    if any(isinstance(end[0], (bytes, str)) for end in (low, high) if end):
+        return None
+    lo = 0 if low is None else int(np.searchsorted(pool, low[0], side=low[1]))
+    hi = n - 1 if high is None else int(np.searchsorted(pool, high[0], side=high[1])) - 1
+    if lo > hi:
+        return _NONE_MATCH
+    return _ALL_MATCH if lo == 0 and hi == n - 1 else Between(lo, hi)
 
 
-def read_string_dict(payload: bytes, ctx: DecompressionContext) -> "tuple[StringArray, bytes]":
-    """Split a string dictionary payload into (decoded pool, codes blob).
+def _compile_pool_mask(dict_matches: np.ndarray):
+    """Translate a pool match mask into a code-space predicate when compact.
 
-    The pool comes from the content-addressed cache, so repeated predicates
-    against the same block decode it once.
+    A contiguous hit range becomes ``Between``; a small scattered set
+    becomes ``In``; everything else stays a mask mapping (the fallback).
     """
-    kind, pool_count, pool_blob, codes_blob = DictString._parse(payload)
-    return DICT_STRING_SCHEME.cached_pool(kind, pool_blob, pool_count, ctx), codes_blob
+    hits = np.nonzero(dict_matches)[0]
+    if hits.size == 0:
+        return _NONE_MATCH
+    if hits.size == dict_matches.size:
+        return _ALL_MATCH
+    if int(hits[-1]) - int(hits[0]) + 1 == hits.size:
+        if hits.size == 1:
+            return Equals(int(hits[0]))
+        return Between(int(hits[0]), int(hits[-1]))
+    if hits.size <= 32:
+        return In([int(i) for i in hits])
+    return None
+
+
+def _pool_values(pool, codes):
+    """The dictionary's values at ``codes``, each checked inside the pool."""
+    codes = _checked_codes(codes, len(pool))
+    if isinstance(pool, StringArray):
+        return strutil.gather(pool, codes)
+    return pool.take(codes)
+
+
+def _scan_codes(pool, codes_blob, count, ctx, predicate, want, compiled=None):
+    """Every dictionary's predicate rule: compile ``predicate`` into code
+    space once (``compiled`` from the pool's order, else by evaluating the
+    pool), then push it into the codes child -- gaining the RLE per-run and
+    bit-packed page-bound rules on the codes. The hit values are the pool
+    at the hit codes."""
+    registry = get_registry()
+    if compiled is None:
+        dict_matches = np.asarray(predicate.evaluate(pool), dtype=bool)
+        compiled = _compile_pool_mask(dict_matches)
+        if compiled is None:  # the fallback: the pool mask itself, over the codes
+            registry.incr("query.cdomain.code_fallbacks")
+            compiled = _PoolMatches(dict_matches)
+    if not isinstance(compiled, _PoolMatches):
+        registry.incr("query.cdomain.code_compiled")
+    if compiled is _NONE_MATCH:
+        return np.zeros(count, dtype=bool), _pool_values(pool, _NO_CODES) if want else None
+    if compiled is _ALL_MATCH:  # no code was decoded: nothing to hand on
+        return np.ones(count, dtype=bool), None
+    mask, codes = ctx.scan_child(codes_blob, ColumnType.INTEGER, compiled, want, count)
+    return mask, None if codes is None else _pool_values(pool, codes)
 
 
 register_scheme(DictInt())

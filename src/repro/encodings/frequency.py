@@ -102,6 +102,25 @@ class _Frequency(Scheme):
             return deliver(fill_selection(top, mask, exceptions), count, None, out)
         return deliver(self._fill_scalar(top, mask, exceptions), count, None, out)
 
+    def scan(self, payload, count, ctx, predicate, want, block_level=False):
+        """One comparison for the top value, the exceptions child (held to
+        the rows the bitmap leaves) for the rest; the hit values are the top
+        value's and the exceptions' hit values, in row order."""
+        top, top_rows, exc_blob = self._parse(payload, count)
+        top_mask = top_rows.to_mask(count)
+        exceptions, exception_hits = ctx.scan_child(
+            exc_blob, self.ctype, predicate, want, count - len(top_rows)
+        )
+        out = np.empty(count, dtype=bool)
+        out[top_mask] = predicate.evaluate_scalar(top if isinstance(top, bytes) else top[0])
+        out[~top_mask] = exceptions
+        if exception_hits is None:
+            return out, None
+        return out, fill_selection(top, top_mask[out], exception_hits)
+
+    def children(self, payload, count):
+        return [("exceptions", self._parse(payload, count)[2])]
+
 
 class _FrequencyBase(_Frequency):
     """Top value + bitmap + exceptions for numeric types."""

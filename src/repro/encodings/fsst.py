@@ -490,15 +490,24 @@ class FSSTString(Scheme):
         writer.blob(ctx.compress_child(lengths, ColumnType.INTEGER))
         return writer.getvalue()
 
-    def decompress(self, payload, count, ctx, positions=None, out=None):
+    @staticmethod
+    def _parse(payload: bytes) -> "tuple[StringArray, bytes, bytes]":
+        """``(symbol table, compressed stream, string lengths blob)``, the
+        table held to its declared size and symbol length."""
         reader = Reader(payload)
         symbol_count = reader.u8()
         symbols = strutil.untrusted_strings(reader.array(), reader.array())
         longest = int(symbols.lengths().max(initial=0))
         if len(symbols) != symbol_count or longest > MAX_SYMBOL_LENGTH:  # bounds every token
             raise CorruptBlockError("FSST symbol table is malformed")
-        stream = reader.blob()
-        lengths = ctx.decompress_child(reader.blob(), ColumnType.INTEGER)
+        return symbols, reader.blob(), reader.blob()
+
+    def children(self, payload, count):
+        return [("lengths", self._parse(payload)[2])]
+
+    def decompress(self, payload, count, ctx, positions=None, out=None):
+        symbols, stream, lengths_blob = self._parse(payload)
+        lengths = ctx.decompress_child(lengths_blob, ColumnType.INTEGER)
         if lengths.size and int(lengths.min()) < 0:
             raise CorruptBlockError("negative FSST string length")
         offsets = np.zeros(count + 1, dtype=np.int64)

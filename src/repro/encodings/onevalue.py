@@ -25,6 +25,7 @@ class _OneValue(Scheme):
 
     name = "one_value"
     filtered_wins_dense = True  # a fill of the selection length
+    scan_beats_cache = True  # one comparison
 
     def is_viable(self, stats, config) -> bool:
         return stats.count > 0 and stats.distinct_count == 1
@@ -35,6 +36,13 @@ class _OneValue(Scheme):
             out.fill(value[0])
             return None
         return self._repeat(value, count if positions is None else len(positions))
+
+    def scan(self, payload, count, ctx, predicate, want, block_level=False):
+        """One comparison decides every row; the hit values are a fill."""
+        value = self._parse(payload)
+        hit = predicate.evaluate_scalar(value if isinstance(value, bytes) else value[0].item())
+        mask = np.full(count, hit, dtype=bool)
+        return mask, self._repeat(value, count if hit else 0) if want else None
 
     @staticmethod
     def _repeat(value: np.ndarray, n: int) -> np.ndarray:

@@ -127,6 +127,10 @@ class Pseudodecimal(Scheme):
             )
         return digits, exponents, patch_rows, patches
 
+    def children(self, payload, count):
+        digits_blob, exponents_blob, _patch_rows, _patches = self._parse(payload)
+        return [("digits", digits_blob), ("exponents", exponents_blob)]
+
     def decompress(self, payload, count, ctx, positions=None, out=None):
         digits_blob, exponents_blob, patch_rows, patches = self._parse(payload)
         digits = ctx.decompress_child(digits_blob, ColumnType.INTEGER, positions, count)

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.encodings.base import (
     CompressionContext,
-    DecompressionContext,
     Scheme,
     SchemeId,
     deliver,
@@ -42,22 +41,6 @@ def split_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[starts], (ends - starts).astype(np.int32)
 
 
-def check_run_lengths(run_lengths, run_count: int, count: int) -> np.ndarray:
-    """Hold decoded run lengths to the node: ``run_count`` of them, none
-    negative, covering exactly the declared ``count`` rows — checked before
-    anything is repeated by them, so a corrupt length surfaces as a typed
-    error instead of sizing an allocation."""
-    run_lengths = np.asarray(run_lengths)
-    if len(run_lengths) != run_count:
-        raise CorruptBlockError("RLE run arrays do not match the run count")
-    if run_count and int(run_lengths.min()) < 0:
-        raise CorruptBlockError("RLE run lengths are negative")
-    total = int(run_lengths.sum(dtype=np.int64))
-    if total != count:
-        raise FormatError(f"block declared {count} values but rle runs cover {total}")
-    return run_lengths
-
-
 class _RLEBase(Scheme):
     """Shared RLE implementation; subclasses fix the value type."""
 
@@ -80,23 +63,24 @@ class _RLEBase(Scheme):
         reader = Reader(payload)
         return reader.u32(), reader.blob(), reader.blob()
 
-    @classmethod
-    def decode_runs(cls, payload: bytes, count: int, ctx: DecompressionContext, ctype: ColumnType):
-        """Decode the two child sequences (run values, run lengths).
-
-        Run lengths are held to the header *before* anything replicates
-        them: a corrupt length must surface as a typed error, never size an
-        allocation.
-        """
-        run_count, values_blob, lengths_blob = cls._parse(payload)
-        run_values = ctx.decompress_child(values_blob, ctype)
-        run_lengths = ctx.decompress_child(lengths_blob, ColumnType.INTEGER)
-        if len(run_values) != run_count:
-            raise CorruptBlockError("RLE run arrays do not match the run count")
-        return run_values, check_run_lengths(run_lengths, run_count, count)
+    @staticmethod
+    def _run_lengths(lengths_blob: bytes, run_count: int, count: int, ctx) -> np.ndarray:
+        """The run lengths child: ``run_count`` of them, none negative,
+        covering exactly the declared ``count`` rows -- checked before
+        anything is repeated by them, so a corrupt length surfaces as a typed
+        error instead of sizing an allocation."""
+        run_lengths = ctx.decompress_child(lengths_blob, ColumnType.INTEGER, count=run_count)
+        if run_count and int(run_lengths.min()) < 0:
+            raise CorruptBlockError("RLE run lengths are negative")
+        total = int(run_lengths.sum(dtype=np.int64))
+        if total != count:
+            raise FormatError(f"block declared {count} values but rle runs cover {total}")
+        return run_lengths
 
     def decompress(self, payload, count, ctx, positions=None, out=None):
-        run_values, run_lengths = self.decode_runs(payload, count, ctx, self.ctype)
+        run_count, values_blob, lengths_blob = self._parse(payload)
+        run_values = ctx.decompress_child(values_blob, self.ctype, count=run_count)
+        run_lengths = self._run_lengths(lengths_blob, run_count, count, ctx)
         if ctx.vectorized:
             if out is not None and run_values.size == 1 and run_values.dtype == out.dtype:
                 # One run -- the OneValue shape RLE often degenerates to --
@@ -111,6 +95,28 @@ class _RLEBase(Scheme):
                 values[pos + i] = value
             pos += length
         return deliver(values, count, positions, out)
+
+    def scan(self, payload, count, ctx, predicate, want, block_level=False):
+        """Evaluate the run values (a child held to the run count), then
+        repeat each run's verdict, and its hit values, by its length."""
+        run_count, values_blob, lengths_blob = self._parse(payload)
+        run_mask, run_hits = ctx.scan_child(values_blob, self.ctype, predicate, want, run_count)
+        # A uniform run verdict needs no lengths: every row inherits it. This is
+        # the common case for selective predicates (most blocks have no matching
+        # run) and skips the lengths child entirely -- unless the hit values are
+        # handed on, which a materialising decode would repeat by them anyway.
+        if not run_mask.any():
+            return np.zeros(count, dtype=bool), run_hits
+        if run_hits is None and run_mask.all():
+            return np.ones(count, dtype=bool), None
+        run_lengths = self._run_lengths(lengths_blob, run_count, count, ctx)
+        if run_hits is not None:
+            run_hits = np.repeat(run_hits, run_lengths[run_mask])
+        return np.repeat(run_mask, run_lengths), run_hits
+
+    def children(self, payload, count):
+        _run_count, values_blob, lengths_blob = self._parse(payload)
+        return [("values", values_blob), ("lengths", lengths_blob)]
 
 
 class RLEInt(_RLEBase):

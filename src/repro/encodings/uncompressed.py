@@ -24,6 +24,8 @@ from repro.types import ColumnType, StringArray
 class _UncompressedNumeric(Scheme):
     """Shared raw-array behaviour for the two numeric terminators."""
 
+    scan_beats_cache = True  # the payload is the values
+
     def decompress(self, payload, count, ctx, positions=None, out=None):
         return deliver(Reader(payload).array(), count, positions, out)
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.blocks import CompressedColumn
-from repro.encodings.base import SchemeId, get_scheme
-from repro.encodings.wire import Reader, unwrap
+from repro.encodings.base import get_scheme
+from repro.encodings.wire import unwrap
 from repro.types import ColumnType
 
 
@@ -47,50 +47,16 @@ class CascadeNode:
 
 
 def explain_block(blob: bytes, ctype: ColumnType) -> CascadeNode:
-    """Parse one compressed node (and its children) into a cascade tree."""
+    """Parse one compressed node (and its children) into a cascade tree.
+
+    Each composite scheme names its child nodes (``Scheme.children``, read
+    through the same ``_parse`` as its decode), so no payload layout is
+    read here."""
     scheme_id, count, payload = unwrap(blob)
     scheme = get_scheme(scheme_id)
     node = CascadeNode(scheme.name, scheme.ctype, count, len(blob))
-    reader = Reader(payload)
-    if scheme_id in (SchemeId.RLE_INT, SchemeId.RLE_DOUBLE):
-        reader.u32()
-        node.children.append(("values", explain_block(reader.blob(), ctype)))
-        node.children.append(("lengths", explain_block(reader.blob(), ColumnType.INTEGER)))
-    elif scheme_id in (SchemeId.DICT_INT, SchemeId.DICT_DOUBLE):
-        reader.array()
-        node.children.append(("codes", explain_block(reader.blob(), ColumnType.INTEGER)))
-    elif scheme_id == SchemeId.DICT_STRING:
-        pool_kind = reader.u8()
-        pool_count = reader.u32()
-        pool_blob = reader.blob()
-        if pool_kind == 1:  # FSST-compressed pool
-            pool_node = _explain_fsst_payload(pool_blob, pool_count)
-            node.children.append(("pool", pool_node))
-        node.children.append(("codes", explain_block(reader.blob(), ColumnType.INTEGER)))
-    elif scheme_id in (SchemeId.FREQUENCY_INT, SchemeId.FREQUENCY_DOUBLE):
-        reader.array()
-        reader.blob()  # bitmap
-        node.children.append(("exceptions", explain_block(reader.blob(), ctype)))
-    elif scheme_id == SchemeId.FREQUENCY_STRING:
-        reader.blob()  # top value
-        reader.blob()  # bitmap
-        node.children.append(("exceptions", explain_block(reader.blob(), ColumnType.STRING)))
-    elif scheme_id == SchemeId.PSEUDODECIMAL:
-        node.children.append(("digits", explain_block(reader.blob(), ColumnType.INTEGER)))
-        node.children.append(("exponents", explain_block(reader.blob(), ColumnType.INTEGER)))
-    elif scheme_id == SchemeId.FSST:
-        return _explain_fsst_payload(payload, count, total=len(blob))
-    return node
-
-
-def _explain_fsst_payload(payload: bytes, count: int, total: int | None = None) -> CascadeNode:
-    reader = Reader(payload)
-    reader.u8()
-    reader.array()
-    reader.array()
-    reader.blob()  # compressed stream
-    node = CascadeNode("fsst", ColumnType.STRING, count, total or len(payload))
-    node.children.append(("lengths", explain_block(reader.blob(), ColumnType.INTEGER)))
+    for label, child in scheme.children(payload, count):
+        node.children.append((label, explain_block(child, ctype)))
     return node
 
 

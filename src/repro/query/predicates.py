@@ -4,9 +4,12 @@ A predicate exposes two evaluation surfaces:
 
 * :meth:`Predicate.evaluate` — vectorised over a NumPy array or
   :class:`~repro.types.StringArray`, returning a boolean mask;
-* :meth:`Predicate.may_match_range` — a conservative test against a block's
-  (min, max) statistics, used by zone-map pruning: ``False`` guarantees no
-  row in the block matches.
+* :meth:`Predicate.may_match_range` / :meth:`Predicate.always_matches_range`
+  — conservative tests against ``[minimum, maximum]`` bounds: ``False``
+  from the first guarantees no value in them matches, ``True`` from the
+  second that every one does. Both are array-safe: zone-map pruning asks
+  them about one block's statistics, a bit-packed node's scan rule about
+  the arrays of its pages' header bounds, with the same code.
 
 String predicates compare raw bytes (UTF-8 for ``str`` arguments), matching
 the storage format's semantics.
@@ -44,7 +47,12 @@ class Predicate(ABC):
         """Boolean match mask for an array of values."""
 
     def may_match_range(self, minimum, maximum) -> bool:
-        """Could any value in [minimum, maximum] match? Default: maybe."""
+        """Could any value in [minimum, maximum] match? Default: maybe.
+
+        ``minimum`` / ``maximum`` are scalars or equal-shape arrays (one
+        interval per element); the answer then has their shape, or is a
+        scalar that holds for every element.
+        """
         return True
 
     def always_matches_range(self, minimum, maximum) -> bool:
@@ -92,12 +100,12 @@ class Equals(Predicate):
     def may_match_range(self, minimum, maximum) -> bool:
         if minimum is None or maximum is None or isinstance(self.value, (bytes, str)):
             return True
-        return minimum <= self.value <= maximum
+        return (minimum <= self.value) & (self.value <= maximum)
 
     def always_matches_range(self, minimum, maximum) -> bool:
         if minimum is None or maximum is None or isinstance(self.value, (bytes, str)):
             return False
-        return minimum == maximum == self.value
+        return (minimum == self.value) & (maximum == self.value)
 
     def may_match_bytes(self, minimum, maximum) -> bool:
         if not isinstance(self.value, (bytes, str)):
@@ -188,12 +196,13 @@ class Between(Predicate):
     def may_match_range(self, minimum, maximum) -> bool:
         if minimum is None or maximum is None or isinstance(self.low, (bytes, str)):
             return True
-        return not (maximum < self.low or minimum > self.high)
+        # (``^ True`` negates a bool and a bool array alike.)
+        return ((maximum < self.low) | (minimum > self.high)) ^ True
 
     def always_matches_range(self, minimum, maximum) -> bool:
         if minimum is None or maximum is None or isinstance(self.low, (bytes, str)):
             return False
-        return self.low <= minimum and maximum <= self.high
+        return (self.low <= minimum) & (maximum <= self.high)
 
     def may_match_bytes(self, minimum, maximum) -> bool:
         if not isinstance(self.low, (bytes, str)):
@@ -222,14 +231,18 @@ class In(Predicate):
             return True
         if any(isinstance(v, (bytes, str)) for v in self.values):
             return True
-        return any(minimum <= v <= maximum for v in self.values)
+        # Some needle lies in [minimum, maximum]: fewer of them precede the
+        # low end than reach the high end.
+        needles = np.sort(np.asarray(self.values))
+        return np.searchsorted(needles, minimum, "left") < np.searchsorted(needles, maximum, "right")
 
     def always_matches_range(self, minimum, maximum) -> bool:
         if minimum is None or maximum is None:
             return False
         if any(isinstance(v, (bytes, str)) for v in self.values):
             return False
-        return minimum == maximum and any(v == minimum for v in self.values)
+        # A one-value interval holding a needle: the one value is that needle.
+        return (minimum == maximum) & self.may_match_range(minimum, maximum)
 
     def may_match_bytes(self, minimum, maximum) -> bool:
         if not all(isinstance(v, (bytes, str)) for v in self.values):

@@ -562,3 +562,24 @@ def test_page_counters_count_only_nodes_served_page_wise():
     assert pages > 0 and skipped > 0  # sorted values: headers decide most pages
     # Uniform values: every page's interval straddles the range, all undecided.
     assert page_counters("bitpack", Between(100, 150)) == (0, 0, 0)
+
+
+def test_in_accepts_pages_whose_one_value_it_holds():
+    """Page headers and zone maps share one interval test per predicate, so
+    ``In`` accepts a bit-packed page whose bounds collapse onto one of its
+    values (``lo == hi``) without unpacking it, as ``Equals`` does."""
+    from repro.encodings.bitpack import FASTBP128_SCHEME
+    from repro.encodings.wire import wrap
+    from repro.query.executor import scan_block
+
+    values = np.repeat(np.arange(64, dtype=np.int32) * 1000, 128)  # one value per page
+    blob = wrap(FASTBP128_SCHEME.scheme_id, values.size, FASTBP128_SCHEME.compress(values, None))
+    predicate = In([0, 5000, 7777])
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        mask, hits = scan_block(blob, ColumnType.INTEGER, predicate, values=True)
+    assert np.array_equal(mask, predicate.evaluate(values))
+    assert np.array_equal(hits, values[mask])
+    counters = {name: int(registry.get(f"query.cdomain.{name}"))
+                for name in ("pages", "pages_skipped", "pages_accepted")}
+    assert counters == {"pages": 64, "pages_skipped": 62, "pages_accepted": 2}

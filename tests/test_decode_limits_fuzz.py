@@ -738,3 +738,86 @@ class TestScanBitFlips:
                 )
                 assert decode_fails or not scan_fails, f"{name} bit {bit} under {policy}"
         assert peak < ALLOC_CEILING, f"{name}: a scan allocated {peak:,} bytes"
+
+
+class TestScannedChildrenPassTheGate:
+    """A scan opens every child node through the decoder's gate, as a decode
+    does: limits, declared type and the count the parent holds the child to
+    bind at every depth, before any scheme code sizes an allocation from
+    the child's header. A ~100-byte block whose child declares 2**26 rows
+    once cost a scan 67 MB (RLE run values) or 68 MB (dictionary codes)
+    before it raised, under any limits; now it raises having allocated
+    nothing value-sized."""
+
+    BOMB_ROWS = 1 << 26
+    PEAK = 1 << 20
+
+    @staticmethod
+    def _child(values: np.ndarray) -> bytes:
+        from repro.core.compressor import make_context
+        from repro.core.selector import SchemeSelector
+
+        return make_context(SchemeSelector()).compress_child(values, ColumnType.INTEGER)
+
+    @classmethod
+    def _rle_over_one_value(cls) -> bytes:
+        """A 4-row RLE block whose one run's value is a One Value node
+        declaring 2**26 rows."""
+        from repro.encodings.base import SchemeId
+        from repro.encodings.wire import Writer, wrap
+
+        values = wrap(SchemeId.ONE_VALUE_INT, cls.BOMB_ROWS, Writer().i64(7).getvalue())
+        runs = Writer().u32(1).blob(values).blob(cls._child(np.array([4], dtype=np.int32)))
+        return wrap(SchemeId.RLE_INT, 4, runs.getvalue())
+
+    @classmethod
+    def _dict_over_rle_codes(cls) -> bytes:
+        """A 4-row integer dictionary of 100 entries whose codes child is an
+        RLE node of two runs covering 2**26 rows."""
+        from repro.encodings.base import SchemeId
+        from repro.encodings.wire import Writer, wrap
+
+        runs = Writer().u32(2)
+        runs.blob(cls._child(np.array([3, 40], dtype=np.int32)))
+        runs.blob(cls._child(np.full(2, cls.BOMB_ROWS // 2, dtype=np.int32)))
+        codes = wrap(SchemeId.RLE_INT, cls.BOMB_ROWS, runs.getvalue())
+        pool = np.arange(100, dtype=np.int32) * 10
+        return wrap(SchemeId.DICT_INT, 4, Writer().array(pool).blob(codes).getvalue())
+
+    @pytest.mark.parametrize("limits", [None, DecodeLimits(max_rows_per_block=1000)],
+                             ids=["default limits", "1,000-row limit"])
+    @pytest.mark.parametrize("bomb", ["rle over one value", "dictionary over rle codes"])
+    def test_bomb_raises_before_allocating(self, bomb, limits):
+        from repro.query.executor import scan_block
+        from repro.query.predicates import Equals, In
+
+        if bomb == "rle over one value":
+            blob, predicate = self._rle_over_one_value(), Equals(7)
+        else:  # 50 scattered pool hits
+            blob, predicate = self._dict_over_rle_codes(), In(list(range(0, 1000, 20)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):  # DecodeLimitError is one
+                scan_block(blob, ColumnType.INTEGER, predicate, limits=limits, values=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK, f"{bomb}: the scan allocated {peak:,} bytes"
+
+    def test_child_type_is_held_to_its_slot(self):
+        """A string One Value as an integer RLE's run values is a
+        ``TypeMismatchError`` on the scan route, as on the decode."""
+        from repro.core.decompressor import decompress_block
+        from repro.encodings.base import SchemeId
+        from repro.encodings.wire import Writer, wrap
+        from repro.exceptions import TypeMismatchError
+        from repro.query.executor import scan_block
+        from repro.query.predicates import Equals
+
+        values = wrap(SchemeId.ONE_VALUE_STRING, 1, Writer().blob(b"seven").getvalue())
+        runs = Writer().u32(1).blob(values).blob(self._child(np.array([4], dtype=np.int32)))
+        blob = wrap(SchemeId.RLE_INT, 4, runs.getvalue())
+        for route in (lambda: decompress_block(blob, ColumnType.INTEGER),
+                      lambda: scan_block(blob, ColumnType.INTEGER, Equals(7))):
+            with pytest.raises(TypeMismatchError):
+                route()

@@ -1,10 +1,16 @@
-"""Every registered scheme's one ``decompress``, on all three routes.
+"""Every registered scheme's one ``decompress`` on all three routes, and its
+one ``scan``.
 
 A scheme decodes a node whole, only at sorted ``positions``, or whole into
 an ``out`` slot, through one method that parses its payload once. On a
 shared corpus per type, every route must give what the full decode gives:
 ``positions=p`` the full decode taken at ``p``, ``out=slot`` the full decode
-bit for bit.
+bit for bit. Its predicate rule (``Scheme.scan``, inherited as
+decode-then-evaluate where a scheme states none) must give what evaluating
+the full decode gives: ``scan_block`` under every predicate kind and NULL
+share, mask and hit values both -- dictionaries with RLE and bit-packed
+code streams included -- and every rule that overrides ``scan`` must have
+run.
 
 :func:`register_extension_schemes` mutates the global registry; the
 ``scheme_registry`` fixture in ``conftest.py`` restores it after the module.
@@ -13,19 +19,27 @@ bit for bit.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.bitmap import RoaringBitmap
+from repro.core.compressor import make_context as compression_context
 from repro.core.config import BtrBlocksConfig
 from repro.core.decompressor import make_context
+from repro.core.selector import SchemeSelector
 from repro.core.stats import compute_stats
-from repro.encodings.base import Scheme, all_schemes, get_scheme, take_values
+from repro.encodings.base import Scheme, SchemeId, all_schemes, get_scheme, take_values
 from repro.encodings.extensions import (
     DeltaZigZagInt,
     TruncationInt,
     register_extension_schemes,
 )
+from repro.encodings.wire import Reader, Writer, unwrap, wrap
+from repro.observe import MetricsRegistry, use_registry
+from repro.query.executor import scan_block
+from repro.query.predicates import Between, Equals, GreaterThan, In, IsNull, LessThan
 from repro.types import ColumnType, StringArray
 
 from conftest import scheme_round_trip
@@ -152,3 +166,142 @@ def test_one_decode_method_per_scheme():
                     text = fh.read()
                 for name in ("decompress_into", "decompress_filtered"):
                     assert f".{name}(" not in text, (filename, name)
+
+
+# -- the predicate slice: every scheme's ``scan`` ------------------------------
+
+
+def _predicates(values) -> "dict[str, object]":
+    """Every predicate kind, with constants drawn from ``values``: hits in
+    the middle of the data, and an ``In`` of many scattered entries (past
+    what a dictionary compiles into a compact code predicate)."""
+    if isinstance(values, StringArray):
+        distinct = sorted(set(values.to_pylist()))
+        low, mid, high = distinct[0], distinct[len(distinct) // 2], distinct[-1]
+        absent = b"\xff absent"
+    else:
+        finite = np.asarray(values)[np.isfinite(values)]
+        distinct = np.unique(finite).tolist()
+        low, mid, high = (np.quantile(finite, q).item() for q in (0.25, 0.5, 0.75))
+        absent = 1e300 if finite.dtype == np.float64 else int(finite.max()) + 1
+    return {
+        "Equals": Equals(distinct[len(distinct) // 2]),
+        "In": In([distinct[0], distinct[-1], absent]),
+        "In many": In(distinct[::2][:60]),
+        "Between": Between(low, high),
+        "GreaterThan": GreaterThan(mid),
+        "GreaterThan inclusive": GreaterThan(mid, inclusive=True),
+        "LessThan": LessThan(mid),
+        "LessThan inclusive": LessThan(mid, inclusive=True),
+        "IsNull": IsNull(),
+    }
+
+
+NULLS = {
+    "no NULLs": None,
+    "some NULLs": RoaringBitmap.from_positions(np.arange(0, ROWS, 7, dtype=np.int64)),
+    "all NULLs": RoaringBitmap.from_positions(np.arange(ROWS, dtype=np.int64)),
+}
+
+
+def _forced(scheme_id: int, values) -> bytes:
+    """``values`` as a node of ``scheme_id``, children selected as usual."""
+    scheme = get_scheme(scheme_id)
+    return wrap(scheme_id, len(values), scheme.compress(values, compression_context(SchemeSelector())))
+
+
+def _with_codes(blob: bytes, ctype: ColumnType, code_scheme: int) -> bytes:
+    """A dictionary node with its codes child re-encoded as ``code_scheme``."""
+    scheme_id, count, payload = unwrap(blob)
+    reader, writer = Reader(payload), Writer()
+    if ctype is ColumnType.STRING:
+        writer.u8(reader.u8()).u32(reader.u32()).blob(reader.blob())
+    else:
+        writer.array(reader.array())
+    codes = make_context().decompress_child(reader.blob(), ColumnType.INTEGER)
+    return wrap(scheme_id, count, writer.blob(_forced(code_scheme, codes)).getvalue())
+
+
+def _scan_cases(scheme: Scheme):
+    """``(label, block, values)`` of every corpus the scheme applies to
+    (sorted integers too, so page headers decide pages), dictionaries also
+    with RLE and FastBP128 code streams."""
+    corpus = dict(CORPUS[scheme.ctype])
+    if scheme.ctype is ColumnType.INTEGER:
+        corpus["sorted"] = np.sort(corpus["dominant"])
+    for name, values in corpus.items():
+        if not _applies(scheme, values):
+            continue
+        blob = _forced(scheme.scheme_id, values)
+        yield name, blob, values
+        if scheme.scheme_id in (SchemeId.DICT_INT, SchemeId.DICT_DOUBLE, SchemeId.DICT_STRING):
+            for code_scheme in (SchemeId.RLE_INT, SchemeId.FAST_BP128):
+                label = f"{name}, {get_scheme(code_scheme).name} codes"
+                yield label, _with_codes(blob, scheme.ctype, code_scheme), values
+
+
+def _check_scans(scheme: Scheme) -> int:
+    """Hold ``scan_block`` to decode-then-evaluate on every case; the number
+    of cases."""
+    cases = 0
+    for name, blob, values in _scan_cases(scheme):
+        for label, predicate in _predicates(values).items():
+            matches = np.asarray(predicate.evaluate(values), dtype=bool)
+            for nulls_label, nulls in NULLS.items():
+                null_mask = np.zeros(ROWS, dtype=bool) if nulls is None else nulls.to_mask(ROWS)
+                want = null_mask if isinstance(predicate, IsNull) else matches & ~null_mask
+                where = (name, label, nulls_label)
+                mask, hits = scan_block(blob, scheme.ctype, predicate, nulls, values=True)
+                assert np.array_equal(mask, want), where
+                assert np.array_equal(scan_block(blob, scheme.ctype, predicate, nulls), want), where
+                if isinstance(predicate, IsNull):
+                    assert hits is None, where
+                elif hits is not None:
+                    assert _same(hits, take_values(values, np.flatnonzero(want))), where
+                cases += 1
+    return cases
+
+
+@pytest.mark.parametrize("scheme_id", [pytest.param(i, id=label) for i, label in SCHEMES.items()])
+def test_scan_equals_decode_then_evaluate(scheme_id):
+    assert _check_scans(get_scheme(scheme_id)), "no corpus applies"
+
+
+def test_every_scan_rule_runs():
+    """Route coverage: every scheme class that states its own ``scan`` rule
+    ran it on the cases above, with and without the hit values asked for,
+    and the rules pushed predicates into the children: compiled and
+    fallback code predicates, pages skipped and accepted from their
+    headers."""
+    rules = {
+        cls for scheme in all_schemes()
+        for cls in type(scheme).__mro__[: type(scheme).__mro__.index(Scheme)]
+        if "scan" in vars(cls)
+    }
+    assert len(rules) >= 6, rules  # One Value, RLE, Frequency, both dictionaries, FastBP128
+    ran = set()
+
+    def spy(cls):
+        rule = vars(cls)["scan"]
+
+        def scan(self, payload, count, ctx, predicate, want, *args, **kwargs):
+            ran.add((cls, want))
+            return rule(self, payload, count, ctx, predicate, want, *args, **kwargs)
+
+        return mock.patch.object(cls, "scan", scan)
+
+    patches = [spy(cls) for cls in rules]
+    registry = MetricsRegistry()
+    for patch in patches:
+        patch.start()
+    try:
+        with use_registry(registry):
+            for scheme in all_schemes():
+                _check_scans(scheme)
+    finally:
+        for patch in patches:
+            patch.stop()
+    missed = {(cls, want) for cls in rules for want in (False, True)} - ran
+    assert not missed, sorted((cls.__name__, want) for cls, want in missed)
+    for counter in ("code_compiled", "code_fallbacks", "pages_skipped", "pages_accepted"):
+        assert registry.get(f"query.cdomain.{counter}"), counter
