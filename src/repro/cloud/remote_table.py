@@ -373,6 +373,9 @@ class RemoteTable:
         — before the column is handed to the decode-side ``on_corrupt``
         policy (or raised, when the policy is ``"raise"``).
 
+        Each clean block remembers its pass (:func:`~repro.core.file_format.
+        verify_block`): neither its decode nor a cache hit hashes it again.
+
         Returns ``(column, verified)``. ``verified`` is ``False`` only on
         the lenient-policy path where refetching never produced a clean
         copy: that column must not enter any cache a handle with a

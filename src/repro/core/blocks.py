@@ -23,6 +23,9 @@ class CompressedBlock:
     ``stats`` is the block's zone-map record (min/max, null count, string
     digest) when it was collected at compression time or read back from a
     stats-bearing v2 file; it never participates in decoding.
+    ``verified`` is :func:`~repro.core.file_format.verify_block`'s memo of
+    the ``(data, nulls, count, checksum)`` that last passed; it is never
+    copied, compared, shown or pickled.
     """
 
     count: int
@@ -30,6 +33,10 @@ class CompressedBlock:
     nulls: bytes | None = None
     checksum: int | None = None
     stats: "BlockStats | None" = None
+    verified: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "verified": None}
 
     @property
     def root_scheme_id(self) -> int:

@@ -8,10 +8,11 @@ Two consumers share the same LRU core:
   a wide-table scan cannot hold every compressed column in memory forever.
 * :class:`DecodeCache` — decoded columns of all three types, one entry
   per column keyed by ``(object key, version)``. Re-scanning a remote
-  column serves it with one look-up, the CRC32 of each block in hand and
-  one copy (a string column shares the cached buffer); reading rows of it
-  is one take; filtering a block reads its slice. A partly served column
-  fills its served blocks from slices of the entry and decodes the rest.
+  column serves it with one look-up, each block in hand held to its CRC32
+  (hashed once per block object) and one copy (a string column shares the
+  cached buffer); reading rows of it is one take; filtering a block reads
+  its slice. A partly served column fills its served blocks from slices of
+  the entry and decodes the rest.
 
 Both record ``{prefix}.hit`` / ``{prefix}.miss`` / ``{prefix}.evict``
 counters into the active metrics registry, resolved at call time so
@@ -143,11 +144,10 @@ class CachedColumn:
         if not isinstance(self.values, tuple):
             return self.values[start:stop]
         buffer, offsets = self.values
-        lo, hi = int(offsets[start]), int(offsets[stop])
-        if (lo, hi) != (0, buffer.size):
-            buffer = buffer[lo:hi]
         widened = offsets[start : stop + 1].astype(np.int64)
-        if lo:
+        if stop - start + 1 != offsets.size:  # a slice of the column
+            lo = int(widened[0])
+            buffer = buffer[lo : int(widened[-1])]
             widened -= lo
         return StringArray(buffer, widened)
 
@@ -164,6 +164,8 @@ class DecodeCache:
     the count and CRC32 the entry recorded (the CRC32 is seeded with the
     count) *and* passes that checksum -- a damaged download therefore
     degrades through ``on_corrupt`` exactly as it would without the cache.
+    It is hashed once per block object (:func:`~repro.core.file_format.
+    verify_block`): a fresh download is a new object, and is hashed.
 
     Entries are read-only copies that own their memory, charged at the bytes
     of their arrays, so nothing cached is a view onto a block payload or can

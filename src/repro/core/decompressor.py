@@ -28,6 +28,7 @@ only corruption signal v1 files can give) and record
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -272,7 +273,9 @@ def cached_block(cache, entry, index: int, block: CompressedBlock, limits: Decod
 
     The caller's limits bind first; then the entry must record the count and
     CRC32 the block declares, and the block *in hand* must pass that CRC32
-    -- a warm cache may never mask fresh damage. ``True`` serves the block
+    -- a warm cache may never mask fresh damage. That CRC32 is hashed once
+    per block object (:func:`~repro.core.file_format.verify_block`); a fresh
+    download is a new object. ``True`` serves the block
     from ``entry.span(index, index + 1)``; ``False`` is a miss the caller decodes
     (and counts); ``None`` is a block that is never cached (no cache, or no
     checksum to pin the block's bytes by) and counts as neither.
@@ -535,33 +538,24 @@ def assemble_column_preallocated(
     which the column is trimmed to the emitted row count.
     """
     null_positions: list[np.ndarray] = []
-    write_offset = 0
-    read_offset = 0
-    corrupt_blocks = 0
-    corrupt_rows = 0
-    checksummed = 0
+    write_offset = read_offset = corrupt_blocks = corrupt_rows = checksummed = 0
     for block, part in zip(compressed.blocks, parts):
-        if part is not None:
+        if part is None:
+            emitted = block.count
+            checksummed += block.checksum is not None
+            if block.nulls is not None:
+                positions = RoaringBitmap.deserialize(block.nulls).to_array()
+                if positions.size:
+                    null_positions.append(positions.astype(np.int64) + write_offset)
+        else:
+            emitted = part.emitted
             corrupt_blocks += 1
             corrupt_rows += block.count
-            if part.emitted:
-                if write_offset != read_offset:
-                    _shift(data, write_offset, read_offset, part.emitted)
-                null_positions.append(
-                    np.arange(write_offset, write_offset + part.emitted, dtype=np.int64)
-                )
-                write_offset += part.emitted
-            read_offset += block.count
-            continue
-        if block.checksum is not None:
-            checksummed += 1
-        if block.nulls is not None:
-            positions = RoaringBitmap.deserialize(block.nulls).to_array()
-            if positions.size:
-                null_positions.append(positions.astype(np.int64) + write_offset)
-        if write_offset != read_offset:
-            _shift(data, write_offset, read_offset, block.count)
-        write_offset += block.count
+            if emitted:
+                null_positions.append(np.arange(write_offset, write_offset + emitted))
+        if emitted and write_offset != read_offset:
+            _shift(data, write_offset, read_offset, emitted)
+        write_offset += emitted
         read_offset += block.count
     _record_column(compressed, write_offset, checksummed, corrupt_blocks, corrupt_rows)
     nulls = None
@@ -596,12 +590,12 @@ def decompress_column(
     identifying this column's bytes (object key + version for remote
     columns), the column is looked up once and every block goes through
     :func:`cached_block` — limits, declared count, then the block in hand
-    against its stored CRC32 — so a damaged download follows the same
-    ``on_corrupt`` path as an uncached decode: cached rows can never mask
-    fresh corruption. A column the cache serves whole is one copy of its
-    entry and allocates nothing from the headers: a number column comes back
-    as a fresh writable array, a string column shares the entry's read-only
-    buffer under widened offsets. Otherwise the column is preallocated at
+    against its stored CRC32 (hashed once per block object) — so a damaged
+    download follows the same ``on_corrupt`` path as an uncached decode:
+    cached rows can never mask fresh corruption. A column the cache serves
+    whole is one copy of its entry and allocates nothing from the headers: a
+    number column comes back as a fresh writable array, a string column
+    shares the entry's read-only buffer under widened offsets. Otherwise the column is preallocated at
     its first unserved block, and each run of served blocks is one slice of
     the entry copied into its slots. A column the cache has no entry for,
     and whose every block is checksummed and decodes clean, is inserted
@@ -638,34 +632,35 @@ def decompress_column(
     entry = cache.get(cache_key) if cache is not None else None
     hits = misses = 0
     data = None  # allocated at the first block the cache does not serve
+    registry, started = get_registry(), perf_counter()
     try:
-        with get_registry().timer("decompress"):
-            parts: list = []
-            # Blocks run_first.. (from row run_row) are served and not yet
-            # copied: each run of served blocks is one copy.
-            row = run_first = run_row = 0
-            for index, block in enumerate(compressed.blocks):
-                served = cached_block(cache, entry, index, block, ctx.limits)
-                if served:
-                    hits += 1
-                    parts.append(None)
-                    row += block.count
-                    continue
-                misses += served is False
-                if data is None:
-                    data = preallocate_column(compressed, ctx.limits)
-                if run_first < index:
-                    _fill_rows(data, run_row, entry.span(run_first, index))
-                parts.append(fill_block(data, row, block, ctype, ctx, on_corrupt))
+        parts: list = []
+        # Blocks run_first.. (from row run_row) are served and not yet
+        # copied: each run of served blocks is one copy.
+        row = run_first = run_row = 0
+        for index, block in enumerate(compressed.blocks):
+            served = cached_block(cache, entry, index, block, ctx.limits)
+            if served:
+                hits += 1
+                parts.append(None)
                 row += block.count
-                run_first, run_row = index + 1, row
-            if data is None:  # every block served (or none): one copy of the entry
-                data = entry.span(0, len(parts)) if parts else _allocate(ctype, 0)
-                if ctype is not ColumnType.STRING:
-                    data = data.copy()
-            elif run_first < len(parts):
-                _fill_rows(data, run_row, entry.span(run_first, len(parts)))
+                continue
+            misses += served is False
+            if data is None:
+                data = preallocate_column(compressed, ctx.limits)
+            if run_first < index:
+                _fill_rows(data, run_row, entry.span(run_first, index))
+            parts.append(fill_block(data, row, block, ctype, ctx, on_corrupt))
+            row += block.count
+            run_first, run_row = index + 1, row
+        if data is None:  # every block served (or none): one copy of the entry
+            data = entry.span(0, len(parts)) if parts else _allocate(ctype, 0)
+            if ctype is not ColumnType.STRING:
+                data = data.copy()
+        elif run_first < len(parts):
+            _fill_rows(data, run_row, entry.span(run_first, len(parts)))
     finally:
+        registry.observe_seconds("decompress", perf_counter() - started)
         if cache is not None:
             cache.count(hits, misses)
     column = assemble_column_preallocated(compressed, data, parts)

@@ -70,10 +70,23 @@ def block_checksum(data: bytes, nulls: "bytes | None", count: int = 0) -> int:
 
 
 def verify_block(block: CompressedBlock) -> bool:
-    """True when the block has no checksum or its payload still matches it."""
+    """True when the block has no checksum or its payload still matches it.
+
+    A pass over immutable ``bytes`` is remembered on the block: while it
+    holds the same ``data`` and ``nulls`` objects (``is``), count and
+    checksum, nothing is hashed again. Any other object or value is hashed;
+    a ``bytearray`` payload or a failure is hashed on every call.
+    """
     if block.checksum is None:
         return True
-    return block_checksum(block.data, block.nulls, block.count) == block.checksum
+    data, nulls, memo = block.data, block.nulls, block.verified
+    if memo and memo[0] is data and memo[1] is nulls and memo[2:] == (block.count, block.checksum):
+        return True
+    if block_checksum(data, nulls, block.count) != block.checksum:
+        return False
+    if isinstance(data, bytes) and (nulls is None or isinstance(nulls, bytes)):
+        block.verified = (data, nulls, block.count, block.checksum)
+    return True
 
 
 def verify_column(column: CompressedColumn) -> None:

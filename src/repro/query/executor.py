@@ -130,8 +130,8 @@ def block_mask(
     from the column's ``entry`` (``cache.get(cache_key)``) through
     :func:`~repro.core.decompressor.cached_block` — the gate
     ``decompress_column`` and ``read_rows`` use: limits, declared count, the
-    CRC32 of the block in hand — is answered over its slice of the cached
-    column. Every
+    CRC32 of the block in hand, hashed once per block object — is answered
+    over its slice of the cached column. Every
     other block, and every block of a string column or under
     :class:`~repro.query.predicates.IsNull`, is evaluated in the compressed
     domain by :func:`scan_block` (string predicates compile into dictionary

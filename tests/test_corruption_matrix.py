@@ -947,10 +947,11 @@ def test_all_null_block_is_the_null_block_degrade(column):
 
 def test_clean_predicate_scan_pays_no_extra_crc(monkeypatch):
     """The fix sits on the unverified fallback only: on a clean table a
-    fresh-handle ``scan(where=)`` checksums each ranged-GET block once, a
-    repeat none, and one over a warm decode cache only its cache hits --
-    the filter's and the projection's. A projected filter column takes the
-    values its filter's hits handed over: no second look-up, no CRC."""
+    fresh-handle ``scan(where=)`` checksums each ranged-GET block once, and
+    nothing after that hashes a block object again: not a repeat, not the
+    cache hits of a warm decode cache (filter and projection alike, each
+    block remembered as verified since its download), not a projected
+    filter column that takes the values its filter's hits handed over."""
     from repro.cloud.remote_table import RemoteTable
     from repro.core import file_format
     from repro.query.predicates import Between
@@ -974,5 +975,5 @@ def test_clean_predicate_scan_pays_no_extra_crc(monkeypatch):
     assert checksums(lambda: table.scan(["v"], where=where)) == 4 + 4  # filter + projection
     assert checksums(lambda: table.scan(["v"], where=where)) == 0  # blocks held verified
     table.scan()
-    assert checksums(lambda: table.scan(["v"], where=where)) == 4 + 4  # hit-side CRC, both halves
-    assert checksums(lambda: table.scan(["k", "v"], where=where)) == 4 + 4  # k handed over
+    assert checksums(lambda: table.scan(["v"], where=where)) == 0  # hits, both halves
+    assert checksums(lambda: table.scan(["k", "v"], where=where)) == 0  # k handed over

@@ -229,9 +229,12 @@ def test_warm_cache_never_masks_damage(cache_cases, mode):
     """A cache warmed with the clean rows must not hide later corruption.
 
     The damaged block keeps its stored checksum, so its cache key still
-    matches the clean entry — the hit-side CRC re-check is the only thing
-    standing between a warm cache and silently serving stale rows. A
-    turned-down entry is decoded, so it is billed as a miss, not a hit.
+    matches the clean entry — the CRC32 of the block in hand is the only
+    thing standing between a warm cache and silently serving stale rows.
+    ``verify_block`` hashes each block object once, and the damaged block
+    is a new object (as every fresh download is), so it is hashed and
+    turned down. A turned-down entry is decoded, so it is billed as a
+    miss, not a hit.
     """
     for case, _source, compressed in cache_cases:
         cache = DecodeCache(64 << 20)
