@@ -111,7 +111,7 @@ def _record_transfer(store: SimulatedObjectStore, requests: int, nbytes: int) ->
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanStep:
     """One atomic stage of a scan, with everything the stage consumed.
 
@@ -141,6 +141,10 @@ class ScanStep:
     cache_misses: int = 0
 
 
+#: Read together, under one registry lock, on entry to and exit from a stage.
+_CACHE_COUNTERS = ("decode.cache.hit", "decode.cache.miss")
+
+
 @contextmanager
 def capture_step(
     store: SimulatedObjectStore,
@@ -165,8 +169,9 @@ def capture_step(
     layer's backoff becomes interruptible against the (absolute) deadline
     and retries spend the owning tenant's token bucket. The capture clock
     starts at the shared instant, so absolute deadlines stay comparable
-    inside the stage. Both are restored on exit — stages run atomically,
-    so the swap can never leak into another request's stage.
+    inside the stage. All three are restored on exit, also when the stage
+    raises — stages run atomically, so the swap can never leak into another
+    request's stage.
     """
     registry = get_registry()
     stats = store.stats
@@ -175,8 +180,7 @@ def capture_step(
     before_retries = stats.retries
     before_backoff = stats.backoff_seconds
     before_brownout = stats.brownout_seconds
-    before_hits = registry.get("decode.cache.hit")
-    before_misses = registry.get("decode.cache.miss")
+    before_hits, before_misses = registry.get_many(_CACHE_COUNTERS)
     outer_clock = store.clock
     outer_deadline = store.deadline_seconds
     outer_budget = store.retry_budget
@@ -197,8 +201,9 @@ def capture_step(
         step.retries += stats.retries - before_retries
         step.backoff_seconds += stats.backoff_seconds - before_backoff
         step.brownout_seconds += stats.brownout_seconds - before_brownout
-        step.cache_hits += int(registry.get("decode.cache.hit") - before_hits)
-        step.cache_misses += int(registry.get("decode.cache.miss") - before_misses)
+        hits, misses = registry.get_many(_CACHE_COUNTERS)
+        step.cache_hits += int(hits - before_hits)
+        step.cache_misses += int(misses - before_misses)
 
 
 class _PrunedPathUnavailable(Exception):
@@ -240,6 +245,8 @@ class RemoteTable:
         self._store = store
         self.name = name
         self._metadata = metadata
+        #: Manifest entry by column name; the first wins when names repeat.
+        self._entries = {entry["name"]: entry for entry in reversed(metadata["columns"])}
         #: Downloaded compressed columns, bounded by byte budget (LRU).
         #: Injectable so a multi-tenant server shares one budget across
         #: handles; keys are the manifest's object key, which names the
@@ -356,10 +363,10 @@ class RemoteTable:
         return columns[0]["rows"] if columns else 0
 
     def column_entry(self, name: str) -> dict:
-        for entry in self._metadata["columns"]:
-            if entry["name"] == name:
-                return entry
-        raise FormatError(f"table {self.name!r} has no column {name!r}")
+        entry = self._entries.get(name)
+        if entry is None:
+            raise FormatError(f"table {self.name!r} has no column {name!r}")
+        return entry
 
     # -- data ------------------------------------------------------------------
 
@@ -408,16 +415,16 @@ class RemoteTable:
             raise last_error
         return column_from_bytes(payload, limits=self.decode_limits), False
 
-    def _fetch_column_flagged(self, name: str) -> "tuple[CompressedColumn, bool]":
-        """:meth:`fetch_column` plus whether the column is checksum-clean."""
-        entry = self.column_entry(name)
+    def _fetch_column_flagged(self, entry: dict) -> "tuple[CompressedColumn, bool, bool]":
+        """:meth:`fetch_column` by manifest entry, plus whether the column is
+        checksum-clean and whether the column cache already held it."""
         column = self._columns.get(entry["file"])
         if column is not None:
-            return column, True
+            return column, True, True
         column, verified = self._download_column_verified(entry)
         if verified:
             self._columns.put(entry["file"], column, column.nbytes)
-        return column, verified
+        return column, verified, False
 
     def fetch_column(self, name: str) -> CompressedColumn:
         """Download one column file (16 MB chunked GETs); cached afterwards.
@@ -433,7 +440,7 @@ class RemoteTable:
         fail their CRC32: decode it only through a verifying reader
         (:func:`~repro.core.decompressor.decompress_column`).
         """
-        return self._fetch_column_flagged(name)[0]
+        return self._fetch_column_flagged(self.column_entry(name))[0]
 
     def _fetch_column_for_rows(self, name: str) -> CompressedColumn:
         """The whole column for the selective readers, which verify nothing.
@@ -448,13 +455,14 @@ class RemoteTable:
         mask under that policy — and ``skip`` raises, because dropping one
         column's rows under a predicate has no row-aligned meaning.
         """
-        column, verified = self._fetch_column_flagged(name)
+        entry = self.column_entry(name)
+        column, verified, _held = self._fetch_column_flagged(entry)
         if verified:
             return column
         blocks = list(column.blocks)
         damaged = [index for index, block in enumerate(blocks) if not verify_block(block)]
         # (A damaged count would shift every later row: nothing to align NULLs to.)
-        if self.on_corrupt == "skip" or column.count != self.column_entry(name)["rows"]:
+        if self.on_corrupt == "skip" or column.count != entry["rows"]:
             raise IntegrityError(
                 f"table {self.name!r} column {name!r}: {len(damaged)} block(s) still fail "
                 f"their CRC32 after refetching; a predicate scan cannot skip rows"
@@ -774,24 +782,6 @@ class RemoteTable:
                 break
         return np.arange(self.row_count, dtype=np.int64) if rows is None else rows
 
-    def _decompress_remote_column(self, compressed, cache_key, held: bool) -> Column:
-        """Decode one downloaded column through the handle's decode cache.
-
-        ``held`` — the column's compressed bytes were in the column cache
-        *before* this scan fetched them (a re-scan, or another handle on
-        shared caches) — admits a decoded string column to the decode cache;
-        the first decode of a fresh download keeps none (measurements:
-        :func:`~repro.core.decompressor.decompress_column`).
-        """
-        return decompress_column(
-            compressed,
-            on_corrupt=self.on_corrupt,
-            limits=self.decode_limits,
-            cache=self.decode_cache,
-            cache_key=cache_key,
-            admit_strings=held,
-        )
-
     def _check_deadline(self, deadline_seconds: "float | None") -> None:
         """Stage-boundary deadline check: cancel before starting more work.
 
@@ -884,12 +874,16 @@ class RemoteTable:
             entry = self.column_entry(name)
             self._check_deadline(deadline_seconds)
             with capture_step(self._store, "column", name, **context) as step:
-                held = entry["file"] in self._columns
-                compressed = self.fetch_column(name)
-                out.append(
-                    self._decompress_remote_column(compressed, entry["file"], held)
-                )
+                compressed, _verified, held = self._fetch_column_flagged(entry)
                 step.decode_bytes = compressed.nbytes
+                # ``held``: the column cache had these bytes before this stage (a
+                # re-scan, or another handle on shared caches). Only then is a
+                # decoded string column admitted to the decode cache; a fresh
+                # download's first decode keeps none (``decompress_column``).
+                out.append(decompress_column(
+                    compressed, on_corrupt=self.on_corrupt, limits=self.decode_limits,
+                    cache=self.decode_cache, cache_key=entry["file"], admit_strings=held,
+                ))
             yield step
         return Relation(self.name, out)
 

@@ -53,9 +53,9 @@ def read_rows(
 
     ``limits`` bind every touched block before any is served. With a decode
     ``cache`` and the ``cache_key``
-    :func:`~repro.core.decompressor.decompress_column` filled it under, every
-    touched block goes through the scan's own
-    :func:`~repro.core.decompressor.cached_block` gate; when all of them pass,
+    :func:`~repro.core.decompressor.decompress_column` filled it under, the
+    touched blocks pass the scan's own
+    :func:`~repro.core.decompressor.cached_block` gate in one call; when all of them pass,
     the request is one take over the cached column, otherwise a served block
     costs one take of its slice and a miss decodes as ever. Nothing is
     inserted — a selective read never fills the cache.
@@ -79,7 +79,7 @@ def read_rows(
     touched = np.flatnonzero(bounds[1:] > bounds[:-1]).tolist()
     bounds = bounds.tolist()
     entry = cache.get(cache_key) if cache is not None else None
-    served = [cached_block(cache, entry, b, blocks[b], ctx.limits) for b in touched]
+    served = cached_block(cache, entry, [blocks[b] for b in touched], ctx.limits, touched)
     if cache is not None:
         cache.count(served.count(True), served.count(False))
     # Every touched block served, at the rows the entry holds them at: one take.

@@ -8,11 +8,11 @@ Two consumers share the same LRU core:
   a wide-table scan cannot hold every compressed column in memory forever.
 * :class:`DecodeCache` — decoded columns of all three types, one entry
   per column keyed by ``(object key, version)``. Re-scanning a remote
-  column serves it with one look-up, each block in hand held to its CRC32
-  (hashed once per block object) and one copy (a string column shares the
-  cached buffer); reading rows of it is one take; filtering a block reads
-  its slice. A partly served column fills its served blocks from slices of
-  the entry and decodes the rest.
+  column serves it with one look-up, one gate call (each block in hand held
+  to its CRC32, hashed once per block object) and one copy (a string column
+  shares the cached buffer); reading rows of it is one take; filtering a
+  block reads its slice. A partly served column fills its served blocks
+  from slices of the entry and decodes the rest.
 
 Both record ``{prefix}.hit`` / ``{prefix}.miss`` / ``{prefix}.evict``
 counters into the active metrics registry, resolved at call time so
@@ -164,8 +164,9 @@ class DecodeCache:
     the count and CRC32 the entry recorded (the CRC32 is seeded with the
     count) *and* passes that checksum -- a damaged download therefore
     degrades through ``on_corrupt`` exactly as it would without the cache.
-    It is hashed once per block object (:func:`~repro.core.file_format.
-    verify_block`): a fresh download is a new object, and is hashed.
+    Both are checked by :func:`~repro.core.decompressor.cached_block`, one
+    call per request; :func:`~repro.core.file_format.verify_block` hashes a
+    block object once (a fresh download is a new object, and is hashed).
 
     Entries are read-only copies that own their memory, charged at the bytes
     of their arrays, so nothing cached is a view onto a block payload or can
@@ -205,9 +206,11 @@ class DecodeCache:
 
     def count(self, hits: int, misses: int) -> None:
         """Record ``hits`` blocks served and ``misses`` decoded instead."""
-        for name, n in zip(self._counters, (hits, misses)):
-            if n:
-                get_registry().incr(name, n)
+        registry = get_registry()
+        if hits:
+            registry.incr(self._counters[0], hits)
+        if misses:
+            registry.incr(self._counters[1], misses)
 
     def put(self, key: Hashable, values: "np.ndarray | StringArray", blocks) -> None:
         """Cache a read-only copy of one column's decoded ``values``, the

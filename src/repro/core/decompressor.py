@@ -264,27 +264,43 @@ def _hold_to_row_limit(block: CompressedBlock, limits: DecodeLimits) -> None:
         )
 
 
-def cached_block(cache, entry, index: int, block: CompressedBlock, limits: DecodeLimits):
+def cached_block(cache, entry, blocks: "list[CompressedBlock]", limits: DecodeLimits, indices=None) -> list:
     """The one gate between a warm :class:`~repro.core.cache.DecodeCache`
-    and a reader -- column decode, :func:`~repro.core.access.read_rows` and
-    the filter's :func:`~repro.query.executor.block_mask` all serve a block
-    through it, from the column's ``entry`` (``cache.get(cache_key)``, one
-    look-up per column, ``None`` when the cache has none).
+    and a reader, one call per request (the filter's
+    :func:`~repro.query.executor.block_mask` passes one block at a time):
+    the ``blocks`` in hand, at ``indices`` of the column (default: all of it),
+    and the column's ``entry`` (``cache.get(cache_key)``, ``None`` if absent).
 
-    The caller's limits bind first; then the entry must record the count and
-    CRC32 the block declares, and the block *in hand* must pass that CRC32
-    -- a warm cache may never mask fresh damage. That CRC32 is hashed once
-    per block object (:func:`~repro.core.file_format.verify_block`); a fresh
-    download is a new object. ``True`` serves the block
-    from ``entry.span(index, index + 1)``; ``False`` is a miss the caller decodes
-    (and counts); ``None`` is a block that is never cached (no cache, or no
-    checksum to pin the block's bytes by) and counts as neither.
+    The caller's limits bind the largest declared count; the entry's recorded
+    ``(count, CRC32)`` pairs must equal the blocks' (one tuple comparison,
+    pair by pair only when it fails); and each block *in hand* must pass that
+    CRC32, hashed once per block object (:func:`~repro.core.file_format.
+    verify_block`) -- a warm cache never masks fresh damage. One flag per
+    block: ``True`` serves it from ``entry``, ``False`` is a miss the caller
+    decodes (and counts), ``None`` is never cached (no cache or no checksum).
+    A declared count over the limits raises before any flag is returned, so
+    a read that raises there serves, decodes and counts no block.
     """
-    _hold_to_row_limit(block, limits)
-    if cache is None or block.checksum is None:
-        return None
-    recorded = entry.blocks[index : index + 1] if entry is not None else ()
-    return recorded == ((block.count, block.checksum),) and verify_block(block)
+    held, largest, biggest = [], 0, None
+    for block in blocks:  # (plain loops: one block is the filter's common call)
+        held.append((block.count, block.checksum))
+        if block.count > largest:
+            largest, biggest = block.count, block
+    if largest > limits.max_rows_per_block:
+        _hold_to_row_limit(biggest, limits)
+    if cache is None:
+        return [None] * len(blocks)
+    table = entry.blocks if entry is not None else ()
+    recorded = table if indices is None else tuple([table[i] for i in indices if i < len(table)])
+    if tuple(held) == recorded:
+        flags = []
+        for block in blocks:
+            flags.append(verify_block(block))
+        return flags
+    return [  # a block the entry did not record, or no entry: each on its own
+        None if pair[1] is None else table[i : i + 1] == (pair,) and verify_block(block)
+        for i, block, pair in zip(range(len(blocks)) if indices is None else indices, blocks, held)
+    ]
 
 
 def _block_is_intact(block: CompressedBlock, ctx: DecompressionContext, on_corrupt: str) -> bool:
@@ -588,12 +604,12 @@ def decompress_column(
 
     With a :class:`~repro.core.cache.DecodeCache` and a ``cache_key``
     identifying this column's bytes (object key + version for remote
-    columns), the column is looked up once and every block goes through
-    :func:`cached_block` — limits, declared count, then the block in hand
-    against its stored CRC32 (hashed once per block object) — so a damaged
-    download follows the same ``on_corrupt`` path as an uncached decode:
-    cached rows can never mask fresh corruption. A column the cache serves
-    whole is one copy of its entry and allocates nothing from the headers: a
+    columns), the column is looked up once and its blocks pass
+    :func:`cached_block` in one call — limits, declared counts, then each
+    block in hand against its stored CRC32 (hashed once per block object) —
+    so a damaged download follows the same ``on_corrupt`` path as an
+    uncached decode: cached rows can never mask fresh corruption. A column
+    the cache serves whole is one copy of its entry and allocates nothing from the headers: a
     number column comes back as a fresh writable array, a string column
     shares the entry's read-only buffer under widened offsets. Otherwise the column is preallocated at
     its first unserved block, and each run of served blocks is one slice of
@@ -634,18 +650,18 @@ def decompress_column(
     data = None  # allocated at the first block the cache does not serve
     registry, started = get_registry(), perf_counter()
     try:
+        served = cached_block(cache, entry, compressed.blocks, ctx.limits)
         parts: list = []
         # Blocks run_first.. (from row run_row) are served and not yet
         # copied: each run of served blocks is one copy.
         row = run_first = run_row = 0
         for index, block in enumerate(compressed.blocks):
-            served = cached_block(cache, entry, index, block, ctx.limits)
-            if served:
+            if served[index]:
                 hits += 1
                 parts.append(None)
                 row += block.count
                 continue
-            misses += served is False
+            misses += served[index] is False
             if data is None:
                 data = preallocate_column(compressed, ctx.limits)
             if run_first < index:

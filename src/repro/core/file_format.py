@@ -77,11 +77,13 @@ def verify_block(block: CompressedBlock) -> bool:
     checksum, nothing is hashed again. Any other object or value is hashed;
     a ``bytearray`` payload or a failure is hashed on every call.
     """
+    memo = block.verified  # (no tuple is built on the warm path)
+    if memo and memo[0] is block.data and memo[1] is block.nulls and memo[2] == block.count:
+        if memo[3] == block.checksum:
+            return True
     if block.checksum is None:
         return True
-    data, nulls, memo = block.data, block.nulls, block.verified
-    if memo and memo[0] is data and memo[1] is nulls and memo[2:] == (block.count, block.checksum):
-        return True
+    data, nulls = block.data, block.nulls
     if block_checksum(data, nulls, block.count) != block.checksum:
         return False
     if isinstance(data, bytes) and (nulls is None or isinstance(nulls, bytes)):

@@ -80,6 +80,11 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, default)
 
+    def get_many(self, names: "tuple[str, ...]") -> "list[float]":
+        """Several counters (0 when absent) read under one lock acquisition."""
+        with self._lock:
+            return [self._counters.get(name, 0) for name in names]
+
     def timer_seconds(self, name: str) -> float:
         with self._lock:
             entry = self._timers.get(name)

@@ -152,7 +152,7 @@ def block_mask(
         and not isinstance(predicate, IsNull)
         and not _scan_beats_cache(block.data)
     ):
-        served = cached_block(cache, entry, index, block, limits or DEFAULT_DECODE_LIMITS)
+        served = cached_block(cache, entry, [block], limits or DEFAULT_DECODE_LIMITS, [index])[0]
         cache.count(served is True, served is False)
         if served:
             cached = entry.span(index, index + 1)

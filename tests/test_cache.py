@@ -143,7 +143,9 @@ class TestDecodeCache:
         assert len(cache) == 3 and entry.starts == [0, 1000, 2000, 3000]
 
         def gate(cache, entry, index, block):
-            return cached_block(cache, entry, index, block, DEFAULT_DECODE_LIMITS)
+            return cached_block(cache, entry, [block], DEFAULT_DECODE_LIMITS, [index])[0]
+
+        assert cached_block(cache, entry, compressed.blocks, DEFAULT_DECODE_LIMITS) == [True] * 3
 
         assert gate(cache, entry, 1, block) is True
         assert np.array_equal(entry.span(1, 2), np.arange(1000, 2000))

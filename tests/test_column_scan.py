@@ -212,6 +212,14 @@ def test_an_unknown_column_is_a_format_error_before_any_fetch():
     assert store.stats.get_requests == requests
 
 
+def test_a_repeated_column_name_resolves_to_its_first_entry():
+    first, second = {"name": "a", "file": "t/1"}, {"name": "a", "file": "t/2"}
+    table = RemoteTable(SimulatedObjectStore(), "t", {"columns": [first, second, {"name": "b"}]}, 1)
+    assert table.column_entry("a") is first
+    with pytest.raises(FormatError):
+        table.column_entry("c")
+
+
 def test_an_empty_projection_is_an_empty_relation_with_no_stages():
     store = _store()
     table = RemoteTable.open(store, RELATION.name)
