@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -125,7 +124,8 @@ class ScanStep:
     ``clock_seconds`` is the simulated time the stage itself accrued
     (retry backoff, timeout waits). The transfer fields let a scheduler
     price the stage deterministically instead: ``decode_bytes`` is the
-    compressed payload the stage decoded.
+    compressed payload the stage decoded (a column stage's blocks, a
+    filter or materialise stage's fetched bytes).
     """
 
     kind: str  # "open" | "filter" | "materialise" | "column"
@@ -142,27 +142,20 @@ class ScanStep:
 
 
 #: Read together, under one registry lock, on entry to and exit from a stage.
-_CACHE_COUNTERS = ("decode.cache.hit", "decode.cache.miss")
+_STAGE_COUNTERS = ("decode.cache.hit", "decode.cache.miss", "decompress.input_bytes")
 
 
-@contextmanager
-def capture_step(
-    store: SimulatedObjectStore,
-    kind: str,
-    column: "str | None" = None,
-    deadline_seconds: "float | None" = None,
-    retry_budget=None,
-) -> Iterator[ScanStep]:
+class capture_step:
     """Run one scan stage with a private clock; capture what it consumed.
 
     The store's shared clock is swapped for a fresh capture clock for the
-    duration of the block, so retry backoff and timeout waits inside the
-    stage accrue on the step instead of advancing shared time mid-stage
-    (which would race other coroutines' timers). Store transfer counters
-    and decode-cache hit/miss counters are diffed around the stage — the
-    stage runs atomically (no awaits inside), so the diffs are exactly
-    this stage's traffic even when many scans interleave at step
-    boundaries.
+    duration of the ``with`` block, so retry backoff and timeout waits inside
+    the stage accrue on the step instead of advancing shared time mid-stage
+    (which would race other coroutines' timers). Store transfer counters,
+    decode-cache hit/miss counters and ``decompress.input_bytes``
+    (``decode_bytes``) are diffed around the stage — the stage runs
+    atomically (no awaits inside), so the diffs are exactly this stage's
+    traffic even when many scans interleave at step boundaries.
 
     ``deadline_seconds`` / ``retry_budget`` install the current request's
     overload context on the store for the stage's duration: the retry
@@ -173,37 +166,43 @@ def capture_step(
     raises — stages run atomically, so the swap can never leak into another
     request's stage.
     """
-    registry = get_registry()
-    stats = store.stats
-    before_requests = stats.get_requests
-    before_bytes = stats.bytes_downloaded
-    before_retries = stats.retries
-    before_backoff = stats.backoff_seconds
-    before_brownout = stats.brownout_seconds
-    before_hits, before_misses = registry.get_many(_CACHE_COUNTERS)
-    outer_clock = store.clock
-    outer_deadline = store.deadline_seconds
-    outer_budget = store.retry_budget
-    capture = SimulatedClock(now_seconds=outer_clock.now_seconds)
-    store.clock = capture
-    store.deadline_seconds = deadline_seconds
-    store.retry_budget = retry_budget
-    step = ScanStep(kind=kind, column=column)
-    try:
-        yield step
-    finally:
-        store.clock = outer_clock
-        store.deadline_seconds = outer_deadline
-        store.retry_budget = outer_budget
-        step.clock_seconds += capture.now_seconds - outer_clock.now_seconds
-        step.requests += stats.get_requests - before_requests
-        step.bytes_fetched += stats.bytes_downloaded - before_bytes
-        step.retries += stats.retries - before_retries
-        step.backoff_seconds += stats.backoff_seconds - before_backoff
-        step.brownout_seconds += stats.brownout_seconds - before_brownout
-        hits, misses = registry.get_many(_CACHE_COUNTERS)
-        step.cache_hits += int(hits - before_hits)
-        step.cache_misses += int(misses - before_misses)
+
+    __slots__ = ("store", "step", "context", "outer", "capture", "registry", "before")
+
+    def __init__(self, store: SimulatedObjectStore, kind: str, column: "str | None" = None,
+                 deadline_seconds: "float | None" = None, retry_budget=None) -> None:
+        self.store = store
+        self.step = ScanStep(kind=kind, column=column)
+        self.context = (deadline_seconds, retry_budget)
+
+    def __enter__(self) -> ScanStep:
+        store, stats = self.store, self.store.stats
+        self.registry = get_registry()
+        self.before = (
+            stats.get_requests, stats.bytes_downloaded, stats.retries,
+            stats.backoff_seconds, stats.brownout_seconds,
+            *self.registry.get_many(_STAGE_COUNTERS),
+        )
+        self.outer = (store.clock, store.deadline_seconds, store.retry_budget)
+        self.capture = SimulatedClock(now_seconds=store.clock.now_seconds)
+        store.clock = self.capture
+        store.deadline_seconds, store.retry_budget = self.context
+        return self.step
+
+    def __exit__(self, *exc_info) -> None:
+        store, stats, step = self.store, self.store.stats, self.step
+        store.clock, store.deadline_seconds, store.retry_budget = self.outer
+        requests, fetched, retries, backoff, brownout, hits, misses, decoded = self.before
+        step.clock_seconds += self.capture.now_seconds - store.clock.now_seconds
+        step.requests += stats.get_requests - requests
+        step.bytes_fetched += stats.bytes_downloaded - fetched
+        step.retries += stats.retries - retries
+        step.backoff_seconds += stats.backoff_seconds - backoff
+        step.brownout_seconds += stats.brownout_seconds - brownout
+        hits_now, misses_now, decoded_now = self.registry.get_many(_STAGE_COUNTERS)
+        step.cache_hits += int(hits_now - hits)
+        step.cache_misses += int(misses_now - misses)
+        step.decode_bytes += int(decoded_now - decoded)
 
 
 class _PrunedPathUnavailable(Exception):
@@ -855,7 +854,7 @@ class RemoteTable:
                     rows = matches if rows is None else np.intersect1d(
                         rows, matches, assume_unique=True
                     )
-                    step.decode_bytes = step.bytes_fetched
+                step.decode_bytes = step.bytes_fetched  # (filled on exit)
                 yield step
                 if rows.size == 0:
                     break
@@ -866,7 +865,7 @@ class RemoteTable:
                     self._store, "materialise", name, **context
                 ) as step:
                     out.append(self._materialise_rows(name, rows, handed.get(name)))
-                    step.decode_bytes = step.bytes_fetched
+                step.decode_bytes = step.bytes_fetched
                 yield step
             return Relation(self.name, out)
         out = []
@@ -875,7 +874,6 @@ class RemoteTable:
             self._check_deadline(deadline_seconds)
             with capture_step(self._store, "column", name, **context) as step:
                 compressed, _verified, held = self._fetch_column_flagged(entry)
-                step.decode_bytes = compressed.nbytes
                 # ``held``: the column cache had these bytes before this stage (a
                 # re-scan, or another handle on shared caches). Only then is a
                 # decoded string column admitted to the decode cache; a fresh

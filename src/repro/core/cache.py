@@ -10,9 +10,9 @@ Two consumers share the same LRU core:
   per column keyed by ``(object key, version)``. Re-scanning a remote
   column serves it with one look-up, one gate call (each block in hand held
   to its CRC32, hashed once per block object) and one copy (a string column
-  shares the cached buffer); reading rows of it is one take; filtering a
-  block reads its slice. A partly served column fills its served blocks
-  from slices of the entry and decodes the rest.
+  is handed the cached buffer and offsets); reading rows of it is one take;
+  filtering a block reads its slice. A partly served column fills its
+  served blocks from slices of the entry and decodes the rest.
 
 Both record ``{prefix}.hit`` / ``{prefix}.miss`` / ``{prefix}.evict``
 counters into the active metrics registry, resolved at call time so
@@ -122,10 +122,10 @@ class CachedColumn:
 
     ``values`` is a number column's one frozen array, or a string column's
     frozen ``(buffer, offsets)`` pair -- two plain columns (Rozenberg), the
-    offsets in the narrowest unsigned dtype that holds them. ``starts`` are
-    the blocks' first rows (plus the row count) and ``blocks`` each block's
-    ``(declared count, CRC32)``: what the block in hand must match before
-    its rows are served.
+    offsets ``int64`` as a :class:`StringArray` holds them, so serving the
+    whole column copies nothing. ``starts`` are the blocks' first rows (plus
+    the row count) and ``blocks`` each block's ``(declared count, CRC32)``:
+    what the block in hand must match before its rows are served.
     """
 
     __slots__ = ("values", "starts", "blocks")
@@ -138,18 +138,17 @@ class CachedColumn:
     def span(self, first: int, stop: int) -> "np.ndarray | StringArray":
         """The rows of blocks ``[first, stop)``: a read-only view of a number
         column (copy it out before writing), or a new :class:`StringArray`
-        over (a slice of) the read-only buffer with its own widened offsets,
-        so no ``encode_distinct`` memo rides on cache memory."""
+        over the read-only buffer -- the whole column hands over the entry's
+        frozen offsets as they are, a slice gets its own rebased copy -- so
+        no ``encode_distinct`` memo rides on cache memory."""
         start, stop = self.starts[first], self.starts[stop]
         if not isinstance(self.values, tuple):
             return self.values[start:stop]
         buffer, offsets = self.values
-        widened = offsets[start : stop + 1].astype(np.int64)
-        if stop - start + 1 != offsets.size:  # a slice of the column
-            lo = int(widened[0])
-            buffer = buffer[lo : int(widened[-1])]
-            widened -= lo
-        return StringArray(buffer, widened)
+        if stop - start + 1 == offsets.size:  # the whole column
+            return StringArray(buffer, offsets)
+        lo = int(offsets[start])
+        return StringArray(buffer[lo : int(offsets[stop])], offsets[start : stop + 1] - lo)
 
 
 class DecodeCache:
@@ -169,11 +168,11 @@ class DecodeCache:
     block object once (a fresh download is a new object, and is hashed).
 
     Entries are read-only copies that own their memory, charged at the bytes
-    of their arrays, so nothing cached is a view onto a block payload or can
-    be mutated through a served value. A column larger than the whole budget
-    is declined (``{prefix}.declined``): with the budget below the largest hot
-    column, that column decodes on every scan. (The representation is a
-    measured choice: docs/PERFORMANCE.md §5.)
+    of their arrays (8 per string offset), so nothing cached is a view onto
+    a block payload or can be mutated through a served value. A column
+    larger than the whole budget is declined (``{prefix}.declined``): with
+    the budget below the largest hot column, that column decodes on every
+    scan. (The representation is a measured choice: docs/PERFORMANCE.md §5.)
 
     ``len()`` is the number of blocks the cache can serve; ``{prefix}.hit``
     / ``{prefix}.miss`` are counted per block by the readers (:meth:`count`),
@@ -215,16 +214,13 @@ class DecodeCache:
     def put(self, key: Hashable, values: "np.ndarray | StringArray", blocks) -> None:
         """Cache a read-only copy of one column's decoded ``values``, the
         cleanly decoded ``blocks`` they came from recorded beside them."""
-        if isinstance(values, StringArray):
-            narrow = np.min_scalar_type(values.buffer.size)
-            nbytes = values.buffer.size + values.offsets.size * narrow.itemsize
-        else:
-            nbytes = values.nbytes
+        strings = isinstance(values, StringArray)
+        nbytes = values.buffer.nbytes + values.offsets.nbytes if strings else values.nbytes
         if nbytes > self.capacity_bytes:
             get_registry().incr(f"{self.metric_prefix}.declined")
             return
-        if isinstance(values, StringArray):
-            stored = (_frozen(values.buffer.copy()), _frozen(values.offsets.astype(narrow)))
+        if strings:
+            stored = (_frozen(values.buffer.copy()), _frozen(values.offsets.copy()))
         else:
             stored = _frozen(np.array(values, copy=True))
         starts = [0, *accumulate(block.count for block in blocks)]

@@ -421,14 +421,16 @@ def all_null_block(ctype: ColumnType, count: int) -> CompressedBlock:
 
 
 def _record_column(
-    compressed: CompressedColumn, rows: int, checksummed: int, corrupt_blocks: int, corrupt_rows: int
+    compressed: CompressedColumn, rows: int, input_bytes: int,
+    checksummed: int, corrupt_blocks: int, corrupt_rows: int,
 ) -> None:
-    """One reassembled column's counters (identical on every assembly path)."""
+    """One reassembled column's counters (identical on every assembly path);
+    the caller's walk over the blocks summed their ``input_bytes``."""
     counters = [
         ("decompress.columns", 1),
         ("decompress.blocks", len(compressed.blocks)),
         ("decompress.rows", rows),
-        ("decompress.input_bytes", compressed.nbytes),
+        ("decompress.input_bytes", input_bytes),
     ]
     if checksummed:
         counters.append(("decompress.checksum_verified", checksummed))
@@ -548,19 +550,22 @@ def assemble_column_preallocated(
     cache served whole, its values); ``parts`` holds one entry per
     block — ``None`` for a successful decode, :class:`CorruptBlockResult`
     for a degraded one. Rebases per-block NULL positions to column offsets
-    and records the column's decompression counters. Skipped blocks leave
-    holes that are compacted by shifting later slots down (:func:`_shift`;
-    rare — only under ``on_corrupt="skip"`` with actual damage), after
-    which the column is trimmed to the emitted row count.
+    and records the column's decompression counters, its compressed bytes
+    summed in the same walk. Skipped blocks leave holes that are compacted
+    by shifting later slots down (:func:`_shift`; rare — only under
+    ``on_corrupt="skip"`` with actual damage), after which the column is
+    trimmed to the emitted row count.
     """
     null_positions: list[np.ndarray] = []
-    write_offset = read_offset = corrupt_blocks = corrupt_rows = checksummed = 0
+    write_offset = read_offset = input_bytes = corrupt_blocks = corrupt_rows = checksummed = 0
     for block, part in zip(compressed.blocks, parts):
+        nulls = block.nulls  # (the loop sums CompressedBlock.nbytes inline)
+        input_bytes += len(block.data) + (len(nulls) if nulls else 0)
         if part is None:
             emitted = block.count
             checksummed += block.checksum is not None
-            if block.nulls is not None:
-                positions = RoaringBitmap.deserialize(block.nulls).to_array()
+            if nulls is not None:
+                positions = RoaringBitmap.deserialize(nulls).to_array()
                 if positions.size:
                     null_positions.append(positions.astype(np.int64) + write_offset)
         else:
@@ -573,7 +578,7 @@ def assemble_column_preallocated(
             _shift(data, write_offset, read_offset, emitted)
         write_offset += emitted
         read_offset += block.count
-    _record_column(compressed, write_offset, checksummed, corrupt_blocks, corrupt_rows)
+    _record_column(compressed, write_offset, input_bytes, checksummed, corrupt_blocks, corrupt_rows)
     nulls = None
     if null_positions:
         nulls = RoaringBitmap.from_positions(np.concatenate(null_positions))
@@ -609,13 +614,14 @@ def decompress_column(
     block in hand against its stored CRC32 (hashed once per block object) —
     so a damaged download follows the same ``on_corrupt`` path as an
     uncached decode: cached rows can never mask fresh corruption. A column
-    the cache serves whole is one copy of its entry and allocates nothing from the headers: a
-    number column comes back as a fresh writable array, a string column
-    shares the entry's read-only buffer under widened offsets. Otherwise the column is preallocated at
-    its first unserved block, and each run of served blocks is one slice of
-    the entry copied into its slots. A column the cache has no entry for,
-    and whose every block is checksummed and decodes clean, is inserted
-    whole.
+    the cache serves whole allocates nothing from the headers: a number
+    column comes back as one fresh writable copy of its entry, a string
+    column is handed the entry's read-only buffer and ``int64`` offsets as
+    they are. Otherwise the column is preallocated, and each run of served
+    blocks is one slice of the entry copied into its slots. A column the
+    cache has no entry for, and whose every block is checksummed and
+    decodes clean, is inserted whole. Past the gate, only assembly walks
+    the blocks again, and sums their compressed bytes as it goes.
 
     ``admit_strings=False`` looks string columns up but inserts none. It is
     the one place the admission rule lives: :class:`~repro.cloud.
@@ -646,35 +652,34 @@ def decompress_column(
             ]
         return assemble_column(compressed, parts)
     entry = cache.get(cache_key) if cache is not None else None
+    blocks = compressed.blocks
+    parts: list = [None] * len(blocks)
     hits = misses = 0
-    data = None  # allocated at the first block the cache does not serve
     registry, started = get_registry(), perf_counter()
     try:
-        served = cached_block(cache, entry, compressed.blocks, ctx.limits)
-        parts: list = []
-        # Blocks run_first.. (from row run_row) are served and not yet
-        # copied: each run of served blocks is one copy.
-        row = run_first = run_row = 0
-        for index, block in enumerate(compressed.blocks):
-            if served[index]:
-                hits += 1
-                parts.append(None)
-                row += block.count
-                continue
-            misses += served[index] is False
-            if data is None:
-                data = preallocate_column(compressed, ctx.limits)
-            if run_first < index:
-                _fill_rows(data, run_row, entry.span(run_first, index))
-            parts.append(fill_block(data, row, block, ctype, ctx, on_corrupt))
-            row += block.count
-            run_first, run_row = index + 1, row
-        if data is None:  # every block served (or none): one copy of the entry
-            data = entry.span(0, len(parts)) if parts else _allocate(ctype, 0)
+        served = cached_block(cache, entry, blocks, ctx.limits)
+        if all(served):  # every block served (or none): one copy of the entry
+            hits = len(parts)
+            data = entry.span(0, hits) if hits else _allocate(ctype, 0)
             if ctype is not ColumnType.STRING:
                 data = data.copy()
-        elif run_first < len(parts):
-            _fill_rows(data, run_row, entry.span(run_first, len(parts)))
+        else:
+            data = preallocate_column(compressed, ctx.limits)
+            # Blocks run_first.. (from row run_row) are served and not yet
+            # copied: each run of served blocks is one copy.
+            row = run_first = run_row = 0
+            for index, block in enumerate(blocks):
+                if served[index]:
+                    hits += 1
+                else:
+                    misses += served[index] is False
+                    if run_first < index:
+                        _fill_rows(data, run_row, entry.span(run_first, index))
+                    parts[index] = fill_block(data, row, block, ctype, ctx, on_corrupt)
+                    run_first, run_row = index + 1, row + block.count
+                row += block.count
+            if run_first < len(parts):
+                _fill_rows(data, run_row, entry.span(run_first, len(parts)))
     finally:
         registry.observe_seconds("decompress", perf_counter() - started)
         if cache is not None:
@@ -683,10 +688,10 @@ def decompress_column(
     if (
         parts
         and misses == len(parts)  # no entry, every block checksummed...
-        and all(part is None for part in parts)  # ...and decoded clean
+        and parts.count(None) == misses  # ...and decoded clean
         and (admit_strings or ctype is not ColumnType.STRING)
     ):
-        cache.put(cache_key, column.data, compressed.blocks)
+        cache.put(cache_key, column.data, blocks)
     return column
 
 

@@ -160,10 +160,10 @@ class StringSlots:
     would be: fixed per-block slices, filled in whatever order and state
     the blocks arrive. A block's own offsets are already a prefix sum, so
     :meth:`fill` rebases them by the bytes before it in one add -- no
-    lengths, no second prefix sum -- whatever integer dtype they are in (the
-    decode cache keeps them narrow). The blocks' buffers are joined once, by
-    :meth:`finish`. A column that is one block adopts that block's arrays:
-    a decoded one's as they are, a cache entry's with the offsets widened.
+    lengths, no second prefix sum -- whatever integer dtype they are in. The
+    blocks' buffers are joined once, by :meth:`finish`. A column that is one
+    block adopts that block's arrays as they are, a decoded block's and a
+    cache entry's alike (``int64`` offsets are not widened).
     """
 
     __slots__ = ("rows", "offsets", "buffers", "nbytes")

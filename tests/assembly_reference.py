@@ -86,7 +86,7 @@ def assemble_column(compressed, parts: "list[Values | CorruptBlockResult]") -> C
                 null_positions.append(positions.astype(np.int64) + offset)
         value_parts.append(part)
         offset += block.count
-    _record_column(compressed, offset, checksummed, corrupt_blocks, corrupt_rows)
+    _record_column(compressed, offset, compressed.nbytes, checksummed, corrupt_blocks, corrupt_rows)
     nulls = None
     if null_positions:
         nulls = RoaringBitmap.from_positions(np.concatenate(null_positions))

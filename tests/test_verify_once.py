@@ -26,6 +26,7 @@ from repro.cloud.objectstore import PricingModel, SimulatedObjectStore
 from repro.cloud.remote_table import RemoteTable, TableWriter, capture_step
 from repro.cloud.retry import RetryBudget, RetryPolicy
 from repro.core import access, decompressor, file_format
+from repro.core.blocks import CompressedBlock, CompressedColumn
 from repro.core.cache import DecodeCache
 from repro.core.compressor import compress_column, compress_relation
 from repro.core.config import BtrBlocksConfig, DecodeLimits
@@ -36,7 +37,7 @@ from repro.exceptions import DecodeLimitError
 from repro.observe import MetricsRegistry, use_registry
 from repro.query import executor
 from repro.query.predicates import Between
-from repro.types import Column
+from repro.types import Column, StringArray
 
 
 @pytest.fixture
@@ -325,3 +326,70 @@ def test_a_limit_error_serves_and_counts_no_block():
             compressed, limits=DecodeLimits(max_rows_per_block=BLOCK), cache=cache, cache_key="v"
         )
     assert registry.get("decode.cache.hit") == registry.get("decode.cache.miss") == 0
+
+
+def test_filter_and_materialise_stages_price_what_they_fetched(warm_store):
+    """A selective stage's ``decode_bytes`` is read after the capture has
+    filled its transfer fields, so it is the bytes the stage fetched."""
+    table = RemoteTable.open(warm_store, "t")
+    steps = list(table.scan_steps(["v"], where={"k": Between(100, 4000)}))
+    assert [step.kind for step in steps] == ["filter", "materialise"]
+    for step in steps:
+        assert step.decode_bytes == step.bytes_fetched > 0
+
+
+# -- the warm path reads no compressed sizes -----------------------------------
+
+
+def _arrays(data) -> tuple:
+    if isinstance(data, StringArray):
+        return data.buffer.tobytes(), data.offsets.tobytes()
+    return (data.tobytes(),)
+
+
+def _raise(*_args):
+    raise AssertionError("a compressed size was evaluated on the warm path")
+
+
+def _stages(table, where):
+    """``(result, every ScanStep, counters)`` of one scan of ``table``."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        steps = []
+        gen = table.scan_steps(where=where)
+        while True:
+            try:
+                steps.append(next(gen))
+            except StopIteration as stop:
+                relation = stop.value
+                break
+    counters = registry.snapshot()["counters"]
+    result = [(column.name, _arrays(column.data), column.null_mask().tobytes()) for column in relation.columns]
+    watched = ("decompress.input_bytes", "decode.cache.hit", "decode.cache.miss")
+    return result, steps, {name: counters.get(name, 0) for name in watched}
+
+
+@pytest.mark.parametrize("where", [None, {"k": Between(1000, 5000)}], ids=["columns", "filtered"])
+def test_a_warm_rescan_evaluates_no_compressed_size(monkeypatch, where):
+    """Once a table is warm, a re-scan with ``CompressedColumn.nbytes`` and
+    ``CompressedBlock.nbytes`` made to raise succeeds, and its result,
+    counters and every stage field equal a reference scan's: the stage
+    walk sums the bytes it reports."""
+    rng = np.random.default_rng(11)
+    relation = Relation("t", [
+        Column.ints("k", np.arange(ROWS)),
+        Column.strings("s", [b"open", b"shipped", b"lost"] * 2730 + [b"open"] * 2),
+        Column.doubles("d", rng.standard_normal(ROWS), nulls=RoaringBitmap.from_positions(np.arange(0, ROWS, 5))),
+    ])
+    store = SimulatedObjectStore()
+    TableWriter(store).write(compress_relation(relation, BtrBlocksConfig(block_size=BLOCK)))
+    table = RemoteTable.open(store, "t")
+    table.scan()
+    table.scan(where=where)  # the string column is admitted on its second decode
+    reference = _stages(table, where)
+    assert reference[2]["decode.cache.hit"] > 0
+    if where is None:
+        assert reference[2]["decompress.input_bytes"] == sum(table.fetch_column(n).nbytes for n in "ksd")
+    monkeypatch.setattr(CompressedColumn, "nbytes", property(_raise))
+    monkeypatch.setattr(CompressedBlock, "nbytes", property(_raise))
+    assert _stages(table, where) == reference

@@ -321,24 +321,24 @@ def test_string_entries_are_charged_evicted_and_bounded_like_number_entries():
     def strings(rows: int, width: int) -> StringArray:
         return StringArray.from_pylist([b"x" * width] * rows)
 
-    small = strings(100, 2)  # 200 bytes + 101 one-byte offsets
-    wide = strings(100, 3)  # 300 bytes + 101 two-byte offsets
+    small = strings(100, 2)  # 200 bytes + 101 eight-byte offsets
+    wide = strings(100, 3)  # 300 bytes + 101 eight-byte offsets
     registry = MetricsRegistry()
     with use_registry(registry):
-        cache = DecodeCache(1000)
+        cache = DecodeCache(2400)
         cache.put("small", small, _blocks(60, 40))
-        assert cache.current_bytes == 200 + 101 and len(cache) == 2
+        assert cache.current_bytes == 200 + 8 * 101 and len(cache) == 2
         cache.put("wide", wide, _blocks(100))
-        assert cache.current_bytes == 200 + 101 + 300 + 2 * 101
+        assert cache.current_bytes == 200 + 8 * 101 + 300 + 8 * 101
         cache.put("ints", np.arange(40, dtype=np.int32), _blocks(40))
-        assert cache.current_bytes == 803 + 160 and len(cache) == 4
+        assert cache.current_bytes == 2116 + 160 and len(cache) == 4
         # Touch the oldest entry: the next insert evicts "wide", not it.
         assert cache.get("small").span(0, 2) == small
         cache.put("again", strings(100, 2), _blocks(100))
         assert "wide" not in cache and "small" in cache and "ints" in cache
         assert registry.get("decode.cache.evict") == 1
         before = cache.current_bytes
-        cache.put("too-big", strings(100, 10), _blocks(100))  # 1000 bytes + offsets > budget
+        cache.put("too-big", strings(100, 16), _blocks(100))  # 1600 bytes + offsets > budget
         assert "too-big" not in cache and cache.current_bytes == before
         assert cache.get("too-big") is None
         assert registry.get("decode.cache.declined") == 1
@@ -346,9 +346,10 @@ def test_string_entries_are_charged_evicted_and_bounded_like_number_entries():
 
 def test_string_entry_owns_its_memory_and_carries_no_memo(cache_cases):
     """No entry is a view onto a block payload, an entry is stored as a
-    read-only pair (offsets narrow) and served as a new ``StringArray``, and
-    ``encode_distinct``'s memo on a served column never rides back into the
-    cache."""
+    read-only pair (``int64`` offsets) and served as a new ``StringArray``
+    -- the whole column over the entry's own offsets, a slice over a rebased
+    copy -- and ``encode_distinct``'s memo on a served column never rides
+    back into the cache."""
     payload = bytes(range(256)) * 4
     offsets = np.arange(0, len(payload) + 1, 8)
     view = StringArray(np.frombuffer(payload, dtype=np.uint8), offsets)
@@ -356,13 +357,15 @@ def test_string_entry_owns_its_memory_and_carries_no_memo(cache_cases):
     cache = DecodeCache(1 << 20)
     cache.put("k", view, _blocks(3, 4, len(view) - 7))
     entry = cache.get("k")
-    buffer, narrow = entry.values
-    assert entry.span(0, 3) == view and narrow.dtype == np.uint16
+    buffer, stored = entry.values
+    assert entry.span(0, 3) == view and stored.dtype == np.int64
     assert entry.span(0, 3) is not entry.span(0, 3)
+    assert entry.span(0, 3).offsets is stored
     assert entry.span(1, 2) == StringArray.from_pylist(view.to_pylist()[3:7])
-    assert buffer.flags.owndata and not buffer.flags.writeable and not narrow.flags.writeable
+    assert entry.span(0, 2).offsets is not stored and entry.span(0, 2).offsets.flags.owndata
+    assert buffer.flags.owndata and not buffer.flags.writeable and not stored.flags.writeable
     assert not np.shares_memory(buffer, view.buffer)
-    assert not np.shares_memory(narrow, offsets)
+    assert not np.shares_memory(stored, offsets)
     # The same through the real decode: Uncompressed strings decode to a
     # view of the block payload, and what the cache serves is not one.
     case, _source, compressed = next(c for c in cache_cases if c[0] == "uncompressed-no_nulls-single")
