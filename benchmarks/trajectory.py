@@ -3,6 +3,8 @@
 
     python3 benchmarks/trajectory.py pairs --parent DIR --change DIR --issue N [--pairs 10] \\
         [--held-out-seed S --held-out-pairs 5] [--traced 2] -o BENCH_<date>_issueN.json
+    python3 benchmarks/trajectory.py pairs --anchor --parent <previous anchor tree> \\
+        --change <this anchor's tree> --issue N --traced 0 -o BENCH_<date>_anchor.json
     python3 benchmarks/trajectory.py trend
 
 ``pairs`` runs ``python3 <dir>/lakebench/run.py --workload W --seed S`` for
@@ -14,7 +16,9 @@ pairs the change won and the ``BENCHMARK.json`` bound. ``trend`` reads every
 ``BENCH_*.json`` at the repo root in (date, issue) order and prints parent ->
 change medians per entry; exit 1 when the newest entry has a median worse
 than its parent's by more than today's bound, a failed operation, or no
-measurement of a declared workload x metric. Standard library only; nothing under ``lakebench/`` is imported or touched.
+measurement of a declared workload x metric. An *anchor* entry (``--anchor``:
+the previous anchor's tree against the tree after PR ``--issue``) is listed
+in its own section after the per-PR series and is never the newest entry. Standard library only; nothing under ``lakebench/`` is imported or touched.
 """
 
 from __future__ import annotations
@@ -156,6 +160,7 @@ def pairs(args: argparse.Namespace) -> int:
     entry = {
         "date": time.strftime("%Y-%m-%d"),
         "issue": args.issue,
+        "anchor": args.anchor,
         "parent_commit": head.stdout.strip(),
         "command": "python3 lakebench/run.py --workload <w> --seed <s> [--trace 1] --out <file>"
                    "  (BENCHMARK.json defaults)",
@@ -185,6 +190,8 @@ def trend(root: Path = ROOT) -> int:
         (validate(json.loads(path.read_text())) for path in root.glob("BENCH_*.json")),
         key=lambda entry: (entry["date"], entry["issue"]),
     )
+    anchors = [entry for entry in entries if entry.get("anchor")]
+    entries = [entry for entry in entries if not entry.get("anchor")]
     if not entries:
         print(f"no BENCH_*.json under {root}")
         return 0
@@ -216,6 +223,15 @@ def trend(root: Path = ROOT) -> int:
         f"failed {run['result']['failed']} in {run['args']}"
         for run in newest["runs"] + newest["traced_runs"] if run["result"]["failed"] != 0
     ]
+    for entry in anchors:
+        print(f"anchor {entry['date']}: {entry['parent_commit'][:7]} -> the tree after "
+              f"issue {entry['issue']}")
+        for workload, seeds in entry["summary"].items():
+            for seed, cells in seeds.items():
+                for name, cell in cells.items():
+                    print(f"  {workload} {name} seed {seed:>7}: {cell['parent']['median']:.6g} -> "
+                          f"{cell['change']['median']:.6g} ({_change(cell):+.1%}, "
+                          f"{cell['change_wins']}/{cell['pairs']} pairs)")
     for line in broken:
         print(f"FAIL issue {newest['issue']}: {line}")
     return 1 if broken else 0
@@ -232,6 +248,8 @@ def main(argv=None) -> int:
     p.add_argument("--held-out-seed", type=int, help="a seed not used while writing the change")
     p.add_argument("--held-out-pairs", type=int, default=5)
     p.add_argument("--traced", type=int, default=2, help=f"traced pairs per workload at seed {SEED}")
+    p.add_argument("--anchor", action="store_true",
+                   help="the parent is the previous anchor tree, not the change's parent")
     p.add_argument("--output", "-o", required=True)
     commands.add_parser("trend", help="diff the committed series against BENCHMARK.json bounds")
     args = parser.parse_args(argv)

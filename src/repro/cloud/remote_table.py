@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import json
 import re
+import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from repro.cloud.objectstore import SimulatedObjectStore
 from repro.cloud.retry import SimulatedClock
 from repro.core.access import read_rows
 from repro.core.blocks import CompressedBlock, CompressedColumn, CompressedRelation
-from repro.core.blockstats import stats_from_json
+from repro.core.blockstats import unpack_zone
 from repro.core.cache import ByteBudgetLRU, DecodeCache
 from repro.core.config import (
     DEFAULT_COLUMN_CACHE_BYTES,
@@ -96,18 +97,55 @@ def version_prefix(name: str, version: int) -> str:
     return f"{name}/v{version:06d}/"
 
 
+#: A manifest object: ``{"crc32":<CRC32 of the body, 10 wide>,"manifest":<body>}``.
+#: The CRC32 is padded with spaces, so the body starts at a fixed offset and
+#: the object stays JSON.
+_ENVELOPE_HEAD = b'{"crc32":%10d,"manifest":'
+_BODY_START = len(_ENVELOPE_HEAD % 0)
+#: The values a manifest entry's ``type`` may hold, tested as a set per column.
+_COLUMN_TYPES = frozenset(ctype.value for ctype in ColumnType)
+
+
+def manifest_to_bytes(manifest: dict) -> bytes:
+    """The manifest object: compact JSON under one CRC32 of its exact bytes."""
+    body = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    return b"%s%s}" % (_ENVELOPE_HEAD % zlib.crc32(body), body)
+
+
+def _parse_manifest(raw: bytes) -> dict:
+    """Check a manifest object's CRC32, parse its body, and check every
+    field the reader indexes before anything trusts it.
+
+    A legacy manifest (written before the envelope: no checksum) is parsed
+    whole; its entries carry no ``zone``, so its tables scan by full
+    fetch-and-filter. Raises :class:`~repro.exceptions.IntegrityError` on
+    a CRC32 mismatch, else ``ValueError`` / ``KeyError`` / ``TypeError``.
+    """
+    if raw[:9] == _ENVELOPE_HEAD[:9]:
+        body = raw[_BODY_START:-1]
+        if raw[:_BODY_START] != _ENVELOPE_HEAD % zlib.crc32(body) or raw[-1:] != b"}":
+            raise IntegrityError("manifest does not match its CRC32")
+        raw = body
+    manifest = json.loads(raw)
+    for entry in manifest["columns"]:
+        if entry["type"] not in _COLUMN_TYPES:
+            raise ValueError(f"unknown column type {entry['type']!r}")
+        entry["name"], entry["file"]
+        int(entry["rows"]), int(entry["bytes"]), int(entry["blocks"])
+    int(manifest["version"])
+    return manifest
+
+
 def _record_transfer(store: SimulatedObjectStore, requests: int, nbytes: int) -> None:
     """Account one remote fetch: objects, bytes and simulated dollar cost."""
     pricing = store.pricing
     seconds = nbytes / pricing.s3_bytes_per_second
-    registry = get_registry()
-    registry.incr("cloud.table.objects_fetched")
-    registry.incr("cloud.table.requests", requests)
-    registry.incr("cloud.table.bytes", nbytes)
-    registry.incr(
-        "cloud.table.cost_usd",
-        pricing.request_cost(requests) + pricing.compute_cost(seconds),
-    )
+    get_registry().incr_many([
+        ("cloud.table.objects_fetched", 1),
+        ("cloud.table.requests", requests),
+        ("cloud.table.bytes", nbytes),
+        ("cloud.table.cost_usd", pricing.request_cost(requests) + pricing.compute_cost(seconds)),
+    ])
 
 
 @dataclass(slots=True)
@@ -218,7 +256,7 @@ class RemoteTable:
     that arrive damaged are refetched up to the store's retry budget first.
 
     Tables committed with statistics (``config.collect_stats``, the default)
-    carry a zone map and per-block byte ranges in their manifest. Predicate
+    carry a zone map with per-block byte ranges in their manifest. Predicate
     scans consult them *before any data bytes move*: blocks whose statistics
     cannot match are skipped entirely, surviving blocks arrive through
     ranged GETs and are answered in the compressed domain
@@ -270,30 +308,27 @@ class RemoteTable:
         #: Validated manifest zone maps per column; ``None`` = known absent
         #: or rejected (``cloud.scan.zonemap.invalid``).
         self._zone_maps: "dict[str, ColumnZoneMap | None]" = {}
-        self._block_ranges_cache: "dict[str, list[tuple[int, int]] | None]" = {}
 
     @staticmethod
-    def _fetch_json(
-        store: SimulatedObjectStore, key: str, validate: Callable[[dict], None]
-    ) -> dict:
-        """GET + parse a JSON object, refetching while it fails validation.
-
-        JSON metadata carries no checksum; a download that fails to parse —
-        or parses but lost its required structure (bit flips can produce
-        valid JSON with mangled keys) — is refetched up to the store's
-        retry budget before giving up with a typed error.
+    def _fetch_json(store: SimulatedObjectStore, key: str) -> dict:
+        """GET + :func:`_parse_manifest`, refetching what fails up to the
+        store's retry budget (``cloud.table.meta_refetches``); then
+        :class:`~repro.exceptions.IntegrityError` when the last download
+        failed its CRC32, :class:`~repro.exceptions.FormatError` otherwise.
         """
         attempts = max(1, store.retry.max_attempts)
         for attempt in range(attempts):
             raw = store.get(key)
             _record_transfer(store, 1, len(raw))
             try:
-                metadata = json.loads(raw.decode("utf-8"))
-                validate(metadata)
+                return _parse_manifest(raw)
+            except IntegrityError:
+                damaged = True
             except (ValueError, KeyError, TypeError):
-                get_registry().incr("cloud.table.meta_refetches")
-                continue
-            return metadata
+                damaged = False
+            get_registry().incr("cloud.table.meta_refetches")
+        if damaged:
+            raise IntegrityError(f"manifest {key!r} fails its CRC32 after {attempts} downloads")
         raise FormatError(f"metadata object {key!r} unparseable after {attempts} downloads")
 
     @classmethod
@@ -330,14 +365,7 @@ class RemoteTable:
         else:
             raise FormatError(f"table {name!r} has no committed version")
 
-        def validate_manifest(metadata: dict) -> None:
-            """Every field the reader indexes, before anything trusts it."""
-            for entry in metadata["columns"]:
-                entry["name"], entry["file"], ColumnType(entry["type"])
-                int(entry["rows"]), int(entry["bytes"]), int(entry["blocks"])
-            int(metadata["version"])
-
-        metadata = cls._fetch_json(store, key, validate_manifest)
+        metadata = cls._fetch_json(store, key)
         return cls(
             store,
             name,
@@ -488,7 +516,6 @@ class RemoteTable:
         """
         get_registry().incr("cloud.scan.zonemap.invalid")
         self._zone_maps[entry["name"]] = None
-        self._block_ranges_cache[entry["name"]] = None
         if self.on_corrupt == "raise":
             raise IntegrityError(
                 f"table {self.name!r} column {entry['name']!r}: persisted "
@@ -497,92 +524,60 @@ class RemoteTable:
 
     def _zone_map(self, entry: dict) -> "ColumnZoneMap | None":
         """The column's manifest zone map, validated; ``None`` when absent
-        or previously rejected."""
+        or previously rejected.
+
+        One decode of the packed records, then array checks: one record per
+        block, rows summing to the column's, byte extents inside the file,
+        in order and no shorter than a block header.
+        """
         name = entry["name"]
         if name in self._zone_maps:
             return self._zone_maps[name]
         self._zone_maps[name] = None
-        stats_json = entry.get("stats")
-        if stats_json is None:
+        if "zone" not in entry:
             return None
         try:
-            stats = stats_from_json(stats_json)
-            if len(stats) != entry["blocks"]:
-                raise FormatError(
-                    f"{len(stats)} stats entries for {entry['blocks']} blocks"
-                )
-            if sum(s.row_count for s in stats) != entry["rows"]:
-                raise FormatError("stats row counts do not sum to the column's rows")
+            records = unpack_zone(entry["zone"])
+            bounds = entry.get("bounds")
+            if len(records) != entry["blocks"] or (bounds is not None and len(bounds) != len(records)):
+                raise FormatError(f"{len(records)} zone records for {entry['blocks']} blocks")
+            if sum(records["rows"].tolist()) != entry["rows"]:
+                raise FormatError("zone record row counts do not sum to the column's rows")
+            offsets, sizes, nbytes = records["offset"], records["size"], entry["bytes"]
+            ends = offsets + sizes  # (no wrap-around once every offset is inside the file)
+            outside = (sizes < 16) | (offsets > nbytes) | (ends > nbytes)
+            if np.count_nonzero(outside) or np.count_nonzero(offsets[1:] < ends[:-1]):
+                raise FormatError("zone records hold an implausible block range")
         except (FormatError, KeyError, TypeError, ValueError) as exc:
             self._discard_zone_map(entry, str(exc))
             return None
-        zone_map = ColumnZoneMap(name, ColumnType(entry["type"]), stats)
+        zone_map = ColumnZoneMap(name, ColumnType(entry["type"]), records, bounds)
         self._zone_maps[name] = zone_map
         return zone_map
 
-    def _block_byte_ranges(self, entry: dict) -> "list[tuple[int, int]] | None":
-        """Validated per-block byte extents from the manifest, or ``None``."""
-        name = entry["name"]
-        if name in self._block_ranges_cache:
-            return self._block_ranges_cache[name]
-        self._block_ranges_cache[name] = None
-        declared = entry.get("block_ranges")
-        if declared is None:
-            return None
-        try:
-            ranges: list[tuple[int, int]] = []
-            end = 0
-            for item in declared:
-                offset, size = int(item[0]), int(item[1])
-                if size < 16 or offset < end or offset + size > entry["bytes"]:
-                    raise FormatError(f"block range [{offset}, {size}] is not plausible")
-                ranges.append((offset, size))
-                end = offset + size
-            if len(ranges) != entry["blocks"]:
-                raise FormatError(
-                    f"{len(ranges)} block ranges for {entry['blocks']} blocks"
-                )
-        except (FormatError, IndexError, TypeError, ValueError) as exc:
-            self._discard_zone_map(entry, str(exc))
-            return None
-        self._block_ranges_cache[name] = ranges
-        return ranges
+    def _check_block_against_stats(self, entry: dict, index: int, block, rows: int, crc: int) -> None:
+        """Cross-check a block in hand against its zone record's ``rows`` and ``crc``.
 
-    def _check_block_against_stats(self, entry: dict, index: int, block, stats) -> None:
-        """Cross-check a block in hand against its persisted statistics.
-
-        Catches *stale* statistics — internally consistent entries written
+        Catches *stale* statistics — internally consistent records written
         for different data — the moment any described block is actually
-        read: the entry's bound CRC32 must equal the block's, and the row
+        read: the record's bound CRC32 must equal the block's, and the row
         counts must agree.
         """
-        if block.count != stats.row_count:
+        if block.count != rows:
             self._discard_zone_map(
-                entry,
-                f"block {index} holds {block.count} rows, statistics claim "
-                f"{stats.row_count}",
+                entry, f"block {index} holds {block.count} rows, statistics claim {rows}"
             )
             raise _PrunedPathUnavailable()
-        if (
-            stats.checksum is not None
-            and block.checksum is not None
-            and block.checksum != stats.checksum
-        ):
+        if block.checksum is not None and block.checksum != crc:
             self._discard_zone_map(
                 entry, f"block {index} checksum does not match its statistics entry"
             )
             raise _PrunedPathUnavailable()
 
-    def _fetch_pruned_block(
-        self,
-        entry: dict,
-        index: int,
-        ranges: "list[tuple[int, int]]",
-        zone_map: ColumnZoneMap,
-    ) -> CompressedBlock:
+    def _fetch_pruned_block(self, entry: dict, index: int, zone_map: ColumnZoneMap) -> CompressedBlock:
         """One surviving block via a ranged GET, checksum-verified.
 
-        Damage that implicates the *metadata* (an implausible range, a
+        Damage that implicates the *metadata* (an unsatisfiable range, a
         structural mismatch, a stale stats binding) rejects the zone map;
         payload damage is refetched up to the store's retry budget and then
         handed to the ``on_corrupt`` policy exactly like a damaged full
@@ -594,8 +589,7 @@ class RemoteTable:
         if block is not None:
             return block
         registry = get_registry()
-        stats = zone_map.entries[index]
-        offset, size = ranges[index]
+        rows, crc, offset, size = zone_map.entries[["rows", "crc", "offset", "size"]][index].tolist()
         attempts = max(1, self._store.retry.max_attempts)
         for _ in range(attempts):
             before = self._store.stats.get_requests
@@ -608,11 +602,11 @@ class RemoteTable:
                 self._store, self._store.stats.get_requests - before, len(payload)
             )
             try:
-                block = block_from_region(payload, count_hint=stats.row_count)
+                block = block_from_region(payload, count_hint=rows)
             except FormatError as exc:
                 self._discard_zone_map(entry, str(exc))
                 raise _PrunedPathUnavailable() from exc
-            self._check_block_against_stats(entry, index, block, stats)
+            self._check_block_against_stats(entry, index, block, rows, crc)
             if verify_block(block):
                 self._columns.put(cache_key, block, block.nbytes)
                 return block
@@ -638,30 +632,26 @@ class RemoteTable:
         zone_map = self._zone_map(entry)
         if zone_map is None:
             return None
-        registry = get_registry()
-        registry.incr("cloud.scan.zonemap.consulted")
-        survivors = zone_map.pruned_blocks(predicate)
-        survivor_set = set(survivors)
-        pruned = [i for i in range(len(zone_map.entries)) if i not in survivor_set]
-        registry.incr("cloud.scan.pruned_blocks", len(pruned))
-        ranges = self._block_byte_ranges(entry)
-        if ranges is not None:
-            registry.incr(
-                "cloud.scan.pruned_bytes", sum(ranges[i][1] for i in pruned)
-            )
+        try:
+            survivors = zone_map.pruned_blocks(predicate)
+        except FormatError as exc:  # a string bound that does not decode
+            self._discard_zone_map(entry, str(exc))
+            return None
+        sizes = zone_map.entries["size"].tolist()
+        get_registry().incr_many([
+            ("cloud.scan.zonemap.consulted", 1),
+            ("cloud.scan.pruned_blocks", len(sizes) - len(survivors)),
+            ("cloud.scan.pruned_bytes", sum(sizes) - sum([sizes[index] for index in survivors])),
+        ])
         if not survivors:
             return np.empty(0, dtype=np.int64), None
-        cached = self._columns.get(entry["file"])
-        if cached is None and ranges is None:
-            return None  # nothing cached and no extents to range-GET with
-        ctype = ColumnType(entry["type"])
         # The shared scan driver consumes (index, block, offset) triples;
         # this generator feeds it only the zone-map survivors, validated or
         # ranged-GET on the way through, and the driver answers each from
         # the decode cache where it can.
         return collect_matches(
-            self._survivor_blocks(entry, survivors, cached, ranges, zone_map),
-            ctype,
+            self._survivor_blocks(entry, survivors, self._columns.get(entry["file"]), zone_map),
+            ColumnType(entry["type"]),
             predicate,
             self.decode_limits,
             self.decode_cache,
@@ -669,16 +659,17 @@ class RemoteTable:
             values,
         )
 
-    def _survivor_blocks(self, entry, survivors, cached, ranges, zone_map):
+    def _survivor_blocks(self, entry, survivors, cached, zone_map):
         """Yield ``(block index, block, column-row offset)`` for zone-map survivors.
 
         Cached columns serve blocks after re-validation against their
-        statistics entry; uncached ones arrive by ranged GET. Either way a
+        zone record; uncached ones arrive by ranged GET. Either way a
         structural mismatch rejects the zone map (``_PrunedPathUnavailable``
         propagates out of the consuming driver mid-iteration, before any
         further block is fetched).
         """
         offsets = zone_map.block_offsets()
+        crcs = zone_map.entries["crc"].tolist()
         for index in survivors:
             if cached is not None:
                 if index >= len(cached.blocks):
@@ -687,11 +678,10 @@ class RemoteTable:
                     )
                     raise _PrunedPathUnavailable()
                 block = cached.blocks[index]
-                self._check_block_against_stats(
-                    entry, index, block, zone_map.entries[index]
-                )
+                rows = offsets[index + 1] - offsets[index]
+                self._check_block_against_stats(entry, index, block, rows, crcs[index])
             else:
-                block = self._fetch_pruned_block(entry, index, ranges, zone_map)
+                block = self._fetch_pruned_block(entry, index, zone_map)
             yield index, block, offsets[index]
 
     def _read_rows_pruned(self, entry: dict, rows: np.ndarray) -> "Column | None":
@@ -704,21 +694,19 @@ class RemoteTable:
         metadata is unavailable or the whole column is already cached.
         """
         zone_map = self._zone_map(entry)
-        ranges = self._block_byte_ranges(entry)
-        if zone_map is None or ranges is None:
+        if zone_map is None:
             return None
         if self._columns.get(entry["file"]) is not None:
             return None  # full column in cache: no GET to save
         # ``rows`` come sorted from the filter: block ``i`` is needed
         # iff some row falls between its offset and the next block's.
         bounds = np.searchsorted(rows, zone_map.block_offsets())
-        needed = bounds[1:] > bounds[:-1]
-        blocks = []
-        for index, stats in enumerate(zone_map.entries):
-            if needed[index]:
-                blocks.append(self._fetch_pruned_block(entry, index, ranges, zone_map))
-            else:
-                blocks.append(CompressedBlock(stats.row_count, b""))
+        needed = (bounds[1:] > bounds[:-1]).tolist()
+        blocks = [
+            self._fetch_pruned_block(entry, index, zone_map)
+            if needed[index] else CompressedBlock(count, b"")
+            for index, count in enumerate(zone_map.entries["rows"].tolist())
+        ]
         sparse = CompressedColumn(entry["name"], ColumnType(entry["type"]), blocks)
         return self._read_rows(entry, sparse, rows)
 
@@ -1051,7 +1039,7 @@ class TableWriter:
                     column, key, len(payload), format_version, with_stats
                 )
             )
-        payloads[commit_key] = json.dumps(manifest).encode("utf-8")
+        payloads[commit_key] = manifest_to_bytes(manifest)
 
         staged: list[tuple[str, str]] = []
         completed: list[str] = []
@@ -1141,11 +1129,12 @@ def recover(store: SimulatedObjectStore, name: str) -> RecoveryReport:
         stem = key[len(manifest_prefix) :]
         version = int(stem[:-5]) if stem.endswith(".json") and stem[:-5].isdigit() else None
         try:
-            manifest = json.loads(store.get(key).decode("utf-8"))
+            manifest = RemoteTable._fetch_json(store, key)
             referenced.update(entry["file"] for entry in manifest["columns"])
-        except (ValueError, KeyError, TypeError):
-            # Conservative: an unreadable manifest still pins its version's
-            # data — never delete what might be committed.
+        except (FormatError, IntegrityError):
+            # Conservative: a manifest that fails its CRC32 or does not
+            # parse still pins its version's data — never delete what might
+            # be committed.
             if version is not None:
                 unreadable.add(version)
 

@@ -9,7 +9,9 @@ all produced from the same uncompressed chunk at write time:
 * appended to v2 column files as a CRC32-protected trailing section (see
   :func:`stats_footer_to_bytes` and ``docs/FORMAT.md``) that old readers —
   which stop after the declared block count — never look at;
-* embedded in the table manifest (or ``.btr`` index) JSON, which is what lets
+* packed into the table manifest (or ``.btr`` index) as one
+  :data:`ZONE_RECORD` per block (:func:`pack_zone`), string bounds beside
+  them in JSON, which is what lets
   :class:`~repro.cloud.remote_table.RemoteTable` prune whole chunk GETs.
 
 Pruning must never produce a false negative, so every bound here is
@@ -27,7 +29,6 @@ must not import :mod:`repro.query` or :mod:`repro.metadata` at module level
 from __future__ import annotations
 
 import base64
-import json
 import struct
 import zlib
 from dataclasses import dataclass
@@ -54,7 +55,6 @@ _F_NUMERIC = 1  # minimum/maximum present (f64 pair)
 _F_MIN_BYTES = 2  # string lower bound present
 _F_MAX_BYTES = 4  # string upper bound present
 _F_BLOOM = 8  # Bloom digest present
-_F_CHECKSUM = 16  # bound block CRC32 present (manifest JSON only)
 
 
 class BloomFilter:
@@ -129,30 +129,6 @@ class BlockStats:
     max_bytes: "bytes | None" = None
     bloom: "BloomFilter | None" = None
     checksum: "int | None" = None
-
-    def may_match(self, predicate) -> bool:
-        """Conservative test: ``False`` guarantees no row in the block matches."""
-        from repro.query.predicates import IsNull
-
-        if isinstance(predicate, IsNull):
-            return self.null_count > 0
-        if self.null_count == self.row_count:
-            return False  # all NULL: value predicates never match
-        if not predicate.may_match_range(self.minimum, self.maximum):
-            return False
-        if self.min_bytes is not None:
-            if not predicate.may_match_bytes(self.min_bytes, self.max_bytes):
-                return False
-        if self.bloom is not None:
-            probes = predicate.bloom_probes()
-            if probes is not None and not any(self.bloom.may_contain(p) for p in probes):
-                return False
-        return True
-
-
-#: Backwards-compatible alias: repro.metadata re-exports this as ZoneMapEntry.
-ZoneMapEntry = BlockStats
-
 
 def _string_bounds(values: "list[bytes]") -> "tuple[bytes | None, bytes | None]":
     """Conservative (lower, upper) byte bounds for a list of bytes.
@@ -327,63 +303,75 @@ def _unb64(text: "str | None") -> "bytes | None":
     return None if text is None else base64.b64decode(text.encode("ascii"), validate=True)
 
 
-def stats_entry_to_json(entry: BlockStats) -> list:
+def string_bounds_to_json(entry: BlockStats) -> list:
+    """A string block's ``[min, max, Bloom digest]`` as a manifest stores it
+    (base64 bytes; ``null`` where absent)."""
     bloom = None
     if entry.bloom is not None:
         bloom = [entry.bloom.nbits, entry.bloom.k, _b64(entry.bloom.bits)]
+    return [_b64(entry.min_bytes), _b64(entry.max_bytes), bloom]
+
+
+def string_bounds_from_json(item: list) -> "tuple[bytes | None, bytes | None, BloomFilter | None]":
+    """Inverse of :func:`string_bounds_to_json`; :class:`FormatError` when malformed."""
+    try:
+        min_b64, max_b64, bloom_json = item
+        bloom = None
+        if bloom_json is not None:
+            nbits, k, bits_b64 = bloom_json
+            bloom = BloomFilter(_unb64(bits_b64), int(nbits), int(k))
+        return _unb64(min_b64), _unb64(max_b64), bloom
+    except FormatError:
+        raise
+    except Exception as exc:  # wrong shape, bad base64, ...
+        raise FormatError(f"malformed string bounds: {exc}") from exc
+
+
+def stats_entry_to_json(entry: BlockStats) -> list:
+    """Every field of one record as a JSON list (a stable form to hash stats by)."""
     return [
-        entry.row_count,
-        entry.null_count,
-        entry.minimum,
-        entry.maximum,
-        _b64(entry.min_bytes),
-        _b64(entry.max_bytes),
-        bloom,
-        entry.checksum,
+        entry.row_count, entry.null_count, entry.minimum, entry.maximum,
+        *string_bounds_to_json(entry), entry.checksum,
     ]
 
 
-def stats_entry_from_json(item: list) -> BlockStats:
-    row_count, null_count, minimum, maximum, min_b64, max_b64, bloom_json, checksum = item
-    bloom = None
-    if bloom_json is not None:
-        nbits, k, bits_b64 = bloom_json
-        bloom = BloomFilter(_unb64(bits_b64), int(nbits), int(k))
-    return BlockStats(
-        row_count=int(row_count),
-        null_count=int(null_count),
-        minimum=None if minimum is None else float(minimum),
-        maximum=None if maximum is None else float(maximum),
-        min_bytes=_unb64(min_b64),
-        max_bytes=_unb64(max_b64),
-        bloom=bloom,
-        checksum=None if checksum is None else int(checksum),
-    )
+# -- packed zone-map records (manifests and the .btr index) --------------------
+
+#: One block's zone-map record as a manifest stores it: little-endian and
+#: unpadded (41 bytes). ``lo`` / ``hi`` mean something only where
+#: ``has_range`` is set (a block of only NULLs or NaNs has no range); ``crc``
+#: binds the record to its block's CRC32 and ``offset`` / ``size`` give the
+#: block's byte extent inside its column file.
+ZONE_RECORD = np.dtype([
+    ("rows", "<u4"), ("nulls", "<u4"), ("lo", "<f8"), ("hi", "<f8"), ("has_range", "?"),
+    ("crc", "<u4"), ("offset", "<u8"), ("size", "<u4"),
+])
 
 
-def _entries_crc(entries_json: list) -> int:
-    canonical = json.dumps(entries_json, separators=(",", ":"), sort_keys=True)
-    return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
+def zone_records(stats: "list[BlockStats]", checksums=None, ranges=None) -> np.ndarray:
+    """One :data:`ZONE_RECORD` per block. ``checksums`` / ``ranges`` (the
+    blocks' CRC32s and ``(offset, size)`` extents) stay zero when not given,
+    as in the map of an in-memory column."""
+    records = np.zeros(len(stats), ZONE_RECORD)
+    ranged = [s.minimum is not None and s.maximum is not None for s in stats]
+    records["rows"] = [s.row_count for s in stats]
+    records["nulls"] = [s.null_count for s in stats]
+    records["lo"] = [s.minimum if r else 0.0 for s, r in zip(stats, ranged)]
+    records["hi"] = [s.maximum if r else 0.0 for s, r in zip(stats, ranged)]
+    records["has_range"] = ranged
+    if checksums is not None:
+        records["crc"] = checksums
+    if ranges:
+        records["offset"], records["size"] = zip(*ranges)
+    return records
 
 
-def stats_to_json(entries: "list[BlockStats]") -> dict:
-    """The ``"stats"`` object embedded in manifest (or ``.btr`` index) column
-    entries: versioned entry list plus a CRC32 over its canonical JSON."""
-    entries_json = [stats_entry_to_json(entry) for entry in entries]
-    return {"v": 1, "entries": entries_json, "crc": _entries_crc(entries_json)}
+def pack_zone(records: np.ndarray) -> str:
+    """The records as one base64 string (a manifest column entry's ``"zone"``)."""
+    return _b64(records.tobytes())
 
 
-def stats_from_json(payload: dict) -> "list[BlockStats]":
-    """Inverse of :func:`stats_to_json`; raises :class:`FormatError` when the
-    object is malformed or fails its CRC32 (treat as "stats unavailable")."""
-    try:
-        if int(payload["v"]) != 1:
-            raise FormatError(f"unknown manifest stats version {payload['v']}")
-        entries_json = payload["entries"]
-        if _entries_crc(entries_json) != int(payload["crc"]):
-            raise FormatError("manifest stats do not match their CRC32")
-        return [stats_entry_from_json(item) for item in entries_json]
-    except FormatError:
-        raise
-    except Exception as exc:  # malformed JSON structure, bad base64, ...
-        raise FormatError(f"malformed manifest stats: {exc}") from exc
+def unpack_zone(text: str) -> np.ndarray:
+    """Inverse of :func:`pack_zone`: a read-only record array over the
+    decoded bytes. Raises ``ValueError`` / ``TypeError`` when malformed."""
+    return np.frombuffer(base64.b64decode(text, validate=True), ZONE_RECORD)

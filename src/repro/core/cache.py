@@ -47,6 +47,10 @@ class ByteBudgetLRU:
     def __init__(self, capacity_bytes: int, metric_prefix: "str | None" = None) -> None:
         self.capacity_bytes = int(capacity_bytes)
         self.metric_prefix = metric_prefix
+        #: Counter names ``get`` bumps, formatted once: ``(miss, hit)``.
+        self._lookup_counters = (
+            None if metric_prefix is None else (f"{metric_prefix}.miss", f"{metric_prefix}.hit")
+        )
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, tuple[Any, int]]" = OrderedDict()
         self._bytes = 0
@@ -59,10 +63,8 @@ class ByteBudgetLRU:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-        if self.metric_prefix is not None:
-            get_registry().incr(
-                f"{self.metric_prefix}.hit" if entry is not None else f"{self.metric_prefix}.miss"
-            )
+        if self._lookup_counters is not None:
+            get_registry().incr(self._lookup_counters[entry is not None])
         return entry[0] if entry is not None else default
 
     def put(self, key: Hashable, value: Any, nbytes: int) -> int:

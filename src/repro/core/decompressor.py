@@ -192,8 +192,9 @@ def _decode_node(
     return values if take is None else take_values(values, take)
 
 
-#: Contexts are immutable and stateless, so default-limit ones are shared.
-_DEFAULT_CONTEXTS: dict[bool, DecompressionContext] = {}
+#: Contexts are immutable and stateless, so one is shared per
+#: ``(vectorized, limits)``; limits are frozen and compare by value.
+_CONTEXTS: "dict[tuple[bool, DecodeLimits | None], DecompressionContext]" = {}
 
 
 def make_context(
@@ -202,11 +203,11 @@ def make_context(
 ) -> DecompressionContext:
     """A decompression context whose every cascade level decodes through
     :func:`_decode_node`."""
-    if limits is not None:
-        return DecompressionContext(_decode_node, vectorized, limits)
-    if vectorized not in _DEFAULT_CONTEXTS:
-        _DEFAULT_CONTEXTS[vectorized] = DecompressionContext(_decode_node, vectorized)
-    return _DEFAULT_CONTEXTS[vectorized]
+    context = _CONTEXTS.get((vectorized, limits))
+    if context is None:
+        context = DecompressionContext(_decode_node, vectorized, limits)
+        _CONTEXTS[vectorized, limits] = context
+    return context
 
 
 def decompress_block(blob: bytes, ctype: ColumnType, vectorized: bool = True) -> Values:

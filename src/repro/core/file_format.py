@@ -25,23 +25,24 @@ self-checking ``ZMAP`` footer *after* the last block (``docs/FORMAT.md``
 §7) — readers that stop at the declared block count never see it, which is
 what keeps stats-bearing files readable by pre-footer readers, and lets a
 damaged footer drop the statistics without touching the data. The same
-statistics go into manifest (and ``.btr`` index) column entries as zone-map
-JSON plus per-block byte ranges (:func:`column_meta_entry`), which is what
-``RemoteTable`` uses to prune and range-GET individual blocks.
+statistics go into manifest (and ``.btr`` index) column entries as packed
+zone-map records carrying each block's byte range (:func:`column_meta_entry`),
+which is what ``RemoteTable`` uses to prune and range-GET individual blocks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import struct
 import zlib
 
 from repro.core.blocks import CompressedBlock, CompressedColumn, CompressedRelation
 from repro.core.blockstats import (
+    pack_zone,
     stats_footer_from_bytes,
     stats_footer_to_bytes,
-    stats_to_json,
+    string_bounds_to_json,
+    zone_records,
 )
 from repro.core.config import DEFAULT_DECODE_LIMITS, DecodeLimits
 from repro.exceptions import DecodeLimitError, FormatError, IntegrityError
@@ -338,11 +339,12 @@ def column_meta_entry(
     """One column's entry for a table manifest (or a ``.btr`` index).
 
     When the column carries per-block statistics (and ``with_stats`` is not
-    ``False``), the entry additionally records ``block_ranges`` — each
-    block's byte extent inside the file — and ``stats``, the CRC32-protected
-    zone-map entries with each one bound to its block's content CRC32. That
-    pair is everything a remote reader needs to skip or range-GET individual
-    blocks before any data bytes move.
+    ``False``), the entry additionally records ``zone``: one packed
+    :data:`~repro.core.blockstats.ZONE_RECORD` per block — its statistics,
+    its content CRC32 (binding the record to the block) and its byte extent
+    inside the file — and, for a string column, ``bounds``: each block's
+    string bounds and Bloom digest. That is everything a remote reader needs
+    to skip or range-GET individual blocks before any data bytes move.
     """
     entry = {
         "name": column.name,
@@ -354,17 +356,12 @@ def column_meta_entry(
     }
     stats = column.block_stats if version == 2 and with_stats is not False else None
     if stats is not None:
-        entry["block_ranges"] = [
-            [offset, size] for offset, size in column_block_ranges(column, version)
-        ]
-        bound = [
-            dataclasses.replace(
-                entry_stats,
-                checksum=block_checksum(block.data, block.nulls, block.count),
-            )
-            for entry_stats, block in zip(stats, column.blocks)
-        ]
-        entry["stats"] = stats_to_json(bound)
+        checksums = [block_checksum(block.data, block.nulls, block.count) for block in column.blocks]
+        entry["zone"] = pack_zone(
+            zone_records(stats, checksums, column_block_ranges(column, version))
+        )
+        if column.ctype is ColumnType.STRING:
+            entry["bounds"] = [string_bounds_to_json(entry_stats) for entry_stats in stats]
     return entry
 
 

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
+from repro.core.config import DEFAULT_DECODE_LIMITS
 from repro.exceptions import FormatError, UnknownSchemeError
 from repro.observe import get_registry
 from repro.types import ColumnType, StringArray
@@ -93,8 +94,6 @@ class DecompressionContext:
         vectorized: bool = True,
         limits: "DecodeLimits | None" = None,
     ) -> None:
-        from repro.core.config import DEFAULT_DECODE_LIMITS
-
         self._decode_fn = decode_fn
         self.vectorized = vectorized
         self.limits = limits if limits is not None else DEFAULT_DECODE_LIMITS

@@ -9,6 +9,6 @@ pruning scan that combines them with the predicate evaluation in
 :mod:`repro.query`.
 """
 
-from repro.metadata.zonemap import ColumnZoneMap, ZoneMapEntry, build_zone_map, pruned_scan
+from repro.metadata.zonemap import ColumnZoneMap, build_zone_map, pruned_scan
 
-__all__ = ["ColumnZoneMap", "ZoneMapEntry", "build_zone_map", "pruned_scan"]
+__all__ = ["ColumnZoneMap", "build_zone_map", "pruned_scan"]

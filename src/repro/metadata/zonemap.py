@@ -2,59 +2,81 @@
 
 A :class:`ColumnZoneMap` lives outside the compressed column data,
 mirroring the paper's "one file per column plus a metadata file" S3 layout:
-on an object store its entries are the ``stats`` of the table manifest's
-column entries, which :class:`~repro.cloud.remote_table.RemoteTable`
-consults before any data GET. ``pruned_scan`` applies the map of an
-in-memory column — the stats its own blocks carry, so the map lines up with
-the blocks by construction — and skips blocks whose statistics cannot
-satisfy the predicate without decoding a single compressed byte.
-
-The per-block record itself is :class:`~repro.core.blockstats.BlockStats`
-(re-exported here as :data:`ZoneMapEntry`): numeric min/max, null count,
-conservative string byte-bounds and an optional Bloom digest of the block's
-distinct strings. The same record is what v2 column files and table
-manifests persist, so an in-memory zone map and a manifest-derived one
-prune identically.
+on an object store it is the packed ``zone`` records (and string ``bounds``)
+of the table manifest's column entries, which
+:class:`~repro.cloud.remote_table.RemoteTable` consults before any data GET.
+``pruned_scan`` applies the map of an in-memory column — the stats its own
+blocks carry — and skips blocks whose statistics cannot satisfy the
+predicate without decoding a single compressed byte. Both maps are one
+:data:`~repro.core.blockstats.ZONE_RECORD` per block, so a numeric
+predicate prunes every block in one array-safe ``may_match_range`` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 from repro.bitmap import RoaringBitmap
 from repro.core.blocks import CompressedColumn
-from repro.core.blockstats import BlockStats, ZoneMapEntry
+from repro.core.blockstats import string_bounds_from_json, string_bounds_to_json, zone_records
 from repro.exceptions import FormatError
 from repro.query.executor import collect_matches, enumerate_blocks
-from repro.query.predicates import Predicate
+from repro.query.predicates import IsNull, Predicate
 from repro.types import ColumnType
 
 __all__ = [
-    "ZoneMapEntry",
     "ColumnZoneMap",
     "build_zone_map",
     "pruned_scan",
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class ColumnZoneMap:
-    """Zone-map entries for every block of one column."""
+    """One :data:`~repro.core.blockstats.ZONE_RECORD` per block of one
+    column, and a string column's per-block ``[min, max, Bloom]`` in the
+    manifest's JSON form (decoded on the first prune that reads them)."""
 
     column_name: str
     ctype: ColumnType
-    entries: list[BlockStats]
+    entries: np.ndarray
+    bounds: "list | None" = None
+    _decoded: "list | None" = field(default=None, init=False, repr=False)
 
     def pruned_blocks(self, predicate: Predicate) -> list[int]:
-        """Indices of blocks that *may* contain matches."""
-        return [i for i, entry in enumerate(self.entries) if entry.may_match(predicate)]
+        """Indices of blocks that *may* contain matches.
+
+        A block without a numeric range (only NULLs or NaNs) answers every
+        range test "maybe"; a block of only NULLs matches no value
+        predicate. Raises :class:`~repro.exceptions.FormatError` when a
+        string bound the test needs does not decode.
+        """
+        entries = self.entries
+        if isinstance(predicate, IsNull):
+            return np.flatnonzero(entries["nulls"] > 0).tolist()
+        may = predicate.may_match_range(entries["lo"], entries["hi"]) | ~entries["has_range"]
+        survivors = np.flatnonzero(may & (entries["nulls"] != entries["rows"])).tolist()
+        if self.bounds is None:
+            return survivors
+        if self._decoded is None:
+            self._decoded = [string_bounds_from_json(item) for item in self.bounds]
+        probes = predicate.bloom_probes()
+        kept = []
+        for index in survivors:
+            min_bytes, max_bytes, bloom = self._decoded[index]
+            if min_bytes is not None and not predicate.may_match_bytes(min_bytes, max_bytes):
+                continue
+            if bloom is not None and probes is not None and not any(map(bloom.may_contain, probes)):
+                continue
+            kept.append(index)
+        return kept
 
     def block_offsets(self) -> list[int]:
         """Starting row of each block plus the total (cumulative counts)."""
-        offsets = [0]
-        for entry in self.entries:
-            offsets.append(offsets[-1] + entry.row_count)
-        return offsets
+        return list(accumulate(self.entries["rows"].tolist(), initial=0))
 
 
 def build_zone_map(compressed: CompressedColumn) -> ColumnZoneMap:
@@ -68,7 +90,9 @@ def build_zone_map(compressed: CompressedColumn) -> ColumnZoneMap:
     stats = compressed.block_stats
     if stats is None or compressed.stats_invalid:
         raise FormatError(f"column {compressed.name!r} carries no valid block statistics")
-    return ColumnZoneMap(compressed.name, compressed.ctype, stats)
+    strings = compressed.ctype is ColumnType.STRING
+    bounds = [string_bounds_to_json(s) for s in stats] if strings else None
+    return ColumnZoneMap(compressed.name, compressed.ctype, zone_records(stats), bounds)
 
 
 def pruned_scan(

@@ -29,6 +29,8 @@ from repro.exceptions import DeadlineExceededError, FormatError, IntegrityError
 from repro.observe import MetricsRegistry, use_registry
 from repro.types import Column, columns_equal
 
+from manifest_forge import block_range
+
 ROWS = 4096
 BLOCKS = 4  # per column, at block_size 1024
 CONFIG = BtrBlocksConfig(block_size=1024)
@@ -86,7 +88,7 @@ def _steps(table: RemoteTable, columns=None, **kwargs):
 def _damage_at_rest(store: SimulatedObjectStore, table: RemoteTable, name: str, block: int):
     """Flip one payload bit of ``block`` in the stored column file."""
     entry = table.column_entry(name)
-    offset, size = entry["block_ranges"][block]
+    offset, size = block_range(entry, block)
     damaged = bytearray(store._objects[entry["file"]])
     damaged[offset + size - 3] ^= 0x20
     store._objects[entry["file"]] = bytes(damaged)

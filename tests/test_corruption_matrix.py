@@ -46,6 +46,8 @@ from repro.encodings.wire import wrap
 from repro.exceptions import BtrBlocksError
 from repro.types import Column, ColumnType, StringArray
 
+from manifest_forge import edit_zone, forge
+
 #: Damage may surface as any *typed* error — library errors (including
 #: IntegrityError) or the regular builtins a parser hits on garbage.
 ACCEPTABLE = (
@@ -470,64 +472,56 @@ class TestZoneMapCorruption:
 
     # -- the manifest ----------------------------------------------------------
 
-    def _tampered_store(self, mutate):
-        """A committed table whose manifest was rewritten by ``mutate``."""
-        import json
-
+    def _tampered_store(self, mutate, sign=True):
+        """A committed table whose manifest body was edited by ``mutate``
+        and re-signed (or left under its old CRC32 when ``sign`` is false)."""
         from repro.cloud.remote_table import manifest_key
 
         store = _committed(self.relation)
-        key = manifest_key("zm", 1)
-        manifest = json.loads(store.get(key))
-        mutate(manifest)
-        store.put(key, json.dumps(manifest).encode("utf-8"))
+        forge(store, manifest_key("zm", 1), mutate, sign=sign)
         return store
 
-    def test_flipped_manifest_stats_raise_or_degrade(self):
-        """Edited stats entries fail the section CRC: ``raise`` refuses,
-        lenient policies answer from the full fetch-and-filter path."""
+    def test_unsigned_stats_edit_fails_the_manifest_crc(self):
+        """Edited zone records that were not re-signed fail the manifest's
+        CRC32: ``open`` refetches, then raises under every policy — no
+        scan ever sees the edited statistics."""
         from repro.exceptions import IntegrityError
-        from repro.observe import MetricsRegistry
 
         def mutate(manifest):
-            entry = manifest["columns"][0]["stats"]["entries"][2]
-            entry[2], entry[3] = 10**9, 2 * 10**9  # min/max now exclude all
+            def exclude_all(records):
+                records["lo"][2], records["hi"][2] = 10**9, 2 * 10**9
 
-        with pytest.raises(IntegrityError):
-            self._scan(self._tampered_store(mutate), "raise", where=self.where)
-        for policy in ("skip", "null_block"):
-            registry = MetricsRegistry()
-            self._scan_clean_equal(self._tampered_store(mutate), policy, registry)
-            assert registry.get("cloud.scan.zonemap.invalid") >= 1
+            edit_zone(manifest["columns"][0], exclude_all)
+
+        for policy in ("raise", "skip", "null_block"):
+            with pytest.raises(IntegrityError):
+                self._scan(self._tampered_store(mutate, sign=False), policy, where=self.where)
 
     def test_truncated_manifest_stats_raise_or_degrade(self):
         from repro.exceptions import IntegrityError
         from repro.observe import MetricsRegistry
 
-        def drop_entry(manifest):
-            del manifest["columns"][0]["stats"]["entries"][-1]
+        def drop_record(manifest):
+            edit_zone(manifest["columns"][0], lambda records: records[:-1])
 
-        def resigned_drop(manifest):
-            # Re-sign the CRC so only the entry-count check can object.
-            from repro.core.blockstats import _entries_crc
-
-            section = manifest["columns"][0]["stats"]
-            del section["entries"][-1]
-            section["crc"] = _entries_crc(section["entries"])
-
-        for mutate in (drop_entry, resigned_drop):
-            with pytest.raises(IntegrityError):
-                self._scan(self._tampered_store(mutate), "raise", where=self.where)
-            registry = MetricsRegistry()
-            self._scan_clean_equal(self._tampered_store(mutate), "skip", registry)
-            assert registry.get("cloud.scan.zonemap.invalid") >= 1
+        with pytest.raises(IntegrityError):  # not re-signed: the manifest CRC32
+            self._scan(self._tampered_store(drop_record, sign=False), "skip", where=self.where)
+        # Re-signed, so only the record-count check can object.
+        with pytest.raises(IntegrityError):
+            self._scan(self._tampered_store(drop_record), "raise", where=self.where)
+        registry = MetricsRegistry()
+        self._scan_clean_equal(self._tampered_store(drop_record), "skip", registry)
+        assert registry.get("cloud.scan.zonemap.invalid") >= 1
 
     def test_implausible_block_ranges_raise_or_degrade(self):
         from repro.exceptions import IntegrityError
         from repro.observe import MetricsRegistry
 
         def mutate(manifest):
-            manifest["columns"][0]["block_ranges"][1][1] = 10**9  # beyond file
+            def beyond_file(records):
+                records["size"][1] = 10**9
+
+            edit_zone(manifest["columns"][0], beyond_file)
 
         with pytest.raises(IntegrityError):
             self._scan(self._tampered_store(mutate), "raise", where=self.where)
@@ -537,9 +531,9 @@ class TestZoneMapCorruption:
 
     def test_stale_stats_caught_by_checksum_binding(self):
         """Statistics written for *different data* — internally consistent,
-        CRC valid — are unmasked the moment any described block is fetched:
-        its content CRC32 does not match the entry's binding. The scan falls
-        back and answers from the real data."""
+        manifest CRC valid — are unmasked the moment any described block is
+        fetched: its content CRC32 does not match the record's binding. The
+        scan falls back and answers from the real data."""
         from repro.observe import MetricsRegistry
 
         def swap_stats(manifest):
@@ -547,24 +541,21 @@ class TestZoneMapCorruption:
             # fwd's blocks hold ascending ranges, rev's descending: rev's
             # stats over fwd mis-describe every block, but the mid-range
             # predicate still leaves the middle blocks unpruned.
-            cols["fwd"]["stats"], cols["rev"]["stats"] = (
-                cols["rev"]["stats"],
-                cols["fwd"]["stats"],
-            )
+            cols["fwd"]["zone"], cols["rev"]["zone"] = cols["rev"]["zone"], cols["fwd"]["zone"]
 
         registry = MetricsRegistry()
         self._scan_clean_equal(self._tampered_store(swap_stats), "skip", registry)
         assert registry.get("cloud.scan.zonemap.invalid") >= 1
 
     def test_missing_stats_is_not_an_error(self):
-        """A manifest without statistics (older writer) is not damage: every
-        policy answers identically, zero invalid-counter events."""
+        """A manifest without statistics (a stats-less write) is not damage:
+        every policy answers identically, zero invalid-counter events."""
         from repro.observe import MetricsRegistry
 
         def strip(manifest):
             for column in manifest["columns"]:
-                column.pop("stats", None)
-                column.pop("block_ranges", None)
+                column.pop("zone", None)
+                column.pop("bounds", None)
 
         for policy in ("raise", "skip", "null_block"):
             registry = MetricsRegistry()

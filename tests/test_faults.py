@@ -339,55 +339,24 @@ class TestRemoteTableIntegrity:
         assert len(out.columns[0].data) == len(relation.columns[0].data)
 
     def test_unparseable_manifest_refetched_then_typed_error(self, relation):
-        """A corrupted manifest (plain JSON, no checksum) is refetched up to
-        the retry budget and then fails with FormatError, never a raw
-        JSONDecodeError."""
-        registry = MetricsRegistry()
+        """A torn manifest fails its CRC32 and is refetched up to the retry
+        budget, then fails with IntegrityError; a torn legacy manifest (no
+        checksum) the same way with FormatError — never a raw
+        JSONDecodeError. (Every single-bit flip: ``test_manifest_flips.py``.)"""
+        import json
+
         store = make_store(retry=RetryPolicy(max_attempts=3))
         TableWriter(store).write(compress_relation(relation))
         (key,) = store.keys("t/_manifests/")
-        store.put(key, store.get(key)[:-40])  # torn JSON on every download
-        with use_registry(registry):
-            with pytest.raises(FormatError):
-                RemoteTable.open(store, "t")
-        assert registry.snapshot()["counters"]["cloud.table.meta_refetches"] == 3
-
-    def test_flipped_manifest_fields_end_typed_or_correct(self, relation):
-        """Every bit of each column entry's ``type`` / ``rows`` / ``bytes`` /
-        ``blocks`` key and value, flipped in turn: ``open``, a filtered and a
-        full scan each return the table or raise a typed error. A field the
-        reader indexes is validated at ``open``, so a mangled key or an
-        unknown type goes through the refetch loop to a ``FormatError``
-        instead of escaping as a raw ``KeyError`` / ``ValueError``."""
-        import re
-
-        from repro.exceptions import BtrBlocksError
-        from repro.query.predicates import Between
-
-        store = make_store(retry=RetryPolicy(max_attempts=1))
-        TableWriter(store).write(compress_relation(relation, BtrBlocksConfig(block_size=1024)))
-        (key,) = store.keys("t/_manifests/")
-        manifest = store.get(key)
-        spans = [
-            match.span()
-            for match in re.finditer(rb'"(type|rows|bytes|blocks)": ("[a-z]+"|[0-9]+)', manifest)
-        ]
-        assert len(spans) == 4 * len(relation.columns)
-        where = {"a": Between(100, 400)}
-        expected = RemoteTable.open(store, "t").scan(where=where)
-        for start, end in spans:
-            for bit in range(8 * start, 8 * end):
-                damaged = bytearray(manifest)
-                damaged[bit >> 3] ^= 1 << (bit & 7)
-                store.put(key, bytes(damaged))
-                try:
-                    table = RemoteTable.open(store, "t")
-                    filtered, full = table.scan(where=where), table.scan()
-                except BtrBlocksError:
-                    continue
-                for got, want in zip(filtered.columns + full.columns,
-                                     expected.columns + relation.columns):
-                    assert columns_equal(got, want), (bit, bytes(damaged[start:end]))
+        committed = store.get(key)
+        legacy = json.dumps(json.loads(committed)["manifest"]).encode("utf-8")
+        for raw, error in ((committed, IntegrityError), (legacy, FormatError)):
+            registry = MetricsRegistry()
+            store.put(key, raw[:-40])  # torn on every download
+            with use_registry(registry):
+                with pytest.raises(error):
+                    RemoteTable.open(store, "t")
+            assert registry.snapshot()["counters"]["cloud.table.meta_refetches"] == 3
 
     def test_transient_faults_do_not_reach_integrity_layer(self, relation):
         registry = MetricsRegistry()

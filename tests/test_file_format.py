@@ -64,7 +64,7 @@ class TestManifest:
         TableWriter(store).write(compressed)
         (manifest_key,) = store.keys("sales/_manifests/")
         assert len(store.keys("sales/")) == 4  # 3 columns + the manifest
-        meta = json.loads(store.get(manifest_key))
+        meta = json.loads(store.get(manifest_key))["manifest"]
         assert [c["name"] for c in meta["columns"]] == ["id", "price", "region"]
         for entry in meta["columns"]:
             assert entry["bytes"] == store.object_size(entry["file"])

@@ -42,12 +42,15 @@ from repro.types import Column, ColumnType, StringArray
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
 
-#: Decode-only fixtures: bytes an *older encoder* wrote in a format that did
-#: not change. Never regenerated and never compared to today's encoder; they
-#: must keep decoding. ``scheme_fsst.five_full_passes.bin`` is ``scheme_fsst.bin``
-#: as of PR 20, whose trainer counted every generation on the whole sample —
-#: files in the wild hold symbol tables trained that way.
-DECODE_ONLY = {"scheme_fsst.five_full_passes.bin"}
+#: Decode-only fixtures: bytes an *older writer* wrote. Never regenerated and
+#: never compared to today's writer; they must keep reading.
+#: ``scheme_fsst.five_full_passes.bin`` is ``scheme_fsst.bin`` as an earlier
+#: trainer wrote it, counting every generation on the whole sample — files in
+#: the wild hold symbol tables trained that way. ``manifest.v2s.json`` and
+#: ``relation.v2s.btr`` are the last manifest and ``.btr`` index written
+#: before manifests gained their CRC32 envelope and packed zone records
+#: (per-entry JSON ``stats`` and ``block_ranges`` instead).
+DECODE_ONLY = {"scheme_fsst.five_full_passes.bin", "manifest.v2s.json", "relation.v2s.btr"}
 #: Written and held by ``test_sole_survivor.py``; regeneration here leaves it alone.
 HELD_ELSEWHERE = {"lakebench_partitions.json"}
 
@@ -125,18 +128,19 @@ def file_fixtures() -> dict[str, bytes]:
     never drift, old files in the wild depend on it); the CRC32-checksummed
     v2 files live alongside under ``*.v2.*`` names, written stats-less so
     their bytes stayed stable when the statistics footer was introduced; and
-    the stats-bearing files — v2 plus the trailing ``ZMAP`` footer, the
-    writer's default — under ``*.v2s.*``, together with the committed table
-    manifest (``manifest.v2s.json``) that carries the same statistics as
-    zone-map entries.
+    the stats-bearing column files — v2 plus the trailing ``ZMAP`` footer,
+    the writer's default — under ``*.v2s.*``. The committed table manifest
+    and the stats-bearing ``.btr`` carry the same statistics as packed
+    zone records under ``*.v2z.*`` (their per-entry JSON predecessors are
+    :data:`DECODE_ONLY`).
     """
     relation = _fixture_relation()
     compressed = compress_relation(relation)
     fixtures = {
         "relation.btr": relation_to_bytes(compressed, version=1),
         "relation.v2.btr": relation_to_bytes(compressed, version=2, with_stats=False),
-        "relation.v2s.btr": relation_to_bytes(compressed, version=2, with_stats=True),
-        "manifest.v2s.json": _manifest_fixture_bytes(compressed),
+        "relation.v2z.btr": relation_to_bytes(compressed, version=2, with_stats=True),
+        "manifest.v2z.json": _manifest_fixture_bytes(compressed),
     }
     for column in compressed.columns:
         fixtures[f"column_{column.name}.btrc"] = column_to_bytes(column, version=1)
@@ -179,10 +183,8 @@ def test_regen_writes_fixtures(fixtures):
         for stale in GOLDEN_DIR.glob("*.bin"):
             if stale.name not in DECODE_ONLY:
                 stale.unlink()
-        for stale in GOLDEN_DIR.glob("*.btr*"):
-            stale.unlink()
-        for stale in GOLDEN_DIR.glob("*.json"):
-            if stale.name not in HELD_ELSEWHERE:
+        for stale in [*GOLDEN_DIR.glob("*.btr*"), *GOLDEN_DIR.glob("*.json")]:
+            if stale.name not in DECODE_ONLY | HELD_ELSEWHERE:
                 stale.unlink()
         for name, blob in fixtures.items():
             (GOLDEN_DIR / name).write_bytes(blob)
@@ -273,7 +275,7 @@ def test_v1_and_v2_fixtures_decode_identically(fixtures):
         assert columns_equal(decoded, decompress_column(v2s))
 
     original = _fixture_relation()
-    for rel_name in ("relation.btr", "relation.v2.btr", "relation.v2s.btr"):
+    for rel_name in ("relation.btr", "relation.v2.btr", "relation.v2s.btr", "relation.v2z.btr"):
         from repro.core.file_format import relation_from_bytes
 
         restored = relation_from_bytes((GOLDEN_DIR / rel_name).read_bytes())
@@ -305,23 +307,63 @@ def test_stats_footer_layout(fixtures):
 
 
 def test_manifest_carries_stats_and_block_ranges(fixtures):
-    """The committed manifest freezes the pruning contract: per-column
-    ``block_ranges`` byte extents and checksum-bound ``stats`` entries."""
+    """The committed manifest freezes the pruning contract: one CRC32 over
+    the body's exact bytes, and per column one packed zone record per block
+    (statistics, the block's bound CRC32 and its byte extent) plus a string
+    column's per-block bounds."""
     import json
+    import zlib
 
-    from repro.core.blockstats import stats_from_json
+    from repro.core.blockstats import ZONE_RECORD, string_bounds_from_json, unpack_zone
 
-    manifest = json.loads((GOLDEN_DIR / "manifest.v2s.json").read_bytes())
+    raw = (GOLDEN_DIR / "manifest.v2z.json").read_bytes()
+    head = b'{"crc32":%10d,"manifest":' % zlib.crc32(raw[31:-1])
+    assert raw[:31] == head and raw.endswith(b"}")
+    manifest = json.loads(raw)["manifest"]
     assert manifest["name"] == "golden"
     assert manifest["format_version"] == 2
+    assert ZONE_RECORD.itemsize == 41
     for entry in manifest["columns"]:
-        assert entry["blocks"] == len(entry["block_ranges"])
-        for offset, size in entry["block_ranges"]:
-            assert offset >= 0 and size >= 16
-        stats = stats_from_json(entry["stats"])
-        assert len(stats) == entry["blocks"]
-        assert sum(s.row_count for s in stats) == entry["rows"]
-        assert all(s.checksum is not None for s in stats)
+        records = unpack_zone(entry["zone"])
+        assert len(records) == entry["blocks"]
+        assert int(records["rows"].sum()) == entry["rows"]
+        assert (records["crc"] != 0).all()
+        assert (records["size"] >= 16).all()
+        assert (records["offset"] + records["size"] <= entry["bytes"]).all()
+        assert ("bounds" in entry) == (entry["type"] == "string")
+    city = manifest["columns"][2]
+    assert string_bounds_from_json(city["bounds"][0])[:2] == (b"ATHENS", b"OSLO")
+
+
+def test_legacy_manifest_scans_without_its_statistics():
+    """A manifest written before the CRC32 envelope still opens, and its
+    tables scan correctly through full fetch-and-filter: its per-entry JSON
+    ``stats`` are not read, so no zone map is consulted."""
+    import json
+
+    from repro.cloud import SimulatedObjectStore
+    from repro.cloud.remote_table import RemoteTable, manifest_key
+    from repro.observe import MetricsRegistry, use_registry
+    from repro.query import Equals
+    from repro.types import columns_equal
+
+    legacy = (GOLDEN_DIR / "manifest.v2s.json").read_bytes()
+    store = SimulatedObjectStore()
+    store.put(manifest_key("golden", 1), legacy)
+    for entry in json.loads(legacy)["columns"]:
+        assert "stats" in entry and "zone" not in entry
+        store.put(entry["file"], (GOLDEN_DIR / f"column_{entry['name']}.v2s.btrc").read_bytes())
+    original = _fixture_relation()
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        table = RemoteTable.open(store, "golden")
+        for got, want in zip(table.scan().columns, original.columns):
+            assert columns_equal(got, want)
+        filtered = table.scan(columns=["runs", "price"], where={"runs": Equals(9)})
+    rows = np.flatnonzero(original.column("runs").data == 9)
+    assert np.array_equal(filtered.column("runs").data, original.column("runs").data[rows])
+    assert np.array_equal(filtered.column("price").data, original.column("price").data[rows])
+    assert registry.get("cloud.scan.zonemap.consulted") == 0
 
 
 def test_relation_file_header_is_json_index():

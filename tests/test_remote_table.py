@@ -7,6 +7,7 @@ from repro.bitmap import RoaringBitmap
 from repro.cloud import SimulatedObjectStore
 from repro.cloud.remote_table import RemoteTable, TableWriter
 from repro.core.compressor import compress_relation
+from repro.core.blockstats import string_bounds_from_json
 from repro.core.config import BtrBlocksConfig
 from repro.core.relation import Relation
 from repro.exceptions import FormatError
@@ -225,15 +226,16 @@ class TestZoneMapIntegration:
     def test_manifest_zone_map_for_every_column(self, table):
         _, remote = table
         for name in remote.column_names():
-            assert remote.column_entry(name)["stats"]
+            assert remote.column_entry(name)["zone"]
         # Strings get zone maps too: byte-prefix bounds plus a Bloom digest
         # for low-cardinality blocks.
         city = remote._zone_map(remote.column_entry("city"))
-        assert all(e.min_bytes is not None for e in city.entries)
+        assert len(city.bounds) == len(city.entries)
+        assert all(string_bounds_from_json(item)[0] is not None for item in city.bounds)
 
     def test_without_zone_maps_results_identical(self, table):
         relation, with_maps = table
         without = _committed(relation, BtrBlocksConfig(block_size=1000), with_stats=False)
-        assert "stats" not in without.column_entry("id")
+        assert "zone" not in without.column_entry("id")
         where = {"id": Between(1500, 1600)}
         assert with_maps.matching_rows(where) == without.matching_rows(where)

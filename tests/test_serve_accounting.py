@@ -36,6 +36,8 @@ from repro.serve import (
     serve_workload,
 )
 
+from manifest_forge import block_range
+
 SERVE_SEED = int(os.environ.get("REPRO_SERVE_SEED", "202408"), 0)
 
 #: Float accumulations (seconds, dollars) may differ from the closed-form
@@ -262,7 +264,7 @@ class TestFailuresStillBalance:
             loop.create_task(scan(), "warm")
             loop.run()
             entry = server._handles[(profile.name, "null_block")].column_entry("id")
-            offset, size = entry["block_ranges"][2]
+            offset, size = block_range(entry, 2)
             damaged = bytearray(store._objects[entry["file"]])
             damaged[offset + size - 3] ^= 0x20  # block 2's payload, at rest
             store._objects[entry["file"]] = bytes(damaged)

@@ -58,7 +58,7 @@ class TestCommit:
         TableWriter(store, writer_id="w7").write(compressed)
         key = manifest_key("trips", 1)
         assert key == "trips/_manifests/000001.json"
-        manifest = json.loads(store.get(key).decode("utf-8"))
+        manifest = json.loads(store.get(key).decode("utf-8"))["manifest"]
         assert manifest["name"] == "trips"
         assert manifest["version"] == 1
         assert [c["name"] for c in manifest["columns"]] == ["id", "fare"]
@@ -177,6 +177,28 @@ class TestRecovery:
         # whose metadata got damaged — never delete its data.
         assert report.deleted_objects == 0
         assert data_key in store.keys("trips/")
+
+    def test_recover_pins_versions_whose_manifest_fails_its_crc(self, store):
+        """One bit of a committed manifest's body flipped inside a file name:
+        the JSON still parses and would reference a key that does not exist,
+        leaving the version's real column object looking unreferenced. The
+        CRC32 check makes the manifest unreadable instead, which pins its
+        version: nothing it references is deleted."""
+        writer = TableWriter(store)
+        writer.write(compress_relation(make_relation()))
+        writer.write(compress_relation(make_relation(rows=600)))
+        key = manifest_key("trips", 2)
+        raw = store.get(key)
+        files = [entry["file"] for entry in json.loads(raw)["manifest"]["columns"]]
+        position = raw.index(files[0].encode()) + len(files[0]) - 5  # "col_000<0>.btr"
+        damaged = bytearray(raw)
+        damaged[position] ^= 0x01
+        store.put(key, bytes(damaged))
+        keys_before = store.keys("trips/")
+        report = recover(store, "trips")
+        assert report.deleted_objects == 0
+        assert store.keys("trips/") == keys_before
+        assert all(name in keys_before for name in files)
 
     def test_recover_never_touches_other_tables(self, store):
         TableWriter(store).write(compress_relation(make_relation("other")))

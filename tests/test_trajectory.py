@@ -38,11 +38,19 @@ def test_trend_accepts_the_committed_series(capsys):
     assert all(f"issue {issue:>3} " in out for issue in ISSUES)
 
 
+def _newest(entries):
+    """The newest per-PR entry (anchors are never the newest)."""
+    return max(
+        (entry for entry in entries if not entry.get("anchor")),
+        key=lambda entry: (entry["date"], entry["issue"]),
+    )
+
+
 def _doctored_root(tmp_path: Path, doctor) -> Path:
     """A root holding the committed series with ``doctor`` applied to its newest entry."""
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     entries = [json.loads(path.read_text()) for path in COMMITTED]
-    newest = max(entries, key=lambda entry: (entry["date"], entry["issue"]))
+    newest = _newest(entries)
     doctor(newest)
     newest["summary"] = trajectory.summarise(newest["runs"], trajectory.benchmark()[1])
     for index, entry in enumerate(entries):
@@ -60,10 +68,7 @@ def test_trend_rejects_a_newest_entry_that_breaks_a_bound(tmp_path, capsys):
     assert trajectory.trend(root) == 1
     out = capsys.readouterr().out
     assert re.search(r"FAIL issue \d+: tpch_cold scan_mb_s seed 100: -(4|5)\d\.\d%, bound 20%", out)
-    newest = max(
-        (json.loads(path.read_text()) for path in root.glob("BENCH_*.json")),
-        key=lambda entry: (entry["date"], entry["issue"]),
-    )
+    newest = _newest(json.loads(path.read_text()) for path in root.glob("BENCH_*.json"))
     # Once per seed the entry ran (seed 100, and a held-out seed if any), nothing else.
     assert out.count("FAIL") == len(newest["summary"]["tpch_cold"])
 
@@ -178,3 +183,22 @@ def test_pairs_rejects_a_run_with_failed_operations(tmp_path):
         trajectory.main(["pairs", "--parent", str(checkouts["parent"]), "--change",
                          str(checkouts["change"]), "--issue", "7", "-o", str(out)])
     assert not out.exists()
+
+
+def test_an_anchor_entry_is_listed_apart_and_is_never_the_newest(tmp_path, capsys):
+    """An anchor pairs the previous anchor's tree with a later one: ``trend``
+    lists it in its own section and holds only the newest per-PR entry to
+    the bounds, even when the anchor is dated later and moved further."""
+    root = _doctored_root(tmp_path, lambda entry: None)
+    newest = _newest(json.loads(path.read_text()) for path in root.glob("BENCH_*.json"))
+    anchor = dict(newest, date="2099-01-01", anchor=True, parent_commit="a" * 40)
+    for run in anchor["runs"]:
+        if run["side"] == "change":
+            run["result"]["metrics"]["scan_mb_s"]["value"] *= 0.5
+    anchor["summary"] = trajectory.summarise(anchor["runs"], trajectory.benchmark()[1])
+    (root / "BENCH_anchor.json").write_text(json.dumps(anchor))
+    assert trajectory.trend(root) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    section = out[out.index(f"anchor 2099-01-01: aaaaaaa -> the tree after issue {newest['issue']}"):]
+    assert re.search(r"tpch_cold scan_mb_s seed +100: \S+ -> \S+ \(-(4|5)\d\.\d%", section)

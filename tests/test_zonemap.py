@@ -5,12 +5,17 @@ import pytest
 
 from repro.bitmap import RoaringBitmap
 from repro.core import blockstats
-from repro.core.blockstats import BlockStats, BloomFilter, compute_block_stats
+from repro.core.blockstats import (
+    BlockStats,
+    BloomFilter,
+    compute_block_stats,
+    string_bounds_from_json,
+)
 from repro.core.compressor import compress_column
 from repro.core.config import BtrBlocksConfig
 from repro.exceptions import FormatError
-from repro.metadata import ColumnZoneMap, ZoneMapEntry, build_zone_map, pruned_scan
-from repro.query import Between, Equals, GreaterThan, IsNull
+from repro.metadata import ColumnZoneMap, build_zone_map, pruned_scan
+from repro.query import Between, Equals, GreaterThan, In, IsNull
 from repro.types import Column, ColumnType, StringArray
 
 from test_roundtrip_fuzz import STRING_CASES  # the adversarial string corpus
@@ -36,25 +41,27 @@ class TestBuildZoneMap:
     def test_block_boundaries(self, sorted_column):
         zm = _zone_map(sorted_column)
         assert len(zm.entries) == 4
-        assert zm.entries[0].minimum == 0
-        assert zm.entries[0].maximum == 999
-        assert zm.entries[3].minimum == 3000
+        assert zm.entries["lo"][0] == 0
+        assert zm.entries["hi"][0] == 999
+        assert zm.entries["lo"][3] == 3000
+        assert zm.entries["has_range"].all()
 
     def test_null_counts(self):
         column = Column.ints("c", np.zeros(2000, dtype=np.int32),
                              RoaringBitmap.from_positions([5, 1500, 1501]))
         zm = _zone_map(column)
-        assert zm.entries[0].null_count == 1
-        assert zm.entries[1].null_count == 2
+        assert zm.entries["nulls"][0] == 1
+        assert zm.entries["nulls"][1] == 2
 
     def test_string_columns_get_byte_bounds(self):
         column = Column.strings("s", ["a", "b"] * 500)
         zm = _zone_map(column)
         # Strings carry conservative byte-prefix bounds (and a Bloom filter
         # for low-cardinality blocks) instead of numeric min/max.
-        assert zm.entries[0].minimum is None
-        assert zm.entries[0].min_bytes == b"a"
-        assert zm.entries[0].bloom is not None
+        assert not zm.entries["has_range"][0]
+        min_bytes, _, bloom = string_bounds_from_json(zm.bounds[0])
+        assert min_bytes == b"a"
+        assert bloom is not None
 
     def test_infinities_kept_nan_skipped(self):
         # +/-inf are real, ordered values: dropping them from the bounds
@@ -62,12 +69,12 @@ class TestBuildZoneMap:
         # Only NaN (unordered) is excluded.
         column = Column.doubles("d", np.array([np.inf, 1.0, -np.inf, 5.0] * 10))
         zm = _zone_map(column)
-        assert zm.entries[0].minimum == -np.inf
-        assert zm.entries[0].maximum == np.inf
+        assert zm.entries["lo"][0] == -np.inf
+        assert zm.entries["hi"][0] == np.inf
         nan_column = Column.doubles("d", np.array([np.nan, 1.0, np.nan, 5.0] * 10))
         zm = _zone_map(nan_column)
-        assert zm.entries[0].minimum == 1.0
-        assert zm.entries[0].maximum == 5.0
+        assert zm.entries["lo"][0] == 1.0
+        assert zm.entries["hi"][0] == 5.0
 
 
 def _row_by_row_string_stats(chunk: Column, bloom_max_distinct: int) -> BlockStats:
@@ -142,22 +149,28 @@ class TestStringBlockStatsMatchRowOracle:
             ), name
 
 
+def _may_match(stats: BlockStats, predicate) -> bool:
+    """Whether a one-block map keeps its block."""
+    zone_map = ColumnZoneMap("c", ColumnType.DOUBLE, blockstats.zone_records([stats]))
+    return zone_map.pruned_blocks(predicate) == [0]
+
+
 class TestPruning:
     def test_entry_may_match(self):
-        entry = ZoneMapEntry(100, 0, 10.0, 20.0)
-        assert entry.may_match(Equals(15))
-        assert not entry.may_match(Equals(25))
-        assert not entry.may_match(Between(0, 5))
-        assert not entry.may_match(GreaterThan(20))
+        entry = BlockStats(100, 0, 10.0, 20.0)
+        assert _may_match(entry, Equals(15))
+        assert not _may_match(entry, Equals(25))
+        assert not _may_match(entry, Between(0, 5))
+        assert not _may_match(entry, GreaterThan(20))
 
     def test_all_null_block_never_matches_values(self):
-        entry = ZoneMapEntry(100, 100, None, None)
-        assert not entry.may_match(Equals(1))
-        assert entry.may_match(IsNull())
+        entry = BlockStats(100, 100, None, None)
+        assert not _may_match(entry, Equals(1))
+        assert _may_match(entry, IsNull())
 
     def test_is_null_pruning(self):
-        entry = ZoneMapEntry(100, 0, 1.0, 2.0)
-        assert not entry.may_match(IsNull())
+        entry = BlockStats(100, 0, 1.0, 2.0)
+        assert not _may_match(entry, IsNull())
 
     def test_pruned_blocks_selective(self, sorted_column):
         zm = _zone_map(sorted_column)
@@ -195,7 +208,7 @@ class TestPrunedScan:
         values = np.sort(np.random.default_rng(1).integers(0, 1_000_000, 64_000))
         compressed = compress_column(Column.ints("s", values), BtrBlocksConfig(block_size=16_000))
         entries = build_zone_map(compressed).entries
-        assert [e.row_count for e in entries] == [b.count for b in compressed.blocks]
+        assert entries["rows"].tolist() == [b.count for b in compressed.blocks]
         matches, blocks_read = pruned_scan(compressed, Between(900_000, 1_000_000))
         assert matches.to_array().tolist() == np.flatnonzero(values >= 900_000).tolist()
         assert blocks_read == 1
@@ -204,3 +217,49 @@ class TestPrunedScan:
         compressed = compress_column(sorted_column, BtrBlocksConfig(collect_stats=False))
         with pytest.raises(FormatError, match="no valid block statistics"):
             pruned_scan(compressed, Equals(2500))
+
+
+class TestBlocksWithoutARange:
+    """A block of only NULLs or only NaNs has no numeric range. Its record
+    carries ``has_range = False``, and the stored ``lo`` / ``hi`` must not
+    decide anything: an all-NaN block survives every value predicate (the
+    bounds know nothing), an all-NULL block survives only ``IsNull``."""
+
+    # Blocks of 4 rows: 1..5, all NaN, all NULL, NaN and NULL mixed.
+    VALUES = [1.0, 2.0, 3.0, 5.0] + [np.nan] * 4 + [7.0] * 4 + [np.nan] * 4
+    NULLS = list(range(8, 12)) + [14, 15]
+    EXPECTED = {
+        Equals(3.0): [0, 1, 3],
+        Equals(9.0): [1, 3],
+        Between(1.0, 5.0): [0, 1, 3],
+        Between(6.0, 8.0): [1, 3],
+        In([2.0, 4.0]): [0, 1, 3],
+        In([8.0]): [1, 3],
+        IsNull(): [2, 3],
+    }
+
+    def _column(self):
+        return Column.doubles("d", np.array(self.VALUES), RoaringBitmap.from_positions(self.NULLS))
+
+    @pytest.mark.parametrize("predicate", list(EXPECTED), ids=repr)
+    def test_in_memory_map(self, predicate):
+        compressed = compress_column(self._column(), BtrBlocksConfig(block_size=4))
+        zone_map = build_zone_map(compressed)
+        assert zone_map.entries["has_range"].tolist() == [True, False, False, False]
+        assert zone_map.pruned_blocks(predicate) == self.EXPECTED[predicate]
+
+    @pytest.mark.parametrize("predicate", list(EXPECTED), ids=repr)
+    def test_manifest_map_and_scan(self, predicate):
+        from repro.cloud import SimulatedObjectStore
+        from repro.cloud.remote_table import RemoteTable, TableWriter
+        from repro.core.blocks import CompressedRelation
+        from repro.query import scan_column
+
+        compressed = compress_column(self._column(), BtrBlocksConfig(block_size=4))
+        store = SimulatedObjectStore()
+        TableWriter(store).write(CompressedRelation("t", [compressed]))
+        table = RemoteTable.open(store, "t")
+        zone_map = table._zone_map(table.column_entry("d"))
+        assert zone_map.pruned_blocks(predicate) == self.EXPECTED[predicate]
+        got = table.scan(where={"d": predicate}).columns[0]
+        assert len(got) == len(scan_column(compressed, predicate))
