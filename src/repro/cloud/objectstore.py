@@ -36,6 +36,7 @@ retry bills twice). Aborts and deletes are free, as on S3.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -159,6 +160,9 @@ class SimulatedObjectStore:
         self._retry_rng = random.Random(seed ^ 0x5E7B0FF)
         self._uploads: dict[str, _MultipartUpload] = {}
         self._upload_counter = 0
+        #: Every key of ``_objects`` in order, kept by each mutator so
+        #: ``keys`` bisects a prefix range instead of scanning the store.
+        self._sorted_keys: list[str] = sorted(self._objects)
 
     def set_faults(self, profile: FaultProfile | None) -> None:
         """Swap the fault profile (e.g. to read back after a writer crash)."""
@@ -237,14 +241,23 @@ class SimulatedObjectStore:
         self._retrying_put(attempt, f"PUT {key}")
 
     def _install(self, key: str, data: bytes) -> None:
+        if key not in self._objects:
+            bisect.insort(self._sorted_keys, key)
         self._objects[key] = bytes(data)
 
     def delete(self, key: str) -> int:
         """Remove an object; returns the bytes freed. Free, as on S3."""
-        return len(self._objects.pop(key, b""))
+        data = self._objects.pop(key, None)
+        if data is None:
+            return 0
+        del self._sorted_keys[bisect.bisect_left(self._sorted_keys, key)]
+        return len(data)
 
     def keys(self, prefix: str = "") -> list[str]:
-        return sorted(k for k in self._objects if k.startswith(prefix))
+        """Every key starting with ``prefix``, sorted (a fresh list)."""
+        keys, width = self._sorted_keys, len(prefix)
+        start = bisect.bisect_left(keys, prefix)
+        return keys[start : bisect.bisect_right(keys, prefix, start, key=lambda k: k[:width])]
 
     def object_size(self, key: str) -> int:
         return len(self._objects[key])
@@ -329,9 +342,8 @@ class SimulatedObjectStore:
                 if upload.completed:
                     return
                 upload.completed = True
-                self._objects[upload.key] = b"".join(
-                    part.data for _, part in sorted(upload.parts.items())
-                )
+                parts = sorted(upload.parts.items())
+                self._install(upload.key, b"".join(part.data for _, part in parts))
 
             self._put_attempt("complete", upload.key, 0, apply)
 

@@ -10,8 +10,6 @@ strings (Section 5, "String Dictionaries").
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 from repro.encodings import strutil
@@ -31,11 +29,11 @@ from repro.types import ColumnType, StringArray
 _POOL_RAW = 0
 _POOL_FSST = 1
 
-#: Decoded string pools keyed by pool-blob content, shared across scans so a
-#: second predicate against the same block skips ``_decompress_pool``. Keyed
-#: by CRC + length + declared count of the *compressed* pool bytes — content
-#: addressed, so identical pools in different blocks share one entry and a
-#: rewritten block can never alias a stale pool. Byte-budgeted like
+#: Decoded string pools keyed by the *compressed* pool's exact bytes (with its
+#: kind and declared count), shared by every DictString decode so a repeat
+#: read of the same block skips ``_decompress_pool``. Identical pools in
+#: different blocks share one entry, and a different pool never aliases one:
+#: a key matches only when the bytes do. Byte-budgeted like
 #: :class:`~repro.core.cache.DecodeCache`; lazily built so importing this
 #: module never touches the metrics registry.
 _POOL_CACHE_BYTES = 32 << 20
@@ -234,23 +232,22 @@ class DictString(Scheme):
     def cached_pool(self, kind: int, data: bytes, count: int, ctx) -> StringArray:
         """The decoded pool, served from the content-addressed cache.
 
-        Used by the scan and ``positions`` routes, where the same block's
-        pool is decoded once per predicate; the full decode keeps its
-        cache-free behaviour (one decode per materialisation is already
-        optimal there, and skipping the cache keeps its memory profile).
+        Every route (full, ``positions`` and scan) takes its pool here. The
+        key holds ``data`` itself (immutable ``bytes``), so a hit costs one
+        hash and one comparison of the blob; the entry is charged for the
+        blob it keeps as well as for the decoded pool.
         """
         cache = string_pool_cache()
-        key = (kind, zlib.crc32(data), len(data), count)
+        key = (kind, count, data)
         pool = cache.get(key)
         if pool is None:
             pool = self._decompress_pool(kind, data, count, ctx)
-            cache.put(key, pool, pool.nbytes)
+            cache.put(key, pool, pool.nbytes + len(data))
         return pool
 
     def decompress(self, payload, count, ctx, positions=None, out=None):
         kind, pool_count, pool_blob, codes_blob = self._parse(payload)
-        pool_of = self._decompress_pool if positions is None else self.cached_pool
-        pool = pool_of(kind, pool_blob, pool_count, ctx)
+        pool = self.cached_pool(kind, pool_blob, pool_count, ctx)
         codes = ctx.decompress_child(codes_blob, ColumnType.INTEGER, positions, count)
         codes = _checked_codes(codes, len(pool))
         return strutil.gather(pool, codes) if ctx.vectorized else pool.take(codes)

@@ -76,6 +76,30 @@ class TestObjectStore:
             store.put(key, b"")
         assert store.keys("a/") == ["a/1", "a/2"]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keys_match_a_full_listing_through_every_mutator(self, seed):
+        """The maintained key order answers each prefix exactly as a scan of
+        every object would, across puts, overwrites, deletes and multipart."""
+        rng = np.random.default_rng(seed)
+        names = ["", "a", "a/", "a/1", "a/10", "a/2", "ab", "b/x", "b/x/\U0010ffff", "\U0010ffff"]
+        store, uploads = SimulatedObjectStore(), []
+        for _ in range(300):
+            op, key = int(rng.integers(0, 5)), names[int(rng.integers(0, len(names)))]
+            if op == 0:
+                store.put(key, b"v")
+            elif op == 1:
+                store.delete(key)
+            elif op == 2:
+                uploads.append(store.initiate_multipart(key))
+                store.upload_part(uploads[-1], 1, b"part")
+            elif uploads:
+                upload = uploads.pop(int(rng.integers(0, len(uploads))))
+                (store.complete_multipart if op == 3 else store.abort_multipart)(upload)
+            for prefix in names:
+                listed = store.keys(prefix)
+                assert listed == sorted(k for k in store._objects if k.startswith(prefix))
+                assert listed is not store.keys(prefix)
+
     def test_transfer_seconds_positive(self):
         store = SimulatedObjectStore()
         store.put("k", b"x" * 10_000)

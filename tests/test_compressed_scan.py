@@ -28,6 +28,7 @@ replays through this suite too.
 from __future__ import annotations
 
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -35,11 +36,14 @@ import pytest
 from repro.bitmap import RoaringBitmap
 from repro.cloud import SimulatedObjectStore
 from repro.cloud.remote_table import RemoteTable, TableWriter
-from repro.core.compressor import compress_column, compress_relation
+from repro.core.blocks import CompressedBlock
+from repro.core.blockstats import unpack_zone
+from repro.core.compressor import compress_block, compress_column, compress_relation
 from repro.core.decompressor import (
     CorruptBlockResult,
     ON_CORRUPT_MODES,
     decode_block,
+    decompress_block,
     decompress_column,
     make_context,
 )
@@ -47,7 +51,10 @@ from repro.core.config import BtrBlocksConfig
 from repro.core.file_format import column_from_bytes, column_to_bytes
 from repro.core.relation import Relation
 from repro.encodings import strutil
-from repro.encodings.dictionary import clear_string_pool_cache
+from repro.encodings.base import SchemeId
+from repro.encodings.dictionary import clear_string_pool_cache, string_pool_cache
+from repro.encodings.fsst import FSST_SCHEME
+from repro.encodings.wire import Writer, unwrap, wrap
 from repro.exceptions import (
     BtrBlocksError,
     CorruptBlockError,
@@ -55,7 +62,7 @@ from repro.exceptions import (
     IntegrityError,
 )
 from repro.observe import MetricsRegistry, use_registry
-from repro.query.executor import filter_column, scan_column
+from repro.query.executor import filter_column, scan_block, scan_column
 from repro.query.predicates import Between, Equals, GreaterThan, In, IsNull, LessThan
 from repro.types import Column, ColumnType, StringArray
 
@@ -319,7 +326,22 @@ def test_filtered_decode_counters_scale_with_selectivity():
     assert narrow <= ROWS * 0.05  # decode work tracks selectivity
 
 
-def test_string_pool_cache_hits_on_repeat_scans():
+def _fsst_pool_table():
+    """A committed one-column table whose every block is a dictionary with
+    an FSST-compressed pool: ``(store, relation)``."""
+    rng = np.random.default_rng(SEED + 3)
+    urls = [f"https://lake.example.com/tenant/{i % 7}/object-{i:05d}.parquet" for i in range(300)]
+    column = Column.strings("url", [urls[i] for i in rng.integers(0, len(urls), ROWS)])
+    relation = Relation("pools", [column])
+    store = SimulatedObjectStore()
+    TableWriter(store).write(compress_relation(relation, BtrBlocksConfig(block_size=BLOCK)))
+    for block in RemoteTable.open(store, relation.name).fetch_column("url").blocks:
+        _scheme, _count, payload = unwrap(block.data)
+        assert _scheme == SchemeId.DICT_STRING and payload[0] == 1  # pool kind: FSST
+    return store, relation
+
+
+def test_string_pool_cache_hits_on_repeat_scans(monkeypatch):
     column = _make_column("dict_string", "none")
     compressed = compress_column(column, BtrBlocksConfig(block_size=BLOCK))
     clear_string_pool_cache()
@@ -330,6 +352,101 @@ def test_string_pool_cache_hits_on_repeat_scans():
     assert list(first.data) == list(second.data)
     assert registry.get("query.cdomain.pool_cache.miss") > 0
     assert registry.get("query.cdomain.pool_cache.hit") > 0
+
+    # The full route: a second fresh handle's scan decodes no FSST pool.
+    store, relation = _fsst_pool_table()
+    pool_decodes = []
+    fsst_decompress = FSST_SCHEME.decompress
+    monkeypatch.setattr(
+        FSST_SCHEME, "decompress", lambda *a: pool_decodes.append(1) or fsst_decompress(*a)
+    )
+    RemoteTable.open(store, relation.name).scan()
+    assert pool_decodes
+    pool_decodes.clear()
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        warm = RemoteTable.open(store, relation.name).scan()
+    assert not pool_decodes
+    assert registry.get("query.cdomain.pool_cache.hit") == ROWS // BLOCK
+    assert registry.get("query.cdomain.pool_cache.miss") == 0
+    clear_string_pool_cache()
+    cold = RemoteTable.open(store, relation.name).scan()
+    assert warm.columns[0].data == cold.columns[0].data == relation.column("url").data
+
+    # A block that fails its CRC32 is never decoded, so it caches no pool.
+    entry = RemoteTable.open(store, relation.name).column_entry("url")
+    offset, size = unpack_zone(entry["zone"])[["offset", "size"]][1].tolist()
+    damaged = bytearray(store._objects[entry["file"]])
+    damaged[offset + size // 2] ^= 0x40
+    store._objects[entry["file"]] = bytes(damaged)
+    clear_string_pool_cache()
+    with pytest.raises(IntegrityError):
+        RemoteTable.open(store, relation.name).scan()
+    assert len(string_pool_cache()) == 0
+    clear_string_pool_cache()
+
+
+def _forge_crc32(blob: bytes, at: int, target: int) -> bytes:
+    """``blob`` with bytes ``at:at + 4`` rewritten so its CRC32 is ``target``.
+
+    CRC32 is affine over GF(2): flipping a set of bits XORs the CRC with the
+    XOR of each bit's own effect, so the 32 bits at ``at`` are solved for
+    the difference by Gaussian elimination."""
+    base = bytearray(blob)
+    base[at : at + 4] = bytes(4)
+    crc0, basis = zlib.crc32(base), {}
+    for bit in range(32):
+        flipped = bytearray(base)
+        flipped[at + bit // 8] ^= 1 << (bit % 8)
+        effect, flips = zlib.crc32(flipped) ^ crc0, 1 << bit
+        while effect and effect.bit_length() in basis:
+            pivot_effect, pivot_flips = basis[effect.bit_length()]
+            effect, flips = effect ^ pivot_effect, flips ^ pivot_flips
+        if effect:
+            basis[effect.bit_length()] = (effect, flips)
+    want, flips = target ^ crc0, 0
+    while want:
+        effect, pivot_flips = basis[want.bit_length()]
+        want, flips = want ^ effect, flips ^ pivot_flips
+    base[at : at + 4] = flips.to_bytes(4, "little")
+    assert zlib.crc32(base) == target
+    return bytes(base)
+
+
+def test_a_pool_with_a_forged_crc32_decodes_to_its_own_strings():
+    """Two raw pools with the same kind, length, count and CRC32 but other
+    bytes: every route serves each block its own pool, in either order."""
+    def raw_pool(strings):
+        offsets = np.cumsum([0] + [len(s) for s in strings], dtype=np.int64)
+        return Writer().array(np.frombuffer(b"".join(strings), np.uint8)).array(offsets).getvalue()
+
+    pools = [
+        [b"alpha", b"bravo", b"charlie", b"zulu"],
+        [b"ALPHA", b"BRAVO", b"CHARLIE", b"????"],
+    ]
+    lower = raw_pool(pools[0])
+    at = 5 + len(b"ALPHABRAVOCHARLIE")  # "????": past the buffer array's header and three strings
+    upper = _forge_crc32(raw_pool(pools[1]), at, zlib.crc32(lower))
+    pools[1][3] = upper[at : at + 4]
+    assert len(upper) == len(lower) and upper != lower
+    codes = np.random.default_rng(SEED).integers(0, 4, ROWS).astype(np.int32)
+    codes_blob = compress_block(codes, ColumnType.INTEGER)
+    blocks = [
+        wrap(SchemeId.DICT_STRING, ROWS, Writer().u8(0).u32(4).blob(pool).blob(codes_blob).getvalue())
+        for pool in (lower, upper)
+    ]
+    picks = np.flatnonzero(codes == 0)[:5]
+    for order in ((0, 1), (1, 0)):
+        clear_string_pool_cache()
+        for i in order * 2:
+            expected = [pools[i][c] for c in codes]
+            assert decompress_block(blocks[i], ColumnType.STRING).to_pylist() == expected
+            block = CompressedBlock(ROWS, blocks[i])
+            got = decode_block(block, ColumnType.STRING, make_context(), positions=picks)
+            assert got.to_pylist() == [pools[i][0]] * picks.size
+            mask, hits = scan_block(blocks[i], ColumnType.STRING, Equals(pools[i][1]), values=True)
+            assert np.array_equal(mask, codes == 1)
+            assert hits.to_pylist() == [pools[i][1]] * int(mask.sum())
     clear_string_pool_cache()
 
 
