@@ -136,6 +136,30 @@ def _parse_manifest(raw: bytes) -> dict:
     return manifest
 
 
+class _Manifest:
+    """A checked manifest, shared read-only by every handle on its bytes: the
+    parsed ``body``, its ``entries`` by column name (the first wins when names
+    repeat) and each column's zone map once it passed ``_zone_map``'s checks."""
+
+    __slots__ = ("body", "entries", "zone_maps")
+
+    def __init__(self, body: dict) -> None:
+        self.body = body
+        self.entries = {entry["name"]: entry for entry in reversed(body["columns"])}
+        self.zone_maps: "dict[str, ColumnZoneMap]" = {}
+
+
+#: Checked manifests keyed by the object's exact ``bytes`` (a hit is one hash
+#: and one comparison; damaged or CRC32-forged bytes are another key), charged
+#: 8x their size: the key, the parsed body and zone maps (6.7-7.7x, measured).
+_manifests = ByteBudgetLRU(8 << 20, "cloud.table.manifest_cache")
+
+
+def clear_manifest_cache() -> None:
+    """Drop every memoised manifest (tests and long-running servers)."""
+    _manifests.clear()
+
+
 def _record_transfer(store: SimulatedObjectStore, requests: int, nbytes: int) -> None:
     """Account one remote fetch: objects, bytes and simulated dollar cost."""
     pricing = store.pricing
@@ -281,9 +305,8 @@ class RemoteTable:
     ) -> None:
         self._store = store
         self.name = name
-        self._metadata = metadata
-        #: Manifest entry by column name; the first wins when names repeat.
-        self._entries = {entry["name"]: entry for entry in reversed(metadata["columns"])}
+        self._manifest = metadata if isinstance(metadata, _Manifest) else _Manifest(metadata)
+        self._metadata, self._entries = self._manifest.body, self._manifest.entries
         #: Downloaded compressed columns, bounded by byte budget (LRU).
         #: Injectable so a multi-tenant server shares one budget across
         #: handles; keys are the manifest's object key, which names the
@@ -305,14 +328,14 @@ class RemoteTable:
         #: Committed version this handle reads.
         self.version = version
         self.decode_limits = decode_limits
-        #: Validated manifest zone maps per column; ``None`` = known absent
-        #: or rejected (``cloud.scan.zonemap.invalid``).
+        #: This handle's zone maps per column; ``None`` = known absent or
+        #: rejected here (``cloud.scan.zonemap.invalid``), never in the memo.
         self._zone_maps: "dict[str, ColumnZoneMap | None]" = {}
 
     @staticmethod
-    def _fetch_json(store: SimulatedObjectStore, key: str) -> dict:
-        """GET + :func:`_parse_manifest`, refetching what fails up to the
-        store's retry budget (``cloud.table.meta_refetches``); then
+    def _fetch_json(store: SimulatedObjectStore, key: str) -> _Manifest:
+        """GET + the memo, else :func:`_parse_manifest`, refetching what fails
+        up to the store's retry budget (``cloud.table.meta_refetches``); then
         :class:`~repro.exceptions.IntegrityError` when the last download
         failed its CRC32, :class:`~repro.exceptions.FormatError` otherwise.
         """
@@ -320,8 +343,13 @@ class RemoteTable:
         for attempt in range(attempts):
             raw = store.get(key)
             _record_transfer(store, 1, len(raw))
+            manifest = _manifests.get(raw)
+            if manifest is not None:
+                return manifest
             try:
-                return _parse_manifest(raw)
+                manifest = _Manifest(_parse_manifest(raw))
+                _manifests.put(raw, manifest, 8 * len(raw))  # (only checked bytes)
+                return manifest
             except IntegrityError:
                 damaged = True
             except (ValueError, KeyError, TypeError):
@@ -365,12 +393,12 @@ class RemoteTable:
         else:
             raise FormatError(f"table {name!r} has no committed version")
 
-        metadata = cls._fetch_json(store, key)
+        manifest = cls._fetch_json(store, key)
         return cls(
             store,
             name,
-            metadata,
-            int(metadata["version"]),
+            manifest,
+            int(manifest.body["version"]),
             on_corrupt=on_corrupt,
             decode_limits=decode_limits,
             decode_cache_bytes=decode_cache_bytes,
@@ -528,14 +556,15 @@ class RemoteTable:
 
         One decode of the packed records, then array checks: one record per
         block, rows summing to the column's, byte extents inside the file,
-        in order and no shorter than a block header.
+        in order and no shorter than a block header. A map that passes is
+        shared with every handle on the same manifest bytes.
         """
         name = entry["name"]
         if name in self._zone_maps:
             return self._zone_maps[name]
-        self._zone_maps[name] = None
-        if "zone" not in entry:
-            return None
+        zone_map = self._zone_maps[name] = self._manifest.zone_maps.get(name)
+        if zone_map is not None or "zone" not in entry:
+            return zone_map
         try:
             records = unpack_zone(entry["zone"])
             bounds = entry.get("bounds")
@@ -552,7 +581,7 @@ class RemoteTable:
             self._discard_zone_map(entry, str(exc))
             return None
         zone_map = ColumnZoneMap(name, ColumnType(entry["type"]), records, bounds)
-        self._zone_maps[name] = zone_map
+        self._zone_maps[name] = self._manifest.zone_maps[name] = zone_map
         return zone_map
 
     def _check_block_against_stats(self, entry: dict, index: int, block, rows: int, crc: int) -> None:
@@ -589,7 +618,7 @@ class RemoteTable:
         if block is not None:
             return block
         registry = get_registry()
-        rows, crc, offset, size = zone_map.entries[["rows", "crc", "offset", "size"]][index].tolist()
+        rows, crc, offset, size = zone_map.block_extents[index]
         attempts = max(1, self._store.retry.max_attempts)
         for _ in range(attempts):
             before = self._store.stats.get_requests
@@ -637,7 +666,7 @@ class RemoteTable:
         except FormatError as exc:  # a string bound that does not decode
             self._discard_zone_map(entry, str(exc))
             return None
-        sizes = zone_map.entries["size"].tolist()
+        sizes = zone_map.block_sizes
         get_registry().incr_many([
             ("cloud.scan.zonemap.consulted", 1),
             ("cloud.scan.pruned_blocks", len(sizes) - len(survivors)),
@@ -668,8 +697,7 @@ class RemoteTable:
         propagates out of the consuming driver mid-iteration, before any
         further block is fetched).
         """
-        offsets = zone_map.block_offsets()
-        crcs = zone_map.entries["crc"].tolist()
+        offsets, extents = zone_map.block_offsets, zone_map.block_extents
         for index in survivors:
             if cached is not None:
                 if index >= len(cached.blocks):
@@ -678,8 +706,8 @@ class RemoteTable:
                     )
                     raise _PrunedPathUnavailable()
                 block = cached.blocks[index]
-                rows = offsets[index + 1] - offsets[index]
-                self._check_block_against_stats(entry, index, block, rows, crcs[index])
+                rows, crc = extents[index][:2]
+                self._check_block_against_stats(entry, index, block, rows, crc)
             else:
                 block = self._fetch_pruned_block(entry, index, zone_map)
             yield index, block, offsets[index]
@@ -700,12 +728,12 @@ class RemoteTable:
             return None  # full column in cache: no GET to save
         # ``rows`` come sorted from the filter: block ``i`` is needed
         # iff some row falls between its offset and the next block's.
-        bounds = np.searchsorted(rows, zone_map.block_offsets())
+        bounds = np.searchsorted(rows, zone_map.block_offsets)
         needed = (bounds[1:] > bounds[:-1]).tolist()
         blocks = [
             self._fetch_pruned_block(entry, index, zone_map)
-            if needed[index] else CompressedBlock(count, b"")
-            for index, count in enumerate(zone_map.entries["rows"].tolist())
+            if needed[index] else CompressedBlock(extent[0], b"")
+            for index, extent in enumerate(zone_map.block_extents)
         ]
         sparse = CompressedColumn(entry["name"], ColumnType(entry["type"]), blocks)
         return self._read_rows(entry, sparse, rows)
@@ -1129,7 +1157,7 @@ def recover(store: SimulatedObjectStore, name: str) -> RecoveryReport:
         stem = key[len(manifest_prefix) :]
         version = int(stem[:-5]) if stem.endswith(".json") and stem[:-5].isdigit() else None
         try:
-            manifest = RemoteTable._fetch_json(store, key)
+            manifest = RemoteTable._fetch_json(store, key).body
             referenced.update(entry["file"] for entry in manifest["columns"])
         except (FormatError, IntegrityError):
             # Conservative: a manifest that fails its CRC32 or does not

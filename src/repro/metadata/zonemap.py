@@ -15,6 +15,7 @@ predicate prunes every block in one array-safe ``may_match_range`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -74,9 +75,20 @@ class ColumnZoneMap:
             kept.append(index)
         return kept
 
+    # Built once per map, shared by every handle reading it: never mutated.
+    @cached_property
     def block_offsets(self) -> list[int]:
         """Starting row of each block plus the total (cumulative counts)."""
         return list(accumulate(self.entries["rows"].tolist(), initial=0))
+
+    @cached_property
+    def block_extents(self) -> "list[tuple[int, int, int, int]]":
+        """Each block's ``(rows, crc, offset, size)`` as Python ints."""
+        return self.entries[["rows", "crc", "offset", "size"]].tolist()
+
+    @cached_property
+    def block_sizes(self) -> list[int]:
+        return self.entries["size"].tolist()
 
 
 def build_zone_map(compressed: CompressedColumn) -> ColumnZoneMap:

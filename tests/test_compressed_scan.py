@@ -33,6 +33,7 @@ import zlib
 import numpy as np
 import pytest
 
+from manifest_forge import forge_crc32
 from repro.bitmap import RoaringBitmap
 from repro.cloud import SimulatedObjectStore
 from repro.cloud.remote_table import RemoteTable, TableWriter
@@ -386,33 +387,6 @@ def test_string_pool_cache_hits_on_repeat_scans(monkeypatch):
     clear_string_pool_cache()
 
 
-def _forge_crc32(blob: bytes, at: int, target: int) -> bytes:
-    """``blob`` with bytes ``at:at + 4`` rewritten so its CRC32 is ``target``.
-
-    CRC32 is affine over GF(2): flipping a set of bits XORs the CRC with the
-    XOR of each bit's own effect, so the 32 bits at ``at`` are solved for
-    the difference by Gaussian elimination."""
-    base = bytearray(blob)
-    base[at : at + 4] = bytes(4)
-    crc0, basis = zlib.crc32(base), {}
-    for bit in range(32):
-        flipped = bytearray(base)
-        flipped[at + bit // 8] ^= 1 << (bit % 8)
-        effect, flips = zlib.crc32(flipped) ^ crc0, 1 << bit
-        while effect and effect.bit_length() in basis:
-            pivot_effect, pivot_flips = basis[effect.bit_length()]
-            effect, flips = effect ^ pivot_effect, flips ^ pivot_flips
-        if effect:
-            basis[effect.bit_length()] = (effect, flips)
-    want, flips = target ^ crc0, 0
-    while want:
-        effect, pivot_flips = basis[want.bit_length()]
-        want, flips = want ^ effect, flips ^ pivot_flips
-    base[at : at + 4] = flips.to_bytes(4, "little")
-    assert zlib.crc32(base) == target
-    return bytes(base)
-
-
 def test_a_pool_with_a_forged_crc32_decodes_to_its_own_strings():
     """Two raw pools with the same kind, length, count and CRC32 but other
     bytes: every route serves each block its own pool, in either order."""
@@ -426,7 +400,7 @@ def test_a_pool_with_a_forged_crc32_decodes_to_its_own_strings():
     ]
     lower = raw_pool(pools[0])
     at = 5 + len(b"ALPHABRAVOCHARLIE")  # "????": past the buffer array's header and three strings
-    upper = _forge_crc32(raw_pool(pools[1]), at, zlib.crc32(lower))
+    upper = forge_crc32(raw_pool(pools[1]), range(8 * at, 8 * at + 32), zlib.crc32(lower))
     pools[1][3] = upper[at : at + 4]
     assert len(upper) == len(lower) and upper != lower
     codes = np.random.default_rng(SEED).integers(0, 4, ROWS).astype(np.int32)

@@ -1,18 +1,22 @@
 """Tests for lazily-fetched remote tables on the simulated object store."""
 
+import json
+
 import numpy as np
 import pytest
 
+from manifest_forge import edit_zone, forge
 from repro.bitmap import RoaringBitmap
-from repro.cloud import SimulatedObjectStore
-from repro.cloud.remote_table import RemoteTable, TableWriter
+from repro.cloud import SimulatedObjectStore, remote_table
+from repro.cloud.remote_table import RemoteTable, TableWriter, clear_manifest_cache, manifest_key
 from repro.core.compressor import compress_relation
 from repro.core.blockstats import string_bounds_from_json
 from repro.core.config import BtrBlocksConfig
 from repro.core.relation import Relation
-from repro.exceptions import FormatError
+from repro.exceptions import FormatError, IntegrityError
+from repro.observe import MetricsRegistry, use_registry
 from repro.query import Between, Equals, GreaterThan
-from repro.types import Column
+from repro.types import Column, columns_equal
 
 
 @pytest.fixture
@@ -42,6 +46,16 @@ class TestOpen:
         for key, payload in objects.items():
             store.put(key, payload)
         with pytest.raises(FormatError, match="table 'sales' has no committed version"):
+            RemoteTable.open(store, "sales")
+
+    def test_a_signed_manifest_with_an_unhashable_name_is_a_format_error(self, store_with_table):
+        store, _ = store_with_table
+
+        def listed(body):
+            body["columns"][0]["name"] = ["id"]
+
+        forge(store, manifest_key("sales", 1), listed)
+        with pytest.raises(FormatError, match="unparseable"):
             RemoteTable.open(store, "sales")
 
     def test_unknown_column(self, store_with_table):
@@ -239,3 +253,112 @@ class TestZoneMapIntegration:
         assert "zone" not in without.column_entry("id")
         where = {"id": Between(1500, 1600)}
         assert with_maps.matching_rows(where) == without.matching_rows(where)
+
+
+# -- the process-wide manifest memo --------------------------------------------
+
+
+def _zone_maps(handle: RemoteTable) -> dict:
+    return {name: handle._zone_map(handle.column_entry(name)) for name in handle.column_names()}
+
+
+def _assert_same(got, want) -> None:
+    assert [column.name for column in got.columns] == [column.name for column in want.columns]
+    assert all(columns_equal(a, b) for a, b in zip(got.columns, want.columns))
+
+
+class TestManifestMemo:
+    WHERE = {"id": Between(1500, 1600), "city": Equals("OSLO")}
+
+    def test_a_fresh_handle_on_unchanged_bytes_parses_nothing(self, table, monkeypatch):
+        """The second handle hits the memo, runs no ``json.loads`` and no
+        ``unpack_zone``, holds the first handle's zone maps, and answers
+        exactly as a handle opened on an emptied memo."""
+        _, first = table
+        store, maps = first._store, _zone_maps(first)
+        calls = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(json, "loads", counted(json.loads))
+        monkeypatch.setattr(remote_table, "unpack_zone", counted(remote_table.unpack_zone))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            second = RemoteTable.open(store, "sales")
+            second_maps = _zone_maps(second)
+        monkeypatch.undo()
+        assert calls == []
+        assert registry.get("cloud.table.manifest_cache.hit") == 1
+        assert registry.get("cloud.table.manifest_cache.miss") == 0
+        assert all(second_maps[name] is maps[name] for name in maps)
+        assert not any(zone_map.entries.flags.writeable for zone_map in maps.values())
+        answers = second.scan(), second.scan(where=self.WHERE)
+        clear_manifest_cache()
+        fresh = RemoteTable.open(store, "sales")
+        assert _zone_maps(fresh)["id"] is not maps["id"]
+        _assert_same(answers[0], fresh.scan())
+        _assert_same(answers[1], fresh.scan(where=self.WHERE))
+
+    def test_a_new_commit_misses(self, table):
+        relation, first = table
+        store = first._store
+        TableWriter(store).write(compress_relation(relation, BtrBlocksConfig(block_size=1000)))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            second, again = RemoteTable.open(store, "sales"), RemoteTable.open(store, "sales")
+        assert (first.version, second.version) == (1, 2)
+        assert registry.get("cloud.table.manifest_cache.miss") == 1
+        assert registry.get("cloud.table.manifest_cache.hit") == 1
+        assert second._manifest is again._manifest is not first._manifest
+
+    def test_a_stale_binding_is_found_by_every_handle(self, table):
+        """Zone records bound to other CRC32s pass every check ``open`` can
+        make; each handle that reads a described block rejects the map for
+        itself (``zonemap.invalid`` once per handle) and the memo keeps it."""
+        relation, first = table
+        store = first._store
+
+        def stale(body):
+            def flip(records):
+                records["crc"] ^= 1
+
+            edit_zone(body["columns"][0], flip)
+
+        forge(store, manifest_key("sales", 1), stale)
+        where = {"id": Between(1500, 1600)}
+        registry = MetricsRegistry()
+        handles = []
+        with use_registry(registry):
+            for _ in range(2):
+                handles.append(RemoteTable.open(store, "sales"))
+                with pytest.raises(IntegrityError, match="zone map rejected"):
+                    handles[-1].scan(columns=["id"], where=where)
+            lenient = RemoteTable.open(store, "sales", on_corrupt="skip")
+            ids = lenient.scan(columns=["id"], where=where).column("id").data
+        assert registry.get("cloud.scan.zonemap.invalid") == 3
+        assert registry.get("cloud.table.manifest_cache.hit") == 2
+        assert [handle._zone_maps["id"] for handle in handles] == [None, None]
+        assert handles[0]._manifest.zone_maps["id"] is not None
+        assert np.asarray(ids).tolist() == list(range(1500, 1601))
+
+    def test_the_memo_stays_within_its_budget(self, table, monkeypatch):
+        relation, first = table
+        store, memo = first._store, remote_table._manifests
+        size = len(store.get(manifest_key("sales", 1)))
+        clear_manifest_cache()
+        monkeypatch.setattr(memo, "capacity_bytes", 3 * 8 * size)
+        compressed = compress_relation(relation, BtrBlocksConfig(block_size=1000))
+        for _ in range(5):
+            TableWriter(store).write(compressed)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            for version in range(1, 7):
+                RemoteTable.open(store, "sales", version=version)
+                assert memo.current_bytes <= memo.capacity_bytes
+        assert registry.get("cloud.table.manifest_cache.miss") == 6
+        assert registry.get("cloud.table.manifest_cache.evict") == 3
+        assert len(memo) == 3

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from repro.cloud import RemoteTable, SimulatedObjectStore, TableWriter, recover
-from repro.cloud.remote_table import MANIFEST_DIR, manifest_key, version_prefix
+from repro.cloud.remote_table import (
+    MANIFEST_DIR,
+    clear_manifest_cache,
+    manifest_key,
+    version_prefix,
+)
 from repro.core.compressor import compress_relation
 from repro.core.decompressor import decompress_relation
 from repro.core.relation import Relation
@@ -167,8 +172,17 @@ class TestRecovery:
         assert orphan not in store.keys("trips/")
         assert RemoteTable.open(store, "trips").version == 1
 
-    def test_recover_pins_versions_with_unreadable_manifests(self, store):
+    @staticmethod
+    def _prime(memo: str, store, versions) -> None:
+        """``cold``: an empty manifest memo; ``warm``: each clean version opened."""
+        clear_manifest_cache()
+        for version in versions if memo == "warm" else ():
+            RemoteTable.open(store, "trips", version=version)
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_recover_pins_versions_with_unreadable_manifests(self, store, memo):
         TableWriter(store).write(compress_relation(make_relation()))
+        self._prime(memo, store, [1])
         data_key = f"{version_prefix('trips', 2)}w0-col_0000.btr"
         store.put(data_key, b"X" * 128)
         store.put(manifest_key("trips", 2), b"{not json")
@@ -178,15 +192,18 @@ class TestRecovery:
         assert report.deleted_objects == 0
         assert data_key in store.keys("trips/")
 
-    def test_recover_pins_versions_whose_manifest_fails_its_crc(self, store):
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_recover_pins_versions_whose_manifest_fails_its_crc(self, store, memo):
         """One bit of a committed manifest's body flipped inside a file name:
         the JSON still parses and would reference a key that does not exist,
         leaving the version's real column object looking unreferenced. The
         CRC32 check makes the manifest unreadable instead, which pins its
-        version: nothing it references is deleted."""
+        version: nothing it references is deleted — also when the memo
+        holds the manifest's clean bytes."""
         writer = TableWriter(store)
         writer.write(compress_relation(make_relation()))
         writer.write(compress_relation(make_relation(rows=600)))
+        self._prime(memo, store, [1, 2])
         key = manifest_key("trips", 2)
         raw = store.get(key)
         files = [entry["file"] for entry in json.loads(raw)["manifest"]["columns"]]
